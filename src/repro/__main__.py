@@ -378,8 +378,9 @@ def _extract_main(args: list[str]) -> int:
               f"(shares: "
               + ", ".join(f"{s * 1e3:.1f}" for s in res.share_seconds)
               + " ms)")
+        # The rest were culled: their stored range excludes the threshold.
         print(f"shares:      {len(res.shares)}  payloads: {res.n_payloads}  "
-              f"block loads: {res.n_loads}")
+              f"loaded {res.n_loads} of {res.n_loads + res.n_culled} blocks")
         if res.schedule != "static":
             print(f"stealing:    {res.steals} steals, "
                   f"{res.idle_seconds * 1e3:.1f} ms worker idle")

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..grids.block import StructuredBlock
 from ..grids.multiblock import MultiBlockDataset
+from ..grids.summary import cell_field_minmax
 from ..viz.mesh import TriangleMesh
 from .tet_tables import HEX_TO_TETS, TET_EDGES, TET_TRI_TABLE
 
@@ -73,23 +74,8 @@ def active_cell_indices(
     block: StructuredBlock, scalar: str, isovalue: float
 ) -> np.ndarray:
     """Flat indices of cells whose corner interval encloses ``isovalue``."""
-    f = block.field(scalar)
-    if f.ndim != 3:
-        raise ValueError(f"field {scalar!r} is not a scalar")
-    stacked = np.stack(
-        [
-            f[:-1, :-1, :-1],
-            f[1:, :-1, :-1],
-            f[1:, 1:, :-1],
-            f[:-1, 1:, :-1],
-            f[:-1, :-1, 1:],
-            f[1:, :-1, 1:],
-            f[1:, 1:, 1:],
-            f[:-1, 1:, 1:],
-        ]
-    )
-    mask = (stacked.min(axis=0) <= isovalue) & (stacked.max(axis=0) >= isovalue)
-    return np.nonzero(mask.reshape(-1))[0]
+    lo, hi = cell_field_minmax(block, scalar)
+    return np.nonzero((lo <= isovalue) & (hi >= isovalue))[0]
 
 
 def triangulate_cells(

@@ -39,6 +39,19 @@ from ..core.commands import (
 __all__ = ["SimpleIsoCommand", "IsoDataManCommand", "ViewerIsoCommand"]
 
 
+def _items_to_load(ctx: CommandContext, assignment: Any) -> list[ItemName]:
+    """The share's block items in order — on the real path minus the
+    blocks ``run`` will cull, so nothing is staged that is never loaded."""
+    if ctx.block_ranges is not None:
+        isovalue = float(ctx.params["isovalue"])
+        scalar = ctx.params.get("scalar", "pressure")
+        assignment = [
+            (t, bid) for t, bid in assignment
+            if ctx.may_contain(t, bid, scalar, isovalue)
+        ]
+    return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
+
+
 class IsoDataManCommand(Command):
     """Batch isosurface extraction through the DMS."""
 
@@ -53,15 +66,20 @@ class IsoDataManCommand(Command):
         return plan_block_tasks(ctx)
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
+        return _items_to_load(ctx, assignment)
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"
+
+    def threshold_scalar(self, ctx: CommandContext) -> str:
+        return ctx.params.get("scalar", "pressure")
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         isovalue = float(ctx.params["isovalue"])
         scalar = ctx.params.get("scalar", "pressure")
         for t, bid in assignment:
+            if ctx.cull(t, bid, scalar, isovalue):
+                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
             active = active_cell_indices(block, scalar, isovalue)
@@ -111,10 +129,13 @@ class ViewerIsoCommand(Command):
         return [[pair] for pair in self.plan(ctx, 1)[0]]
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
+        return _items_to_load(ctx, assignment)
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"
+
+    def threshold_scalar(self, ctx: CommandContext) -> str:
+        return ctx.params.get("scalar", "pressure")
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         isovalue = float(ctx.params["isovalue"])
@@ -122,6 +143,8 @@ class ViewerIsoCommand(Command):
         viewpoint = np.asarray(ctx.params.get("viewpoint", (0.0, 0.0, 0.0)), dtype=float)
         max_triangles = int(ctx.params.get("max_triangles", 2000))
         for t, bid in assignment:
+            if ctx.cull(t, bid, scalar, isovalue):
+                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
             active = active_cell_indices(block, scalar, isovalue)

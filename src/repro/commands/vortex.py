@@ -53,15 +53,27 @@ class VortexDataManCommand(Command):
         return plan_block_tasks(ctx)
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
+        threshold = float(ctx.params.get("threshold", 0.0))
+        return [
+            block_item(ctx.dataset, t, bid)
+            for t, bid in assignment
+            if ctx.may_contain(t, bid, "lambda2", threshold)
+        ]
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"
+
+    def threshold_scalar(self, ctx: CommandContext) -> str:
+        # Only a *stored* lambda2 has a range table: the inline
+        # eigenvalue pass below has nothing to cull by.
+        return "lambda2"
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         threshold = float(ctx.params.get("threshold", 0.0))
         velocity = ctx.params.get("velocity", "velocity")
         for t, bid in assignment:
+            if ctx.cull(t, bid, "lambda2", threshold):
+                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
 

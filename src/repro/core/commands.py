@@ -24,7 +24,7 @@ runtime and is trivially unit-testable by driving the generator by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Sequence
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 from ..dms.items import ItemName
 from ..grids.block import BlockHandle
@@ -109,6 +109,21 @@ class CommandContext:
     costs: CostModel
     time_offset: int = 0
     times: Sequence[float] = ()
+    #: exact finite ``(min, max)`` of stored scalars per block,
+    #: ``{scalar: {time_index: {block_id: (lo, hi)}}}``.  Only the real
+    #: path (:mod:`repro.parallel`) fills it; scheduler-built contexts
+    #: leave it ``None``, so simulated op streams never cull.
+    block_ranges: Mapping[str, Mapping[int, Mapping[int, tuple[float, float]]]] | None = None
+    #: blocks :meth:`cull` skipped so far in this process; interpreters
+    #: read the delta over a share.
+    n_culled: int = 0
+    _handle_index: dict[tuple[int, int], BlockHandle] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The lookup index is rebuilt on first use; not worth the pipe.
+        return {**self.__dict__, "_handle_index": None}
 
     @property
     def n_timesteps(self) -> int:
@@ -124,10 +139,41 @@ class CommandContext:
         rel = time_index - self.time_offset
         if not 0 <= rel < len(self.handles_by_time):
             raise KeyError(f"time index {time_index} outside command range")
-        for h in self.handles_by_time[rel]:
-            if h.block_id == block_id:
-                return h
-        raise KeyError(f"no handle for block {block_id} at t={time_index}")
+        index = self._handle_index
+        if index is None:
+            index = self._handle_index = {}
+            for r, handles in enumerate(self.handles_by_time):
+                for h in handles:
+                    index.setdefault((r, h.block_id), h)
+        try:
+            return index[rel, block_id]
+        except KeyError:
+            raise KeyError(
+                f"no handle for block {block_id} at t={time_index}"
+            ) from None
+
+    def may_contain(
+        self, time_index: int, block_id: int, scalar: str, value: float
+    ) -> bool:
+        """Whether the block's stored ``scalar`` range can reach ``value``.
+
+        ``True`` whenever nothing is known (no table, unknown block, a
+        range that was not finite); a ``False`` is exact — no cell of
+        the block has a corner interval enclosing ``value`` — so a
+        threshold command may skip the block without changing a byte.
+        """
+        if self.block_ranges is None:
+            return True
+        span = self.block_ranges.get(scalar, {}).get(time_index, {}).get(block_id)
+        return span is None or span[0] <= value <= span[1]
+
+    def cull(self, time_index: int, block_id: int, scalar: str, value: float) -> bool:
+        """Whether to skip the block (``not may_contain``), counting the
+        skip: what a command's ``run`` asks before ``yield Load``."""
+        if self.may_contain(time_index, block_id, scalar, value):
+            return False
+        self.n_culled += 1
+        return True
 
 
 CommandGen = Generator["Load | Compute | ComputeCached | Emit | Prefetch", Any, None]
@@ -157,6 +203,12 @@ class Command:
         'on-miss', 'markov+obl').  Commands may honor a ``prefetch``
         param override (the ablation figures switch prefetching off)."""
         return "none"
+
+    def threshold_scalar(self, ctx: CommandContext) -> str | None:
+        """The stored scalar whose per-block range decides, through
+        :meth:`CommandContext.may_contain`, whether a block can
+        contribute; ``None`` for commands that never skip blocks."""
+        return None
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any) -> list[ItemName] | None:
         """The block-item order this worker will process (drives the

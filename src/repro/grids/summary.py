@@ -56,14 +56,17 @@ def cell_field_minmax(
     if f.ndim != 3:
         raise ValueError(f"field {scalar!r} is not a scalar")
     if cells is None:
-        stacked = np.stack(
-            [
-                f[di or None : f.shape[0] - 1 + di, dj or None : f.shape[1] - 1 + dj,
-                  dk or None : f.shape[2] - 1 + dk]
-                for di, dj, dk in _CELL_CORNER_OFFSETS
-            ]
-        )
-        return stacked.min(axis=0).reshape(-1), stacked.max(axis=0).reshape(-1)
+        # Separable: fold the two corners along each axis in turn.  The
+        # same values as reducing an (8, ...) corner stack (min/max are
+        # exact and np.minimum/np.maximum propagate NaN like the
+        # reductions do) without materializing the stack.
+        lo = hi = f
+        for axis in range(3):
+            head = (slice(None),) * axis + (slice(None, -1),)
+            tail = (slice(None),) * axis + (slice(1, None),)
+            lo = np.minimum(lo[head], lo[tail])
+            hi = np.maximum(hi[head], hi[tail])
+        return lo.reshape(-1), hi.reshape(-1)
     ci, cj, ck = block.cell_shape
     flat = np.asarray(cells, dtype=np.int64)
     i, rem = np.divmod(flat, cj * ck)

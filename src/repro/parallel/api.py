@@ -28,6 +28,7 @@ from ..core.costs import DEFAULT_COSTS, CostModel
 from ..io.dataset_io import DatasetStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanTracer
+from .arena import payload_nbytes
 from .dynamic import CostFeedback, TaskResult, is_dynamic, payload_lists
 from .pipeline import BlockPipeline
 from .pool import ProcessWorkerPool, ShareResult, pick_start_method
@@ -59,6 +60,11 @@ class ParallelResult:
     @property
     def n_loads(self) -> int:
         return sum(s.n_loads for s in self.shares)
+
+    @property
+    def n_culled(self) -> int:
+        """Blocks skipped unloaded: their stored range excluded the value."""
+        return sum(s.n_culled for s in self.shares)
 
     @property
     def share_seconds(self) -> list[float]:
@@ -217,6 +223,15 @@ class ParallelExtractor:
             cmd = command
         group = group_size if group_size is not None else self.workers
         ctx = self._context(params)
+        scalar = cmd.threshold_scalar(ctx)
+        if scalar is not None:
+            # Span-space culling: the command skips blocks whose stored
+            # range excludes its threshold (CommandContext.may_contain).
+            ctx.block_ranges = {
+                scalar: {
+                    t: self.store.block_ranges(scalar, t) for t in ctx.time_indices
+                }
+            }
         dynamic = is_dynamic(sched)
         run_span = self.tracer.begin(
             "parallel-run",
@@ -290,7 +305,7 @@ class ParallelExtractor:
         runner = DirectRunner(provider, pipeline=pl)
         records: list[TaskResult] = []
         payloads: list[Any] = []
-        n_loads = n_computes = n_emits = emitted_nbytes = 0
+        n_loads = n_culled = n_computes = n_emits = emitted_nbytes = 0
         t_run0 = time.perf_counter()
         try:
             for qpos, pos in enumerate(order):
@@ -311,6 +326,7 @@ class ParallelExtractor:
                         task_index=pos,
                         payloads=run.payloads,
                         n_loads=run.n_loads,
+                        n_culled=run.n_culled,
                         n_computes=run.n_computes,
                         n_emits=run.n_emits,
                         emitted_nbytes=run.emitted_nbytes,
@@ -319,6 +335,7 @@ class ParallelExtractor:
                 )
                 payloads.extend(run.payloads)
                 n_loads += run.n_loads
+                n_culled += run.n_culled
                 n_computes += run.n_computes
                 n_emits += run.n_emits
                 emitted_nbytes += run.emitted_nbytes
@@ -337,6 +354,7 @@ class ParallelExtractor:
                 t_start=t_run0,
                 t_end=t_run1,
                 pid=os.getpid(),
+                n_culled=n_culled,
                 tasks=records,
             )
         ]
@@ -373,6 +391,7 @@ class ParallelExtractor:
                     t_start=t_start,
                     t_end=t_end,
                     pid=os.getpid(),
+                    n_culled=run.n_culled,
                     folded=folded,
                 )
             )
@@ -436,6 +455,22 @@ class ParallelExtractor:
         loads = self.metrics.counter(
             "parallel_blocks_loaded_total", labels, help="block loads by workers"
         )
+        culled = self.metrics.counter(
+            "parallel_blocks_culled_total",
+            labels,
+            help="blocks skipped unloaded: stored range excluded the value",
+        )
+        via_arena = self.metrics.counter(
+            "parallel_return_arena_bytes_total",
+            labels,
+            help="payload bytes workers returned through result arenas",
+        )
+        pickled = self.metrics.counter(
+            "parallel_return_pickled_bytes_total",
+            labels,
+            help="payload bytes workers returned pickled (first run, "
+            "non-mesh payloads, arena overflow)",
+        )
         seconds = self.metrics.histogram(
             "parallel_share_seconds", labels=labels, help="per-share wall seconds"
         )
@@ -453,6 +488,11 @@ class ParallelExtractor:
         for res in results:
             shares.inc()
             loads.inc(res.n_loads)
+            culled.inc(res.n_culled)
+            if self.executor == "process":
+                via_arena.inc(res.arena_nbytes)
+                if not res.arena_nbytes:
+                    pickled.inc(sum(payload_nbytes(p) for p in res.payloads))
             seconds.observe(res.seconds)
             idle.inc(res.idle_s)
             steals.inc(res.steals)
@@ -469,6 +509,7 @@ class ParallelExtractor:
                 parent=run_span,
                 pid=res.pid,
                 n_loads=res.n_loads,
+                n_culled=res.n_culled,
                 n_emits=res.n_emits,
             )
             if res.idle_s > 0.0:

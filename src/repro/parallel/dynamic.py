@@ -67,6 +67,7 @@ class TaskResult:
     task_index: int  #: canonical index into ``plan_tasks`` order
     payloads: list[Any]
     n_loads: int = 0
+    n_culled: int = 0
     n_computes: int = 0
     n_emits: int = 0
     emitted_nbytes: int = 0

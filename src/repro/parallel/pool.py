@@ -5,9 +5,12 @@ plans shares exactly like the scheduler, each worker process attaches
 the :class:`~repro.parallel.shm.ShmBlockStore` once (pool initializer),
 interprets its share with a :class:`~repro.parallel.runner.DirectRunner`
 and ships back only the extracted payloads — meshes, pathlines — never
-block data.  Results are collected in share-index order, so the merged
-output is byte-identical to the serial path regardless of which worker
-finished first.
+block data.  Mesh payloads come back through one shared-memory result
+arena per slot (:mod:`repro.parallel.arena`) once the slot has returned
+meshes before; everything else is pickled through the result pipe.
+Results are collected in share-index order, so the merged output is
+byte-identical to the serial path regardless of which worker finished
+first.
 
 Worker wall times are measured with ``time.perf_counter``
 (CLOCK_MONOTONIC on Linux, comparable across processes on one host) and
@@ -25,13 +28,16 @@ import math
 import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import islice
+from multiprocessing import shared_memory
 from typing import Any, Sequence
 
 from ..core.commands import Command, CommandContext
 from ..dms.items import ItemName
+from .arena import PackedMeshes, meshes_nbytes, pack_meshes, unpack_meshes
 from .dynamic import TaskResult, default_batch
 from .pipeline import BlockPipeline
 from .runner import DirectRunner, ShareRun
@@ -58,6 +64,11 @@ class ShareResult:
     t_start: float
     t_end: float
     pid: int
+    #: blocks skipped on their stored scalar range (never loaded).
+    n_culled: int = 0
+    #: payload bytes that came back through the slot's result arena;
+    #: 0 when the payloads were pickled through the result pipe.
+    arena_nbytes: int = 0
     #: collapsed-stack sample counts from the worker-side sampling
     #: profiler (None unless the pool was built with profiling on).
     folded: dict | None = None
@@ -94,6 +105,8 @@ def pick_start_method(requested: str | None = None) -> str:
 _WORKER_STORE: ShmBlockStore | None = None
 _PROFILE_INTERVAL: float | None = None
 _TICKET: Any = None
+#: this process's mappings of the pool's result arenas, by slot.
+_ARENAS: dict[int, shared_memory.SharedMemory] = {}
 
 
 def _pool_init(
@@ -121,13 +134,43 @@ def _provide(item: ItemName) -> Any:
     return _worker_store().get_block(int(t), int(b))
 
 
+#: what a worker sends back: the share record, and — when its mesh
+#: payloads were left in the slot's arena instead — their layout plus
+#: the payload count of each dynamic task.
+_Shipped = tuple["ShareResult", PackedMeshes | None, list[int] | None]
+
+
+def _ship(result: ShareResult, arena_name: str | None) -> _Shipped:
+    """Leave ``result``'s mesh payloads in its slot's arena when one is
+    offered and they fit; otherwise they travel pickled as before."""
+    if arena_name is None:
+        return result, None, None
+    slot = result.share_index
+    arena = _ARENAS.get(slot)
+    if arena is None or arena.name != arena_name:
+        if arena is not None:
+            arena.close()  # the parent replaced it with a larger one
+        arena = _ARENAS[slot] = shared_memory.SharedMemory(name=arena_name)
+    packed = pack_meshes(result.payloads, arena.buf)
+    if packed is None:
+        return result, None, None
+    counts = None
+    if result.tasks is not None:
+        counts = [len(rec.payloads) for rec in result.tasks]
+        for rec in result.tasks:
+            rec.payloads = []
+    result.payloads = []
+    return result, packed, counts
+
+
 def _run_share_task(
     command: Command,
     ctx: CommandContext,
     assignment: Any,
     share_index: int,
     derived: dict | None = None,
-) -> ShareResult:
+    arena_name: str | None = None,
+) -> _Shipped:
     import os
 
     if derived:
@@ -143,7 +186,7 @@ def _run_share_task(
     )
     t1 = time.perf_counter()
     folded = sampler.stop() if sampler is not None else None
-    return ShareResult(
+    result = ShareResult(
         share_index=share_index,
         payloads=run.payloads,
         n_loads=run.n_loads,
@@ -153,8 +196,10 @@ def _run_share_task(
         t_start=t0,
         t_end=t1,
         pid=os.getpid(),
+        n_culled=run.n_culled,
         folded=folded,
     )
+    return _ship(result, arena_name)
 
 
 def _claim(n_tasks: int, batch: int) -> tuple[int, int, float]:
@@ -181,7 +226,8 @@ def _drain_tasks(
     batch: int,
     derived: dict | None = None,
     pipeline: bool = False,
-) -> ShareResult:
+    arena_name: str | None = None,
+) -> _Shipped:
     """One worker's dynamic drain loop: claim batches off the shared
     ticket counter and execute until the tickets run out.
 
@@ -210,7 +256,7 @@ def _drain_tasks(
     executed = 0
     records: list[TaskResult] = []
     payloads: list[Any] = []
-    n_loads = n_computes = n_emits = emitted_nbytes = 0
+    n_loads = n_culled = n_computes = n_emits = emitted_nbytes = 0
     queue: deque[int] = deque()
     exhausted = False
     t_run0 = time.perf_counter()
@@ -245,6 +291,7 @@ def _drain_tasks(
                     task_index=task_index,
                     payloads=run.payloads,
                     n_loads=run.n_loads,
+                    n_culled=run.n_culled,
                     n_computes=run.n_computes,
                     n_emits=run.n_emits,
                     emitted_nbytes=run.emitted_nbytes,
@@ -253,6 +300,7 @@ def _drain_tasks(
             )
             payloads.extend(run.payloads)
             n_loads += run.n_loads
+            n_culled += run.n_culled
             n_computes += run.n_computes
             n_emits += run.n_emits
             emitted_nbytes += run.emitted_nbytes
@@ -261,7 +309,7 @@ def _drain_tasks(
             pl.close()
     t_run1 = time.perf_counter()
     folded = sampler.stop() if sampler is not None else None
-    return ShareResult(
+    result = ShareResult(
         share_index=worker_index,
         payloads=payloads,
         n_loads=n_loads,
@@ -271,11 +319,13 @@ def _drain_tasks(
         t_start=t_run0,
         t_end=t_run1,
         pid=os.getpid(),
+        n_culled=n_culled,
         folded=folded,
         idle_s=idle_s,
         steals=steals,
         tasks=records,
     )
+    return _ship(result, arena_name)
 
 
 def _derive_field_task(
@@ -315,6 +365,13 @@ class ProcessWorkerPool:
         #: executor so it is inheritable (fork) / spawn-picklable via
         #: initargs — submit() args cannot carry it.
         self._ticket = ctx.Value("q", 0)
+        #: result arenas by slot (static share index / drain worker
+        #: index), and the bytes the largest mesh result each slot has
+        #: returned needed.  A slot gets its arena before the run after
+        #: it first returned meshes, so a pool's first run allocates
+        #: nothing and an arena is never larger than one result.
+        self._arenas: dict[int, shared_memory.SharedMemory] = {}
+        self._arena_wanted: dict[int, int] = {}
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=ctx,
@@ -327,30 +384,19 @@ class ProcessWorkerPool:
         self, command: Command, ctx: CommandContext, assignments: Sequence[Any]
     ) -> list[ShareResult]:
         """Execute every share; results returned in share-index order."""
-        executor = self._require_executor()
+        self._require_executor()
         # Workers attached at pool start; ship the current derived-field
         # manifest so they can map segments created since (sync is a
         # no-op when nothing is new).
         derived = self.store.derived_manifest() or None
-        futures = [
-            executor.submit(_run_share_task, command, ctx, assignment, i, derived)
-            for i, assignment in enumerate(assignments)
-        ]
-        results: list[ShareResult] = []
-        try:
-            for future in futures:
-                results.append(future.result())
-        except BrokenProcessPool as exc:
-            self.close()
-            raise WorkerPoolError(
-                "a worker process died before finishing its share; "
-                "the pool has been shut down"
-            ) from exc
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return results
+        arenas = self._offer_arenas(len(assignments))
+        return self._gather(
+            [
+                (_run_share_task, command, ctx, assignment, i, derived, arenas[i])
+                for i, assignment in enumerate(assignments)
+            ],
+            "share",
+        )
 
     def run_tasks(
         self,
@@ -370,7 +416,7 @@ class ProcessWorkerPool:
         serial payload sequence regardless of interleaving.  Returns
         one :class:`ShareResult` per participating worker.
         """
-        executor = self._require_executor()
+        self._require_executor()
         if sorted(order) != list(range(len(tasks))):
             raise ValueError("order must be a permutation of the task indices")
         derived = self.store.derived_manifest() or None
@@ -381,29 +427,64 @@ class ProcessWorkerPool:
         n_active = max(1, min(self.n_workers, len(tasks)))
         if batch is None:
             batch = default_batch(len(tasks), n_active)
-        futures = [
-            executor.submit(
-                _drain_tasks,
-                command,
-                ctx,
-                list(tasks),
-                list(order),
-                w,
-                n_active,
-                batch,
-                derived,
-                pipeline,
-            )
-            for w in range(n_active)
-        ]
+        arenas = self._offer_arenas(n_active)
+        tasks, order = list(tasks), list(order)
+        return self._gather(
+            [
+                (_drain_tasks, command, ctx, tasks, order, w, n_active, batch,
+                 derived, pipeline, arenas[w])
+                for w in range(n_active)
+            ],
+            "drain",
+        )
+
+    # ------------------------------------------------------------- arenas
+    def _offer_arenas(self, n_slots: int) -> list[str | None]:
+        """Each slot's arena name for the coming run (``None`` until the
+        slot has returned meshes), regrown first where the last result
+        overflowed.  The pool is quiescent here, so no worker is writing."""
+        names: list[str | None] = []
+        for slot in range(n_slots):
+            arena = self._arenas.get(slot)
+            if self._arena_wanted.get(slot, 0) > (arena.size if arena else 0):
+                if arena is not None:
+                    arena.close()
+                    arena.unlink()
+                arena = self._arenas[slot] = shared_memory.SharedMemory(
+                    create=True, size=self._arena_wanted[slot]
+                )
+            names.append(arena.name if arena else None)
+        return names
+
+    def _gather(self, calls: Sequence[tuple], what: str) -> list[ShareResult]:
+        """Submit one ``(fn, *args)`` call per slot; results in slot
+        order with arena payloads rebuilt.  A worker that dies while the
+        calls are still being submitted breaks the pool just the same."""
+        executor = self._require_executor()
+        futures: list[Future] = []
         results: list[ShareResult] = []
         try:
-            for future in futures:
-                results.append(future.result())
+            for call in calls:
+                futures.append(executor.submit(*call))
+            for slot, future in enumerate(futures):
+                result, packed, counts = future.result()
+                if packed is not None:
+                    result.payloads = unpack_meshes(packed, self._arenas[slot].buf)
+                    result.arena_nbytes = packed.nbytes
+                    if counts is not None:
+                        flat = iter(result.payloads)
+                        for rec, n in zip(result.tasks, counts):
+                            rec.payloads = list(islice(flat, n))
+                needed = packed.nbytes if packed else meshes_nbytes(result.payloads)
+                if needed:
+                    self._arena_wanted[slot] = max(
+                        self._arena_wanted.get(slot, 0), needed
+                    )
+                results.append(result)
         except BrokenProcessPool as exc:
             self.close()
             raise WorkerPoolError(
-                "a worker process died before finishing its drain; "
+                f"a worker process died before finishing its {what}; "
                 "the pool has been shut down"
             ) from exc
         except BaseException:
@@ -457,6 +538,10 @@ class ProcessWorkerPool:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
+        while self._arenas:
+            _slot, arena = self._arenas.popitem()
+            arena.close()
+            arena.unlink()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self

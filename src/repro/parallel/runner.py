@@ -37,6 +37,8 @@ class ShareRun:
     worker_index: int
     payloads: list[Any] = field(default_factory=list)
     n_loads: int = 0
+    #: blocks the command skipped on their stored scalar range.
+    n_culled: int = 0
     n_computes: int = 0
     n_emits: int = 0
     #: modeled result bytes as charged by the command's Emit ops.
@@ -77,6 +79,7 @@ class DirectRunner:
     ) -> ShareRun:
         """Drive one share's generator to exhaustion; payloads in order."""
         run = ShareRun(worker_index=worker_index)
+        culled_before = ctx.n_culled
         if self.pipeline is not None:
             self.pipeline.schedule(command.item_sequence_for(ctx, assignment))
         gen = command.run(ctx, assignment, worker_index)
@@ -113,6 +116,7 @@ class DirectRunner:
                     self.pipeline.schedule([op.item])
             else:
                 raise TypeError(f"command yielded unknown op {op!r}")
+        run.n_culled = ctx.n_culled - culled_before
         return run
 
     def run_all(

@@ -27,6 +27,7 @@ the interpreter exits without leaked ``shared_memory`` warnings.
 
 from __future__ import annotations
 
+import math
 from multiprocessing import shared_memory
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -73,6 +74,9 @@ class ShmBlockStore:
             tuple[int, int], dict[str, tuple[shared_memory.SharedMemory, tuple]]
         ] = {}
         self._handles: dict[int, list[BlockHandle]] = {}
+        #: span-space table, ``{scalar: {time_index: {block_id: (lo, hi)}}}``,
+        #: filled one time level at a time by :meth:`block_ranges`.
+        self._ranges: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
         self._owner = False
         self._closed = False
 
@@ -203,6 +207,8 @@ class ShmBlockStore:
         staged.reshape(data.shape)[...] = data
         del staged
         self._derived.setdefault(key, {})[name] = (shm, data.shape)
+        # The level's range table (if built) predates this field.
+        self._ranges.get(name, {}).pop(time_index, None)
 
     def derived_fields(self, time_index: int, block_id: int) -> list[str]:
         return sorted(self._derived.get((time_index, block_id), {}))
@@ -254,6 +260,32 @@ class ShmBlockStore:
             view = np.frombuffer(dshm.buf.toreadonly(), dtype=np.float64, count=n)
             block.attach_raw_field(fname, view.reshape(shape))
         return block
+
+    def block_ranges(
+        self, scalar: str, time_index: int
+    ) -> dict[int, tuple[float, float]]:
+        """Exact ``(min, max)`` of a stored scalar per block of one level.
+
+        Built on first request by one pass over the stored views (raw
+        ``<f4`` payloads or float64 derived segments — the upcast is
+        exact, so these bound the float64 values algorithms see) and
+        cached.  Blocks without the scalar, and blocks whose range is
+        not finite, have no entry: nothing may be concluded about them.
+        """
+        levels = self._ranges.setdefault(scalar, {})
+        spans = levels.get(time_index)
+        if spans is None:
+            spans = levels[time_index] = {}
+            for t, b in self._segments:
+                if t != time_index:
+                    continue
+                raw = self.get_block(t, b).fields.raw_view(scalar)
+                if raw is None or raw.ndim != 3 or raw.size == 0:
+                    continue
+                lo, hi = float(raw.min()), float(raw.max())
+                if math.isfinite(lo) and math.isfinite(hi):
+                    spans[b] = (lo, hi)
+        return spans
 
     def handles(self, time_index: int = 0) -> list[BlockHandle]:
         try:

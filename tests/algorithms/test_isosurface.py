@@ -236,3 +236,49 @@ def test_isosurface_on_warped_grid():
     assert mesh.n_triangles > 100
     radii = np.linalg.norm(mesh.vertices, axis=1)
     np.testing.assert_allclose(radii, 0.6, atol=0.03)
+
+
+# ------------------------------------------------- corner min/max pinning
+
+
+def _corner_stack_minmax(f):
+    """The (8, ...) corner-stack reduction ``active_cell_indices`` and
+    ``cell_field_minmax`` used before they shared the separable fold."""
+    stacked = np.stack(
+        [
+            f[:-1, :-1, :-1], f[1:, :-1, :-1], f[1:, 1:, :-1], f[:-1, 1:, :-1],
+            f[:-1, :-1, 1:], f[1:, :-1, 1:], f[1:, 1:, 1:], f[:-1, 1:, 1:],
+        ]
+    )
+    return stacked.min(axis=0), stacked.max(axis=0)
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "nan", "inf", "signed-zero"])
+def test_separable_corner_minmax_bit_equal_to_corner_stack(kind):
+    from repro.grids.summary import cell_field_minmax
+
+    rng = np.random.default_rng(11)
+    shape = (6, 5, 4)
+    f = rng.normal(size=shape)
+    if kind == "constant":
+        f = np.full(shape, 0.25)
+    elif kind == "nan":
+        f[rng.random(shape) < 0.1] = np.nan
+    elif kind == "inf":
+        f[rng.random(shape) < 0.1] = np.inf
+        f[rng.random(shape) < 0.1] = -np.inf
+    elif kind == "signed-zero":
+        f = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    b = StructuredBlock(cartesian_lattice((0, 0, 0), (1, 1, 1), shape), {"s": f})
+    want_lo, want_hi = _corner_stack_minmax(f)
+    lo, hi = cell_field_minmax(b, "s")
+    # Equal as values everywhere, NaN in the same cells (array_equal
+    # treats -0.0 == 0.0, as every consumer's comparison does).
+    assert np.array_equal(lo, want_lo.reshape(-1), equal_nan=True)
+    assert np.array_equal(hi, want_hi.reshape(-1), equal_nan=True)
+    for isovalue in (0.25, 0.0, -0.3, float(np.nanmax(f[np.isfinite(f)]))):
+        want = np.nonzero(
+            ((want_lo <= isovalue) & (want_hi >= isovalue)).reshape(-1)
+        )[0]
+        got = active_cell_indices(b, "s", isovalue)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

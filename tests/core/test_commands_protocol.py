@@ -65,6 +65,49 @@ def test_context_handle_lookup(ctx):
         ctx.handle(0, 999)
 
 
+def test_context_handle_index_keeps_scan_semantics(ctx):
+    import dataclasses
+    import pickle
+
+    with pytest.raises(KeyError, match="time index 99 outside command range"):
+        ctx.handle(99, 0)
+    with pytest.raises(KeyError, match="no handle for block 999 at t=0"):
+        ctx.handle(0, 999)
+    for rel, handles in enumerate(ctx.handles_by_time):
+        for h in handles:
+            assert ctx.handle(rel, h.block_id) is h
+    # Like the scan it replaces, the index answers with the first
+    # handle of a block id, and it does not travel with the context.
+    first = ctx.handles_by_time[0][0]
+    twin = dataclasses.replace(first, shape=(2, 2, 2))
+    dup = dataclasses.replace(ctx, handles_by_time=[[first, twin]])
+    assert dup.handle(0, first.block_id) is first
+    shipped = pickle.loads(pickle.dumps(dup))
+    assert shipped._handle_index is None and dup._handle_index is not None
+    assert shipped.handle(0, first.block_id) == first
+
+
+def test_context_without_a_range_table_never_culls(ctx):
+    assert ctx.block_ranges is None
+    assert ctx.may_contain(0, 0, "pressure", 1e30)
+    assert ctx.n_culled == 0
+    import dataclasses
+
+    tabled = dataclasses.replace(
+        ctx, block_ranges={"pressure": {0: {0: (-1.0, 1.0)}}}
+    )
+    assert tabled.may_contain(0, 0, "pressure", 1.0)       # closed interval
+    assert tabled.may_contain(0, 1, "pressure", 5.0)       # unknown block
+    assert tabled.may_contain(1, 0, "pressure", 5.0)       # unknown level
+    assert tabled.may_contain(0, 0, "temperature", 5.0)    # unknown scalar
+    assert not tabled.may_contain(0, 0, "pressure", 1.0000001)
+    assert not tabled.cull(0, 0, "pressure", 1.0)
+    assert tabled.n_culled == 0                             # only cull() counts
+    assert tabled.cull(0, 0, "pressure", 1.0000001)
+    assert tabled.cull(0, 0, "pressure", -2.0)
+    assert tabled.n_culled == 2
+
+
 def test_context_time_indices(ctx):
     assert list(ctx.time_indices) == [0, 1, 2]
     assert ctx.n_timesteps == 3

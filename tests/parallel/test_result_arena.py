@@ -1,0 +1,238 @@
+"""The shared-memory return path: same payloads, one copy, no leaks.
+
+A pool slot gets a result arena only after it has returned meshes once,
+sized to the largest result it has seen; workers write mesh arrays into
+it and the pipe carries counts.  Everything else — a pool's first run,
+pathlines, empty shares, a result that outgrew the arena — takes the
+pickled return unchanged.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from repro.core.commands import Command, Compute, Load, plan_block_assignments
+from repro.dms.items import block_item
+from repro.parallel import ParallelExtractor, ProcessWorkerPool, WorkerPoolError
+from repro.parallel.arena import meshes_nbytes, pack_meshes, unpack_meshes
+from repro.viz.mesh import TriangleMesh
+
+SMALL = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 2)}
+LARGE = {"isovalue": -0.4, "scalar": "pressure", "time_range": (0, 2)}
+PATHLINES = {
+    "seeds": [[-0.3, -0.2, 0.6], [0.2, 0.3, 0.9], [0.0, -0.4, 1.1]],
+    "time_range": (0, 2),
+    "max_steps": 40,
+}
+
+
+def _shm_listing() -> set[str]:
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    return set(os.listdir("/dev/shm"))
+
+
+def _same_payloads(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) is TriangleMesh
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert list(a.attributes) == list(b.attributes)
+        for name in a.attributes:
+            assert a.attributes[name].tobytes() == b.attributes[name].tobytes()
+
+
+class KilledCommand(Command):
+    """SIGKILLs its worker mid-share, after the first block loaded."""
+
+    name = "crash-sigkill"
+
+    def plan(self, ctx, group_size):
+        return plan_block_assignments(ctx, group_size)
+
+    def run(self, ctx, assignment, worker_index):
+        for t, bid in assignment:
+            yield Load(block_item(ctx.dataset, t, bid))
+            yield Compute(1.0, lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+
+# ------------------------------------------------------------------ packer
+def _mesh(rng, n_triangles, **attributes):
+    n = 3 * n_triangles
+    return TriangleMesh(
+        rng.random((n, 3)), {k: rng.random((n, *tail)) for k, tail in attributes.items()}
+    )
+
+
+def test_pack_unpack_roundtrip_with_attributes():
+    rng = np.random.default_rng(0)
+    meshes = [
+        _mesh(rng, 4),
+        _mesh(rng, 1, level=(), order=()),
+        TriangleMesh(),
+        _mesh(rng, 2, normal=(3,)),
+    ]
+    buf = memoryview(bytearray(meshes_nbytes(meshes) + 64))
+    packed = pack_meshes(meshes, buf)
+    assert packed.nbytes == meshes_nbytes(meshes) == sum(m.nbytes for m in meshes)
+    rebuilt = unpack_meshes(packed, buf)
+    _same_payloads(rebuilt, meshes)
+    assert rebuilt[3].attributes["normal"].shape == (6, 3)
+    # The rebuilt meshes live in a private copy, not in the arena.
+    buf[:8] = b"\xff" * 8
+    _same_payloads(rebuilt, meshes)
+
+
+def test_pack_declines_what_it_cannot_hold():
+    rng = np.random.default_rng(1)
+    meshes = [_mesh(rng, 3)]
+    assert pack_meshes(meshes, memoryview(bytearray(meshes[0].nbytes - 8))) is None
+    assert pack_meshes([], memoryview(bytearray(64))) is None
+    assert pack_meshes(meshes + ["not a mesh"], memoryview(bytearray(4096))) is None
+    assert meshes_nbytes(meshes + [object()]) is None
+    odd = _mesh(rng, 1)
+    odd.attributes["tag"] = np.zeros(3, dtype=np.float32)
+    assert meshes_nbytes([odd]) is None
+
+
+# -------------------------------------------------------------------- pool
+def test_first_run_allocates_nothing_then_arena_carries_the_bytes(engine_store):
+    with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
+        want = ref.run("iso-dataman", params=LARGE)
+    start = _shm_listing()
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        before = _shm_listing()
+        first = ext.run("iso-dataman", params=LARGE)
+        assert _shm_listing() == before
+        assert ext._pool._arenas == {}
+        assert [s.arena_nbytes for s in first.shares] == [0, 0]
+        second = ext.run("iso-dataman", params=LARGE)
+        assert len(_shm_listing() - before) == 2
+        for got, share, ref_share in zip(second.shares, first.shares, want.shares):
+            assert got.arena_nbytes == sum(m.nbytes for m in share.payloads) > 0
+            _same_payloads(got.payloads, ref_share.payloads)
+            # An arena is sized to the result, never beyond (page rounding aside).
+            assert ext._pool._arenas[got.share_index].size < got.arena_nbytes + 4096 * 2
+        labels = {"command": "iso-dataman", "executor": "process"}
+        pickled = ext.metrics.counter("parallel_return_pickled_bytes_total", labels)
+        via_arena = ext.metrics.counter("parallel_return_arena_bytes_total", labels)
+        assert pickled.value == via_arena.value == sum(
+            s.arena_nbytes for s in second.shares)
+    assert _shm_listing() == start
+
+
+def test_overflow_falls_back_then_the_next_run_fits(engine_store):
+    with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
+        want = ref.run("iso-dataman", params=LARGE)
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        ext.run("iso-dataman", params=SMALL)
+        small = ext.run("iso-dataman", params=SMALL)
+        assert all(s.arena_nbytes > 0 for s in small.shares)
+        overflow = ext.run("iso-dataman", params=LARGE)
+        assert all(s.arena_nbytes == 0 for s in overflow.shares)
+        fits = ext.run("iso-dataman", params=LARGE)
+        assert all(s.arena_nbytes > 0 for s in fits.shares)
+        for res in (overflow, fits):
+            for got, ref_share in zip(res.shares, want.shares):
+                _same_payloads(got.payloads, ref_share.payloads)
+        # Grown arenas still serve smaller results.
+        again = ext.run("iso-dataman", params=SMALL)
+        assert all(s.arena_nbytes > 0 for s in again.shares)
+
+
+def test_dynamic_task_payloads_are_rebuilt_from_the_arena(engine_store):
+    with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
+        want = ref.run("iso-dataman", params=LARGE, schedule="dynamic")
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        ext.run("iso-dataman", params=LARGE, schedule="dynamic")
+        # A drain's size varies with who stole what; a third run has
+        # seen enough for at least one worker's arena to fit.
+        ext.run("iso-dataman", params=LARGE, schedule="dynamic")
+        res = ext.run("iso-dataman", params=LARGE, schedule="dynamic")
+        assert any(s.arena_nbytes > 0 for s in res.shares)
+        for share in res.shares:
+            flat = [m for rec in share.tasks for m in rec.payloads]
+            _same_payloads(flat, share.payloads)
+        assert res.result.vertices.tobytes() == want.result.vertices.tobytes()
+
+
+def test_mixed_payload_kinds(engine_store):
+    far = dict(LARGE, isovalue=1e9)
+    prog = dict(LARGE, max_levels=3)
+    with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
+        want_paths = ref.run("pathlines-dataman", params=PATHLINES)
+        want_prog = ref.run("iso-progressive", params=prog)
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        for _ in range(3):  # pathlines never pack: always the pickled return
+            paths = ext.run("pathlines-dataman", params=PATHLINES)
+            assert all(s.arena_nbytes == 0 for s in paths.shares)
+        for a, b in zip(paths.result, want_paths.result):
+            assert a.points.tobytes() == b.points.tobytes()
+        for _ in range(2):  # empty shares: nothing to return, no arena
+            empty = ext.run("iso-dataman", params=far)
+            assert empty.n_payloads == 0
+        assert ext._pool._arenas == {}
+        ext.run("iso-progressive", params=prog)
+        res = ext.run("iso-progressive", params=prog)  # meshes with attributes
+        assert all(s.arena_nbytes > 0 for s in res.shares)
+        for got, ref_share in zip(res.shares, want_prog.shares):
+            _same_payloads(got.payloads, ref_share.payloads)
+            assert "finest" in got.payloads[0].attributes
+
+
+def test_sigkill_mid_share_raises_and_leaves_no_segment(engine_store):
+    before = _shm_listing()
+    ext = ParallelExtractor(engine_store, workers=2, executor="process")
+    try:
+        ext.run("iso-dataman", params=LARGE)
+        ext.run("iso-dataman", params=LARGE)
+        assert ext._pool._arenas  # the crash happens with arenas live
+        pool = ext._pool
+        with pytest.raises(WorkerPoolError):
+            ext.run(KilledCommand(), params={"time_range": (0, 1)})
+        assert pool.closed and pool._arenas == {}
+    finally:
+        ext.close()
+    assert _shm_listing() == before
+
+
+def test_close_is_idempotent(engine_store):
+    with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
+        pool = ProcessWorkerPool(ext.store, 2)
+        ctx = ext._context(dict(LARGE))
+        cmd = ext.registry.create("iso-dataman")
+        for _ in range(2):
+            pool.run_shares(cmd, ctx, cmd.plan(ctx, 2))
+        assert len(pool._arenas) == 2
+        pool.close()
+        pool.close()
+        assert pool.closed and pool._arenas == {}
+        with pytest.raises(WorkerPoolError, match="closed"):
+            pool.run_shares(cmd, ctx, cmd.plan(ctx, 2))
+        assert pool._arenas == {}  # a closed pool allocates nothing
+
+
+def test_no_resource_tracker_warning_at_exit(engine_store):
+    script = textwrap.dedent(f"""
+        from repro.io import DatasetStore
+        from repro.parallel import ParallelExtractor
+        params = {LARGE!r}
+        with ParallelExtractor(DatasetStore({str(engine_store.root)!r}),
+                               workers=2, executor="process") as ext:
+            for schedule in (None, None, "dynamic", "dynamic", None):
+                ext.run("iso-dataman", params=params, schedule=schedule)
+            ext.run("iso-dataman", params=dict(params, isovalue=0.0))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr
+    assert "leaked" not in proc.stderr
