@@ -67,8 +67,8 @@ gated cell runs in the DES at 4 *simulated* workers — a cold pass
 re-extraction where stealing erases the imbalance; ``--check``
 enforces dynamic >= 1.3x static on warm simulated seconds, which is
 deterministic and machine-independent like the pr8/pr9 floors.  The
-wall-clock legs time ``static`` / ``dynamic`` / ``dynamic+pipeline``
-at 1, 2 and 4 real process workers (recorded with ``cpu_count``, not
+wall-clock legs time ``static`` / ``dynamic`` at 1, 2 and 4 real
+process workers (recorded with ``cpu_count``, not
 floor-gated — a single-core host cannot show process fan-out), pin
 triangle counts on every run, check the dynamic merged bytes against
 the serial group-1 reference, and re-pin the static golden
@@ -849,7 +849,7 @@ PR10_WORKERS = (1, 2, 4)
 #: surface while 0 and 3 run nothing but empty scans — the skewed cell
 #: work stealing exists to fix.
 PR10_ISO = {"isovalue": -2.8, "scalar": "pressure"}
-PR10_SCHEDULES = ("static", "dynamic", "dynamic+pipeline")
+PR10_SCHEDULES = ("static", "dynamic")
 PR10_REPEATS = 2
 #: the gated skewed cell runs in the DES at 4 *simulated* workers (so
 #: the floor is machine-independent, like the pr8/pr9 floors — the
@@ -948,15 +948,11 @@ def bench_pr10_schedules(store) -> dict:
         )
         for n in PR10_WORKERS
     }
-    out["speedup"]["pipeline_speedup_4w"] = (
-        cells["static_4w"]["seconds"]
-        / max(cells["dynamic+pipeline_4w"]["seconds"], 1e-12)
-    )
     return out
 
 
 def bench_pr10_equivalence(store) -> dict:
-    """Merged output of the dynamic schedules, byte for byte.
+    """Merged output of the dynamic schedule, byte for byte.
 
     Canonical-order payload reassembly means a stolen task lands in the
     same merge slot it would occupy serially, so dynamic output at any
@@ -971,18 +967,15 @@ def bench_pr10_equivalence(store) -> dict:
     ref_bytes, ref_triangles = _pr10_serial_reference(store)
     out: dict = {"serial_triangles": ref_triangles}
     for n_workers in PR10_WORKERS:
-        for schedule in ("dynamic", "dynamic+pipeline"):
-            with ParallelExtractor(
-                store, workers=n_workers, executor="process", observe=False
-            ) as ext:
-                mesh = ext.run(
-                    "iso-dataman", params=dict(params), schedule=schedule
-                ).result
-            key = f"{schedule}_{n_workers}w_byte_identical"
-            out[key] = (
-                mesh.vertices.tobytes() + mesh.triangles.tobytes()
-                == ref_bytes
-            )
+        with ParallelExtractor(
+            store, workers=n_workers, executor="process", observe=False
+        ) as ext:
+            mesh = ext.run(
+                "iso-dataman", params=dict(params), schedule="dynamic"
+            ).result
+        out[f"dynamic_{n_workers}w_byte_identical"] = (
+            mesh.vertices.tobytes() + mesh.triangles.tobytes() == ref_bytes
+        )
     return out
 
 
@@ -996,8 +989,8 @@ def bench_pr10_simulated() -> dict:
     blocks make compute dominant and the round-robin skew costs the
     static schedule two stalled workers.  All numbers are *simulated*
     seconds: deterministic, so the 1.3x floor holds on any host.  A
-    ``group_size=1`` run pins the canonical merge bytes both dynamic
-    schedules must reproduce exactly (static at group > 1 flattens
+    ``group_size=1`` run pins the canonical merge bytes the dynamic
+    schedule must reproduce exactly (static at group > 1 flattens
     shares round-robin, so it pins the triangle count instead).
     """
     from repro.bench.calibration import paper_cluster, paper_costs
@@ -1056,10 +1049,6 @@ def bench_pr10_simulated() -> dict:
     out["dynamic_speedup_4w"] = (
         out["static"]["warm_s"] / max(out["dynamic"]["warm_s"], 1e-12)
     )
-    out["pipeline_speedup_4w"] = (
-        out["static"]["warm_s"]
-        / max(out["dynamic+pipeline"]["warm_s"], 1e-12)
-    )
     return out
 
 
@@ -1094,13 +1083,10 @@ def pr10_invariants(current: dict) -> dict:
             sim["dynamic_speedup_4w"] >= PR10_FLOORS["dynamic_speedup_4w"]
         ),
         "steals_observed_4w": sim["dynamic"]["steals"] > 0,
-        # Canonical-order reassembly: only the dynamic schedules promise
+        # Canonical-order reassembly: only the dynamic schedule promises
         # group-1 bytes (static at group > 1 flattens shares round-robin);
         # static still must produce the same triangle count.
-        "simulated_byte_identical": all(
-            sim[s]["byte_identical"]
-            for s in ("dynamic", "dynamic+pipeline")
-        ),
+        "simulated_byte_identical": sim["dynamic"]["byte_identical"],
         "simulated_static_counts_match": (
             sim["static"]["triangles"] == sim["serial_triangles"]
         ),
@@ -1140,8 +1126,7 @@ def main_pr10(args) -> int:
     print(
         f"pr10 sim dynamic speedup @{PR10_SIM_WORKERS}w "
         f"{sim['dynamic_speedup_4w']:.2f}x "
-        f"(floor {PR10_FLOORS['dynamic_speedup_4w']}x), "
-        f"pipeline {sim['pipeline_speedup_4w']:.2f}x"
+        f"(floor {PR10_FLOORS['dynamic_speedup_4w']}x)"
     )
     cells = current["wall"]["cells"]
     for n in PR10_WORKERS:

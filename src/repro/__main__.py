@@ -76,7 +76,7 @@ USAGE = {
     "extract": (
         "python -m repro extract <cmd> [--data engine|propfan|path-to-store] "
         "[--workers N] [--executor serial|process] "
-        "[--schedule static|dynamic|dynamic+pipeline] [--precompute] "
+        "[--schedule static|dynamic] [--precompute] "
         "[--flame FILE]"
     ),
     "critical-path": (

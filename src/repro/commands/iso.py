@@ -24,7 +24,7 @@ import numpy as np
 
 from ..algorithms.isosurface import active_cell_indices, extract_block_isosurface
 from ..algorithms.view_dep_iso import iter_view_dependent_batches
-from ..dms.items import ItemName, block_item
+from ..dms.items import block_item
 from ..core.commands import (
     Command,
     CommandContext,
@@ -37,19 +37,6 @@ from ..core.commands import (
 )
 
 __all__ = ["SimpleIsoCommand", "IsoDataManCommand", "ViewerIsoCommand"]
-
-
-def _items_to_load(ctx: CommandContext, assignment: Any) -> list[ItemName]:
-    """The share's block items in order — on the real path minus the
-    blocks ``run`` will cull, so nothing is staged that is never loaded."""
-    if ctx.block_ranges is not None:
-        isovalue = float(ctx.params["isovalue"])
-        scalar = ctx.params.get("scalar", "pressure")
-        assignment = [
-            (t, bid) for t, bid in assignment
-            if ctx.may_contain(t, bid, scalar, isovalue)
-        ]
-    return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
 
 class IsoDataManCommand(Command):
@@ -66,7 +53,7 @@ class IsoDataManCommand(Command):
         return plan_block_tasks(ctx)
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        return _items_to_load(ctx, assignment)
+        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"
@@ -129,7 +116,7 @@ class ViewerIsoCommand(Command):
         return [[pair] for pair in self.plan(ctx, 1)[0]]
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        return _items_to_load(ctx, assignment)
+        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"

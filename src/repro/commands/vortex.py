@@ -53,12 +53,7 @@ class VortexDataManCommand(Command):
         return plan_block_tasks(ctx)
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
-        threshold = float(ctx.params.get("threshold", 0.0))
-        return [
-            block_item(ctx.dataset, t, bid)
-            for t, bid in assignment
-            if ctx.may_contain(t, bid, "lambda2", threshold)
-        ]
+        return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"

@@ -44,6 +44,8 @@ __all__ = [
     "plan_block_assignments",
     "plan_block_tasks",
     "lpt_order",
+    "SCHEDULES",
+    "is_dynamic",
 ]
 
 
@@ -326,6 +328,19 @@ def lpt_order(weights: Sequence[float]) -> list[int]:
     equal-cost items regardless of sort implementation details.
     """
     return sorted(range(len(weights)), key=lambda i: (-float(weights[i]), i))
+
+
+#: How a command's work reaches its work group, on either clock:
+#: ``"static"`` pre-deals one :meth:`Command.plan` share per worker,
+#: ``"dynamic"`` lets workers drain :meth:`Command.plan_tasks` tasks in
+#: LPT order (work stealing).  ``params["schedule"]`` may also carry a
+#: command's private value (the progressive command's "level-major");
+#: anything but ``"dynamic"`` runs static.
+SCHEDULES = ("static", "dynamic")
+
+
+def is_dynamic(schedule: Any) -> bool:
+    return str(schedule) == "dynamic"
 
 
 def plan_block_assignments(ctx: CommandContext, group_size: int) -> list[list[Any]]:

@@ -21,21 +21,12 @@ from ..dms.proxy import DataProxy, DMSConfig
 from ..dms.server import DataManagerServer
 from ..dms.source import BlockSource
 from .channels import Mailbox, SimMPIChannel, SimTCPChannel
-from .commands import Command, CommandContext, CommandRegistry, lpt_order
+from .commands import Command, CommandContext, CommandRegistry, is_dynamic, lpt_order
 from .costs import CostModel, DEFAULT_COSTS
 from .messages import ResultPacket, WorkAssignment, WorkerDone
 from .worker import Worker, WorkerShare, WorkerUnavailable
 
 __all__ = ["RecoveryPolicy", "RunRecord", "Scheduler", "ShareOutcome"]
-
-#: ``params["schedule"]`` values that switch a command to the dynamic
-#: work-stealing path.  Mirrors the direct executor's
-#: ``repro.parallel.dynamic.DYNAMIC_SCHEDULES`` (kept as a literal here
-#: so the simulation core does not import the multiprocessing layer).
-#: Anything else — including other commands' private schedule params
-#: such as the progressive command's "level-major" — stays static.
-_DYNAMIC_SCHEDULES = ("dynamic", "dynamic+pipeline")
-
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -293,7 +284,7 @@ class Scheduler:
                 **extra,
             )
         try:
-            if str(params.get("schedule", "static")) in _DYNAMIC_SCHEDULES:
+            if is_dynamic(params.get("schedule")):
                 record = yield from self._run_dynamic_on_group(
                     command, name, params, worker_ids, client_mailbox,
                     request_id, record, command_span=cspan,
@@ -394,77 +385,13 @@ class Scheduler:
                 failed_shares=list(record.failed_shares),
             )
 
-        master = successful[0].executor if successful else group[0]
-        if command.streaming:
-            # Workers streamed directly; signal completion to the client.
-            final = ResultPacket(
-                request_id=request_id,
-                worker_index=0,
-                sequence=sum(s.packets_streamed for s in shares),
-                payload=None,
-                nbytes=0,
-                final=True,
+        return (
+            yield from self._finish_on_group(
+                command, name, record,
+                [(o.executor, o.share) for o in successful], group[0],
+                master_mailbox, client_mailbox, request_id, command_span,
             )
-            fspan = None
-            if self.tracer is not None:
-                fspan = self.tracer.begin(
-                    "stream-packet", name="final", node=master.node.node_id,
-                    parent=command_span, nbytes=0, final=True,
-                )
-            yield from self.tcp.send(master.node, final, client_mailbox)
-            if fspan is not None:
-                self.tracer.end(fspan)
-        else:
-            # Collect partials at the master worker over the fabric.
-            for outcome in successful[1:]:
-                yield from outcome.executor.send_share_to_master(
-                    outcome.share, request_id, master_mailbox,
-                    parent_span=command_span,
-                )
-            collected = [successful[0].share.payloads] if successful else []
-            for _ in successful[1:]:
-                message = yield master_mailbox.get()
-                assert isinstance(message, WorkerDone)
-                collected.append(message.payload)
-            total_nbytes = sum(s.nbytes for s in shares)
-            mspan = None
-            if self.tracer is not None:
-                mspan = self.tracer.begin(
-                    "merge", name=name, node=master.node.node_id,
-                    parent=command_span, nbytes=total_nbytes,
-                    n_shares=len(shares),
-                )
-            yield from master.node.compute(self.costs.merge_per_byte * total_nbytes)
-            merged = command.merge(collected)
-            if mspan is not None:
-                self.tracer.end(mspan)
-            record.merged = merged
-            final = ResultPacket(
-                request_id=request_id,
-                worker_index=0,
-                sequence=0,
-                payload=merged,
-                nbytes=total_nbytes,
-                final=True,
-            )
-            fspan = None
-            if self.tracer is not None:
-                fspan = self.tracer.begin(
-                    "stream-packet", name="final", node=master.node.node_id,
-                    parent=command_span, nbytes=total_nbytes, final=True,
-                )
-            yield from self.tcp.send(master.node, final, client_mailbox)
-            if fspan is not None:
-                self.tracer.end(fspan)
-
-        record.t_end = self.env.now
-        self.history.append(record)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, 0, "command-end",
-                request=request_id, command=name,
-            )
-        return record
+        )
 
     def _run_dynamic_on_group(
         self,
@@ -486,9 +413,7 @@ class Scheduler:
         the fabric — so a worker that finishes early claims what a
         static split would have stranded on a straggler.  Payloads are
         keyed by canonical task index and merged in canonical order, so
-        the merged result is byte-identical to the static path.  With
-        ``"dynamic+pipeline"`` the next task's blocks are code-prefetched
-        through the worker's proxy while the current task computes.
+        the merged result is byte-identical to the static path.
         """
         if self.recovery is not None:
             raise RuntimeError(
@@ -499,7 +424,6 @@ class Scheduler:
         sched_node = self.cluster.scheduler_node
         ctx = self._context(params)
         group = [self.workers[wid] for wid in worker_ids]
-        pipeline = str(params.get("schedule")) == "dynamic+pipeline"
         tasks = command.plan_tasks(ctx)
         n_tasks = len(tasks)
         estimates = [command.task_cost(ctx, task) for task in tasks]
@@ -510,15 +434,8 @@ class Scheduler:
         fair_share = math.ceil(n_tasks / group_size)
         # Sequence-based prefetchers get an empty assignment (the drain
         # order is unknown until runtime); the Markov prefetcher still
-        # learns from the observed request stream.  With pipelining each
-        # claimed batch becomes the worker's prefetch sequence below.
+        # learns from the observed request stream.
         self._install_prefetchers(command, ctx, [[] for _ in group], group)
-        pf_spec = ctx.params.get("prefetch", command.prefetcher_spec(ctx))
-        pf_kwargs = (
-            {"width": int(ctx.params.get("prefetch_width", 1))}
-            if pf_spec == "markov+obl"
-            else {}
-        )
         master_mailbox = Mailbox(self.env, name=f"master-{request_id}")
         pos = [0]  # shared ticket position; claim+advance is atomic
         # (no yield between read and update in the cooperative kernel).
@@ -543,19 +460,6 @@ class Scheduler:
                     assignment=[tasks[t] for t in claimed],
                 )
                 yield from self.mpi.send(sched_node, message, worker.mailbox)
-                if pipeline and pf_spec not in ("none", "block-markov"):
-                    # Load/compute pipelining: the worker now knows its
-                    # claimed batch, so the system prefetcher can stage
-                    # upcoming blocks while the current task computes —
-                    # the DES mirror of the direct path's BlockPipeline.
-                    seq = [
-                        item
-                        for t in claimed
-                        for item in (command.item_sequence_for(ctx, tasks[t]) or [])
-                    ]
-                    worker.proxy.prefetcher = make_prefetcher(
-                        pf_spec, SequenceOrder(seq), **pf_kwargs
-                    )
                 for tidx in claimed:
                     share = yield from worker.execute(
                         command, ctx, tasks[tidx], widx, request_id,
@@ -585,8 +489,39 @@ class Scheduler:
         t_drained = self.env.now
         record.idle_seconds = sum(t_drained - ft for ft in finish_times)
 
-        master = group[0]
+        return (
+            yield from self._finish_on_group(
+                command, name, record, list(zip(group, shares)), group[0],
+                master_mailbox, client_mailbox, request_id, command_span,
+                task_payloads=task_payloads,
+            )
+        )
+
+    def _finish_on_group(
+        self,
+        command: Command,
+        name: str,
+        record: RunRecord,
+        parts: list[tuple[Worker, WorkerShare]],
+        fallback_master: Worker,
+        master_mailbox: Mailbox,
+        client_mailbox: Mailbox,
+        request_id: int,
+        command_span,
+        task_payloads: list[list[Any] | None] | None = None,
+    ) -> Generator[Event, None, RunRecord]:
+        """The tail both group runners share: gather at the master,
+        merge, send the final packet, close the record.
+
+        ``parts`` pairs each surviving share with the worker that holds
+        it, the master's first.  The merge takes the shares' payloads in
+        that order, or — for a dynamic run — ``task_payloads`` in
+        canonical task order.
+        """
+        master = parts[0][0] if parts else fallback_master
+        shares = [share for _, share in parts]
         if command.streaming:
+            # Workers streamed directly; signal completion to the client.
             final = ResultPacket(
                 request_id=request_id,
                 worker_index=0,
@@ -595,30 +530,25 @@ class Scheduler:
                 nbytes=0,
                 final=True,
             )
-            fspan = None
-            if self.tracer is not None:
-                fspan = self.tracer.begin(
-                    "stream-packet", name="final", node=master.node.node_id,
-                    parent=command_span, nbytes=0, final=True,
-                )
-            yield from self.tcp.send(master.node, final, client_mailbox)
-            if fspan is not None:
-                self.tracer.end(fspan)
         else:
-            # Ship non-master aggregates to the master (charges the
-            # fabric for exactly the payloads each worker produced).
-            for share, worker in zip(shares[1:], group[1:]):
+            # Collect partials at the master worker over the fabric
+            # (charged for exactly the payloads each worker produced).
+            for worker, share in parts[1:]:
                 yield from worker.send_share_to_master(
                     share, request_id, master_mailbox, parent_span=command_span,
                 )
+            collected = [shares[0].payloads] if shares else []
             for _ in shares[1:]:
                 message = yield master_mailbox.get()
                 assert isinstance(message, WorkerDone)
-            missing = [i for i, p in enumerate(task_payloads) if p is None]
-            if missing:
-                raise RuntimeError(
-                    f"dynamic run left tasks unexecuted: {missing}"
-                )
+                collected.append(message.payload)
+            if task_payloads is not None:
+                missing = [i for i, p in enumerate(task_payloads) if p is None]
+                if missing:
+                    raise RuntimeError(
+                        f"dynamic run left tasks unexecuted: {missing}"
+                    )
+                collected = [list(p) for p in task_payloads]
             total_nbytes = sum(s.nbytes for s in shares)
             mspan = None
             if self.tracer is not None:
@@ -628,27 +558,26 @@ class Scheduler:
                     n_shares=len(shares),
                 )
             yield from master.node.compute(self.costs.merge_per_byte * total_nbytes)
-            merged = command.merge([list(p) for p in task_payloads])
+            record.merged = command.merge(collected)
             if mspan is not None:
                 self.tracer.end(mspan)
-            record.merged = merged
             final = ResultPacket(
                 request_id=request_id,
                 worker_index=0,
                 sequence=0,
-                payload=merged,
+                payload=record.merged,
                 nbytes=total_nbytes,
                 final=True,
             )
-            fspan = None
-            if self.tracer is not None:
-                fspan = self.tracer.begin(
-                    "stream-packet", name="final", node=master.node.node_id,
-                    parent=command_span, nbytes=total_nbytes, final=True,
-                )
-            yield from self.tcp.send(master.node, final, client_mailbox)
-            if fspan is not None:
-                self.tracer.end(fspan)
+        fspan = None
+        if self.tracer is not None:
+            fspan = self.tracer.begin(
+                "stream-packet", name="final", node=master.node.node_id,
+                parent=command_span, nbytes=final.nbytes, final=True,
+            )
+        yield from self.tcp.send(master.node, final, client_mailbox)
+        if fspan is not None:
+            self.tracer.end(fspan)
 
         record.t_end = self.env.now
         self.history.append(record)

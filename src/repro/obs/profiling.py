@@ -11,7 +11,7 @@ with a sampling profiler cheap enough to run inside every worker:
   (``mod.func;mod.func;... count`` — Brendan Gregg's ``flamegraph.pl``
   / speedscope input format);
 * :func:`merge_folded` — aggregates the per-share folded dicts the
-  pool ships back with each :class:`~repro.parallel.pool.ShareResult`
+  pool ships back with each :class:`~repro.parallel.runner.ShareResult`
   into one profile spanning every worker process;
 * :func:`write_folded` — emits the flamegraph-ready file.
 

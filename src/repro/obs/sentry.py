@@ -341,8 +341,8 @@ def _worker_idle_seconds(result: Any) -> float:
 
 
 def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
-    """One dynamic-scheduling cell: static vs work-stealing vs stealing
-    with load/compute pipelining, in simulated seconds.
+    """One dynamic-scheduling cell: static vs work-stealing, in
+    simulated seconds.
 
     Each schedule gets a fresh session and runs iso extraction twice: a
     cold pass (fileserver-bound — every block pays its compulsory load,
@@ -358,6 +358,7 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
     toward static tail latency flips ``repro slo --check`` to exit 1.
     """
     from ..bench.calibration import paper_cluster, paper_costs
+    from ..core.commands import SCHEDULES
     from ..core.session import ViracochaSession
     from ..faults.chaos import trace_fingerprint
     from ..synth import build_engine, build_propfan
@@ -366,11 +367,7 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
     base = {"scalar": "pressure", "time_range": (0, 1)}
     fingerprints: list[str] = []
     out: dict[str, Any] = {}
-    for schedule, tag in (
-        ("static", "static"),
-        ("dynamic", "dynamic"),
-        ("dynamic+pipeline", "pipeline"),
-    ):
+    for schedule in SCHEDULES:
         dataset = builders[data](base_resolution=8, n_timesteps=1)
         session = ViracochaSession(
             dataset,
@@ -388,10 +385,10 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
         )
         fingerprints.extend([trace_fingerprint(cold), trace_fingerprint(warm)])
         record = session.scheduler.history[-1]
-        out[f"cold_{tag}_s"] = session.scheduler.history[-2].runtime
-        out[f"warm_{tag}_s"] = record.runtime
-        out[f"idle_{tag}_s"] = _worker_idle_seconds(warm)
-        out[f"steals_{tag}"] = record.steals
+        out[f"cold_{schedule}_s"] = session.scheduler.history[-2].runtime
+        out[f"warm_{schedule}_s"] = record.runtime
+        out[f"idle_{schedule}_s"] = _worker_idle_seconds(warm)
+        out[f"steals_{schedule}"] = record.steals
     warm_static = out["warm_static_s"]
     warm_dynamic = out["warm_dynamic_s"]
     out["fingerprints"] = fingerprints

@@ -13,9 +13,8 @@ executors by construction.
 
 from .api import EXECUTORS, SCHEDULES, ParallelExtractor, ParallelResult
 from .dynamic import CostFeedback, TaskResult
-from .pipeline import BlockPipeline
-from .pool import ProcessWorkerPool, ShareResult, WorkerPoolError, pick_start_method
-from .runner import DirectRunner, ShareRun
+from .pool import ProcessWorkerPool, WorkerPoolError, pick_start_method
+from .runner import DirectRunner, ShareResult, ShareRun
 from .shm import ShmBlockStore
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "SCHEDULES",
     "ParallelExtractor",
     "ParallelResult",
-    "BlockPipeline",
     "CostFeedback",
     "TaskResult",
     "ProcessWorkerPool",

@@ -23,22 +23,27 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from ..core.commands import Command, CommandContext, CommandRegistry, lpt_order
+from ..core.commands import (
+    SCHEDULES,
+    Command,
+    CommandContext,
+    CommandRegistry,
+    is_dynamic,
+    lpt_order,
+)
 from ..core.costs import DEFAULT_COSTS, CostModel
 from ..io.dataset_io import DatasetStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanTracer
 from .arena import payload_nbytes
-from .dynamic import CostFeedback, TaskResult, is_dynamic, payload_lists
-from .pipeline import BlockPipeline
-from .pool import ProcessWorkerPool, ShareResult, pick_start_method
-from .runner import DirectRunner, ShareRun
+from .dynamic import CostFeedback, payload_lists
+from .pool import ProcessWorkerPool, pick_start_method
+from .runner import DirectRunner, ShareResult, execute_share
 from .shm import ShmBlockStore
 
 __all__ = ["ParallelExtractor", "ParallelResult", "EXECUTORS", "SCHEDULES"]
 
 EXECUTORS = ("serial", "process")
-SCHEDULES = ("static", "dynamic", "dynamic+pipeline")
 
 
 @dataclass
@@ -160,7 +165,11 @@ class ParallelExtractor:
         #: serial-executor runner, kept across run() calls so its
         #: ComputeCached memo (e.g. progressive pyramids) survives
         #: interactive re-extraction with new parameters.
-        self._serial_runner: DirectRunner | None = None
+        self._serial_runner = DirectRunner(
+            lambda item: self.store.get_block(
+                int(item.param("time")), int(item.param("block"))
+            )
+        )
         #: measured per-task costs from prior dynamic runs; like the
         #: serial runner's memo it lives as long as the extractor, so a
         #: parameter sweep's second run places work from real timings.
@@ -199,22 +208,24 @@ class ParallelExtractor:
     ) -> ParallelResult:
         """Plan, execute and merge one command; see module docstring.
 
-        ``schedule`` (also accepted as ``params["schedule"]``) selects
-        the execution strategy: the default ``"static"`` pre-splits one
-        share per worker exactly like the DES scheduler; ``"dynamic"``
-        drains fine-grained :meth:`~Command.plan_tasks` tasks from a
-        shared counter in LPT order (work stealing + cost-feedback
-        placement); ``"dynamic+pipeline"`` additionally double-buffers
-        block materialization against extraction.  Merged bytes are
-        identical across all three.  Values other than these three are
-        left alone for commands with private ``schedule`` params (the
-        progressive command's ``"level-major"``).
+        ``schedule`` selects how work is dealt: the default ``"static"``
+        pre-splits one share per worker exactly like the DES scheduler;
+        ``"dynamic"`` drains fine-grained :meth:`~Command.plan_tasks`
+        tasks from a shared counter in LPT order (work stealing +
+        cost-feedback placement).  Merged bytes are identical across
+        both.  ``params["schedule"]`` is accepted too, and is left
+        free-form for commands with private values (the progressive
+        command's ``"level-major"``), which run static.
         """
         self._check_open()
         params = dict(params or {})
         if schedule is not None:
+            if schedule not in SCHEDULES:
+                raise ValueError(
+                    f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
+                )
             params["schedule"] = schedule
-        sched = params.get("schedule", "static")
+        sched = "dynamic" if is_dynamic(params.get("schedule")) else "static"
         if isinstance(command, str):
             cmd = self.registry.create(command, **command_kwargs)
         else:
@@ -232,30 +243,39 @@ class ParallelExtractor:
                     t: self.store.block_ranges(scalar, t) for t in ctx.time_indices
                 }
             }
-        dynamic = is_dynamic(sched)
         run_span = self.tracer.begin(
             "parallel-run",
             cmd.name,
             executor=self.executor,
             group_size=group,
-            schedule=str(sched) if dynamic else "static",
+            schedule=sched,
         )
         t0 = time.perf_counter()
-        if dynamic:
-            merged, results = self._run_dynamic(cmd, ctx, group, str(sched))
-        else:
-            assignments = cmd.plan(ctx, group)
-            if self.executor == "process":
-                results = self._run_process(cmd, ctx, assignments)
-            else:
-                results = self._run_serial(cmd, ctx, assignments)
-            merged = cmd.merge([list(r.payloads) for r in results])
-        if self.executor == "process" and results:
+        work, order = self._deal(cmd, ctx, group, sched)
+        if self.executor == "process":
+            results = self._ensure_pool().run_shares(cmd, ctx, work, order)
             # Tail idle: a worker is done when its share/drain ends but
             # the run lasts until the slowest one finishes.
-            t_max = max(r.t_end for r in results)
+            t_max = max((r.t_end for r in results), default=0.0)
             for res in results:
                 res.idle_s += t_max - res.t_end
+        else:
+            # In-process slots over the same units, keys and merge: the
+            # pool's byte-identical reference.  Pre-dealt units run one
+            # slot each, an ordered drain runs as a single slot.
+            # One process steals from no one: fair share is everything.
+            claims = [[i] for i in range(len(work))] if order is None else [order]
+            results = [
+                execute_share(
+                    self._serial_runner, cmd, ctx, work, iter(claim), slot,
+                    len(work), self.profile_interval,
+                )
+                for slot, claim in enumerate(claims)
+            ]
+        records = [rec for res in results for rec in res.tasks]
+        if order is not None:
+            self.cost_feedback.record(cmd.name, records, len(work))
+        merged = cmd.merge(payload_lists(records, len(work)))
         wall = time.perf_counter() - t0
         self.tracer.end(run_span, n_shares=len(results))
         self._record(cmd.name, results, wall, run_span)
@@ -266,141 +286,23 @@ class ParallelExtractor:
             result=merged,
             shares=results,
             wall_seconds=wall,
-            schedule=str(sched) if dynamic else "static",
+            schedule=sched,
         )
 
-    def _run_dynamic(
+    def _deal(
         self, cmd: Command, ctx: CommandContext, group: int, sched: str
-    ) -> tuple[Any, list[ShareResult]]:
-        """Work-stealing execution: LPT-ordered tasks, canonical merge."""
-        tasks = cmd.plan_tasks(ctx)
-        estimates = self.cost_feedback.estimates(cmd, ctx, tasks)
-        order = lpt_order(estimates)
-        pipeline = sched == "dynamic+pipeline"
-        if self.executor == "process":
-            results = self._ensure_pool().run_tasks(
-                cmd, ctx, tasks, order, pipeline=pipeline
-            )
-        else:
-            results = self._run_serial_dynamic(cmd, ctx, tasks, order, pipeline)
-        records = [rec for res in results for rec in (res.tasks or [])]
-        self.cost_feedback.record(cmd.name, records, len(tasks))
-        merged = cmd.merge(payload_lists(records, len(tasks)))
-        return merged, results
+    ) -> tuple[list[Any], list[int] | None]:
+        """The run's work units and the order to claim them in.
 
-    def _run_serial_dynamic(
-        self,
-        cmd: Command,
-        ctx: CommandContext,
-        tasks: Sequence[Any],
-        order: Sequence[int],
-        pipeline: bool,
-    ) -> list[ShareResult]:
-        """One in-process drain: same task order and merge keys as the
-        pool path, so serial dynamic is its byte-identical reference."""
-        provider = lambda item: self.store.get_block(
-            int(item.param("time")), int(item.param("block"))
-        )
-        pl = BlockPipeline(provider) if pipeline else None
-        runner = DirectRunner(provider, pipeline=pl)
-        records: list[TaskResult] = []
-        payloads: list[Any] = []
-        n_loads = n_culled = n_computes = n_emits = emitted_nbytes = 0
-        t_run0 = time.perf_counter()
-        try:
-            for qpos, pos in enumerate(order):
-                if pl is not None:
-                    # Current task's items first (FIFO pending order),
-                    # then the next task's so the background thread can
-                    # work one block ahead.
-                    pl.schedule(cmd.item_sequence_for(ctx, tasks[pos]))
-                    if qpos + 1 < len(order):
-                        pl.schedule(
-                            cmd.item_sequence_for(ctx, tasks[order[qpos + 1]])
-                        )
-                t0 = time.perf_counter()
-                run: ShareRun = runner.run_share(cmd, ctx, tasks[pos], 0)
-                t1 = time.perf_counter()
-                records.append(
-                    TaskResult(
-                        task_index=pos,
-                        payloads=run.payloads,
-                        n_loads=run.n_loads,
-                        n_culled=run.n_culled,
-                        n_computes=run.n_computes,
-                        n_emits=run.n_emits,
-                        emitted_nbytes=run.emitted_nbytes,
-                        seconds=t1 - t0,
-                    )
-                )
-                payloads.extend(run.payloads)
-                n_loads += run.n_loads
-                n_culled += run.n_culled
-                n_computes += run.n_computes
-                n_emits += run.n_emits
-                emitted_nbytes += run.emitted_nbytes
-        finally:
-            if pl is not None:
-                pl.close()
-        t_run1 = time.perf_counter()
-        return [
-            ShareResult(
-                share_index=0,
-                payloads=payloads,
-                n_loads=n_loads,
-                n_computes=n_computes,
-                n_emits=n_emits,
-                emitted_nbytes=emitted_nbytes,
-                t_start=t_run0,
-                t_end=t_run1,
-                pid=os.getpid(),
-                n_culled=n_culled,
-                tasks=records,
-            )
-        ]
-
-    def _run_serial(
-        self, cmd: Command, ctx: CommandContext, assignments: Sequence[Any]
-    ) -> list[ShareResult]:
-        if self._serial_runner is None:
-            self._serial_runner = DirectRunner(
-                lambda item: self.store.get_block(
-                    int(item.param("time")), int(item.param("block"))
-                )
-            )
-        runner = self._serial_runner
-        results: list[ShareResult] = []
-        for i, assignment in enumerate(assignments):
-            sampler = None
-            if self.profile_interval is not None:
-                from ..obs.profiling import StackSampler
-
-                sampler = StackSampler(interval=self.profile_interval).start()
-            t_start = time.perf_counter()
-            run: ShareRun = runner.run_share(cmd, ctx, assignment, i)
-            t_end = time.perf_counter()
-            folded = sampler.stop() if sampler is not None else None
-            results.append(
-                ShareResult(
-                    share_index=i,
-                    payloads=run.payloads,
-                    n_loads=run.n_loads,
-                    n_computes=run.n_computes,
-                    n_emits=run.n_emits,
-                    emitted_nbytes=run.emitted_nbytes,
-                    t_start=t_start,
-                    t_end=t_end,
-                    pid=os.getpid(),
-                    n_culled=run.n_culled,
-                    folded=folded,
-                )
-            )
-        return results
-
-    def _run_process(
-        self, cmd: Command, ctx: CommandContext, assignments: Sequence[Any]
-    ) -> list[ShareResult]:
-        return self._ensure_pool().run_shares(cmd, ctx, assignments)
+        Static deals one :meth:`~Command.plan` share per slot (order
+        ``None``: slot *i* runs unit *i*); dynamic deals
+        :meth:`~Command.plan_tasks` tasks heaviest-first by the cost
+        feedback's estimates, for whichever worker claims them.
+        """
+        if is_dynamic(sched):
+            work = cmd.plan_tasks(ctx)
+            return work, lpt_order(self.cost_feedback.estimates(cmd, ctx, work))
+        return cmd.plan(ctx, group), None
 
     # --------------------------------------------------------- precompute
     def precompute(

@@ -27,27 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..core.commands import Command, CommandContext, lpt_order
+from ..core.commands import Command, CommandContext
 
 __all__ = [
-    "DYNAMIC_SCHEDULES",
-    "SCHEDULES",
     "TaskResult",
     "CostFeedback",
-    "is_dynamic",
     "default_batch",
     "payload_lists",
 ]
-
-#: ``schedule`` values that activate the dynamic scheduler; anything
-#: else (including other commands' private schedule params, e.g. the
-#: progressive command's "level-major") keeps the static path.
-DYNAMIC_SCHEDULES = ("dynamic", "dynamic+pipeline")
-SCHEDULES = ("static",) + DYNAMIC_SCHEDULES
-
-
-def is_dynamic(schedule: Any) -> bool:
-    return str(schedule) in DYNAMIC_SCHEDULES
 
 
 def default_batch(n_tasks: int, n_workers: int) -> int:
@@ -127,8 +114,3 @@ class CostFeedback:
         if profile is not None and any(s > 0.0 for s in profile):
             return list(profile)
         return [command.task_cost(ctx, task) for task in tasks]
-
-
-def execution_order(costs: Sequence[float]) -> list[int]:
-    """LPT execution order with pinned tie-breaks (see ``lpt_order``)."""
-    return lpt_order(costs)

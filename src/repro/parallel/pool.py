@@ -27,20 +27,17 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import shared_memory
-from typing import Any, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.commands import Command, CommandContext
 from ..dms.items import ItemName
 from .arena import PackedMeshes, meshes_nbytes, pack_meshes, unpack_meshes
-from .dynamic import TaskResult, default_batch
-from .pipeline import BlockPipeline
-from .runner import DirectRunner, ShareRun
+from .dynamic import default_batch
+from .runner import DirectRunner, ShareResult, execute_share
 from .shm import ShmBlockStore
 
 __all__ = ["ProcessWorkerPool", "ShareResult", "WorkerPoolError", "pick_start_method"]
@@ -48,44 +45,6 @@ __all__ = ["ProcessWorkerPool", "ShareResult", "WorkerPoolError", "pick_start_me
 
 class WorkerPoolError(RuntimeError):
     """A worker process died before finishing its share."""
-
-
-@dataclass
-class ShareResult:
-    """One share's payloads plus the worker-side execution record."""
-
-    share_index: int
-    payloads: list[Any]
-    n_loads: int
-    n_computes: int
-    n_emits: int
-    emitted_nbytes: int
-    #: worker-process wall-clock interval (perf_counter seconds).
-    t_start: float
-    t_end: float
-    pid: int
-    #: blocks skipped on their stored scalar range (never loaded).
-    n_culled: int = 0
-    #: payload bytes that came back through the slot's result arena;
-    #: 0 when the payloads were pickled through the result pipe.
-    arena_nbytes: int = 0
-    #: collapsed-stack sample counts from the worker-side sampling
-    #: profiler (None unless the pool was built with profiling on).
-    folded: dict | None = None
-    #: seconds spent waiting — claim-lock contention inside the worker
-    #: plus the parent-added tail idle after the worker's last task.
-    idle_s: float = 0.0
-    #: tasks executed beyond this worker's static fair share (work it
-    #: would never have seen under the one-share-per-worker split).
-    steals: int = 0
-    #: per-task records from a dynamic drain, in execution order; the
-    #: canonical ``task_index`` on each is the merge key.  None for
-    #: static shares.
-    tasks: list[TaskResult] | None = None
-
-    @property
-    def seconds(self) -> float:
-        return self.t_end - self.t_start
 
 
 def pick_start_method(requested: str | None = None) -> str:
@@ -136,15 +95,15 @@ def _provide(item: ItemName) -> Any:
 
 #: what a worker sends back: the share record, and — when its mesh
 #: payloads were left in the slot's arena instead — their layout plus
-#: the payload count of each dynamic task.
-_Shipped = tuple["ShareResult", PackedMeshes | None, list[int] | None]
+#: the payload count of each of its work units.
+_Shipped = tuple[ShareResult, PackedMeshes | None, list[int]]
 
 
 def _ship(result: ShareResult, arena_name: str | None) -> _Shipped:
     """Leave ``result``'s mesh payloads in its slot's arena when one is
     offered and they fit; otherwise they travel pickled as before."""
     if arena_name is None:
-        return result, None, None
+        return result, None, []
     slot = result.share_index
     arena = _ARENAS.get(slot)
     if arena is None or arena.name != arena_name:
@@ -153,178 +112,55 @@ def _ship(result: ShareResult, arena_name: str | None) -> _Shipped:
         arena = _ARENAS[slot] = shared_memory.SharedMemory(name=arena_name)
     packed = pack_meshes(result.payloads, arena.buf)
     if packed is None:
-        return result, None, None
-    counts = None
-    if result.tasks is not None:
-        counts = [len(rec.payloads) for rec in result.tasks]
-        for rec in result.tasks:
-            rec.payloads = []
+        return result, None, []
+    counts = [len(rec.payloads) for rec in result.tasks]
+    for rec in result.tasks:
+        rec.payloads = []
     result.payloads = []
     return result, packed, counts
 
 
-def _run_share_task(
-    command: Command,
-    ctx: CommandContext,
-    assignment: Any,
-    share_index: int,
-    derived: dict | None = None,
-    arena_name: str | None = None,
-) -> _Shipped:
-    import os
-
-    if derived:
-        _worker_store().sync_derived(derived)
-    sampler = None
-    if _PROFILE_INTERVAL is not None:
-        from ..obs.profiling import StackSampler
-
-        sampler = StackSampler(interval=_PROFILE_INTERVAL).start()
-    t0 = time.perf_counter()
-    run: ShareRun = DirectRunner(_provide).run_share(
-        command, ctx, assignment, share_index
-    )
-    t1 = time.perf_counter()
-    folded = sampler.stop() if sampler is not None else None
-    result = ShareResult(
-        share_index=share_index,
-        payloads=run.payloads,
-        n_loads=run.n_loads,
-        n_computes=run.n_computes,
-        n_emits=run.n_emits,
-        emitted_nbytes=run.emitted_nbytes,
-        t_start=t0,
-        t_end=t1,
-        pid=os.getpid(),
-        n_culled=run.n_culled,
-        folded=folded,
-    )
-    return _ship(result, arena_name)
-
-
-def _claim(n_tasks: int, batch: int) -> tuple[int, int, float]:
-    """Claim the next batch of task tickets: ``[lo, hi)`` plus the
-    seconds spent waiting on the counter lock (charged to idle)."""
+def _tickets(order: Sequence[int], batch: int, waits: list[float]) -> Iterator[int]:
+    """Canonical indices claimed ``batch`` tickets at a time off the
+    shared counter until it runs out.  ``order`` maps ticket position ->
+    canonical index; the seconds each claim waited on the counter lock
+    are appended to ``waits`` (charged to idle)."""
     if _TICKET is None:
         raise RuntimeError("worker has no shared ticket counter")
-    t0 = time.perf_counter()
-    with _TICKET.get_lock():
-        waited = time.perf_counter() - t0
-        lo = int(_TICKET.value)
-        hi = min(lo + batch, n_tasks)
-        _TICKET.value = hi
-    return lo, hi, waited
+    hi = 0
+    while hi < len(order):
+        t0 = time.perf_counter()
+        with _TICKET.get_lock():
+            waits.append(time.perf_counter() - t0)
+            lo = int(_TICKET.value)
+            hi = min(lo + batch, len(order))
+            _TICKET.value = hi
+        yield from order[lo:hi]
 
 
-def _drain_tasks(
+def _run_slot(
     command: Command,
     ctx: CommandContext,
-    tasks: list[Any],
-    order: list[int],
-    worker_index: int,
-    n_workers: int,
+    work: Sequence[Any] | Mapping[int, Any],
+    order: Sequence[int],
+    slot: int,
+    fair_share: int,
     batch: int,
-    derived: dict | None = None,
-    pipeline: bool = False,
-    arena_name: str | None = None,
+    derived: dict | None,
+    arena_name: str | None,
 ) -> _Shipped:
-    """One worker's dynamic drain loop: claim batches off the shared
-    ticket counter and execute until the tickets run out.
-
-    ``order`` maps ticket position -> canonical task index (LPT by cost
-    estimate), so heavy tasks start first while payloads stay keyed by
-    canonical index for the order-independent merge.  With ``pipeline``
-    the worker runs a :class:`BlockPipeline` and claims its *next*
-    batch one task early, so the background thread always knows the
-    upcoming block while the current one extracts.
-    """
-    import os
-
+    """One slot's call.  With ``batch`` 0 the slot was pre-dealt
+    ``order``; otherwise ``order`` is the whole run's and the slot
+    claims its part off the ticket counter, ``batch`` at a time."""
     if derived:
         _worker_store().sync_derived(derived)
-    sampler = None
-    if _PROFILE_INTERVAL is not None:
-        from ..obs.profiling import StackSampler
-
-        sampler = StackSampler(interval=_PROFILE_INTERVAL).start()
-    n_tasks = len(order)
-    fair_share = math.ceil(n_tasks / max(n_workers, 1))
-    pl = BlockPipeline(_provide) if pipeline else None
-    runner = DirectRunner(_provide, pipeline=pl)
-    idle_s = 0.0
-    steals = 0
-    executed = 0
-    records: list[TaskResult] = []
-    payloads: list[Any] = []
-    n_loads = n_culled = n_computes = n_emits = emitted_nbytes = 0
-    queue: deque[int] = deque()
-    exhausted = False
-    t_run0 = time.perf_counter()
-    try:
-        while True:
-            # Refill — eagerly one task early when pipelining, so the
-            # next block is known before the last queued task runs.
-            low_water = 1 if pl is not None else 0
-            if len(queue) <= low_water and not exhausted:
-                lo, hi, waited = _claim(n_tasks, batch)
-                idle_s += waited
-                queue.extend(range(lo, hi))
-                exhausted = hi >= n_tasks
-            if not queue:
-                break
-            task_index = order[queue.popleft()]
-            if pl is not None:
-                pl.schedule(command.item_sequence_for(ctx, tasks[task_index]))
-                if queue:
-                    nxt = order[queue[0]]
-                    pl.schedule(command.item_sequence_for(ctx, tasks[nxt]))
-            t0 = time.perf_counter()
-            run: ShareRun = runner.run_share(
-                command, ctx, tasks[task_index], worker_index
-            )
-            t1 = time.perf_counter()
-            executed += 1
-            if executed > fair_share:
-                steals += 1
-            records.append(
-                TaskResult(
-                    task_index=task_index,
-                    payloads=run.payloads,
-                    n_loads=run.n_loads,
-                    n_culled=run.n_culled,
-                    n_computes=run.n_computes,
-                    n_emits=run.n_emits,
-                    emitted_nbytes=run.emitted_nbytes,
-                    seconds=t1 - t0,
-                )
-            )
-            payloads.extend(run.payloads)
-            n_loads += run.n_loads
-            n_culled += run.n_culled
-            n_computes += run.n_computes
-            n_emits += run.n_emits
-            emitted_nbytes += run.emitted_nbytes
-    finally:
-        if pl is not None:
-            pl.close()
-    t_run1 = time.perf_counter()
-    folded = sampler.stop() if sampler is not None else None
-    result = ShareResult(
-        share_index=worker_index,
-        payloads=payloads,
-        n_loads=n_loads,
-        n_computes=n_computes,
-        n_emits=n_emits,
-        emitted_nbytes=emitted_nbytes,
-        t_start=t_run0,
-        t_end=t_run1,
-        pid=os.getpid(),
-        n_culled=n_culled,
-        folded=folded,
-        idle_s=idle_s,
-        steals=steals,
-        tasks=records,
+    waits: list[float] = []
+    claims = _tickets(order, batch, waits) if batch else iter(order)
+    result = execute_share(
+        DirectRunner(_provide), command, ctx, work, claims, slot, fair_share,
+        _PROFILE_INTERVAL,
     )
+    result.idle_s = sum(waits)
     return _ship(result, arena_name)
 
 
@@ -365,11 +201,10 @@ class ProcessWorkerPool:
         #: executor so it is inheritable (fork) / spawn-picklable via
         #: initargs — submit() args cannot carry it.
         self._ticket = ctx.Value("q", 0)
-        #: result arenas by slot (static share index / drain worker
-        #: index), and the bytes the largest mesh result each slot has
-        #: returned needed.  A slot gets its arena before the run after
-        #: it first returned meshes, so a pool's first run allocates
-        #: nothing and an arena is never larger than one result.
+        #: result arenas by slot, and the bytes the largest mesh result
+        #: each slot has returned needed.  A slot gets its arena before
+        #: the run after it first returned meshes, so a pool's first run
+        #: allocates nothing and an arena is never larger than one result.
         self._arenas: dict[int, shared_memory.SharedMemory] = {}
         self._arena_wanted: dict[int, int] = {}
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
@@ -381,61 +216,48 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------- shares
     def run_shares(
-        self, command: Command, ctx: CommandContext, assignments: Sequence[Any]
+        self,
+        command: Command,
+        ctx: CommandContext,
+        work: Sequence[Any],
+        order: Sequence[int] | None = None,
     ) -> list[ShareResult]:
-        """Execute every share; results returned in share-index order."""
+        """Execute every work unit; one result per slot, in slot order.
+
+        With ``order`` None the units are pre-dealt: slot *i* runs
+        ``work[i]`` and is sent nothing else.  Otherwise ``order`` (a
+        permutation of the unit indices, LPT over cost estimates)
+        positions tickets and every worker drains the shared counter
+        until they run out (work stealing by omission).  Either way each
+        unit's record keeps its canonical ``task_index``, so
+        :func:`~repro.parallel.dynamic.payload_lists` reassembles the
+        same payload sequence regardless of interleaving.
+        """
         self._require_executor()
         # Workers attached at pool start; ship the current derived-field
         # manifest so they can map segments created since (sync is a
         # no-op when nothing is new).
         derived = self.store.derived_manifest() or None
-        arenas = self._offer_arenas(len(assignments))
+        if order is None:
+            deals = [({i: unit}, [i], i, 1, 0) for i, unit in enumerate(work)]
+        else:
+            if sorted(order) != list(range(len(work))):
+                raise ValueError("order must be a permutation of the work indices")
+            # The pool is quiescent between runs, so the parent can reset
+            # the counter without racing a drain.
+            with self._ticket.get_lock():
+                self._ticket.value = 0
+            n_slots = max(1, min(self.n_workers, len(work)))
+            fair_share = math.ceil(len(work) / n_slots)
+            batch = default_batch(len(work), n_slots)
+            work, order = list(work), list(order)
+            deals = [(work, order, w, fair_share, batch) for w in range(n_slots)]
+        arenas = self._offer_arenas(len(deals))
         return self._gather(
             [
-                (_run_share_task, command, ctx, assignment, i, derived, arenas[i])
-                for i, assignment in enumerate(assignments)
-            ],
-            "share",
-        )
-
-    def run_tasks(
-        self,
-        command: Command,
-        ctx: CommandContext,
-        tasks: Sequence[Any],
-        order: Sequence[int],
-        batch: int | None = None,
-        pipeline: bool = False,
-    ) -> list[ShareResult]:
-        """Dynamic execution: every worker drains the shared ticket
-        counter until the tasks run out (work stealing by omission).
-
-        ``order`` positions tickets in execution order (LPT over cost
-        estimates); results keep canonical ``task_index`` keys, so
-        :func:`~repro.parallel.dynamic.payload_lists` reassembles the
-        serial payload sequence regardless of interleaving.  Returns
-        one :class:`ShareResult` per participating worker.
-        """
-        self._require_executor()
-        if sorted(order) != list(range(len(tasks))):
-            raise ValueError("order must be a permutation of the task indices")
-        derived = self.store.derived_manifest() or None
-        # The pool is quiescent between runs, so the parent can reset
-        # the counter without racing a drain.
-        with self._ticket.get_lock():
-            self._ticket.value = 0
-        n_active = max(1, min(self.n_workers, len(tasks)))
-        if batch is None:
-            batch = default_batch(len(tasks), n_active)
-        arenas = self._offer_arenas(n_active)
-        tasks, order = list(tasks), list(order)
-        return self._gather(
-            [
-                (_drain_tasks, command, ctx, tasks, order, w, n_active, batch,
-                 derived, pipeline, arenas[w])
-                for w in range(n_active)
-            ],
-            "drain",
+                (_run_slot, command, ctx, *deal, derived, arena)
+                for deal, arena in zip(deals, arenas)
+            ]
         )
 
     # ------------------------------------------------------------- arenas
@@ -456,7 +278,7 @@ class ProcessWorkerPool:
             names.append(arena.name if arena else None)
         return names
 
-    def _gather(self, calls: Sequence[tuple], what: str) -> list[ShareResult]:
+    def _gather(self, calls: Sequence[tuple]) -> list[ShareResult]:
         """Submit one ``(fn, *args)`` call per slot; results in slot
         order with arena payloads rebuilt.  A worker that dies while the
         calls are still being submitted breaks the pool just the same."""
@@ -471,10 +293,9 @@ class ProcessWorkerPool:
                 if packed is not None:
                     result.payloads = unpack_meshes(packed, self._arenas[slot].buf)
                     result.arena_nbytes = packed.nbytes
-                    if counts is not None:
-                        flat = iter(result.payloads)
-                        for rec, n in zip(result.tasks, counts):
-                            rec.payloads = list(islice(flat, n))
+                    flat = iter(result.payloads)
+                    for rec, n in zip(result.tasks, counts):
+                        rec.payloads = list(islice(flat, n))
                 needed = packed.nbytes if packed else meshes_nbytes(result.payloads)
                 if needed:
                     self._arena_wanted[slot] = max(
@@ -484,7 +305,7 @@ class ProcessWorkerPool:
         except BrokenProcessPool as exc:
             self.close()
             raise WorkerPoolError(
-                f"a worker process died before finishing its {what}; "
+                "a worker process died before finishing its share; "
                 "the pool has been shut down"
             ) from exc
         except BaseException:

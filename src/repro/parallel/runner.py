@@ -9,12 +9,18 @@ in order, ``Prefetch`` is a no-op (the shared-memory store is already
 resident).  Because the op stream, the numerics and the emit order are
 exactly those of the serial simulated path, results merged in share
 order are byte-identical to a serial run by construction.
+
+:func:`execute_share` is the one loop every executor and schedule runs
+a slot's work through: it claims canonical work-unit indices from an
+iterator, interprets each unit and assembles the :class:`ShareResult`.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.commands import (
     Command,
@@ -26,8 +32,9 @@ from ..core.commands import (
     Prefetch,
 )
 from ..dms.items import ItemName
+from .dynamic import TaskResult
 
-__all__ = ["DirectRunner", "ShareRun"]
+__all__ = ["DirectRunner", "ShareResult", "ShareRun", "execute_share"]
 
 
 @dataclass
@@ -45,30 +52,52 @@ class ShareRun:
     emitted_nbytes: int = 0
 
 
+@dataclass
+class ShareResult:
+    """One slot's payloads plus the worker-side execution record."""
+
+    share_index: int
+    payloads: list[Any]
+    n_loads: int
+    n_computes: int
+    n_emits: int
+    emitted_nbytes: int
+    #: worker-process wall-clock interval (perf_counter seconds).
+    t_start: float
+    t_end: float
+    pid: int
+    #: blocks skipped on their stored scalar range (never loaded).
+    n_culled: int = 0
+    #: payload bytes that came back through the slot's result arena;
+    #: 0 when the payloads were pickled through the result pipe.
+    arena_nbytes: int = 0
+    #: collapsed-stack sample counts from the sampling profiler (None
+    #: unless the extractor was built with profiling on).
+    folded: dict | None = None
+    #: seconds spent waiting — claim-lock contention inside the worker
+    #: plus the parent-added tail idle after the worker's last unit.
+    idle_s: float = 0.0
+    #: units executed beyond this slot's fair share (work it would
+    #: never have seen under the one-share-per-worker split).
+    steals: int = 0
+    #: per-unit records in execution order; the canonical ``task_index``
+    #: on each is the merge key.  Empty for a worker that found the
+    #: tickets already drained.
+    tasks: list[TaskResult] = field(default_factory=list)
+
+    @property
+    def seconds(self) -> float:
+        return self.t_end - self.t_start
+
+
 class DirectRunner:
-    """Interpret command op streams against a real block provider.
+    """Interpret command op streams against a real block provider."""
 
-    With a :class:`~repro.parallel.pipeline.BlockPipeline` attached,
-    each share's upcoming block sequence is scheduled for background
-    materialization on entry and every ``Load`` drains the pipeline
-    first — the next block's lazy ``<f4`` views upcast to float64 while
-    the current block extracts (double-buffered load/compute overlap).
-    Bytes are unchanged either way: the pipeline returns the provider's
-    own object with its fields pre-touched.
-    """
-
-    def __init__(self, provider: Callable[[ItemName], Any], pipeline=None):
+    def __init__(self, provider: Callable[[ItemName], Any]):
         self.provider = provider
-        #: optional BlockPipeline for load/compute overlap.
-        self.pipeline = pipeline
         #: runner-local memo for ComputeCached results; providers only
         #: understand block items, so derived items never hit them.
         self._derived: dict[ItemName, Any] = {}
-
-    def _fetch(self, item: ItemName) -> Any:
-        if self.pipeline is not None:
-            return self.pipeline.get(item)
-        return self.provider(item)
 
     def run_share(
         self,
@@ -80,8 +109,6 @@ class DirectRunner:
         """Drive one share's generator to exhaustion; payloads in order."""
         run = ShareRun(worker_index=worker_index)
         culled_before = ctx.n_culled
-        if self.pipeline is not None:
-            self.pipeline.schedule(command.item_sequence_for(ctx, assignment))
         gen = command.run(ctx, assignment, worker_index)
         result: Any = None
         while True:
@@ -91,7 +118,7 @@ class DirectRunner:
                 break
             result = None
             if isinstance(op, Load):
-                result = self._fetch(op.item)
+                result = self.provider(op.item)
                 run.n_loads += 1
             elif isinstance(op, Compute):
                 run.n_computes += 1
@@ -110,23 +137,70 @@ class DirectRunner:
                 run.n_emits += 1
                 run.emitted_nbytes += int(op.nbytes)
             elif isinstance(op, Prefetch):
-                # Shared memory is already resident; with a pipeline the
-                # hint still buys the background float64 materialization.
-                if self.pipeline is not None:
-                    self.pipeline.schedule([op.item])
+                pass  # shared memory is already resident
             else:
                 raise TypeError(f"command yielded unknown op {op!r}")
         run.n_culled = ctx.n_culled - culled_before
         return run
 
-    def run_all(
-        self,
-        command: Command,
-        ctx: CommandContext,
-        assignments: Sequence[Any],
-    ) -> list[ShareRun]:
-        """Serial reference execution: every share, in share order."""
-        return [
-            self.run_share(command, ctx, assignment, i)
-            for i, assignment in enumerate(assignments)
-        ]
+
+def execute_share(
+    runner: DirectRunner,
+    command: Command,
+    ctx: CommandContext,
+    work: Sequence[Any] | Mapping[int, Any],
+    claims: Iterator[int],
+    slot: int,
+    fair_share: int,
+    profile_interval: float | None = None,
+) -> ShareResult:
+    """Run the work units ``claims`` deals to one slot.
+
+    ``work`` maps canonical index -> work unit (a share of
+    :meth:`Command.plan` or a task of :meth:`Command.plan_tasks`; a
+    worker sent only its own share gets it as a one-entry mapping).
+    ``claims`` yields the canonical indices this slot executes, in
+    execution order; schedules differ only in how it is dealt.  It may
+    yield nothing — a worker that finds the tickets drained returns an
+    empty, legal share.  Payloads stay keyed by canonical index
+    (:func:`~repro.parallel.dynamic.payload_lists`), so the merged
+    bytes do not depend on which slot claimed what.
+    """
+    sampler = None
+    if profile_interval is not None:
+        from ..obs.profiling import StackSampler
+
+        sampler = StackSampler(interval=profile_interval).start()
+    records: list[TaskResult] = []
+    t_start = time.perf_counter()
+    for index in claims:
+        t0 = time.perf_counter()
+        run = runner.run_share(command, ctx, work[index], slot)
+        records.append(
+            TaskResult(
+                task_index=index,
+                payloads=run.payloads,
+                n_loads=run.n_loads,
+                n_culled=run.n_culled,
+                n_computes=run.n_computes,
+                n_emits=run.n_emits,
+                emitted_nbytes=run.emitted_nbytes,
+                seconds=time.perf_counter() - t0,
+            )
+        )
+    t_end = time.perf_counter()
+    return ShareResult(
+        share_index=slot,
+        payloads=[p for rec in records for p in rec.payloads],
+        n_loads=sum(rec.n_loads for rec in records),
+        n_computes=sum(rec.n_computes for rec in records),
+        n_emits=sum(rec.n_emits for rec in records),
+        emitted_nbytes=sum(rec.emitted_nbytes for rec in records),
+        t_start=t_start,
+        t_end=t_end,
+        pid=os.getpid(),
+        n_culled=sum(rec.n_culled for rec in records),
+        folded=sampler.stop() if sampler is not None else None,
+        steals=max(0, len(records) - fair_share),
+        tasks=records,
+    )

@@ -31,7 +31,7 @@ def _bytes(geometry) -> bytes:
     return geometry.vertices.tobytes() + geometry.triangles.tobytes()
 
 
-@pytest.mark.parametrize("schedule", ["dynamic", "dynamic+pipeline"])
+@pytest.mark.parametrize("schedule", ["dynamic"])
 def test_dynamic_matches_group1_bytes(schedule):
     reference = _session().run("iso-dataman", params=dict(ISO), group_size=1)
     got = _session().run(

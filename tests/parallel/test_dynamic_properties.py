@@ -3,13 +3,15 @@
 A dynamic run is, in the end, a partition of the canonical task list
 into per-worker claim sequences plus an interleaving of their
 completions.  A seeded fake pool below replays *arbitrary* such
-schedules — any batch split, any claim order, any completion shuffle —
-against per-task payloads computed once by the real serial runner.
-Whatever the schedule, canonical reassembly (:func:`payload_lists`)
-plus the command's merge must reproduce the serial group-1 bytes, and
-batched pathlines must keep every particle in its seed's demand slot.
+schedules — any batch split, any claim order, any completion shuffle,
+workers that claim nothing — through the real share loop
+(:func:`~repro.parallel.runner.execute_share`).  Whatever the schedule,
+canonical reassembly (:func:`payload_lists`) plus the command's merge
+must reproduce the serial group-1 bytes, and batched pathlines must
+keep every particle in its seed's demand slot.
 """
 
+import math
 import random
 
 import pytest
@@ -17,54 +19,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commands import default_registry
-from repro.parallel.dynamic import TaskResult, payload_lists
-from repro.parallel.runner import DirectRunner
+from repro.parallel import ParallelExtractor
+from repro.parallel.dynamic import payload_lists
+from repro.parallel.runner import DirectRunner, ShareRun, execute_share
 
 from .test_equivalence import ISO, PATHLINES, _mesh_bytes
 
 REGISTRY = default_registry()
 
 
-class FakeStealingPool:
-    """Deterministic replay of one steal schedule.
+class ReplayRunner:
+    """A runner whose work unit *i* yields the payloads task *i*
+    produced once, serially — so a property run replays scheduling and
+    reassembly only, not the numerics."""
 
-    ``seed`` drives batch sizes, which worker claims next, and the
-    order completions are observed — the degrees of freedom a real
-    ticket-counter pool has.  Payloads come from ``task_payloads``
-    (computed once, serially), so the only thing under test is the
-    scheduling/reassembly machinery itself.
+    def __init__(self, task_payloads: list[list]):
+        self.task_payloads = task_payloads
+
+    def run_share(self, command, ctx, unit, worker_index) -> ShareRun:
+        return ShareRun(worker_index, payloads=list(self.task_payloads[unit]))
+
+
+class FakeStealingPool:
+    """Deterministic replay of one steal schedule; stands in for
+    :class:`~repro.parallel.ProcessWorkerPool`.
+
+    ``seed`` drives the ticket order, batch sizes and which worker
+    claims next — the degrees of freedom a real ticket-counter pool
+    has; workers in ``starved`` never win a claim.  The claim sequences
+    are fed to the real share loop over ``runner``, so the loop, the
+    records it builds and everything downstream are what is under test.
     """
 
-    def __init__(self, n_workers: int, seed: int):
+    closed = False
+
+    def __init__(self, runner, n_workers: int, seed: int, starved=()):
+        self.runner = runner
         self.n_workers = n_workers
         self.rng = random.Random(seed)
+        self.claimers = [w for w in range(n_workers) if w not in starved]
 
-    def run(self, task_payloads: list[list]) -> list[TaskResult]:
-        n_tasks = len(task_payloads)
-        # Arbitrary initial order (the cost model could impose any).
+    def run_shares(self, command, ctx, work, order=None):
+        n_tasks = len(work)
+        # Arbitrary ticket order (the cost model could impose any).
         order = list(range(n_tasks))
         self.rng.shuffle(order)
         pos = 0
         claims: list[list[int]] = [[] for _ in range(self.n_workers)]
         while pos < n_tasks:
             batch = self.rng.randint(1, max(1, n_tasks // 2))
-            worker = self.rng.randrange(self.n_workers)
+            worker = self.rng.choice(self.claimers)
             claims[worker].extend(order[pos:pos + batch])
             pos += batch
-        records = [
-            TaskResult(task_index=tidx, payloads=list(task_payloads[tidx]))
-            for claimed in claims
-            for tidx in claimed
+        fair_share = math.ceil(n_tasks / self.n_workers)
+        return [
+            execute_share(
+                self.runner, command, ctx, work, iter(claimed), w, fair_share
+            )
+            for w, claimed in enumerate(claims)
         ]
-        # Completions arrive in arbitrary global order.
-        self.rng.shuffle(records)
-        return records
+
+    def close(self):
+        pass
+
+
+def _replay(payloads: list[list], n_workers: int, seed: int):
+    """Every task's record from one seeded schedule, completions
+    observed in arbitrary global order."""
+    pool = FakeStealingPool(ReplayRunner(payloads), n_workers, seed)
+    shares = pool.run_shares(None, None, range(len(payloads)))
+    records = [rec for share in shares for rec in share.tasks]
+    pool.rng.shuffle(records)
+    return records
 
 
 def _task_payloads(store, command_name, params):
     """Each canonical task executed once by the real serial runner."""
-    from repro.parallel import ParallelExtractor
-
     command = REGISTRY.create(command_name)
     runner = DirectRunner(
         lambda item: store.read_block(
@@ -103,7 +133,7 @@ def test_any_steal_interleaving_preserves_iso_bytes(
     iso_reference, seed, n_workers
 ):
     command, payloads, ref_bytes = iso_reference
-    records = FakeStealingPool(n_workers, seed).run(payloads)
+    records = _replay(payloads, n_workers, seed)
     merged = command.merge(payload_lists(records, len(payloads)))
     assert _mesh_bytes(merged) == ref_bytes
 
@@ -114,7 +144,7 @@ def test_any_steal_interleaving_preserves_pathline_demand_order(
     pathline_reference, seed, n_workers
 ):
     command, payloads, reference = pathline_reference
-    records = FakeStealingPool(n_workers, seed).run(payloads)
+    records = _replay(payloads, n_workers, seed)
     merged = command.merge(payload_lists(records, len(payloads)))
     assert len(merged) == len(reference) == len(PATHLINES["seeds"])
     for got, ref in zip(merged, reference):
@@ -126,5 +156,30 @@ def test_any_steal_interleaving_preserves_pathline_demand_order(
 @settings(max_examples=30, deadline=None)
 def test_fake_pool_covers_every_task_exactly_once(iso_reference, seed):
     _, payloads, _ = iso_reference
-    records = FakeStealingPool(3, seed).run(payloads)
+    records = _replay(payloads, 3, seed)
     assert sorted(r.task_index for r in records) == list(range(len(payloads)))
+
+
+def test_starved_worker_is_legal_end_to_end(engine_store):
+    """A worker that finds the tickets drained returns an empty share;
+    the merge, the cost feedback, the metrics and the spans accept it."""
+    with ParallelExtractor(engine_store, workers=1, executor="serial") as ref:
+        reference = ref.run("iso-dataman", params=ISO)
+    with ParallelExtractor(engine_store, workers=3, executor="process") as ext:
+        ext._pool = FakeStealingPool(ext._serial_runner, 3, seed=7, starved={1})
+        res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
+        snap = ext.metrics.snapshot()
+        spans = ext.tracer.spans
+    starved = res.shares[1]
+    assert starved.tasks == [] and starved.payloads == []
+    assert starved.steals == 0 and starved.n_loads == 0
+    assert starved.idle_s > 0.0  # tail idle: slot 2 was still running
+    assert _mesh_bytes(res.result) == _mesh_bytes(reference.result)
+    n_tasks = sum(len(share.tasks) for share in res.shares)
+    profile = ext.cost_feedback.recorded("iso-dataman", n_tasks)
+    assert profile is not None and len(profile) == n_tasks
+    labels = {"command": "iso-dataman", "executor": "process"}
+    assert ext.metrics.counter("parallel_shares_total", labels).value == 3
+    assert "viracocha_parallel_idle_seconds_total" in snap
+    for kind in ("parallel-share", "parallel-idle"):
+        assert any(s.kind == kind and s.node == 1 for s in spans), kind

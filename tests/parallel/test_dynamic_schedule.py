@@ -2,8 +2,8 @@
 
 Tasks are drained off a shared ticket in arbitrary interleavings, but
 payloads are reassembled by canonical task index before merging — so
-``schedule="dynamic"`` (and ``"dynamic+pipeline"``) at any worker count
-must reproduce the serial group-1 static bytes exactly.  These suites
+``schedule="dynamic"`` at any worker count must reproduce the serial
+group-1 static bytes exactly.  These suites
 prove that for every command family, plus the scheduler bookkeeping
 around it: steal/idle accounting, cost-feedback reordering, and the
 strictness of the canonical reassembly itself.
@@ -11,18 +11,19 @@ strictness of the canonical reassembly itself.
 
 import pytest
 
-from repro.parallel import ParallelExtractor
+from repro.core.commands import is_dynamic
+from repro.parallel import SCHEDULES, ParallelExtractor
 from repro.parallel.dynamic import (
     CostFeedback,
     TaskResult,
     default_batch,
-    is_dynamic,
     payload_lists,
 )
 
 from .test_equivalence import CUTPLANE, ISO, PATHLINES, VORTEX, _mesh_bytes
 
-DYNAMIC = ("dynamic", "dynamic+pipeline")
+#: one value, still a parameter so the test ids keep their "-dynamic".
+DYNAMIC = ("dynamic",)
 
 
 def _serial_static(store, command, params):
@@ -77,21 +78,22 @@ def test_dynamic_pathlines_demand_order_preserved(
 def test_dynamic_share_accounting(engine_store):
     with ParallelExtractor(engine_store, workers=4, executor="process") as ext:
         res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
+        cmd = ext.registry.create("iso-dataman")
+        n_tasks = len(cmd.plan_tasks(ext._context(ISO)))
     assert res.schedule == "dynamic"
     assert res.idle_seconds >= 0.0
     assert res.steals >= 0
     for share in res.shares:
         assert share.idle_s >= 0.0
         assert share.steals >= 0
-        assert share.tasks  # per-task records feed the cost profile
+        # No claim on len(share.tasks): a late-forked worker that finds
+        # the tickets drained legally returns none.
         for task in share.tasks:
             assert isinstance(task, TaskResult)
             assert task.seconds >= 0.0
     # Every canonical task index executed exactly once.
-    indices = sorted(
-        t.task_index for s in res.shares for t in (s.tasks or [])
-    )
-    assert indices == list(range(len(indices)))
+    indices = sorted(t.task_index for s in res.shares for t in s.tasks)
+    assert indices == list(range(n_tasks))
 
 
 def test_dynamic_metrics_exported(engine_store):
@@ -105,7 +107,7 @@ def test_dynamic_metrics_exported(engine_store):
 def test_cost_feedback_reorders_second_run(engine_store):
     with ParallelExtractor(engine_store, workers=2, executor="serial") as ext:
         first = ext.run("iso-dataman", params=ISO, schedule="dynamic")
-        n_tasks = sum(len(s.tasks or []) for s in first.shares)
+        n_tasks = sum(len(s.tasks) for s in first.shares)
         assert ext.cost_feedback.recorded("iso-dataman", n_tasks)
         second = ext.run("iso-dataman", params=ISO, schedule="dynamic")
     # Feedback changes placement, never bytes.
@@ -120,8 +122,30 @@ def test_static_default_untouched(engine_store):
     assert res.steals == 0
 
 
+def test_removed_schedule_name_fails_loudly(engine_store):
+    """The ``schedule=`` keyword takes only ``SCHEDULES``; a typo or the
+    removed third schedule must not silently run static."""
+    assert SCHEDULES == ("static", "dynamic")
+    with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
+        for name in ("dynamic+pipeline", "dynamic+pipelin", "level-major"):
+            with pytest.raises(ValueError, match="static.*dynamic"):
+                ext.run("iso-dataman", params=ISO, schedule=name)
+        # params["schedule"] stays free-form for commands' private
+        # values; anything but "dynamic" there runs static.
+        res = ext.run("iso-dataman", params=dict(ISO, schedule="level-major"))
+    assert res.schedule == "static"
+
+
+def test_cli_rejects_removed_schedule(capsys):
+    from repro.__main__ import main as cli_main
+
+    assert cli_main(["extract", "iso", "--schedule", "dynamic+pipeline"]) == 2
+    assert "one of static|dynamic," in capsys.readouterr().out
+
+
 def test_is_dynamic_and_default_batch():
-    assert is_dynamic("dynamic") and is_dynamic("dynamic+pipeline")
+    assert is_dynamic("dynamic")
+    assert not is_dynamic("dynamic+pipeline")  # removed, not an alias
     assert not is_dynamic("static")
     assert not is_dynamic("level-major")  # progressive's schedule values
     assert default_batch(0, 4) == 1

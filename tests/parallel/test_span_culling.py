@@ -154,7 +154,7 @@ def test_engine_iso_culls_and_keeps_accounting(engine_store):
     params = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 2)}
     n_blocks = 2 * engine_store.n_blocks
     with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
-        schedules = (None, "dynamic", "dynamic+pipeline")
+        schedules = (None, "dynamic")
         for schedule in schedules:
             res = ext.run("iso-dataman", params=params, schedule=schedule)
             assert 0 < res.n_culled < n_blocks
@@ -166,21 +166,6 @@ def test_engine_iso_culls_and_keeps_accounting(engine_store):
         assert culled.value == len(schedules) * res.n_culled
         spans = [s for s in ext.tracer.spans if s.kind == "parallel-share"]
         assert sum(s.attrs["n_culled"] for s in spans) == culled.value
-
-
-def test_item_sequence_names_only_blocks_that_will_load(engine_store):
-    """The pipeline stages what ``item_sequence_for`` names; a culled
-    block staged but never loaded would park in its one ready slot."""
-    params = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 1)}
-    with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
-        res = ext.run("iso-dataman", params=params)
-        cmd = ext.registry.create("iso-dataman")
-        ctx = ext._context(params)
-        (share,) = cmd.plan(ctx, 1)
-        assert len(cmd.item_sequence_for(ctx, share)) == len(share)
-        ctx.block_ranges = {"pressure": {0: ext.store.block_ranges("pressure", 0)}}
-        assert len(cmd.item_sequence_for(ctx, share)) == res.n_loads < len(share)
-        assert ctx.n_culled == 0
 
 
 def test_vortex_culls_only_on_a_stored_lambda2(engine_store):

@@ -1,7 +1,7 @@
 """Cross-process span import: worker share intervals in the parent trace.
 
 Worker processes cannot share the parent's ``SpanTracer``; instead each
-:class:`~repro.parallel.pool.ShareResult` carries its wall-clock window
+:class:`~repro.parallel.runner.ShareResult` carries its wall-clock window
 and the extractor imports it via
 :meth:`~repro.obs.spans.SpanTracer.record_interval`.  These tests pin
 the invariants the critical-path analyzer relies on: every share span
@@ -84,15 +84,19 @@ def test_flamegraph_requires_profiling_enabled(engine_store):
             ext.write_flamegraph("/dev/null")
 
 
-def test_profiled_run_writes_folded_output(engine_store, tmp_path):
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_profiled_run_writes_folded_output(engine_store, tmp_path, executor, schedule):
     with ParallelExtractor(
-        engine_store, workers=2, executor="process", profile_interval=0.001
+        engine_store, workers=2, executor=executor, profile_interval=0.001
     ) as ext:
-        ext.run("iso-dataman", params=ISO)
+        res = ext.run("iso-dataman", params=ISO, schedule=schedule)
         out = tmp_path / "profile.folded"
         n = ext.write_flamegraph(str(out))
     # Sampling is statistical: short shares may yield zero samples, but
-    # the write path and the stack-count contract must hold regardless.
+    # every share must have run under a sampler, and the write path and
+    # the stack-count contract must hold regardless.
+    assert all(share.folded is not None for share in res.shares)
     assert n == len(ext.folded)
     text = out.read_text()
     assert len(text.splitlines()) == n
