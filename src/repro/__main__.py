@@ -22,7 +22,7 @@ Usage::
     python -m repro critical-path <cmd> [--data engine|propfan]
                                         [--workers N] [--warm] [--path]
     python -m repro slo [--data engine|propfan] [--workers N] [--repeats N]
-                        [--check] [--wall] [--json] [--baseline FILE]
+                        [--check] [--json] [--baseline FILE]
                         [--update-baseline]
     python -m repro loadtest [--tenants N] [--seed N] [--requests N]
                              [--rate HZ] [--arrival poisson|bursty]
@@ -40,9 +40,10 @@ clock to phases (queue/load/compute/merge/stream/recovery) along the
 span DAG's critical path; ``slo`` evaluates the paper's 100 ms
 interaction criterion as declarative SLOs over the sentry workload and,
 with ``--check``, gates against the committed baseline
-(``BENCH_PR6.json``) — the CI regression sentry.  ``loadtest`` soaks the
-multi-tenant serving layer with thousands of simulated tenants in pure
-simulated time (``--replay`` gates on byte-identical fingerprints);
+(``sentry_baseline.json``) — the CI regression sentry.  ``loadtest``
+soaks the multi-tenant serving layer with thousands of simulated
+tenants in pure simulated time (``--replay`` gates on byte-identical
+fingerprints);
 ``serve`` boots the HTTP/REST facade over a real session.  ``<cmd>`` is
 a registered command name or one of the aliases iso, vortex, pathlines,
 cutplane.
@@ -50,6 +51,7 @@ cutplane.
 
 from __future__ import annotations
 
+import re
 import sys
 
 #: one-line usage per verb, shown for ``<verb> --help``.
@@ -85,7 +87,7 @@ USAGE = {
     ),
     "slo": (
         "python -m repro slo [--data engine|propfan] [--workers N] "
-        "[--repeats N] [--check] [--wall] [--json] [--baseline FILE] "
+        "[--repeats N] [--check] [--json] [--baseline FILE] "
         "[--update-baseline]"
     ),
     "loadtest": (
@@ -255,32 +257,34 @@ def _obs_command_spec(name: str) -> tuple[str, dict]:
     raise KeyError(name)
 
 
-def _obs_flags(args: list[str]) -> tuple[list[str], dict]:
-    """Split positional args from the --flag[=value] options we accept."""
+def _obs_flags(mode: str, args: list[str]) -> tuple[list[str], dict]:
+    """Split positional args from the --flag[=value] options ``USAGE[mode]``
+    lists: ``[--check]`` is a switch, ``[--workers N]`` takes a value.
+    Any other flag is an error, so a typo cannot swallow the next one."""
+    accepted = dict(re.findall(r"\[--([\w-]+)( [^\]]+)?\]", USAGE[mode]))
     positional: list[str] = []
     flags: dict[str, str | bool] = {}
     i = 0
     while i < len(args):
         arg = args[i]
-        if arg.startswith("--"):
-            key = arg[2:]
-            if "=" in key:
-                key, value = key.split("=", 1)
-                flags[key] = value
-            elif key in {
-                "timeline", "prometheus", "cold", "precompute", "warm",
-                "path", "check", "wall", "json", "update-baseline",
-            }:
-                flags[key] = True
-            else:
-                if i + 1 >= len(args):
-                    print(f"option --{key} needs a value")
-                    return [], {"error": True}
-                flags[key] = args[i + 1]
-                i += 1
-        else:
-            positional.append(arg)
         i += 1
+        if not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        key, has_value, value = arg[2:].partition("=")
+        if key not in accepted or (has_value and not accepted[key]):
+            print(f"unknown option {arg!r}")
+            return [], {"error": True}
+        if not accepted[key]:
+            flags[key] = True
+            continue
+        if not has_value:
+            if i >= len(args) or args[i].startswith("--"):
+                print(f"option --{key} needs a value")
+                return [], {"error": True}
+            value = args[i]
+            i += 1
+        flags[key] = value
     return positional, flags
 
 
@@ -315,7 +319,7 @@ def _parse_workers(flags: dict) -> int | None:
 
 def _extract_main(args: list[str]) -> int:
     """Run one command for real on local cores (repro.parallel)."""
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("extract", args)
     if flags.get("error") or not positional:
         print(f"usage: {USAGE['extract']}")
         return 2
@@ -407,7 +411,7 @@ def _extract_main(args: list[str]) -> int:
 
 
 def _trace_main(args: list[str]) -> int:
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("trace", args)
     if flags.get("error") or not positional:
         print(f"usage: {USAGE['trace']}")
         return 2
@@ -443,7 +447,7 @@ def _trace_main(args: list[str]) -> int:
 
 
 def _stats_main(args: list[str]) -> int:
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("stats", args)
     if flags.get("error") or not positional:
         print(f"usage: {USAGE['stats']}")
         return 2
@@ -514,7 +518,7 @@ def _stats_main(args: list[str]) -> int:
 
 
 def _profile_main(args: list[str]) -> int:
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("profile", args)
     if flags.get("error") or not positional:
         print(f"usage: {USAGE['profile']}")
         return 2
@@ -566,7 +570,7 @@ def _profile_main(args: list[str]) -> int:
 
 def _critical_path_main(args: list[str]) -> int:
     """Where did the wall clock go?  Phase attribution for one command."""
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("critical-path", args)
     if flags.get("error") or not positional:
         print(f"usage: {USAGE['critical-path']}")
         return 2
@@ -600,13 +604,13 @@ def _critical_path_main(args: list[str]) -> int:
 
 def _slo_main(args: list[str]) -> int:
     """Evaluate SLOs over the sentry workload; gate with ``--check``."""
-    positional, flags = _obs_flags(args)
+    positional, flags = _obs_flags("slo", args)
     if flags.get("error") or positional:
         print(f"usage: {USAGE['slo']}")
         return 2
     from .obs import sentry
 
-    baseline_path = str(flags.get("baseline", "BENCH_PR6.json"))
+    baseline_path = str(flags.get("baseline", "sentry_baseline.json"))
     baseline = None
     if flags.get("check"):
         try:
@@ -685,10 +689,6 @@ def _slo_main(args: list[str]) -> int:
         return 0
     report = sentry.SentryReport(current=sentry.strip_runtime(current))
     report.regressions.extend(sentry.compare(baseline, current))
-    if flags.get("wall"):
-        problems, notes = sentry.check_wall_floors(".")
-        report.regressions.extend(problems)
-        report.notes.extend(notes)
     print()
     print(report.format())
     return 0 if report.ok else 1

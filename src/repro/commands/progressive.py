@@ -167,10 +167,11 @@ class ProgressiveIsoCommand(Command):
     def _run_depth_first(self, ctx: CommandContext, assignment: Any):
         """Legacy traversal: each block's full pyramid before the next.
 
-        Kept as the TTFA baseline for ``macro_bench --suite pr9``: the
-        first *complete* approximation only exists once the last block's
-        coarsest level is out, which depth-first delays behind every
-        earlier block's full refinement.
+        Kept as the TTFA baseline of the sentry's ``progressive-ttfa``
+        cell (:mod:`repro.obs.sentry`): the first *complete*
+        approximation only exists once the last block's coarsest level
+        is out, which depth-first delays behind every earlier block's
+        full refinement.
         """
         isovalue = float(ctx.params["isovalue"])
         scalar = ctx.params.get("scalar", "pressure")

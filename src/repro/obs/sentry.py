@@ -1,9 +1,8 @@
-"""The perf regression sentry: one gate over the whole BENCH trajectory.
+"""The perf regression sentry: one gate over the simulated clock.
 
-PRs 3-5 each left behind an ad-hoc ``--check`` flag and a committed
-``BENCH_*.json``; nothing watched the *shape* of a run — a regression
-that kept the wall-clock floors but, say, doubled time spent merging
-would sail through.  The sentry closes that hole with three layered
+A speedup floor watches one number, not the *shape* of a run — a
+regression that kept the floors but, say, doubled time spent merging
+would sail through.  The sentry closes that hole with two layered
 checks, strictest first:
 
 1. **Golden fingerprints** — every sentry command's
@@ -16,25 +15,25 @@ checks, strictest first:
    under *noise-aware* thresholds: simulated quantities are
    deterministic in one environment but may shift by float-level
    amounts across numpy versions, so each comparison allows a relative
-   band plus an absolute floor instead of exact equality.
-3. **Wall-clock floors** (optional, ``--wall``) — re-runs the committed
-   macro-benchmarks and enforces the speedup floors recorded inside
-   ``BENCH_PR4.json`` / ``BENCH_PR5.json``, replacing the per-PR
-   ad-hoc CI steps.
+   band plus an absolute floor instead of exact equality.  The
+   progressive-TTFA and dynamic-schedule cells add directional floors
+   on their warm speedups.
 
-``python -m repro slo --check`` wires all of this to CI; a nonzero
-exit is a regression.
+``python -m repro slo --check`` gates CI against the committed
+``sentry_baseline.json``; a nonzero exit is a regression.  The wall
+clock is measured by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .critical_path import PHASES, analyze_result, publish_phase_metrics
+from .critical_path import (
+    PHASES, analyze_result, analyze_spans, publish_phase_metrics,
+)
 from .slo import SLOTracker, default_slos
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "SentryReport",
     "measure",
     "compare",
-    "check_wall_floors",
     "load_baseline",
     "write_baseline",
 ]
@@ -63,10 +61,6 @@ SENTRY_COMMANDS: list[tuple[str, dict]] = [
     ),
     ("cutplane", {"normal": (0.0, 0.0, 1.0), "offset": 0.8, "time_range": (0, 1)}),
 ]
-
-#: baseline files whose committed floors the ``--wall`` check enforces.
-WALL_BASELINES = ("BENCH_PR4.json", "BENCH_PR5.json")
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -91,7 +85,6 @@ class SentryReport:
 
     current: dict[str, Any]
     regressions: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -104,12 +97,14 @@ class SentryReport:
             lines.extend(f"  - {r}" for r in self.regressions)
         else:
             lines.append("sentry: no regressions against baseline")
-        lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
 
 
 # ------------------------------------------------------------ measuring
-def _sentry_session(data: str, n_workers: int):
+def _paper_session(
+    data: str, workers: int, resolution: int = 4, timesteps: int = 2, **kw
+):
+    """A session on the paper-calibrated cluster over a synthetic dataset."""
     from ..bench.calibration import paper_cluster, paper_costs
     from ..core.session import ViracochaSession
     from ..synth import build_engine, build_propfan
@@ -117,12 +112,14 @@ def _sentry_session(data: str, n_workers: int):
     builders = {"engine": build_engine, "propfan": build_propfan}
     if data not in builders:
         raise KeyError(data)
-    dataset = builders[data](base_resolution=4, n_timesteps=2)
+    dataset = builders[data](base_resolution=resolution, n_timesteps=timesteps)
     return ViracochaSession(
-        dataset,
-        cluster_config=paper_cluster(n_workers),
-        costs=paper_costs(),
+        dataset, cluster_config=paper_cluster(workers), costs=paper_costs(), **kw
     )
+
+
+def _sentry_session(data: str, n_workers: int):
+    return _paper_session(data, n_workers)
 
 
 def measure(
@@ -166,7 +163,9 @@ def measure(
             runtimes.append(result.total_runtime)
             latencies.append(result.latency)
             report = analyze_result(result)
-            coverage = min(coverage, report.coverage)
+            # Keep the repeat furthest from 1: over- and under-counting
+            # are both attribution bugs.
+            coverage = max(coverage, report.coverage, key=lambda c: abs(c - 1))
             for phase, seconds in report.phase_seconds.items():
                 phase_seconds[phase] += seconds
             publish_phase_metrics(session.metrics, report)
@@ -215,23 +214,13 @@ def _measure_cluster_cell(data: str, workers: int) -> dict[str, Any]:
     fingerprints exactly, phase seconds (including the new dedup wire
     pulls and codec time) within tolerance bands.
     """
-    from ..bench.calibration import paper_cluster, paper_costs
-    from ..core.session import ViracochaSession
     from ..dms.compression import ZSTD_2020
     from ..dms.proxy import DMSConfig
     from ..faults.chaos import trace_fingerprint
-    from ..synth import build_engine, build_propfan
 
-    builders = {"engine": build_engine, "propfan": build_propfan}
-    dataset = builders[data](base_resolution=4, n_timesteps=2)
-    session = ViracochaSession(
-        dataset,
-        cluster_config=paper_cluster(workers),
-        costs=paper_costs(),
-        dms_config=DMSConfig(
-            cluster_dedup=True, contention_aware=True, compression=ZSTD_2020
-        ),
-    )
+    session = _paper_session(data, workers, dms_config=DMSConfig(
+        cluster_dedup=True, contention_aware=True, compression=ZSTD_2020
+    ))
     group = max(1, workers // 2)
     results = session.run_concurrent([
         {
@@ -244,9 +233,14 @@ def _measure_cluster_cell(data: str, workers: int) -> dict[str, Any]:
         }
         for tenant in ("tenant-a", "tenant-b")
     ])
-    # The batch shares one span slice; analyze it once (via the first
-    # result) so phase seconds are not double-counted.
-    report = analyze_result(results[0])
+    # The batch shares one span slice covering every request; analyze
+    # it once, over the whole batch, so phase seconds are not
+    # double-counted and coverage divides by the slice's own length.
+    report = analyze_spans(
+        results[0].spans,
+        command=results[0].command,
+        wall=max(r.total_runtime for r in results),
+    )
     phase_seconds = {p: 0.0 for p in PHASES}
     phase_seconds.update(report.phase_seconds)
     agg = session.scheduler.aggregate_dms_stats()
@@ -282,12 +276,8 @@ def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     back toward depth-first behavior flips ``repro slo --check`` to
     exit 1.
     """
-    from ..bench.calibration import paper_cluster, paper_costs
-    from ..core.session import ViracochaSession
     from ..faults.chaos import trace_fingerprint
-    from ..synth import build_engine, build_propfan
 
-    builders = {"engine": build_engine, "propfan": build_propfan}
     params = {
         "isovalue": -0.3,
         "scalar": "pressure",
@@ -297,12 +287,7 @@ def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     fingerprints: list[str] = []
     ttfa: dict[str, dict[str, float]] = {}
     for schedule in ("level-major", "depth-first"):
-        dataset = builders[data](base_resolution=8, n_timesteps=1)
-        session = ViracochaSession(
-            dataset,
-            cluster_config=paper_cluster(workers),
-            costs=paper_costs(),
-        )
+        session = _paper_session(data, workers, resolution=8, timesteps=1)
         cold = session.run(
             "iso-progressive", params=dict(params, schedule=schedule)
         )
@@ -357,23 +342,14 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
     dynamic over static — a scheduler regression that drifts back
     toward static tail latency flips ``repro slo --check`` to exit 1.
     """
-    from ..bench.calibration import paper_cluster, paper_costs
     from ..core.commands import SCHEDULES
-    from ..core.session import ViracochaSession
     from ..faults.chaos import trace_fingerprint
-    from ..synth import build_engine, build_propfan
 
-    builders = {"engine": build_engine, "propfan": build_propfan}
     base = {"scalar": "pressure", "time_range": (0, 1)}
     fingerprints: list[str] = []
     out: dict[str, Any] = {}
     for schedule in SCHEDULES:
-        dataset = builders[data](base_resolution=8, n_timesteps=1)
-        session = ViracochaSession(
-            dataset,
-            cluster_config=paper_cluster(workers),
-            costs=paper_costs(),
-        )
+        session = _paper_session(data, workers, resolution=8, timesteps=1)
         params = dict(base)
         if schedule != "static":
             params["schedule"] = schedule
@@ -485,9 +461,11 @@ def compare(
                     f"{name}: phase {phase!r} moved {b:.6f}s -> {c:.6f}s "
                     f"(tolerance ±{tol.rel:.0%} / {tol.abs_s}s)"
                 )
-        if cur.get("coverage", 0.0) < 0.95:
+        coverage = cur.get("coverage", 0.0)
+        if abs(coverage - 1.0) > 1e-9:
             problems.append(
-                f"{name}: critical-path coverage {cur['coverage']:.1%} < 95%"
+                f"{name}: critical-path coverage {coverage!r} != 1 "
+                "(the attribution double-counts or misses wall time)"
             )
         # Cluster-cell extras (dedup wire seconds, codec seconds) ride
         # the same tolerance bands as phase seconds.
@@ -518,70 +496,6 @@ def compare(
                         f"{base_cell[q]:.6f}s -> {cur_cell[q]:.6f}s"
                     )
     return problems
-
-
-# ------------------------------------------------------- wall-clock leg
-def _load_macro_bench(repo_root: str):
-    """Import benchmarks/perf/macro_bench.py by path (not a package)."""
-    import importlib.util
-
-    path = os.path.join(repo_root, "benchmarks", "perf", "macro_bench.py")
-    if not os.path.exists(path):
-        return None
-    spec = importlib.util.spec_from_file_location("_sentry_macro_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def check_wall_floors(repo_root: str = ".") -> tuple[list[str], list[str]]:
-    """Re-run the macro-benchmarks; enforce each committed floor.
-
-    Floors come from the committed ``BENCH_PR4.json`` /
-    ``BENCH_PR5.json`` (falling back to the harness constants when a
-    file is absent).  Returns ``(regressions, notes)``; wall-clock
-    timing is noisy on shared runners, so callers may choose to treat
-    these as advisory (CI marks the job ``continue-on-error``).
-    """
-    problems: list[str] = []
-    notes: list[str] = []
-    bench = _load_macro_bench(repo_root)
-    if bench is None:
-        notes.append("benchmarks/perf/macro_bench.py not found; wall leg skipped")
-        return problems, notes
-
-    def committed_floors(fname: str, fallback: dict) -> dict:
-        path = os.path.join(repo_root, fname)
-        if os.path.exists(path):
-            with open(path) as fh:
-                return json.load(fh).get("floors", fallback)
-        return fallback
-
-    pr4_floors = committed_floors("BENCH_PR4.json", bench.FLOORS)
-    current = bench.measure()
-    ratios = bench.speedups(current)
-    for key, floor in pr4_floors.items():
-        ratio = ratios.get(key)
-        if ratio is not None and ratio < floor:
-            problems.append(
-                f"wall pr4: {key} speedup {ratio:.2f}x under floor {floor}x"
-            )
-    notes.append(
-        "wall pr4: " + ", ".join(f"{k}={v:.2f}x" for k, v in sorted(ratios.items()))
-    )
-    pr5_floors = committed_floors("BENCH_PR5.json", bench.PR5_FLOORS)
-    pr5 = bench.measure_pr5()
-    for key, floor in pr5_floors.items():
-        ratio = pr5["speedup"].get(key)
-        if ratio is not None and ratio < floor:
-            problems.append(
-                f"wall pr5: {key} speedup {ratio:.2f}x under floor {floor}x"
-            )
-    notes.append(
-        "wall pr5: "
-        + ", ".join(f"{k}={v:.2f}x" for k, v in sorted(pr5["speedup"].items()))
-    )
-    return problems, notes
 
 
 # ------------------------------------------------------------- baseline

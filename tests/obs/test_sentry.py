@@ -93,6 +93,10 @@ def test_compare_flags_low_coverage(clean_measurement):
     bad["commands"]["cutplane"]["coverage"] = 0.5
     problems = sentry.compare(clean_measurement, bad)
     assert any("coverage" in p for p in problems)
+    # Over-attribution (a double-counted interval) is as wrong as a gap.
+    bad["commands"]["cutplane"]["coverage"] = 1.015832555483167
+    problems = sentry.compare(clean_measurement, bad)
+    assert any("coverage" in p for p in problems)
 
 
 def test_tolerance_bands_absorb_float_noise(clean_measurement):
@@ -146,6 +150,18 @@ def test_cli_check_without_baseline_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb, positional, flag, after", [
+    ("slo", [], "jsn", "--check"),   # a typo used to swallow --check
+    ("slo", [], "wall", "--check"),  # the deleted wall-clock leg
+    ("critical-path", ["iso"], "wrkers", "2"),
+])
+def test_cli_rejects_unknown_flags(verb, positional, flag, after, capsys):
+    assert cli_main([verb, *positional, f"--{flag}", after]) == 2
+    out = capsys.readouterr().out
+    assert "unknown option" in out
+    assert f"usage: python -m repro {verb}" in out
+
+
 def test_cli_json_emits_machine_readable(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sentry, "SENTRY_COMMANDS", FAST)
     assert cli_main(["slo", "--workers", "2", "--repeats", "1", "--json"]) == 0
@@ -154,8 +170,9 @@ def test_cli_json_emits_machine_readable(tmp_path, monkeypatch, capsys):
 
 
 def test_committed_baseline_matches_fresh_run():
-    """BENCH_PR6.json stays honest: a fresh measurement compares clean."""
-    path = Path(__file__).resolve().parents[2] / "BENCH_PR6.json"
+    """sentry_baseline.json stays honest: a fresh measurement compares
+    clean."""
+    path = Path(__file__).resolve().parents[2] / "sentry_baseline.json"
     baseline = sentry.load_baseline(str(path))
     current = sentry.measure(
         baseline["dataset"], workers=baseline["workers"],
