@@ -4,9 +4,7 @@ from .isosurface import (
     active_cell_indices,
     extract_block_isosurface,
     extract_isosurface,
-    gather_cell_corners,
     iter_isosurface_batches,
-    triangulate_cells,
 )
 from .view_dep_iso import iter_view_dependent_batches, sort_blocks_front_to_back
 from .lambda2 import (
@@ -52,9 +50,7 @@ __all__ = [
     "active_cell_indices",
     "extract_block_isosurface",
     "extract_isosurface",
-    "gather_cell_corners",
     "iter_isosurface_batches",
-    "triangulate_cells",
     "iter_view_dependent_batches",
     "sort_blocks_front_to_back",
     "extract_block_vortices",

@@ -7,9 +7,13 @@ intersection points with the iso-value.
 
 Triangulation decomposes each hexahedral cell into six tetrahedra
 (:mod:`.tet_tables`), which is deterministic, ambiguity-free and
-crack-free across cells.  Everything below is vectorized over cells:
-the per-cell Python loop the paper's C++ could afford would dominate
-runtime here (see the HPC guides' vectorization rule).
+crack-free across cells.  The tets are never built: the 8-bit code of
+which corners lie below the iso-value indexes a 256-case table derived
+from the tet tables, which lists every triangle the six tets emit as
+three (corner, corner) cut edges.  The kernel gathers only the two
+endpoints of each cut edge, straight from the block's arrays.
+Everything is vectorized over cells: the per-cell Python loop the
+paper's C++ could afford would dominate runtime here.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ import numpy as np
 from ..grids.block import StructuredBlock
 from ..grids.multiblock import MultiBlockDataset
 from ..grids.summary import cell_field_minmax
-from ..viz.mesh import TriangleMesh
-from .tet_tables import HEX_TO_TETS, TET_EDGES, TET_TRI_TABLE
+from ..viz.mesh import TriangleMesh, nondegenerate
+from .tet_tables import HEX_TRI_COUNT, HEX_TRI_TABLE
 
 __all__ = [
-    "gather_cell_corners",
     "active_cell_indices",
-    "triangulate_cells",
     "extract_block_isosurface",
     "extract_isosurface",
     "iter_isosurface_batches",
@@ -48,90 +50,12 @@ _CORNER_OFFSETS = np.array(
 )
 
 
-def _corner_point_indices(block: StructuredBlock, flat_cells: np.ndarray) -> tuple:
-    """Point-lattice indices of the 8 corners of each cell, shape (n, 8)."""
-    ci, cj, ck = block.cell_shape
-    flat_cells = np.asarray(flat_cells, dtype=np.int64)
-    i, rem = np.divmod(flat_cells, cj * ck)
-    j, k = np.divmod(rem, ck)
-    ii = i[:, None] + _CORNER_OFFSETS[None, :, 0]
-    jj = j[:, None] + _CORNER_OFFSETS[None, :, 1]
-    kk = k[:, None] + _CORNER_OFFSETS[None, :, 2]
-    return ii, jj, kk
-
-
-def gather_cell_corners(
-    block: StructuredBlock, scalar: str, flat_cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corner coordinates ``(n, 8, 3)`` and scalar values ``(n, 8)``."""
-    ii, jj, kk = _corner_point_indices(block, flat_cells)
-    coords = block.coords[ii, jj, kk]
-    values = block.field(scalar)[ii, jj, kk]
-    return coords, values
-
-
 def active_cell_indices(
     block: StructuredBlock, scalar: str, isovalue: float
 ) -> np.ndarray:
     """Flat indices of cells whose corner interval encloses ``isovalue``."""
     lo, hi = cell_field_minmax(block, scalar)
     return np.nonzero((lo <= isovalue) & (hi >= isovalue))[0]
-
-
-def triangulate_cells(
-    coords: np.ndarray,
-    values: np.ndarray,
-    isovalue: float,
-    attributes: dict[str, np.ndarray] | None = None,
-) -> TriangleMesh:
-    """Triangulate cells given corner coords ``(n,8,3)`` / values ``(n,8)``.
-
-    ``attributes`` maps names to extra per-corner values ``(n, 8)`` to be
-    interpolated onto the surface vertices (e.g. pressure for coloring).
-    """
-    n = len(coords)
-    if n == 0:
-        return TriangleMesh()
-    # Expand hexahedra to tetrahedra: (n, 6, 4) -> (6n, 4).
-    tet_vals = values[:, HEX_TO_TETS].reshape(-1, 4)
-    tet_coords = coords[:, HEX_TO_TETS].reshape(-1, 4, 3)
-
-    inside = tet_vals < isovalue
-    cases = (
-        inside[:, 0].astype(np.int64)
-        | (inside[:, 1] << 1)
-        | (inside[:, 2] << 2)
-        | (inside[:, 3] << 3)
-    )
-    # Per tet, up to two triangles; (n_tets, 2, 3) of cut-edge ids.
-    tris = TET_TRI_TABLE[cases]
-    tet_idx, tri_idx = np.nonzero(tris[:, :, 0] >= 0)
-    if len(tet_idx) == 0:
-        return TriangleMesh()
-    edge_ids = tris[tet_idx, tri_idx]  # (m, 3)
-
-    # Interpolate the three cut points of every triangle at once.
-    v0 = TET_EDGES[edge_ids, 0]  # (m, 3) tet-local vertex ids
-    v1 = TET_EDGES[edge_ids, 1]
-    rows = tet_idx[:, None]
-    a = tet_vals[rows, v0]
-    b = tet_vals[rows, v1]
-    denom = b - a
-    t = np.where(np.abs(denom) > 0, (isovalue - a) / np.where(denom == 0, 1, denom), 0.5)
-    t = np.clip(t, 0.0, 1.0)
-    pa = tet_coords[rows, v0]
-    pb = tet_coords[rows, v1]
-    verts = pa + t[..., None] * (pb - pa)  # (m, 3, 3)
-
-    out_attrs = {}
-    if attributes:
-        for name, corner_vals in attributes.items():
-            tv = corner_vals[:, HEX_TO_TETS].reshape(-1, 4)
-            fa = tv[rows, v0]
-            fb = tv[rows, v1]
-            out_attrs[name] = (fa + t * (fb - fa)).reshape(-1)
-    mesh = TriangleMesh(verts.reshape(-1, 3), out_attrs)
-    return mesh.drop_degenerate()
 
 
 def extract_block_isosurface(
@@ -141,18 +65,51 @@ def extract_block_isosurface(
     cell_indices: np.ndarray | None = None,
     attributes: list[str] | None = None,
 ) -> TriangleMesh:
-    """Isosurface of one block (optionally restricted to given cells)."""
+    """Isosurface of one block (optionally restricted to given cells).
+
+    ``attributes`` names extra point fields to interpolate onto the
+    surface vertices (e.g. pressure for coloring).
+    """
     if cell_indices is None:
         cell_indices = active_cell_indices(block, scalar, isovalue)
-    cell_indices = np.asarray(cell_indices, dtype=np.int64)
-    if len(cell_indices) == 0:
+    cells = np.asarray(cell_indices, dtype=np.intp)
+    if len(cells) == 0:
         return TriangleMesh()
-    coords, values = gather_cell_corners(block, scalar, cell_indices)
-    attr_corners = {}
+    # Flat point index of each cell's corner 0, and of corners 0-7 from it.
+    _, nj, nk = block.shape
+    i, rem = np.divmod(cells, (nj - 1) * (nk - 1))
+    j, k = np.divmod(rem, nk - 1)
+    base = (i * nj + j) * nk + k
+    steps = _CORNER_OFFSETS @ (nj * nk, nk, 1)
+    values = block.field(scalar).reshape(-1)
+    inside = values.take(base[:, None] + steps) < isovalue  # (n, 8)
+    codes = np.packbits(inside, axis=1, bitorder="little")[:, 0].astype(np.intp)
+    counts = HEX_TRI_COUNT[codes]
+    if not counts.any():
+        return TriangleMesh()
+    # One row per emitted triangle, in (cell, tet, triangle) order; its
+    # table row is 12 * code + its slot within the cell.
+    rows = np.repeat(np.arange(len(cells)), counts)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pairs = HEX_TRI_TABLE.reshape(-1, 6).take(12 * codes[rows] + slots, axis=0)
+    ends = base[rows, None] + steps.take(pairs)
+    lo, hi = ends[:, 0::2], ends[:, 1::2]  # (m, 3) cut-edge endpoints
+
+    a = values.take(lo)
+    denom = values.take(hi) - a
+    t = np.where(np.abs(denom) > 0, (isovalue - a) / np.where(denom == 0, 1, denom), 0.5)
+    t = np.clip(t, 0.0, 1.0)
+    points = block.coords.reshape(-1, 3)
+    pa = points.take(lo, axis=0)
+    verts = pa + t[..., None] * (points.take(hi, axis=0) - pa)  # (m, 3, 3)
+
+    keep = nondegenerate(verts)
+    out_attrs = {}
     for name in attributes or []:
-        ii, jj, kk = _corner_point_indices(block, cell_indices)
-        attr_corners[name] = block.field(name)[ii, jj, kk]
-    return triangulate_cells(coords, values, isovalue, attr_corners or None)
+        field = block.field(name).reshape(-1)
+        fa = field.take(lo[keep])
+        out_attrs[name] = (fa + t[keep] * (field.take(hi[keep]) - fa)).reshape(-1)
+    return TriangleMesh(verts[keep].reshape(-1, 3), out_attrs)
 
 
 def extract_isosurface(

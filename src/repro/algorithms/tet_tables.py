@@ -7,6 +7,10 @@ cell chooses on its shared face, so the extracted surface is crack-free
 across cell boundaries without any table disambiguation (the classic
 marching-cubes ambiguous cases cannot occur with tetrahedra).
 
+The extraction kernel reads the 256-case hexahedron table
+(:data:`HEX_TRI_TABLE`) derived from these tet tables at import time:
+one lookup per cell gives every triangle its six tets emit.
+
 Corner numbering matches
 :meth:`repro.grids.block.StructuredBlock.cell_corner_points` (VTK
 hexahedron order).
@@ -16,7 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HEX_TO_TETS", "TET_EDGES", "TET_TRI_TABLE", "TET_TRI_COUNT"]
+__all__ = [
+    "HEX_TO_TETS",
+    "TET_EDGES",
+    "TET_TRI_TABLE",
+    "TET_TRI_COUNT",
+    "HEX_TRI_TABLE",
+    "HEX_TRI_COUNT",
+    "build_hex_tri_table",
+]
 
 #: Six tetrahedra around the 0-6 diagonal of the hexahedron.
 HEX_TO_TETS = np.array(
@@ -73,3 +85,30 @@ for case, tris in enumerate(_RAW_TABLE):
 
 #: Number of triangles per case.
 TET_TRI_COUNT = np.array([len(t) for t in _RAW_TABLE], dtype=np.int64)
+
+
+def build_hex_tri_table() -> tuple[np.ndarray, np.ndarray]:
+    """Fold the six tet cases of every hexahedron code into one table.
+
+    The code of a cell has bit ``c`` set when corner ``c`` is inside
+    (value < isovalue).  Row ``h`` of the ``(256, 12, 3, 2)`` table lists
+    the triangles the six tets of code ``h`` emit, in (tet, triangle)
+    order, each as three cut edges given by their (corner, corner) hex
+    endpoints in the tet table's orientation; the second array counts
+    them.  Rows past the count are padding.
+    """
+    inside = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tris = TET_TRI_TABLE[inside[:, HEX_TO_TETS] @ (1 << np.arange(4))]
+    tris = tris.reshape(256, 12, 3)  # slot = 2 * tet + triangle
+    unused = tris[..., 0] < 0
+    slots = np.argsort(unused, axis=1, kind="stable")  # emitted first, in order
+    tet_edges = 6 * (slots // 2)[..., None] + np.take_along_axis(
+        tris, slots[..., None], axis=1
+    )
+    table = HEX_TO_TETS[:, TET_EDGES].reshape(36, 2)[tet_edges]
+    return table.astype(np.intp), 12 - unused.sum(axis=1)
+
+
+#: ``(256, 12, 3, 2)`` cut-edge corner pairs and ``(256,)`` triangle
+#: counts per hexahedron code (see :func:`build_hex_tri_table`).
+HEX_TRI_TABLE, HEX_TRI_COUNT = build_hex_tri_table()

@@ -10,15 +10,12 @@ fewer misses on CFD data requests.
 All policies share a small interface so :class:`~repro.dms.cache.CacheTier`
 can be parameterized; keys are opaque hashables (item identifiers).
 
-Two implementations exist for the frequency-based policies:
-
-* :class:`LFUPolicy` / :class:`FBRPolicy` — frequency-bucket versions
-  with O(1) amortized ``on_access``/``victim`` (no full-table scan per
-  eviction).  These are what :func:`make_policy` hands out.
-* :class:`ScanLFUPolicy` / :class:`ScanFBRPolicy` — the original
-  straight-from-the-definition scans, kept as executable references;
-  ``tests/dms/test_policy_equivalence.py`` drives both through
-  randomized traces and asserts identical victim sequences.
+:class:`LFUPolicy` / :class:`FBRPolicy` are frequency-bucket versions
+with O(1) amortized ``on_access``/``victim`` (no full-table scan per
+eviction).  The straight-from-the-definition scans they replaced live
+in ``tests/dms/scan_policies.py`` as executable references;
+``tests/dms/test_policy_equivalence.py`` drives both through randomized
+traces and asserts identical victim sequences.
 
 Victim *identity* decides cache placement and therefore every simulated
 timestamp downstream, so the bucketed versions are equivalent by
@@ -36,8 +33,6 @@ __all__ = [
     "LRUPolicy",
     "LFUPolicy",
     "FBRPolicy",
-    "ScanLFUPolicy",
-    "ScanFBRPolicy",
     "make_policy",
 ]
 
@@ -95,7 +90,8 @@ class LFUPolicy:
     its current bucket (counts only ever increase), so within-bucket
     FIFO order *is* global recency order restricted to that count, and
     the victim is simply the head of the minimum nonempty bucket —
-    identical to :class:`ScanLFUPolicy`'s full scan, without the scan.
+    identical to the reference full scan (``ScanLFUPolicy`` in
+    ``tests/dms/scan_policies.py``), without the scan.
 
     ``_min`` is a monotone cursor over bucket counts: inserts reset it
     to 1 (new keys enter at count 1), :meth:`victim` walks it upward
@@ -165,9 +161,10 @@ class FBRPolicy:
     Counts are periodically halved once the average exceeds ``a_max``
     so the policy can adapt to shifting access patterns.
 
-    This implementation is O(1) amortized per operation where
-    :class:`ScanFBRPolicy` rebuilds the whole stack as a list on every
-    access *and* sums every count to test for rescaling.  It keeps:
+    This implementation is O(1) amortized per operation where the
+    reference ``ScanFBRPolicy`` (``tests/dms/scan_policies.py``) rebuilds
+    the whole stack as a list on every access *and* sums every count to
+    test for rescaling.  It keeps:
 
     * a doubly-linked recency list (``_nxt``/``_prv`` keyed by key,
       LRU at the head side) so moves are pointer splices;
@@ -390,110 +387,6 @@ class FBRPolicy:
                 self._new_first = None
         self._unlink(key)
         self._rebalance()
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._counts
-
-
-class ScanLFUPolicy:
-    """Reference LFU: full min-scan per eviction (kept for equivalence tests)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[Hashable, int] = {}
-        self._order: OrderedDict[Hashable, None] = OrderedDict()  # recency tiebreak
-
-    def on_insert(self, key: Hashable) -> None:
-        if key in self._counts:
-            raise KeyError(f"key {key!r} already tracked")
-        self._counts[key] = 1
-        self._order[key] = None
-
-    def on_access(self, key: Hashable) -> None:
-        self._counts[key] += 1
-        self._order.move_to_end(key)
-
-    def victim(self) -> Hashable:
-        if not self._counts:
-            raise LookupError("no keys to evict")
-        min_count = min(self._counts.values())
-        for key in self._order:  # oldest first among minimum-count keys
-            if self._counts[key] == min_count:
-                return key
-        raise AssertionError("unreachable")
-
-    def remove(self, key: Hashable) -> None:
-        del self._counts[key]
-        del self._order[key]
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._counts
-
-
-class ScanFBRPolicy:
-    """Reference FBR: positional stack walk per operation (for equivalence tests)."""
-
-    def __init__(self, new_fraction: float = 0.3, old_fraction: float = 0.3, a_max: float = 10.0):
-        if not 0.0 <= new_fraction < 1.0 or not 0.0 < old_fraction <= 1.0:
-            raise ValueError("section fractions must lie in [0, 1)")
-        if new_fraction + old_fraction > 1.0:
-            raise ValueError("new and old sections may not overlap completely")
-        self.new_fraction = new_fraction
-        self.old_fraction = old_fraction
-        self.a_max = a_max
-        self._counts: dict[Hashable, int] = {}
-        self._order: OrderedDict[Hashable, None] = OrderedDict()  # MRU last
-
-    # -- section boundaries -------------------------------------------
-    def _section_of(self, key: Hashable) -> str:
-        n = len(self._order)
-        new_size = max(1, int(round(self.new_fraction * n))) if n else 0
-        old_size = max(1, int(round(self.old_fraction * n))) if n else 0
-        keys = list(self._order)  # LRU -> MRU
-        idx = keys.index(key)
-        if idx >= n - new_size:
-            return "new"
-        if idx < old_size:
-            return "old"
-        return "middle"
-
-    def on_insert(self, key: Hashable) -> None:
-        if key in self._counts:
-            raise KeyError(f"key {key!r} already tracked")
-        self._counts[key] = 1
-        self._order[key] = None
-
-    def on_access(self, key: Hashable) -> None:
-        if self._section_of(key) != "new":
-            self._counts[key] += 1
-            self._maybe_rescale()
-        self._order.move_to_end(key)
-
-    def _maybe_rescale(self) -> None:
-        if self._counts and sum(self._counts.values()) / len(self._counts) > self.a_max:
-            for k in self._counts:
-                self._counts[k] = (self._counts[k] + 1) // 2
-
-    def victim(self) -> Hashable:
-        if not self._counts:
-            raise LookupError("no keys to evict")
-        n = len(self._order)
-        old_size = max(1, int(round(self.old_fraction * n)))
-        old_keys = list(self._order)[:old_size]  # LRU end
-        min_count = min(self._counts[k] for k in old_keys)
-        for key in old_keys:
-            if self._counts[key] == min_count:
-                return key
-        raise AssertionError("unreachable")
-
-    def remove(self, key: Hashable) -> None:
-        del self._counts[key]
-        del self._order[key]
 
     def __len__(self) -> int:
         return len(self._counts)

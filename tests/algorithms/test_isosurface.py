@@ -1,5 +1,7 @@
 """Correctness tests for isosurface extraction."""
 
+import timeit
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,16 @@ from repro.algorithms import (
     extract_block_isosurface,
     extract_isosurface,
     iter_isosurface_batches,
-    triangulate_cells,
 )
-from repro.algorithms.tet_tables import HEX_TO_TETS, TET_TRI_COUNT, TET_TRI_TABLE
+from repro.algorithms.tet_tables import (
+    HEX_TO_TETS,
+    HEX_TRI_COUNT,
+    HEX_TRI_TABLE,
+    TET_EDGES,
+    TET_TRI_COUNT,
+    TET_TRI_TABLE,
+    build_hex_tri_table,
+)
 from repro.grids import MultiBlockDataset, StructuredBlock
 from repro.synth import cartesian_lattice, warp_lattice
 
@@ -41,6 +50,43 @@ def test_tet_tri_table_counts_match():
     for case in range(1, 15):
         bits = bin(case).count("1")
         assert TET_TRI_COUNT[case] == (2 if bits == 2 else 1)
+
+
+def _tet_cases(code):
+    """The six tet-local cases of hexahedron ``code`` (bit c: corner c inside)."""
+    return [
+        sum(((code >> int(corner)) & 1) << v for v, corner in enumerate(tet))
+        for tet in HEX_TO_TETS
+    ]
+
+
+def test_hex_table_counts_are_the_sum_of_its_tet_cases():
+    for code in range(256):
+        assert HEX_TRI_COUNT[code] == sum(TET_TRI_COUNT[c] for c in _tet_cases(code))
+        assert HEX_TRI_COUNT[code] == HEX_TRI_COUNT[255 - code]
+    assert HEX_TRI_COUNT[0] == HEX_TRI_COUNT[255] == 0
+    assert HEX_TRI_TABLE.shape == (256, 12, 3, 2)
+    assert HEX_TRI_COUNT.max() == 12 and HEX_TRI_COUNT.sum() == 1920
+
+
+def test_hex_table_lists_tet_triangles_in_order():
+    """Row h is every (tet, triangle) the loop over h's six tets emits,
+    each cut edge as its (corner, corner) pair in tet-table orientation."""
+    for code in range(256):
+        want = [
+            [[tet[TET_EDGES[e, 0]], tet[TET_EDGES[e, 1]]] for e in tri]
+            for tet, case in zip(HEX_TO_TETS, _tet_cases(code))
+            for tri in TET_TRI_TABLE[case]
+            if tri[0] >= 0
+        ]
+        got = HEX_TRI_TABLE[code, : HEX_TRI_COUNT[code]]
+        assert got.tolist() == want
+
+
+def test_hex_table_build_is_cheap():
+    """Built at import time, so every ``import repro.algorithms`` pays it."""
+    best = min(timeit.repeat(build_hex_tri_table, number=1, repeat=20))
+    assert best < 2e-3
 
 
 def test_tet_decomposition_volume_partition():
@@ -225,8 +271,9 @@ def test_attribute_interpolation_on_surface():
     np.testing.assert_allclose(mesh.attributes["marker"], 6.0, atol=0.2)
 
 
-def test_triangulate_cells_empty_input():
-    mesh = triangulate_cells(np.empty((0, 8, 3)), np.empty((0, 8)), 0.5)
+def test_empty_cell_subset_yields_empty_mesh():
+    b = sphere_block((5, 5, 5))
+    mesh = extract_block_isosurface(b, "r", 0.5, cell_indices=np.empty(0, dtype=int))
     assert mesh.is_empty()
 
 

@@ -12,12 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dms.policies import (
-    FBRPolicy,
-    LFUPolicy,
-    ScanFBRPolicy,
-    ScanLFUPolicy,
-)
+from repro.dms.policies import FBRPolicy, LFUPolicy
+
+from .scan_policies import ScanFBRPolicy, ScanLFUPolicy
 
 OPS = st.lists(
     st.tuples(

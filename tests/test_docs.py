@@ -4,12 +4,17 @@ Every backticked ``repro.*`` dotted name in README.md, DESIGN.md and
 docs/*.md must resolve by import plus ``getattr``, and every backticked
 repo path under src/, tests/, benchmarks/, examples/ or docs/ must exist
 (globs must match something), so deleting or renaming code cannot leave
-a dangling reference behind.
+a dangling reference behind.  Every ``repro <verb> --flag`` quoted in
+them (inline code or a fenced block) must name a verb with a ``USAGE``
+entry that lists the flag: unknown flags exit 2, so a stale one is a
+broken recipe.
 """
 
 import importlib
 import re
 from pathlib import Path
+
+from repro.__main__ import USAGE
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -28,6 +33,20 @@ def _backticked(pattern: re.Pattern) -> dict[str, str]:
             for match in pattern.findall(span):
                 found.setdefault(match, doc.name)
     return found
+
+
+#: a verb and what follows it, up to a comment, a shell separator or
+#: the next quoted command.
+_COMMAND = re.compile(r"\brepro ([a-z][\w-]*)((?:(?!\brepro )[^#;&])*)")
+
+
+def _quoted_commands(text: str) -> list[tuple[str, str]]:
+    """``(verb, rest)`` of every ``repro <verb>`` in a code span or block."""
+    parts = re.split(r"^```.*$", text, flags=re.M)
+    code = [line for block in parts[1::2] for line in block.splitlines()]
+    for prose in parts[0::2]:
+        code += [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+    return [m.groups() for chunk in code for m in _COMMAND.finditer(chunk)]
 
 
 def _resolves(dotted: str) -> bool:
@@ -57,3 +76,19 @@ def test_every_named_path_exists():
     assert len(paths) > 40, "the scan found too few paths to mean anything"
     missing = {p: doc for p, doc in paths.items() if not list(ROOT.glob(p))}
     assert not missing, f"docs name paths that do not exist: {missing}"
+
+
+def test_every_quoted_cli_flag_is_accepted():
+    quoted = {
+        (verb, flag, doc.name)
+        for doc in DOCS
+        for verb, rest in _quoted_commands(doc.read_text())
+        for flag in re.findall(r"--([\w-]+)", rest)
+    }
+    assert len(quoted) > 15, "the scan found too few flags to mean anything"
+    stale = sorted(
+        (doc, f"repro {verb} --{flag}")
+        for verb, flag, doc in quoted
+        if flag not in re.findall(r"\[--([\w-]+)", USAGE.get(verb, ""))
+    )
+    assert not stale, f"docs quote flags their verb does not accept: {stale}"
