@@ -18,14 +18,10 @@ from .pathlines import (
     BatchPathlineTracer,
     BlockRequest,
     Pathline,
-    PathlineTracer,
-    trace_pathline,
     trace_pathlines,
 )
 from .streamlines import (
     BatchStreamlineTracer,
-    StreamlineTracer,
-    trace_streamline,
     trace_streamlines,
 )
 from .streaklines import Streakline, StreaklineTracer, trace_streakline
@@ -61,12 +57,8 @@ __all__ = [
     "BatchPathlineTracer",
     "BlockRequest",
     "Pathline",
-    "PathlineTracer",
-    "trace_pathline",
     "trace_pathlines",
     "BatchStreamlineTracer",
-    "StreamlineTracer",
-    "trace_streamline",
     "trace_streamlines",
     "Streakline",
     "StreaklineTracer",

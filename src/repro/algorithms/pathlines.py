@@ -6,39 +6,42 @@ succeeding particle position is computed separately on adjacent time
 levels and finally interpolated with respect to the elapsed time."
 (§6.3, after [15])
 
+One tracer, :class:`BatchPathlineTracer`, advances a whole batch of
+particles with embedded RK45 (Cash-Karp) error control instead of the
+paper's RK4 step doubling; a single seed is a batch of one.
+
 The tracer is written against a *block request protocol*: whenever it
 needs a block it does not hold locally, it ``yield``s a
 :class:`BlockRequest` and is ``send()``-ed the block.  Driving the
-generator from an in-memory dataset gives a plain serial tracer;
-driving it from a data proxy inside the simulated cluster gives the
-paper's DMS-backed command, whose block request stream is exactly what
-the Markov prefetcher learns ("the data requests even of time-dependent
-particle tracing can be predicted quite well").
+generator from an in-memory dataset gives a plain serial tracer
+(:func:`trace_pathlines`); driving it from a data proxy inside the
+simulated cluster gives the paper's DMS-backed command, whose block
+request stream is exactly what the Markov prefetcher learns ("the data
+requests even of time-dependent particle tracing can be predicted quite
+well").
 
-The tracer holds only ``local_cache_blocks`` blocks (workers cannot pin
-a 19.5 GB dataset); re-entering an evicted block re-requests it, which
-produces the paper's "strongly varying block requirements".
+The tracer holds a bounded block cache (workers cannot pin a 19.5 GB
+dataset); re-entering an evicted block re-requests it, which produces
+the paper's "strongly varying block requirements".
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Sequence
 
 import numpy as np
 
 from ..grids.block import BlockHandle, StructuredBlock
 from ..grids.interpolate import CellLocator
-from ..grids.multiblock import MultiBlockDataset, TimeSeries
+from ..grids.multiblock import TimeSeries
 from ..grids.topology import BlockTopology
 
 __all__ = [
     "BlockRequest",
     "Pathline",
-    "PathlineTracer",
     "BatchPathlineTracer",
-    "trace_pathline",
     "trace_pathlines",
 ]
 
@@ -70,12 +73,57 @@ class Pathline:
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
 
-class _OutOfDomain(Exception):
-    pass
+# Cash-Karp embedded Runge-Kutta 4(5) tableau.  The fifth-order solution
+# advances the particles; the difference against the embedded
+# fourth-order solution gives the step error directly, replacing RK4
+# step doubling (three full RK4 evaluations = 12 velocity samples per
+# level per accepted step) with 6 samples per level per attempt — the
+# same ``rtol`` contract at roughly a third of the sampling cost.
+_CK_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
+    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
+    (
+        1631.0 / 55296.0,
+        175.0 / 512.0,
+        575.0 / 13824.0,
+        44275.0 / 110592.0,
+        253.0 / 4096.0,
+    ),
+)
+_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
+_CK_B4 = (
+    2825.0 / 27648.0,
+    0.0,
+    18575.0 / 48384.0,
+    13525.0 / 55296.0,
+    277.0 / 14336.0,
+    1.0 / 4.0,
+)
 
 
-class PathlineTracer:
-    """RK4(adaptive) particle tracer over a multi-block time series."""
+class BatchPathlineTracer:
+    """Vectorized multi-particle tracer with coalesced block requests.
+
+    Particle state lives in structure-of-arrays form (positions, times,
+    per-particle step sizes, alive masks); every super-step advances all
+    live particles together through one embedded RK45 (Cash-Karp)
+    attempt per bracketing time level, using the batch kernels of
+    :class:`~repro.grids.interpolate.CellLocator`.
+
+    Block demands are *coalesced*: within a super-step each missing
+    ``(time level, block)`` pair is requested exactly once no matter how
+    many particles need it, which cuts DMS round trips and keeps the
+    request stream compact and Markov-learnable.  ``request_triggers``
+    records which particle first demanded each emitted request and
+    ``demand_log`` the per-particle block-entry streams, so tests can
+    assert that coalescing preserves every particle's request order.
+
+    The test suite pins trajectories (within tolerance) and termination
+    labels against an independent scalar RK4 step-doubling tracer.
+    """
 
     def __init__(
         self,
@@ -106,222 +154,8 @@ class PathlineTracer:
         # Local state: bounded block cache + per-block locators.
         self._blocks: OrderedDict[tuple[int, int], StructuredBlock] = OrderedDict()
         self._locators: dict[tuple[int, int], CellLocator] = {}
-        self._cell_hints: dict[int, tuple[int, int, int]] = {}
         self.request_log: list[BlockRequest] = []
         self.samples = 0  #: velocity samples taken (drives cost charging)
-
-    # ------------------------------------------------------ block access
-    def _map_request(self, time_index: int, block_id: int) -> BlockRequest:
-        """Hook: translate a sampler demand into an emitted request
-        (overridden by the steady-state streamline tracer)."""
-        return BlockRequest(time_index, block_id)
-
-    def _get_block(
-        self, time_index: int, block_id: int
-    ) -> Generator[BlockRequest, StructuredBlock, StructuredBlock]:
-        key = (time_index, block_id)
-        block = self._blocks.get(key)
-        if block is not None:
-            self._blocks.move_to_end(key)
-            return block
-        request = self._map_request(time_index, block_id)
-        self.request_log.append(request)
-        block = yield request
-        if block is None:
-            raise _OutOfDomain(f"no data for {request}")
-        self._blocks[key] = block
-        self._locators[key] = CellLocator(block)
-        while len(self._blocks) > self.local_cache_blocks:
-            old_key, _ = self._blocks.popitem(last=False)
-            del self._locators[old_key]
-        return block
-
-    def _sample_level(
-        self, point: np.ndarray, time_index: int
-    ) -> Generator[BlockRequest, StructuredBlock, np.ndarray]:
-        """Velocity at ``point`` on frozen time level ``time_index``."""
-        self.samples += 1
-        candidates = []
-        hint_bid = None
-        # Try the block that contained the particle last (cheap walk).
-        for bid, hint in list(self._cell_hints.items()):
-            candidates.append((bid, hint))
-            hint_bid = bid
-            break
-        for bid in self.topology.candidates(point):
-            if bid != hint_bid:
-                candidates.append((bid, self._cell_hints.get(bid)))
-        for bid, hint in candidates:
-            block = yield from self._get_block(time_index, bid)
-            locator = self._locators[(time_index, bid)]
-            found = locator.locate(point, hint=hint)
-            if found is None and hint is not None:
-                found = locator.locate(point)
-            if found is not None:
-                cell, rst = found
-                self._cell_hints.clear()
-                self._cell_hints[bid] = cell
-                return np.asarray(locator.interpolate(self.velocity, cell, rst))
-        raise _OutOfDomain(f"point {point} outside all blocks")
-
-    # -------------------------------------------------------- integration
-    def _rk4_level(
-        self, x: np.ndarray, h: float, time_index: int
-    ) -> Generator[BlockRequest, StructuredBlock, np.ndarray]:
-        """One classical RK4 step on a frozen time level."""
-        k1 = yield from self._sample_level(x, time_index)
-        k2 = yield from self._sample_level(x + 0.5 * h * k1, time_index)
-        k3 = yield from self._sample_level(x + 0.5 * h * k2, time_index)
-        k4 = yield from self._sample_level(x + h * k3, time_index)
-        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def _step(
-        self, x: np.ndarray, t: float, h: float
-    ) -> Generator[BlockRequest, StructuredBlock, np.ndarray]:
-        """Advance by ``h``: separate steps on both bracketing levels,
-        then interpolate with respect to the elapsed time (paper §6.3)."""
-        lo, hi, _w = _bracket(self.times, t)
-        x_lo = yield from self._rk4_level(x, h, lo)
-        if hi == lo:
-            return x_lo
-        x_hi = yield from self._rk4_level(x, h, hi)
-        lo_end, _, w_end = _bracket(self.times, t + h)
-        # Weight of the upper level at the *end* of the step; if the step
-        # crossed into the next bracket, clamp to pure upper level.
-        if t + h >= self.times[hi] or lo_end != lo:
-            w_end = 1.0
-        return (1.0 - w_end) * x_lo + w_end * x_hi
-
-    def trace(
-        self,
-        seed: np.ndarray,
-        t_start: float | None = None,
-        t_end: float | None = None,
-    ) -> Generator[BlockRequest, StructuredBlock, Pathline]:
-        """Generator protocol: yields block requests, returns a Pathline."""
-        seed = np.asarray(seed, dtype=np.float64)
-        t0 = self.times[0] if t_start is None else float(t_start)
-        t1 = self.times[-1] if t_end is None else float(t_end)
-        if t1 <= t0:
-            raise ValueError(f"t_end ({t1}) must exceed t_start ({t0})")
-        self._cell_hints.clear()
-        points = [seed.copy()]
-        times = [t0]
-        x, t = seed.copy(), t0
-        h = min(self.h_initial, t1 - t0)
-        termination = "max_steps"
-        for _ in range(self.max_steps):
-            try:
-                x_new = yield from self._adaptive_step(x, t, h)
-                x, result_h = x_new
-            except _OutOfDomain:
-                termination = "left_domain"
-                break
-            t += result_h
-            points.append(x.copy())
-            times.append(t)
-            h = min(self._next_h, self.h_max, max(t1 - t, self.h_min))
-            if t >= t1 - 1e-12:
-                termination = "end_time"
-                break
-            if np.linalg.norm(points[-1] - points[-2]) < 1e-14:
-                termination = "stagnant"
-                break
-        return Pathline(
-            seed=seed,
-            points=np.asarray(points),
-            times=np.asarray(times),
-            termination=termination,
-        )
-
-    def _adaptive_step(
-        self, x: np.ndarray, t: float, h: float
-    ) -> Generator[BlockRequest, StructuredBlock, tuple[np.ndarray, float]]:
-        """Step doubling: compare one h-step against two h/2-steps."""
-        scale = max(float(np.linalg.norm(x)), 1.0)
-        while True:
-            x_full = yield from self._step(x, t, h)
-            x_half = yield from self._step(x, t, 0.5 * h)
-            x_half2 = yield from self._step(x_half, t + 0.5 * h, 0.5 * h)
-            err = float(np.linalg.norm(x_full - x_half2)) / scale
-            if err <= self.rtol or h <= self.h_min * (1 + 1e-9):
-                # Accept the more accurate two-half-step result.
-                if err < self.rtol / 32.0:
-                    self._next_h = min(2.0 * h, self.h_max)
-                else:
-                    self._next_h = h
-                return x_half2, h
-            h = max(0.5 * h, self.h_min)
-
-    _next_h: float = 0.0
-
-    # -------------------------------------------------------- convenience
-    def reset_cache(self) -> None:
-        self._blocks.clear()
-        self._locators.clear()
-        self._cell_hints.clear()
-        self.request_log.clear()
-        self.samples = 0
-
-
-# ------------------------------------------------------------------ batched
-#
-# Cash-Karp embedded Runge-Kutta 4(5) tableau.  The fifth-order solution
-# advances the particles; the difference against the embedded
-# fourth-order solution gives the step error directly, replacing the
-# scalar tracer's step doubling (three full RK4 evaluations = 12
-# velocity samples per level per accepted step) with 6 samples per
-# level per attempt — the same ``rtol`` contract at roughly a third of
-# the sampling cost.
-_CK_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (
-        1631.0 / 55296.0,
-        175.0 / 512.0,
-        575.0 / 13824.0,
-        44275.0 / 110592.0,
-        253.0 / 4096.0,
-    ),
-)
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_B4 = (
-    2825.0 / 27648.0,
-    0.0,
-    18575.0 / 48384.0,
-    13525.0 / 55296.0,
-    277.0 / 14336.0,
-    1.0 / 4.0,
-)
-
-
-class BatchPathlineTracer(PathlineTracer):
-    """Vectorized multi-particle tracer with coalesced block requests.
-
-    Particle state lives in structure-of-arrays form (positions, times,
-    per-particle step sizes, alive masks); every super-step advances all
-    live particles together through one embedded RK45 (Cash-Karp)
-    attempt per bracketing time level, using the batch kernels of
-    :class:`~repro.grids.interpolate.CellLocator`.
-
-    Block demands are *coalesced*: within a super-step each missing
-    ``(time level, block)`` pair is requested exactly once no matter how
-    many particles need it, which cuts DMS round trips and keeps the
-    request stream compact and Markov-learnable.  ``request_triggers``
-    records which particle first demanded each emitted request and
-    ``demand_log`` the per-particle block-entry streams, so tests can
-    assert that coalescing preserves every particle's request order.
-
-    The scalar :class:`PathlineTracer` remains the reference
-    implementation; equivalence (same trajectories within tolerance,
-    same termination labels) is pinned by the test suite.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
         #: particle index that first demanded each emitted request
         #: (parallel to ``request_log``).
         self.request_triggers: list[int] = []
@@ -336,13 +170,18 @@ class BatchPathlineTracer(PathlineTracer):
         self._cache_cap = self.local_cache_blocks
 
     # ------------------------------------------------------ block access
+    def _map_request(self, time_index: int, block_id: int) -> BlockRequest:
+        """Hook: translate a sampler demand into an emitted request
+        (overridden by the steady-state streamline tracer)."""
+        return BlockRequest(time_index, block_id)
+
     def _get_block_batch(
         self, time_index: int, block_id: int, trigger: int
     ) -> Generator[BlockRequest, StructuredBlock, StructuredBlock | None]:
-        """Like :meth:`_get_block` but coalescing-aware: a miss emits one
-        request (tagged with the triggering particle); a ``None`` answer
-        means the block holds no data and is reported to the caller
-        instead of aborting the whole batch."""
+        """Coalescing-aware block access: a miss emits one request
+        (tagged with the triggering particle); a ``None`` answer means
+        the block holds no data and is reported to the caller instead of
+        aborting the whole batch."""
         key = (time_index, block_id)
         block = self._blocks.get(key)
         if block is not None:
@@ -539,8 +378,7 @@ class BatchPathlineTracer(PathlineTracer):
             lo, hi, _w = _bracket_many(time_axis, ta)
             # A particle sitting exactly on the first time level still
             # steps *into* the first bracket: open it so the attempt
-            # sees both levels (the scalar tracer reaches the upper
-            # level through its half-step samples at t + h/2).
+            # sees both levels.
             expand = (hi == lo) & (lo < len(time_axis) - 1)
             hi = np.where(expand, lo + 1, hi)
             # Cap each attempt at one bracket past the upper level: the
@@ -631,7 +469,10 @@ class BatchPathlineTracer(PathlineTracer):
 
     # -------------------------------------------------------- convenience
     def reset_cache(self) -> None:
-        super().reset_cache()
+        self._blocks.clear()
+        self._locators.clear()
+        self.request_log.clear()
+        self.samples = 0
         self.request_triggers.clear()
         self.demand_log.clear()
         self._hints.clear()
@@ -640,7 +481,9 @@ class BatchPathlineTracer(PathlineTracer):
 def _bracket_many(
     times: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`_bracket` over an array of query times."""
+    """Bracketing level indices ``(lo, hi)`` and the weight of ``hi``
+    for each query time; both indices clamp to the end levels outside
+    the time axis (weight 0)."""
     t = np.asarray(t, dtype=np.float64)
     n = len(times) - 1
     hi = np.searchsorted(times, t, side="right")
@@ -656,38 +499,6 @@ def _bracket_many(
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.where(hi > lo, (t - times[lo]) / np.where(span != 0, span, 1.0), 0.0)
     return lo, hi, w
-
-
-def _bracket(times: list[float], t: float) -> tuple[int, int, float]:
-    if t <= times[0]:
-        return 0, 0, 0.0
-    if t >= times[-1]:
-        n = len(times) - 1
-        return n, n, 0.0
-    hi = int(np.searchsorted(times, t, side="right"))
-    lo = hi - 1
-    return lo, hi, (t - times[lo]) / (times[hi] - times[lo])
-
-
-def trace_pathline(
-    series: TimeSeries,
-    seed: np.ndarray,
-    t_start: float | None = None,
-    t_end: float | None = None,
-    **tracer_kwargs,
-) -> Pathline:
-    """Serial convenience wrapper: drive the tracer from a TimeSeries."""
-    level0 = series.level(0)
-    handles = level0.handles()
-    tracer = PathlineTracer(handles, series.times, **tracer_kwargs)
-    gen = tracer.trace(seed, t_start, t_end)
-    try:
-        request = next(gen)
-        while True:
-            block = series.level(request.time_index)[request.block_id]
-            request = gen.send(block)
-    except StopIteration as stop:
-        return stop.value
 
 
 def trace_pathlines(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..algorithms.isosurface import extract_block_isosurface
 from ..algorithms.lambda2 import lambda2_field
-from ..algorithms.pathlines import trace_pathline
+from ..algorithms.pathlines import trace_pathlines
 from ..grids.block import StructuredBlock
 from ..grids.multiblock import MultiBlockDataset, TimeSeries
 from ..synth.fields import cartesian_lattice, warp_lattice
@@ -165,7 +165,7 @@ def pathline_tolerance_study(
     period = 2.0 * np.pi / omega
     seed = np.array([1.0, 0.0, 0.0])
     for rtol in rtols:
-        path = trace_pathline(
+        (path,) = trace_pathlines(
             series, seed, 0.0, period, rtol=rtol, max_steps=20000
         )
         error = float(np.linalg.norm(path.points[-1] - seed))

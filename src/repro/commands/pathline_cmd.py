@@ -16,13 +16,12 @@ stages advance all of the share's particles together, and every block
 the batch needs is demanded once per super-step (*coalesced* — one
 ``Load`` per (time level, block) regardless of how many particles sit
 in it), which both cuts DMS round trips and keeps the request stream
-Markov-learnable.  ``params["tracer"] = "scalar"`` falls back to the
-one-particle-at-a-time reference tracer.
+Markov-learnable.  The batched tracer is the only one; a ``tracer``
+param (the removed one-particle-at-a-time option) is rejected.
 
 Params: ``seeds`` (list of 3-D points; required), ``t_start`` /
 ``t_end`` (physical times; default full range), ``rtol``,
-``local_cache_blocks``, ``max_steps``, ``tracer`` ("batched" |
-"scalar"), ``prefetch`` override.
+``local_cache_blocks``, ``max_steps``, ``prefetch`` override.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from ..algorithms.pathlines import BatchPathlineTracer, PathlineTracer
+from ..algorithms.pathlines import BatchPathlineTracer
 from ..dms.items import block_item
 from ..core.commands import Command, CommandContext, Compute, Emit, Load, split_round_robin
 
@@ -46,6 +45,11 @@ class PathlinesDataManCommand(Command):
     use_dms = True
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
+        if "tracer" in ctx.params:
+            raise ValueError(
+                "the 'tracer' param was removed: pathline commands always "
+                "use the batched RK45 tracer"
+            )
         seeds = [np.asarray(s, dtype=np.float64) for s in ctx.params["seeds"]]
         if not seeds:
             raise ValueError("pathline commands need at least one seed")
@@ -87,27 +91,14 @@ class PathlinesDataManCommand(Command):
         handles = list(ctx.handles_by_time[0])
         t_start = ctx.params.get("t_start", times[0])
         t_end = ctx.params.get("t_end", times[-1])
-        mode = str(ctx.params.get("tracer", "batched"))
         tracer_kwargs = dict(
             rtol=float(ctx.params.get("rtol", 1e-3)),
             max_steps=int(ctx.params.get("max_steps", 400)),
             local_cache_blocks=int(ctx.params.get("local_cache_blocks", 8)),
         )
         sample_cost = ctx.costs.pathline_sample
-        if mode == "scalar":
-            tracer = PathlineTracer(handles, times, **tracer_kwargs)
-            for seed in assignment:
-                yield from self._drive(
-                    tracer, tracer.trace(seed, t_start, t_end), ctx, sample_cost
-                )
-        else:
-            tracer = BatchPathlineTracer(handles, times, **tracer_kwargs)
-            yield from self._drive(
-                tracer, tracer.trace_many(assignment, t_start, t_end), ctx, sample_cost
-            )
-
-    def _drive(self, tracer, gen, ctx: CommandContext, sample_cost: float):
-        """Run one tracer generator, charging samples and emitting results."""
+        tracer = BatchPathlineTracer(handles, times, **tracer_kwargs)
+        gen = tracer.trace_many(assignment, t_start, t_end)
         charged = tracer.samples
         try:
             request = next(gen)
@@ -126,11 +117,10 @@ class PathlinesDataManCommand(Command):
                 )
                 request = gen.send(block)
         except StopIteration as stop:
-            result = stop.value
+            paths = stop.value
         pending = tracer.samples - charged
         if pending:
             yield Compute(pending * sample_cost)
-        paths = result if isinstance(result, list) else [result]
         for path in paths:
             yield Emit(path, nbytes=int(path.points.nbytes + path.times.nbytes))
 

@@ -11,6 +11,7 @@ workers transmit directly and the scheduler only signals completion.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
@@ -27,6 +28,11 @@ from .messages import ResultPacket, WorkAssignment, WorkerDone
 from .worker import Worker, WorkerShare, WorkerUnavailable
 
 __all__ = ["RecoveryPolicy", "RunRecord", "Scheduler", "ShareOutcome"]
+
+#: Run records the scheduler keeps.  Each holds its command's merged
+#: geometry, so an unbounded list grows with every request; readers look
+#: at most two records back (a cold run and the warm run after it).
+HISTORY_LEN = 2
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -144,7 +150,8 @@ class Scheduler:
                 Worker(env, cluster, node, proxy, source, wid,
                        trace=trace, tracer=tracer)
             )
-        self.history: list[RunRecord] = []
+        #: the last :data:`HISTORY_LEN` completed runs, oldest first.
+        self.history: deque[RunRecord] = deque(maxlen=HISTORY_LEN)
         #: shared block -> TransitionTable graph kept across commands
         #: when ``retain_markov`` is set (the paper's learning phase).
         self._retained_markov: dict = {}

@@ -12,10 +12,7 @@ from .geometry import (
 )
 from .interpolate import (
     CellLocator,
-    invert_trilinear,
     invert_trilinear_many,
-    trilinear_map,
-    trilinear_weights,
     trilinear_weights_many,
 )
 from .multiblock import MultiBlockDataset, TimeSeries
@@ -35,10 +32,7 @@ __all__ = [
     "physical_gradient",
     "velocity_gradient_tensor",
     "CellLocator",
-    "invert_trilinear",
     "invert_trilinear_many",
-    "trilinear_map",
-    "trilinear_weights",
     "trilinear_weights_many",
     "MultiBlockDataset",
     "TimeSeries",

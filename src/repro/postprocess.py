@@ -20,9 +20,9 @@ from .algorithms.criteria import extract_q_vortices
 from .algorithms.cutplane import extract_cutplane
 from .algorithms.isosurface import extract_isosurface
 from .algorithms.lambda2 import extract_vortices, lambda2_field
-from .algorithms.pathlines import Pathline, trace_pathline
+from .algorithms.pathlines import Pathline, trace_pathlines
 from .algorithms.streaklines import Streakline, trace_streakline
-from .algorithms.streamlines import trace_streamline
+from .algorithms.streamlines import trace_streamlines
 from .grids.multiblock import MultiBlockDataset, TimeSeries
 from .viz.mesh import TriangleMesh
 from .viz.polyline import PolylineSet
@@ -125,11 +125,9 @@ def pathlines(
     **tracer_kwargs,
 ) -> list[Pathline] | PolylineSet:
     """Integrate one pathline per seed through the unsteady flow."""
-    paths = [
-        trace_pathline(series, np.asarray(seed, dtype=float), t_start, t_end,
-                       **tracer_kwargs)
-        for seed in seeds
-    ]
+    paths = trace_pathlines(
+        series, np.asarray(seeds, dtype=float), t_start, t_end, **tracer_kwargs
+    )
     if as_polylines:
         return PolylineSet.from_pathlines(paths)
     return paths
@@ -143,11 +141,9 @@ def streamlines(
     **tracer_kwargs,
 ) -> list[Pathline] | PolylineSet:
     """Steady-state traces on one frozen time level."""
-    paths = [
-        trace_streamline(dataset, np.asarray(seed, dtype=float), duration,
-                         **tracer_kwargs)
-        for seed in seeds
-    ]
+    paths = trace_streamlines(
+        dataset, np.asarray(seeds, dtype=float), duration, **tracer_kwargs
+    )
     if as_polylines:
         return PolylineSet.from_pathlines(paths)
     return paths

@@ -1,7 +1,7 @@
 """Batched-vs-scalar equivalence for the vectorized particle tracer.
 
-The scalar :class:`PathlineTracer` is the reference implementation; the
-batched tracer must reproduce its trajectories (within an rtol-scaled
+The scalar RK4 :class:`~.scalar_tracer.PathlineTracer` is the test
+oracle; the library's batched tracer must reproduce its trajectories (within an rtol-scaled
 tolerance — the schemes differ, RK45 vs RK4 step doubling, so exact
 equality is not expected), its termination labels, and — despite
 coalescing — every particle's individual block-request order.
@@ -12,14 +12,12 @@ import pytest
 
 from repro.algorithms import (
     BatchPathlineTracer,
-    PathlineTracer,
-    trace_pathline,
     trace_pathlines,
-    trace_streamline,
     trace_streamlines,
 )
-from repro.algorithms.pathlines import _bracket, _bracket_many
+from repro.algorithms.pathlines import _bracket_many
 
+from .scalar_tracer import PathlineTracer, _bracket, trace_pathline, trace_streamline
 from .test_pathlines import (
     accelerating,
     rotation,

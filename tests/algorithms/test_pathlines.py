@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import Pathline, PathlineTracer, trace_pathline, trace_streamline
+from repro.algorithms import (
+    BatchPathlineTracer,
+    BatchStreamlineTracer,
+    Pathline,
+    trace_pathlines,
+    trace_streamlines,
+)
 from repro.grids import MultiBlockDataset, StructuredBlock, TimeSeries
 from repro.synth import cartesian_lattice
 
@@ -30,6 +36,23 @@ def series_for(fn, times, **kwargs):
     return TimeSeries(times, lambda i: velocity_dataset(fn, times[i], **kwargs))
 
 
+def trace_one(series, seed, t_start=None, t_end=None, **kwargs):
+    """One seed through the batched tracer (a batch of one)."""
+    (path,) = trace_pathlines(series, np.asarray(seed)[None], t_start, t_end, **kwargs)
+    return path
+
+
+def drive(tracer, level, seed, t_start, t_end):
+    """Run ``tracer`` on one seed, serving every request from ``level``."""
+    gen = tracer.trace_many(np.asarray(seed)[None], t_start, t_end)
+    try:
+        req = next(gen)
+        while True:
+            req = gen.send(level[req.block_id])
+    except StopIteration as stop:
+        return stop.value[0]
+
+
 def uniform(coords, t):
     v = np.zeros(coords.shape[:-1] + (3,))
     v[..., 0] = 1.0
@@ -50,7 +73,7 @@ def accelerating(coords, t):
 
 def test_uniform_flow_straight_line():
     series = series_for(uniform, [0.0, 1.0, 2.0])
-    path = trace_pathline(series, np.array([-1.5, 0.0, 0.0]), 0.0, 2.0)
+    path = trace_one(series, np.array([-1.5, 0.0, 0.0]), 0.0, 2.0)
     assert path.termination == "end_time"
     np.testing.assert_allclose(path.points[-1], [0.5, 0.0, 0.0], atol=1e-6)
     np.testing.assert_allclose(path.points[:, 1:], 0.0, atol=1e-9)
@@ -60,7 +83,7 @@ def test_uniform_flow_straight_line():
 def test_rotation_flow_stays_on_circle():
     series = series_for(rotation, [0.0, 4.0])
     r0 = 1.0
-    path = trace_pathline(series, np.array([r0, 0.0, 0.0]), 0.0, 2 * np.pi * 0.9)
+    path = trace_one(series, np.array([r0, 0.0, 0.0]), 0.0, 2 * np.pi * 0.9)
     assert path.termination == "end_time"
     radii = np.linalg.norm(path.points[:, :2], axis=1)
     np.testing.assert_allclose(radii, r0, atol=5e-3)
@@ -68,7 +91,7 @@ def test_rotation_flow_stays_on_circle():
 
 def test_rotation_full_period_returns_to_start():
     series = series_for(rotation, [0.0, 10.0])
-    path = trace_pathline(
+    path = trace_one(
         series, np.array([0.8, 0.0, 0.0]), 0.0, 2 * np.pi, rtol=1e-6
     )
     np.testing.assert_allclose(path.points[-1], path.points[0], atol=2e-3)
@@ -78,35 +101,29 @@ def test_time_dependent_flow_integrates_correctly():
     """With u=(t,0,0), x(T) - x0 = T²/2; requires temporal interpolation."""
     times = np.linspace(0.0, 2.0, 9).tolist()
     series = series_for(accelerating, times)
-    path = trace_pathline(series, np.array([-1.8, 0.0, 0.0]), 0.0, 2.0)
+    path = trace_one(series, np.array([-1.8, 0.0, 0.0]), 0.0, 2.0)
     assert path.termination == "end_time"
     assert path.points[-1][0] == pytest.approx(-1.8 + 2.0, abs=5e-3)
 
 
 def test_particle_leaves_domain():
     series = series_for(uniform, [0.0, 100.0])
-    path = trace_pathline(series, np.array([1.0, 0.0, 0.0]), 0.0, 100.0)
+    path = trace_one(series, np.array([1.0, 0.0, 0.0]), 0.0, 100.0)
     assert path.termination == "left_domain"
     assert path.points[-1][0] <= 2.0 + 1e-6
 
 
 def test_crossing_block_boundaries():
     series = series_for(uniform, [0.0, 4.0], nblocks=4)
-    path = trace_pathline(series, np.array([-1.9, 0.3, -0.3]), 0.0, 3.5)
+    path = trace_one(series, np.array([-1.9, 0.3, -0.3]), 0.0, 3.5)
     assert path.termination == "end_time"
     np.testing.assert_allclose(path.points[-1], [1.6, 0.3, -0.3], atol=1e-5)
 
 
 def test_request_log_records_block_stream():
     level = velocity_dataset(uniform, 0.0, nblocks=4)
-    tracer = PathlineTracer(level.handles(), [0.0, 4.0], local_cache_blocks=2)
-    gen = tracer.trace(np.array([-1.9, 0.0, 0.0]), 0.0, 3.5)
-    try:
-        req = next(gen)
-        while True:
-            req = gen.send(level[req.block_id])
-    except StopIteration as stop:
-        path = stop.value
+    tracer = BatchPathlineTracer(level.handles(), [0.0, 4.0], local_cache_blocks=2)
+    path = drive(tracer, level, [-1.9, 0.0, 0.0], 0.0, 3.5)
     assert path.termination == "end_time"
     bids = [r.block_id for r in tracer.request_log]
     # Particle moves left to right: block ids appear in increasing order.
@@ -117,58 +134,52 @@ def test_request_log_records_block_stream():
 
 
 def test_local_cache_eviction_causes_rerequests():
-    """A small local cache re-requests blocks on re-entry (circular flow)."""
-    level = velocity_dataset(rotation, 0.0, nblocks=2)
-    tracer = PathlineTracer(level.handles(), [0.0, 100.0], local_cache_blocks=2)
-    gen = tracer.trace(np.array([1.0, 0.0, 0.0]), 0.0, 4 * np.pi)
-    try:
-        req = next(gen)
-        while True:
-            req = gen.send(level[req.block_id])
-    except StopIteration:
-        pass
-    bids = [r.block_id for r in tracer.request_log]
-    # Two revolutions across two blocks: each block requested repeatedly.
-    assert bids.count(0) >= 2 and bids.count(1) >= 2
+    """A small local cache re-requests blocks on re-entry (circular flow).
+
+    One particle holds at least four blocks (its block on both time
+    levels plus stage excursions), so the orbit crosses four blocks on
+    two levels: eight (level, block) pairs."""
+    level = velocity_dataset(rotation, 0.0, nblocks=4)
+    tracer = BatchPathlineTracer(level.handles(), [0.0, 100.0], local_cache_blocks=2)
+    drive(tracer, level, [1.5, 0.0, 0.0], 0.0, 4 * np.pi)
+    pairs = [(r.time_index, r.block_id) for r in tracer.request_log]
+    assert {b for _, b in pairs} == {0, 1, 2, 3}
+    # Two revolutions: every (level, block) pair is requested again on
+    # re-entry (an unbounded cache requests each pair exactly once).
+    assert all(pairs.count(p) >= 2 for p in set(pairs))
 
 
 def test_tracer_validation():
     level = velocity_dataset(uniform, 0.0)
     with pytest.raises(ValueError):
-        PathlineTracer(level.handles(), [])
+        BatchPathlineTracer(level.handles(), [])
     with pytest.raises(ValueError):
-        PathlineTracer(level.handles(), [0.0, 1.0], local_cache_blocks=1)
-    tracer = PathlineTracer(level.handles(), [0.0, 1.0])
+        BatchPathlineTracer(level.handles(), [0.0, 1.0], local_cache_blocks=1)
+    tracer = BatchPathlineTracer(level.handles(), [0.0, 1.0])
     with pytest.raises(ValueError):
-        gen = tracer.trace(np.zeros(3), 1.0, 0.5)
+        gen = tracer.trace_many(np.zeros((1, 3)), 1.0, 0.5)
         next(gen)
 
 
 def test_adaptive_step_tightens_for_accuracy():
     """Tighter tolerance produces more steps on curved trajectories."""
     series = series_for(rotation, [0.0, 10.0])
-    loose = trace_pathline(series, np.array([1.0, 0, 0]), 0.0, np.pi, rtol=1e-2)
-    tight = trace_pathline(series, np.array([1.0, 0, 0]), 0.0, np.pi, rtol=1e-8)
+    loose = trace_one(series, np.array([1.0, 0, 0]), 0.0, np.pi, rtol=1e-2)
+    tight = trace_one(series, np.array([1.0, 0, 0]), 0.0, np.pi, rtol=1e-8)
     assert tight.n_points > loose.n_points
 
 
 def test_seed_outside_domain_terminates_immediately():
     series = series_for(uniform, [0.0, 1.0])
-    path = trace_pathline(series, np.array([50.0, 0.0, 0.0]), 0.0, 1.0)
+    path = trace_one(series, np.array([50.0, 0.0, 0.0]), 0.0, 1.0)
     assert path.termination == "left_domain"
     assert path.n_points == 1
 
 
 def test_pathline_reset_cache():
     level = velocity_dataset(uniform, 0.0)
-    tracer = PathlineTracer(level.handles(), [0.0, 1.0])
-    gen = tracer.trace(np.array([0.0, 0.0, 0.0]), 0.0, 0.5)
-    try:
-        req = next(gen)
-        while True:
-            req = gen.send(level[req.block_id])
-    except StopIteration:
-        pass
+    tracer = BatchPathlineTracer(level.handles(), [0.0, 1.0])
+    drive(tracer, level, [0.0, 0.0, 0.0], 0.0, 0.5)
     assert tracer.request_log
     tracer.reset_cache()
     assert not tracer.request_log
@@ -180,17 +191,15 @@ def test_pathline_reset_cache():
 
 def test_streamline_on_steady_rotation():
     level = velocity_dataset(rotation, 0.0)
-    path = trace_streamline(level, np.array([0.9, 0.0, 0.0]), duration=np.pi)
+    (path,) = trace_streamlines(level, np.array([[0.9, 0.0, 0.0]]), duration=np.pi)
     radii = np.linalg.norm(path.points[:, :2], axis=1)
     np.testing.assert_allclose(radii, 0.9, atol=5e-3)
 
 
 def test_streamline_duration_validation():
     level = velocity_dataset(uniform, 0.0)
-    from repro.algorithms import StreamlineTracer
-
     with pytest.raises(ValueError):
-        StreamlineTracer(level.handles(), duration=0.0)
+        BatchStreamlineTracer(level.handles(), duration=0.0)
 
 
 def test_pathline_dataclass_helpers():

@@ -89,6 +89,22 @@ def test_pathlines_require_seeds(session):
         )
 
 
+def test_removed_tracer_param_fails_loudly(session):
+    """``tracer`` selected the deleted one-particle tracer; REST and CLI
+    callers may still send it, and it must not be silently ignored."""
+    for name in ("pathlines-dataman", "pathlines-simple"):
+        for value in ("scalar", "batched"):
+            with pytest.raises(ValueError, match="'tracer' param was removed"):
+                session.run(
+                    name,
+                    params={
+                        "seeds": [[0.2, 0.1, 0.8]],
+                        "time_range": (0, 1),
+                        "tracer": value,
+                    },
+                )
+
+
 def test_session_survives_failed_run(session):
     """A failed command must not poison the session for later runs."""
     with pytest.raises(KeyError):

@@ -252,3 +252,33 @@ def test_scheduler_serve_ignores_unknown_messages():
     sched.mailbox.put("junk")
     sched.mailbox.put(Shutdown())
     assert env.run(until=serve_proc) == 0
+
+
+def test_scheduler_history_is_bounded(make_session):
+    """Run records carry merged geometry; the scheduler keeps only the
+    last HISTORY_LEN of them, so its memory stays flat over many ops."""
+    import gc
+    import weakref
+
+    from repro.core.scheduler import HISTORY_LEN
+
+    session = make_session(n_workers=2)
+    records, merged = [], []
+    for i in range(4 * HISTORY_LEN):
+        session.run(
+            "iso-dataman",
+            params={"isovalue": -0.3 + 0.05 * i, "scalar": "pressure",
+                    "time_range": (0, 1)},
+        )
+        assert len(session.scheduler.history) <= HISTORY_LEN
+        record = session.scheduler.history[-1]
+        assert record.merged is not None
+        records.append(weakref.ref(record))
+        merged.append(weakref.ref(record.merged))
+        del record
+    gc.collect()
+    assert [r() is not None for r in records] == (
+        [False] * (len(records) - HISTORY_LEN) + [True] * HISTORY_LEN
+    )
+    assert sum(m() is not None for m in merged) == HISTORY_LEN
+    assert list(session.scheduler.history) == [r() for r in records[-HISTORY_LEN:]]

@@ -1,25 +1,34 @@
 """Batch kernels vs their scalar references (point location layer).
 
 ``invert_trilinear_many`` / ``locate_many`` / ``interpolate_many`` feed
-the batched particle tracer; each must agree with the scalar entry
-points the rest of the library pins its semantics on.
+the batched particle tracer; each must agree with the independent
+one-point oracle in :mod:`.scalar_locator`.  Batches of at most
+``_SMALL_BATCH`` rows take scalar fast paths that must be bit-identical
+to the vectorised sweeps, because cell and step decisions downstream
+feed the simulated request stream the golden fingerprints pin.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grids import (
     CellLocator,
     StructuredBlock,
-    invert_trilinear,
     invert_trilinear_many,
-    trilinear_map,
-    trilinear_weights,
     trilinear_weights_many,
 )
+from repro.grids.interpolate import _SMALL_BATCH
 from repro.grids.topology import BlockTopology
 from repro.synth import cartesian_lattice, warp_lattice
 
+from .scalar_locator import (
+    ScalarCellLocator,
+    invert_trilinear,
+    trilinear_map,
+    trilinear_weights,
+)
 from .test_interpolate import unit_cell_corners, warped_block
 
 
@@ -94,16 +103,9 @@ def test_invert_many_empty_input():
 # ---------------------------------------------------------------- locate
 
 
-def locate_scalar(locator, p, hint=None):
-    found = locator.locate(p, hint=hint)
-    if found is None:
-        return None
-    return found
-
-
 def test_locate_many_matches_scalar():
     block = warped_block(shape=(7, 7, 7))
-    locator = CellLocator(block)
+    locator = ScalarCellLocator(block)
     rng = np.random.default_rng(8)
     inside = rng.uniform(0.05, 0.95, size=(30, 3))
     outside = rng.uniform(1.5, 3.0, size=(10, 3))
@@ -121,7 +123,7 @@ def test_locate_many_matches_scalar():
 
 def test_locate_many_with_hints_matches_and_walks():
     block = warped_block(shape=(7, 7, 7))
-    locator = CellLocator(block)
+    locator = ScalarCellLocator(block)
     pts = np.array([[0.52, 0.51, 0.49], [0.12, 0.88, 0.52]])
     hints = np.array([[2, 2, 2], [0, 0, 0]], dtype=np.int64)
     cells, rst = locator.locate_many(pts, hints=hints)
@@ -166,7 +168,7 @@ def test_interpolate_many_vector_field_matches_scalar_sample():
         [grid[..., 0], 2.0 * grid[..., 1], -grid[..., 2]], axis=-1
     )
     block.set_field("velocity", v)
-    locator = CellLocator(block)
+    locator = ScalarCellLocator(block)
     pts = np.array([[0.3, 0.7, 0.2], [0.9, 0.1, 0.6]])
     cells, rst = locator.locate_many(pts)
     vals = locator.interpolate_many("velocity", cells, rst)
@@ -174,6 +176,83 @@ def test_interpolate_many_vector_field_matches_scalar_sample():
     for i, p in enumerate(pts):
         ref, _cell = locator.sample("velocity", p)
         np.testing.assert_allclose(vals[i], ref, atol=1e-10)
+
+
+# ------------------------------------------- small-batch bit identity
+#
+# Each case solves n <= _SMALL_BATCH rows on their own (scalar fast
+# path) and again as the head of a batch padded past _SMALL_BATCH
+# (vectorised sweep); every output row must match bit for bit.
+
+_PAD = _SMALL_BATCH + 1
+small_cases = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, _SMALL_BATCH)
+)
+
+
+def warped_cells(rng, m):
+    """``m`` randomly scaled, shifted and distorted hexahedra."""
+    scale = rng.uniform(0.2, 3.0, size=(m, 1, 3))
+    shift = rng.uniform(-5.0, 5.0, size=(m, 1, 3))
+    jitter = rng.normal(scale=0.12, size=(m, 8, 3))
+    return (unit_cell_corners()[None] + jitter) * scale + shift
+
+
+def random_block(rng):
+    shape = tuple(int(v) for v in rng.integers(3, 7, size=3))
+    lattice = cartesian_lattice((0, 0, 0), (1, 1, 1), shape)
+    block = StructuredBlock(warp_lattice(lattice, float(rng.uniform(0.0, 0.08))))
+    block.set_field("s", rng.normal(size=shape))
+    block.set_field("velocity", rng.normal(size=shape + (3,)))
+    return block
+
+
+@given(**small_cases)
+@settings(max_examples=60, deadline=None)
+def test_invert_small_batch_bit_identical_to_sweep(seed, n):
+    rng = np.random.default_rng(seed)
+    corners = warped_cells(rng, n + _PAD)
+    rst_true = rng.uniform(-0.4, 1.4, size=(n + _PAD, 3))
+    pts = np.array([trilinear_map(c, r) for c, r in zip(corners, rst_true)])
+    pts[::3] += rng.normal(scale=2.0, size=pts[::3].shape)  # some far misses
+    rst_small, ok_small = invert_trilinear_many(corners[:n], pts[:n])
+    rst_big, ok_big = invert_trilinear_many(corners, pts)
+    assert np.array_equal(rst_small, rst_big[:n], equal_nan=True)
+    assert np.array_equal(ok_small, ok_big[:n])
+
+
+@given(**small_cases)
+@settings(max_examples=40, deadline=None)
+def test_locate_small_batch_bit_identical_to_sweep(seed, n):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng)
+    locator = CellLocator(block)
+    pts = rng.uniform(-0.1, 1.1, size=(n + _PAD, 3))
+    cell_shape = np.array(block.cell_shape)
+    hints = [
+        None if rng.random() < 0.25
+        else tuple(int(v) for v in rng.integers(-1, cell_shape + 1))
+        for _ in range(n + _PAD)
+    ]
+    cells_small, rst_small = locator.locate_many(pts[:n], hints=hints[:n])
+    cells_big, rst_big = CellLocator(block).locate_many(pts, hints=hints)
+    assert np.array_equal(cells_small, cells_big[:n])
+    assert np.array_equal(rst_small, rst_big[:n])
+
+
+@given(**small_cases)
+@settings(max_examples=40, deadline=None)
+def test_interpolate_small_batch_bit_identical_to_sweep(seed, n):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng)
+    locator = CellLocator(block)
+    cells = rng.integers(0, np.array(block.cell_shape), size=(n + _PAD, 3))
+    rst = rng.uniform(-0.05, 1.05, size=(n + _PAD, 3))
+    for name in ("s", "velocity"):
+        small = locator.interpolate_many(name, cells[:n], rst[:n])
+        big = locator.interpolate_many(name, cells, rst)
+        assert small.shape == big[:n].shape
+        assert np.array_equal(small, big[:n])
 
 
 # ------------------------------------------------------------- topology

@@ -1,4 +1,9 @@
-"""Unit and property tests for point location / trilinear interpolation."""
+"""Unit and property tests for point location / trilinear interpolation.
+
+Each query here is a batch of one, so these tests run the library's
+small-batch paths; ``test_batch_interpolate`` pins those bit for bit to
+the vectorised sweeps.
+"""
 
 import numpy as np
 import pytest
@@ -8,9 +13,8 @@ from hypothesis import strategies as st
 from repro.grids import (
     CellLocator,
     StructuredBlock,
-    invert_trilinear,
-    trilinear_map,
-    trilinear_weights,
+    invert_trilinear_many,
+    trilinear_weights_many,
 )
 from repro.synth import cartesian_lattice, warp_lattice
 
@@ -41,20 +45,51 @@ def warped_block(shape=(5, 5, 5), amplitude=0.04):
     )
 
 
+def weights(rst):
+    return trilinear_weights_many(np.asarray(rst)[None])[0]
+
+
+def trilinear_map(corners, rst):
+    return weights(rst) @ corners
+
+
+def invert(corners, point):
+    rst, ok = invert_trilinear_many(corners[None], np.asarray(point)[None])
+    return rst[0], bool(ok[0])
+
+
+def locate(loc, point, hint=None):
+    """One-point ``locate_many``: ``(cell, rst)`` or ``None``."""
+    cells, rst = loc.locate_many(
+        np.asarray(point)[None], hints=None if hint is None else [hint]
+    )
+    if cells[0, 0] < 0:
+        return None
+    return tuple(int(c) for c in cells[0]), rst[0]
+
+
+def sample(loc, name, point):
+    found = locate(loc, point)
+    if found is None:
+        return None
+    cell, rst = found
+    return loc.interpolate_many(name, np.array([cell]), rst[None])[0], cell
+
+
 # ---------------------------------------------------------------- weights
 
 
 def test_weights_sum_to_one_at_corners_and_center():
-    w = trilinear_weights(np.array([0.5, 0.5, 0.5]))
+    w = weights(np.array([0.5, 0.5, 0.5]))
     assert w.sum() == pytest.approx(1.0)
     np.testing.assert_allclose(w, 0.125)
-    w0 = trilinear_weights(np.array([0.0, 0.0, 0.0]))
+    w0 = weights(np.array([0.0, 0.0, 0.0]))
     assert w0[0] == 1.0 and w0[1:].sum() == 0.0
 
 
 @given(rst=rst_strategy)
 def test_weights_partition_of_unity(rst):
-    w = trilinear_weights(rst)
+    w = weights(rst)
     assert w.sum() == pytest.approx(1.0)
     assert np.all(w >= -1e-12)
 
@@ -72,7 +107,7 @@ def test_map_unit_cell_is_identity(rst):
 def test_invert_trilinear_roundtrip_unit_cell(rst):
     corners = unit_cell_corners()
     point = trilinear_map(corners, rst)
-    out, ok = invert_trilinear(corners, point)
+    out, ok = invert(corners, point)
     assert ok
     np.testing.assert_allclose(out, rst, atol=1e-7)
 
@@ -82,7 +117,7 @@ def test_invert_trilinear_warped_cell_roundtrip():
     corners = b.cell_corner_points(1, 1, 1)
     for rst in [np.array([0.2, 0.7, 0.4]), np.array([0.9, 0.1, 0.5])]:
         point = trilinear_map(corners, rst)
-        out, ok = invert_trilinear(corners, point)
+        out, ok = invert(corners, point)
         assert ok
         np.testing.assert_allclose(out, rst, atol=1e-7)
 
@@ -97,7 +132,7 @@ def test_locator_finds_cell_centers():
 
     centers = cell_centers(b)
     for cell in [(0, 0, 0), (2, 1, 3), (3, 3, 3)]:
-        found = loc.locate(centers[cell])
+        found = locate(loc, centers[cell])
         assert found is not None
         found_cell, rst = found
         assert found_cell == cell
@@ -107,8 +142,8 @@ def test_locator_finds_cell_centers():
 def test_locator_returns_none_outside():
     b = warped_block()
     loc = CellLocator(b)
-    assert loc.locate(np.array([5.0, 5.0, 5.0])) is None
-    assert loc.locate(np.array([-1.0, 0.5, 0.5])) is None
+    assert locate(loc, np.array([5.0, 5.0, 5.0])) is None
+    assert locate(loc, np.array([-1.0, 0.5, 0.5])) is None
 
 
 def test_locator_walk_from_hint():
@@ -118,7 +153,7 @@ def test_locator_walk_from_hint():
 
     centers = cell_centers(b)
     target = centers[4, 4, 4]
-    found = loc.locate(target, hint=(0, 0, 0))
+    found = locate(loc, target, hint=(0, 0, 0))
     assert found is not None
     assert found[0] == (4, 4, 4)
     # Walking must not have built the kd-tree.
@@ -131,7 +166,7 @@ def test_locator_hint_out_of_range_is_clamped():
     from repro.grids import cell_centers
 
     target = cell_centers(b)[0, 0, 0]
-    found = loc.locate(target, hint=(99, -5, 2))
+    found = locate(loc, target, hint=(99, -5, 2))
     assert found is not None
     assert found[0] == (0, 0, 0)
 
@@ -144,10 +179,10 @@ def test_interpolate_linear_field_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(10):
         p = rng.uniform(0.15, 0.85, size=3)
-        found = loc.locate(p)
+        found = locate(loc, p)
         assert found is not None
         cell, rst = found
-        val = loc.interpolate("s", cell, rst)
+        val = loc.interpolate_many("s", np.array([cell]), rst[None])[0]
         expected = 2.0 * p[0] - p[1] + 3.0 * p[2]
         # Exact up to the trilinear representation of the warped geometry.
         assert val == pytest.approx(expected, abs=1e-6)
@@ -160,7 +195,7 @@ def test_interpolate_vector_field():
     b.set_field("velocity", v)
     loc = CellLocator(b)
     p = np.array([0.5, 0.5, 0.5])
-    result = loc.sample("velocity", p)
+    result = sample(loc, "velocity", p)
     assert result is not None
     vel, cell = result
     np.testing.assert_allclose(vel, [0.5, 1.0, -0.5], atol=1e-6)
@@ -170,7 +205,7 @@ def test_sample_returns_none_outside():
     b = warped_block()
     b.set_field("s", np.zeros(b.shape))
     loc = CellLocator(b)
-    assert loc.sample("s", np.array([9.0, 9.0, 9.0])) is None
+    assert sample(loc, "s", np.array([9.0, 9.0, 9.0])) is None
 
 
 @given(
@@ -181,7 +216,7 @@ def test_property_locate_then_map_recovers_point(px, py, pz):
     b = warped_block((5, 5, 5))
     loc = CellLocator(b)
     p = np.array([px, py, pz])
-    found = loc.locate(p)
+    found = locate(loc, p)
     assert found is not None
     cell, rst = found
     corners = b.cell_corner_points(*cell)

@@ -128,6 +128,30 @@ def test_facade_matches_framework_geometry(level):
     assert result.geometry.n_triangles == direct.n_triangles
 
 
+def test_facade_matches_framework_pathlines(engine, series):
+    """The facade traces with the framework's tracer: same bytes."""
+    from repro import ViracochaSession
+    from repro.bench import paper_cluster, paper_costs
+
+    seeds = [[0.2, 0.1, 0.8], [-0.3, 0.2, 1.0], [0.1, -0.2, 0.6]]
+    tracer_kwargs = dict(rtol=1e-3, max_steps=400, local_cache_blocks=8)
+    direct = pp.pathlines(series, seeds, **tracer_kwargs)
+    session = ViracochaSession(
+        engine, cluster_config=paper_cluster(1), costs=paper_costs()
+    )
+    result = session.run(
+        "pathlines-dataman",
+        params={"seeds": seeds, "time_range": (0, len(series.times)), **tracer_kwargs},
+        group_size=1,
+    )
+    framework = result.payloads[0]
+    assert len(framework) == len(direct) == len(seeds)
+    for got, ref in zip(framework, direct):
+        assert got.termination == ref.termination
+        assert got.points.tobytes() == ref.points.tobytes()
+        assert got.times.tobytes() == ref.times.tobytes()
+
+
 def test_interaction_report(level):
     from repro import ViracochaSession
     from repro.bench import paper_cluster, paper_costs

@@ -9,7 +9,7 @@ from repro.algorithms import (
     active_cell_indices,
     extract_block_isosurface,
     iter_isosurface_batches,
-    trace_pathline,
+    trace_pathlines,
 )
 from repro.des import Environment
 from repro.grids import MultiBlockDataset, StructuredBlock, TimeSeries
@@ -97,7 +97,7 @@ def test_pathline_uniform_flow_exact_displacement(vx, vy, vz):
         return MultiBlockDataset([b], time=float(i))
 
     series = TimeSeries([0.0, 2.0], level)
-    path = trace_pathline(series, np.zeros(3), 0.0, 1.0)
+    (path,) = trace_pathlines(series, np.zeros((1, 3)), 0.0, 1.0)
     if path.termination == "end_time":
         np.testing.assert_allclose(path.points[-1], v * 1.0, atol=1e-6)
     elif path.termination == "stagnant":
