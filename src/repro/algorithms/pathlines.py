@@ -34,7 +34,7 @@ from typing import Generator, Sequence
 import numpy as np
 
 from ..grids.block import BlockHandle, StructuredBlock
-from ..grids.interpolate import CellLocator
+from ..grids.interpolate import _SMALL_BATCH, CellLocator
 from ..grids.multiblock import TimeSeries
 from ..grids.topology import BlockTopology
 
@@ -110,8 +110,10 @@ class BatchPathlineTracer:
     Particle state lives in structure-of-arrays form (positions, times,
     per-particle step sizes, alive masks); every super-step advances all
     live particles together through one embedded RK45 (Cash-Karp)
-    attempt per bracketing time level, using the batch kernels of
-    :class:`~repro.grids.interpolate.CellLocator`.
+    attempt per bracketing time level.  Velocity samples come from
+    :class:`~repro.grids.interpolate.CellLocator`'s per-point kernels
+    for the tiny block groups tracing produces, and from its batch
+    kernels for larger ones.
 
     Block demands are *coalesced*: within a super-step each missing
     ``(time level, block)`` pair is requested exactly once no matter how
@@ -217,7 +219,9 @@ class BatchPathlineTracer:
         every block (the particle left the domain).  Points are grouped
         by candidate block so each needed block is touched — and, on a
         cache miss, requested — once per group, then located and
-        interpolated with one vectorized call.
+        interpolated: point by point for groups of at most
+        ``_SMALL_BATCH`` rows (the common case), with one vectorized
+        call above that.
         """
         m = len(points)
         self.samples += m
@@ -225,6 +229,9 @@ class BatchPathlineTracer:
         ok = np.zeros(m, dtype=bool)
         if m == 0:
             return vel, ok
+        pts = points.tolist()
+        pid_of = pids.tolist()
+        level_of = time_indices.tolist()
         # Candidate lists are built lazily: a row whose walk hint
         # succeeds (the common case once particles are settled) never
         # pays for the bbox scan.  Hinted rows start with just their
@@ -233,7 +240,7 @@ class BatchPathlineTracer:
         no_hint: list[int] = []
         hint_only: set[int] = set()
         for row in range(m):
-            hint = self._hints.get(int(pids[row]))
+            hint = self._hints.get(pid_of[row])
             if hint is not None:
                 cand[row] = [hint[0]]
                 hint_only.add(row)
@@ -245,43 +252,35 @@ class BatchPathlineTracer:
             ):
                 cand[row] = lst
         rank = [0] * m
+        found_rows: list[int] = []
+        found_vel: list[list[float]] = []
         pending = [row for row in range(m) if cand[row]]
         while pending:
             groups: dict[tuple[int, int], list[int]] = {}
             for row in pending:
-                key = (int(time_indices[row]), cand[row][rank[row]])
+                key = (level_of[row], cand[row][rank[row]])
                 groups.setdefault(key, []).append(row)
             retry: list[int] = []
             expand: list[int] = []
             for (ti, bid), rows in groups.items():
-                block = yield from self._get_block_batch(ti, bid, pids[rows[0]])
+                block = yield from self._get_block_batch(ti, bid, pid_of[rows[0]])
                 if block is None:
                     failed = rows
                 else:
-                    locator = self._locators[(ti, bid)]
-                    rows_arr = np.asarray(rows)
-                    hints = []
-                    for r in rows:
-                        hint = self._hints.get(int(pids[r]))
-                        hints.append(
-                            hint[1] if hint is not None and hint[0] == bid else None
-                        )
-                    cells, rst = locator.locate_many(points[rows_arr], hints=hints)
-                    found = cells[:, 0] >= 0
-                    if found.any():
-                        frows = rows_arr[found]
-                        vel[frows] = locator.interpolate_many(
-                            self.velocity, cells[found], rst[found]
-                        )
-                        ok[frows] = True
-                        for r, cell in zip(frows, cells[found]):
-                            pid = int(pids[r])
-                            self._hints[pid] = (
-                                bid,
-                                (int(cell[0]), int(cell[1]), int(cell[2])),
-                            )
-                            self._demand(pid, ti, bid)
-                    failed = [int(r) for r in rows_arr[~found]]
+                    failed = []
+                    hits = self._locate_group(
+                        self._locators[(ti, bid)], bid, rows, pts, pid_of
+                    )
+                    for r, hit in zip(rows, hits):
+                        if hit is None:
+                            failed.append(r)
+                            continue
+                        cell, v = hit
+                        found_rows.append(r)
+                        found_vel.append(v)
+                        pid = pid_of[r]
+                        self._hints[pid] = (bid, cell)
+                        self._demand(pid, ti, bid)
                 for r in failed:
                     rank[r] += 1
                     if rank[r] < len(cand[r]):
@@ -300,7 +299,50 @@ class BatchPathlineTracer:
                     if rank[row] < len(cand[row]):
                         retry.append(row)
             pending = retry
+        if found_rows:
+            vel[found_rows] = found_vel
+            ok[found_rows] = True
         return vel, ok
+
+    def _locate_group(
+        self,
+        locator: CellLocator,
+        bid: int,
+        rows: list[int],
+        pts: list[list[float]],
+        pid_of: list[int],
+    ) -> list[tuple[tuple[int, int, int], list[float]] | None]:
+        """``(cell, velocity)`` per row of one block group, ``None`` where
+        the block does not contain the point.  Each row walks from its
+        particle's hint cell when the hint lies in this block."""
+        hints = []
+        for r in rows:
+            hint = self._hints.get(pid_of[r])
+            hints.append(hint[1] if hint is not None and hint[0] == bid else None)
+        if len(rows) > _SMALL_BATCH:
+            cells, rst = locator.locate_many([pts[r] for r in rows], hints=hints)
+            found = np.nonzero(cells[:, 0] >= 0)[0]
+            hits = [None] * len(rows)
+            if found.size:
+                v = locator.interpolate_many(self.velocity, cells[found], rst[found])
+                for n, cell, vn in zip(
+                    found.tolist(), cells[found].tolist(), v.tolist()
+                ):
+                    hits[n] = (tuple(cell), vn)
+            return hits
+        hits = []
+        data = None
+        for r, hint in zip(rows, hints):
+            px, py, pz = pts[r]
+            hit = locator.locate_one(px, py, pz, hint)
+            if hit is None:
+                hits.append(None)
+                continue
+            i, j, k, rr, ss, tt = hit
+            if data is None:
+                data = locator.block.field(self.velocity)
+            hits.append(((i, j, k), locator.blend_one(data, i, j, k, rr, ss, tt)))
+        return hits
 
     # -------------------------------------------------------- integration
     def _rk45_level(

@@ -90,10 +90,18 @@ def _weight_derivative_columns(
     return dr, ds, dt
 
 
-#: Batch sizes at or below this take scalar Python fast paths.  Particle
-#: batches during replay are routinely 2-4 points, where per-call numpy
-#: dispatch dominates the actual arithmetic by an order of magnitude.
+#: Batch sizes at or below this take scalar Python fast paths.  The
+#: tracer's per-block groups are routinely 1-3 points, where per-call
+#: numpy dispatch dominates the actual arithmetic by an order of
+#: magnitude.
 _SMALL_BATCH = 16
+
+#: Nearest cell centers tried, rank by rank, for a point with no hint
+#: (or whose hint walk failed).
+_K_CANDIDATES = 8
+
+#: Most cells a hint walk visits before falling back to the kd-tree.
+_MAX_WALK = 64
 
 
 def _invert_one(cell, px, py, pz, tol2, max_iter):
@@ -313,13 +321,116 @@ class CellLocator:
             self._centers = centers.reshape(-1, 3)
             self._tree = cKDTree(self._centers)
 
+    # ------------------------------------------------------- one point
+    def locate_one(
+        self,
+        px: float,
+        py: float,
+        pz: float,
+        hint: "tuple[int, int, int] | None" = None,
+    ) -> "tuple[int, int, int, float, float, float] | None":
+        """Locate one point: the per-row counterpart of :meth:`locate_many`.
+
+        Walks from ``hint`` (clamped into the block) toward where the
+        natural coordinates point; if that fails, and the point lies in
+        the slack-padded bbox, tries its ``_K_CANDIDATES`` nearest cell
+        centers rank by rank.  Returns ``(i, j, k, r, s, t)`` or ``None``.
+
+        Rows are independent in the vectorized sweep, so one row solved
+        here with the bit-identical scalar Newton solve
+        (:func:`_invert_one`) yields the exact cell and natural
+        coordinates the sweep would, while skipping its per-step masking
+        machinery.
+        """
+        corners = self._cell_corners
+        lo_ok = -self.slack
+        hi_ok = 1.0 + self.slack
+        tol2 = 1e-10 * 1e-10  # invert_trilinear_many's tol * tol
+        if hint is not None:
+            ci, cj, ck = self.block.cell_shape
+            i_hi, j_hi, k_hi = ci - 1, cj - 1, ck - 1
+            a, b, c = hint
+            a = 0 if a < 0 else (i_hi if a > i_hi else a)
+            b = 0 if b < 0 else (j_hi if b > j_hi else b)
+            c = 0 if c < 0 else (k_hi if c > k_hi else c)
+            pa = pb = pc = -9
+            for _ in range(_MAX_WALK):
+                cell = corners[a, b, c].tolist()
+                r, s, t, ok = _invert_one(cell, px, py, pz, tol2, 25)
+                if ok and (lo_ok <= r <= hi_ok and lo_ok <= s <= hi_ok
+                           and lo_ok <= t <= hi_ok):
+                    return a, b, c, r, s, t
+                # Step toward where the natural coordinates point.
+                sa = -1 if r < lo_ok else (1 if r > hi_ok else 0)
+                sb = -1 if s < lo_ok else (1 if s > hi_ok else 0)
+                sc = -1 if t < lo_ok else (1 if t > hi_ok else 0)
+                if sa == 0 and sb == 0 and sc == 0:
+                    break  # Newton failed without direction info
+                na, nb, nc = a + sa, b + sb, c + sc
+                if not (0 <= na <= i_hi and 0 <= nb <= j_hi and 0 <= nc <= k_hi):
+                    break  # walked off the block
+                if na == pa and nb == pb and nc == pc:
+                    break  # two-cell oscillation
+                pa, pb, pc = a, b, c
+                a, b, c = na, nb, nc
+        pad = self.slack
+        (x0, y0, z0), (x1, y1, z1) = self._bounds.tolist()
+        if not (
+            x0 - pad <= px <= x1 + pad
+            and y0 - pad <= py <= y1 + pad
+            and z0 - pad <= pz <= z1 + pad
+        ):
+            return None
+        self._ensure_tree()
+        k = min(_K_CANDIDATES, self.block.n_cells)
+        _dists, flats = self._tree.query((px, py, pz), k=k)
+        _ci, cj, ck = self.block.cell_shape
+        for flat in np.reshape(flats, k).tolist():
+            i, rem = divmod(flat, cj * ck)
+            j, kk = divmod(rem, ck)
+            cell = corners[i, j, kk].tolist()
+            r, s, t, ok = _invert_one(cell, px, py, pz, tol2, 25)
+            if ok and (lo_ok <= r <= hi_ok and lo_ok <= s <= hi_ok
+                       and lo_ok <= t <= hi_ok):
+                return i, j, kk, r, s, t
+        return None
+
+    @staticmethod
+    def blend_one(
+        data: np.ndarray, i: int, j: int, k: int, r: float, s: float, t: float
+    ) -> "float | list[float]":
+        """Trilinear value of ``data`` at natural coordinates ``(r, s, t)``
+        of cell ``(i, j, k)``: the per-row kernel of :meth:`interpolate_many`.
+
+        Blends the 8 corner values in numpy's reduction order — pairwise
+        for a scalar field (contiguous inner-axis sum), sequential per
+        component for a vector field (outer-axis sum) — so the result is
+        bit-identical to the vectorized gather.  Returns a float, or one
+        float per component.
+        """
+        rm = 1.0 - r; sm = 1.0 - s; tm = 1.0 - t
+        smtm = sm * tm; stm = s * tm; smt = sm * t; st = s * t
+        w0 = rm * smtm; w1 = r * smtm; w2 = r * stm; w3 = rm * stm
+        w4 = rm * smt; w5 = r * smt; w6 = r * st; w7 = rm * st
+        # One 2x2x2 slice, unpacked into hexahedron corner order.
+        ((c0, c4), (c3, c7)), ((c1, c5), (c2, c6)) = data[
+            i:i + 2, j:j + 2, k:k + 2
+        ].tolist()
+        if data.ndim == 3:
+            return ((w0 * c0 + w1 * c1) + (w2 * c2 + w3 * c3)) + (
+                (w4 * c4 + w5 * c5) + (w6 * c6 + w7 * c7)
+            )
+        return [
+            w0 * c0[n] + w1 * c1[n] + w2 * c2[n] + w3 * c3[n]
+            + w4 * c4[n] + w5 * c5[n] + w6 * c6[n] + w7 * c7[n]
+            for n in range(len(c0))
+        ]
+
     # ----------------------------------------------------- batch locate
     def locate_many(
         self,
         points: np.ndarray,
         hints: "list[tuple[int, int, int] | None] | None" = None,
-        k_candidates: int = 8,
-        max_walk: int = 64,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Locate many points: one kd-tree query / walk sweep for the batch.
 
@@ -333,6 +444,7 @@ class CellLocator:
         Points with hints walk together (one vectorized Newton solve per
         walk front); the rest share one batched kd-tree query and are
         tested against their k nearest candidate cells rank by rank.
+        Each row gets exactly what :meth:`locate_one` returns for it.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
@@ -347,7 +459,7 @@ class CellLocator:
                 starts = np.asarray(
                     [hints[row] for row in hint_rows], dtype=np.int64
                 )
-                w_cells, w_rst = self._walk_many(pts[rows], starts, max_walk)
+                w_cells, w_rst = self._walk_many(pts[rows], starts)
                 cells[rows] = w_cells
                 rst_out[rows] = w_rst
         unresolved = np.nonzero(cells[:, 0] < 0)[0]
@@ -362,7 +474,7 @@ class CellLocator:
             return cells, rst_out
         self._ensure_tree()
         n_cells = self.block.n_cells
-        k = min(k_candidates, n_cells)
+        k = min(_K_CANDIDATES, n_cells)
         _dists, flats = self._tree.query(pts[pending], k=k)
         flats = np.atleast_2d(np.asarray(flats, dtype=np.int64).reshape(len(pending), k))
         ci, cj, ck = self.block.cell_shape
@@ -390,20 +502,18 @@ class CellLocator:
         return cells, rst_out
 
     def _walk_many(
-        self, pts: np.ndarray, starts: np.ndarray, max_walk: int
+        self, pts: np.ndarray, starts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized cell walk: every point steps from its own hint cell."""
         m = len(pts)
         ci, cj, ck = self.block.cell_shape
-        if m <= _SMALL_BATCH:
-            return self._walk_small(pts, starts, max_walk)
         limit = np.array([ci - 1, cj - 1, ck - 1], dtype=np.int64)
         cur = np.clip(np.asarray(starts, dtype=np.int64), 0, limit)
         out_cells = np.full((m, 3), -1, dtype=np.int64)
         out_rst = np.zeros((m, 3), dtype=np.float64)
         alive = np.arange(m)
         prev = np.full((m, 3), -9, dtype=np.int64)
-        for _ in range(max_walk):
+        for _ in range(_MAX_WALK):
             corners = self._cell_corners[cur[alive, 0], cur[alive, 1], cur[alive, 2]]
             rst, ok = invert_trilinear_many(corners, pts[alive])
             inside = (
@@ -433,76 +543,27 @@ class CellLocator:
             alive = rows
         return out_cells, out_rst
 
-    def _walk_small(
-        self, pts: np.ndarray, starts: np.ndarray, max_walk: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar counterpart of :meth:`_walk_many` for tiny batches.
-
-        Rows walk independently in the vectorized sweep, so walking them
-        one at a time with the bit-identical scalar Newton solve
-        (:func:`_invert_one`) yields the exact same cells and natural
-        coordinates while skipping the per-step masking machinery.
-        """
-        m = len(pts)
-        ci, cj, ck = self.block.cell_shape
-        i_hi, j_hi, k_hi = ci - 1, cj - 1, ck - 1
-        out_cells = np.full((m, 3), -1, dtype=np.int64)
-        out_rst = np.zeros((m, 3), dtype=np.float64)
-        corners_grid = self._cell_corners
-        lo_ok = -self.slack
-        hi_ok = 1.0 + self.slack
-        tol2 = 1e-10 * 1e-10
-        pts_l = np.asarray(pts, dtype=np.float64).tolist()
-        starts_l = np.asarray(starts, dtype=np.int64).tolist()
-        for row in range(m):
-            px, py, pz = pts_l[row]
-            a, b, c = starts_l[row]
-            a = 0 if a < 0 else (i_hi if a > i_hi else a)
-            b = 0 if b < 0 else (j_hi if b > j_hi else b)
-            c = 0 if c < 0 else (k_hi if c > k_hi else c)
-            pa = pb = pc = -9
-            for _ in range(max_walk):
-                cell = corners_grid[a, b, c].tolist()
-                r, s, t, ok = _invert_one(cell, px, py, pz, tol2, 25)
-                if (
-                    ok
-                    and r >= lo_ok and s >= lo_ok and t >= lo_ok
-                    and r <= hi_ok and s <= hi_ok and t <= hi_ok
-                ):
-                    oc = out_cells[row]
-                    oc[0] = a; oc[1] = b; oc[2] = c
-                    orow = out_rst[row]
-                    orow[0] = r; orow[1] = s; orow[2] = t
-                    break
-                # Step toward where the natural coordinates point.
-                sa = -1 if r < lo_ok else (1 if r > hi_ok else 0)
-                sb = -1 if s < lo_ok else (1 if s > hi_ok else 0)
-                sc = -1 if t < lo_ok else (1 if t > hi_ok else 0)
-                if sa == 0 and sb == 0 and sc == 0:
-                    break  # Newton failed without direction info
-                na, nb, nc = a + sa, b + sb, c + sc
-                if not (0 <= na <= i_hi and 0 <= nb <= j_hi and 0 <= nc <= k_hi):
-                    break  # walked off the block
-                if na == pa and nb == pb and nc == pc:
-                    break  # two-cell oscillation
-                pa, pb, pc = a, b, c
-                a, b, c = na, nb, nc
-        return out_cells, out_rst
-
     def interpolate_many(
         self, name: str, cells: np.ndarray, rst: np.ndarray
     ) -> np.ndarray:
         """Trilinear values of field ``name``: one gather for many (cell, rst) pairs.
 
         ``cells`` is ``(n, 3)`` int, ``rst`` ``(n, 3)``; returns ``(n,)``
-        for scalar fields and ``(n, 3)`` for vector fields.
+        for scalar fields and ``(n, 3)`` for vector fields.  Batches of
+        at most ``_SMALL_BATCH`` rows run :meth:`blend_one` row by row.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+        rst = np.asarray(rst, dtype=np.float64).reshape(-1, 3)
         data = self.block.field(name)
         n = len(cells)
         if n <= _SMALL_BATCH:
-            return self._interpolate_small(data, cells, rst)
-        w = trilinear_weights_many(np.asarray(rst, dtype=np.float64).reshape(-1, 3))
+            out = np.empty((n,) + data.shape[3:], dtype=np.float64)
+            for row, ((i, j, k), (r, s, t)) in enumerate(
+                zip(cells.tolist(), rst.tolist())
+            ):
+                out[row] = self.blend_one(data, i, j, k, r, s, t)
+            return out
+        w = trilinear_weights_many(rst)
         i, j, k = cells[:, 0], cells[:, 1], cells[:, 2]
         corners = np.stack(
             [
@@ -520,55 +581,3 @@ class CellLocator:
         if data.ndim == 3:
             return (w * corners).sum(axis=1)
         return (w[:, :, None] * corners).sum(axis=1)
-
-    def _interpolate_small(
-        self, data: np.ndarray, cells: np.ndarray, rst: np.ndarray
-    ) -> np.ndarray:
-        """Scalar counterpart of :meth:`interpolate_many` for tiny batches.
-
-        Gathers the 8 corner values per row directly and blends them in
-        numpy's reduction order — pairwise for the scalar-field case
-        (contiguous inner-axis sum), sequential for the vector case
-        (outer-axis sum) — so results are bit-identical to the
-        vectorized gather while skipping the batch ``np.stack``.
-        """
-        n = len(cells)
-        cells_l = cells.tolist()
-        rst_l = np.asarray(rst, dtype=np.float64).reshape(-1, 3).tolist()
-        vector = data.ndim != 3
-        n_comp = data.shape[3] if vector else 0
-        out = np.empty((n, n_comp) if vector else n, dtype=np.float64)
-        for row in range(n):
-            i, j, k = cells_l[row]
-            r, s, t = rst_l[row]
-            rm = 1.0 - r; sm = 1.0 - s; tm = 1.0 - t
-            smtm = sm * tm; stm = s * tm; smt = sm * t; st = s * t
-            w0 = rm * smtm; w1 = r * smtm; w2 = r * stm; w3 = rm * stm
-            w4 = rm * smt; w5 = r * smt; w6 = r * st; w7 = rm * st
-            i1, j1, k1 = i + 1, j + 1, k + 1
-            if not vector:
-                out[row] = (
-                    (w0 * float(data[i, j, k]) + w1 * float(data[i1, j, k]))
-                    + (w2 * float(data[i1, j1, k]) + w3 * float(data[i, j1, k]))
-                ) + (
-                    (w4 * float(data[i, j, k1]) + w5 * float(data[i1, j, k1]))
-                    + (w6 * float(data[i1, j1, k1]) + w7 * float(data[i, j1, k1]))
-                )
-                continue
-            c0 = data[i, j, k].tolist()
-            c1 = data[i1, j, k].tolist()
-            c2 = data[i1, j1, k].tolist()
-            c3 = data[i, j1, k].tolist()
-            c4 = data[i, j, k1].tolist()
-            c5 = data[i1, j, k1].tolist()
-            c6 = data[i1, j1, k1].tolist()
-            c7 = data[i, j1, k1].tolist()
-            orow = out[row]
-            for comp in range(n_comp):
-                orow[comp] = (
-                    w0 * c0[comp] + w1 * c1[comp] + w2 * c2[comp]
-                    + w3 * c3[comp] + w4 * c4[comp] + w5 * c5[comp]
-                    + w6 * c6[comp] + w7 * c7[comp]
-                )
-        return out
-

@@ -111,28 +111,11 @@ class BlockTopology:
     def block_ids(self) -> list[int]:
         return list(self._ids)
 
-    def candidates(self, point: np.ndarray) -> list[int]:
-        """Blocks whose (padded) bbox contains ``point``, nearest-center first."""
-        p = np.asarray(point, dtype=np.float64)
-        mask = np.all((p >= self._lows) & (p <= self._highs), axis=1)
-        hits = [self._ids[i] for i in np.nonzero(mask)[0]]
-        if len(hits) > 1:
-            centers = {
-                bid: 0.5
-                * (
-                    np.asarray(self.handles[bid].bounds_min)
-                    + np.asarray(self.handles[bid].bounds_max)
-                )
-                for bid in hits
-            }
-            hits.sort(key=lambda bid: float(np.sum((centers[bid] - p) ** 2)))
-        return hits
-
     def candidates_many(self, points: np.ndarray) -> list[list[int]]:
-        """Batch :meth:`candidates`: one vectorized bbox test for all points.
+        """Blocks whose (padded) bbox contains each point: one vectorized
+        bbox test for all points.
 
-        Returns one nearest-center-first candidate list per point; the
-        per-point lists are identical to scalar :meth:`candidates`.
+        Returns one candidate list per point, nearest bbox center first.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         mask = np.all(

@@ -6,7 +6,9 @@ time levels (§6.3).  The library ships only the batched RK45 tracer
 (:class:`~repro.algorithms.pathlines.BatchPathlineTracer`); this
 independent scheme is what its trajectories, termination labels and
 request streams are compared against.  It speaks the same block request
-protocol and locates points with the one-point oracle locator.
+protocol, finds candidate blocks with the one-point
+:func:`topology_candidates` and locates points with the one-point oracle
+locator.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.grids.topology import BlockTopology
 from ..grids.scalar_locator import ScalarCellLocator
 
 __all__ = [
+    "topology_candidates",
     "PathlineTracer",
     "StreamlineTracer",
     "trace_pathline",
@@ -33,6 +36,26 @@ __all__ = [
 
 class _OutOfDomain(Exception):
     pass
+
+
+def topology_candidates(topology: BlockTopology, point: np.ndarray) -> list[int]:
+    """Blocks whose (padded) bbox contains ``point``, nearest-center first:
+    the one-point oracle for :meth:`BlockTopology.candidates_many`."""
+    p = np.asarray(point, dtype=np.float64)
+    ids = topology.block_ids
+    mask = np.all((p >= topology._lows) & (p <= topology._highs), axis=1)
+    hits = [ids[i] for i in np.nonzero(mask)[0]]
+    if len(hits) > 1:
+        centers = {
+            bid: 0.5
+            * (
+                np.asarray(topology.handles[bid].bounds_min)
+                + np.asarray(topology.handles[bid].bounds_max)
+            )
+            for bid in hits
+        }
+        hits.sort(key=lambda bid: float(np.sum((centers[bid] - p) ** 2)))
+    return hits
 
 
 class PathlineTracer:
@@ -109,7 +132,7 @@ class PathlineTracer:
             candidates.append((bid, hint))
             hint_bid = bid
             break
-        for bid in self.topology.candidates(point):
+        for bid in topology_candidates(self.topology, point):
             if bid != hint_bid:
                 candidates.append((bid, self._cell_hints.get(bid)))
         for bid, hint in candidates:

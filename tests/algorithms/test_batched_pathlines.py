@@ -16,6 +16,8 @@ from repro.algorithms import (
     trace_streamlines,
 )
 from repro.algorithms.pathlines import _bracket_many
+from repro.grids import CellLocator
+from repro.grids.interpolate import _SMALL_BATCH
 
 from .scalar_tracer import PathlineTracer, _bracket, trace_pathline, trace_streamline
 from .test_pathlines import (
@@ -131,6 +133,43 @@ def test_batched_per_particle_release_times():
         assert path.times[0] == pytest.approx(t0)
         expected = -1.0 + (4.0 - t0 * t0) / 2.0
         np.testing.assert_allclose(path.points[-1][0], expected, atol=5e-3)
+
+
+def swirl(coords, t):
+    """Time-dependent shear with a vertical swirl: crosses blocks."""
+    x, y, z = coords[..., 0], coords[..., 1], coords[..., 2]
+    return np.stack(
+        [0.35 + 0.3 * y + 0.05 * t, 0.1 * x - 0.2 * z, 0.15 * y * (1.0 + t)],
+        axis=-1,
+    )
+
+
+def test_sweep_groups_trace_bit_identical_to_lone_seeds(monkeypatch):
+    """A batch big enough that its block groups exceed ``_SMALL_BATCH``
+    takes the vectorised locate/interpolate sweep; each seed traced
+    alone takes the per-point kernels.  Every path must match bit for
+    bit, so the two group paths are interchangeable."""
+    group_sizes = []
+    sweep = CellLocator.locate_many
+
+    def spy(self, points, *args, **kwargs):
+        group_sizes.append(len(points))
+        return sweep(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(CellLocator, "locate_many", spy)
+    rng = np.random.default_rng(29)
+    seeds = np.array([-0.6, 0.1, 0.0]) + rng.uniform(-0.15, 0.15, size=(20, 3))
+    series = series_for(swirl, [0.0, 1.5, 3.0, 4.5, 6.0], nblocks=4)
+    batch = trace_pathlines(series, seeds, 0.0, 5.0, rtol=1e-4)
+    assert max(group_sizes) > _SMALL_BATCH
+    group_sizes.clear()
+    for seed, got in zip(seeds, batch):
+        (alone,) = trace_pathlines(series, seed[None], 0.0, 5.0, rtol=1e-4)
+        assert np.array_equal(got.points, alone.points)
+        assert np.array_equal(got.times, alone.times)
+        assert got.termination == alone.termination
+    assert group_sizes == []
+    assert {p.termination for p in batch} >= {"end_time", "left_domain"}
 
 
 # ------------------------------------------------- request coalescing

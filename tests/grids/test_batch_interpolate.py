@@ -2,10 +2,12 @@
 
 ``invert_trilinear_many`` / ``locate_many`` / ``interpolate_many`` feed
 the batched particle tracer; each must agree with the independent
-one-point oracle in :mod:`.scalar_locator`.  Batches of at most
-``_SMALL_BATCH`` rows take scalar fast paths that must be bit-identical
-to the vectorised sweeps, because cell and step decisions downstream
-feed the simulated request stream the golden fingerprints pin.
+one-point oracle in :mod:`.scalar_locator`.  The per-point kernels
+``CellLocator.locate_one`` / ``blend_one`` (which the tracer calls row
+by row for block groups of at most ``_SMALL_BATCH`` rows) must be
+bit-identical to the vectorised sweeps, because cell and step
+decisions downstream feed the simulated request stream the golden
+fingerprints pin.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.grids.interpolate import _SMALL_BATCH
 from repro.grids.topology import BlockTopology
 from repro.synth import cartesian_lattice, warp_lattice
 
+from ..algorithms.scalar_tracer import topology_candidates
 from .scalar_locator import (
     ScalarCellLocator,
     invert_trilinear,
@@ -180,9 +183,10 @@ def test_interpolate_many_vector_field_matches_scalar_sample():
 
 # ------------------------------------------- small-batch bit identity
 #
-# Each case solves n <= _SMALL_BATCH rows on their own (scalar fast
-# path) and again as the head of a batch padded past _SMALL_BATCH
-# (vectorised sweep); every output row must match bit for bit.
+# Each case solves rows on the scalar path (a batch of n <= _SMALL_BATCH
+# rows, or the per-point kernels locate_one / blend_one) and again in a
+# batch padded past _SMALL_BATCH (vectorised sweep); every output row
+# must match bit for bit.
 
 _PAD = _SMALL_BATCH + 1
 small_cases = dict(
@@ -223,25 +227,6 @@ def test_invert_small_batch_bit_identical_to_sweep(seed, n):
 
 @given(**small_cases)
 @settings(max_examples=40, deadline=None)
-def test_locate_small_batch_bit_identical_to_sweep(seed, n):
-    rng = np.random.default_rng(seed)
-    block = random_block(rng)
-    locator = CellLocator(block)
-    pts = rng.uniform(-0.1, 1.1, size=(n + _PAD, 3))
-    cell_shape = np.array(block.cell_shape)
-    hints = [
-        None if rng.random() < 0.25
-        else tuple(int(v) for v in rng.integers(-1, cell_shape + 1))
-        for _ in range(n + _PAD)
-    ]
-    cells_small, rst_small = locator.locate_many(pts[:n], hints=hints[:n])
-    cells_big, rst_big = CellLocator(block).locate_many(pts, hints=hints)
-    assert np.array_equal(cells_small, cells_big[:n])
-    assert np.array_equal(rst_small, rst_big[:n])
-
-
-@given(**small_cases)
-@settings(max_examples=40, deadline=None)
 def test_interpolate_small_batch_bit_identical_to_sweep(seed, n):
     rng = np.random.default_rng(seed)
     block = random_block(rng)
@@ -253,6 +238,61 @@ def test_interpolate_small_batch_bit_identical_to_sweep(seed, n):
         big = locator.interpolate_many(name, cells, rst)
         assert small.shape == big[:n].shape
         assert np.array_equal(small, big[:n])
+
+
+def random_hint(rng, cell_shape):
+    """``None``, a cell of the block, or a cell clamped back into it."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return tuple(int(v) for v in rng.integers(0, cell_shape))
+    return tuple(int(v) for v in rng.integers(-4, cell_shape + 4))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_locate_small_batch_bit_identical_to_sweep(seed):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng)
+    n = _PAD + int(rng.integers(0, 8))
+    pts = rng.uniform(-0.15, 1.15, size=(n, 3))
+    # Grid nodes and edge midpoints lie in several cells at once, so the
+    # cell found there depends on the walk path and the kd-tree ranks.
+    nodes = block.coords.reshape(-1, 3)
+    picks = rng.integers(0, len(nodes), size=n)
+    on_node = rng.random(n) < 0.3
+    pts[on_node] = nodes[picks[on_node]]
+    on_edge = rng.random(n) < 0.15
+    pts[on_edge] = 0.5 * (nodes[picks[on_edge]] + nodes[picks[on_edge] - 1])
+    pts[rng.random(n) < 0.05] = np.nan
+    cell_shape = np.array(block.cell_shape)
+    hints = [random_hint(rng, cell_shape) for _ in range(n)]
+    cells, rst = CellLocator(block).locate_many(pts, hints=hints)
+    locator = CellLocator(block)
+    for row, ((px, py, pz), hint) in enumerate(zip(pts.tolist(), hints)):
+        hit = locator.locate_one(px, py, pz, hint)
+        if hit is None:
+            assert (cells[row] == -1).all()
+            continue
+        assert hit[:3] == tuple(cells[row].tolist())
+        assert np.array(hit[3:]).tobytes() == rst[row].tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_blend_one_bit_identical_to_sweep_row(seed):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng)
+    locator = CellLocator(block)
+    cells = rng.integers(0, np.array(block.cell_shape), size=(_PAD, 3))
+    rst = rng.uniform(-0.05, 1.05, size=(_PAD, 3))
+    for name in ("s", "velocity"):
+        data = block.field(name)
+        sweep = locator.interpolate_many(name, cells, rst)
+        for row in range(_PAD):
+            one = CellLocator.blend_one(data, *cells[row].tolist(), *rst[row].tolist())
+            assert np.array(one).tobytes() == sweep[row].tobytes()
 
 
 # ------------------------------------------------------------- topology
@@ -276,4 +316,4 @@ def test_candidates_many_matches_scalar():
     ).reshape(3, 20).T
     batch = topo.candidates_many(pts)
     for i, p in enumerate(pts):
-        assert batch[i] == topo.candidates(p)
+        assert batch[i] == topology_candidates(topo, p)

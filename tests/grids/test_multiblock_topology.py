@@ -128,15 +128,18 @@ def test_file_order_is_sorted_ids():
 
 def test_topology_candidates_contain_point():
     topo = BlockTopology(grid_of_handles(3))
-    assert topo.candidates(np.array([0.5, 0.5, 0.5])) == [0]
-    assert topo.candidates(np.array([2.5, 0.5, 0.5])) == [2]
-    assert topo.candidates(np.array([50.0, 0.5, 0.5])) == []
+    pts = np.array([[0.5, 0.5, 0.5], [2.5, 0.5, 0.5], [50.0, 0.5, 0.5]])
+    assert topo.candidates_many(pts) == [[0], [2], []]
 
 
 def test_topology_candidates_on_shared_face_sorted_by_center():
     topo = BlockTopology(grid_of_handles(3))
-    hits = topo.candidates(np.array([1.0, 0.5, 0.5]))
+    (hits,) = topo.candidates_many(np.array([[1.0, 0.5, 0.5]]))
     assert set(hits) == {0, 1}
+    (hits,) = topo.candidates_many(np.array([[0.9999999, 0.5, 0.5]]))
+    assert hits == [0, 1]
+    (hits,) = topo.candidates_many(np.array([[1.0000001, 0.5, 0.5]]))
+    assert hits == [1, 0]
 
 
 def test_topology_neighbors():
