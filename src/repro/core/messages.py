@@ -94,6 +94,11 @@ class ResultPacket:
     #: coarsest level of *all* its blocks is out (the client's TTFA
     #: measurement point).
     kind: str = "geometry"
+    #: canonical work unit the packet belongs to: the share index under
+    #: a static schedule (equal to ``worker_index``), the task index
+    #: under a dynamic one.  The client dedups on (request, unit,
+    #: sequence).
+    unit: int = 0
 
     @property
     def wire_bytes(self) -> int:

@@ -6,6 +6,13 @@ assignments over the message-passing fabric, and coordinates result
 collection: either the master worker gathers partial results and sends
 one merged package (the standard path of §3), or — with streaming —
 workers transmit directly and the scheduler only signals completion.
+
+One group runner serves both schedules: the command's work units are
+dealt (one share per worker, or tasks drained off a shared ticket
+sequence), each worker drains what it is dealt, and payloads merge in
+canonical unit order.  ``failed_shares`` and the recovery counters
+speak of those units: shares under a static schedule, tasks under a
+dynamic one.
 """
 
 from __future__ import annotations
@@ -38,9 +45,11 @@ HISTORY_LEN = 2
 class RecoveryPolicy:
     """How the scheduler reacts to worker failures and stalls.
 
-    With a policy installed, every share runs under a supervisor that
-    retries crashed or timed-out attempts (backoff in *simulated* time)
-    and reassigns a dead worker's share to a surviving group member.
+    With a policy installed, every work unit (a static share or a
+    dynamic task) runs under a supervisor that retries crashed or
+    timed-out attempts (backoff in *simulated* time) and reassigns a
+    dead worker's unit to a surviving group member; a unit that
+    exhausts its attempts is listed in ``RunRecord.failed_shares``.
     ``None`` (the default on :class:`Scheduler`) keeps the fault-free
     fast path: a worker failure propagates and fails the command.
     """
@@ -53,16 +62,16 @@ class RecoveryPolicy:
     #: backoff before retry k is ``retry_backoff * backoff_factor**(k-1)``.
     retry_backoff: float = 0.05
     backoff_factor: float = 2.0
-    #: move a dead worker's share to the lowest-id surviving group
-    #: member; False pins shares to their original worker.
+    #: move a dead worker's unit to the lowest-id surviving group
+    #: member; False pins units to the worker that claimed them.
     reassign: bool = True
 
 
 @dataclass
 class ShareOutcome:
-    """What the supervisor concluded about one share of a command."""
+    """What the runner concluded about one work unit of a command."""
 
-    index: int  #: share index within the work group
+    index: int  #: canonical unit index (share or task)
     share: WorkerShare | None  #: None when every attempt failed
     executor: Worker | None  #: worker that produced ``share``
     attempts: int = 1
@@ -79,12 +88,19 @@ class RunRecord:
     group_size: int
     t_start: float
     t_end: float = 0.0
+    #: one aggregate per worker drain with at least one successful unit.
     shares: list[WorkerShare] = field(default_factory=list)
     merged: Any = None
-    #: True when the merged result misses at least one share (partial
+    #: True when the merged result misses at least one unit (partial
     #: results served after unrecoverable worker failures).
     degraded: bool = False
+    #: canonical indices of the lost units: shares under a static
+    #: schedule, tasks under a dynamic one.
     failed_shares: list[int] = field(default_factory=list)
+    #: work units the deal planned (``group_size`` shares under static,
+    #: ``len(plan_tasks)`` under dynamic) — the denominator of
+    #: ``failed_shares``.
+    planned_units: int = 0
     retries: int = 0
     reassignments: int = 0
     #: seconds between submit and the work group being fully acquired
@@ -92,10 +108,12 @@ class RunRecord:
     queue_wait_s: float = 0.0
     #: originating tenant when submitted through the serving layer.
     tenant: str = "default"
-    #: simulated seconds workers spent waiting on the run tail (dynamic
-    #: runs; always 0.0 on the static path, so fingerprints are stable).
+    #: simulated seconds workers spent waiting on the run tail:
+    #: Σ over drains of (last drain end − this drain's end), either
+    #: schedule.
     idle_seconds: float = 0.0
-    #: tasks executed beyond static fair shares (dynamic runs only).
+    #: units drained beyond the fair share ``ceil(units / group_size)``
+    #: (always 0 under static, which deals exactly one unit per worker).
     steals: int = 0
 
     @property
@@ -291,16 +309,10 @@ class Scheduler:
                 **extra,
             )
         try:
-            if is_dynamic(params.get("schedule")):
-                record = yield from self._run_dynamic_on_group(
-                    command, name, params, worker_ids, client_mailbox,
-                    request_id, record, command_span=cspan,
-                )
-            else:
-                record = yield from self._run_on_group(
-                    command, name, params, worker_ids, client_mailbox,
-                    request_id, record, command_span=cspan,
-                )
+            record = yield from self._run_on_group(
+                command, name, params, worker_ids, client_mailbox,
+                request_id, record, command_span=cspan,
+            )
         finally:
             if cspan is not None:
                 self.tracer.end(cspan)
@@ -320,213 +332,133 @@ class Scheduler:
         record: RunRecord,
         command_span=None,
     ) -> Generator[Event, None, RunRecord]:
+        """The one group runner: deal, drain, gather, merge, reply.
+
+        The schedules differ only in the deal.  Static deals one
+        :meth:`Command.plan` share per worker and, the deal being known
+        before anything runs, sends every :class:`WorkAssignment` up
+        front.  Dynamic breaks the plan into fine-grained tasks
+        (:meth:`Command.plan_tasks`) ordered heaviest-first by the cost
+        model; workers claim them ``steal_batch`` at a time off one
+        shared ticket sequence, each batch sent when claimed, so a
+        worker that finishes early takes what a static split would have
+        stranded on a straggler.  Every claimed unit runs under
+        :meth:`_supervise` when a recovery policy is set.  Payloads are
+        keyed by canonical unit index and merged in that order, so a
+        dynamic merge is byte-identical to a group-1 run.
+        """
         group_size = len(worker_ids)
         sched_node = self.cluster.scheduler_node
         ctx = self._context(params)
         group = [self.workers[wid] for wid in worker_ids]
-        assignments = command.plan(ctx, group_size)
-        if len(assignments) != group_size:
-            raise RuntimeError(
-                f"command {name!r} planned {len(assignments)} assignments "
-                f"for group of {group_size}"
+        dynamic = is_dynamic(params.get("schedule"))
+        if dynamic:
+            units = command.plan_tasks(ctx)
+            order = lpt_order([command.task_cost(ctx, task) for task in units])
+            batch = max(
+                1, int(params.get("steal_batch", max(1, len(units) // (group_size * 4))))
             )
-        self._install_prefetchers(command, ctx, assignments, group)
+            # One ticket sequence shared by every drain; taking the next
+            # batch is atomic (no yield in between in the cooperative kernel).
+            tickets = iter([order[lo:lo + batch] for lo in range(0, len(units), batch)])
+            deals = [tickets] * group_size
+            # Sequence-based prefetchers get an empty assignment (the drain
+            # order is unknown until runtime); the Markov prefetcher still
+            # learns from the observed request stream.
+            self._install_prefetchers(command, ctx, [[] for _ in group], group)
+        else:
+            units = command.plan(ctx, group_size)
+            if len(units) != group_size:
+                raise RuntimeError(
+                    f"command {name!r} planned {len(units)} assignments "
+                    f"for group of {group_size}"
+                )
+            deals = [iter([[widx]]) for widx in range(group_size)]
+            self._install_prefetchers(command, ctx, units, group)
+        record.planned_units = len(units)
+        fair_share = math.ceil(len(units) / group_size)
+        unit_payloads: list[list[Any] | None] = [None] * len(units)
 
-        # Distribute assignments over the fabric.
-        master_mailbox = Mailbox(self.env, name=f"master-{request_id}")
-        for idx, (worker, assignment) in enumerate(zip(group, assignments)):
+        def assign(widx: int, assignment: Any):
             message = WorkAssignment(
                 request_id=request_id,
                 command=name,
                 params=ctx.params,
-                worker_index=idx,
+                worker_index=widx,
                 group_size=group_size,
                 assignment=assignment,
             )
-            yield from self.mpi.send(sched_node, message, worker.mailbox)
+            yield from self.mpi.send(sched_node, message, group[widx].mailbox)
 
-        # Execute all shares concurrently.  With a recovery policy each
-        # share runs under a supervisor (timeout/retry/reassignment);
-        # without one the fault-free fast path is used unchanged.
-        if self.recovery is None:
-            procs = [
-                self.env.process(
-                    worker.execute(
-                        command, ctx, assignment, idx, request_id, client_mailbox,
-                        parent_span=command_span,
-                    ),
-                    name=f"worker{idx}-{name}",
-                )
-                for idx, (worker, assignment) in enumerate(zip(group, assignments))
-            ]
-            results = yield AllOf(self.env, procs)
-            outcomes = [
-                ShareOutcome(index=idx, share=results[p], executor=group[idx])
-                for idx, p in enumerate(procs)
-            ]
-        else:
-            sups = [
-                self.env.process(
-                    self._supervise(
-                        command, ctx, assignment, idx, request_id,
-                        client_mailbox, group, command_span=command_span,
-                    ),
-                    name=f"supervise{idx}-{name}",
-                )
-                for idx, assignment in enumerate(assignments)
-            ]
-            results = yield AllOf(self.env, sups)
-            outcomes = [results[p] for p in sups]
-
-        successful = [o for o in outcomes if o.share is not None]
-        shares = [o.share for o in successful]
-        record.shares = shares
-        record.failed_shares = [o.index for o in outcomes if o.share is None]
-        record.degraded = bool(record.failed_shares)
-        record.retries = sum(max(o.attempts - 1, 0) for o in outcomes)
-        record.reassignments = sum(o.reassignments for o in outcomes)
-        if record.degraded:
-            self._fault_event(
-                "fault-degraded", self.cluster.scheduler_node.node_id,
-                parent=command_span, request=request_id,
-                failed_shares=list(record.failed_shares),
-            )
-
-        return (
-            yield from self._finish_on_group(
-                command, name, record,
-                [(o.executor, o.share) for o in successful], group[0],
-                master_mailbox, client_mailbox, request_id, command_span,
-            )
-        )
-
-    def _run_dynamic_on_group(
-        self,
-        command: Command,
-        name: str,
-        params: dict[str, Any],
-        worker_ids,
-        client_mailbox: Mailbox,
-        request_id: int,
-        record: RunRecord,
-        command_span=None,
-    ) -> Generator[Event, None, RunRecord]:
-        """Work-stealing mirror of :meth:`_run_on_group`.
-
-        The command's plan is broken into fine-grained tasks
-        (:meth:`Command.plan_tasks`) ordered heaviest-first by the cost
-        model; workers *drain* them in batches off a shared position —
-        each batch dispatched as its own :class:`WorkAssignment` over
-        the fabric — so a worker that finishes early claims what a
-        static split would have stranded on a straggler.  Payloads are
-        keyed by canonical task index and merged in canonical order, so
-        the merged result is byte-identical to the static path.
-        """
-        if self.recovery is not None:
-            raise RuntimeError(
-                "dynamic scheduling does not compose with a RecoveryPolicy; "
-                "use the default static schedule for supervised runs"
-            )
-        group_size = len(worker_ids)
-        sched_node = self.cluster.scheduler_node
-        ctx = self._context(params)
-        group = [self.workers[wid] for wid in worker_ids]
-        tasks = command.plan_tasks(ctx)
-        n_tasks = len(tasks)
-        estimates = [command.task_cost(ctx, task) for task in tasks]
-        order = lpt_order(estimates)
-        batch = max(
-            1, int(params.get("steal_batch", max(1, n_tasks // (group_size * 4))))
-        )
-        fair_share = math.ceil(n_tasks / group_size)
-        # Sequence-based prefetchers get an empty assignment (the drain
-        # order is unknown until runtime); the Markov prefetcher still
-        # learns from the observed request stream.
-        self._install_prefetchers(command, ctx, [[] for _ in group], group)
         master_mailbox = Mailbox(self.env, name=f"master-{request_id}")
-        pos = [0]  # shared ticket position; claim+advance is atomic
-        # (no yield between read and update in the cooperative kernel).
-        task_payloads: list[list[Any] | None] = [None] * n_tasks
-        finish_times = [record.t_start] * group_size
-        steal_counts = [0] * group_size
+        if not dynamic:
+            for widx in range(group_size):
+                yield from assign(widx, units[widx])
 
-        def drain(worker: Worker, widx: int):
+        def drain(widx: int):
+            worker = group[widx]
             agg = WorkerShare(worker_index=widx)
-            executed = 0
-            while pos[0] < n_tasks:
-                lo = pos[0]
-                hi = min(lo + batch, n_tasks)
-                pos[0] = hi
-                claimed = [order[p] for p in range(lo, hi)]
-                message = WorkAssignment(
-                    request_id=request_id,
-                    command=name,
-                    params=ctx.params,
-                    worker_index=widx,
-                    group_size=group_size,
-                    assignment=[tasks[t] for t in claimed],
-                )
-                yield from self.mpi.send(sched_node, message, worker.mailbox)
-                for tidx in claimed:
-                    share = yield from worker.execute(
-                        command, ctx, tasks[tidx], widx, request_id,
-                        client_mailbox, parent_span=command_span,
-                    )
-                    task_payloads[tidx] = list(share.payloads)
+            executor = None  #: who ran this drain's last successful unit
+            outcomes: list[ShareOutcome] = []
+            for claimed in deals[widx]:
+                if dynamic:
+                    yield from assign(widx, [units[u] for u in claimed])
+                for u in claimed:
+                    if self.recovery is None:
+                        share = yield from worker.execute(
+                            command, ctx, units[u], widx, request_id,
+                            client_mailbox, parent_span=command_span, unit=u,
+                        )
+                        outcome = ShareOutcome(index=u, share=share, executor=worker)
+                    else:
+                        outcome = yield from self._supervise(
+                            command, ctx, units[u], u, widx, request_id,
+                            client_mailbox, group, command_span=command_span,
+                        )
+                    outcomes.append(outcome)
+                    share = outcome.share
+                    if share is None:
+                        continue
+                    unit_payloads[u] = share.payloads
                     agg.payloads.extend(share.payloads)
                     agg.nbytes += share.nbytes
                     agg.packets_streamed += share.packets_streamed
                     agg.load_seconds += share.load_seconds
                     agg.compute_seconds += share.compute_seconds
                     agg.stream_seconds += share.stream_seconds
-                    executed += 1
-                    if executed > fair_share:
-                        steal_counts[widx] += 1
-            finish_times[widx] = self.env.now
-            return agg
+                    executor = outcome.executor
+            return agg, executor, outcomes, self.env.now
 
         procs = [
-            self.env.process(drain(worker, widx), name=f"drain{widx}-{name}")
-            for widx, worker in enumerate(group)
+            self.env.process(drain(widx), name=f"drain{widx}-{name}")
+            for widx in range(group_size)
         ]
         results = yield AllOf(self.env, procs)
-        shares = [results[p] for p in procs]
-        record.shares = shares
-        record.steals = sum(steal_counts)
+        drained = [results[p] for p in procs]
         t_drained = self.env.now
-        record.idle_seconds = sum(t_drained - ft for ft in finish_times)
-
-        return (
-            yield from self._finish_on_group(
-                command, name, record, list(zip(group, shares)), group[0],
-                master_mailbox, client_mailbox, request_id, command_span,
-                task_payloads=task_payloads,
-            )
+        outcomes = sorted(
+            (o for _, _, unit_outcomes, _ in drained for o in unit_outcomes),
+            key=lambda o: o.index,
         )
+        # (executor, share) per drain with at least one successful unit.
+        parts = [(executor, agg) for agg, executor, _, _ in drained
+                 if executor is not None]
+        shares = [agg for _, agg in parts]
+        record.shares = shares
+        record.failed_shares = [o.index for o in outcomes if o.share is None]
+        record.degraded = bool(record.failed_shares)
+        record.retries = sum(max(o.attempts - 1, 0) for o in outcomes)
+        record.reassignments = sum(o.reassignments for o in outcomes)
+        record.steals = sum(max(len(o) - fair_share, 0) for _, _, o, _ in drained)
+        record.idle_seconds = sum(t_drained - t_done for *_, t_done in drained)
+        if record.degraded:
+            self._fault_event(
+                "fault-degraded", sched_node.node_id,
+                parent=command_span, request=request_id,
+                failed_shares=list(record.failed_shares),
+            )
 
-    def _finish_on_group(
-        self,
-        command: Command,
-        name: str,
-        record: RunRecord,
-        parts: list[tuple[Worker, WorkerShare]],
-        fallback_master: Worker,
-        master_mailbox: Mailbox,
-        client_mailbox: Mailbox,
-        request_id: int,
-        command_span,
-        task_payloads: list[list[Any] | None] | None = None,
-    ) -> Generator[Event, None, RunRecord]:
-        """The tail both group runners share: gather at the master,
-        merge, send the final packet, close the record.
-
-        ``parts`` pairs each surviving share with the worker that holds
-        it, the master's first.  The merge takes the shares' payloads in
-        that order, or — for a dynamic run — ``task_payloads`` in
-        canonical task order.
-        """
-        master = parts[0][0] if parts else fallback_master
-        shares = [share for _, share in parts]
+        master = parts[0][0] if parts else group[0]
         if command.streaming:
             # Workers streamed directly; signal completion to the client.
             final = ResultPacket(
@@ -538,24 +470,15 @@ class Scheduler:
                 final=True,
             )
         else:
-            # Collect partials at the master worker over the fabric
-            # (charged for exactly the payloads each worker produced).
+            # Gather partials at the master worker over the fabric, one
+            # message per drain (charged for exactly its payloads).
             for worker, share in parts[1:]:
                 yield from worker.send_share_to_master(
                     share, request_id, master_mailbox, parent_span=command_span,
                 )
-            collected = [shares[0].payloads] if shares else []
             for _ in shares[1:]:
                 message = yield master_mailbox.get()
                 assert isinstance(message, WorkerDone)
-                collected.append(message.payload)
-            if task_payloads is not None:
-                missing = [i for i, p in enumerate(task_payloads) if p is None]
-                if missing:
-                    raise RuntimeError(
-                        f"dynamic run left tasks unexecuted: {missing}"
-                    )
-                collected = [list(p) for p in task_payloads]
             total_nbytes = sum(s.nbytes for s in shares)
             mspan = None
             if self.tracer is not None:
@@ -565,7 +488,7 @@ class Scheduler:
                     n_shares=len(shares),
                 )
             yield from master.node.compute(self.costs.merge_per_byte * total_nbytes)
-            record.merged = command.merge(collected)
+            record.merged = command.merge([p for p in unit_payloads if p is not None])
             if mspan is not None:
                 self.tracer.end(mspan)
             final = ResultPacket(
@@ -617,13 +540,14 @@ class Scheduler:
         command: Command,
         ctx: CommandContext,
         assignment: Any,
-        idx: int,
+        unit: int,
+        widx: int,
         request_id: int,
         client_mailbox: Mailbox,
         command_span=None,
         attempt: int = 1,
     ) -> Generator[Event, None, tuple[WorkerShare | None, str]]:
-        """Process body: one execution attempt on ``worker``.
+        """Process body: one execution attempt of ``unit`` on ``worker``.
 
         Returns ``(share, "ok")`` on success, ``(None, reason)`` when
         the attempt crashed or exceeded the assignment timeout.  The
@@ -633,10 +557,10 @@ class Scheduler:
         policy = self.recovery
         proc = self.env.process(
             worker.execute(
-                command, ctx, assignment, idx, request_id, client_mailbox,
-                parent_span=command_span,
+                command, ctx, assignment, widx, request_id, client_mailbox,
+                parent_span=command_span, unit=unit,
             ),
-            name=f"worker{idx}-{command.name}-try{attempt}",
+            name=f"worker{widx}-{command.name}-try{attempt}",
         )
         worker._active_proc = proc
         try:
@@ -647,10 +571,10 @@ class Scheduler:
                     self.recovery_stats["timeouts"] += 1
                     self._fault_event(
                         "fault-timeout", worker.node.node_id,
-                        parent=command_span, request=request_id, share=idx,
+                        parent=command_span, request=request_id, share=unit,
                         timeout=policy.assignment_timeout,
                     )
-                    proc.interrupt(("assignment-timeout", idx))
+                    proc.interrupt(("assignment-timeout", unit))
                     try:
                         share = yield proc
                         return share, "ok"  # finished right at the deadline
@@ -682,22 +606,24 @@ class Scheduler:
         command: Command,
         ctx: CommandContext,
         assignment: Any,
-        idx: int,
+        unit: int,
+        widx: int,
         request_id: int,
         client_mailbox: Mailbox,
         group: list[Worker],
         command_span=None,
     ) -> Generator[Event, None, ShareOutcome]:
-        """Process body: drive one share to completion despite faults.
+        """Drive work unit ``unit``, claimed by ``group[widx]``, to
+        completion despite faults.
 
         Bounded retry with exponential backoff in simulated time; a
-        crashed primary's share moves to the lowest-id surviving group
+        crashed primary's unit moves to the lowest-id surviving group
         member (when the policy allows reassignment).  Exhausting every
         attempt yields a ``share=None`` outcome — the command then
         serves a partial result flagged ``degraded`` instead of hanging.
         """
         policy = self.recovery
-        primary = group[idx]
+        primary = group[widx]
         reassignments = 0
         reason = "ok"
         total_tries = 1 + max(policy.max_retries, 0)
@@ -706,7 +632,7 @@ class Scheduler:
                 self.recovery_stats["retries"] += 1
                 self._fault_event(
                     "fault-retry", primary.node.node_id,
-                    parent=command_span, request=request_id, share=idx,
+                    parent=command_span, request=request_id, share=unit,
                     attempt=attempt + 1, reason=reason,
                 )
                 delay = policy.retry_backoff * (policy.backoff_factor ** (attempt - 1))
@@ -723,26 +649,26 @@ class Scheduler:
                 self.recovery_stats["reassignments"] += 1
                 self._fault_event(
                     "fault-reassign", worker.node.node_id,
-                    parent=command_span, request=request_id, share=idx,
+                    parent=command_span, request=request_id, share=unit,
                     from_worker=primary.worker_id, to_worker=worker.worker_id,
                 )
             share, reason = yield from self._attempt(
-                worker, command, ctx, assignment, idx, request_id,
+                worker, command, ctx, assignment, unit, widx, request_id,
                 client_mailbox, command_span=command_span, attempt=attempt + 1,
             )
             if share is not None:
                 return ShareOutcome(
-                    index=idx, share=share, executor=worker,
+                    index=unit, share=share, executor=worker,
                     attempts=attempt + 1, reassignments=reassignments,
                 )
         self.recovery_stats["lost_shares"] += 1
         self._fault_event(
             "fault-giveup", primary.node.node_id,
-            parent=command_span, request=request_id, share=idx,
+            parent=command_span, request=request_id, share=unit,
             attempts=total_tries, reason=reason,
         )
         return ShareOutcome(
-            index=idx, share=None, executor=None,
+            index=unit, share=None, executor=None,
             attempts=total_tries, reassignments=reassignments, reason=reason,
         )
 

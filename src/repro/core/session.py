@@ -58,8 +58,11 @@ class CommandResult:
     #: True when the merged result is partial: at least one worker share
     #: was unrecoverable and the scheduler served what it had.
     degraded: bool = False
-    #: share indices missing from the merge (empty unless degraded).
+    #: unit indices missing from the merge (empty unless degraded):
+    #: shares under a static schedule, tasks under a dynamic one.
     failed_shares: list[int] = field(default_factory=list)
+    #: work units the run planned — what ``failed_shares`` is out of.
+    planned_units: int = 0
     #: recovery actions taken for this run (retries, reassignments).
     recovery: dict[str, int] = field(default_factory=dict)
     #: submit → work group fully acquired [sim s]; the queue term the
@@ -271,6 +274,7 @@ class ViracochaSession:
             tracer=self.tracer if self.tracer.enabled else None,
             degraded=record.degraded,
             failed_shares=list(record.failed_shares),
+            planned_units=record.planned_units,
             recovery={
                 "retries": record.retries,
                 "reassignments": record.reassignments,
@@ -466,6 +470,7 @@ class ViracochaSession:
                     tracer=self.tracer if self.tracer.enabled else None,
                     degraded=record.degraded,
                     failed_shares=list(record.failed_shares),
+                    planned_units=record.planned_units,
                     recovery={
                         "retries": record.retries,
                         "reassignments": record.reassignments,

@@ -126,8 +126,14 @@ class Worker:
         request_id: int,
         client_mailbox: Mailbox,
         parent_span=None,
+        *,
+        unit: int,
     ) -> Generator[Event, None, WorkerShare]:
         """Process body: run one assignment to completion.
+
+        ``unit`` is the assignment's canonical work-unit index (the
+        share index under a static schedule); streamed packets carry it
+        so the client dedups a retried unit and never merges two units.
 
         Raises :class:`WorkerUnavailable` when started on a crashed
         worker; an injected mid-run crash surfaces as an
@@ -255,6 +261,7 @@ class Worker:
                             payload=op.payload,
                             nbytes=op.nbytes,
                             kind=op.kind,
+                            unit=unit,
                         )
                         share.packets_streamed += 1
                         yield from self.tcp.send(self.node, packet, client_mailbox)

@@ -106,10 +106,11 @@ def run_chaos(
 
 
 def degraded_share_rate(results: "list[Any]") -> float:
-    """Fraction of planned shares lost across runs.
+    """Fraction of planned work units lost across runs.
 
     The raw material for the ``complete-results`` SLO: each command
-    plans ``group_size`` shares; unrecoverable ones end up in
+    plans ``planned_units`` units (shares under a static schedule,
+    tasks under a dynamic one); unrecoverable ones end up in
     ``failed_shares``.  Accepts :class:`ChaosRun` objects or bare
     ``CommandResult``-shaped results.
     """
@@ -117,7 +118,7 @@ def degraded_share_rate(results: "list[Any]") -> float:
     lost = 0
     for entry in results:
         result = getattr(entry, "result", entry)
-        planned += result.group_size
+        planned += result.planned_units
         lost += len(result.failed_shares)
     return lost / planned if planned else 0.0
 

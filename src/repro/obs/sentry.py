@@ -309,22 +309,6 @@ def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     }
 
 
-def _worker_idle_seconds(result: Any) -> float:
-    """Worker imbalance from one result's span slice: the simulated
-    seconds workers spent finished while the slowest one still ran
-    (``Σ over workers of (last worker end − this worker's end)``)."""
-    ends: dict[Any, float] = {}
-    for span in result.spans:
-        if span.kind != "worker" or span.t_end is None:
-            continue
-        wid = span.attrs.get("worker")
-        ends[wid] = max(ends.get(wid, 0.0), span.t_end)
-    if len(ends) < 2:
-        return 0.0
-    t_max = max(ends.values())
-    return sum(t_max - t for t in ends.values())
-
-
 def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
     """One dynamic-scheduling cell: static vs work-stealing, in
     simulated seconds.
@@ -363,7 +347,7 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
         record = session.scheduler.history[-1]
         out[f"cold_{schedule}_s"] = session.scheduler.history[-2].runtime
         out[f"warm_{schedule}_s"] = record.runtime
-        out[f"idle_{schedule}_s"] = _worker_idle_seconds(warm)
+        out[f"idle_{schedule}_s"] = record.idle_seconds
         out[f"steals_{schedule}"] = record.steals
     warm_static = out["warm_static_s"]
     warm_dynamic = out["warm_dynamic_s"]

@@ -115,8 +115,8 @@ class VisualizationClient:
         self._request_done: dict[int, Any] = {}
         self._done_event = None
         self._consumer = None
-        #: packets already merged, keyed (request, worker, sequence) —
-        #: a retried streaming share re-sends packets its first attempt
+        #: packets already merged, keyed (request, unit, sequence) — a
+        #: retried streaming unit re-sends packets its first attempt
         #: already delivered; duplicates must not double the geometry.
         self._seen: set[tuple[int, int, int]] = set()
         self.duplicates = 0
@@ -180,7 +180,7 @@ class VisualizationClient:
             if not isinstance(message, ResultPacket):
                 continue
             if not message.final:
-                key = (message.request_id, message.worker_index, message.sequence)
+                key = (message.request_id, message.unit, message.sequence)
                 if key in self._seen:
                     self.duplicates += 1
                     continue

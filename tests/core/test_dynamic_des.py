@@ -2,29 +2,28 @@
 
 Simulated time is deterministic, so these are exact assertions: the
 dynamic drain must reproduce the canonical group-1 merge bytes, record
-its steal/idle bookkeeping, refuse to compose with fault recovery, and
-leave the default static path — and therefore every golden fingerprint
-and chaos pin — completely untouched.
+its steal/idle bookkeeping, stream every task's packets, and leave the
+default static path — and therefore every golden fingerprint and chaos
+pin — completely untouched.  Dynamic runs under fault recovery are
+covered in ``tests/faults``.
 """
 
 import pytest
 
 from repro import ViracochaSession
 from repro.bench import paper_cluster, paper_costs
-from repro.core.scheduler import RecoveryPolicy
 from repro.synth import build_propfan
 from tests.conftest import cached_engine
 
 ISO = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 2)}
 
 
-def _session(n_workers=4, recovery=None):
+def _session(n_workers=4):
     return ViracochaSession(
         cached_engine(4, 2),
         n_workers=n_workers,
         cluster_config=paper_cluster(n_workers),
         costs=paper_costs(),
-        recovery=recovery,
     )
 
 
@@ -60,23 +59,17 @@ def test_dynamic_records_steals_and_idle():
 
 
 def test_static_records_keep_default_accounting():
-    """Static runs must not grow steal/idle numbers — the RunRecord
-    fields default to zero so existing fingerprints stay stable."""
+    """Static deals exactly one unit per worker, so it never steals;
+    its idle time is measured like dynamic's — the tail each worker
+    waits for the slowest one, read off the worker spans."""
     session = _session()
-    session.run("iso-dataman", params=dict(ISO), group_size=4)
+    result = session.run("iso-dataman", params=dict(ISO), group_size=4)
     record = session.scheduler.history[-1]
     assert record.steals == 0
-    assert record.idle_seconds == 0.0
-
-
-def test_dynamic_rejects_recovery_policy():
-    session = _session(recovery=RecoveryPolicy(max_retries=2))
-    with pytest.raises(RuntimeError, match="dynamic"):
-        session.run(
-            "iso-dataman",
-            params=dict(ISO, schedule="dynamic"),
-            group_size=4,
-        )
+    ends = [s.t_end for s in result.spans_of_kind("worker")]
+    assert len(ends) == 4
+    assert record.idle_seconds == sum(max(ends) - t for t in ends)
+    assert record.idle_seconds > 0.0
 
 
 def test_dynamic_steal_batch_param_bounds():
@@ -125,19 +118,31 @@ def test_dynamic_beats_static_on_skewed_propfan():
     assert _bytes(warm["dynamic"].geometry) == _bytes(reference.geometry)
 
 
-def test_dynamic_streaming_command_completes():
-    """Streaming commands (viewer iso) run under the dynamic drain too:
-    packets flow from whichever worker claims each task."""
+STREAMED = {
+    "iso-viewer": {
+        "isovalue": 0.0,
+        "scalar": "pressure",
+        "time_range": (0, 1),
+        "viewpoint": (0.0, 0.0, 4.0),
+    },
+    "cutplane-streamed": {
+        "normal": (0.0, 0.0, 1.0), "offset": 0.8, "time_range": (0, 1),
+    },
+    "vortex-streamed": {"time_range": (0, 2)},
+}
+
+
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+@pytest.mark.parametrize("command", sorted(STREAMED))
+def test_dynamic_streaming_command_completes(command, schedule):
+    """Streaming commands deliver every unit's geometry under either
+    schedule: a worker that drains several tasks restarts its packet
+    sequence per task, and the client must not drop those as repeats."""
+    params = dict(STREAMED[command])
+    reference = _session().run(command, params=dict(params), group_size=1)
+    if schedule == "dynamic":
+        params.update(schedule="dynamic", steal_batch=1)
     session = _session()
-    result = session.run(
-        "iso-viewer",
-        params={
-            "isovalue": 0.0,
-            "scalar": "pressure",
-            "time_range": (0, 1),
-            "viewpoint": (0.0, 0.0, 4.0),
-            "schedule": "dynamic",
-        },
-        group_size=4,
-    )
-    assert result.n_packets > 0, "viewer command should stream packets"
+    result = session.run(command, params=params, group_size=4)
+    assert result.geometry.n_triangles == reference.geometry.n_triangles > 0
+    assert session.client.duplicates == 0

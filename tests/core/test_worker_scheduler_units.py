@@ -70,7 +70,9 @@ def world():
 
 def run_exec(env, worker, command, ctx, assignment, client_box):
     proc = env.process(
-        worker.execute(command, ctx, assignment, 0, request_id=7, client_mailbox=client_box)
+        worker.execute(
+            command, ctx, assignment, 0, request_id=7, client_mailbox=client_box, unit=0
+        )
     )
     share = env.run(until=proc)
     env.run()  # drain prefetch background loads
@@ -132,7 +134,9 @@ def test_worker_rejects_unknown_op(world):
 
     box = Mailbox(env)
     proc = env.process(
-        worker.execute(BadCommand(), ctx, None, 0, request_id=1, client_mailbox=box)
+        worker.execute(
+            BadCommand(), ctx, None, 0, request_id=1, client_mailbox=box, unit=0
+        )
     )
     with pytest.raises(TypeError, match="unknown op"):
         env.run(until=proc)

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.scheduler import RecoveryPolicy
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, degraded_share_rate
 from tests.conftest import paper_session
 
 ISO = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 2)}
+DYNAMIC_ISO = dict(ISO, schedule="dynamic", steal_batch=1)
 PROGRESSIVE = {"isovalue": -0.3, "time_range": (0, 1), "max_levels": 3}
 
 
@@ -15,10 +16,15 @@ def clean_iso():
     return paper_session(n_workers=3).run("iso-dataman", params=ISO)
 
 
-def _crash_session(clean, worker=1, downtime_factor=10.0, n_workers=3):
+def _bytes(geometry) -> bytes:
+    return geometry.vertices.tobytes() + geometry.triangles.tobytes()
+
+
+def _crash_session(clean, worker=1, downtime_factor=10.0, n_workers=3, t_crash=None):
     """A session whose ``worker`` dies mid-command and stays down."""
     session = paper_session(n_workers=n_workers)
-    t_crash = 0.3 * clean.total_runtime
+    if t_crash is None:
+        t_crash = 0.3 * clean.total_runtime
     plan = FaultPlan(seed=1).crash_worker(
         t_crash, worker=worker, downtime=downtime_factor * clean.total_runtime
     )
@@ -45,14 +51,19 @@ def test_single_crash_reassigns_and_merges_complete_result(clean_iso):
 
 
 def test_streaming_crash_dedups_packets(clean_iso):
-    clean = paper_session(n_workers=3).run("iso-progressive", params=PROGRESSIVE)
-    session = _crash_session(clean_iso)
+    """Worker 1 dies between its first and second packet; its share
+    re-runs on a survivor, which re-sends the delivered packet under the
+    same (request, unit, sequence) key — the client drops it."""
+    clean_session = paper_session(n_workers=3)
+    clean = clean_session.run("iso-progressive", params=PROGRESSIVE)
+    first, second = [
+        p.time for p in clean_session.client.packets if p.worker_index == 1
+    ][:2]
+    session = _crash_session(clean_iso, t_crash=(first + second) / 2)
     result = session.run("iso-progressive", params=PROGRESSIVE)
-    if result.complete:
-        assert result.geometry.n_triangles == clean.geometry.n_triangles
-    # Either the crash hit before the worker streamed anything (no
-    # duplicates) or the retry re-sent packets the client filtered.
-    assert session.client.duplicates >= 0
+    assert result.complete
+    assert result.geometry.n_triangles == clean.geometry.n_triangles
+    assert session.client.duplicates >= 1
     final = [p for p in session.client.packets if p.final]
     assert len(final) == 1
 
@@ -75,6 +86,35 @@ def test_all_workers_dead_yields_degraded_not_hang(clean_iso):
         for entry in result.metrics["viracocha_commands_degraded_total"]
     }
     assert metrics["iso-dataman"] == 1
+
+
+def test_dynamic_single_crash_reassigns_and_keeps_group1_bytes(clean_iso):
+    """Under the dynamic schedule a dead worker's claimed tasks move to
+    a survivor and the merge still equals a group-1 run byte for byte."""
+    group1 = paper_session(n_workers=3).run("iso-dataman", params=ISO, group_size=1)
+    session = _crash_session(clean_iso)
+    result = session.run("iso-dataman", params=DYNAMIC_ISO)
+    assert result.complete and not result.degraded
+    assert result.failed_shares == []
+    assert result.recovery["reassignments"] >= 1
+    assert _bytes(result.geometry) == _bytes(group1.geometry)
+    assert "fault-reassign" in result.span_kinds()
+
+
+def test_dynamic_all_workers_dead_loses_every_task():
+    """Every worker down before the drain starts: each task exhausts its
+    attempts, the run terminates degraded, and all of it is lost."""
+    session = paper_session(n_workers=2)
+    plan = FaultPlan(seed=2)
+    for w in range(2):
+        plan.crash_worker(0.0, worker=w, downtime=0.0)
+    FaultInjector(plan, session).install()
+    result = session.run("iso-dataman", params=DYNAMIC_ISO)
+    assert result.degraded and not result.complete
+    assert result.planned_units > result.group_size
+    assert result.failed_shares == list(range(result.planned_units))
+    assert result.geometry.n_triangles == 0
+    assert degraded_share_rate([result]) == 1.0
 
 
 def test_degraded_session_still_serves_later_commands(clean_iso):

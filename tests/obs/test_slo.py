@@ -160,6 +160,7 @@ def test_chaos_bridge_helpers():
         packet_times = [1.0]
         degraded = True
         group_size = 4
+        planned_units = 4
         failed_shares = [2]
 
     rate = degraded_share_rate([FakeResult(), FakeResult()])
