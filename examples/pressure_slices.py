@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Cut planes and pressure contours through the Engine intake flow.
+"""Pressure-colored cut planes through the Engine intake flow.
 
 Slices the cylinder at three heights, interpolates pressure onto each
-cut, extracts contour lines, and sketches them in the terminal —
-classic slice-based CFD post-processing on top of the same tetrahedral
-machinery that powers the paper's isosurfaces.
+cut, and sketches the cut meshes in the terminal — classic slice-based
+CFD post-processing on top of the same tetrahedral machinery that
+powers the paper's isosurfaces.
 
 Run:  python examples/pressure_slices.py
 """
@@ -12,7 +12,7 @@ Run:  python examples/pressure_slices.py
 import numpy as np
 
 from repro import build_engine
-from repro import postprocess as pp
+from repro.algorithms import extract_cutplane
 from repro.viz import render_ascii
 
 
@@ -20,17 +20,15 @@ def main() -> None:
     engine = build_engine(base_resolution=8, n_timesteps=1)
     level = engine.level(0)
     lo, hi = level.scalar_range("pressure")
-    levels = [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
-    print(f"pressure range [{lo:.2f}, {hi:.2f}], "
-          f"contouring at {[round(v, 2) for v in levels]}\n")
+    print(f"pressure range [{lo:.2f}, {hi:.2f}]\n")
 
     bounds = level.bounds()
     for z in (0.3, 0.8, 1.3):
-        cut = pp.cut_plane(level, (0, 0, 1), offset=z, attributes=["pressure"])
-        contours = pp.cut_plane_contours(level, (0, 0, 1), z, "pressure", levels)
+        cut = extract_cutplane(level, np.array([0.0, 0.0, 1.0]), z, ["pressure"])
+        p = cut.attributes["pressure"]
         print(f"slice z = {z}: {cut.n_triangles} triangles, "
-              f"{contours.n_lines} contour segments")
-        print(render_ascii(contours, "xy", width=48, height=15, bounds=bounds))
+              f"pressure on the cut [{p.min():.2f}, {p.max():.2f}]")
+        print(render_ascii(cut, "xy", width=48, height=15, bounds=bounds))
         print()
 
 

@@ -20,21 +20,7 @@ from .pathlines import (
     Pathline,
     trace_pathlines,
 )
-from .streamlines import (
-    BatchStreamlineTracer,
-    trace_streamlines,
-)
 from .streaklines import Streakline, StreaklineTracer, trace_streakline
-from .contours import contour_lines, cutplane_contours
-from .criteria import (
-    enstrophy_field,
-    extract_q_vortices,
-    helicity_field,
-    q_criterion_field,
-    q_criterion_points,
-    vorticity_field,
-    vorticity_magnitude_field,
-)
 from .cutplane import (
     extract_block_cutplane,
     extract_cutplane,
@@ -58,20 +44,9 @@ __all__ = [
     "BlockRequest",
     "Pathline",
     "trace_pathlines",
-    "BatchStreamlineTracer",
-    "trace_streamlines",
     "Streakline",
     "StreaklineTracer",
     "trace_streakline",
-    "contour_lines",
-    "cutplane_contours",
-    "enstrophy_field",
-    "extract_q_vortices",
-    "helicity_field",
-    "q_criterion_field",
-    "q_criterion_points",
-    "vorticity_field",
-    "vorticity_magnitude_field",
     "extract_block_cutplane",
     "extract_cutplane",
     "iter_cutplane_batches",

@@ -1,4 +1,4 @@
-"""Pathline (and streamline) integration on multi-block time series.
+"""Pathline integration on multi-block time series.
 
 "The applied pathline computation scheme [...] utilizes Runge-Kutta
 fourth order integration with adaptive step size control [...].  The
@@ -172,11 +172,6 @@ class BatchPathlineTracer:
         self._cache_cap = self.local_cache_blocks
 
     # ------------------------------------------------------ block access
-    def _map_request(self, time_index: int, block_id: int) -> BlockRequest:
-        """Hook: translate a sampler demand into an emitted request
-        (overridden by the steady-state streamline tracer)."""
-        return BlockRequest(time_index, block_id)
-
     def _get_block_batch(
         self, time_index: int, block_id: int, trigger: int
     ) -> Generator[BlockRequest, StructuredBlock, StructuredBlock | None]:
@@ -189,7 +184,7 @@ class BatchPathlineTracer:
         if block is not None:
             self._blocks.move_to_end(key)
             return block
-        request = self._map_request(time_index, block_id)
+        request = BlockRequest(time_index, block_id)
         self.request_log.append(request)
         self.request_triggers.append(int(trigger))
         self._demand(trigger, time_index, block_id)

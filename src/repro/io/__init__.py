@@ -10,7 +10,6 @@ from .format import (
     write_block,
 )
 from .dataset_io import DatasetStore, block_filename, write_dataset
-from .outofcore import BoundedBlockReader, isosurface_out_of_core, iter_blocks
 from .geometry_io import (
     geometry_from_bytes,
     geometry_to_bytes,
@@ -31,9 +30,6 @@ __all__ = [
     "DatasetStore",
     "block_filename",
     "write_dataset",
-    "BoundedBlockReader",
-    "isosurface_out_of_core",
-    "iter_blocks",
     "geometry_from_bytes",
     "geometry_to_bytes",
     "load_geometry",

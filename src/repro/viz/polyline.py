@@ -1,6 +1,6 @@
 """Polyline geometry for particle traces.
 
-Pathlines, streamlines and streaklines arrive at the client as point
+Pathlines and streaklines arrive at the client as point
 sequences; this module turns them into renderable polyline sets with
 per-vertex attributes (time, speed) and supports the same merge
 semantics as :class:`~repro.viz.mesh.TriangleMesh`.

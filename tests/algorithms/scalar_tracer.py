@@ -20,18 +20,12 @@ import numpy as np
 
 from repro.algorithms.pathlines import BlockRequest, Pathline
 from repro.grids.block import BlockHandle, StructuredBlock
-from repro.grids.multiblock import MultiBlockDataset, TimeSeries
+from repro.grids.multiblock import TimeSeries
 from repro.grids.topology import BlockTopology
 
 from ..grids.scalar_locator import ScalarCellLocator
 
-__all__ = [
-    "topology_candidates",
-    "PathlineTracer",
-    "StreamlineTracer",
-    "trace_pathline",
-    "trace_streamline",
-]
+__all__ = ["topology_candidates", "PathlineTracer", "trace_pathline"]
 
 
 class _OutOfDomain(Exception):
@@ -95,11 +89,6 @@ class PathlineTracer:
         self.samples = 0  #: velocity samples taken (drives cost charging)
 
     # ------------------------------------------------------ block access
-    def _map_request(self, time_index: int, block_id: int) -> BlockRequest:
-        """Hook: translate a sampler demand into an emitted request
-        (overridden by the steady-state streamline tracer)."""
-        return BlockRequest(time_index, block_id)
-
     def _get_block(
         self, time_index: int, block_id: int
     ) -> Generator[BlockRequest, StructuredBlock, StructuredBlock]:
@@ -108,7 +97,7 @@ class PathlineTracer:
         if block is not None:
             self._blocks.move_to_end(key)
             return block
-        request = self._map_request(time_index, block_id)
+        request = BlockRequest(time_index, block_id)
         self.request_log.append(request)
         block = yield request
         if block is None:
@@ -276,49 +265,5 @@ def trace_pathline(
         while True:
             block = series.level(request.time_index)[request.block_id]
             request = gen.send(block)
-    except StopIteration as stop:
-        return stop.value
-
-
-class StreamlineTracer(PathlineTracer):
-    """A pathline tracer pinned to one time level."""
-
-    def __init__(
-        self,
-        handles: Sequence[BlockHandle],
-        level_index: int = 0,
-        duration: float = 1.0,
-        **kwargs,
-    ):
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        # A single synthetic "time axis" spanning the integration length;
-        # both bracket levels collapse onto the frozen level.
-        super().__init__(handles, times=[0.0, duration], **kwargs)
-        self.level_index = level_index
-
-    def _map_request(self, time_index: int, block_id: int):
-        # Both pseudo-time levels map to the same frozen dataset level.
-        return BlockRequest(self.level_index, block_id)
-
-    def trace_steady(
-        self, seed: np.ndarray, duration: float | None = None
-    ) -> Generator[BlockRequest, object, Pathline]:
-        return (yield from self.trace(seed, 0.0, duration))
-
-
-def trace_streamline(
-    dataset: MultiBlockDataset,
-    seed: np.ndarray,
-    duration: float = 1.0,
-    **tracer_kwargs,
-) -> Pathline:
-    """Serial convenience wrapper over one in-memory time level."""
-    tracer = StreamlineTracer(dataset.handles(), duration=duration, **tracer_kwargs)
-    gen = tracer.trace_steady(seed, duration)
-    try:
-        request = next(gen)
-        while True:
-            request = gen.send(dataset[request.block_id])
     except StopIteration as stop:
         return stop.value

@@ -10,22 +10,17 @@ coalescing — every particle's individual block-request order.
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    BatchPathlineTracer,
-    trace_pathlines,
-    trace_streamlines,
-)
+from repro.algorithms import BatchPathlineTracer, trace_pathlines
 from repro.algorithms.pathlines import _bracket_many
 from repro.grids import CellLocator
 from repro.grids.interpolate import _SMALL_BATCH
 
-from .scalar_tracer import PathlineTracer, _bracket, trace_pathline, trace_streamline
+from .scalar_tracer import PathlineTracer, _bracket, trace_pathline
 from .test_pathlines import (
     accelerating,
     rotation,
     series_for,
     uniform,
-    velocity_dataset,
 )
 
 
@@ -321,19 +316,3 @@ def test_batch_reset_cache_clears_coalescing_state():
     assert not tracer.request_log
     assert not tracer.request_triggers
     assert not tracer.demand_log
-
-
-# --------------------------------------------------------- streamlines
-
-
-def test_batched_streamlines_match_scalar():
-    dataset = velocity_dataset(rotation, 0.0)
-    seeds = np.array([[0.8, 0.0, 0.0], [0.0, 0.5, 0.1], [-0.4, 0.4, -0.2]])
-    batched = trace_streamlines(dataset, seeds, duration=2.0, rtol=1e-5)
-    for seed, got in zip(seeds, batched):
-        ref = trace_streamline(dataset, seed, duration=2.0, rtol=1e-5)
-        assert got.termination == ref.termination
-        np.testing.assert_allclose(got.points[-1], ref.points[-1], atol=1e-3)
-        # Steady rotation: radius is conserved along the streamline.
-        r = np.linalg.norm(got.points[:, :2], axis=1)
-        np.testing.assert_allclose(r, r[0], atol=5e-3)

@@ -1,15 +1,9 @@
-"""Correctness tests for pathline / streamline integration."""
+"""Correctness tests for pathline integration."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    BatchPathlineTracer,
-    BatchStreamlineTracer,
-    Pathline,
-    trace_pathlines,
-    trace_streamlines,
-)
+from repro.algorithms import BatchPathlineTracer, Pathline, trace_pathlines
 from repro.grids import MultiBlockDataset, StructuredBlock, TimeSeries
 from repro.synth import cartesian_lattice
 
@@ -184,22 +178,6 @@ def test_pathline_reset_cache():
     tracer.reset_cache()
     assert not tracer.request_log
     assert not tracer._blocks
-
-
-# ------------------------------------------------------------ streamlines
-
-
-def test_streamline_on_steady_rotation():
-    level = velocity_dataset(rotation, 0.0)
-    (path,) = trace_streamlines(level, np.array([[0.9, 0.0, 0.0]]), duration=np.pi)
-    radii = np.linalg.norm(path.points[:, :2], axis=1)
-    np.testing.assert_allclose(radii, 0.9, atol=5e-3)
-
-
-def test_streamline_duration_validation():
-    level = velocity_dataset(uniform, 0.0)
-    with pytest.raises(ValueError):
-        BatchStreamlineTracer(level.handles(), duration=0.0)
 
 
 def test_pathline_dataclass_helpers():

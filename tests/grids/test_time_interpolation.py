@@ -46,12 +46,12 @@ def test_interpolate_weight_is_linear():
 
 
 def test_interpolated_level_feeds_extraction():
-    from repro.postprocess import isosurface
+    from repro.algorithms import extract_isosurface
 
     series = make_series()
     # p crosses 0.5 exactly between the first two levels.
     level = series.interpolate_level(0.5)
-    mesh = isosurface(level, "p", 0.4)
+    mesh = extract_isosurface(level, "p", 0.4)
     assert mesh.is_empty()  # constant field 0.5: no 0.4-crossing inside
     level2 = series.interpolate_level(0.5)
     assert level2[0].field("p").min() == pytest.approx(0.5)

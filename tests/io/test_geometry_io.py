@@ -88,10 +88,10 @@ def test_unserializable_type_rejected():
 def test_extraction_result_roundtrip():
     """Real extracted geometry survives the wire format."""
     from repro import build_engine
-    from repro.postprocess import isosurface
+    from repro.algorithms import extract_isosurface
 
     level = build_engine(base_resolution=5, n_timesteps=1).level(0)
-    mesh = isosurface(level, "pressure", -0.3, attributes=["pressure"])
+    mesh = extract_isosurface(level, "pressure", -0.3, attributes=["pressure"])
     out = geometry_from_bytes(geometry_to_bytes(mesh))
     assert out.n_triangles == mesh.n_triangles
     assert out.area() == pytest.approx(mesh.area(), rel=1e-5)

@@ -21,7 +21,6 @@ from repro.io import (
     read_block,
     write_block,
 )
-from repro.io.outofcore import BoundedBlockReader
 from repro.dms.source import StoreSource
 
 
@@ -102,7 +101,7 @@ def test_dict_conversion_sees_lazy_fields():
     assert all(np.asarray(v).dtype == np.float64 for v in as_dict.values())
 
 
-def test_bounded_reader_reports_true_resident_bytes(tmp_path):
+def test_store_reads_report_true_resident_bytes(tmp_path):
     from repro.io import write_dataset
     from tests.conftest import cached_engine
 
@@ -113,13 +112,12 @@ def test_bounded_reader_reports_true_resident_bytes(tmp_path):
         modeled_shapes=list(eng.spec.modeled_shapes),
         times=eng.spec.times[:1],
     )
-    lazy_reader = BoundedBlockReader(store, max_blocks=2)
-    eager_reader = BoundedBlockReader(store, max_blocks=2, lazy=False)
     for b in (0, 1):
-        lazy_reader.get(0, b)
-        eager_reader.get(0, b)
-    assert lazy_reader.resident_count == eager_reader.resident_count == 2
-    assert lazy_reader.resident_nbytes < eager_reader.resident_nbytes
+        lazy = store.read_block(0, b, lazy=True)
+        eager = store.read_block(0, b, lazy=False)
+        assert isinstance(lazy, LazyStructuredBlock)
+        assert eager.resident_nbytes == eager.nbytes
+        assert lazy.resident_nbytes < eager.resident_nbytes
 
 
 # ------------------------------------------------------------ satellite 2

@@ -9,7 +9,7 @@ acceptance bar of the multicore subsystem.
 import numpy as np
 import pytest
 
-from repro.io.outofcore import isosurface_out_of_core
+from repro.algorithms import extract_isosurface
 from repro.parallel import ParallelExtractor
 from tests.conftest import cached_engine
 
@@ -69,13 +69,13 @@ def test_precomputed_lambda2_preserves_bytes(engine_store):
     assert _mesh_bytes(plain.result) == _mesh_bytes(derived.result)
 
 
-def test_matches_out_of_core_reference(engine_store):
+def test_matches_library_reference(engine_store):
     """The shared-memory path reproduces the direct library path."""
-    reference = isosurface_out_of_core(
-        engine_store, 0, ISO["scalar"], ISO["isovalue"]
+    reference = extract_isosurface(
+        engine_store.read_level(0), ISO["scalar"], ISO["isovalue"]
     )
     # A single share visits blocks in storage order, exactly like the
-    # out-of-core loop; fragment merge order is then identical too.
+    # library loop; fragment merge order is then identical too.
     got = _run(
         engine_store, "process", 1, "iso-dataman", {**ISO, "time_range": (0, 1)}
     )

@@ -33,5 +33,5 @@ def test_ondisk_workflow(capsys):
 
 def test_pressure_slices(capsys):
     out = run_example("pressure_slices.py", capsys)
-    assert "contour segments" in out
+    assert out.count("pressure on the cut") == 3
     assert "+---" in out  # a rendered frame

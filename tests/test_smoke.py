@@ -35,9 +35,9 @@ def test_store_source_session_end_to_end(tmp_path):
         "iso-dataman",
         params={"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)},
     )
-    from repro.postprocess import isosurface
+    from repro.algorithms import extract_isosurface
 
-    direct = isosurface(engine.level(0), "pressure", -0.3)
+    direct = extract_isosurface(engine.level(0), "pressure", -0.3)
     # float32 round-trip through the store may perturb values near the
     # isovalue; triangle counts must still agree closely.
     assert abs(result.geometry.n_triangles - direct.n_triangles) <= max(
