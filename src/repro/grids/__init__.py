@@ -1,15 +1,7 @@
 """Curvilinear multi-block structured grids (the VTK-substrate stand-in)."""
 
 from .block import BlockHandle, StructuredBlock
-from .geometry import (
-    cell_centers,
-    cell_volumes,
-    computational_derivatives,
-    inverse_jacobian,
-    jacobian,
-    physical_gradient,
-    velocity_gradient_tensor,
-)
+from .geometry import cell_centers, cell_volumes, velocity_gradient_tensor
 from .interpolate import (
     CellLocator,
     invert_trilinear_many,
@@ -26,10 +18,6 @@ __all__ = [
     "StructuredBlock",
     "cell_centers",
     "cell_volumes",
-    "computational_derivatives",
-    "inverse_jacobian",
-    "jacobian",
-    "physical_gradient",
     "velocity_gradient_tensor",
     "CellLocator",
     "invert_trilinear_many",

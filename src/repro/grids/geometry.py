@@ -19,78 +19,18 @@ import numpy as np
 
 from .block import StructuredBlock
 
-__all__ = [
-    "computational_derivatives",
-    "jacobian",
-    "inverse_jacobian",
-    "physical_gradient",
-    "velocity_gradient_tensor",
-    "cell_volumes",
-    "cell_centers",
-]
+__all__ = ["velocity_gradient_tensor", "cell_volumes", "cell_centers"]
 
+#: Flat ``(row, col)`` indices into a 3x3 matrix stored as 9 rows: entry
+#: ``k`` of the adjugate is ``m[_ADJ_A[k]] * m[_ADJ_B[k]] - m[_ADJ_C[k]]
+#: * m[_ADJ_D[k]]``, the closed-form cofactors in row-major order.
+_ADJ_A = np.array([4, 2, 1, 5, 0, 2, 3, 1, 0])
+_ADJ_B = np.array([8, 7, 5, 6, 8, 3, 7, 6, 4])
+_ADJ_C = np.array([5, 1, 2, 3, 2, 0, 4, 0, 1])
+_ADJ_D = np.array([7, 8, 4, 8, 6, 5, 6, 7, 3])
 
-def computational_derivatives(data: np.ndarray) -> np.ndarray:
-    """Central differences of ``data`` along the three lattice axes.
-
-    ``data`` has shape ``(ni, nj, nk)`` or ``(ni, nj, nk, m)``.  Returns
-    shape ``data.shape + (3,)`` with derivative index last: result
-    ``[..., a]`` is d(data)/d(axis a) with unit lattice spacing.
-    One-sided differences are used on the boundary layers (matching
-    ``np.gradient``).
-    """
-    data = np.asarray(data, dtype=np.float64)
-    grads = np.gradient(data, axis=(0, 1, 2), edge_order=1)
-    return np.stack(grads, axis=-1)
-
-
-def jacobian(block: StructuredBlock) -> np.ndarray:
-    """Jacobian ``J[..., c, a] = d x_c / d xi_a`` per point, shape (ni,nj,nk,3,3)."""
-    return computational_derivatives(block.coords)
-
-
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of stacked 3x3 matrices without LAPACK round-trips."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
-def inverse_jacobian(jac: np.ndarray, eps: float = 1e-300) -> np.ndarray:
-    """Per-point inverse of stacked 3x3 Jacobians via the adjugate."""
-    det = _det3(jac)
-    # Guard degenerate cells; the caller sees inf/large values there,
-    # which downstream thresholding treats as non-vortical/outside.
-    safe = np.where(np.abs(det) < eps, np.copysign(eps, det) + (det == 0) * eps, det)
-    inv = np.empty_like(jac)
-    a = jac
-    inv[..., 0, 0] = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-    inv[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-    inv[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-    inv[..., 1, 0] = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-    inv[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-    inv[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-    inv[..., 2, 0] = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-    inv[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-    inv[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    inv /= safe[..., None, None]
-    return inv
-
-
-def physical_gradient(block: StructuredBlock, name: str) -> np.ndarray:
-    """Physical-space gradient of a scalar field, shape ``(ni,nj,nk,3)``.
-
-    ``result[..., c] = df/dx_c``.
-    """
-    f = block.field(name)
-    if f.ndim != 3:
-        raise ValueError(f"field {name!r} is not a scalar")
-    df_dxi = computational_derivatives(f)  # (ni,nj,nk,3)
-    jinv = inverse_jacobian(jacobian(block))  # (ni,nj,nk,3,3): dxi_a/dx_c
-    # df/dx_c = sum_a df/dxi_a * dxi_a/dx_c
-    return np.einsum("...a,...ac->...c", df_dxi, jinv)
+#: Determinants smaller than this in magnitude are clamped to it.
+_DET_EPS = 1e-300
 
 
 def velocity_gradient_tensor(
@@ -100,13 +40,49 @@ def velocity_gradient_tensor(
 
     This is the tensor the λ2 criterion decomposes into its symmetric
     part ``S`` and antisymmetric part ``Q`` (paper §6.3).
+
+    One pass over contiguous ``(component, xi-axis, point)`` rows:
+    coordinates and velocity are differenced together with
+    ``np.gradient``'s arithmetic (central ``(f[2:] - f[:-2]) / 2.0``
+    inside, one-sided on the boundary layers), the Jacobian is inverted
+    through its adjugate, and the chain rule ``du/dxi . dxi/dx`` is
+    summed in index order from zero, as ``np.einsum`` would.  Points
+    whose Jacobian determinant is below ``_DET_EPS`` in magnitude divide
+    by ``±_DET_EPS`` instead; downstream thresholding treats the huge
+    values there as non-vortical.
     """
     u = block.field(name)
     if u.ndim != 4:
         raise ValueError(f"field {name!r} is not a vector")
-    du_dxi = computational_derivatives(u)  # (ni,nj,nk,3comp,3xi)
-    jinv = inverse_jacobian(jacobian(block))  # (ni,nj,nk,3xi,3x)
-    return np.einsum("...ca,...ad->...cd", du_dxi, jinv)
+    shape = u.shape[:3]
+    if min(shape) < 2:
+        raise ValueError(f"block shape {shape} needs at least 2 points per axis")
+    f = np.empty((6,) + shape)
+    f[:3] = np.moveaxis(block.coords, -1, 0)
+    f[3:] = np.moveaxis(u, -1, 0)
+    d = np.empty((6, 3) + shape)
+    for axis in range(3):
+        lo = (slice(None),) * (axis + 1)
+        out = d[:, axis]
+        out[lo + (slice(1, -1),)] = (
+            f[lo + (slice(2, None),)] - f[lo + (slice(None, -2),)]
+        ) / 2.0
+        out[lo + (0,)] = f[lo + (1,)] - f[lo + (0,)]
+        out[lo + (-1,)] = f[lo + (-1,)] - f[lo + (-2,)]
+    d = d.reshape(6, 3, -1)
+    m = d[:3].reshape(9, -1)  # m[3 * c + a] = dx_c / dxi_a
+    adj = m[_ADJ_A] * m[_ADJ_B] - m[_ADJ_C] * m[_ADJ_D]
+    # The textbook cofactor expansion, term for term: reusing the
+    # middle cofactor ``adj[3]`` would flip the sign of a zero.
+    det = m[0] * adj[0] - m[1] * (m[3] * m[8] - m[5] * m[6]) + m[2] * adj[6]
+    eps = _DET_EPS
+    safe = np.where(np.abs(det) < eps, np.copysign(eps, det) + (det == 0) * eps, det)
+    inv = (adj / safe).reshape(3, 3, -1)  # inv[a, d] = dxi_a / dx_d
+    terms = d[3:, :, None] * inv  # terms[c, a, d] = du_c/dxi_a * dxi_a/dx_d
+    g = terms[:, 0] + terms[:, 1]
+    g += terms[:, 2]
+    g += 0.0  # a sum that starts from zero never ends on -0.0
+    return np.ascontiguousarray(np.moveaxis(g, -1, 0)).reshape(shape + (3, 3))
 
 
 def cell_centers(block: StructuredBlock) -> np.ndarray:

@@ -50,6 +50,7 @@ __all__ = [
     "block_from_bytes",
     "block_from_buffer",
     "block_nbytes",
+    "field_directory",
 ]
 
 MAGIC = b"VIRB"
@@ -161,14 +162,8 @@ def _parse_directory(buf, offset: int, nfields: int, total: int):
     return specs, offset
 
 
-def block_from_buffer(buf, lazy: bool = False) -> StructuredBlock:
-    """Deserialize one block from any buffer (bytes, mmap, shm).
-
-    With ``lazy=True`` every array is a zero-copy ``np.frombuffer``
-    view into ``buf`` — read-only, ``<f4`` fields upcast on access.
-    Trailing bytes beyond the block are ignored, so page-aligned
-    buffers (shared memory rounds sizes up) parse cleanly.
-    """
+def _parse_header(buf):
+    """``(block_id, time_index, (ni, nj, nk), field specs, payload offset)``."""
     total = len(buf)
     if total < _HEADER.size:
         raise FormatError(
@@ -182,6 +177,27 @@ def block_from_buffer(buf, lazy: bool = False) -> StructuredBlock:
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     specs, offset = _parse_directory(buf, _HEADER.size, nfields, total)
+    return block_id, time_index, (ni, nj, nk), specs, offset
+
+
+def field_directory(buf) -> list[tuple[str, int]]:
+    """``(name, ncomp)`` of every field a serialized block stores.
+
+    Reads the header and field directory only: no array is viewed.
+    """
+    return _parse_header(buf)[3]
+
+
+def block_from_buffer(buf, lazy: bool = False) -> StructuredBlock:
+    """Deserialize one block from any buffer (bytes, mmap, shm).
+
+    With ``lazy=True`` every array is a zero-copy ``np.frombuffer``
+    view into ``buf`` — read-only, ``<f4`` fields upcast on access.
+    Trailing bytes beyond the block are ignored, so page-aligned
+    buffers (shared memory rounds sizes up) parse cleanly.
+    """
+    total = len(buf)
+    block_id, time_index, (ni, nj, nk), specs, offset = _parse_header(buf)
     npts = ni * nj * nk
     coords_bytes = npts * 3 * 8
     if offset + coords_bytes > total:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..grids.block import BlockHandle, LazyStructuredBlock
 from ..io.dataset_io import DatasetStore
-from ..io.format import block_from_buffer, block_to_bytes
+from ..io.format import block_from_buffer, block_to_bytes, field_directory
 
 __all__ = ["ShmBlockStore"]
 
@@ -70,6 +70,10 @@ class ShmBlockStore:
         self.times: list[float] = []
         self._segments: dict[tuple[int, int], shared_memory.SharedMemory] = {}
         self._payload_sizes: dict[tuple[int, int], int] = {}
+        #: names of the scalar fields each block's payload stores, read
+        #: once from its field directory so that :meth:`block_ranges`
+        #: never views a block that lacks the scalar.
+        self._scalars: dict[tuple[int, int], frozenset[str]] = {}
         self._derived: dict[
             tuple[int, int], dict[str, tuple[shared_memory.SharedMemory, tuple]]
         ] = {}
@@ -107,8 +111,7 @@ class ShmBlockStore:
                     shm.buf[: len(buf)] = buf
                 finally:
                     buf.release()
-                self._segments[(t, b)] = shm
-                self._payload_sizes[(t, b)] = shm.size
+                self._add_segment((t, b), shm)
         return self
 
     @classmethod
@@ -146,9 +149,17 @@ class ShmBlockStore:
                     payload = block_to_bytes(source.get(item))
                     shm = _new_segment(len(payload))
                     shm.buf[: len(payload)] = payload
-                self._segments[(t, b)] = shm
-                self._payload_sizes[(t, b)] = shm.size
+                self._add_segment((t, b), shm)
         return self
+
+    def _add_segment(
+        self, key: tuple[int, int], shm: shared_memory.SharedMemory
+    ) -> None:
+        self._segments[key] = shm
+        self._payload_sizes[key] = shm.size
+        self._scalars[key] = frozenset(
+            name for name, ncomp in field_directory(shm.buf) if ncomp == 1
+        )
 
     @classmethod
     def attach(cls, manifest: Mapping[str, Any]) -> "ShmBlockStore":
@@ -160,6 +171,7 @@ class ShmBlockStore:
         for key, (seg_name, nbytes) in manifest["segments"].items():
             self._segments[key] = shared_memory.SharedMemory(name=seg_name)
             self._payload_sizes[key] = nbytes
+        self._scalars = dict(manifest["scalars"])
         for key, fields in manifest["derived"].items():
             per_block = {}
             for fname, (seg_name, shape) in fields.items():
@@ -180,6 +192,7 @@ class ShmBlockStore:
                 key: (shm.name, self._payload_sizes[key])
                 for key, shm in self._segments.items()
             },
+            "scalars": dict(self._scalars),
             "derived": {
                 key: {
                     fname: (shm.name, tuple(shape))
@@ -277,7 +290,10 @@ class ShmBlockStore:
         if spans is None:
             spans = levels[time_index] = {}
             for t, b in self._segments:
-                if t != time_index:
+                if t != time_index or (
+                    scalar not in self._scalars[(t, b)]
+                    and scalar not in self._derived.get((t, b), {})
+                ):
                     continue
                 raw = self.get_block(t, b).fields.raw_view(scalar)
                 if raw is None or raw.ndim != 3 or raw.size == 0:

@@ -94,10 +94,13 @@ def test_vortex_extraction_shear_empty():
     assert mesh.is_empty()
 
 
-def test_streamed_vortex_union_equals_batch():
+def _abc_block():
     coords = cartesian_lattice((0, 0, 0), (2 * np.pi,) * 3, (13, 13, 13))
-    b = StructuredBlock(coords)
-    b.set_field("velocity", ABCFlowField().velocity(coords, 0.0))
+    return StructuredBlock(coords, {"velocity": ABCFlowField().velocity(coords, 0.0)})
+
+
+def test_streamed_vortex_union_equals_batch():
+    b = _abc_block()
     batch = extract_block_vortices(b.copy(), threshold=-0.2)
     frags = list(iter_vortex_batches(b, threshold=-0.2, batch_cells=100, slab_cells=2))
     assert len(frags) >= 2
@@ -105,6 +108,37 @@ def test_streamed_vortex_union_equals_batch():
     assert total_cells == b.n_cells
     streamed_area = sum(m.area() for m, _c in frags)
     assert streamed_area == pytest.approx(batch.area(), rel=1e-6)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 2, 4])
+def test_streamed_slab_lambda2_is_bit_equal_to_the_full_field(slab_cells, monkeypatch):
+    """Each slab's one ghost layer makes λ2 on its cells' points exactly
+    the full-field λ2, so ``vortex-streamed`` and ``vortex-dataman``
+    threshold the same bits."""
+    from repro.algorithms import lambda2 as module
+
+    slabs = []
+
+    def recording(block, velocity="velocity"):
+        lam = lambda2_field(block, velocity)
+        slabs.append((block.coords, lam))
+        return lam
+
+    monkeypatch.setattr(module, "lambda2_field", recording)
+    blocks = [_abc_block()] + list(build_engine(base_resolution=10, n_timesteps=1).level(0))
+    for block in blocks:
+        full = lambda2_field(block)
+        slabs.clear()
+        list(iter_vortex_batches(block, batch_cells=1, slab_cells=slab_cells))
+        ni = block.shape[0]
+        starts = range(0, ni - 1, slab_cells)
+        assert len(slabs) == len(starts)
+        for i0, (coords, lam) in zip(starts, slabs):
+            i1 = min(i0 + slab_cells, ni - 1)
+            g0 = max(i0 - 1, 0)
+            assert coords.tobytes() == block.coords[g0 : min(i1 + 2, ni)].tobytes()
+            ours = lam[i0 - g0 : i1 - g0 + 1]
+            assert ours.tobytes() == full[i0 : i1 + 1].tobytes()
 
 
 def test_streamed_vortex_validation():

@@ -7,13 +7,16 @@ from repro.grids import (
     StructuredBlock,
     cell_centers,
     cell_volumes,
+    velocity_gradient_tensor,
+)
+from repro.synth import cartesian_lattice, warp_lattice
+
+from .geometry_reference import (
     computational_derivatives,
     inverse_jacobian,
     jacobian,
     physical_gradient,
-    velocity_gradient_tensor,
 )
-from repro.synth import cartesian_lattice, warp_lattice
 
 
 def cart_block(shape=(6, 6, 6), hi=(1.0, 1.0, 1.0)):

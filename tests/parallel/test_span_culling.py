@@ -185,12 +185,56 @@ def test_vortex_culls_only_on_a_stored_lambda2(engine_store):
         assert streamed.n_culled == 0 and streamed.n_loads == n_blocks
 
 
-def test_derived_field_invalidates_the_level_table(engine_store):
+def _count_get_block(shm, monkeypatch) -> list:
+    calls = []
+    real = shm.get_block
+
+    def counted(time_index, block_id):
+        calls.append((time_index, block_id))
+        return real(time_index, block_id)
+
+    monkeypatch.setattr(shm, "get_block", counted)
+    return calls
+
+
+def test_derived_field_invalidates_the_level_table(engine_store, monkeypatch):
     with ShmBlockStore.from_store(engine_store, [0]) as shm:
+        calls = _count_get_block(shm, monkeypatch)
         assert shm.block_ranges("lambda2", 0) == {}
-        block = shm.get_block(0, 0)
-        shm.add_derived_field(0, 0, "lambda2", np.full(block.shape, -3.0))
+        assert calls == []
+        shape = shm.handles(0)[0].shape
+        shm.add_derived_field(0, 0, "lambda2", np.full(shape, -3.0))
         assert shm.block_ranges("lambda2", 0) == {0: (-3.0, -3.0)}
+        assert calls == [(0, 0)]
+
+
+def test_an_absent_scalar_views_no_block(engine_store, monkeypatch):
+    """The stored scalar names are read once, when the store is built."""
+    with ShmBlockStore.from_store(engine_store) as shm:
+        calls = _count_get_block(shm, monkeypatch)
+        for t in (0, 1):
+            assert shm.block_ranges("lambda2", t) == {}
+            assert shm.block_ranges("no-such-field", t) == {}
+            assert shm.block_ranges("velocity", t) == {}  # stored, not a scalar
+        assert calls == []
+
+
+def test_a_present_scalar_table_is_unchanged(engine_store, monkeypatch):
+    """Every block is still viewed and bounded, here and in an attached copy."""
+    expected = {}
+    for b in range(engine_store.n_blocks):
+        raw = engine_store.read_block(1, b, lazy=True).fields.raw_view("pressure")
+        expected[b] = (float(raw.min()), float(raw.max()))
+    with ShmBlockStore.from_store(engine_store) as shm:
+        calls = _count_get_block(shm, monkeypatch)
+        assert shm.block_ranges("pressure", 1) == expected
+        assert sorted(calls) == [(1, b) for b in range(engine_store.n_blocks)]
+        attached = ShmBlockStore.attach(shm.manifest())
+        try:
+            assert attached.block_ranges("pressure", 1) == expected
+            assert attached.block_ranges("lambda2", 1) == {}
+        finally:
+            attached.close()
 
 
 def test_des_contexts_carry_no_table_and_load_every_block(monkeypatch):

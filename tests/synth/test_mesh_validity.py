@@ -7,9 +7,9 @@ cells, so the generators must never emit them.
 import numpy as np
 import pytest
 
-from repro.grids import cell_volumes, jacobian
-from repro.grids.geometry import _det3
+from repro.grids import cell_volumes
 from repro.synth import build_engine, build_propfan
+from tests.grids.geometry_reference import _det3, jacobian
 
 
 @pytest.fixture(scope="module")
