@@ -47,9 +47,10 @@ def main() -> None:
           f"first fragment after {viewer.latency:.2f} s "
           f"({viewer.n_packets} packets)")
 
-    fr = session.client.achieved_frame_rate()
-    print(f"\nclient frame rate with the merged surface: {fr:.0f} Hz "
-          f"(VR criterion >= 10 Hz: {'ok' if fr >= 10 else 'VIOLATED'})")
+    report = viewer.interaction_report()
+    print(f"\nclient frame rate with the merged surface: "
+          f"{report['frame_rate_hz']:.0f} Hz (VR criterion >= 10 Hz: "
+          f"{'ok' if report['frame_rate_ok'] else 'VIOLATED'})")
 
 
 if __name__ == "__main__":

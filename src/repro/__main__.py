@@ -1,34 +1,4 @@
-"""Command-line entry point.
-
-Usage::
-
-    python -m repro report [fig6 fig14 ...]   # paper tables/figures
-    python -m repro ablations [replacement ...]
-    python -m repro figures [fig6 ...]       # paper-style bar charts
-    python -m repro commands                  # list registered commands
-    python -m repro taxonomy                  # Figure 1 classification
-    python -m repro export <engine|propfan> <dir> [steps] [resolution]
-    python -m repro info <engine|propfan|path-to-store> [time_index]
-    python -m repro trace <cmd> [--out run.json] [--workers N]
-                                [--dataset engine|propfan] [--timeline]
-    python -m repro stats <cmd> [--workers N] [--dataset engine|propfan]
-                                [--prometheus]
-    python -m repro profile <cmd> [--top N] [--sort cumulative|tottime]
-                                  [--workers N] [--dataset engine|propfan]
-                                  [--cold]
-    python -m repro extract <cmd> [--data engine|propfan|path-to-store]
-                                  [--workers N] [--executor serial|process]
-                                  [--precompute] [--flame FILE]
-    python -m repro critical-path <cmd> [--data engine|propfan]
-                                        [--workers N] [--warm] [--path]
-    python -m repro slo [--data engine|propfan] [--workers N] [--repeats N]
-                        [--check] [--json] [--baseline FILE]
-                        [--update-baseline]
-    python -m repro loadtest [--tenants N] [--seed N] [--requests N]
-                             [--rate HZ] [--arrival poisson|bursty]
-                             [--slots N] [--replay] [--json] [--out FILE]
-    python -m repro serve [--host HOST] [--port N] [--data engine|propfan]
-                          [--workers N] [--slots N]
+"""Command-line entry point: ``python -m repro <verb> [args]``.
 
 ``trace`` runs one command on a small simulated cluster and exports a
 Chrome ``trace_event`` JSON (open in Perfetto / about:tracing) plus an
@@ -43,10 +13,9 @@ with ``--check``, gates against the committed baseline
 (``sentry_baseline.json``) — the CI regression sentry.  ``loadtest``
 soaks the multi-tenant serving layer with thousands of simulated
 tenants in pure simulated time (``--replay`` gates on byte-identical
-fingerprints);
-``serve`` boots the HTTP/REST facade over a real session.  ``<cmd>`` is
-a registered command name or one of the aliases iso, vortex, pathlines,
-cutplane.
+fingerprints); ``serve`` boots the HTTP/REST facade over a real
+session.  ``<cmd>`` is a registered command name or one of the aliases
+iso, vortex, pathlines, cutplane.
 """
 
 from __future__ import annotations
@@ -93,13 +62,22 @@ USAGE = {
     "loadtest": (
         "python -m repro loadtest [--tenants N] [--seed N] [--requests N] "
         "[--rate HZ] [--arrival poisson|bursty] [--slots N] "
-        "[--cancel-frac F] [--replay] [--json] [--out FILE]"
+        "[--cancel-frac F] [--priority-frac F] [--max-in-flight N] "
+        "[--replay] [--json] [--out FILE]"
     ),
     "serve": (
         "python -m repro serve [--host HOST] [--port N] "
         "[--data engine|propfan] [--workers N] [--slots N]"
     ),
 }
+
+#: ``repro --help``: the docstring's title, one usage line per verb,
+#: then the docstring's prose.
+_title, _prose = __doc__.split("\n\n", 1)
+__doc__ = "\n\n".join([
+    _title, "Usage::", "\n".join(f"    {line}" for line in USAGE.values()),
+    _prose,
+])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,14 +189,17 @@ def main(argv: list[str] | None = None) -> int:
         return _critical_path_main(args)
     if mode == "slo":
         return _slo_main(args)
-    if mode == "loadtest":
-        from .serve.cli import loadtest_main
+    if mode in {"loadtest", "serve"}:
+        from .serve.cli import loadtest_main, serve_main
 
-        return loadtest_main(args)
-    if mode == "serve":
-        from .serve.cli import serve_main
-
-        return serve_main(args)
+        handler = loadtest_main if mode == "loadtest" else serve_main
+        positional, flags = _obs_flags(mode, args)
+        if positional:
+            print(f"unexpected argument {positional[0]!r}")
+        code = 2 if positional or "error" in flags else handler(flags)
+        if code == 2:
+            print(f"usage: {USAGE[mode]}")
+        return code
     print(f"unknown mode {mode!r}; try --help")
     return 2
 

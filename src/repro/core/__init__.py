@@ -2,7 +2,6 @@
 
 from .costs import CostModel, DEFAULT_COSTS
 from .messages import (
-    CommandComplete,
     CommandRequest,
     HEADER_BYTES,
     ProgressUpdate,
@@ -22,7 +21,6 @@ from .commands import (
     lpt_order,
     plan_block_assignments,
     plan_block_tasks,
-    split_balanced,
     split_round_robin,
 )
 from .worker import Worker, WorkerShare
@@ -32,7 +30,6 @@ from .session import CommandResult, ViracochaSession
 __all__ = [
     "CostModel",
     "DEFAULT_COSTS",
-    "CommandComplete",
     "CommandRequest",
     "HEADER_BYTES",
     "ProgressUpdate",
@@ -53,7 +50,6 @@ __all__ = [
     "lpt_order",
     "plan_block_assignments",
     "plan_block_tasks",
-    "split_balanced",
     "split_round_robin",
     "Worker",
     "WorkerShare",

@@ -89,20 +89,15 @@ class ClientUplink:
 
     Command submissions travel *up* the same client link result packets
     travel down; this wrapper charges that link for a request's wire
-    size and (optionally) delivers it to a scheduler mailbox.  Both the
-    single-client session and the multi-tenant serving layer submit
-    through it, so submission cost is modeled in exactly one place.
+    size.  :meth:`repro.core.session.ViracochaSession.submit` is its
+    one caller, so submission cost is modeled in exactly one place.
     """
 
     def __init__(self, cluster: SimCluster):
         self.cluster = cluster
-        self.sent = 0
 
-    def send(self, message, dest: Mailbox | None = None):
+    def send(self, message):
         yield from self.cluster.client_link.transfer(_wire_bytes(message))
-        self.sent += 1
-        if dest is not None:
-            dest.put(message)
 
 
 class InstantChannel:

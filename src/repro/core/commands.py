@@ -40,7 +40,6 @@ __all__ = [
     "Command",
     "CommandRegistry",
     "split_round_robin",
-    "split_balanced",
     "plan_block_assignments",
     "plan_block_tasks",
     "lpt_order",
@@ -282,47 +281,10 @@ def split_round_robin(items: Sequence[Any], group_size: int) -> list[list[Any]]:
     return shares
 
 
-def split_balanced(
-    items: Sequence[Any], weights: Sequence[float], group_size: int
-) -> list[list[Any]]:
-    """Cost-aware static distribution (longest-processing-time greedy).
-
-    The paper observes that "unless one has a highly elaborated
-    scheduling algorithm that balances workload in an almost optimum
-    manner, there will always be work nodes that finish their part of
-    the job earlier" (§5.2).  LPT is the classic 4/3-approximate
-    balancer: items are assigned heaviest-first to the currently
-    lightest worker.  Each share preserves the items' original relative
-    order (so sequential prefetching stays meaningful).
-
-    Tie-breaks are pinned so the partition is identical across runs and
-    platforms: equal-weight items are taken in ascending input index
-    (``lpt_order``), and among equally loaded workers the lowest index
-    wins (``list.index`` returns the first minimum).  Both rules are
-    regression-tested; simulated fingerprints and the parallel
-    equivalence suite depend on them.
-    """
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if len(items) != len(weights):
-        raise ValueError(
-            f"{len(items)} items but {len(weights)} weights"
-        )
-    order = lpt_order(weights)
-    loads = [0.0] * group_size
-    picked: list[list[int]] = [[] for _ in range(group_size)]
-    for idx in order:
-        target = loads.index(min(loads))
-        picked[target].append(idx)
-        loads[target] += float(weights[idx])
-    return [[items[i] for i in sorted(share)] for share in picked]
-
-
 def lpt_order(weights: Sequence[float]) -> list[int]:
     """Indices sorted heaviest-first, ties broken by ascending index.
 
-    The shared ordering primitive of the static LPT partition
-    (:func:`split_balanced`) and both dynamic schedulers (DES and
+    The ordering primitive of both dynamic schedulers (DES and
     :mod:`repro.parallel`): expensive work starts first, and the
     explicit index tie-break makes the order deterministic for
     equal-cost items regardless of sort implementation details.
@@ -346,19 +308,15 @@ def is_dynamic(schedule: Any) -> bool:
 def plan_block_assignments(ctx: CommandContext, group_size: int) -> list[list[Any]]:
     """Standard block-work planning for per-block commands.
 
-    Emits ``(time_index, block_id)`` pairs, time-major.  The default
-    distribution is round-robin; ``params["distribution"] = "balanced"``
-    switches to cost-aware LPT using each block's modeled cell count —
-    the lever for heterogeneous multi-block meshes like the Engine's.
+    Emits ``(time_index, block_id)`` pairs, time-major, dealt
+    round-robin.  Cost-aware LPT balancing is ``schedule="dynamic"``,
+    which drains :func:`plan_block_tasks` in :func:`lpt_order`.
     """
     work = [
         (t, h.block_id)
         for t in ctx.time_indices
         for h in ctx.handles_by_time[t - ctx.time_offset]
     ]
-    if ctx.params.get("distribution", "round-robin") == "balanced":
-        weights = [ctx.handle(t, b).modeled_cells for t, b in work]
-        return split_balanced(work, weights, group_size)
     return split_round_robin(work, group_size)
 
 

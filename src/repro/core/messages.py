@@ -18,7 +18,6 @@ __all__ = [
     "WorkAssignment",
     "ResultPacket",
     "WorkerDone",
-    "CommandComplete",
 ]
 
 #: fixed framing overhead per message (type tag, ids, lengths).
@@ -44,15 +43,6 @@ class CommandRequest:
     @property
     def nbytes(self) -> int:
         return HEADER_BYTES + 64 * max(len(self.params), 1)
-
-
-@dataclass(frozen=True)
-class Shutdown:
-    """Client → scheduler: stop the serve loop."""
-
-    @property
-    def nbytes(self) -> int:
-        return HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -146,13 +136,3 @@ class WorkerDone:
     def nbytes(self) -> int:
         return HEADER_BYTES + self.partial_nbytes
 
-
-@dataclass(frozen=True)
-class CommandComplete:
-    """Scheduler → client bookkeeping record (end of command)."""
-
-    request_id: int
-
-    @property
-    def nbytes(self) -> int:
-        return HEADER_BYTES

@@ -155,7 +155,6 @@ class Scheduler:
             "reassignments": 0,
             "lost_shares": 0,
         }
-        self.mailbox = Mailbox(env, name="scheduler")
         self.tcp = SimTCPChannel(cluster)
         self.mpi = SimMPIChannel(cluster, account="other")
         self.workers: list[Worker] = []
@@ -671,39 +670,6 @@ class Scheduler:
             index=unit, share=None, executor=None,
             attempts=total_tries, reassignments=reassignments, reason=reason,
         )
-
-    # --------------------------------------------------------- serve loop
-    def serve(self, client_mailbox: Mailbox) -> Generator[Event, None, int]:
-        """Persistent dispatch loop (daemon operation, §3).
-
-        Consumes :class:`CommandRequest` messages from the scheduler
-        mailbox — the way ViSTA FlowLib drives the real system — and
-        spawns one command process per request; commands queue on the
-        worker pool, not on each other.  A :class:`Shutdown` message
-        ends the loop.  Returns the number of commands dispatched.
-        """
-        from .messages import CommandRequest, Shutdown
-
-        dispatched = 0
-        while True:
-            message = yield self.mailbox.get()
-            if isinstance(message, Shutdown):
-                return dispatched
-            if not isinstance(message, CommandRequest):
-                continue
-            group_size = message.group_size or len(self.workers)
-            self.env.process(
-                self.run_command(
-                    message.command,
-                    dict(message.params),
-                    group_size,
-                    client_mailbox,
-                    message.request_id,
-                    tenant=message.tenant,
-                ),
-                name=f"serve-{message.command}-{message.request_id}",
-            )
-            dispatched += 1
 
     # ---------------------------------------------------------- warm-ups
     def clear_caches(self) -> None:

@@ -2,9 +2,12 @@
 
 :class:`ViracochaSession` wires a synthetic (or on-disk) dataset, the
 simulated cluster, the DMS and the scheduler together and exposes one
-call — :meth:`run` — that submits a command exactly the way ViSTA
-FlowLib would: a TCP request to the scheduler, parallel extraction on
-the workers, packets back to the visualization client.
+submit path — :meth:`ViracochaSession.submit` — that sends a command
+exactly the way ViSTA FlowLib would: a TCP request to the scheduler,
+parallel extraction on the workers, packets back to the visualization
+client.  :meth:`~ViracochaSession.run`,
+:meth:`~ViracochaSession.run_concurrent` and the serving layer's
+backend all go through it.
 
 All results carry both the *real* extracted geometry and the *simulated*
 timing record (total runtime, latency, per-component breakdown), which
@@ -24,7 +27,8 @@ from ..dms.server import DataManagerServer
 from ..dms.source import BlockSource, SyntheticSource
 from ..synth.base import SyntheticDataset
 from ..viz.client import VisualizationClient
-from .channels import ClientUplink, SimTCPChannel
+from ..viz.mesh import TriangleMesh
+from .channels import ClientUplink
 from .commands import CommandRegistry
 from .costs import CostModel, DEFAULT_COSTS
 from .messages import CommandRequest, next_request_id
@@ -46,7 +50,9 @@ class CommandResult:
     packet_times: list[float]
     geometry: Any  #: merged TriangleMesh (or command-specific payload)
     payloads: list[Any]
-    breakdown: dict[str, float]  #: compute/read/send/other seconds (workers)
+    #: compute/read/send/other worker seconds and DMS statistic deltas
+    #: over the submitting batch (one request for :meth:`ViracochaSession.run`).
+    breakdown: dict[str, float]
     dms: dict[str, Any]
     strategy_decisions: dict[str, int]
     #: spans recorded during this run (repro.obs.Span), in begin order.
@@ -101,7 +107,6 @@ class CommandResult:
         user perceives — with streaming, the first partial result.
         """
         from ..viz.client import FrameRateModel, InteractionCriteria
-        from ..viz.mesh import TriangleMesh
 
         criteria = criteria or InteractionCriteria()
         renderer = renderer or FrameRateModel()
@@ -180,8 +185,7 @@ class ViracochaSession:
             recovery=recovery,
         )
         self.client = VisualizationClient(self.env)
-        #: client → scheduler direction of the TCP link; the serving
-        #: layer submits through the same uplink as :meth:`run`.
+        #: client → scheduler direction of the TCP link (see :meth:`submit`).
         self.uplink = ClientUplink(self.cluster)
         self.n_workers = config.n_workers
 
@@ -196,93 +200,177 @@ class ViracochaSession:
         **command_kwargs: Any,
     ) -> CommandResult:
         """Submit one command and simulate it to completion."""
-        params = dict(params or {})
-        group_size = group_size if group_size is not None else self.n_workers
-        request_id = next_request_id()
+        request = self.new_request(command, params, group_size, tenant)
+        (result,) = self._run_batch(
+            [(request, command_kwargs)], f"run-{command}", stamp_ttfa=True,
+            request=request.request_id, command=command,
+        )
+        return result
 
+    def run_concurrent(self, requests: list[dict[str, Any]]) -> list[CommandResult]:
+        """Submit several commands at once; work groups form as workers
+        free up (§3: "as soon as enough processes are available").
+
+        Each request dict takes the :meth:`run` arguments: ``command``
+        (required), ``params``, ``group_size``, ``tenant`` and
+        ``command_kwargs``.  Commands whose combined group sizes exceed
+        the worker pool queue behind each other.
+        """
+        if not requests:
+            return []
+        batch = [
+            (
+                self.new_request(
+                    spec["command"], spec.get("params"), spec.get("group_size"),
+                    spec.get("tenant") or "default",
+                ),
+                spec.get("command_kwargs") or {},
+            )
+            for spec in requests
+        ]
+        return self._run_batch(
+            batch, f"run-concurrent[{len(batch)}]", n_requests=len(batch)
+        )
+
+    def new_request(
+        self,
+        command: str,
+        params: dict[str, Any] | None = None,
+        group_size: int | None = None,
+        tenant: str = "default",
+    ) -> CommandRequest:
+        """A fresh request id with the session's defaults filled in."""
+        return CommandRequest(
+            next_request_id(), command, dict(params or {}),
+            group_size=self.n_workers if group_size is None else group_size,
+            tenant=tenant,
+        )
+
+    def submit(
+        self,
+        request: CommandRequest,
+        *,
+        parent_span: Any = None,
+        command_kwargs: dict[str, Any] | None = None,
+    ):
+        """Process body: the one way a command enters the simulation.
+
+        The request travels up the client link (charged on the link,
+        not on any worker node), the scheduler runs it, and the body
+        returns the scheduler's ``RunRecord`` once the client holds the
+        command's final packet.  :meth:`run`, :meth:`run_concurrent`
+        and the serving layer's backend all submit through here.
+        """
+        done = self.client.expect(request.request_id)
+        yield from self.uplink.send(request)
+        record = yield from self.scheduler.run_command(
+            request.command,
+            request.params,
+            request.group_size,
+            self.client.mailbox,
+            request.request_id,
+            command_kwargs=command_kwargs,
+            parent_span=parent_span,
+            tenant=request.tenant,
+        )
+        yield done
+        return record
+
+    def _run_batch(
+        self,
+        batch: list[tuple[CommandRequest, dict[str, Any]]],
+        span_name: str,
+        stamp_ttfa: bool = False,
+        **span_attrs: Any,
+    ) -> list[CommandResult]:
+        """Submit every request of ``batch`` at once under one session
+        span and simulate them all to completion.
+
+        Worker breakdowns, DMS statistics, spans and metrics cannot be
+        attributed to one command of an overlapping batch, so every
+        result carries the whole batch's; for a one-request batch they
+        are that request's own.
+        """
         self.client.reset()
-        done = self.client.start_listening()
         breakdown_before = self._worker_breakdown()
         stats_before = self._dms_snapshot()
         t_submit = self.env.now
         span_mark = self.tracer.mark()
-        session_span = self.tracer.begin(
-            "session", name=f"run-{command}",
-            node=self.cluster.scheduler_node.node_id,
-            request=request_id, command=command,
+        span = self.tracer.begin(
+            "session", name=span_name,
+            node=self.cluster.scheduler_node.node_id, **span_attrs,
         )
-
-        def submit():
-            # Client → scheduler request over TCP (charged on the link,
-            # not attributed to any worker node).
-            request = CommandRequest(request_id, command, params, tenant=tenant)
-            yield from self.uplink.send(request)
-            record = yield from self.scheduler.run_command(
-                command,
-                params,
-                group_size,
-                self.client.mailbox,
-                request_id,
-                command_kwargs=command_kwargs,
-                parent_span=session_span,
-                tenant=tenant,
+        procs = [
+            self.env.process(
+                self.submit(request, parent_span=span, command_kwargs=kwargs),
+                name=f"run-{request.command}-{request.request_id}",
             )
-            return record
-
-        proc = self.env.process(submit(), name=f"run-{command}")
-        record = self.env.run(until=proc)
-        self.env.run(until=done)
-
+            for request, kwargs in batch
+        ]
+        records = [self.env.run(until=proc) for proc in procs]
         breakdown_after = self._worker_breakdown()
         stats_after = self._dms_snapshot()
-        first = self.client.first_data_time
-        final = self.client.final_time
-        if final is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"command {command!r} produced no final packet")
-        total_runtime = final - t_submit
-        latency = (first - t_submit) if first is not None else total_runtime
-        approx = self.client.first_approximation_time(group_size)
-        ttfa_s = (approx - t_submit) if approx is not None else latency
-        # Only progressive runs stamp the span: non-progressive traces
-        # (and their committed golden fingerprints) must not change.
-        if approx is not None:
-            self.tracer.end(session_span, ttfa_s=ttfa_s)
-        else:
-            self.tracer.end(session_span)
-        packet_times = [p.time - t_submit for p in self.client.packets]
-        self._record_run_metrics(
-            command, total_runtime, latency, packet_times,
-            degraded=record.degraded, ttfa=ttfa_s,
-        )
-        return CommandResult(
-            command=command,
-            params=params,
-            group_size=group_size,
-            total_runtime=total_runtime,
-            latency=latency,
-            n_packets=len(self.client.packets),
-            packet_times=packet_times,
-            geometry=self.client.merged_geometry(),
-            payloads=list(self.client.payloads),
-            breakdown={
-                k: breakdown_after[k] - breakdown_before[k] for k in breakdown_after
-            },
-            dms=self._diff_stats(stats_before, stats_after),
-            strategy_decisions=dict(self.scheduler.server.selector.decisions),
-            spans=self.tracer.since(span_mark),
-            metrics=self.metrics.snapshot(),
-            tracer=self.tracer if self.tracer.enabled else None,
-            degraded=record.degraded,
-            failed_shares=list(record.failed_shares),
-            planned_units=record.planned_units,
-            recovery={
-                "retries": record.retries,
-                "reassignments": record.reassignments,
-            },
-            queue_wait_s=record.queue_wait_s,
-            tenant=tenant,
-            ttfa_s=ttfa_s,
-        )
+        breakdown = self._diff_stats(breakdown_before, breakdown_after)
+        dms = self._diff_stats(stats_before, stats_after)
+
+        results = []
+        end_attrs: dict[str, float] = {}
+        for (request, _), record in zip(batch, records):
+            request_id = request.request_id
+            packets = self.client.packets_by_request[request_id]
+            payloads = self.client.payloads_by_request[request_id]
+            final = next(p.time for p in packets if p.final)
+            first = self.client.first_data_time_of(request_id)
+            approx = self.client.first_approximation_time(
+                request.group_size, request_id=request_id
+            )
+            total_runtime = final - t_submit
+            latency = (first - t_submit) if first is not None else total_runtime
+            ttfa_s = (approx - t_submit) if approx is not None else latency
+            # Only a progressive single run stamps its span: other
+            # traces (and their committed golden fingerprints) must not
+            # change.
+            if stamp_ttfa and approx is not None:
+                end_attrs = {"ttfa_s": ttfa_s}
+            packet_times = [p.time - t_submit for p in packets]
+            self._record_run_metrics(
+                request.command, total_runtime, latency, packet_times,
+                degraded=record.degraded, ttfa=ttfa_s,
+            )
+            results.append(CommandResult(
+                command=request.command,
+                params=request.params,
+                group_size=request.group_size,
+                total_runtime=total_runtime,
+                latency=latency,
+                n_packets=len(packets),
+                packet_times=packet_times,
+                geometry=TriangleMesh.merge(
+                    [p for p in payloads if isinstance(p, TriangleMesh)]
+                ),
+                payloads=list(payloads),
+                breakdown=dict(breakdown),
+                dms=dict(dms),
+                strategy_decisions=dict(self.scheduler.server.selector.decisions),
+                tracer=self.tracer if self.tracer.enabled else None,
+                degraded=record.degraded,
+                failed_shares=list(record.failed_shares),
+                planned_units=record.planned_units,
+                recovery={
+                    "retries": record.retries,
+                    "reassignments": record.reassignments,
+                },
+                queue_wait_s=record.queue_wait_s,
+                tenant=request.tenant,
+                ttfa_s=ttfa_s,
+            ))
+        self.tracer.end(span, **end_attrs)
+        spans = self.tracer.since(span_mark)
+        metrics = self.metrics.snapshot()
+        for result in results:
+            result.spans = spans
+            result.metrics = metrics
+        return results
 
     # ------------------------------------------------------------ helpers
     #: packet inter-arrival buckets [sim s] — streaming cadences sit in
@@ -377,118 +465,6 @@ class ViracochaSession:
     @staticmethod
     def _diff_stats(before: dict, after: dict) -> dict:
         return {k: after[k] - before[k] for k in after}
-
-    # ------------------------------------------------------- concurrency
-    def run_concurrent(self, requests: list[dict[str, Any]]) -> list[CommandResult]:
-        """Submit several commands at once; work groups form as workers
-        free up (§3: "as soon as enough processes are available").
-
-        Each request dict takes the :meth:`run` arguments: ``command``
-        (required), ``params``, ``group_size``.  Commands whose combined
-        group sizes exceed the worker pool queue behind each other.
-        Per-node breakdowns cannot be attributed to a single command in
-        this mode, so results carry empty ``breakdown``/``dms`` fields.
-        """
-        if not requests:
-            return []
-        self.client.reset()
-        t_submit = self.env.now
-        span_mark = self.tracer.mark()
-        batch_span = self.tracer.begin(
-            "session", name=f"run-concurrent[{len(requests)}]",
-            node=self.cluster.scheduler_node.node_id,
-            n_requests=len(requests),
-        )
-        submissions = []
-        for spec in requests:
-            command = spec["command"]
-            params = dict(spec.get("params") or {})
-            group_size = spec.get("group_size") or self.n_workers
-            tenant = spec.get("tenant") or "default"
-            request_id = next_request_id()
-            done = self.client.expect(request_id)
-
-            def submit(command=command, params=params, group_size=group_size,
-                       request_id=request_id, tenant=tenant):
-                request = CommandRequest(
-                    request_id, command, params, tenant=tenant
-                )
-                yield from self.uplink.send(request)
-                record = yield from self.scheduler.run_command(
-                    command, params, group_size, self.client.mailbox, request_id,
-                    parent_span=batch_span, tenant=tenant,
-                )
-                return record
-
-            proc = self.env.process(submit(), name=f"run-{command}-{request_id}")
-            submissions.append(
-                (command, params, group_size, tenant, request_id, done, proc)
-            )
-
-        results = []
-        for command, params, group_size, tenant, request_id, done, proc in submissions:
-            record = self.env.run(until=proc)
-            self.env.run(until=done)
-            packets = self.client.packets_by_request.get(request_id, [])
-            payloads = self.client.payloads_by_request.get(request_id, [])
-            # Per-request accounting: interleaved tenants must not
-            # report each other's first packet as their own latency.
-            first = self.client.first_data_time_of(request_id)
-            final = next((p.time for p in packets if p.final), self.env.now)
-            approx = self.client.first_approximation_time(
-                group_size, request_id=request_id
-            )
-            latency = (first if first is not None else final) - t_submit
-            ttfa_s = (approx - t_submit) if approx is not None else latency
-            from ..viz.mesh import TriangleMesh
-
-            meshes = [p for p in payloads if isinstance(p, TriangleMesh)]
-            self._record_run_metrics(
-                command,
-                final - t_submit,
-                latency,
-                [p.time - t_submit for p in packets],
-                degraded=record.degraded,
-                ttfa=ttfa_s,
-            )
-            results.append(
-                CommandResult(
-                    command=command,
-                    params=params,
-                    group_size=group_size,
-                    total_runtime=final - t_submit,
-                    latency=latency,
-                    n_packets=len(packets),
-                    packet_times=[p.time - t_submit for p in packets],
-                    geometry=TriangleMesh.merge(meshes),
-                    payloads=list(payloads),
-                    breakdown={},
-                    dms={},
-                    strategy_decisions=dict(
-                        self.scheduler.server.selector.decisions
-                    ),
-                    tracer=self.tracer if self.tracer.enabled else None,
-                    degraded=record.degraded,
-                    failed_shares=list(record.failed_shares),
-                    planned_units=record.planned_units,
-                    recovery={
-                        "retries": record.retries,
-                        "reassignments": record.reassignments,
-                    },
-                    queue_wait_s=record.queue_wait_s,
-                    tenant=tenant,
-                    ttfa_s=ttfa_s,
-                )
-            )
-        self.tracer.end(batch_span)
-        # Spans are shared by the whole batch (per-command attribution
-        # is ambiguous under concurrency); every result sees the slice.
-        batch_spans = self.tracer.since(span_mark)
-        batch_metrics = self.metrics.snapshot()
-        for result in results:
-            result.spans = batch_spans
-            result.metrics = batch_metrics
-        return results
 
     def clear_caches(self) -> None:
         """Return every proxy to a cold-cache state."""

@@ -7,57 +7,24 @@ the workload twice and fails unless the two fingerprints are
 byte-identical — the determinism gate CI enforces.
 
 ``serve`` boots the HTTP/REST facade over a real
-:class:`~repro.core.session.ViracochaSession`.
+:class:`~repro.core.session.ViracochaSession`.  Both verbs take their
+options already parsed by :mod:`repro.__main__` against its ``USAGE``
+table, so an unknown flag is a usage error, never silently ignored.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-USAGE_LOADTEST = (
-    "python -m repro loadtest [--tenants N] [--seed N] [--requests N] "
-    "[--rate HZ] [--arrival poisson|bursty] [--slots N] "
-    "[--cancel-frac F] [--priority-frac F] [--max-in-flight N] "
-    "[--replay] [--json] [--out FILE]"
-)
-USAGE_SERVE = (
-    "python -m repro serve [--host HOST] [--port N] "
-    "[--data engine|propfan] [--workers N] [--slots N]"
-)
 
+def loadtest_main(flags: dict[str, Any]) -> int:
+    """Deterministic multi-tenant soak in simulated time.
 
-def _flags(args: list[str], booleans: set[str]) -> dict[str, Any] | None:
-    flags: dict[str, Any] = {}
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if not arg.startswith("--"):
-            print(f"unexpected argument {arg!r}")
-            return None
-        key = arg[2:]
-        if "=" in key:
-            key, value = key.split("=", 1)
-            flags[key] = value
-        elif key in booleans:
-            flags[key] = True
-        else:
-            if i + 1 >= len(args):
-                print(f"option --{key} needs a value")
-                return None
-            flags[key] = args[i + 1]
-            i += 1
-        i += 1
-    return flags
-
-
-def loadtest_main(args: list[str]) -> int:
-    """Deterministic multi-tenant soak in simulated time."""
+    ``flags`` are the verb's parsed ``--flag`` options; a return of 2
+    (bad option value) makes the caller print the usage line.
+    """
     from .loadgen import LoadSpec, run_loadtest
 
-    flags = _flags(args, booleans={"replay", "json"})
-    if flags is None:
-        print(f"usage: {USAGE_LOADTEST}")
-        return 2
     try:
         spec = LoadSpec(
             n_tenants=int(flags.get("tenants", 1000)),
@@ -72,7 +39,6 @@ def loadtest_main(args: list[str]) -> int:
         )
     except ValueError as exc:
         print(f"bad loadtest options: {exc}")
-        print(f"usage: {USAGE_LOADTEST}")
         return 2
     report = run_loadtest(spec)
     if flags.get("replay"):
@@ -122,12 +88,9 @@ def build_serve_app(data: str = "engine", workers: int = 4,
     return ServeApp(server)
 
 
-def serve_main(args: list[str]) -> int:
-    """Boot the HTTP facade (blocks until interrupted)."""
-    flags = _flags(args, booleans=set())
-    if flags is None:
-        print(f"usage: {USAGE_SERVE}")
-        return 2
+def serve_main(flags: dict[str, Any]) -> int:
+    """Boot the HTTP facade (blocks until interrupted); ``flags`` as
+    for :func:`loadtest_main`."""
     host = str(flags.get("host", "127.0.0.1"))
     try:
         port = int(flags.get("port", 8642))

@@ -217,31 +217,12 @@ class SessionBackend:
         self.resource.release(slot)
 
     def execute(self, handle: ServeHandle) -> Generator[Event, None, Any]:
-        from ..core.messages import CommandRequest, next_request_id
-
         session = self.session
-        request_id = next_request_id()
-        done = session.client.expect(request_id)
-        request = CommandRequest(
-            request_id, handle.command, dict(handle.params),
-            tenant=handle.tenant,
+        request = session.new_request(
+            handle.command, handle.params, self.group_size, handle.tenant
         )
-        yield from session.uplink.send(request)
-        record = yield from session.scheduler.run_command(
-            handle.command,
-            dict(handle.params),
-            self.group_size,
-            session.client.mailbox,
-            request_id,
-            tenant=handle.tenant,
-        )
-        yield done
-        packets = session.client.packets_by_request.get(request_id, [])
-        first = next(
-            (p.time for p in packets if p.nbytes > 0 or p.n_triangles > 0),
-            None,
-        )
-        handle.t_first = first
+        record = yield from session.submit(request)
+        handle.t_first = session.client.first_data_time_of(request.request_id)
         self.executed += 1
         return record
 

@@ -1,8 +1,9 @@
 """The visualization-client model (the ViSTA FlowLib stand-in).
 
-The client receives (partial) result packets from the cluster, merges
-arriving geometry just in time for the next rendering loop, and tracks
-the two VR interaction criteria from §1.1:
+The client receives (partial) result packets from the cluster and files
+them per request.  The two VR interaction criteria from §1.1 are
+modeled here and checked per result by
+:meth:`repro.core.session.CommandResult.interaction_report`:
 
 1. minimum frame rate (Bryson: 10 Hz; Kreylos: 30 Hz), and
 2. maximum system response time (100 ms).
@@ -15,7 +16,7 @@ answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..des.kernel import Environment
@@ -96,16 +97,17 @@ class PacketRecord:
 
 
 class VisualizationClient:
-    """Receives result packets and accumulates geometry + statistics."""
+    """Receives result packets and accumulates geometry + statistics.
 
-    def __init__(self, env: Environment, criteria: InteractionCriteria | None = None,
-                 renderer: FrameRateModel | None = None):
+    One consume loop runs for the client's lifetime and files every
+    packet under its request id; :meth:`expect` hands out the event that
+    fires when a request's final packet arrives.  Any number of requests
+    may interleave, and all accounting is per request.
+    """
+
+    def __init__(self, env: Environment):
         self.env = env
         self.mailbox = Mailbox(env, name="viz-client")
-        self.criteria = criteria or InteractionCriteria()
-        self.renderer = renderer or FrameRateModel()
-        self.packets: list[PacketRecord] = []
-        self.payloads: list[Any] = []
         self.packets_by_request: dict[int, list[PacketRecord]] = {}
         self.payloads_by_request: dict[int, list[Any]] = {}
         #: latest progress fraction per (request_id, worker_index) and
@@ -113,63 +115,26 @@ class VisualizationClient:
         self.progress: dict[int, dict[int, float]] = {}
         self.progress_times: dict[int, list[float]] = {}
         self._request_done: dict[int, Any] = {}
-        self._done_event = None
-        self._consumer = None
         #: packets already merged, keyed (request, unit, sequence) — a
         #: retried streaming unit re-sends packets its first attempt
         #: already delivered; duplicates must not double the geometry.
         self._seen: set[tuple[int, int, int]] = set()
         self.duplicates = 0
+        env.process(self._consume(), name="viz-client")
 
     # ----------------------------------------------------------- running
-    def start_listening(self):
-        """Spawn the consume loop; returns the event that fires on final.
-
-        Any consumer left over from a previous (possibly failed) run is
-        interrupted, and a fresh mailbox isolates this run from stale
-        in-flight packets.
-        """
-        if self._consumer is not None and self._consumer.is_alive:
-            self._consumer.interrupt("new run")
-            self.mailbox = Mailbox(self.env, name="viz-client")
-        self._done_event = self.env.event()
-        self._consumer = self.env.process(self._consume(), name="viz-client")
-        self._consumer_stops_on_final = True
-        return self._done_event
-
     def expect(self, request_id: int):
-        """Register interest in a command's packets; returns its done event.
-
-        Unlike :meth:`start_listening`, the consume loop keeps running
-        so several concurrent commands can interleave their packets.
-        """
-        if self._consumer is not None and self._consumer.is_alive and getattr(
-            self, "_consumer_stops_on_final", False
-        ):
-            # A stale single-shot consumer (e.g. from a failed run) would
-            # stop at the first final packet and starve other requests.
-            self._consumer.interrupt("switch to multi-request mode")
-            self.mailbox = Mailbox(self.env, name="viz-client")
-            self._consumer = None
-        if self._consumer is None or not self._consumer.is_alive:
-            self._consumer = self.env.process(
-                self._consume(stop_on_final=False), name="viz-client"
-            )
-            self._consumer_stops_on_final = False
+        """Register interest in a command's packets; returns the event
+        that fires when its final packet arrives."""
         done = self.env.event()
         self._request_done[request_id] = done
         self.packets_by_request.setdefault(request_id, [])
         self.payloads_by_request.setdefault(request_id, [])
         return done
 
-    def _consume(self, stop_on_final: bool = True):
-        from ..des.kernel import Interrupt
-
+    def _consume(self):
         while True:
-            try:
-                message = yield self.mailbox.get()
-            except Interrupt:
-                return
+            message = yield self.mailbox.get()
             if isinstance(message, ProgressUpdate):
                 per_worker = self.progress.setdefault(message.request_id, {})
                 per_worker[message.worker_index] = message.fraction
@@ -197,10 +162,8 @@ class VisualizationClient:
                 n_triangles=n_tri,
                 kind=getattr(message, "kind", "geometry"),
             )
-            self.packets.append(record)
             self.packets_by_request.setdefault(message.request_id, []).append(record)
             if message.payload is not None:
-                self.payloads.append(message.payload)
                 self.payloads_by_request.setdefault(message.request_id, []).append(
                     message.payload
                 )
@@ -208,15 +171,11 @@ class VisualizationClient:
                 done = self._request_done.pop(message.request_id, None)
                 if done is not None and not done.triggered:
                     done.succeed()
-                if stop_on_final:
-                    if self._done_event is not None and not self._done_event.triggered:
-                        self._done_event.succeed()
-                    return
 
     # --------------------------------------------------------- analysis
     def reset(self) -> None:
-        self.packets.clear()
-        self.payloads.clear()
+        """Forget every request's records (pending :meth:`expect` events
+        stay armed)."""
         self.packets_by_request.clear()
         self.payloads_by_request.clear()
         self.progress.clear()
@@ -224,30 +183,18 @@ class VisualizationClient:
         self._seen.clear()
         self.duplicates = 0
 
-    @property
-    def first_data_time(self) -> float | None:
-        """Arrival of the first packet that carried actual data."""
-        for p in self.packets:
-            if p.nbytes > 0 or p.n_triangles > 0:
-                return p.time
-        return None
-
     def first_data_time_of(self, request_id: int) -> float | None:
-        """Per-request first-data arrival.
-
-        The global :attr:`first_data_time` spans every interleaved
-        request, so concurrent tenants would report each other's
-        latency; this looks only at ``request_id``'s packets.
-        """
+        """Arrival of the request's first packet that carried data."""
         for p in self.packets_by_request.get(request_id, ()):
             if p.nbytes > 0 or p.n_triangles > 0:
                 return p.time
         return None
 
     def first_approximation_time(
-        self, n_workers: int, request_id: int | None = None
+        self, n_workers: int, request_id: int
     ) -> float | None:
-        """When the first *complete* approximation was on screen (TTFA).
+        """When the request's first *complete* approximation was on
+        screen (TTFA).
 
         A progressive worker streams a zero-byte ``"approximation"``
         marker once the coarsest level of all its blocks is out; the
@@ -256,24 +203,12 @@ class VisualizationClient:
         arrival time of the last such marker, or ``None`` when the
         command is not progressive (no markers at all).
         """
-        packets = (
-            self.packets
-            if request_id is None
-            else self.packets_by_request.get(request_id, ())
-        )
         seen: set[int] = set()
-        for p in packets:
+        for p in self.packets_by_request.get(request_id, ()):
             if p.kind != "approximation":
                 continue
             seen.add(p.worker_index)
             if len(seen) >= n_workers:
-                return p.time
-        return None
-
-    @property
-    def final_time(self) -> float | None:
-        for p in self.packets:
-            if p.final:
                 return p.time
         return None
 
@@ -283,16 +218,3 @@ class VisualizationClient:
         if not per_worker:
             return 0.0
         return float(sum(per_worker.values()) / len(per_worker))
-
-    def merged_geometry(self) -> TriangleMesh:
-        meshes = [p for p in self.payloads if isinstance(p, TriangleMesh)]
-        return TriangleMesh.merge(meshes)
-
-    def other_payloads(self) -> list[Any]:
-        return [p for p in self.payloads if not isinstance(p, TriangleMesh)]
-
-    def achieved_frame_rate(self) -> float:
-        return self.renderer.frame_rate(self.merged_geometry().n_triangles)
-
-    def frame_rate_ok(self) -> bool:
-        return self.criteria.frame_rate_ok(self.achieved_frame_rate())

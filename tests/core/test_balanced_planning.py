@@ -1,51 +1,8 @@
 """Tests for cost-balanced (LPT) work distribution."""
 
-import pytest
-
 from repro import ViracochaSession, build_engine
 from repro.bench import paper_cluster, paper_costs
-from repro.core import lpt_order, split_balanced
-
-
-def test_split_balanced_validation():
-    with pytest.raises(ValueError):
-        split_balanced([1], [1.0], 0)
-    with pytest.raises(ValueError):
-        split_balanced([1, 2], [1.0], 2)
-
-
-def test_split_balanced_reduces_makespan_vs_round_robin():
-    from repro.core import split_round_robin
-
-    items = list(range(8))
-    weights = [8.0, 1.0, 7.0, 1.0, 6.0, 1.0, 5.0, 1.0]
-
-    def makespan(shares):
-        return max(sum(weights[i] for i in share) for share in shares)
-
-    rr = split_round_robin(items, 2)
-    lpt = split_balanced(items, weights, 2)
-    assert makespan(lpt) < makespan(rr)
-    # LPT on this instance is optimal: 15 vs round-robin's 26.
-    assert makespan(lpt) == 15.0
-
-
-def test_split_balanced_preserves_order_within_share():
-    items = ["a", "b", "c", "d", "e"]
-    weights = [5.0, 1.0, 4.0, 1.0, 3.0]
-    shares = split_balanced(items, weights, 2)
-    order = {v: i for i, v in enumerate(items)}
-    for share in shares:
-        positions = [order[v] for v in share]
-        assert positions == sorted(positions)
-
-
-def test_split_balanced_all_items_assigned_once():
-    items = list(range(17))
-    weights = [float((i * 7) % 5 + 1) for i in items]
-    shares = split_balanced(items, weights, 4)
-    flat = sorted(x for share in shares for x in share)
-    assert flat == items
+from repro.core import lpt_order
 
 
 def test_lpt_order_tie_breaks_pinned():
@@ -63,28 +20,12 @@ def test_lpt_order_tie_breaks_pinned():
     assert lpt_order([1, 1.0, 2, 2.0]) == [2, 3, 0, 1]
 
 
-def test_split_balanced_equal_weights_partition_pinned():
-    """With all-equal weights LPT degenerates to a round-robin deal —
-    item i on worker i % n — because the index tie-break takes items in
-    input order and the lowest-index worker wins equal loads."""
-    shares = split_balanced(list(range(8)), [3.0] * 8, 4)
-    assert shares == [[0, 4], [1, 5], [2, 6], [3, 7]]
-
-
-def test_split_balanced_reproducible_across_runs():
-    items = list(range(23))
-    weights = [float((i * 13) % 7) for i in items]
-    first = split_balanced(items, weights, 3)
-    for _ in range(5):
-        assert split_balanced(items, weights, 3) == first
-
-
 def test_balanced_distribution_no_regression_and_same_result():
-    """LPT never loses to round-robin and produces identical geometry.
+    """The LPT drain (``schedule="dynamic"``) never loses to the
+    round-robin deal and produces the same geometry.
 
-    (On the Engine's 18 equal-sized cylinder blocks both planners hit
-    the same two-big-blocks-per-worker bound, so the makespans tie; the
-    LPT *win* is proven on crafted weights above.)
+    (On the Engine's 18 equal-sized cylinder blocks both hit the same
+    two-big-blocks-per-worker bound, so the makespans tie.)
     """
     engine = build_engine(base_resolution=5)
     params = {"threshold": -0.5, "time_range": (0, 1)}
@@ -94,7 +35,7 @@ def test_balanced_distribution_no_regression_and_same_result():
     session.warm_cache("vortex-dataman", params=params)
     rr = session.run("vortex-dataman", params=params)
     balanced = session.run(
-        "vortex-dataman", params={**params, "distribution": "balanced"}
+        "vortex-dataman", params={**params, "schedule": "dynamic"}
     )
     assert balanced.geometry.n_triangles == rr.geometry.n_triangles
     assert balanced.total_runtime <= rr.total_runtime * 1.01

@@ -214,9 +214,9 @@ def test_result_breakdown_and_packets_consistency(engine):
 
 def test_client_frame_rate_check(engine):
     session = make_session(engine, 2)
-    session.run("iso-dataman", params=ISO)
-    assert session.client.frame_rate_ok()
-    assert session.client.achieved_frame_rate() > 10.0
+    report = session.run("iso-dataman", params=ISO).interaction_report()
+    assert report["frame_rate_ok"]
+    assert report["frame_rate_hz"] > 10.0
 
 
 def _sorted_triangle_rows(mesh):

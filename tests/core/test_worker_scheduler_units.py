@@ -211,53 +211,6 @@ def test_scheduler_aggregates_dms_stats():
     assert agg.requests == 4
 
 
-def test_scheduler_serve_loop_dispatches_requests():
-    """Daemon operation: requests arrive by mailbox, commands run, a
-    Shutdown message ends the loop."""
-    from repro.core.messages import CommandRequest, Shutdown
-    from repro.viz.client import VisualizationClient
-
-    env = Environment()
-    cluster = SimCluster(env, ClusterConfig(n_workers=2))
-    source = SyntheticSource(build_engine(base_resolution=4, n_timesteps=1))
-    registry = CommandRegistry()
-    registry.register(ProbeCommand)
-    sched = Scheduler(env, cluster, source, registry)
-    client = VisualizationClient(env)
-    done_a = client.expect(101)
-    done_b = client.expect(102)
-
-    serve_proc = env.process(sched.serve(client.mailbox), name="serve")
-    sched.mailbox.put(CommandRequest(101, "probe", {}, group_size=1))
-    sched.mailbox.put(CommandRequest(102, "probe", {}, group_size=2))
-    env.run(until=done_a)
-    env.run(until=done_b)
-    sched.mailbox.put(Shutdown())
-    dispatched = env.run(until=serve_proc)
-    env.run()
-    assert dispatched == 2
-    assert {r.request_id for r in sched.history} == {101, 102}
-    assert len(client.packets_by_request[101]) == 1
-    assert len(client.packets_by_request[102]) == 1
-
-
-def test_scheduler_serve_ignores_unknown_messages():
-    from repro.core.messages import Shutdown
-    from repro.viz.client import VisualizationClient
-
-    env = Environment()
-    cluster = SimCluster(env, ClusterConfig(n_workers=1))
-    source = SyntheticSource(build_engine(base_resolution=4, n_timesteps=1))
-    registry = CommandRegistry()
-    registry.register(ProbeCommand)
-    sched = Scheduler(env, cluster, source, registry)
-    client = VisualizationClient(env)
-    serve_proc = env.process(sched.serve(client.mailbox))
-    sched.mailbox.put("junk")
-    sched.mailbox.put(Shutdown())
-    assert env.run(until=serve_proc) == 0
-
-
 def test_scheduler_history_is_bounded(make_session):
     """Run records carry merged geometry; the scheduler keeps only the
     last HISTORY_LEN of them, so its memory stays flat over many ops."""

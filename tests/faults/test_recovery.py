@@ -56,15 +56,17 @@ def test_streaming_crash_dedups_packets(clean_iso):
     same (request, unit, sequence) key — the client drops it."""
     clean_session = paper_session(n_workers=3)
     clean = clean_session.run("iso-progressive", params=PROGRESSIVE)
+    (clean_packets,) = clean_session.client.packets_by_request.values()
     first, second = [
-        p.time for p in clean_session.client.packets if p.worker_index == 1
+        p.time for p in clean_packets if p.worker_index == 1
     ][:2]
     session = _crash_session(clean_iso, t_crash=(first + second) / 2)
     result = session.run("iso-progressive", params=PROGRESSIVE)
     assert result.complete
     assert result.geometry.n_triangles == clean.geometry.n_triangles
     assert session.client.duplicates >= 1
-    final = [p for p in session.client.packets if p.final]
+    (packets,) = session.client.packets_by_request.values()
+    final = [p for p in packets if p.final]
     assert len(final) == 1
 
 

@@ -1,13 +1,23 @@
 """CLI verbs: ``repro loadtest`` and ``repro serve`` argument handling."""
 
+import inspect
 import json
+import re
 
-from repro.__main__ import main
+import pytest
+
+from repro.__main__ import USAGE, main
+from repro.serve.cli import loadtest_main, serve_main
 
 
 def run_cli(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
+
+
+def flags_read(handler):
+    """The ``--flag`` names a verb handler looks up."""
+    return set(re.findall(r'flags\.get\("([\w-]+)"', inspect.getsource(handler)))
 
 
 class TestLoadtestVerb:
@@ -61,6 +71,42 @@ class TestLoadtestVerb:
         code, out = run_cli(["loadtest", "--help"], capsys)
         assert code == 0
         assert "--tenants" in out
+
+    def test_every_flag_loadtest_reads_is_accepted(self, tmp_path, capsys):
+        args = [
+            "loadtest", "--tenants", "6", "--seed", "2", "--requests", "1",
+            "--rate", "0.5", "--arrival", "bursty", "--slots", "2",
+            "--cancel-frac", "0.1", "--priority-frac", "0.5",
+            "--max-in-flight", "1", "--replay", "--json",
+            "--out", str(tmp_path / "rollup.json"),
+        ]
+        assert set(re.findall(r"--([\w-]+)", " ".join(args))) == flags_read(
+            loadtest_main
+        )
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["spec"] == {
+            "n_tenants": 6, "seed": 2, "requests_per_tenant": 1,
+            "arrival": "bursty", "slots": 2,
+        }
+
+
+@pytest.mark.parametrize("verb, handler", [
+    ("loadtest", loadtest_main), ("serve", serve_main),
+])
+def test_usage_lists_every_flag_the_verb_reads(verb, handler):
+    assert flags_read(handler) == set(re.findall(r"\[--([\w-]+)", USAGE[verb]))
+
+
+@pytest.mark.parametrize("args", [
+    ["loadtest", "--tenant", "5"],
+    ["serve", "--prot", "9000"],
+])
+def test_unknown_flag_exits_2(args, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    assert f"unknown option {args[1]!r}" in out
+    assert out.rstrip().endswith(USAGE[args[0]])
 
 
 class TestServeVerb:

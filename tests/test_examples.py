@@ -26,6 +26,14 @@ def test_quickstart(capsys):
     assert "ok" in out  # frame-rate criterion satisfied
 
 
+def test_concurrent_work_groups(capsys):
+    out = run_example("concurrent_work_groups.py", capsys)
+    for command in ("iso-viewer", "vortex-streamed", "vortex-dataman"):
+        assert command in out
+    assert out.count("(ok)") == 3  # frame-rate criterion, per result
+    assert "+---" in out  # a rendered frame
+
+
 def test_ondisk_workflow(capsys):
     out = run_example("ondisk_dataset_workflow.py", capsys)
     assert "matches framework: True" in out

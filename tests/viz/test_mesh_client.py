@@ -128,7 +128,7 @@ def packet(seq, payload=None, nbytes=100, final=False, worker=0):
 def test_client_records_packets_until_final():
     env = Environment()
     client = VisualizationClient(env)
-    done = client.start_listening()
+    done = client.expect(1)
 
     def feeder():
         yield env.timeout(1.0)
@@ -138,16 +138,36 @@ def test_client_records_packets_until_final():
 
     env.process(feeder())
     env.run(until=done)
-    assert len(client.packets) == 2
-    assert client.first_data_time == pytest.approx(1.0)
-    assert client.final_time == pytest.approx(2.0)
-    assert client.merged_geometry().n_triangles == 1
+    packets = client.packets_by_request[1]
+    assert len(packets) == 2
+    assert client.first_data_time_of(1) == pytest.approx(1.0)
+    assert [p.time for p in packets if p.final] == [pytest.approx(2.0)]
+    assert TriangleMesh.merge(client.payloads_by_request[1]).n_triangles == 1
+
+
+def test_client_keeps_consuming_after_a_final_packet():
+    """One consume loop serves every request: a final packet completes
+    its own request and nothing else."""
+    env = Environment()
+    client = VisualizationClient(env)
+    done_a = client.expect(1)
+    done_b = client.expect(2)
+    client.mailbox.put(packet(0, final=True))
+    env.run(until=done_a)
+    assert not done_b.triggered
+    client.mailbox.put(ResultPacket(
+        request_id=2, worker_index=0, sequence=0, payload=None,
+        nbytes=0, final=True,
+    ))
+    env.run(until=done_b)
+    assert len(client.packets_by_request[1]) == 1
+    assert len(client.packets_by_request[2]) == 1
 
 
 def test_client_first_data_skips_empty_packets():
     env = Environment()
     client = VisualizationClient(env)
-    done = client.start_listening()
+    done = client.expect(1)
 
     def feeder():
         yield env.timeout(0.5)
@@ -157,27 +177,27 @@ def test_client_first_data_skips_empty_packets():
 
     env.process(feeder())
     env.run(until=done)
-    assert client.first_data_time == pytest.approx(1.0)
+    assert client.first_data_time_of(1) == pytest.approx(1.0)
 
 
 def test_client_reset():
     env = Environment()
     client = VisualizationClient(env)
-    done = client.start_listening()
+    done = client.expect(1)
     client.mailbox.put(packet(0, TriangleMesh(unit_triangle()), final=True))
     env.run(until=done)
-    assert client.packets
+    assert client.packets_by_request[1]
     client.reset()
-    assert not client.packets and not client.payloads
-    assert client.first_data_time is None
-    assert client.final_time is None
+    assert not client.packets_by_request and not client.payloads_by_request
+    assert client.first_data_time_of(1) is None
 
 
 def test_client_other_payloads():
+    """Non-geometry payloads are kept, in order, with their request."""
     env = Environment()
     client = VisualizationClient(env)
-    done = client.start_listening()
+    done = client.expect(1)
     client.mailbox.put(packet(0, payload="not-a-mesh"))
     client.mailbox.put(packet(1, final=True))
     env.run(until=done)
-    assert client.other_payloads() == ["not-a-mesh"]
+    assert client.payloads_by_request[1] == ["not-a-mesh"]
