@@ -34,7 +34,7 @@ from typing import Generator, Sequence
 import numpy as np
 
 from ..grids.block import BlockHandle, StructuredBlock
-from ..grids.interpolate import _SMALL_BATCH, CellLocator
+from ..grids.interpolate import CellLocator
 from ..grids.multiblock import TimeSeries
 from ..grids.topology import BlockTopology
 
@@ -112,8 +112,8 @@ class BatchPathlineTracer:
     live particles together through one embedded RK45 (Cash-Karp)
     attempt per bracketing time level.  Velocity samples come from
     :class:`~repro.grids.interpolate.CellLocator`'s per-point kernels
-    for the tiny block groups tracing produces, and from its batch
-    kernels for larger ones.
+    (``locate_one`` / ``blend_one``), one row at a time, whatever the
+    size of the block group.
 
     Block demands are *coalesced*: within a super-step each missing
     ``(time level, block)`` pair is requested exactly once no matter how
@@ -214,9 +214,7 @@ class BatchPathlineTracer:
         every block (the particle left the domain).  Points are grouped
         by candidate block so each needed block is touched — and, on a
         cache miss, requested — once per group, then located and
-        interpolated: point by point for groups of at most
-        ``_SMALL_BATCH`` rows (the common case), with one vectorized
-        call above that.
+        interpolated point by point (:meth:`_locate_group`).
         """
         m = len(points)
         self.samples += m
@@ -309,25 +307,14 @@ class BatchPathlineTracer:
     ) -> list[tuple[tuple[int, int, int], list[float]] | None]:
         """``(cell, velocity)`` per row of one block group, ``None`` where
         the block does not contain the point.  Each row walks from its
-        particle's hint cell when the hint lies in this block."""
-        hints = []
-        for r in rows:
-            hint = self._hints.get(pid_of[r])
-            hints.append(hint[1] if hint is not None and hint[0] == bid else None)
-        if len(rows) > _SMALL_BATCH:
-            cells, rst = locator.locate_many([pts[r] for r in rows], hints=hints)
-            found = np.nonzero(cells[:, 0] >= 0)[0]
-            hits = [None] * len(rows)
-            if found.size:
-                v = locator.interpolate_many(self.velocity, cells[found], rst[found])
-                for n, cell, vn in zip(
-                    found.tolist(), cells[found].tolist(), v.tolist()
-                ):
-                    hits[n] = (tuple(cell), vn)
-            return hits
+        particle's hint cell when the hint lies in this block; rows are
+        independent, so a seed traces bit-identically alone or in any
+        batch."""
         hits = []
         data = None
-        for r, hint in zip(rows, hints):
+        for r in rows:
+            hint = self._hints.get(pid_of[r])
+            hint = hint[1] if hint is not None and hint[0] == bid else None
             px, py, pz = pts[r]
             hit = locator.locate_one(px, py, pz, hint)
             if hit is None:

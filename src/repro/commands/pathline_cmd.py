@@ -19,9 +19,10 @@ in it), which both cuts DMS round trips and keeps the request stream
 Markov-learnable.  The batched tracer is the only one; a ``tracer``
 param (the removed one-particle-at-a-time option) is rejected.
 
-Params: ``seeds`` (list of 3-D points; required), ``t_start`` /
-``t_end`` (physical times; default full range), ``rtol``,
-``local_cache_blocks``, ``max_steps``, ``prefetch`` override.
+Params: ``seeds`` (list of 3-D points, each exactly three finite
+numbers; required), ``t_start`` / ``t_end`` (physical times; default
+full range), ``rtol``, ``local_cache_blocks``, ``max_steps``,
+``prefetch`` override.
 """
 
 from __future__ import annotations
@@ -50,7 +51,17 @@ class PathlinesDataManCommand(Command):
                 "the 'tracer' param was removed: pathline commands always "
                 "use the batched RK45 tracer"
             )
-        seeds = [np.asarray(s, dtype=np.float64) for s in ctx.params["seeds"]]
+        seeds = []
+        for index, seed in enumerate(ctx.params["seeds"]):
+            try:
+                point = np.asarray(seed, dtype=np.float64)
+            except (TypeError, ValueError):
+                point = np.empty(0)
+            if point.shape != (3,) or not np.isfinite(point).all():
+                raise ValueError(
+                    f"seed {index} must be three finite numbers, got {seed!r}"
+                )
+            seeds.append(point)
         if not seeds:
             raise ValueError("pathline commands need at least one seed")
         return split_round_robin(seeds, group_size)

@@ -2,11 +2,7 @@
 
 from .block import BlockHandle, StructuredBlock
 from .geometry import cell_centers, cell_volumes, velocity_gradient_tensor
-from .interpolate import (
-    CellLocator,
-    invert_trilinear_many,
-    trilinear_weights_many,
-)
+from .interpolate import CellLocator
 from .multiblock import MultiBlockDataset, TimeSeries
 from .topology import BlockTopology, FaceMatch, file_order, find_matched_faces
 from .bsp import BSPNode, BSPTree
@@ -20,8 +16,6 @@ __all__ = [
     "cell_volumes",
     "velocity_gradient_tensor",
     "CellLocator",
-    "invert_trilinear_many",
-    "trilinear_weights_many",
     "MultiBlockDataset",
     "TimeSeries",
     "BlockTopology",

@@ -22,79 +22,7 @@ from scipy.spatial import cKDTree
 
 from .block import StructuredBlock
 
-__all__ = [
-    "trilinear_weights_many",
-    "invert_trilinear_many",
-    "CellLocator",
-]
-
-
-def trilinear_weights_many(rst: np.ndarray) -> np.ndarray:
-    """Shape-function values for a batch of natural coordinates.
-
-    ``rst`` has shape ``(n, 3)``; the result has shape ``(n, 8)``.
-    """
-    rst = np.asarray(rst, dtype=np.float64)
-    r, s, t = rst[..., 0], rst[..., 1], rst[..., 2]
-    rm, sm, tm = 1.0 - r, 1.0 - s, 1.0 - t
-    smtm, stm, smt, st = sm * tm, s * tm, sm * t, s * t
-    out = np.empty(rst.shape[:-1] + (8,), dtype=np.float64)
-    out[..., 0] = rm * smtm
-    out[..., 1] = r * smtm
-    out[..., 2] = r * stm
-    out[..., 3] = rm * stm
-    out[..., 4] = rm * smt
-    out[..., 5] = r * smt
-    out[..., 6] = r * st
-    out[..., 7] = rm * st
-    return out
-
-
-def _weight_derivative_columns(
-    r: np.ndarray, s: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dN/dr, dN/ds, dN/dt)`` for a batch, each of shape ``(n, 8)``."""
-    rm, sm, tm = 1.0 - r, 1.0 - s, 1.0 - t
-    n = np.shape(r)
-    smtm, stm, smt, st = sm * tm, s * tm, sm * t, s * t
-    dr = np.empty(n + (8,), dtype=np.float64)
-    dr[..., 0] = -smtm
-    dr[..., 1] = smtm
-    dr[..., 2] = stm
-    dr[..., 3] = -stm
-    dr[..., 4] = -smt
-    dr[..., 5] = smt
-    dr[..., 6] = st
-    dr[..., 7] = -st
-    rmtm, rtm, rmt, rt = rm * tm, r * tm, rm * t, r * t
-    ds = np.empty(n + (8,), dtype=np.float64)
-    ds[..., 0] = -rmtm
-    ds[..., 1] = -rtm
-    ds[..., 2] = rtm
-    ds[..., 3] = rmtm
-    ds[..., 4] = -rmt
-    ds[..., 5] = -rt
-    ds[..., 6] = rt
-    ds[..., 7] = rmt
-    rmsm, rsm, rs = rm * sm, r * sm, r * s
-    rms = rm * s
-    dt = np.empty(n + (8,), dtype=np.float64)
-    dt[..., 0] = -rmsm
-    dt[..., 1] = -rsm
-    dt[..., 2] = -rs
-    dt[..., 3] = -rms
-    dt[..., 4] = rmsm
-    dt[..., 5] = rsm
-    dt[..., 6] = rs
-    dt[..., 7] = rms
-    return dr, ds, dt
-
-
-#: Batch sizes at or below this take scalar Python fast paths.  The
-#: tracer's per-block groups are routinely 1-3 points, where per-call
-#: numpy dispatch dominates the actual arithmetic by an order of
-#: magnitude.
-_SMALL_BATCH = 16
+__all__ = ["CellLocator"]
 
 #: Nearest cell centers tried, rank by rank, for a point with no hint
 #: (or whose hint walk failed).
@@ -105,14 +33,19 @@ _MAX_WALK = 64
 
 
 def _invert_one(cell, px, py, pz, tol2, max_iter):
-    """One Newton inversion, bit-identical to :func:`invert_trilinear_many`.
+    """One damped Newton inversion of a cell's trilinear map.
 
-    Every expression mirrors the vectorized sweep, including numpy's
-    pairwise association for 8-element row sums
-    (``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``), so a row solved here is
-    indistinguishable from the same row solved in a large batch.  This
-    matters because downstream cell/step decisions feed the simulated
-    request stream: the golden trace fingerprints pin these bits.
+    Starts at the cell center, clamps to ``[-1, 2]`` and gives up on a
+    singular Jacobian; returns ``(r, s, t, converged)``, where
+    ``converged`` only says the residual reached ``sqrt(tol2)`` (whether
+    the point is *inside* is a separate range check).  The 8-term sums
+    keep numpy's pairwise association
+    (``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``) from an earlier vectorised
+    solver.  Its bits are pinned by the golden trace fingerprints
+    (``tests/faults/test_golden_pins.py``) and the pathline sha256 pins
+    (``tests/parallel/test_pathline_bytes.py``), because cell and step
+    decisions downstream feed the simulated request stream; changing the
+    association is a deliberate, explained golden re-baseline.
     """
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), \
         (x4, y4, z4), (x5, y5, z5), (x6, y6, z6), (x7, y7, z7) = cell
@@ -130,8 +63,8 @@ def _invert_one(cell, px, py, pz, tol2, max_iter):
             + ((w4 * z4 + w5 * z5) + (w6 * z6 + w7 * z7)) - pz
         if fx * fx + fy * fy + fz * fz < tol2:
             return r, s, t, True
-        # Jacobian rows, with the derivative columns of
-        # _weight_derivative_columns folded in sign-by-sign.
+        # Jacobian entries: the shape-function derivatives dN/dr,
+        # dN/ds, dN/dt folded in sign-by-sign.
         j00 = ((-(smtm * x0) + smtm * x1) + (stm * x2 - stm * x3)) \
             + ((-(smt * x4) + smt * x5) + (st * x6 - st * x7))
         j10 = ((-(smtm * y0) + smtm * y1) + (stm * y2 - stm * y3)) \
@@ -186,112 +119,6 @@ def _invert_one(cell, px, py, pz, tol2, max_iter):
     return r, s, t, (fx * fx + fy * fy + fz * fz < tol2)
 
 
-def invert_trilinear_many(
-    corners: np.ndarray,
-    points: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 25,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-invert the trilinear map for a batch of (cell, point) pairs.
-
-    ``corners`` has shape ``(n, 8, 3)`` and ``points`` ``(n, 3)``; the
-    result is ``(rst, converged)`` with shapes ``(n, 3)`` and ``(n,)``.
-    Each pair runs a damped Newton iteration (start at the cell center,
-    clamp to ``[-1, 2]``, give up on a singular Jacobian) with per-point
-    convergence masks, so one LAPACK-free vectorized sweep serves the
-    whole batch.  ``converged`` only says the iteration reached ``tol``;
-    whether a point is *inside* is a separate range check on ``rst``.
-    """
-    c = np.asarray(corners, dtype=np.float64).reshape(-1, 8, 3)
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(c)
-    if len(p) != n:
-        raise ValueError(f"{n} corner sets but {len(p)} points")
-    rst = np.full((n, 3), 0.5)
-    converged = np.zeros(n, dtype=bool)
-    if n == 0:
-        return rst, converged
-    if n <= _SMALL_BATCH:
-        tol2 = tol * tol
-        cl = c.tolist()
-        pl = p.tolist()
-        for i in range(n):
-            px, py, pz = pl[i]
-            r, s, t, ok = _invert_one(cl[i], px, py, pz, tol2, max_iter)
-            row = rst[i]
-            row[0] = r; row[1] = s; row[2] = t
-            converged[i] = ok
-        return rst, converged
-    cx, cy, cz = c[:, :, 0], c[:, :, 1], c[:, :, 2]
-    tol2 = tol * tol
-    #: rows still iterating (neither converged nor singular).
-    active = np.arange(n)
-    for _ in range(max_iter):
-        r, s, t = rst[active, 0], rst[active, 1], rst[active, 2]
-        w = trilinear_weights_many(rst[active])
-        fx = (w * cx[active]).sum(axis=1) - p[active, 0]
-        fy = (w * cy[active]).sum(axis=1) - p[active, 1]
-        fz = (w * cz[active]).sum(axis=1) - p[active, 2]
-        done = fx * fx + fy * fy + fz * fz < tol2
-        if done.any():
-            converged[active[done]] = True
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                return rst, converged
-            r, s, t = r[keep], s[keep], t[keep]
-            fx, fy, fz = fx[keep], fy[keep], fz[keep]
-        dr, ds, dt = _weight_derivative_columns(r, s, t)
-        j00 = (dr * cx[active]).sum(axis=1)
-        j10 = (dr * cy[active]).sum(axis=1)
-        j20 = (dr * cz[active]).sum(axis=1)
-        j01 = (ds * cx[active]).sum(axis=1)
-        j11 = (ds * cy[active]).sum(axis=1)
-        j21 = (ds * cz[active]).sum(axis=1)
-        j02 = (dt * cx[active]).sum(axis=1)
-        j12 = (dt * cy[active]).sum(axis=1)
-        j22 = (dt * cz[active]).sum(axis=1)
-        cof00 = j11 * j22 - j12 * j21
-        cof01 = j10 * j22 - j12 * j20
-        cof02 = j10 * j21 - j11 * j20
-        det = j00 * cof00 - j01 * cof01 + j02 * cof02
-        bad = (det == 0.0) | ~np.isfinite(det)
-        if bad.any():
-            # Singular / NaN Jacobian: give up on those rows (converged
-            # stays False), keep iterating the rest.
-            keep = ~bad
-            active = active[keep]
-            if active.size == 0:
-                return rst, converged
-            fx, fy, fz = fx[keep], fy[keep], fz[keep]
-            j00, j01, j02 = j00[keep], j01[keep], j02[keep]
-            j10, j11, j12 = j10[keep], j11[keep], j12[keep]
-            j20, j21, j22 = j20[keep], j21[keep], j22[keep]
-            cof00, cof01, cof02 = cof00[keep], cof01[keep], cof02[keep]
-            det = det[keep]
-        inv = 1.0 / det
-        d_r = inv * (
-            fx * cof00 - j01 * (fy * j22 - j12 * fz) + j02 * (fy * j21 - j11 * fz)
-        )
-        d_s = inv * (
-            j00 * (fy * j22 - j12 * fz) - fx * cof01 + j02 * (j10 * fz - fy * j20)
-        )
-        d_t = inv * (
-            j00 * (j11 * fz - fy * j21) - j01 * (j10 * fz - fy * j20) + fx * cof02
-        )
-        step = np.stack([d_r, d_s, d_t], axis=-1)
-        # Keep Newton from running away on strongly curved cells.
-        rst[active] = np.clip(rst[active] - step, -1.0, 2.0)
-    if active.size:
-        w = trilinear_weights_many(rst[active])
-        fx = (w * cx[active]).sum(axis=1) - p[active, 0]
-        fy = (w * cy[active]).sum(axis=1) - p[active, 1]
-        fz = (w * cz[active]).sum(axis=1) - p[active, 2]
-        converged[active] = fx * fx + fy * fy + fz * fz < tol2
-    return rst, converged
-
-
-
 class CellLocator:
     """Locates containing cells in one block and interpolates fields."""
 
@@ -329,23 +156,18 @@ class CellLocator:
         pz: float,
         hint: "tuple[int, int, int] | None" = None,
     ) -> "tuple[int, int, int, float, float, float] | None":
-        """Locate one point: the per-row counterpart of :meth:`locate_many`.
+        """Locate one point: the particle tracer's locate kernel.
 
         Walks from ``hint`` (clamped into the block) toward where the
         natural coordinates point; if that fails, and the point lies in
         the slack-padded bbox, tries its ``_K_CANDIDATES`` nearest cell
-        centers rank by rank.  Returns ``(i, j, k, r, s, t)`` or ``None``.
-
-        Rows are independent in the vectorized sweep, so one row solved
-        here with the bit-identical scalar Newton solve
-        (:func:`_invert_one`) yields the exact cell and natural
-        coordinates the sweep would, while skipping its per-step masking
-        machinery.
+        centers rank by rank.  Every cell is tested with
+        :func:`_invert_one`.  Returns ``(i, j, k, r, s, t)`` or ``None``.
         """
         corners = self._cell_corners
         lo_ok = -self.slack
         hi_ok = 1.0 + self.slack
-        tol2 = 1e-10 * 1e-10  # invert_trilinear_many's tol * tol
+        tol2 = 1e-10 * 1e-10  # Newton residual tolerance, squared
         if hint is not None:
             ci, cj, ck = self.block.cell_shape
             i_hi, j_hi, k_hi = ci - 1, cj - 1, ck - 1
@@ -400,13 +222,13 @@ class CellLocator:
         data: np.ndarray, i: int, j: int, k: int, r: float, s: float, t: float
     ) -> "float | list[float]":
         """Trilinear value of ``data`` at natural coordinates ``(r, s, t)``
-        of cell ``(i, j, k)``: the per-row kernel of :meth:`interpolate_many`.
+        of cell ``(i, j, k)``: the particle tracer's interpolation kernel.
 
         Blends the 8 corner values in numpy's reduction order — pairwise
         for a scalar field (contiguous inner-axis sum), sequential per
-        component for a vector field (outer-axis sum) — so the result is
-        bit-identical to the vectorized gather.  Returns a float, or one
-        float per component.
+        component for a vector field (outer-axis sum).  The vector sum
+        feeds every pathline sample, so the pathline sha256 pins fix its
+        bits.  Returns a float, or one float per component.
         """
         rm = 1.0 - r; sm = 1.0 - s; tm = 1.0 - t
         smtm = sm * tm; stm = s * tm; smt = sm * t; st = s * t
@@ -426,158 +248,20 @@ class CellLocator:
             for n in range(len(c0))
         ]
 
-    # ----------------------------------------------------- batch locate
-    def locate_many(
-        self,
-        points: np.ndarray,
-        hints: "list[tuple[int, int, int] | None] | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Locate many points: one kd-tree query / walk sweep for the batch.
+    def locate_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate_one` without hints, row by row.
 
-        ``points`` has shape ``(n, 3)``; ``hints`` is an optional
-        per-point list of start cells (``None`` entries fall straight
-        through to the kd-tree).  Returns ``(cells, rst)`` where
+        ``points`` has shape ``(n, 3)``.  Returns ``(cells, rst)``:
         ``cells`` is ``(n, 3)`` int64 with ``-1`` rows marking points
-        contained in no cell of this block, and ``rst`` the matching
-        natural coordinates.
-
-        Points with hints walk together (one vectorized Newton solve per
-        walk front); the rest share one batched kd-tree query and are
-        tested against their k nearest candidate cells rank by rank.
-        Each row gets exactly what :meth:`locate_one` returns for it.
+        contained in no cell of this block, ``rst`` the matching natural
+        coordinates.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        n = len(pts)
-        cells = np.full((n, 3), -1, dtype=np.int64)
-        rst_out = np.zeros((n, 3), dtype=np.float64)
-        if n == 0:
-            return cells, rst_out
-        if hints is not None:
-            hint_rows = [row for row, h in enumerate(hints) if h is not None]
-            if hint_rows:
-                rows = np.asarray(hint_rows, dtype=np.int64)
-                starts = np.asarray(
-                    [hints[row] for row in hint_rows], dtype=np.int64
-                )
-                w_cells, w_rst = self._walk_many(pts[rows], starts)
-                cells[rows] = w_cells
-                rst_out[rows] = w_rst
-        unresolved = np.nonzero(cells[:, 0] < 0)[0]
-        if unresolved.size == 0:
-            return cells, rst_out
-        pad = self.slack
-        inb = np.all(pts[unresolved] >= self._bounds[0] - pad, axis=1) & np.all(
-            pts[unresolved] <= self._bounds[1] + pad, axis=1
-        )
-        pending = unresolved[inb]
-        if pending.size == 0:
-            return cells, rst_out
-        self._ensure_tree()
-        n_cells = self.block.n_cells
-        k = min(_K_CANDIDATES, n_cells)
-        _dists, flats = self._tree.query(pts[pending], k=k)
-        flats = np.atleast_2d(np.asarray(flats, dtype=np.int64).reshape(len(pending), k))
-        ci, cj, ck = self.block.cell_shape
-        for rank in range(k):
-            if pending.size == 0:
-                break
-            flat = flats[:, rank]
-            i, rem = np.divmod(flat, cj * ck)
-            j, kk = np.divmod(rem, ck)
-            corners = self._cell_corners[i, j, kk]
-            rst, ok = invert_trilinear_many(corners, pts[pending])
-            inside = (
-                ok
-                & np.all(rst >= -self.slack, axis=1)
-                & np.all(rst <= 1.0 + self.slack, axis=1)
-            )
-            if inside.any():
-                rows = pending[inside]
-                cells[rows, 0] = i[inside]
-                cells[rows, 1] = j[inside]
-                cells[rows, 2] = kk[inside]
-                rst_out[rows] = rst[inside]
-                pending = pending[~inside]
-                flats = flats[~inside]
-        return cells, rst_out
-
-    def _walk_many(
-        self, pts: np.ndarray, starts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized cell walk: every point steps from its own hint cell."""
-        m = len(pts)
-        ci, cj, ck = self.block.cell_shape
-        limit = np.array([ci - 1, cj - 1, ck - 1], dtype=np.int64)
-        cur = np.clip(np.asarray(starts, dtype=np.int64), 0, limit)
-        out_cells = np.full((m, 3), -1, dtype=np.int64)
-        out_rst = np.zeros((m, 3), dtype=np.float64)
-        alive = np.arange(m)
-        prev = np.full((m, 3), -9, dtype=np.int64)
-        for _ in range(_MAX_WALK):
-            corners = self._cell_corners[cur[alive, 0], cur[alive, 1], cur[alive, 2]]
-            rst, ok = invert_trilinear_many(corners, pts[alive])
-            inside = (
-                ok
-                & np.all(rst >= -self.slack, axis=1)
-                & np.all(rst <= 1.0 + self.slack, axis=1)
-            )
-            if inside.any():
-                rows = alive[inside]
-                out_cells[rows] = cur[rows]
-                out_rst[rows] = rst[inside]
-            # Step toward where the natural coordinates point.
-            step = np.where(rst < -self.slack, -1, np.where(rst > 1.0 + self.slack, 1, 0))
-            nxt = cur[alive] + step
-            keep = (
-                ~inside
-                & step.any(axis=1)  # Newton failed without direction info
-                & (nxt >= 0).all(axis=1)
-                & (nxt <= limit).all(axis=1)  # walked off the block
-                & ~(nxt == prev[alive]).all(axis=1)  # two-cell oscillation
-            )
-            rows = alive[keep]
-            if rows.size == 0:
-                break
-            prev[rows] = cur[rows]
-            cur[rows] = nxt[keep]
-            alive = rows
-        return out_cells, out_rst
-
-    def interpolate_many(
-        self, name: str, cells: np.ndarray, rst: np.ndarray
-    ) -> np.ndarray:
-        """Trilinear values of field ``name``: one gather for many (cell, rst) pairs.
-
-        ``cells`` is ``(n, 3)`` int, ``rst`` ``(n, 3)``; returns ``(n,)``
-        for scalar fields and ``(n, 3)`` for vector fields.  Batches of
-        at most ``_SMALL_BATCH`` rows run :meth:`blend_one` row by row.
-        """
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        rst = np.asarray(rst, dtype=np.float64).reshape(-1, 3)
-        data = self.block.field(name)
-        n = len(cells)
-        if n <= _SMALL_BATCH:
-            out = np.empty((n,) + data.shape[3:], dtype=np.float64)
-            for row, ((i, j, k), (r, s, t)) in enumerate(
-                zip(cells.tolist(), rst.tolist())
-            ):
-                out[row] = self.blend_one(data, i, j, k, r, s, t)
-            return out
-        w = trilinear_weights_many(rst)
-        i, j, k = cells[:, 0], cells[:, 1], cells[:, 2]
-        corners = np.stack(
-            [
-                data[i, j, k],
-                data[i + 1, j, k],
-                data[i + 1, j + 1, k],
-                data[i, j + 1, k],
-                data[i, j, k + 1],
-                data[i + 1, j, k + 1],
-                data[i + 1, j + 1, k + 1],
-                data[i, j + 1, k + 1],
-            ],
-            axis=1,
-        )
-        if data.ndim == 3:
-            return (w * corners).sum(axis=1)
-        return (w[:, :, None] * corners).sum(axis=1)
+        cells = np.full((len(pts), 3), -1, dtype=np.int64)
+        rst = np.zeros((len(pts), 3), dtype=np.float64)
+        for row, (px, py, pz) in enumerate(pts.tolist()):
+            hit = self.locate_one(px, py, pz)
+            if hit is not None:
+                cells[row] = hit[:3]
+                rst[row] = hit[3:]
+        return cells, rst

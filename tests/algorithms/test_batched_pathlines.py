@@ -12,8 +12,6 @@ import pytest
 
 from repro.algorithms import BatchPathlineTracer, trace_pathlines
 from repro.algorithms.pathlines import _bracket_many
-from repro.grids import CellLocator
-from repro.grids.interpolate import _SMALL_BATCH
 
 from .scalar_tracer import PathlineTracer, _bracket, trace_pathline
 from .test_pathlines import (
@@ -139,32 +137,55 @@ def swirl(coords, t):
     )
 
 
-def test_sweep_groups_trace_bit_identical_to_lone_seeds(monkeypatch):
-    """A batch big enough that its block groups exceed ``_SMALL_BATCH``
-    takes the vectorised locate/interpolate sweep; each seed traced
-    alone takes the per-point kernels.  Every path must match bit for
-    bit, so the two group paths are interchangeable."""
-    group_sizes = []
-    sweep = CellLocator.locate_many
+@pytest.fixture
+def group_sizes(monkeypatch):
+    """Rows per block group the tracer locates, recorded by a spy."""
+    sizes = []
+    locate_group = BatchPathlineTracer._locate_group
 
-    def spy(self, points, *args, **kwargs):
-        group_sizes.append(len(points))
-        return sweep(self, points, *args, **kwargs)
+    def spy(self, locator, bid, rows, *args):
+        sizes.append(len(rows))
+        return locate_group(self, locator, bid, rows, *args)
 
-    monkeypatch.setattr(CellLocator, "locate_many", spy)
+    monkeypatch.setattr(BatchPathlineTracer, "_locate_group", spy)
+    return sizes
+
+
+def test_batch_traces_bit_identical_to_lone_seeds(group_sizes):
+    """A batch whose block groups hold more than 16 rows traces every
+    seed bit for bit as that seed traced alone.  Dynamic pathline
+    scheduling deals one seed per task and relies on this."""
     rng = np.random.default_rng(29)
     seeds = np.array([-0.6, 0.1, 0.0]) + rng.uniform(-0.15, 0.15, size=(20, 3))
     series = series_for(swirl, [0.0, 1.5, 3.0, 4.5, 6.0], nblocks=4)
     batch = trace_pathlines(series, seeds, 0.0, 5.0, rtol=1e-4)
-    assert max(group_sizes) > _SMALL_BATCH
-    group_sizes.clear()
+    assert max(group_sizes) > 16
     for seed, got in zip(seeds, batch):
+        group_sizes.clear()
         (alone,) = trace_pathlines(series, seed[None], 0.0, 5.0, rtol=1e-4)
+        assert max(group_sizes) == 1
         assert np.array_equal(got.points, alone.points)
         assert np.array_equal(got.times, alone.times)
         assert got.termination == alone.termination
-    assert group_sizes == []
     assert {p.termination for p in batch} >= {"end_time", "left_domain"}
+
+
+def test_streakline_releases_trace_bit_identical_to_lone_seeds(group_sizes):
+    """The streakline shape: one seed point released at 20 times, all
+    before the second time level, so the particles share block groups
+    of more than 16 rows.  Each traces bit for bit as its release traced
+    alone."""
+    series = series_for(swirl, [0.0, 1.5, 3.0, 4.5, 6.0], nblocks=4)
+    releases = np.linspace(0.0, 1.4, 20)
+    seeds = np.tile([-0.6, 0.1, 0.0], (len(releases), 1))
+    batch = trace_pathlines(series, seeds, t_start=releases, t_end=5.0, rtol=1e-4)
+    assert max(group_sizes) > 16
+    for seed, t0, got in zip(seeds, releases, batch):
+        (alone,) = trace_pathlines(series, seed[None], t_start=t0, t_end=5.0, rtol=1e-4)
+        assert got.times[0] == t0
+        assert np.array_equal(got.points, alone.points)
+        assert np.array_equal(got.times, alone.times)
+        assert got.termination == alone.termination
 
 
 # ------------------------------------------------- request coalescing

@@ -89,6 +89,26 @@ def test_pathlines_require_seeds(session):
         )
 
 
+#: Seeds that are not exactly three finite numbers, each with the index
+#: of the first bad one.  Six numbers used to be reshaped into two seeds.
+MALFORMED_SEEDS = [
+    ([[0, 0, 1, 0.1, 0.1, 1.1]], 0),
+    ([[0.2, 0.1, 0.8], [0.2, 0.1]], 1),
+    ([[0.2, 0.1, 0.8], [0.2, 0.1, 0.8], [0, 0, 1, 0]], 2),
+    ([[0.2, float("nan"), 0.8]], 0),
+    ([[0.2, 0.1, float("inf")]], 0),
+    ([["a", "b", "c"]], 0),
+    ([0.2, 0.1, 0.8], 0),
+]
+
+
+@pytest.mark.parametrize("seeds,index", MALFORMED_SEEDS)
+def test_malformed_seed_fails_with_its_index(session, seeds, index):
+    for name in ("pathlines-dataman", "pathlines-simple", "streaklines"):
+        with pytest.raises(ValueError, match=f"seed {index} must be three finite"):
+            session.run(name, params={"seeds": seeds, "time_range": (0, 1)})
+
+
 def test_removed_tracer_param_fails_loudly(session):
     """``tracer`` selected the deleted one-particle tracer; REST and CLI
     callers may still send it, and it must not be silently ignored."""

@@ -1,14 +1,13 @@
 """One-point trilinear inversion and cell location: the test oracle.
 
-The library locates and interpolates in batches only
-(:func:`~repro.grids.interpolate.invert_trilinear_many`,
-:meth:`~repro.grids.interpolate.CellLocator.locate_many`,
-:meth:`~repro.grids.interpolate.CellLocator.interpolate_many`).  This
-module keeps the independent one-point implementation those batch
-kernels are checked against: a separately written Newton solver
-(:func:`invert_trilinear`) and a :class:`ScalarCellLocator` that adds
-one-point ``locate`` / ``interpolate`` / ``sample`` to the library's
-locator.
+The library's kernels (:func:`~repro.grids.interpolate._invert_one`,
+:meth:`~repro.grids.interpolate.CellLocator.locate_one`,
+:meth:`~repro.grids.interpolate.CellLocator.blend_one`) are written for
+speed and for fixed floating-point association.  This module keeps the
+independent implementation they are checked against: a separately
+written Newton solver (:func:`invert_trilinear`) and a
+:class:`ScalarCellLocator` that adds ``locate`` / ``interpolate`` /
+``sample`` on numpy arrays to the library's locator.
 """
 
 from __future__ import annotations
@@ -59,11 +58,9 @@ def invert_trilinear(
     ``converged`` only says the Newton iteration reached ``tol``; whether
     the point is *inside* is a separate range check on ``rst``.
 
-    Implementation note: the 3x3 Newton step is written in scalar Python
-    — for a single point, list arithmetic beats array construction and
-    LAPACK dispatch.  Batched queries go through
-    :func:`invert_trilinear_many`, the vectorized counterpart whose
-    agreement with this reference is pinned by the test suite.
+    The 3x3 Newton step is written in scalar Python, with its own
+    summation order, so agreement with the library's ``_invert_one`` is
+    agreement within rounding, not a copy of the same expressions.
     """
     c = np.asarray(corners, dtype=np.float64).reshape(8, 3).tolist()
     px, py, pz = (float(v) for v in np.asarray(point, dtype=np.float64))

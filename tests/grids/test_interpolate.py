@@ -1,8 +1,8 @@
 """Unit and property tests for point location / trilinear interpolation.
 
-Each query here is a batch of one, so these tests run the library's
-small-batch paths; ``test_batch_interpolate`` pins those bit for bit to
-the vectorised sweeps.
+Each query here runs the library's per-point kernels (``_invert_one``,
+``CellLocator.locate_one``, ``CellLocator.blend_one``);
+``test_batch_interpolate`` checks them against the independent oracle.
 """
 
 import numpy as np
@@ -10,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grids import (
-    CellLocator,
-    StructuredBlock,
-    invert_trilinear_many,
-    trilinear_weights_many,
-)
+from repro.grids import CellLocator, StructuredBlock
+from repro.grids.interpolate import _invert_one
 from repro.synth import cartesian_lattice, warp_lattice
 
 rst_strategy = st.tuples(
@@ -46,7 +42,12 @@ def warped_block(shape=(5, 5, 5), amplitude=0.04):
 
 
 def weights(rst):
-    return trilinear_weights_many(np.asarray(rst)[None])[0]
+    """The trilinear weights ``blend_one`` applies at ``rst``: the blend
+    of a 2x2x2 field whose component ``n`` is 1 at corner ``n``."""
+    one_hot = np.zeros((2, 2, 2, 8))
+    i, j, k = unit_cell_corners().astype(int).T
+    one_hot[i, j, k, np.arange(8)] = 1.0
+    return np.array(CellLocator.blend_one(one_hot, 0, 0, 0, *map(float, rst)))
 
 
 def trilinear_map(corners, rst):
@@ -54,18 +55,18 @@ def trilinear_map(corners, rst):
 
 
 def invert(corners, point):
-    rst, ok = invert_trilinear_many(corners[None], np.asarray(point)[None])
-    return rst[0], bool(ok[0])
+    px, py, pz = map(float, point)
+    tol2 = 1e-10 * 1e-10  # the residual tolerance locate_one passes
+    r, s, t, ok = _invert_one(np.asarray(corners).tolist(), px, py, pz, tol2, 25)
+    return np.array([r, s, t]), ok
 
 
 def locate(loc, point, hint=None):
-    """One-point ``locate_many``: ``(cell, rst)`` or ``None``."""
-    cells, rst = loc.locate_many(
-        np.asarray(point)[None], hints=None if hint is None else [hint]
-    )
-    if cells[0, 0] < 0:
+    """``locate_one`` as ``(cell, rst)`` or ``None``."""
+    hit = loc.locate_one(*map(float, point), hint)
+    if hit is None:
         return None
-    return tuple(int(c) for c in cells[0]), rst[0]
+    return hit[:3], np.array(hit[3:])
 
 
 def sample(loc, name, point):
@@ -73,7 +74,7 @@ def sample(loc, name, point):
     if found is None:
         return None
     cell, rst = found
-    return loc.interpolate_many(name, np.array([cell]), rst[None])[0], cell
+    return np.array(loc.blend_one(loc.block.field(name), *cell, *rst.tolist())), cell
 
 
 # ---------------------------------------------------------------- weights
@@ -182,7 +183,7 @@ def test_interpolate_linear_field_is_exact():
         found = locate(loc, p)
         assert found is not None
         cell, rst = found
-        val = loc.interpolate_many("s", np.array([cell]), rst[None])[0]
+        val = loc.blend_one(b.field("s"), *cell, *rst.tolist())
         expected = 2.0 * p[0] - p[1] + 3.0 * p[2]
         # Exact up to the trilinear representation of the warped geometry.
         assert val == pytest.approx(expected, abs=1e-6)

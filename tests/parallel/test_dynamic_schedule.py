@@ -136,6 +136,22 @@ def test_removed_schedule_name_fails_loudly(engine_store):
     assert res.schedule == "static"
 
 
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+def test_malformed_seed_fails_with_its_index(engine_store, schedule):
+    """Six numbers are not two seeds, and two are not one: every seed is
+    checked before any share or task is dealt."""
+    with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
+        for seeds, index in (
+            ([[0, 0, 1, 0.1, 0.1, 1.1]], 0),
+            ([[0.2, 0.1, 0.8], [0.2, 0.1]], 1),
+            ([[0.2, 0.1, 0.8], [0.1, float("nan"), 0.9]], 1),
+        ):
+            with pytest.raises(ValueError, match=f"seed {index} must be three"):
+                ext.run(
+                    "pathlines-dataman", params={"seeds": seeds}, schedule=schedule
+                )
+
+
 def test_cli_rejects_removed_schedule(capsys):
     from repro.__main__ import main as cli_main
 

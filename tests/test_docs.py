@@ -4,14 +4,19 @@ Every backticked ``repro.*`` dotted name in README.md, DESIGN.md and
 docs/*.md must resolve by import plus ``getattr``, and every backticked
 repo path under src/, tests/, benchmarks/, examples/ or docs/ must exist
 (globs must match something), so deleting or renaming code cannot leave
-a dangling reference behind.  Every ``repro <verb> --flag`` quoted in
+a dangling reference behind.  Every backticked test node id
+(``file.py::test_name``, ``*`` globs allowed in the name) must name a
+test function in that file: a path under tests/, or a bare file name
+unique under tests/.  Every ``repro <verb> --flag`` quoted in
 them (inline code or a fenced block) must name a verb with a ``USAGE``
 entry that lists the flag: unknown flags exit 2, so a stale one is a
 broken recipe.
 """
 
+import ast
 import importlib
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 from repro.__main__ import USAGE
@@ -23,6 +28,8 @@ _NAME = re.compile(r"(?<![\w./-])(repro(?:\.\w+)+)")
 _PATH = re.compile(
     r"(?<![\w./-])((?:src|tests|benchmarks|examples|docs)/[^\s`:(),]*)"
 )
+
+_NODE_ID = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.py)::([\w*]+)")
 
 
 def _backticked(pattern: re.Pattern) -> dict[str, str]:
@@ -76,6 +83,31 @@ def test_every_named_path_exists():
     assert len(paths) > 40, "the scan found too few paths to mean anything"
     missing = {p: doc for p, doc in paths.items() if not list(ROOT.glob(p))}
     assert not missing, f"docs name paths that do not exist: {missing}"
+
+
+def _test_file(cited: str) -> Path | None:
+    """The one file under tests/ a cited ``file.py`` denotes, or ``None``."""
+    if "/" in cited:
+        path = ROOT / cited
+        return path if cited.startswith("tests/") and path.is_file() else None
+    matches = list((ROOT / "tests").rglob(cited))
+    return matches[0] if len(matches) == 1 else None
+
+
+def test_every_cited_test_exists():
+    cited = _backticked(_NODE_ID)
+    assert len(cited) > 5, "the scan found too few test ids to mean anything"
+    missing = {}
+    for (file, name), doc in cited.items():
+        path = _test_file(file)
+        defined = [] if path is None else [
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        if not any(fnmatchcase(d, name) for d in defined):
+            missing[f"{file}::{name}"] = doc
+    assert not missing, f"docs cite tests that do not exist: {missing}"
 
 
 def test_every_quoted_cli_flag_is_accepted():
