@@ -14,9 +14,10 @@ Two operating modes mirror the paper's commands:
   computing the whole scalar field first;
 * :func:`iter_vortex_batches` — the StreamedVortex path, which "works
   on the original data set but avoids computing the complete λ2 scalar
-  field first": it sweeps the block in slabs, computes λ2 only there,
-  collects active cells and emits triangle batches as soon as a
-  user-specified number accumulates.
+  field first": it sweeps the block in slabs, collects active cells and
+  emits triangle batches as soon as a user-specified number
+  accumulates.  The simulated clock charges λ2 per slab; the real work
+  reads the block's memoised field.
 """
 
 from __future__ import annotations
@@ -107,8 +108,17 @@ def lambda2_points(gradients: np.ndarray) -> np.ndarray:
 
 
 def lambda2_field(block: StructuredBlock, velocity: str = "velocity") -> np.ndarray:
-    """The full λ2 scalar field of one block, shape ``(ni, nj, nk)``."""
-    return lambda2_points(velocity_gradient_tensor(block, velocity))
+    """The full λ2 scalar field of one block, shape ``(ni, nj, nk)``.
+
+    Memoised on the block (:meth:`StructuredBlock.memo`), keyed by the
+    velocity field's name: the array is read-only, and a block that
+    stays resident runs the gradient pass once.
+    """
+    return block.memo(
+        ("lambda2", velocity),
+        (velocity,),
+        lambda: lambda2_points(velocity_gradient_tensor(block, velocity)),
+    )
 
 
 def extract_block_vortices(
@@ -153,41 +163,33 @@ def iter_vortex_batches(
 ) -> Iterator[tuple[TriangleMesh, int]]:
     """Streamed λ2 extraction: yields ``(fragment, cells_processed)``.
 
-    Sweeps the block in i-slabs of ``slab_cells`` cells (each slab
-    carries one ghost point layer so gradients are identical to the
-    full-field computation in the slab interior), finds active cells,
-    and emits a fragment whenever the pending active-cell list reaches
-    ``batch_cells`` — the paper's "active cell list reaches a
-    user-specified length" trigger.
+    Sweeps the block in i-slabs of ``slab_cells`` cells, finds active
+    cells, and emits a fragment whenever the pending active-cell list
+    reaches ``batch_cells`` — the paper's "active cell list reaches a
+    user-specified length" trigger.  The slabs are cut from the block's
+    memoised :func:`lambda2_field`, so the streamed and batch commands
+    share one gradient pass per block; a slab's λ2 on its cells' points
+    is what a slab with one ghost point layer would compute.
     """
     if batch_cells < 1 or slab_cells < 1:
         raise ValueError("batch_cells and slab_cells must be >= 1")
     ni, nj, nk = block.shape
     ci = ni - 1
+    slab = (nj - 1) * (nk - 1)  # cells per i-layer
     pending: list[TriangleMesh] = []
     pending_cells = 0
-
+    work = StructuredBlock(
+        block.coords,
+        {"lambda2": lambda2_field(block, velocity)},
+        block_id=block.block_id,
+        time_index=block.time_index,
+    )
     for i0 in range(0, ci, slab_cells):
         i1 = min(i0 + slab_cells, ci)
-        # Slab of points with one-layer ghost margin for the gradient.
-        g0 = max(i0 - 1, 0)
-        g1 = min(i1 + 2, ni)
-        sub = StructuredBlock(
-            block.coords[g0:g1],
-            {velocity: block.field(velocity)[g0:g1]},
-            block_id=block.block_id,
-            time_index=block.time_index,
-        )
-        sub.set_field("lambda2", lambda2_field(sub, velocity))
-        # Cells of the slab, excluding ghost cells.
-        lo = i0 - g0
-        hi = lo + (i1 - i0)
-        cj, ck = nj - 1, nk - 1
-        slab_cell_ids = np.arange(lo * cj * ck, hi * cj * ck)
         mesh = extract_block_isosurface(
-            sub, "lambda2", threshold, cell_indices=slab_cell_ids
+            work, "lambda2", threshold, cell_indices=np.arange(i0 * slab, i1 * slab)
         )
-        pending_cells += (i1 - i0) * cj * ck
+        pending_cells += (i1 - i0) * slab
         if not mesh.is_empty():
             pending.append(mesh)
         if pending and pending_cells >= batch_cells:

@@ -55,11 +55,17 @@ def iter_view_dependent_batches(
     not precompute it, "in order to evaluate the 'true cost' of
     streaming"), traverses front-to-back with empty-region pruning, and
     emits a fragment whenever the accumulated triangle count reaches
-    ``max_triangles``.
+    ``max_triangles``.  The simulated clock charges the build on every
+    command; the tree itself is memoised on the block, keyed by
+    ``(scalar, leaf_size)``, so a resident block builds it once.
     """
     if max_triangles < 1:
         raise ValueError(f"max_triangles must be >= 1, got {max_triangles}")
-    tree = BSPTree(block, scalar, leaf_size=leaf_size)
+    tree = block.memo(
+        ("bsp", scalar, leaf_size),
+        (scalar,),
+        lambda: BSPTree(block, scalar, leaf_size=leaf_size),
+    )
     pending: list[TriangleMesh] = []
     pending_triangles = 0
     for leaf_cells in tree.traverse_front_to_back(viewpoint, isovalue=isovalue):

@@ -12,13 +12,24 @@ prefetching in the DMS (the paper's "block").
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Hashable, MutableMapping
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
 __all__ = ["StructuredBlock", "LazyStructuredBlock", "BlockHandle"]
+
+_T = TypeVar("_T")
+
+
+def _freeze(value: Any) -> None:
+    """Make a memoised value's arrays read-only (tuples are walked)."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
 
 
 class StructuredBlock:
@@ -59,6 +70,8 @@ class StructuredBlock:
         self.block_id = int(block_id)
         self.time_index = int(time_index)
         self.fields: dict[str, np.ndarray] = {}
+        #: key -> (arrays read, value); see :meth:`memo`.
+        self._memo: dict[Hashable, tuple[tuple[np.ndarray, ...], Any]] = {}
         for name, data in (fields or {}).items():
             self.set_field(name, data)
 
@@ -130,6 +143,32 @@ class StructuredBlock:
         if data.ndim != 3:
             raise ValueError(f"field {name!r} is not a scalar")
         return float(data.min()), float(data.max())
+
+    # ------------------------------------------------------- derived data
+    def memo(
+        self, key: Hashable, reads: tuple[str, ...], build: Callable[[], _T]
+    ) -> _T:
+        """``build()``'s value for ``key``, computed once per input set.
+
+        Data derived from this block's own arrays (λ2, per-cell scalar
+        intervals, a BSP tree) is kept here for the block's lifetime, so
+        a block the DMS keeps resident pays for it once.  An entry
+        remembers the coordinate array and the ``reads`` field arrays it
+        was built from, by identity, and is rebuilt once any of them is
+        replaced (``set_field``, ``fields[name] = ...``,
+        ``attach_raw_field``).  Writing into a field in place is not
+        seen; memoised arrays are read-only.
+        """
+        inputs = (self.coords, *(self.field(name) for name in reads))
+        entry = self._memo.get(key)
+        if entry is not None and len(entry[0]) == len(inputs) and all(
+            a is b for a, b in zip(entry[0], inputs)
+        ):
+            return entry[1]
+        value = build()
+        _freeze(value)
+        self._memo[key] = (inputs, value)
+        return value
 
     # ---------------------------------------------------------- geometry
     def bounds(self) -> np.ndarray:

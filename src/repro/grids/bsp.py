@@ -20,6 +20,7 @@ import numpy as np
 
 from .block import StructuredBlock
 from .geometry import cell_centers
+from .summary import cell_field_minmax
 
 __all__ = ["BSPNode", "BSPTree"]
 
@@ -54,33 +55,18 @@ class BSPTree:
     def __init__(self, block: StructuredBlock, scalar: str, leaf_size: int = 64):
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        self.block = block
         self.scalar = scalar
         self.leaf_size = leaf_size
-
-        centers = cell_centers(block).reshape(-1, 3)
-        f = block.field(scalar)
-        if f.ndim != 3:
-            raise ValueError(f"field {scalar!r} is not a scalar")
-        # Per-cell scalar interval from the 8 corners, fully vectorized.
-        stacked = np.stack(
-            [
-                f[:-1, :-1, :-1],
-                f[1:, :-1, :-1],
-                f[1:, 1:, :-1],
-                f[:-1, 1:, :-1],
-                f[:-1, :-1, 1:],
-                f[1:, :-1, 1:],
-                f[1:, 1:, 1:],
-                f[:-1, 1:, 1:],
-            ]
-        )
-        self._cell_min = stacked.min(axis=0).reshape(-1)
-        self._cell_max = stacked.max(axis=0).reshape(-1)
-        self._centers = centers
+        # The shape, not the block: a tree memoised on its block must
+        # not hold the block back.
+        self.cell_shape = block.cell_shape
+        self._cell_min, self._cell_max = cell_field_minmax(block, scalar)
+        self._centers = cell_centers(block).reshape(-1, 3)
         self._order = np.arange(block.n_cells)
         self.root = self._build(0, block.n_cells)
         self.n_nodes = self._count(self.root)
+        self._centers.flags.writeable = False
+        self._order.flags.writeable = False
 
     # ------------------------------------------------------------- build
     def _build(self, lo: int, hi: int) -> BSPNode:
@@ -156,7 +142,7 @@ class BSPTree:
 
     def flat_to_ijk(self, flat: np.ndarray) -> np.ndarray:
         """Convert flat cell indices to ``(i, j, k)`` triples, shape (n, 3)."""
-        ci, cj, ck = self.block.cell_shape
+        ci, cj, ck = self.cell_shape
         flat = np.asarray(flat)
         i, rem = np.divmod(flat, cj * ck)
         j, k = np.divmod(rem, ck)

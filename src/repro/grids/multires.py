@@ -114,7 +114,6 @@ class MultiResPyramid:
         # _maps_to_finer[l]: per-axis lattice indices of level ``l``'s
         # points within level ``l + 1``'s lattice.
         self._maps_to_finer = list(reversed(steps))
-        self._ranges: dict[tuple[int, str], tuple[float, float]] = {}
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -135,16 +134,17 @@ class MultiResPyramid:
         return self._maps_to_finer[level]
 
     def level_range(self, level: int, scalar: str) -> tuple[float, float]:
-        """Memoized (min, max) of ``scalar`` over one level's lattice."""
-        key = (level, scalar)
-        got = self._ranges.get(key)
-        if got is None:
-            f = self.levels[level].field(scalar)
+        """(min, max) of ``scalar`` over one level's lattice, memoised
+        on that level's block."""
+        block = self.levels[level]
+
+        def scan() -> tuple[float, float]:
+            f = block.field(scalar)
             if f.ndim != 3:
                 raise ValueError(f"field {scalar!r} is not a scalar")
-            got = (float(f.min()), float(f.max()))
-            self._ranges[key] = got
-        return got
+            return float(f.min()), float(f.max())
+
+        return block.memo(("range", scalar), (scalar,), scan)
 
     def level_straddles(self, level: int, scalar: str, isovalue: float) -> bool:
         """Whether ``level`` can contribute any isosurface geometry."""

@@ -47,7 +47,8 @@ def cell_field_minmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell min/max of ``scalar`` over each cell's 8 corners.
 
-    With ``cells=None`` both arrays cover every cell in flat (C) order;
+    With ``cells=None`` both arrays cover every cell in flat (C) order
+    and are memoised on the block (read-only, keyed by ``scalar``);
     otherwise only the given flat cell indices, in the given order.  A
     cell is *active* for an isovalue exactly when ``min <= iso <= max``,
     so these summaries reproduce ``active_cell_indices`` decisions.
@@ -56,17 +57,7 @@ def cell_field_minmax(
     if f.ndim != 3:
         raise ValueError(f"field {scalar!r} is not a scalar")
     if cells is None:
-        # Separable: fold the two corners along each axis in turn.  The
-        # same values as reducing an (8, ...) corner stack (min/max are
-        # exact and np.minimum/np.maximum propagate NaN like the
-        # reductions do) without materializing the stack.
-        lo = hi = f
-        for axis in range(3):
-            head = (slice(None),) * axis + (slice(None, -1),)
-            tail = (slice(None),) * axis + (slice(1, None),)
-            lo = np.minimum(lo[head], lo[tail])
-            hi = np.maximum(hi[head], hi[tail])
-        return lo.reshape(-1), hi.reshape(-1)
+        return block.memo(("cell_minmax", scalar), (scalar,), lambda: _fold_minmax(f))
     ci, cj, ck = block.cell_shape
     flat = np.asarray(cells, dtype=np.int64)
     i, rem = np.divmod(flat, cj * ck)
@@ -75,6 +66,20 @@ def cell_field_minmax(
         [f[i + di, j + dj, k + dk] for di, dj, dk in _CELL_CORNER_OFFSETS], axis=0
     )
     return vals.min(axis=0), vals.max(axis=0)
+
+
+def _fold_minmax(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Separable: fold the two corners along each axis in turn.  The
+    # same values as reducing an (8, ...) corner stack (min/max are
+    # exact and np.minimum/np.maximum propagate NaN like the reductions
+    # do) without materializing the stack.
+    lo = hi = f
+    for axis in range(3):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        lo = np.minimum(lo[head], lo[tail])
+        hi = np.maximum(hi[head], hi[tail])
+    return lo.reshape(-1), hi.reshape(-1)
 
 
 def _box_reduce(arr: np.ndarray, idx: np.ndarray, axis: int, ufunc) -> np.ndarray:

@@ -38,6 +38,15 @@ class _ApiError(Exception):
         self.message = message
 
 
+def _object(body: Any) -> dict[str, Any]:
+    """A POST body as a JSON object; absent means empty."""
+    if body is None:
+        return {}
+    if not isinstance(body, dict):
+        raise _ApiError(400, "request body must be a JSON object")
+    return body
+
+
 class ServeApp:
     """Transport-independent request handling (unit-testable directly).
 
@@ -61,9 +70,9 @@ class ServeApp:
                 if method == "GET":
                     return self.handle_list_tenants()
                 if method == "POST":
-                    return self.handle_register(body or {})
+                    return self.handle_register(_object(body))
             if method == "POST" and path == "/v1/commands":
-                return self.handle_submit(body or {})
+                return self.handle_submit(_object(body))
             if method == "GET" and path == "/v1/slo":
                 return self.handle_slo()
             if method == "GET" and path == "/v1/metrics":
@@ -154,7 +163,11 @@ class ServeApp:
             # command reaches a terminal state.
             srv.env.run(until=handle.done)
             status = 200 if handle.state == "done" else 500
-            return status, self._handle_payload(handle)
+            payload = self._handle_payload(handle)
+            # The response carries timings, not geometry: release the
+            # run record (and its merged mesh) once it is answered.
+            handle.outcome = None
+            return status, payload
 
     def handle_slo(self) -> tuple[int, Any]:
         with self.lock:

@@ -223,6 +223,8 @@ class SessionBackend:
         )
         record = yield from session.submit(request)
         handle.t_first = session.client.first_data_time_of(request.request_id)
+        # The served client keeps no geometry once it is answered.
+        session.client.forget(request.request_id)
         self.executed += 1
         return record
 

@@ -115,10 +115,10 @@ class VisualizationClient:
         self.progress: dict[int, dict[int, float]] = {}
         self.progress_times: dict[int, list[float]] = {}
         self._request_done: dict[int, Any] = {}
-        #: packets already merged, keyed (request, unit, sequence) — a
-        #: retried streaming unit re-sends packets its first attempt
+        #: packets already merged, keyed request -> {(unit, sequence)}
+        #: — a retried streaming unit re-sends packets its first attempt
         #: already delivered; duplicates must not double the geometry.
-        self._seen: set[tuple[int, int, int]] = set()
+        self._seen: dict[int, set[tuple[int, int]]] = {}
         self.duplicates = 0
         env.process(self._consume(), name="viz-client")
 
@@ -145,11 +145,12 @@ class VisualizationClient:
             if not isinstance(message, ResultPacket):
                 continue
             if not message.final:
-                key = (message.request_id, message.unit, message.sequence)
-                if key in self._seen:
+                seen = self._seen.setdefault(message.request_id, set())
+                key = (message.unit, message.sequence)
+                if key in seen:
                     self.duplicates += 1
                     continue
-                self._seen.add(key)
+                seen.add(key)
             n_tri = 0
             if isinstance(message.payload, TriangleMesh):
                 n_tri = message.payload.n_triangles
@@ -182,6 +183,16 @@ class VisualizationClient:
         self.progress_times.clear()
         self._seen.clear()
         self.duplicates = 0
+
+    def forget(self, request_id: int) -> None:
+        """Drop one request's packets, payloads, progress and duplicate
+        keys.  A long-lived caller (the serving layer) calls this once
+        it has read what it needs, so answered geometry is released."""
+        self.packets_by_request.pop(request_id, None)
+        self.payloads_by_request.pop(request_id, None)
+        self.progress.pop(request_id, None)
+        self.progress_times.pop(request_id, None)
+        self._seen.pop(request_id, None)
 
     def first_data_time_of(self, request_id: int) -> float | None:
         """Arrival of the request's first packet that carried data."""

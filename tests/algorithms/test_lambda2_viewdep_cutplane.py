@@ -17,7 +17,7 @@ from repro.algorithms import (
     plane_distance_field,
     sort_blocks_front_to_back,
 )
-from repro.grids import StructuredBlock
+from repro.grids import StructuredBlock, velocity_gradient_tensor
 from repro.synth import ABCFlowField, cartesian_lattice, build_engine
 
 
@@ -112,33 +112,40 @@ def test_streamed_vortex_union_equals_batch():
 
 @pytest.mark.parametrize("slab_cells", [1, 2, 4])
 def test_streamed_slab_lambda2_is_bit_equal_to_the_full_field(slab_cells, monkeypatch):
-    """Each slab's one ghost layer makes λ2 on its cells' points exactly
-    the full-field λ2, so ``vortex-streamed`` and ``vortex-dataman``
-    threshold the same bits."""
+    """Every slab ``iter_vortex_batches`` triangulates sees, on its
+    cells' points, the bits of the full λ2 field, which are also the
+    bits a slab with one ghost point layer computes on its own; so
+    ``vortex-streamed`` and ``vortex-dataman`` threshold the same
+    bits."""
     from repro.algorithms import lambda2 as module
 
     slabs = []
 
-    def recording(block, velocity="velocity"):
-        lam = lambda2_field(block, velocity)
-        slabs.append((block.coords, lam))
-        return lam
+    def recording(block, scalar, isovalue, cell_indices=None, **kw):
+        slabs.append((block.coords, block.field(scalar), np.asarray(cell_indices)))
+        return extract_block_isosurface(block, scalar, isovalue, cell_indices, **kw)
 
-    monkeypatch.setattr(module, "lambda2_field", recording)
+    monkeypatch.setattr(module, "extract_block_isosurface", recording)
     blocks = [_abc_block()] + list(build_engine(base_resolution=10, n_timesteps=1).level(0))
     for block in blocks:
-        full = lambda2_field(block)
+        full = lambda2_points(velocity_gradient_tensor(block))
         slabs.clear()
         list(iter_vortex_batches(block, batch_cells=1, slab_cells=slab_cells))
-        ni = block.shape[0]
+        ni, nj, nk = block.shape
+        per_layer = (nj - 1) * (nk - 1)
         starts = range(0, ni - 1, slab_cells)
         assert len(slabs) == len(starts)
-        for i0, (coords, lam) in zip(starts, slabs):
+        for i0, (coords, lam, cells) in zip(starts, slabs):
             i1 = min(i0 + slab_cells, ni - 1)
-            g0 = max(i0 - 1, 0)
-            assert coords.tobytes() == block.coords[g0 : min(i1 + 2, ni)].tobytes()
-            ours = lam[i0 - g0 : i1 - g0 + 1]
-            assert ours.tobytes() == full[i0 : i1 + 1].tobytes()
+            assert coords.tobytes() == block.coords.tobytes()
+            assert np.array_equal(cells, np.arange(i0 * per_layer, i1 * per_layer))
+            assert lam[i0 : i1 + 1].tobytes() == full[i0 : i1 + 1].tobytes()
+            g0, g1 = max(i0 - 1, 0), min(i1 + 2, ni)
+            ghost = StructuredBlock(
+                block.coords[g0:g1], {"velocity": block.field("velocity")[g0:g1]}
+            )
+            ghost_lam = lambda2_points(velocity_gradient_tensor(ghost))
+            assert ghost_lam[i0 - g0 : i1 - g0 + 1].tobytes() == full[i0 : i1 + 1].tobytes()
 
 
 def test_streamed_vortex_validation():

@@ -84,6 +84,13 @@ class TestServeApp:
         assert app.handle("GET", "/nope", None)[0] == 404
         assert app.handle("POST", "/healthz", None)[0] == 404
 
+    @pytest.mark.parametrize("path", ["/v1/commands", "/v1/tenants"])
+    @pytest.mark.parametrize("body", [[1, 2], "x", 5])
+    def test_non_object_body_is_400(self, app, path, body):
+        status, payload = app.handle("POST", path, body)
+        assert status == 400
+        assert "JSON object" in payload["error"]
+
     def test_slo_and_metrics_endpoints(self, app):
         app.server.register("a")
         handle = app.server.submit(
@@ -142,6 +149,18 @@ class TestLiveHTTP:
             self.request(f"{base_url}/nope")
         assert exc.value.code == 404
 
+    @pytest.mark.parametrize("path", ["/v1/commands", "/v1/tenants"])
+    @pytest.mark.parametrize("raw", [b"[1, 2]", b'"x"', b"5"])
+    def test_non_object_json_body_is_400(self, base_url, path, raw):
+        req = urllib.request.Request(
+            f"{base_url}{path}", data=raw, method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        assert exc.value.code == 400
+        assert "JSON object" in json.loads(exc.value.read())["error"]
+
     def test_invalid_json_body_is_400(self, base_url):
         req = urllib.request.Request(
             f"{base_url}/v1/tenants", data=b"not json", method="POST",
@@ -150,3 +169,30 @@ class TestLiveHTTP:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=10)
         assert exc.value.code == 400
+
+
+def test_answered_requests_release_their_geometry():
+    """A served session keeps no answered request's packets or payloads,
+    and no answered handle keeps its run record."""
+    from repro.serve.cli import build_serve_app
+
+    app = build_serve_app("engine", workers=2)
+    assert app.handle("POST", "/v1/tenants", {"name": "a"})[0] == 201
+    bodies = [
+        {"command": "iso-dataman", "params": {"isovalue": -0.3}},
+        {"command": "vortex-dataman", "params": {"threshold": -0.5}},
+        {"command": "iso-viewer", "params": {"isovalue": -0.2}},
+        {"command": "cutplane", "params": {"normal": [0, 0, 1], "offset": 0.8}},
+    ] * 2
+    for body in bodies:
+        status, payload = app.handle("POST", "/v1/commands", {"tenant": "a", **body})
+        assert status == 200, payload
+        assert payload["state"] == "done"
+    client = app.server.backend.session.client
+    assert not client.packets_by_request
+    assert not client.payloads_by_request
+    assert not client.progress and not client.progress_times
+    assert not client._seen
+    handles = app.server.handles
+    assert len(handles) == len(bodies)
+    assert all(h.outcome is None for h in handles)

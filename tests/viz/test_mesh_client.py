@@ -192,6 +192,25 @@ def test_client_reset():
     assert client.first_data_time_of(1) is None
 
 
+def test_client_forget_drops_one_request():
+    env = Environment()
+    client = VisualizationClient(env)
+    for rid in (1, 2):
+        done = client.expect(rid)
+        for seq, payload in enumerate([TriangleMesh(unit_triangle()), None]):
+            client.mailbox.put(ResultPacket(
+                request_id=rid, worker_index=0, sequence=seq, payload=payload,
+                nbytes=100, final=payload is None,
+            ))
+        env.run(until=done)
+    client.forget(1)
+    assert list(client.packets_by_request) == [2]
+    assert list(client.payloads_by_request) == [2]
+    assert list(client._seen) == [2]
+    assert client.first_data_time_of(1) is None
+    assert client.first_data_time_of(2) is not None
+
+
 def test_client_other_payloads():
     """Non-geometry payloads are kept, in order, with their request."""
     env = Environment()
