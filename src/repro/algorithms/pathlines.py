@@ -153,9 +153,13 @@ class BatchPathlineTracer:
         self.h_max = h_max_factor * span
         self.max_steps = max_steps
         self.local_cache_blocks = local_cache_blocks
-        # Local state: bounded block cache + per-block locators.
-        self._blocks: OrderedDict[tuple[int, int], StructuredBlock] = OrderedDict()
-        self._locators: dict[tuple[int, int], CellLocator] = {}
+        # Local state: a bounded cache of blocks with their locators.
+        # A locator is memoised on its block, so a block that outlives
+        # this tracer (DMS-resident, or held by a shared-memory store)
+        # hands the same locator to the next one.
+        self._blocks: OrderedDict[
+            tuple[int, int], tuple[StructuredBlock, CellLocator]
+        ] = OrderedDict()
         self.request_log: list[BlockRequest] = []
         self.samples = 0  #: velocity samples taken (drives cost charging)
         #: particle index that first demanded each emitted request
@@ -174,16 +178,18 @@ class BatchPathlineTracer:
     # ------------------------------------------------------ block access
     def _get_block_batch(
         self, time_index: int, block_id: int, trigger: int
-    ) -> Generator[BlockRequest, StructuredBlock, StructuredBlock | None]:
-        """Coalescing-aware block access: a miss emits one request
-        (tagged with the triggering particle); a ``None`` answer means
-        the block holds no data and is reported to the caller instead of
-        aborting the whole batch."""
+    ) -> Generator[
+        BlockRequest, StructuredBlock, tuple[StructuredBlock, CellLocator] | None
+    ]:
+        """Coalescing-aware block access, answering ``(block, locator)``:
+        a miss emits one request (tagged with the triggering particle); a
+        ``None`` answer means the block holds no data and is reported to
+        the caller instead of aborting the whole batch."""
         key = (time_index, block_id)
-        block = self._blocks.get(key)
-        if block is not None:
+        entry = self._blocks.get(key)
+        if entry is not None:
             self._blocks.move_to_end(key)
-            return block
+            return entry
         request = BlockRequest(time_index, block_id)
         self.request_log.append(request)
         self.request_triggers.append(int(trigger))
@@ -191,12 +197,11 @@ class BatchPathlineTracer:
         block = yield request
         if block is None:
             return None
-        self._blocks[key] = block
-        self._locators[key] = CellLocator(block)
+        locator = block.memo(("locator",), (), lambda: CellLocator(block))
+        entry = self._blocks[key] = (block, locator)
         while len(self._blocks) > self._cache_cap:
-            old_key, _ = self._blocks.popitem(last=False)
-            del self._locators[old_key]
-        return block
+            self._blocks.popitem(last=False)
+        return entry
 
     def _demand(self, pid: int, time_index: int, block_id: int) -> None:
         log = self.demand_log.setdefault(int(pid), [])
@@ -256,14 +261,12 @@ class BatchPathlineTracer:
             retry: list[int] = []
             expand: list[int] = []
             for (ti, bid), rows in groups.items():
-                block = yield from self._get_block_batch(ti, bid, pid_of[rows[0]])
-                if block is None:
+                entry = yield from self._get_block_batch(ti, bid, pid_of[rows[0]])
+                if entry is None:
                     failed = rows
                 else:
                     failed = []
-                    hits = self._locate_group(
-                        self._locators[(ti, bid)], bid, rows, pts, pid_of
-                    )
+                    hits = self._locate_group(entry, bid, rows, pts, pid_of)
                     for r, hit in zip(rows, hits):
                         if hit is None:
                             failed.append(r)
@@ -299,7 +302,7 @@ class BatchPathlineTracer:
 
     def _locate_group(
         self,
-        locator: CellLocator,
+        entry: tuple[StructuredBlock, CellLocator],
         bid: int,
         rows: list[int],
         pts: list[list[float]],
@@ -309,7 +312,9 @@ class BatchPathlineTracer:
         the block does not contain the point.  Each row walks from its
         particle's hint cell when the hint lies in this block; rows are
         independent, so a seed traces bit-identically alone or in any
-        batch."""
+        batch.  ``entry`` is the ``(block, locator)`` pair the tracer
+        holds for this group's block."""
+        block, locator = entry
         hits = []
         data = None
         for r in rows:
@@ -322,7 +327,7 @@ class BatchPathlineTracer:
                 continue
             i, j, k, rr, ss, tt = hit
             if data is None:
-                data = locator.block.field(self.velocity)
+                data = block.field(self.velocity)
             hits.append(((i, j, k), locator.blend_one(data, i, j, k, rr, ss, tt)))
         return hits
 
@@ -494,7 +499,6 @@ class BatchPathlineTracer:
     # -------------------------------------------------------- convenience
     def reset_cache(self) -> None:
         self._blocks.clear()
-        self._locators.clear()
         self.request_log.clear()
         self.samples = 0
         self.request_triggers.clear()

@@ -246,7 +246,10 @@ class _LazyFieldMap(MutableMapping):
     ``np.frombuffer`` views over an mmap or shared-memory buffer);
     ``map[name]`` materializes a float64 copy once and caches it.  A raw
     array that is already float64 (derived fields stored at full
-    precision) is returned as-is — zero-copy, still read-only.
+    precision) is returned as-is — zero-copy, still read-only.  The
+    upcast copy is read-only too: a block may outlive one command (the
+    shared-memory store keeps it for its lifetime), so a caller that
+    wants to write into a field copies it first.
     """
 
     __slots__ = ("_raw", "_materialized")
@@ -261,8 +264,10 @@ class _LazyFieldMap(MutableMapping):
         except KeyError:
             pass
         raw = self._raw[name]  # KeyError propagates: unknown field
-        # float32 -> fresh writable float64 copy; float64 -> no copy.
+        # float32 -> fresh float64 copy, frozen; float64 -> no copy.
         data = np.asarray(raw, dtype=np.float64)
+        if data is not raw:
+            data.flags.writeable = False
         self._materialized[name] = data
         return data
 

@@ -120,11 +120,18 @@ def _invert_one(cell, px, py, pz, tol2, max_iter):
 
 
 class CellLocator:
-    """Locates containing cells in one block and interpolates fields."""
+    """Locates containing cells in one block and interpolates fields.
+
+    Keeps only what location reads — the cell shape, the bounding box
+    and read-only copies of the cell corners and (lazily) centres — and
+    no reference to the block, so a locator memoised on its block
+    (``block.memo(("locator",), (), ...)``) forms no block <-> locator
+    cycle and leaves with the block.
+    """
 
     def __init__(self, block: StructuredBlock, slack: float = 1e-8):
-        self.block = block
         self.slack = slack
+        self.cell_shape = block.cell_shape
         self._centers = None
         self._tree: cKDTree | None = None
         self._bounds = block.bounds()
@@ -138,15 +145,23 @@ class CellLocator:
             ],
             axis=3,
         )  # (ci, cj, ck, 8, 3)
+        self._cell_corners.flags.writeable = False
 
     # ------------------------------------------------------------ build
     def _ensure_tree(self) -> None:
         if self._tree is None:
-            from .geometry import cell_centers
-
-            centers = cell_centers(self.block)
-            self._centers = centers.reshape(-1, 3)
-            self._tree = cKDTree(self._centers)
+            # geometry.cell_centers' sum, term by term in the same
+            # order, so the centres (and the tree's answers) keep its
+            # bits without holding the block's coordinates.
+            k = self._cell_corners
+            centers = 0.125 * (
+                k[..., 0, :] + k[..., 1, :] + k[..., 2, :] + k[..., 3, :]
+                + k[..., 4, :] + k[..., 5, :] + k[..., 6, :] + k[..., 7, :]
+            )
+            centers = centers.reshape(-1, 3)
+            centers.flags.writeable = False
+            self._centers = centers
+            self._tree = cKDTree(centers)
 
     # ------------------------------------------------------- one point
     def locate_one(
@@ -169,7 +184,7 @@ class CellLocator:
         hi_ok = 1.0 + self.slack
         tol2 = 1e-10 * 1e-10  # Newton residual tolerance, squared
         if hint is not None:
-            ci, cj, ck = self.block.cell_shape
+            ci, cj, ck = self.cell_shape
             i_hi, j_hi, k_hi = ci - 1, cj - 1, ck - 1
             a, b, c = hint
             a = 0 if a < 0 else (i_hi if a > i_hi else a)
@@ -204,9 +219,9 @@ class CellLocator:
         ):
             return None
         self._ensure_tree()
-        k = min(_K_CANDIDATES, self.block.n_cells)
+        ci, cj, ck = self.cell_shape
+        k = min(_K_CANDIDATES, ci * cj * ck)
         _dists, flats = self._tree.query((px, py, pz), k=k)
-        _ci, cj, ck = self.block.cell_shape
         for flat in np.reshape(flats, k).tolist():
             i, rem = divmod(flat, cj * ck)
             j, kk = divmod(rem, ck)

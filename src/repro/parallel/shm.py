@@ -17,6 +17,13 @@ threshold sweep pays the eigenvalue pass once per block instead of once
 per sweep point.  float64 matters: results must stay byte-identical to
 a serial run that computes λ2 in place.
 
+Each process keeps one block object per ``(time, block)`` for as long
+as its store is open, so what is derived on a block
+(:meth:`~repro.grids.block.StructuredBlock.memo`: λ2, cell intervals,
+BSP trees, point locators) and its float64 field copies serve every
+later command in that process.  A derived segment that arrives later is
+grafted onto the block already handed out.
+
 Ownership: the process that creates the store owns the segments and is
 the only one that unlinks them (workers attach/close only).  Under the
 default ``fork`` start method all processes share one resource-tracker,
@@ -28,6 +35,7 @@ the interpreter exits without leaked ``shared_memory`` warnings.
 from __future__ import annotations
 
 import math
+import weakref
 from multiprocessing import shared_memory
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -81,6 +89,12 @@ class ShmBlockStore:
         #: span-space table, ``{scalar: {time_index: {block_id: (lo, hi)}}}``,
         #: filled one time level at a time by :meth:`block_ranges`.
         self._ranges: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
+        #: the block object :meth:`get_block` hands out per key, kept
+        #: until :meth:`close` so its memo and upcasts are reused.  A
+        #: store never closed drops them at interpreter exit, before the
+        #: segments' own finalizers try to unmap under live views.
+        self._blocks: dict[tuple[int, int], LazyStructuredBlock] = {}
+        weakref.finalize(self, self._blocks.clear)
         self._owner = False
         self._closed = False
 
@@ -220,6 +234,7 @@ class ShmBlockStore:
         staged.reshape(data.shape)[...] = data
         del staged
         self._derived.setdefault(key, {})[name] = (shm, data.shape)
+        self._graft(key, name)
         # The level's range table (if built) predates this field.
         self._ranges.get(name, {}).pop(time_index, None)
 
@@ -251,27 +266,45 @@ class ShmBlockStore:
                         shared_memory.SharedMemory(name=seg_name),
                         tuple(shape),
                     )
+                    self._graft(key, fname)
+
+    def _graft(self, key: tuple[int, int], fname: str) -> None:
+        """Attach derived field ``fname`` to ``key``'s block, if handed
+        out already; memo entries that read the field are rebuilt."""
+        block = self._blocks.get(key)
+        if block is not None:
+            block.attach_raw_field(fname, self._derived_view(key, fname))
+
+    def _derived_view(self, key: tuple[int, int], fname: str) -> np.ndarray:
+        dshm, shape = self._derived[key][fname]
+        view = np.frombuffer(
+            dshm.buf.toreadonly(), dtype=np.float64, count=math.prod(shape)
+        )
+        return view.reshape(shape)
 
     # ------------------------------------------------------------ access
     def get_block(self, time_index: int, block_id: int) -> LazyStructuredBlock:
-        """A zero-copy lazy block viewing the shared pages.
+        """The zero-copy lazy block viewing the shared pages.
 
-        The views are read-only (``toreadonly`` on the segment buffer):
-        a worker scribbling on a field would otherwise corrupt every
-        other worker's input.
+        One object per key until :meth:`close`: the same block (with
+        its float64 upcasts and memoised derived data) answers every
+        later call in this process.  The views are read-only
+        (``toreadonly`` on the segment buffer) and so are the upcast
+        copies: a command scribbling on a field would otherwise corrupt
+        every other worker's input, or its own next run's.
         """
         key = (time_index, block_id)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
         try:
             shm = self._segments[key]
         except KeyError:
             raise KeyError(f"no block t={time_index} b={block_id} in store") from None
         block = block_from_buffer(shm.buf.toreadonly(), lazy=True)
-        for fname, (dshm, shape) in self._derived.get(key, {}).items():
-            n = 1
-            for dim in shape:
-                n *= dim
-            view = np.frombuffer(dshm.buf.toreadonly(), dtype=np.float64, count=n)
-            block.attach_raw_field(fname, view.reshape(shape))
+        for fname in self._derived.get(key, {}):
+            block.attach_raw_field(fname, self._derived_view(key, fname))
+        self._blocks[key] = block
         return block
 
     def block_ranges(
@@ -351,6 +384,8 @@ class ShmBlockStore:
         """Unmap this process's views (safe to call repeatedly)."""
         if self._closed:
             return
+        # Drop the blocks (and their views) first so the segments unmap.
+        self._blocks.clear()
         for shm in self._all_segments():
             try:
                 shm.close()

@@ -148,6 +148,10 @@ def _inside(rst: np.ndarray, slack: float) -> bool:
 class ScalarCellLocator(CellLocator):
     """:class:`CellLocator` plus the one-point locate / interpolate API."""
 
+    def __init__(self, block, slack: float = 1e-8):
+        super().__init__(block, slack)
+        self.block = block
+
     def _cell_index(self, flat: int) -> tuple[int, int, int]:
         ci, cj, ck = self.block.cell_shape
         i, rem = divmod(flat, cj * ck)

@@ -7,6 +7,7 @@ answers a repeated command without a gradient pass or a tree build,
 with the same bytes on both clocks.
 """
 
+import gc
 import weakref
 
 import numpy as np
@@ -144,6 +145,24 @@ def test_a_memoised_tree_does_not_keep_its_block_alive():
     ref = weakref.ref(block)
     del block
     assert ref() is None  # freed by refcount: no block <-> tree cycle
+
+
+def test_a_memoised_locator_does_not_keep_its_block_alive():
+    from repro.grids.interpolate import CellLocator
+
+    block = _block()
+    locator = block.memo(("locator",), (), lambda: CellLocator(block))
+    assert block.memo(("locator",), (), lambda: None) is locator
+    assert locator.locate_one(*block.center().tolist()) is not None
+    assert not locator._cell_corners.flags.writeable
+    assert not locator._centers.flags.writeable
+    ref = weakref.ref(block)
+    gc.disable()
+    try:
+        del block
+        assert ref() is None  # freed by refcount: no block <-> locator cycle
+    finally:
+        gc.enable()
 
 
 def test_bsp_intervals_match_the_eight_corner_stack():

@@ -69,12 +69,13 @@ def locate(loc, point, hint=None):
     return hit[:3], np.array(hit[3:])
 
 
-def sample(loc, name, point):
+def sample(block, name, point):
+    loc = CellLocator(block)
     found = locate(loc, point)
     if found is None:
         return None
     cell, rst = found
-    return np.array(loc.blend_one(loc.block.field(name), *cell, *rst.tolist())), cell
+    return np.array(loc.blend_one(block.field(name), *cell, *rst.tolist())), cell
 
 
 # ---------------------------------------------------------------- weights
@@ -194,9 +195,8 @@ def test_interpolate_vector_field():
     x = b.coords
     v = np.stack([x[..., 0], 2 * x[..., 1], -x[..., 2]], axis=-1)
     b.set_field("velocity", v)
-    loc = CellLocator(b)
     p = np.array([0.5, 0.5, 0.5])
-    result = sample(loc, "velocity", p)
+    result = sample(b, "velocity", p)
     assert result is not None
     vel, cell = result
     np.testing.assert_allclose(vel, [0.5, 1.0, -0.5], atol=1e-6)
@@ -205,8 +205,7 @@ def test_interpolate_vector_field():
 def test_sample_returns_none_outside():
     b = warped_block()
     b.set_field("s", np.zeros(b.shape))
-    loc = CellLocator(b)
-    assert sample(loc, "s", np.array([9.0, 9.0, 9.0])) is None
+    assert sample(b, "s", np.array([9.0, 9.0, 9.0])) is None
 
 
 @given(

@@ -79,13 +79,18 @@ def test_frombuffer_views_are_read_only_and_copies_are_writable():
     assert not lazy.coords.flags.writeable
     with pytest.raises((ValueError, RuntimeError)):
         raw[0, 0, 0] = 99.0
-    # Materialized f4->f8 fields are fresh writable copies: mutating
-    # them must not alias back into the shared payload bytes.
+    # Materialized f4->f8 fields are fresh copies, frozen because the
+    # block may serve later commands; a caller that writes copies first,
+    # and that copy must not alias back into the shared payload bytes.
     mat = lazy.fields["pressure"]
-    assert mat.flags.writeable
+    assert not mat.flags.writeable
     assert not np.shares_memory(mat, raw)
-    mat[0, 0, 0] = 123.0
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0, 0] = 123.0
+    mine = mat.copy()
+    mine[0, 0, 0] = 123.0
     assert float(raw[0, 0, 0]) != 123.0
+    assert float(lazy.fields["pressure"][0, 0, 0]) != 123.0
     # Eager reads stay fully writable (historical contract).
     eager = block_from_bytes(payload)
     eager.fields["pressure"][0, 0, 0] = 7.0
