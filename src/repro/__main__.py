@@ -34,15 +34,15 @@ USAGE = {
     "info": "python -m repro info <engine|propfan|path-to-store> [time_index]",
     "trace": (
         "python -m repro trace <cmd> [--out run.json] [--workers N] "
-        "[--dataset engine|propfan] [--timeline]"
+        "[--data engine|propfan] [--timeline]"
     ),
     "stats": (
         "python -m repro stats <cmd> [--workers N] "
-        "[--dataset engine|propfan] [--prometheus]"
+        "[--data engine|propfan] [--prometheus]"
     ),
     "profile": (
         "python -m repro profile <cmd> [--top N] [--sort cumulative|tottime] "
-        "[--workers N] [--dataset engine|propfan] [--cold]"
+        "[--workers N] [--data engine|propfan] [--cold]"
     ),
     "extract": (
         "python -m repro extract <cmd> [--data engine|propfan|path-to-store] "
@@ -80,263 +80,251 @@ __doc__ = "\n\n".join([
 ])
 
 
+class _Usage(Exception):
+    """A bad command line: :func:`main` prints it, then the verb's usage
+    line, and exits 2."""
+
+
+#: one usage-line token: ``<x>`` (required), ``[--flag]`` (a switch),
+#: ``[--flag VALUE]`` (an option) or ``[x]`` (optional; ``[x ...]``
+#: takes any number).
+_TOKEN = re.compile(r"<([^>]+)>|\[--([\w-]+)(?: ([^\]]+))?\]|\[([^\]]+)\]")
+
+
+def _value(label: str, spec: str, text: str):
+    """``text`` read as ``spec`` says: ``N`` is an integer, ``F`` and
+    ``HZ`` a number, ``a|b`` one of the alternatives (any text when one
+    of them names a path), anything else the text itself."""
+    try:
+        if spec == "N":
+            return int(text)
+        if spec in {"F", "HZ"}:
+            return float(text)
+    except ValueError:
+        kind = "an integer" if spec == "N" else "a number"
+        raise _Usage(f"{label} must be {kind}, got {text!r}") from None
+    choices = spec.split("|")
+    if len(choices) > 1 and text not in choices and "path" not in spec:
+        raise _Usage(f"{label} must be one of {spec}, got {text!r}")
+    return text
+
+
+def _parse(verb: str, args: list[str]) -> tuple[list[str], dict]:
+    """Split ``args`` into positionals and ``--flag[=value]`` options by
+    the grammar of ``USAGE[verb]``.  Anything that grammar does not
+    allow raises :class:`_Usage`, so a typo cannot swallow the next
+    flag."""
+    specs: list[tuple[str, bool]] = []  # (placeholder, required)
+    options: dict[str, str] = {}  # flag -> value placeholder, "" for a switch
+    for required, flag, value, optional in _TOKEN.findall(USAGE[verb]):
+        if flag:
+            options[flag] = value
+        else:
+            specs.append((required or optional, bool(required)))
+    positional: list[str] = []
+    flags: dict = {}
+    rest = iter(args)
+    for arg in rest:
+        if not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        key, has_value, text = arg[2:].partition("=")
+        if key not in options or (has_value and not options[key]):
+            raise _Usage(f"unknown option {arg!r}")
+        if not options[key]:
+            flags[key] = True
+            continue
+        if not has_value:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise _Usage(f"option --{key} needs a value")
+        flags[key] = _value(f"--{key}", options[key], text)
+    n_required = sum(required for _, required in specs)
+    if len(positional) < n_required:
+        raise _Usage(f"missing <{specs[len(positional)][0]}>")
+    variadic = bool(specs) and specs[-1][0].endswith("...")
+    if len(positional) > len(specs) and not variadic:
+        raise _Usage(f"unexpected argument {positional[len(specs)]!r}")
+    for i, ((spec, _), text) in enumerate(zip(specs, positional)):
+        _value(f"argument {i + 1}", spec, text)
+    return positional, flags
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in {"-h", "--help"}:
         print(__doc__)
         return 0
-    mode, args = argv[0], argv[1:]
-    if mode in USAGE and any(a in {"-h", "--help"} for a in args):
-        print(f"usage: {USAGE[mode]}")
+    verb, args = argv[0], argv[1:]
+    if verb not in _VERBS:
+        print(f"unknown mode {verb!r}; try --help")
+        return 2
+    if any(a in {"-h", "--help"} for a in args):
+        print(f"usage: {USAGE[verb]}")
         return 0
-    if mode == "report":
-        from .bench.report import main as report_main
+    try:
+        return _VERBS[verb](*_parse(verb, args))
+    except _Usage as exc:
+        print(exc)
+        print(f"usage: {USAGE[verb]}")
+        return 2
 
-        return report_main(args)
-    if mode == "figures":
-        from .bench.figures import main as figures_main
 
-        return figures_main(args)
-    if mode == "ablations":
-        from .bench.ablations import ALL_ABLATIONS
-        from .bench.report import format_result
+# ------------------------------------------------------- paper and data
+def _known(names: list[str], table: dict, what: str) -> list[str]:
+    """``names``, or every key of ``table`` when there are none."""
+    unknown = [n for n in names if n not in table]
+    if unknown:
+        raise _Usage(f"unknown {what} {unknown}; known: {sorted(table)}")
+    return names or list(table)
 
-        names = args or list(ALL_ABLATIONS)
-        unknown = [n for n in names if n not in ALL_ABLATIONS]
-        if unknown:
-            print(f"unknown ablations {unknown}; known: {sorted(ALL_ABLATIONS)}")
-            return 2
-        for name in names:
-            print(format_result(ALL_ABLATIONS[name]()))
-            print()
-        return 0
-    if mode == "commands":
-        from .commands import default_registry
 
-        for name in default_registry().names():
-            print(name)
-        return 0
-    if mode == "taxonomy":
-        from .core.classification import all_assessments, format_taxonomy
+def _report(positional: list[str], flags: dict) -> int:
+    from .bench.experiments import ALL_EXPERIMENTS
+    from .bench.report import format_result, results_to_json, run_all
 
-        print(format_taxonomy())
+    results = run_all(_known(positional, ALL_EXPERIMENTS, "experiments"))
+    for result in results:
+        print(format_result(result))
         print()
-        for a in all_assessments():
-            tags = []
-            if a.reduces_total_runtime:
-                tags.append("runtime")
-            if a.reduces_latency:
-                tags.append("latency")
-            print(f"{a.command:20s} [{', '.join(tags) or 'baseline'}] {a.notes}")
-        return 0
-    if mode == "export":
-        if len(args) < 2:
-            print(
-                "usage: python -m repro export <engine|propfan> <dir> "
-                "[steps] [resolution]"
-            )
-            return 2
-        name, target = args[0], args[1]
-        steps = int(args[2]) if len(args) > 2 else 4
-        resolution = int(args[3]) if len(args) > 3 else 5
-        from .io import write_dataset
-        from .synth import build_engine, build_propfan
-
-        builders = {"engine": build_engine, "propfan": build_propfan}
-        if name not in builders:
-            print(f"unknown dataset {name!r}; choose engine or propfan")
-            return 2
-        dataset = builders[name](base_resolution=resolution, n_timesteps=steps)
-        levels = [dataset.level(t) for t in range(steps)]
-        store = write_dataset(
-            target,
-            levels,
-            modeled_shapes=list(dataset.spec.modeled_shapes),
-            times=dataset.spec.times[:steps],
-        )
-        print(f"wrote {store.n_timesteps} x {store.n_blocks} blocks to {store.root}")
-        return 0
-    if mode == "info":
-        if not args:
-            print("usage: python -m repro info <engine|propfan|path> [time_index]")
-            return 2
-        name = args[0]
-        time_index = int(args[1]) if len(args) > 1 else 0
-        from .grids.summary import summarize_dataset
-
-        if name in {"engine", "propfan"}:
-            from .synth import build_engine, build_propfan
-
-            dataset = {"engine": build_engine, "propfan": build_propfan}[name](
-                base_resolution=5, n_timesteps=max(time_index + 1, 1)
-            )
-            level = dataset.level(time_index)
-        else:
-            from .io import DatasetStore
-
-            level = DatasetStore(name).read_level(time_index)
-        print(summarize_dataset(level).format())
-        return 0
-    if mode == "extract":
-        return _extract_main(args)
-    if mode == "trace":
-        return _trace_main(args)
-    if mode == "stats":
-        return _stats_main(args)
-    if mode == "profile":
-        return _profile_main(args)
-    if mode == "critical-path":
-        return _critical_path_main(args)
-    if mode == "slo":
-        return _slo_main(args)
-    if mode in {"loadtest", "serve"}:
-        from .serve.cli import loadtest_main, serve_main
-
-        handler = loadtest_main if mode == "loadtest" else serve_main
-        positional, flags = _obs_flags(mode, args)
-        if positional:
-            print(f"unexpected argument {positional[0]!r}")
-        code = 2 if positional or "error" in flags else handler(flags)
-        if code == 2:
-            print(f"usage: {USAGE[mode]}")
-        return code
-    print(f"unknown mode {mode!r}; try --help")
-    return 2
+    if "json" in flags:
+        with open(flags["json"], "w") as fh:
+            fh.write(results_to_json(results))
+        print(f"wrote {flags['json']}")
+    return 0
 
 
-# -------------------------------------------------------- observability
-#: friendly aliases -> (registry name, default params) on the small
-#: Engine testbed used by the trace/stats verbs.
-def _obs_command_spec(name: str) -> tuple[str, dict]:
-    iso = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
-    vortex = {"threshold": -0.5, "time_range": (0, 1)}
-    pathlines = {
-        "seeds": [[-0.3, -0.2, 0.6], [0.2, 0.3, 0.9], [0.0, -0.4, 1.1]],
-        "time_range": (0, 2),
-        "max_steps": 60,
-    }
-    cutplane = {"normal": (0.0, 0.0, 1.0), "offset": 0.8, "time_range": (0, 1)}
-    aliases = {
-        "iso": ("iso-dataman", iso),
-        "vortex": ("vortex-dataman", vortex),
-        "pathlines": ("pathlines-dataman", pathlines),
-        "cutplane": ("cutplane", cutplane),
-    }
-    if name in aliases:
-        return aliases[name]
-    defaults = {
-        "iso-dataman": iso, "iso-simple": iso, "iso-progressive": iso,
-        "iso-viewer": {**iso, "viewpoint": (0.0, 0.0, -5.0), "max_triangles": 2000},
-        "vortex-dataman": vortex, "vortex-simple": vortex,
-        "vortex-streamed": {**vortex, "batch_cells": 16},
-        "pathlines-dataman": pathlines, "pathlines-simple": pathlines,
-        "cutplane": cutplane, "cutplane-streamed": cutplane,
-        "streaklines": pathlines,
-    }
-    if name in defaults:
-        return name, defaults[name]
-    raise KeyError(name)
+def _figures(positional: list[str], flags: dict) -> int:
+    from .bench.experiments import ALL_EXPERIMENTS
+    from .bench.figures import format_barchart
+    from .bench.report import format_result
 
-
-def _obs_flags(mode: str, args: list[str]) -> tuple[list[str], dict]:
-    """Split positional args from the --flag[=value] options ``USAGE[mode]``
-    lists: ``[--check]`` is a switch, ``[--workers N]`` takes a value.
-    Any other flag is an error, so a typo cannot swallow the next one."""
-    accepted = dict(re.findall(r"\[--([\w-]+)( [^\]]+)?\]", USAGE[mode]))
-    positional: list[str] = []
-    flags: dict[str, str | bool] = {}
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        i += 1
-        if not arg.startswith("--"):
-            positional.append(arg)
-            continue
-        key, has_value, value = arg[2:].partition("=")
-        if key not in accepted or (has_value and not accepted[key]):
-            print(f"unknown option {arg!r}")
-            return [], {"error": True}
-        if not accepted[key]:
-            flags[key] = True
-            continue
-        if not has_value:
-            if i >= len(args) or args[i].startswith("--"):
-                print(f"option --{key} needs a value")
-                return [], {"error": True}
-            value = args[i]
-            i += 1
-        flags[key] = value
-    return positional, flags
-
-
-def _obs_session(dataset_name: str, n_workers: int):
-    from .bench.calibration import paper_cluster, paper_costs
-    from .core.session import ViracochaSession
-    from .synth import build_engine, build_propfan
-
-    builders = {"engine": build_engine, "propfan": build_propfan}
-    if dataset_name not in builders:
-        raise KeyError(dataset_name)
-    dataset = builders[dataset_name](base_resolution=4, n_timesteps=2)
-    return ViracochaSession(
-        dataset,
-        cluster_config=paper_cluster(n_workers),
-        costs=paper_costs(),
-        trace=True,
-    )
-
-
-def _parse_workers(flags: dict) -> int | None:
-    raw = flags.get("workers", 2)
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        print(f"--workers must be a positive integer, got {raw!r}")
-        return None
-    return n
-
-
-def _extract_main(args: list[str]) -> int:
-    """Run one command for real on local cores (repro.parallel)."""
-    positional, flags = _obs_flags("extract", args)
-    if flags.get("error") or not positional:
-        print(f"usage: {USAGE['extract']}")
-        return 2
-    try:
-        command, params = _obs_command_spec(positional[0])
-    except KeyError:
-        print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
-        return 2
-    n_workers = _parse_workers(flags)
-    if n_workers is None:
-        return 2
-    executor = str(flags.get("executor", "process"))
-    from .parallel import EXECUTORS, SCHEDULES, ParallelExtractor
-
-    if executor not in EXECUTORS:
-        print(f"--executor must be one of {'|'.join(EXECUTORS)}, got {executor!r}")
-        return 2
-    schedule = str(flags.get("schedule", "static"))
-    if schedule not in SCHEDULES:
-        print(f"--schedule must be one of {'|'.join(SCHEDULES)}, got {schedule!r}")
-        return 2
-    data_name = str(flags.get("data", "engine"))
-    if data_name in {"engine", "propfan"}:
-        from .synth import build_engine, build_propfan
-
-        data = {"engine": build_engine, "propfan": build_propfan}[data_name](
-            base_resolution=4, n_timesteps=2
-        )
-    else:
-        from .io import DatasetStore
-
+    for name in _known(positional, ALL_EXPERIMENTS, "experiments"):
+        result = ALL_EXPERIMENTS[name]()
         try:
-            data = DatasetStore(data_name)
-        except FileNotFoundError as exc:
-            print(exc)
-            return 2
+            print(format_barchart(result))
+        except ValueError:
+            print(format_result(result))
+        print()
+    return 0
+
+
+def _ablations(positional: list[str], flags: dict) -> int:
+    from .bench.ablations import ALL_ABLATIONS
+    from .bench.report import format_result
+
+    for name in _known(positional, ALL_ABLATIONS, "ablations"):
+        print(format_result(ALL_ABLATIONS[name]()))
+        print()
+    return 0
+
+
+def _commands(positional: list[str], flags: dict) -> int:
+    from .commands import default_registry
+
+    for name in default_registry().names():
+        print(name)
+    return 0
+
+
+def _taxonomy(positional: list[str], flags: dict) -> int:
+    from .core.classification import all_assessments, format_taxonomy
+
+    print(format_taxonomy())
+    print()
+    for a in all_assessments():
+        tags = []
+        if a.reduces_total_runtime:
+            tags.append("runtime")
+        if a.reduces_latency:
+            tags.append("latency")
+        print(f"{a.command:20s} [{', '.join(tags) or 'baseline'}] {a.notes}")
+    return 0
+
+
+def _store(path: str):
+    from .io import DatasetStore
+
+    try:
+        return DatasetStore(path)
+    except FileNotFoundError as exc:
+        raise _Usage(str(exc)) from None
+
+
+def _export(positional: list[str], flags: dict) -> int:
+    from .io import write_dataset
+    from .synth import DATASETS
+
+    name, target = positional[:2]
+    steps = _value("steps", "N", positional[2]) if len(positional) > 2 else 4
+    resolution = (
+        _value("resolution", "N", positional[3]) if len(positional) > 3 else 5
+    )
+    dataset = DATASETS[name](base_resolution=resolution, n_timesteps=steps)
+    levels = [dataset.level(t) for t in range(steps)]
+    store = write_dataset(
+        target,
+        levels,
+        modeled_shapes=list(dataset.spec.modeled_shapes),
+        times=dataset.spec.times[:steps],
+    )
+    print(f"wrote {store.n_timesteps} x {store.n_blocks} blocks to {store.root}")
+    return 0
+
+
+def _info(positional: list[str], flags: dict) -> int:
+    from .grids.summary import summarize_dataset
+    from .synth import DATASETS
+
+    name = positional[0]
+    t = _value("time_index", "N", positional[1]) if len(positional) > 1 else 0
+    if name in DATASETS:
+        dataset = DATASETS[name](base_resolution=5, n_timesteps=max(t + 1, 1))
+        level = dataset.level(t)
+    else:
+        level = _store(name).read_level(t)
+    print(summarize_dataset(level).format())
+    return 0
+
+
+# ------------------------------------------------------- command verbs
+def _prelude(positional: list[str], flags: dict) -> tuple[str, dict, int]:
+    """What the five ``<cmd>`` verbs share: the registered command and
+    its demo params, and ``--workers`` (default 2)."""
+    from .commands import DEMO_ALIASES, DEMO_PARAMS
+
+    command = DEMO_ALIASES.get(positional[0], positional[0])
+    if command not in DEMO_PARAMS:
+        raise _Usage(
+            f"unknown command {positional[0]!r}; try `python -m repro commands`"
+        )
+    workers = flags.get("workers", 2)
+    if workers < 1:
+        raise _Usage(f"--workers must be a positive integer, got {workers}")
+    return command, dict(DEMO_PARAMS[command]), workers
+
+
+def _session(flags: dict, workers: int):
+    """The traced simulated session the trace/stats/profile/critical-path
+    verbs run on."""
+    from .bench.calibration import paper_session
+
+    return paper_session(flags.get("data", "engine"), workers, trace=True)
+
+
+def _extract(positional: list[str], flags: dict) -> int:
+    """Run one command for real on local cores (repro.parallel)."""
+    command, params, n_workers = _prelude(positional, flags)
+    from .parallel import ParallelExtractor
+    from .synth import DATASETS
+
+    executor = flags.get("executor", "process")
+    schedule = flags.get("schedule", "static")
+    data_name = flags.get("data", "engine")
+    if data_name in DATASETS:
+        data = DATASETS[data_name](base_resolution=4, n_timesteps=2)
+    else:
+        data = _store(data_name)
     flame = flags.get("flame")
     profile_interval = None
     if flame:
@@ -382,7 +370,7 @@ def _extract_main(args: list[str]) -> int:
         if flame:
             from .obs.profiling import top_functions
 
-            n_stacks = ext.write_flamegraph(str(flame))
+            n_stacks = ext.write_flamegraph(flame)
             samples = sum(ext.folded.values())
             print(f"profile:     {samples} samples, {n_stacks} unique stacks "
                   f"-> {flame} (collapsed-stack / flamegraph.pl format)")
@@ -391,29 +379,14 @@ def _extract_main(args: list[str]) -> int:
     return 0
 
 
-def _trace_main(args: list[str]) -> int:
-    positional, flags = _obs_flags("trace", args)
-    if flags.get("error") or not positional:
-        print(f"usage: {USAGE['trace']}")
-        return 2
-    try:
-        command, params = _obs_command_spec(positional[0])
-    except KeyError:
-        print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
-        return 2
-    n_workers = _parse_workers(flags)
-    if n_workers is None:
-        return 2
-    try:
-        session = _obs_session(str(flags.get("dataset", "engine")), n_workers)
-    except KeyError:
-        print("dataset must be engine or propfan")
-        return 2
+def _trace(positional: list[str], flags: dict) -> int:
+    command, params, n_workers = _prelude(positional, flags)
+    session = _session(flags, n_workers)
     result = session.run(command, params=params)
     from .obs import write_chrome_trace
     from .viz.ascii import render_timeline
 
-    out = str(flags.get("out", "run.json"))
+    out = flags.get("out", "run.json")
     doc = write_chrome_trace(out, session.tracer, session.trace)
     kinds = sorted({s.kind for s in result.spans})
     print(
@@ -427,33 +400,18 @@ def _trace_main(args: list[str]) -> int:
     return 0
 
 
-def _stats_main(args: list[str]) -> int:
-    positional, flags = _obs_flags("stats", args)
-    if flags.get("error") or not positional:
-        print(f"usage: {USAGE['stats']}")
-        return 2
-    try:
-        command, params = _obs_command_spec(positional[0])
-    except KeyError:
-        print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
-        return 2
-    n_workers = _parse_workers(flags)
-    if n_workers is None:
-        return 2
-    try:
-        session = _obs_session(str(flags.get("dataset", "engine")), n_workers)
-    except KeyError:
-        print("dataset must be engine or propfan")
-        return 2
+def _stats(positional: list[str], flags: dict) -> int:
+    command, params, n_workers = _prelude(positional, flags)
+    session = _session(flags, n_workers)
     # Cold pass then warm pass, so cache-hit and prefetch metrics show
     # the DMS actually doing something (the paper's §7 methodology).
     session.run(command, params=params)
-    result = session.run(command, params=params)
+    session.run(command, params=params)
     if flags.get("prometheus"):
         print(session.metrics.render_prometheus(), end="")
         return 0
     agg = session.scheduler.aggregate_dms_stats()
-    print(f"== {command} on {flags.get('dataset', 'engine')} "
+    print(f"== {command} on {flags.get('data', 'engine')} "
           f"({n_workers} workers, cold + warm pass) ==")
     print(f"cache hit rate:    {agg.hit_rate:.1%} "
           f"(l1 {agg.hits_l1}, l2 {agg.hits_l2}, miss {agg.misses})")
@@ -498,35 +456,13 @@ def _stats_main(args: list[str]) -> int:
     return 0
 
 
-def _profile_main(args: list[str]) -> int:
-    positional, flags = _obs_flags("profile", args)
-    if flags.get("error") or not positional:
-        print(f"usage: {USAGE['profile']}")
-        return 2
-    try:
-        command, params = _obs_command_spec(positional[0])
-    except KeyError:
-        print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
-        return 2
-    n_workers = _parse_workers(flags)
-    if n_workers is None:
-        return 2
-    sort = str(flags.get("sort", "cumulative"))
-    if sort not in {"cumulative", "tottime"}:
-        print(f"--sort must be cumulative or tottime, got {sort!r}")
-        return 2
-    try:
-        top = int(flags.get("top", 20))
-    except ValueError:
-        top = 0
+def _profile(positional: list[str], flags: dict) -> int:
+    command, params, n_workers = _prelude(positional, flags)
+    sort = flags.get("sort", "cumulative")
+    top = flags.get("top", 20)
     if top < 1:
-        print(f"--top must be a positive integer, got {flags.get('top')!r}")
-        return 2
-    try:
-        session = _obs_session(str(flags.get("dataset", "engine")), n_workers)
-    except KeyError:
-        print("dataset must be engine or propfan")
-        return 2
+        raise _Usage(f"--top must be a positive integer, got {top}")
+    session = _session(flags, n_workers)
     import cProfile
     import pstats
 
@@ -541,7 +477,7 @@ def _profile_main(args: list[str]) -> int:
     profiler.disable()
     pass_kind = "cold" if flags.get("cold") else "warm"
     print(
-        f"== {command} on {flags.get('dataset', 'engine')} "
+        f"== {command} on {flags.get('data', 'engine')} "
         f"({n_workers} workers, {pass_kind} pass, top {top} by {sort}) =="
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
@@ -549,25 +485,10 @@ def _profile_main(args: list[str]) -> int:
     return 0
 
 
-def _critical_path_main(args: list[str]) -> int:
+def _critical_path(positional: list[str], flags: dict) -> int:
     """Where did the wall clock go?  Phase attribution for one command."""
-    positional, flags = _obs_flags("critical-path", args)
-    if flags.get("error") or not positional:
-        print(f"usage: {USAGE['critical-path']}")
-        return 2
-    try:
-        command, params = _obs_command_spec(positional[0])
-    except KeyError:
-        print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
-        return 2
-    n_workers = _parse_workers(flags)
-    if n_workers is None:
-        return 2
-    try:
-        session = _obs_session(str(flags.get("data", "engine")), n_workers)
-    except KeyError:
-        print("--data must be engine or propfan")
-        return 2
+    command, params, n_workers = _prelude(positional, flags)
+    session = _session(flags, n_workers)
     from .obs.critical_path import analyze_result
 
     if flags.get("warm"):
@@ -583,38 +504,26 @@ def _critical_path_main(args: list[str]) -> int:
     return 0
 
 
-def _slo_main(args: list[str]) -> int:
+# ----------------------------------------------------- sentry and serve
+def _slo(positional: list[str], flags: dict) -> int:
     """Evaluate SLOs over the sentry workload; gate with ``--check``."""
-    positional, flags = _obs_flags("slo", args)
-    if flags.get("error") or positional:
-        print(f"usage: {USAGE['slo']}")
-        return 2
     from .obs import sentry
 
-    baseline_path = str(flags.get("baseline", "sentry_baseline.json"))
-    baseline = None
+    baseline_path = flags.get("baseline", "sentry_baseline.json")
+    baseline = {}
     if flags.get("check"):
         try:
             baseline = sentry.load_baseline(baseline_path)
         except FileNotFoundError:
-            print(f"baseline {baseline_path} not found; "
-                  "run with --update-baseline first")
-            return 2
+            raise _Usage(f"baseline {baseline_path} not found; "
+                         "run with --update-baseline first") from None
     # A --check run must replay the baseline's exact workload shape;
     # otherwise fall back to flags/defaults.
-    data = str(flags.get("data") or (baseline or {}).get("dataset", "engine"))
-    if data not in {"engine", "propfan"}:
-        print("--data must be engine or propfan")
-        return 2
-    try:
-        workers = int(flags.get("workers") or (baseline or {}).get("workers", 4))
-        repeats = int(flags.get("repeats") or (baseline or {}).get("repeats", 2))
-    except ValueError:
-        print("--workers and --repeats must be integers")
-        return 2
+    data = flags.get("data", baseline.get("dataset", "engine"))
+    workers = flags.get("workers", baseline.get("workers", 4))
+    repeats = flags.get("repeats", baseline.get("repeats", 2))
     if workers < 1 or repeats < 1:
-        print("--workers and --repeats must be positive")
-        return 2
+        raise _Usage("--workers and --repeats must be positive")
     current = sentry.measure(data, workers=workers, repeats=repeats)
     tracker = current["_tracker"]
     if flags.get("json"):
@@ -666,7 +575,7 @@ def _slo_main(args: list[str]) -> int:
         sentry.write_baseline(baseline_path, current)
         print(f"\nwrote baseline to {baseline_path}")
         return 0
-    if baseline is None:
+    if not flags.get("check"):
         return 0
     report = sentry.SentryReport(current=sentry.strip_runtime(current))
     report.regressions.extend(sentry.compare(baseline, current))
@@ -675,6 +584,98 @@ def _slo_main(args: list[str]) -> int:
     return 0 if report.ok else 1
 
 
+def _loadtest(positional: list[str], flags: dict) -> int:
+    """Deterministic multi-tenant soak in simulated time; ``--replay``
+    fails unless two runs give byte-identical fingerprints."""
+    from .serve.loadgen import LoadSpec, run_loadtest
+
+    try:
+        spec = LoadSpec(
+            n_tenants=flags.get("tenants", 1000),
+            seed=flags.get("seed", 0),
+            requests_per_tenant=flags.get("requests", 3),
+            rate_hz=flags.get("rate", 0.2),
+            arrival=flags.get("arrival", "poisson"),
+            slots=flags.get("slots", 16),
+            cancel_frac=flags.get("cancel-frac", 0.05),
+            priority_frac=flags.get("priority-frac", 0.1),
+            max_in_flight=flags.get("max-in-flight", 2),
+        )
+    except ValueError as exc:
+        raise _Usage(f"bad loadtest options: {exc}") from None
+    report = run_loadtest(spec)
+    if flags.get("replay"):
+        replay = run_loadtest(spec)
+        if replay.fingerprint != report.fingerprint:
+            print("REPLAY MISMATCH: the same spec produced two different "
+                  "fingerprints")
+            print(f"  run 1: {report.fingerprint}")
+            print(f"  run 2: {replay.fingerprint}")
+            return 1
+    out = flags.get("out")
+    if out:
+        report.write_json(out)
+    if flags.get("json"):
+        import json
+
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    else:
+        print(report.format())
+        if flags.get("replay"):
+            print("\nreplay: fingerprints identical across two runs")
+        if out:
+            print(f"wrote per-tenant rollup to {out}")
+    return 0
+
+
+def _serve(positional: list[str], flags: dict) -> int:
+    """Boot the HTTP facade over a real session (blocks until
+    interrupted)."""
+    from .serve.cli import build_serve_app
+    from .serve.rest import make_http_server
+
+    data = flags.get("data", "engine")
+    workers = flags.get("workers", 4)
+    slots = flags.get("slots", 1)
+    if workers < 1 or slots < 1:
+        raise _Usage("--workers and --slots must be positive")
+    app = build_serve_app(data, workers=workers, slots=slots)
+    httpd = make_http_server(
+        app, host=flags.get("host", "127.0.0.1"), port=flags.get("port", 8642)
+    )
+    bound = httpd.server_address
+    print(f"serving {data} ({workers} workers, {slots} slots) "
+          f"on http://{bound[0]}:{bound[1]}")
+    print("routes: /healthz /v1/tenants /v1/commands /v1/slo /v1/metrics")
+    try:
+        httpd.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        httpd.server_close()
+    return 0
+
+
+#: verb -> handler(positional, flags); each verb's grammar is its
+#: ``USAGE`` line.
+_VERBS = {
+    "report": _report,
+    "figures": _figures,
+    "ablations": _ablations,
+    "commands": _commands,
+    "taxonomy": _taxonomy,
+    "export": _export,
+    "info": _info,
+    "trace": _trace,
+    "stats": _stats,
+    "profile": _profile,
+    "extract": _extract,
+    "critical-path": _critical_path,
+    "slo": _slo,
+    "loadtest": _loadtest,
+    "serve": _serve,
+}
+
+
 if __name__ == "__main__":
     raise SystemExit(main())
-

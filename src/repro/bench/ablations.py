@@ -14,11 +14,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.session import ViracochaSession
 from ..dms.cache import CacheTier
 from ..dms.compression import GZIP_2004, LZO_2004
 from ..dms.proxy import DMSConfig
-from .calibration import MB, paper_cluster, paper_costs
+from .calibration import MB, paper_cluster, paper_session
 from .experiments import (
     ExperimentResult,
     engine_dataset,
@@ -117,12 +116,7 @@ def l2_tier_study() -> ExperimentResult:
     )
     for label, l2 in (("L1 only", None), ("L1 + L2 disk tier", 200 * block_bytes)):
         cfg = DMSConfig(l1_capacity=26 * block_bytes, l2_capacity=l2)
-        session = ViracochaSession(
-            engine,
-            cluster_config=paper_cluster(1),
-            costs=paper_costs(),
-            dms_config=cfg,
-        )
+        session = paper_session(engine, 1, dms_config=cfg)
         session.warm_cache("iso-dataman", params=params)
         run = session.run("iso-dataman", params=params)
         result.rows.append(
@@ -152,12 +146,7 @@ def adaptive_loading_study(n_workers: int = 4) -> ExperimentResult:
         "(node-transfer strategy) avoids duplicate fileserver reads (§4.3).",
     )
     for label, adaptive in (("adaptive", True), ("fileserver only", False)):
-        session = ViracochaSession(
-            engine,
-            cluster_config=paper_cluster(n_workers),
-            costs=paper_costs(),
-            adaptive_loading=adaptive,
-        )
+        session = paper_session(engine, n_workers, adaptive_loading=adaptive)
         run = session.run("pathlines-dataman", params={**params, "prefetch": "none"})
         decisions = session.scheduler.server.selector.decisions
         result.rows.append(
@@ -185,18 +174,13 @@ def stream_batch_size_study(
     the non-streamed behavior — "it is therefore important to find a
     good compromise between low latency and interactivity requirements."
     """
-    from ..synth import build_engine
-
-    # A finer actual resolution so blocks span several fragments.
-    engine = build_engine(base_resolution=10, n_timesteps=4)
     result = ExperimentResult(
         experiment_id="ablation-batch-size",
         title="ViewerIso: max triangles per fragment vs latency / runtime (Engine, 8 workers)",
         columns=["max_triangles", "latency_s", "total_s", "packets"],
     )
-    session = ViracochaSession(
-        engine, cluster_config=paper_cluster(8), costs=paper_costs()
-    )
+    # A finer actual resolution so blocks span several fragments.
+    session = paper_session("engine", 8, resolution=10, timesteps=4)
     params = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
     session.warm_cache("iso-dataman", params=params)
     for max_triangles in batch_sizes:
@@ -234,9 +218,7 @@ def markov_width_study(widths: Sequence[int] = (1, 2, 4)) -> ExperimentResult:
         "speculative reads on the saturated fileserver.",
     )
     for width in widths:
-        session = ViracochaSession(
-            engine, cluster_config=paper_cluster(1), costs=paper_costs()
-        )
+        session = paper_session(engine, 1)
         run = session.run(
             "pathlines-dataman", params={**params, "prefetch_width": int(width)}
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..core.costs import CostModel
 from ..des.cluster import ClusterConfig
 
-__all__ = ["paper_cluster", "paper_costs", "MB"]
+__all__ = ["paper_cluster", "paper_costs", "paper_session", "MB"]
 
 MB = 1024 * 1024
 
@@ -70,4 +70,20 @@ def paper_costs() -> CostModel:
         result_wire_factor=0.2,
         stream_packet_overhead=1.5e6,
         streaming_compute_factor=1.12,
+    )
+
+
+def paper_session(data="engine", workers: int = 4, resolution: int = 4,
+                  timesteps: int = 2, **kw):
+    """A :class:`~repro.core.session.ViracochaSession` on the calibrated
+    testbed.  ``data`` is a dataset, or a :data:`repro.synth.DATASETS`
+    name built at ``resolution`` with ``timesteps`` levels; ``kw`` goes
+    to the session."""
+    from ..core.session import ViracochaSession
+    from ..synth import DATASETS
+
+    if isinstance(data, str):
+        data = DATASETS[data](base_resolution=resolution, n_timesteps=timesteps)
+    return ViracochaSession(
+        data, cluster_config=paper_cluster(workers), costs=paper_costs(), **kw
     )

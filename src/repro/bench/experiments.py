@@ -21,8 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .. import build_engine, build_propfan
-from ..core.session import CommandResult, ViracochaSession
-from .calibration import paper_cluster, paper_costs
+from .calibration import paper_session
 
 __all__ = [
     "ExperimentResult",
@@ -94,14 +93,6 @@ def propfan_dataset():
     return build_propfan(base_resolution=5)
 
 
-def _session(dataset, n_workers: int) -> ViracochaSession:
-    return ViracochaSession(
-        dataset,
-        cluster_config=paper_cluster(n_workers),
-        costs=paper_costs(),
-    )
-
-
 def _pathline_seeds(n: int = 16) -> list[list[float]]:
     rng = np.random.default_rng(42)
     return [
@@ -156,7 +147,7 @@ def _iso_runtime(dataset, experiment_id: str, title: str,
     )
     params = iso_params(dataset)
     for nw in workers:
-        session = _session(dataset, nw)
+        session = paper_session(dataset, nw)
         simple = session.run("iso-simple", params=params)
         session.warm_cache("iso-dataman", params=params)
         dataman = session.run("iso-dataman", params=params)
@@ -195,7 +186,7 @@ def fig8_iso_latency(workers: Sequence[int] = WORKER_COUNTS) -> ExperimentResult
     )
     params = iso_params(propfan_dataset())
     for nw in workers:
-        session = _session(propfan_dataset(), nw)
+        session = paper_session(propfan_dataset(), nw)
         session.warm_cache("iso-dataman", params=params)
         dataman = session.run("iso-dataman", params=params)
         viewer = session.run("iso-viewer", params={**params, **VIEWER_EXTRA})
@@ -217,7 +208,7 @@ def _vortex_runtime(dataset, experiment_id: str, title: str,
         notes="DMS commands measured on cached data (§7).",
     )
     for nw in workers:
-        session = _session(dataset, nw)
+        session = paper_session(dataset, nw)
         simple = session.run("vortex-simple", params=VORTEX_PARAMS)
         session.warm_cache("vortex-dataman", params=VORTEX_PARAMS)
         dataman = session.run("vortex-dataman", params=VORTEX_PARAMS)
@@ -262,10 +253,10 @@ def fig11_vortex_prefetch(workers: Sequence[int] = WORKER_COUNTS) -> ExperimentR
         notes="Cold caches; 'without' disables the OBL system prefetcher.",
     )
     for nw in workers:
-        without = _session(engine_dataset(), nw).run(
+        without = paper_session(engine_dataset(), nw).run(
             "vortex-dataman", params={**VORTEX_PARAMS, "prefetch": "none"}
         )
-        with_pf = _session(engine_dataset(), nw).run(
+        with_pf = paper_session(engine_dataset(), nw).run(
             "vortex-dataman", params=VORTEX_PARAMS
         )
         result.rows.append(
@@ -290,7 +281,7 @@ def fig12_vortex_latency(workers: Sequence[int] = WORKER_COUNTS) -> ExperimentRe
         notes="Paper text: ~45 s final (16 workers) vs ~4.2 s first partial result.",
     )
     for nw in workers:
-        session = _session(propfan_dataset(), nw)
+        session = paper_session(propfan_dataset(), nw)
         session.warm_cache("vortex-dataman", params=VORTEX_PARAMS)
         dataman = session.run("vortex-dataman", params=VORTEX_PARAMS)
         streamed = session.run(
@@ -321,7 +312,7 @@ def fig13_pathlines_runtime(
     )
     params = pathline_params()
     for nw in workers:
-        session = _session(engine_dataset(), nw)
+        session = paper_session(engine_dataset(), nw)
         simple = session.run("pathlines-simple", params=params)
         session.warm_cache("pathlines-dataman", params=params)
         dataman = session.run("pathlines-dataman", params=params)
@@ -359,10 +350,10 @@ def fig14_pathline_prefetch(
     )
     params = pathline_params()
     for nw in workers:
-        without = _session(engine_dataset(), nw).run(
+        without = paper_session(engine_dataset(), nw).run(
             "pathlines-dataman", params={**params, "prefetch": "none"}
         )
-        session = _session(engine_dataset(), nw)
+        session = paper_session(engine_dataset(), nw)
         with_pf = session.run(
             "pathlines-dataman", params={**params, "retain_markov": True}
         )
@@ -401,7 +392,7 @@ def fig15_component_breakdown() -> ExperimentResult:
         columns=["command", "compute_pct", "read_pct", "send_pct"],
     )
     params = iso_params(engine_dataset())
-    session = _session(engine_dataset(), 1)
+    session = paper_session(engine_dataset(), 1)
     simple = session.run("iso-simple", params=params)
     session.warm_cache("iso-dataman", params=params)
     dataman = session.run("iso-dataman", params=params)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .experiments import ALL_EXPERIMENTS, ExperimentResult
+from .experiments import ExperimentResult
 
-__all__ = ["format_barchart", "main"]
+__all__ = ["format_barchart"]
 
 _BAR = "#"
 
@@ -74,27 +74,3 @@ def format_barchart(
     if result.notes:
         lines.append(f"   note: {result.notes}")
     return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import sys
-
-    names = list(argv if argv is not None else sys.argv[1:]) or list(ALL_EXPERIMENTS)
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments {unknown}; known: {sorted(ALL_EXPERIMENTS)}")
-        return 2
-    for name in names:
-        result = ALL_EXPERIMENTS[name]()
-        try:
-            print(format_barchart(result))
-        except ValueError:
-            from .report import format_result
-
-            print(format_result(result))
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

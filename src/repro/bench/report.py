@@ -1,18 +1,17 @@
 """Textual rendering of experiment results.
 
-``python -m repro.bench.report`` regenerates every table and figure of
-the paper's evaluation and prints them as aligned text tables (the
-series the paper plots as bar charts).
+``python -m repro report`` regenerates every table and figure of the
+paper's evaluation and prints them as aligned text tables (the series
+the paper plots as bar charts).
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable
 
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 
-__all__ = ["format_result", "run_all", "main"]
+__all__ = ["format_result", "run_all"]
 
 
 def _fmt(value) -> str:
@@ -63,29 +62,3 @@ def results_to_json(results: list[ExperimentResult]) -> str:
         for r in results
     ]
     return json.dumps(payload, indent=2)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    json_path = None
-    if "--json" in argv:
-        idx = argv.index("--json")
-        try:
-            json_path = argv[idx + 1]
-        except IndexError:
-            print("--json requires an output path")
-            return 2
-        del argv[idx : idx + 2]
-    results = run_all(argv or None)
-    for result in results:
-        print(format_result(result))
-        print()
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(results_to_json(results))
-        print(f"wrote {json_path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -36,15 +36,11 @@ def chaos_session(
     **kwargs: Any,
 ):
     """A small, fast session shaped like the test-suite sessions."""
-    from .. import ViracochaSession, build_engine
-    from ..bench import paper_cluster, paper_costs
+    from ..bench.calibration import paper_session
 
-    return ViracochaSession(
-        build_engine(base_resolution=base_resolution, n_timesteps=n_timesteps),
-        cluster_config=paper_cluster(n_workers),
-        costs=paper_costs(),
-        recovery=recovery,
-        **kwargs,
+    return paper_session(
+        "engine", n_workers, base_resolution, n_timesteps,
+        recovery=recovery, **kwargs,
     )
 
 

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..bench.calibration import paper_session
+from ..commands import DEMO_ALIASES, DEMO_PARAMS
 from .critical_path import (
     PHASES, analyze_result, analyze_spans, publish_phase_metrics,
 )
@@ -46,21 +48,11 @@ __all__ = [
     "write_baseline",
 ]
 
-#: the four headline commands, the same shapes the macro-benchmarks and
-#: the chaos suite replay (small Engine testbed).
+#: the four headline commands, the same shapes the CLI verbs run.
 SENTRY_COMMANDS: list[tuple[str, dict]] = [
-    ("iso-dataman", {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}),
-    ("vortex-dataman", {"threshold": -0.5, "time_range": (0, 1)}),
-    (
-        "pathlines-dataman",
-        {
-            "seeds": [[-0.3, -0.2, 0.6], [0.2, 0.3, 0.9], [0.0, -0.4, 1.1]],
-            "time_range": (0, 2),
-            "max_steps": 60,
-        },
-    ),
-    ("cutplane", {"normal": (0.0, 0.0, 1.0), "offset": 0.8, "time_range": (0, 1)}),
+    (name, DEMO_PARAMS[name]) for name in DEMO_ALIASES.values()
 ]
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -101,27 +93,6 @@ class SentryReport:
 
 
 # ------------------------------------------------------------ measuring
-def _paper_session(
-    data: str, workers: int, resolution: int = 4, timesteps: int = 2, **kw
-):
-    """A session on the paper-calibrated cluster over a synthetic dataset."""
-    from ..bench.calibration import paper_cluster, paper_costs
-    from ..core.session import ViracochaSession
-    from ..synth import build_engine, build_propfan
-
-    builders = {"engine": build_engine, "propfan": build_propfan}
-    if data not in builders:
-        raise KeyError(data)
-    dataset = builders[data](base_resolution=resolution, n_timesteps=timesteps)
-    return ViracochaSession(
-        dataset, cluster_config=paper_cluster(workers), costs=paper_costs(), **kw
-    )
-
-
-def _sentry_session(data: str, n_workers: int):
-    return _paper_session(data, n_workers)
-
-
 def measure(
     data: str = "engine",
     workers: int = 4,
@@ -147,7 +118,7 @@ def measure(
     if session_factory is not None:
         session = session_factory()
     else:
-        session = _sentry_session(data, workers)
+        session = paper_session(data, workers)
     tracker = tracker if tracker is not None else SLOTracker(default_slos())
     commands = commands if commands is not None else SENTRY_COMMANDS
     per_command: dict[str, Any] = {}
@@ -218,7 +189,7 @@ def _measure_cluster_cell(data: str, workers: int) -> dict[str, Any]:
     from ..dms.proxy import DMSConfig
     from ..faults.chaos import trace_fingerprint
 
-    session = _paper_session(data, workers, dms_config=DMSConfig(
+    session = paper_session(data, workers, dms_config=DMSConfig(
         cluster_dedup=True, contention_aware=True, compression=ZSTD_2020
     ))
     group = max(1, workers // 2)
@@ -287,7 +258,7 @@ def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     fingerprints: list[str] = []
     ttfa: dict[str, dict[str, float]] = {}
     for schedule in ("level-major", "depth-first"):
-        session = _paper_session(data, workers, resolution=8, timesteps=1)
+        session = paper_session(data, workers, resolution=8, timesteps=1)
         cold = session.run(
             "iso-progressive", params=dict(params, schedule=schedule)
         )
@@ -333,7 +304,7 @@ def _measure_dynamic_cell(data: str, workers: int) -> dict[str, Any]:
     fingerprints: list[str] = []
     out: dict[str, Any] = {}
     for schedule in SCHEDULES:
-        session = _paper_session(data, workers, resolution=8, timesteps=1)
+        session = paper_session(data, workers, resolution=8, timesteps=1)
         params = dict(base)
         if schedule != "static":
             params["schedule"] = schedule

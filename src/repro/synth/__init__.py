@@ -14,7 +14,12 @@ from .fields import (
 )
 from .propfan import PROPFAN_TABLE1, build_propfan, propfan_block_layout
 
+#: the two Table 1 datasets by name, as the CLI, the sentry and the
+#: served session build them.
+DATASETS = {"engine": build_engine, "propfan": build_propfan}
+
 __all__ = [
+    "DATASETS",
     "BYTES_PER_POINT",
     "DatasetSpec",
     "SyntheticDataset",

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench import ExperimentResult
-from repro.bench.figures import format_barchart, main as figures_main
+from repro.__main__ import main as cli_main
+from repro.bench.figures import format_barchart
 
 
 def result():
@@ -49,7 +50,10 @@ def test_barchart_empty_rows():
 
 
 def test_figures_cli_table1_and_unknown(capsys):
-    assert figures_main(["table1"]) == 0
+    assert cli_main(["figures", "table1"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out
-    assert figures_main(["figXXL"]) == 2
+    assert cli_main(["figures", "figXXL"]) == 2
+    out = capsys.readouterr().out
+    assert "unknown experiments ['figXXL']" in out
+    assert out.rstrip().endswith("usage: python -m repro figures [fig6 ...]")

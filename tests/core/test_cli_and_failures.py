@@ -27,9 +27,11 @@ def test_cli_report_single_table(capsys):
     assert "engine" in out and "propfan" in out
 
 
-def test_cli_report_unknown_experiment():
-    with pytest.raises(KeyError):
-        cli_main(["report", "fig99"])
+def test_cli_report_unknown_experiment(capsys):
+    assert cli_main(["report", "fig99"]) == 2
+    out = capsys.readouterr().out
+    assert "unknown experiments ['fig99']" in out
+    assert out.rstrip().endswith("usage: python -m repro report [fig6 fig14 ...] [--json FILE]")
 
 
 def test_cli_unknown_ablation(capsys):

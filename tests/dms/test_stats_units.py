@@ -173,17 +173,20 @@ def test_publish_syncs_registry():
 
 
 def test_report_json_roundtrip(tmp_path, capsys):
-    from repro.bench.report import main as report_main
+    from repro.__main__ import main as cli_main
     import json
 
     out = tmp_path / "results.json"
-    assert report_main(["table1", "--json", str(out)]) == 0
+    assert cli_main(["report", "table1", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload[0]["experiment_id"] == "table1"
     assert payload[0]["rows"][0]["dataset"] == "engine"
 
 
-def test_report_json_missing_path():
-    from repro.bench.report import main as report_main
+def test_report_json_missing_path(capsys):
+    from repro.__main__ import USAGE, main as cli_main
 
-    assert report_main(["table1", "--json"]) == 2
+    assert cli_main(["report", "table1", "--json"]) == 2
+    out = capsys.readouterr().out
+    assert "option --json needs a value" in out
+    assert out.rstrip().endswith(f"usage: {USAGE['report']}")

@@ -49,7 +49,7 @@ def test_trace_timeline_flag(tmp_path, capsys):
 def test_trace_rejects_unknown_command(capsys):
     assert cli_main(["trace", "nope"]) == 2
     assert cli_main(["trace"]) == 2
-    assert cli_main(["trace", "iso", "--dataset", "mars"]) == 2
+    assert cli_main(["trace", "iso", "--data", "mars"]) == 2
     assert cli_main(["trace", "iso", "--out"]) == 2  # flag missing value
 
 
@@ -87,22 +87,18 @@ def test_workers_flag_validation(capsys):
 
 @pytest.mark.parametrize("alias", ["iso", "vortex", "pathlines", "cutplane"])
 def test_aliases_resolve(alias):
-    from repro.__main__ import _obs_command_spec
-    from repro.commands import default_registry
+    from repro.commands import DEMO_ALIASES, DEMO_PARAMS, default_registry
 
-    name, params = _obs_command_spec(alias)
+    name = DEMO_ALIASES[alias]
     assert name in default_registry().names()
-    assert params
+    assert DEMO_PARAMS[name]
 
 
 def test_all_registry_commands_have_obs_defaults():
-    from repro.__main__ import _obs_command_spec
-    from repro.commands import default_registry
+    from repro.commands import DEMO_PARAMS, default_registry
 
-    for name in default_registry().names():
-        resolved, params = _obs_command_spec(name)
-        assert resolved == name
-        assert isinstance(params, dict)
+    assert set(DEMO_PARAMS) == set(default_registry().names())
+    assert all(isinstance(p, dict) for p in DEMO_PARAMS.values())
 
 
 def test_critical_path_prints_phase_table(capsys):

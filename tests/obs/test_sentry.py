@@ -136,9 +136,14 @@ def test_cli_check_passes_then_catches_regression(tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "no regressions" in out
 
-    # Same baseline, inflated stream cost: nonzero exit + named phase.
-    monkeypatch.setattr(sentry, "_sentry_session",
-                        lambda data, n_workers: _inflated_session())
+    # Same baseline, command setup made 50x more expensive in the
+    # calibrated cost model (a queue-phase regression every command
+    # pays): nonzero exit + named phase.
+    from repro.bench import calibration
+
+    costs = calibration.paper_costs()
+    inflated = dataclasses.replace(costs, command_setup=costs.command_setup * 50)
+    monkeypatch.setattr(calibration, "paper_costs", lambda: inflated)
     assert cli_main(_slo_args(baseline, "--check")) == 1
     out = capsys.readouterr().out
     assert "REGRESSIONS" in out

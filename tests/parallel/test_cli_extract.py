@@ -1,0 +1,75 @@
+"""``repro extract``: the CLI path into the real pool.
+
+Each run must exit 0 and print the triangle count a direct
+:class:`~repro.parallel.ParallelExtractor` run gives on the same data,
+on a synthetic dataset and on a store written by ``repro export``.
+"""
+
+import re
+from functools import lru_cache
+
+import pytest
+
+from repro.__main__ import main as cli_main
+from repro.commands import DEMO_PARAMS
+from repro.io import DatasetStore
+from repro.parallel import ParallelExtractor
+from repro.synth import DATASETS
+
+COMMANDS = {"iso": "iso-dataman", "vortex": "vortex-dataman"}
+
+
+@pytest.fixture(scope="module")
+def store_dir(tmp_path_factory):
+    target = tmp_path_factory.mktemp("cli") / "engine"
+    assert cli_main(["export", "engine", str(target), "1", "3"]) == 0
+    return str(target)
+
+
+def _data(source: str):
+    if source == "engine":
+        return DATASETS["engine"](base_resolution=4, n_timesteps=2)
+    return DatasetStore(source)
+
+
+@lru_cache(maxsize=None)
+def _direct_triangles(command: str, source: str) -> int:
+    with ParallelExtractor(_data(source), workers=2, executor="serial") as ext:
+        return ext.run(command, params=dict(DEMO_PARAMS[command])).result.n_triangles
+
+
+def _printed_triangles(out: str) -> int:
+    return int(re.search(r"mesh with (\d+) triangles", out).group(1))
+
+
+@pytest.mark.parametrize("source", ["engine", "store"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+@pytest.mark.parametrize("alias", sorted(COMMANDS))
+def test_extract_matches_a_direct_run(alias, schedule, executor, source,
+                                      store_dir, capsys):
+    data = "engine" if source == "engine" else store_dir
+    args = ["extract", alias, "--data", data, "--workers", "2",
+            "--executor", executor, "--schedule", schedule]
+    assert cli_main(args) == 0
+    out = capsys.readouterr().out
+    assert f"({executor} executor, 2 workers, {schedule} schedule)" in out
+    assert _printed_triangles(out) == _direct_triangles(COMMANDS[alias], data)
+
+
+def test_extract_precompute_on_a_store(store_dir, capsys):
+    assert cli_main(["extract", "vortex", "--data", store_dir, "--workers", "2",
+                     "--precompute"]) == 0
+    out = capsys.readouterr().out
+    assert "precomputed lambda2 for" in out
+    assert _printed_triangles(out) == _direct_triangles("vortex-dataman", store_dir)
+
+
+def test_extract_flame_writes_a_profile(tmp_path, capsys):
+    flame = tmp_path / "iso.folded"
+    assert cli_main(["extract", "iso", "--workers", "2",
+                     "--flame", str(flame)]) == 0
+    out = capsys.readouterr().out
+    assert f"-> {flame} (collapsed-stack" in out
+    assert flame.exists()
+    assert _printed_triangles(out) == _direct_triangles("iso-dataman", "engine")

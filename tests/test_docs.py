@@ -8,21 +8,27 @@ a dangling reference behind.  Every backticked test node id
 (``file.py::test_name``, ``*`` globs allowed in the name) must name a
 test function in that file: a path under tests/, or a bare file name
 unique under tests/.  Every ``repro <verb> --flag`` quoted in
-them (inline code or a fenced block) must name a verb with a ``USAGE``
-entry that lists the flag: unknown flags exit 2, so a stale one is a
-broken recipe.
+them, in EXPERIMENTS.md (inline code or a fenced block) or in the CI
+workflow must name a verb with a ``USAGE`` entry that lists the flag,
+and every quoted command line that is not a usage template or a bare
+verb must parse by that entry: a bad command line exits 2, so a stale
+one is a broken recipe.
 """
 
 import ast
 import importlib
 import re
+import shlex
 from fnmatch import fnmatchcase
 from pathlib import Path
 
-from repro.__main__ import USAGE
+from repro.__main__ import USAGE, _parse, _Usage
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+#: where quoted command lines are checked: the docs, the paper record
+#: and the CI workflow (every line of which is code).
+RECIPES = [*DOCS, ROOT / "EXPERIMENTS.md", ROOT / ".github" / "workflows" / "ci.yml"]
 
 _NAME = re.compile(r"(?<![\w./-])(repro(?:\.\w+)+)")
 _PATH = re.compile(
@@ -42,13 +48,16 @@ def _backticked(pattern: re.Pattern) -> dict[str, str]:
     return found
 
 
-#: a verb and what follows it, up to a comment, a shell separator or
-#: the next quoted command.
-_COMMAND = re.compile(r"\brepro ([a-z][\w-]*)((?:(?!\brepro )[^#;&])*)")
+#: a verb and what follows it, up to a comment, a shell separator, a
+#: pipe or redirection, or the next quoted command.
+_COMMAND = re.compile(r"\brepro ([a-z][\w-]*)((?:(?!\brepro |\s[|>])[^#;&])*)")
 
 
-def _quoted_commands(text: str) -> list[tuple[str, str]]:
-    """``(verb, rest)`` of every ``repro <verb>`` in a code span or block."""
+def _quoted_commands(text: str, all_code: bool = False) -> list[tuple[str, str]]:
+    """``(verb, rest)`` of every ``repro <verb>`` in a code span or block,
+    or on any line when ``all_code``."""
+    if all_code:
+        return [m.groups() for line in text.splitlines() for m in _COMMAND.finditer(line)]
     parts = re.split(r"^```.*$", text, flags=re.M)
     code = [line for block in parts[1::2] for line in block.splitlines()]
     for prose in parts[0::2]:
@@ -110,11 +119,19 @@ def test_every_cited_test_exists():
     assert not missing, f"docs cite tests that do not exist: {missing}"
 
 
+def _recipes() -> list[tuple[str, str, str]]:
+    """``(doc, verb, rest)`` of every quoted command in :data:`RECIPES`."""
+    return [
+        (doc.name, verb, rest.strip())
+        for doc in RECIPES
+        for verb, rest in _quoted_commands(doc.read_text(), doc.suffix == ".yml")
+    ]
+
+
 def test_every_quoted_cli_flag_is_accepted():
     quoted = {
-        (verb, flag, doc.name)
-        for doc in DOCS
-        for verb, rest in _quoted_commands(doc.read_text())
+        (verb, flag, doc)
+        for doc, verb, rest in _recipes()
         for flag in re.findall(r"--([\w-]+)", rest)
     }
     assert len(quoted) > 15, "the scan found too few flags to mean anything"
@@ -124,3 +141,19 @@ def test_every_quoted_cli_flag_is_accepted():
         if flag not in re.findall(r"\[--([\w-]+)", USAGE.get(verb, ""))
     )
     assert not stale, f"docs quote flags their verb does not accept: {stale}"
+
+
+def test_every_quoted_command_line_parses():
+    lines = [
+        (doc, verb, rest)
+        for doc, verb, rest in _recipes()
+        if verb in USAGE and rest and not re.search(r"[<\[]", rest)
+    ]
+    assert len(lines) > 20, "the scan found too few command lines to mean anything"
+    bad = []
+    for doc, verb, rest in lines:
+        try:
+            _parse(verb, shlex.split(rest))
+        except _Usage as exc:
+            bad.append((doc, f"repro {verb} {rest}", str(exc)))
+    assert not bad, f"docs quote command lines their verb rejects: {bad}"
