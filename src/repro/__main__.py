@@ -47,8 +47,7 @@ USAGE = {
     "extract": (
         "python -m repro extract <cmd> [--data engine|propfan|path-to-store] "
         "[--workers N] [--executor serial|process] "
-        "[--schedule static|dynamic] [--precompute] "
-        "[--flame FILE]"
+        "[--schedule static|dynamic] [--flame FILE]"
     ),
     "critical-path": (
         "python -m repro critical-path <cmd> [--data engine|propfan] "
@@ -335,10 +334,6 @@ def _extract(positional: list[str], flags: dict) -> int:
         data, workers=n_workers, executor=executor,
         profile_interval=profile_interval,
     ) as ext:
-        if flags.get("precompute"):
-            n = ext.precompute("lambda2")
-            print(f"precomputed lambda2 for {n} blocks "
-                  f"({ext.store.nbytes} shared bytes)")
         res = ext.run(
             command,
             params=params,

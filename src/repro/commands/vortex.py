@@ -58,14 +58,22 @@ class VortexDataManCommand(Command):
     def prefetcher_spec(self, ctx: CommandContext) -> str:
         return "obl"
 
-    def threshold_scalar(self, ctx: CommandContext) -> str:
-        # Only a *stored* lambda2 has a range table: the inline
-        # eigenvalue pass below has nothing to cull by.
-        return "lambda2"
+    def derived_field(self, ctx: CommandContext) -> str | None:
+        # A stored "lambda2" is λ2 of "velocity" (what the executors
+        # derive); λ2 of any other field is computed inline.
+        if ctx.params.get("velocity", "velocity") == "velocity":
+            return "lambda2"
+        return None
+
+    def threshold_scalar(self, ctx: CommandContext) -> str | None:
+        # Executors over a shared store derive the field before
+        # planning, so its range table is there to cull by.
+        return self.derived_field(ctx)
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         threshold = float(ctx.params.get("threshold", 0.0))
         velocity = ctx.params.get("velocity", "velocity")
+        stored = self.derived_field(ctx) is not None
         for t, bid in assignment:
             if ctx.cull(t, bid, "lambda2", threshold):
                 continue
@@ -73,10 +81,10 @@ class VortexDataManCommand(Command):
             handle = ctx.handle(t, bid)
 
             def work(b: StructuredBlock = block):
-                # A precomputed "lambda2" field (e.g. derived fields in
-                # the shared-memory store, reused across a threshold
-                # sweep) short-circuits the expensive eigenvalue pass.
-                if b.has_field("lambda2"):
+                # A stored "lambda2" field (derived once per block into
+                # the shared-memory store, or persisted beside the
+                # dataset) short-circuits the expensive eigenvalue pass.
+                if stored and b.has_field("lambda2"):
                     lam = b.field("lambda2")
                 else:
                     lam = lambda2_field(b, velocity)

@@ -211,6 +211,14 @@ class Command:
         contribute; ``None`` for commands that never skip blocks."""
         return None
 
+    def derived_field(self, ctx: CommandContext) -> str | None:
+        """The derived field :meth:`run` reads (``"lambda2"``), or
+        ``None``.  Executors over a shared store derive it once per
+        block before planning (and persist it beside an on-disk
+        dataset), so :meth:`run` finds it stored and
+        :meth:`threshold_scalar` can cull on it."""
+        return None
+
     def item_sequence_for(self, ctx: CommandContext, assignment: Any) -> list[ItemName] | None:
         """The block-item order this worker will process (drives the
         sequential prefetchers' "next block" relation).  ``None`` means

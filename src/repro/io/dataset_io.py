@@ -9,16 +9,19 @@ file, a part of a file, or even a combination of files")::
       t0000_b0000.blk
       t0000_b0001.blk
       ...
+      derived/          fields derived from the blocks (repro.io.derived)
 
 The store is the ground truth the DMS loads from; its ``meta.json``
 carries both actual and modeled shapes so handles can be reconstructed
-without opening block files.
+without opening block files.  ``derived/`` is a cache: it may be absent
+or stale at any time, and :func:`write_dataset` removes it.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import shutil
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +31,10 @@ from ..grids.block import BlockHandle, StructuredBlock
 from ..grids.multiblock import MultiBlockDataset, TimeSeries
 from .format import FormatError, block_from_buffer, write_block
 
-__all__ = ["DatasetStore", "write_dataset", "block_filename"]
+__all__ = ["DatasetStore", "write_dataset", "block_filename", "DERIVED_DIR"]
+
+#: the subdirectory of a store's root that holds persisted derived fields.
+DERIVED_DIR = "derived"
 
 
 def block_filename(time_index: int, block_id: int) -> str:
@@ -42,11 +48,16 @@ def write_dataset(
     modeled_shapes: Sequence[tuple[int, int, int]] | None = None,
     times: Sequence[float] | None = None,
 ) -> "DatasetStore":
-    """Write time levels to ``root`` and return the opened store."""
+    """Write time levels to ``root`` and return the opened store.
+
+    Fields derived from an earlier dataset at ``root`` are removed: a
+    block rewritten within one mtime tick would still pass their check.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if not levels:
         raise ValueError("need at least one time level")
+    shutil.rmtree(root / DERIVED_DIR, ignore_errors=True)
     n_blocks = len(levels[0])
     for t, level in enumerate(levels):
         if len(level) != n_blocks:

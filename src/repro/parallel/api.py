@@ -38,7 +38,7 @@ from ..obs.spans import SpanTracer
 from .arena import payload_nbytes
 from .dynamic import CostFeedback, payload_lists
 from .pool import ProcessWorkerPool, pick_start_method
-from .runner import DirectRunner, ShareResult, execute_share
+from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
 __all__ = ["ParallelExtractor", "ParallelResult", "EXECUTORS", "SCHEDULES"]
@@ -234,6 +234,11 @@ class ParallelExtractor:
             cmd = command
         group = group_size if group_size is not None else self.workers
         ctx = self._context(params)
+        derived = cmd.derived_field(ctx)
+        if derived is not None:
+            # Derive on need: once per block, before planning, so the
+            # run (and every later one) reads it stored and culls on it.
+            self._derive(derived, ctx.time_indices)
         scalar = cmd.threshold_scalar(ctx)
         if scalar is not None:
             # Span-space culling: the command skips blocks whose stored
@@ -305,42 +310,41 @@ class ParallelExtractor:
         return cmd.plan(ctx, group), None
 
     # --------------------------------------------------------- precompute
-    def precompute(
-        self, field_name: str = "lambda2", velocity: str = "velocity"
-    ) -> int:
-        """Derive ``field_name`` once per block into shared memory.
+    def precompute(self, field_name: str = "lambda2") -> int:
+        """Derive ``field_name`` once per block of the store;
+        :meth:`run` does this itself for the field a command declares
+        (:meth:`~repro.core.commands.Command.derived_field`).
 
-        Returns the number of blocks processed.  Fanned across the pool
-        under ``executor="process"`` (the pool is rebuilt afterwards so
-        workers attach the new segments), in-process otherwise.
+        Returns the number of blocks derived (0 when every block has the
+        field already, e.g. persisted beside an on-disk dataset).
         """
         self._check_open()
-        keys = [
-            key
-            for key in self.store.keys()
-            if field_name not in self.store.derived_fields(*key)
-        ]
+        return self._derive(field_name, self.store.time_indices)
+
+    def _derive(self, name: str, time_indices: Iterable[int]) -> int:
+        """Derive ``name`` for the blocks of these levels that lack it,
+        into one shared segment, and persist it beside the dataset the
+        store was read from (when there is one and it can be written).
+
+        Fanned across the pool under ``executor="process"`` (workers
+        sync-attach the new segment with their next task), in-process
+        otherwise.
+        """
+        keys = self.store.lacking(name, time_indices)
         if not keys:
             return 0
-        with self.tracer.span("parallel-precompute", field_name, n_blocks=len(keys)):
+        with self.tracer.span("parallel-precompute", name, n_blocks=len(keys)):
             if self.executor == "process":
-                # The pool survives: tasks ship the derived manifest and
-                # workers sync-attach the new segments on first use.
-                self._ensure_pool().derive_field(keys, field_name, velocity)
+                self._ensure_pool().derive_field(keys, name)
             else:
-                from ..algorithms.lambda2 import lambda2_field
-
-                if field_name != "lambda2":
-                    raise ValueError(f"unknown derived field {field_name!r}")
-                for t, b in keys:
-                    block = self.store.get_block(t, b)
-                    self.store.add_derived_field(
-                        t, b, field_name, lambda2_field(block, velocity)
-                    )
-        gauge = self.metrics.gauge(
+                self.store.add_derived_fields(name, {
+                    key: derive_field(self.store.get_block(*key), name)
+                    for key in keys
+                })
+            self.store.persist_derived(name)
+        self.metrics.gauge(
             "parallel_shm_bytes", help="bytes resident in the shared block store"
-        )
-        gauge.set(self.store.nbytes)
+        ).set(self.store.nbytes)
         return len(keys)
 
     # -------------------------------------------------------------- obs

@@ -37,7 +37,7 @@ from ..core.commands import Command, CommandContext
 from ..dms.items import ItemName
 from .arena import PackedMeshes, meshes_nbytes, pack_meshes, unpack_meshes
 from .dynamic import default_batch
-from .runner import DirectRunner, ShareResult, execute_share
+from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
 __all__ = ["ProcessWorkerPool", "ShareResult", "WorkerPoolError", "pick_start_method"]
@@ -146,7 +146,7 @@ def _run_slot(
     slot: int,
     fair_share: int,
     batch: int,
-    derived: dict | None,
+    derived: list | None,
     arena_name: str | None,
 ) -> _Shipped:
     """One slot's call.  With ``batch`` 0 the slot was pre-dealt
@@ -164,15 +164,8 @@ def _run_slot(
     return _ship(result, arena_name)
 
 
-def _derive_field_task(
-    time_index: int, block_id: int, field_name: str, velocity: str
-) -> tuple[int, int, Any]:
-    from ..algorithms.lambda2 import lambda2_field
-
-    block = _worker_store().get_block(time_index, block_id)
-    if field_name != "lambda2":
-        raise ValueError(f"unknown derived field {field_name!r}")
-    return time_index, block_id, lambda2_field(block, velocity)
+def _derive_field_task(time_index: int, block_id: int, field_name: str) -> Any:
+    return derive_field(_worker_store().get_block(time_index, block_id), field_name)
 
 
 class ProcessWorkerPool:
@@ -318,32 +311,30 @@ class ProcessWorkerPool:
         self,
         keys: Sequence[tuple[int, int]],
         field_name: str = "lambda2",
-        velocity: str = "velocity",
     ) -> None:
         """Fan a per-block derived-field computation across the pool.
 
         Each worker reads its block from shared memory, computes the
-        field at float64 and returns it; the parent stores the results
-        in new shared segments via
-        :meth:`~repro.parallel.shm.ShmBlockStore.add_derived_field`.
-        Already-running workers pick the new segments up through the
+        field at float64 and returns it; once every result is in, the
+        parent stores them in one new shared segment
+        (:meth:`~repro.parallel.shm.ShmBlockStore.add_derived_fields`).
+        Already-running workers pick the new segment up through the
         derived manifest shipped with each subsequent share (see
         :meth:`run_shares`), so the pool keeps running.
         """
         executor = self._require_executor()
         futures = [
-            executor.submit(_derive_field_task, t, b, field_name, velocity)
+            executor.submit(_derive_field_task, t, b, field_name)
             for t, b in keys
         ]
         try:
-            for future in futures:
-                t, b, data = future.result()
-                self.store.add_derived_field(t, b, field_name, data)
+            arrays = {key: future.result() for key, future in zip(keys, futures)}
         except BrokenProcessPool as exc:
             self.close()
             raise WorkerPoolError(
                 "a worker process died while deriving fields"
             ) from exc
+        self.store.add_derived_fields(field_name, arrays)
 
     # ------------------------------------------------------------ plumbing
     def _require_executor(self) -> ProcessPoolExecutor:

@@ -34,7 +34,7 @@ from ..core.commands import (
 from ..dms.items import ItemName
 from .dynamic import TaskResult
 
-__all__ = ["DirectRunner", "ShareResult", "ShareRun", "execute_share"]
+__all__ = ["DirectRunner", "ShareResult", "ShareRun", "derive_field", "execute_share"]
 
 
 @dataclass
@@ -142,6 +142,18 @@ class DirectRunner:
                 raise TypeError(f"command yielded unknown op {op!r}")
         run.n_culled = ctx.n_culled - culled_before
         return run
+
+
+def derive_field(block: Any, name: str) -> Any:
+    """Derived field ``name`` of one block at float64: what every
+    executor stores per block before a command that reads the field
+    runs.  The one derived field is ``"lambda2"``, λ2 of the block's
+    ``velocity`` field."""
+    if name != "lambda2":
+        raise ValueError(f"unknown derived field {name!r}")
+    from ..algorithms.lambda2 import lambda2_field
+
+    return lambda2_field(block, "velocity")
 
 
 def execute_share(

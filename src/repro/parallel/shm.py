@@ -5,17 +5,22 @@ cluster; the framework here additionally fans extraction out to real
 local cores (:mod:`repro.parallel.pool`).  Worker processes must not
 each re-read and re-parse the dataset, so this module places every
 block's serialized payload — the exact ``<f4`` on-disk layout of
-:mod:`repro.io.format` — into :mod:`multiprocessing.shared_memory`
-segments.  Workers attach by name and reconstruct zero-copy
+:mod:`repro.io.format` — back to back in one
+:mod:`multiprocessing.shared_memory` segment, each block found by its
+offset.  Workers attach the segment by name and reconstruct zero-copy
 :class:`~repro.grids.block.LazyStructuredBlock` views over the shared
 pages: no pickling of arrays, no per-worker copies, fields upcast to
 float64 only when an algorithm touches them.
 
-Derived fields (a precomputed λ2 scalar, say) are stored in separate
-float64 segments and grafted onto the reconstructed blocks, so a
-threshold sweep pays the eigenvalue pass once per block instead of once
-per sweep point.  float64 matters: results must stay byte-identical to
-a serial run that computes λ2 in place.
+Derived fields (λ2 of the velocity field, say) are stored float64, one
+segment per batch of blocks (:meth:`ShmBlockStore.add_derived_fields`;
+one per field in practice), and grafted onto the reconstructed blocks,
+so a threshold sweep pays the eigenvalue pass once per block instead of
+once per sweep point.  float64 matters: results must stay
+byte-identical to a serial run that computes λ2 in place.  A store read
+from a :class:`~repro.io.DatasetStore` maps the fields persisted beside
+the dataset (:mod:`repro.io.derived`) when it is built, and
+:meth:`~ShmBlockStore.persist_derived` writes new ones there.
 
 Each process keeps one block object per ``(time, block)`` for as long
 as its store is open, so what is derived on a block
@@ -37,21 +42,46 @@ from __future__ import annotations
 import math
 import weakref
 from multiprocessing import shared_memory
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..grids.block import BlockHandle, LazyStructuredBlock
 from ..io.dataset_io import DatasetStore
-from ..io.format import block_from_buffer, block_to_bytes, field_directory
+from ..io.derived import block_stamp, load_derived, save_derived
+from ..io.format import (
+    FormatError,
+    block_from_buffer,
+    block_to_bytes,
+    field_directory,
+)
 
 __all__ = ["ShmBlockStore"]
 
 
+Key = tuple[int, int]
+
+
 def _new_segment(payload_nbytes: int) -> shared_memory.SharedMemory:
-    # Auto-generated names ("psm_...") are unique per boot; sizes may
-    # round up to a page, which block_from_buffer tolerates.
+    # Auto-generated names ("psm_...") are unique per boot.
     return shared_memory.SharedMemory(create=True, size=max(payload_nbytes, 1))
+
+
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to a cache line: where the next payload
+    starts, so each array keeps the alignment it had when every block
+    had a page-aligned segment of its own."""
+    return -(-nbytes // 64) * 64
+
+
+def _layout(sizes: Iterable[tuple[Key, int]]) -> tuple[dict[Key, int], int]:
+    """Each key's offset when its ``nbytes`` are packed in order, and
+    the total."""
+    offsets, total = {}, 0
+    for key, nbytes in sizes:
+        offsets[key] = total
+        total += _aligned(nbytes)
+    return offsets, total
 
 
 #: segments that could not unmap because a caller still holds NumPy
@@ -76,14 +106,23 @@ class ShmBlockStore:
     def __init__(self) -> None:
         self.name: str = ""
         self.times: list[float] = []
-        self._segments: dict[tuple[int, int], shared_memory.SharedMemory] = {}
-        self._payload_sizes: dict[tuple[int, int], int] = {}
+        #: the one segment holding every block payload, and each
+        #: block's ``(offset, nbytes)`` in it.
+        self._payload: shared_memory.SharedMemory | None = None
+        self._spans: dict[Key, tuple[int, int]] = {}
         #: names of the scalar fields each block's payload stores, read
         #: once from its field directory so that :meth:`block_ranges`
         #: never views a block that lacks the scalar.
-        self._scalars: dict[tuple[int, int], frozenset[str]] = {}
+        self._scalars: dict[Key, frozenset[str]] = {}
+        #: derived-field segments in the order they were added, each
+        #: ``(field, segment, {key: (offset, shape)})``; a later batch
+        #: for a key overrides an earlier one.
+        self._derived_segments: list[
+            tuple[str, shared_memory.SharedMemory, dict[Key, tuple[int, tuple]]]
+        ] = []
+        #: per key and field: where its derived array lives.
         self._derived: dict[
-            tuple[int, int], dict[str, tuple[shared_memory.SharedMemory, tuple]]
+            Key, dict[str, tuple[shared_memory.SharedMemory, int, tuple]]
         ] = {}
         self._handles: dict[int, list[BlockHandle]] = {}
         #: span-space table, ``{scalar: {time_index: {block_id: (lo, hi)}}}``,
@@ -93,8 +132,13 @@ class ShmBlockStore:
         #: until :meth:`close` so its memo and upcasts are reused.  A
         #: store never closed drops them at interpreter exit, before the
         #: segments' own finalizers try to unmap under live views.
-        self._blocks: dict[tuple[int, int], LazyStructuredBlock] = {}
+        self._blocks: dict[Key, LazyStructuredBlock] = {}
         weakref.finalize(self, self._blocks.clear)
+        #: the on-disk dataset a :meth:`from_store` store was read from,
+        #: and its block files' stamps as read: where derived fields
+        #: persist.  Unset everywhere else (workers, other sources).
+        self._dataset: DatasetStore | None = None
+        self._stamps: dict[Key, tuple[int, int]] = {}
         self._owner = False
         self._closed = False
 
@@ -108,9 +152,12 @@ class ShmBlockStore:
         Uses the mmap-backed :meth:`~repro.io.DatasetStore.block_buffer`
         fast path: file pages are copied straight into the segment, with
         no ``BytesIO``, no parse and no float64 upcast in the parent.
+        Derived fields persisted beside the dataset are mapped as well,
+        for every block whose file is unchanged since they were derived.
         """
         self = cls()
         self._owner = True
+        self._dataset = store
         self.name = store.name
         self.times = store.times
         indices = list(time_indices) if time_indices is not None else list(
@@ -119,13 +166,15 @@ class ShmBlockStore:
         for t in indices:
             self._handles[t] = store.handles(t)
             for b in range(store.n_blocks):
-                buf = store.block_buffer(t, b)
-                try:
-                    shm = _new_segment(len(buf))
-                    shm.buf[: len(buf)] = buf
-                finally:
-                    buf.release()
-                self._add_segment((t, b), shm)
+                # Stamp before reading: a rewrite in between then reads
+                # as stale, never as current.
+                self._stamps[(t, b)] = block_stamp(store, t, b)
+        self._pack(
+            [(key, size) for key, (size, _mtime) in self._stamps.items()],
+            lambda key: store.block_buffer(*key),
+        )
+        for name, arrays in load_derived(store, self._stamps).items():
+            self.add_derived_fields(name, arrays)
         return self
 
     @classmethod
@@ -135,7 +184,7 @@ class ShmBlockStore:
         """Load any :class:`~repro.dms.source.BlockSource` into shm.
 
         Sources that expose ``get_bytes`` (the :class:`StoreSource`
-        zero-copy path) feed segments directly from their buffers;
+        zero-copy path) feed the segment directly from their buffers;
         others (synthetic generators) serialize each block once through
         :func:`~repro.io.format.block_to_bytes` — note that casts
         in-memory float64 fields to the canonical ``<f4`` layout.
@@ -148,32 +197,52 @@ class ShmBlockStore:
             range(source.n_timesteps)
         )
         get_bytes = getattr(source, "get_bytes", None)
+        payloads: dict[Key, Any] = {}
         for t in indices:
             self._handles[t] = source.handles(t)
             for item in source.item_sequence(t):
-                b = int(item.param("block"))
-                if get_bytes is not None:
-                    buf = memoryview(get_bytes(item))
-                    try:
-                        shm = _new_segment(len(buf))
-                        shm.buf[: len(buf)] = buf
-                    finally:
-                        buf.release()
-                else:
-                    payload = block_to_bytes(source.get(item))
-                    shm = _new_segment(len(payload))
-                    shm.buf[: len(payload)] = payload
-                self._add_segment((t, b), shm)
+                payloads[(t, int(item.param("block")))] = (
+                    get_bytes(item) if get_bytes is not None
+                    else block_to_bytes(source.get(item))
+                )
+        self._pack(
+            [(key, memoryview(p).nbytes) for key, p in payloads.items()],
+            lambda key: memoryview(payloads.pop(key)),
+        )
         return self
 
-    def _add_segment(
-        self, key: tuple[int, int], shm: shared_memory.SharedMemory
+    def _pack(
+        self,
+        sizes: Sequence[tuple[Key, int]],
+        read: Callable[[Key], memoryview],
     ) -> None:
-        self._segments[key] = shm
-        self._payload_sizes[key] = shm.size
-        self._scalars[key] = frozenset(
-            name for name, ncomp in field_directory(shm.buf) if ncomp == 1
-        )
+        """Copy every block's payload into the one payload segment, one
+        buffer at a time (``read`` is called once per key, in order)."""
+        offsets, total = _layout(sizes)
+        self._payload = shm = _new_segment(total)
+        try:
+            for key, nbytes in sizes:
+                start = offsets[key]
+                buf = read(key)
+                try:
+                    if buf.nbytes != nbytes:
+                        raise FormatError(
+                            f"block t={key[0]} b={key[1]} changed size while loading"
+                        )
+                    shm.buf[start:start + nbytes] = buf
+                finally:
+                    buf.release()
+                self._spans[key] = (start, nbytes)
+                self._scalars[key] = frozenset(
+                    name
+                    for name, ncomp in field_directory(shm.buf[start:start + nbytes])
+                    if ncomp == 1
+                )
+        except BaseException:
+            self._payload = None
+            shm.close()
+            shm.unlink()
+            raise
 
     @classmethod
     def attach(cls, manifest: Mapping[str, Any]) -> "ShmBlockStore":
@@ -182,18 +251,10 @@ class ShmBlockStore:
         self.name = manifest["name"]
         self.times = list(manifest["times"])
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
-        for key, (seg_name, nbytes) in manifest["segments"].items():
-            self._segments[key] = shared_memory.SharedMemory(name=seg_name)
-            self._payload_sizes[key] = nbytes
+        self._payload = shared_memory.SharedMemory(name=manifest["payload"])
+        self._spans = dict(manifest["spans"])
         self._scalars = dict(manifest["scalars"])
-        for key, fields in manifest["derived"].items():
-            per_block = {}
-            for fname, (seg_name, shape) in fields.items():
-                per_block[fname] = (
-                    shared_memory.SharedMemory(name=seg_name),
-                    tuple(shape),
-                )
-            self._derived[key] = per_block
+        self.sync_derived(manifest["derived"])
         return self
 
     def manifest(self) -> dict[str, Any]:
@@ -202,83 +263,115 @@ class ShmBlockStore:
             "name": self.name,
             "times": list(self.times),
             "handles": {t: list(hs) for t, hs in self._handles.items()},
-            "segments": {
-                key: (shm.name, self._payload_sizes[key])
-                for key, shm in self._segments.items()
-            },
+            "payload": self._payload.name,
+            "spans": dict(self._spans),
             "scalars": dict(self._scalars),
-            "derived": {
-                key: {
-                    fname: (shm.name, tuple(shape))
-                    for fname, (shm, shape) in fields.items()
-                }
-                for key, fields in self._derived.items()
-            },
+            "derived": self.derived_manifest(),
         }
 
     # ----------------------------------------------------------- derived
-    def add_derived_field(
-        self, time_index: int, block_id: int, name: str, data: np.ndarray
-    ) -> None:
-        """Store a derived float64 field for one block in its own segment.
+    def add_derived_fields(self, name: str, arrays: Mapping[Key, np.ndarray]) -> None:
+        """Store derived float64 field ``name`` for many blocks at once,
+        in one new segment.
 
         float64 (not the on-disk ``<f4``) so that commands consuming the
         field produce bytes identical to computing it in place.
         """
-        key = (time_index, block_id)
-        if key not in self._segments:
-            raise KeyError(f"no block t={time_index} b={block_id} in store")
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        shm = _new_segment(data.nbytes)
-        staged = np.frombuffer(shm.buf, dtype=np.float64, count=data.size)
-        staged.reshape(data.shape)[...] = data
-        del staged
-        self._derived.setdefault(key, {})[name] = (shm, data.shape)
-        self._graft(key, name)
-        # The level's range table (if built) predates this field.
-        self._ranges.get(name, {}).pop(time_index, None)
+        for t, b in arrays:
+            if (t, b) not in self._spans:
+                raise KeyError(f"no block t={t} b={b} in store")
+        if not arrays:
+            return
+        staged = {
+            key: np.ascontiguousarray(data, dtype=np.float64)
+            for key, data in sorted(arrays.items())
+        }
+        offsets, total = _layout((key, data.nbytes) for key, data in staged.items())
+        shm = _new_segment(total)
+        layout = {}
+        for key, data in staged.items():
+            dst = np.frombuffer(shm.buf, dtype=np.float64, count=data.size,
+                                offset=offsets[key])
+            dst.reshape(data.shape)[...] = data
+            layout[key] = (offsets[key], data.shape)
+        del dst
+        self._add_derived_segment(name, shm, layout)
+
+    def _add_derived_segment(
+        self,
+        name: str,
+        shm: shared_memory.SharedMemory,
+        layout: Mapping[Key, tuple[int, tuple]],
+    ) -> None:
+        self._derived_segments.append((name, shm, dict(layout)))
+        for key, (offset, shape) in layout.items():
+            self._derived.setdefault(key, {})[name] = (shm, offset, tuple(shape))
+            self._graft(key, name)
+        # The levels' range tables (if built) predate this field.
+        for t in {t for t, _b in layout}:
+            self._ranges.get(name, {}).pop(t, None)
 
     def derived_fields(self, time_index: int, block_id: int) -> list[str]:
         return sorted(self._derived.get((time_index, block_id), {}))
 
-    def derived_manifest(self) -> dict[tuple[int, int], dict[str, tuple]]:
-        """The derived-field entries of :meth:`manifest`, standalone.
+    def lacking(self, name: str, time_indices: Iterable[int]) -> list[Key]:
+        """The keys of these levels whose block neither stores nor has
+        derived a field ``name``: what deriving it has to cover."""
+        levels = set(time_indices)
+        return [
+            key for key in self.keys()
+            if key[0] in levels
+            and name not in self._scalars[key]
+            and name not in self._derived.get(key, {})
+        ]
+
+    def persist_derived(self, name: str) -> bool:
+        """Write derived field ``name`` beside the dataset this store
+        was read from, for every block that has it.  ``False`` when
+        there is no such dataset or its directory cannot be written;
+        nothing is raised either way."""
+        if self._dataset is None:
+            return False
+        arrays = {
+            key: self._derived_view(key, name)
+            for key, fields in self._derived.items() if name in fields
+        }
+        return save_derived(self._dataset, name, arrays, self._stamps)
+
+    def derived_manifest(self) -> list[tuple[str, str, dict]]:
+        """The derived-field entries of :meth:`manifest`, standalone:
+        ``(field, segment name, {key: (offset, shape)})`` per segment.
 
         Small and picklable — the pool ships it with every task so
         long-lived workers can :meth:`sync_derived` segments created
         *after* they attached, without rebuilding the pool.
         """
-        return {
-            key: {
-                fname: (shm.name, tuple(shape))
-                for fname, (shm, shape) in fields.items()
-            }
-            for key, fields in self._derived.items()
-        }
+        return [
+            (name, shm.name, dict(layout))
+            for name, shm, layout in self._derived_segments
+        ]
 
-    def sync_derived(self, derived: Mapping[tuple[int, int], dict]) -> None:
+    def sync_derived(self, derived: Sequence[tuple[str, str, Mapping]]) -> None:
         """Attach any derived segments this process hasn't mapped yet."""
-        for key, fields in derived.items():
-            per_block = self._derived.setdefault(key, {})
-            for fname, (seg_name, shape) in fields.items():
-                if fname not in per_block:
-                    per_block[fname] = (
-                        shared_memory.SharedMemory(name=seg_name),
-                        tuple(shape),
-                    )
-                    self._graft(key, fname)
+        mapped = {shm.name for _name, shm, _layout in self._derived_segments}
+        for name, seg_name, layout in derived:
+            if seg_name not in mapped:
+                self._add_derived_segment(
+                    name, shared_memory.SharedMemory(name=seg_name), layout
+                )
 
-    def _graft(self, key: tuple[int, int], fname: str) -> None:
+    def _graft(self, key: Key, fname: str) -> None:
         """Attach derived field ``fname`` to ``key``'s block, if handed
         out already; memo entries that read the field are rebuilt."""
         block = self._blocks.get(key)
         if block is not None:
             block.attach_raw_field(fname, self._derived_view(key, fname))
 
-    def _derived_view(self, key: tuple[int, int], fname: str) -> np.ndarray:
-        dshm, shape = self._derived[key][fname]
+    def _derived_view(self, key: Key, fname: str) -> np.ndarray:
+        dshm, offset, shape = self._derived[key][fname]
         view = np.frombuffer(
-            dshm.buf.toreadonly(), dtype=np.float64, count=math.prod(shape)
+            dshm.buf.toreadonly(), dtype=np.float64, count=math.prod(shape),
+            offset=offset,
         )
         return view.reshape(shape)
 
@@ -298,10 +391,12 @@ class ShmBlockStore:
         if block is not None:
             return block
         try:
-            shm = self._segments[key]
+            start, nbytes = self._spans[key]
         except KeyError:
             raise KeyError(f"no block t={time_index} b={block_id} in store") from None
-        block = block_from_buffer(shm.buf.toreadonly(), lazy=True)
+        block = block_from_buffer(
+            self._payload.buf[start:start + nbytes].toreadonly(), lazy=True
+        )
         for fname in self._derived.get(key, {}):
             block.attach_raw_field(fname, self._derived_view(key, fname))
         self._blocks[key] = block
@@ -322,7 +417,7 @@ class ShmBlockStore:
         spans = levels.get(time_index)
         if spans is None:
             spans = levels[time_index] = {}
-            for t, b in self._segments:
+            for t, b in self._spans:
                 if t != time_index or (
                     scalar not in self._scalars[(t, b)]
                     and scalar not in self._derived.get((t, b), {})
@@ -345,7 +440,7 @@ class ShmBlockStore:
             ) from None
 
     def keys(self) -> list[tuple[int, int]]:
-        return sorted(self._segments)
+        return sorted(self._spans)
 
     @property
     def time_indices(self) -> list[int]:
@@ -364,21 +459,19 @@ class ShmBlockStore:
     @property
     def nbytes(self) -> int:
         """Total shared bytes (block payloads plus derived fields)."""
-        total = sum(shm.size for shm in self._segments.values())
-        for fields in self._derived.values():
-            total += sum(shm.size for shm, _shape in fields.values())
-        return total
+        return sum(shm.size for shm in self._all_segments())
 
     @property
     def n_segments(self) -> int:
-        return len(self._segments) + sum(len(f) for f in self._derived.values())
+        """One for the payloads plus one per derived-field batch."""
+        return sum(1 for _shm in self._all_segments())
 
     # ----------------------------------------------------------- cleanup
     def _all_segments(self) -> Iterable[shared_memory.SharedMemory]:
-        yield from self._segments.values()
-        for fields in self._derived.values():
-            for shm, _shape in fields.values():
-                yield shm
+        if self._payload is not None:
+            yield self._payload
+        for _name, shm, _layout in self._derived_segments:
+            yield shm
 
     def close(self) -> None:
         """Unmap this process's views (safe to call repeatedly)."""
@@ -420,7 +513,7 @@ class ShmBlockStore:
 
     def __repr__(self) -> str:
         return (
-            f"ShmBlockStore(name={self.name!r}, blocks={len(self._segments)}, "
+            f"ShmBlockStore(name={self.name!r}, blocks={len(self._spans)}, "
             f"derived={sum(len(f) for f in self._derived.values())}, "
             f"nbytes={self.nbytes})"
         )

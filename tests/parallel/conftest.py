@@ -1,8 +1,11 @@
 """Fixtures for the multicore-execution tests: one on-disk engine store."""
 
+import shutil
+
 import pytest
 
 from repro.io import write_dataset
+from repro.io.dataset_io import DERIVED_DIR
 from tests.conftest import cached_engine
 
 
@@ -17,3 +20,13 @@ def engine_store(tmp_path_factory):
         modeled_shapes=list(eng.spec.modeled_shapes),
         times=eng.spec.times[:2],
     )
+
+
+@pytest.fixture(autouse=True)
+def _engine_store_as_written(request):
+    """Every test sees the engine store as written: fields an earlier
+    test derived and persisted beside it are dropped first, so no test
+    depends on which ran before it."""
+    if "engine_store" in request.fixturenames:
+        root = request.getfixturevalue("engine_store").root
+        shutil.rmtree(root / DERIVED_DIR, ignore_errors=True)

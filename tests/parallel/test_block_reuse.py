@@ -10,6 +10,7 @@ keep a shared-memory mapping alive past ``close()``.
 
 import gc
 import os
+import shutil
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.commands import Command, Emit, Load, plan_block_assignments
 from repro.dms.items import block_item
 from repro.grids import interpolate as interpolate_module
 from repro.grids import summary as summary_module
+from repro.io.dataset_io import DERIVED_DIR
 from repro.parallel import ParallelExtractor, ShmBlockStore
 from repro.parallel import shm as shm_module
 
@@ -78,7 +80,7 @@ def test_late_derived_field_grafts_onto_the_handed_out_block(engine_store):
         block = store.get_block(0, 2)
         lam = lambda2_field(block, "velocity")
         minmax = summary_module.cell_field_minmax(block, "pressure")
-        store.add_derived_field(0, 2, "lambda2", lam)
+        store.add_derived_fields("lambda2", {(0, 2): lam})
         assert store.get_block(0, 2) is block
         assert block.fields.raw_view("lambda2") is not None
         assert block.field("lambda2").tobytes() == lam.tobytes()
@@ -156,19 +158,21 @@ class _Probe(Command):
 def test_precompute_after_a_run_reaches_the_cached_blocks(engine_store, executor):
     # One worker, so every key lives in the one process that probes it.
     with ParallelExtractor(engine_store, workers=1, executor=executor) as first:
-        first.precompute("lambda2")
         expected = _bytes(first.run("vortex-dataman", params=VORTEX).result)
+    # The vortex run persisted lambda2; drop it so the next store lacks it.
+    shutil.rmtree(engine_store.root / DERIVED_DIR)
     with ParallelExtractor(engine_store, workers=1, executor=executor) as ext:
-        ext.run("vortex-dataman", params=VORTEX)
+        # A run that reads no derived field hands every block out first.
+        assert not any(has for has, _kept in ext.run(_Probe(), params=VORTEX).result)
         parent = ext.store.get_block(0, 0)
-        assert not ext.run(_Probe(), params=VORTEX).result[0][0]
-        ext.precompute("lambda2")
+        assert ext.precompute("lambda2") == 2 * engine_store.n_blocks
         assert parent.has_field("lambda2") and ext.store.get_block(0, 0) is parent
         del parent
         probed = ext.run(_Probe(), params=VORTEX).result
         assert len(probed) == 2 * engine_store.n_blocks
         assert all(has and kept for has, kept in probed)
         assert _bytes(ext.run("vortex-dataman", params=VORTEX).result) == expected
+        assert ext.precompute("lambda2") == 0
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])

@@ -5,7 +5,9 @@ Each run must exit 0 and print the triangle count a direct
 on a synthetic dataset and on a store written by ``repro export``.
 """
 
+import os
 import re
+import shutil
 from functools import lru_cache
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.commands import DEMO_PARAMS
 from repro.io import DatasetStore
+from repro.io.dataset_io import DERIVED_DIR
 from repro.parallel import ParallelExtractor
 from repro.synth import DATASETS
 
@@ -58,11 +61,18 @@ def test_extract_matches_a_direct_run(alias, schedule, executor, source,
 
 
 def test_extract_precompute_on_a_store(store_dir, capsys):
-    assert cli_main(["extract", "vortex", "--data", store_dir, "--workers", "2",
-                     "--precompute"]) == 0
-    out = capsys.readouterr().out
-    assert "precomputed lambda2 for" in out
-    assert _printed_triangles(out) == _direct_triangles("vortex-dataman", store_dir)
+    """What ``--precompute`` did, every vortex run on a store now does:
+    the first derives lambda2 once and persists it beside the blocks,
+    and the next invocation reads it back and prints the same mesh."""
+    derived = os.path.join(store_dir, DERIVED_DIR)
+    shutil.rmtree(derived, ignore_errors=True)
+    args = ["extract", "vortex", "--data", store_dir, "--workers", "2"]
+    assert cli_main(args) == 0
+    first = _printed_triangles(capsys.readouterr().out)
+    assert os.path.isdir(derived) and os.listdir(derived)
+    assert cli_main(args) == 0
+    assert _printed_triangles(capsys.readouterr().out) == first
+    assert first == _direct_triangles("vortex-dataman", store_dir)
 
 
 def test_extract_flame_writes_a_profile(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_derived_fields_are_float64_and_shared(engine_store):
     with ShmBlockStore.from_store(engine_store, time_indices=[0]) as shm:
         block = shm.get_block(0, 0)
         lam = lambda2_field(block, "velocity")
-        shm.add_derived_field(0, 0, "lambda2", lam)
+        shm.add_derived_fields("lambda2", {(0, 0): lam})
         assert shm.derived_fields(0, 0) == ["lambda2"]
         enriched = shm.get_block(0, 0)
         raw = enriched.fields.raw_view("lambda2")
@@ -94,13 +94,13 @@ def test_derived_fields_are_float64_and_shared(engine_store):
         # Byte-identical to in-place computation: the reuse fast path in
         # the vortex command cannot change results.
         assert enriched.fields["lambda2"].tobytes() == lam.tobytes()
-        manifest = shm.manifest()
-        assert (0, 0) in manifest["derived"]
+        [(name, _segment, layout)] = shm.manifest()["derived"]
+        assert name == "lambda2" and (0, 0) in layout
 
 
 def test_cleanup_retires_all_segments(engine_store):
     shm = ShmBlockStore.from_store(engine_store, time_indices=[0])
-    shm.add_derived_field(0, 0, "lambda2", lambda2_field(shm.get_block(0, 0)))
+    shm.add_derived_fields("lambda2", {(0, 0): lambda2_field(shm.get_block(0, 0))})
     paths = _segment_paths(shm)
     assert paths and all(os.path.exists(p) for p in paths)
     shm.cleanup()
@@ -114,4 +114,4 @@ def test_unknown_block_raises(engine_store):
         with pytest.raises(KeyError):
             shm.get_block(1, 0)
         with pytest.raises(KeyError):
-            shm.add_derived_field(7, 0, "lambda2", np.zeros((2, 2, 2)))
+            shm.add_derived_fields("lambda2", {(7, 0): np.zeros((2, 2, 2))})

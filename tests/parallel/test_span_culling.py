@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.commands.iso import IsoDataManCommand, ViewerIsoCommand
+from repro.commands.vortex import VortexDataManCommand
 from repro.grids.block import StructuredBlock
 from repro.grids.multiblock import MultiBlockDataset
 from repro.io import write_dataset
@@ -168,14 +169,29 @@ def test_engine_iso_culls_and_keeps_accounting(engine_store):
         assert sum(s.attrs["n_culled"] for s in spans) == culled.value
 
 
+class _InlineVortex(VortexDataManCommand):
+    """vortex-dataman as it runs with no stored lambda2: the eigenvalue
+    pass inline in every share, no range table to cull by."""
+
+    name = "vortex-inline"
+
+    def derived_field(self, ctx):
+        return None
+
+    def threshold_scalar(self, ctx):
+        return None
+
+
 def test_vortex_culls_only_on_a_stored_lambda2(engine_store):
     params = {"threshold": -2.0, "time_range": (0, 2)}
     n_blocks = 2 * engine_store.n_blocks
     with ParallelExtractor(engine_store, workers=2, executor="serial") as ext:
-        inline = ext.run("vortex-dataman", params=params)
+        inline = ext.run(_InlineVortex(), params=params)
         assert inline.n_culled == 0 and inline.n_loads == n_blocks
-        ext.precompute("lambda2")
+        assert len(ext.store.lacking("lambda2", [0, 1])) == n_blocks
+        # vortex-dataman derives lambda2 before planning, then culls on it.
         stored = ext.run("vortex-dataman", params=params)
+        assert ext.store.lacking("lambda2", [0, 1]) == []
         assert stored.n_culled > 0
         assert stored.n_loads + stored.n_culled == n_blocks
         assert _mesh_bytes(stored.result) == _mesh_bytes(inline.result)
@@ -203,7 +219,7 @@ def test_derived_field_invalidates_the_level_table(engine_store, monkeypatch):
         assert shm.block_ranges("lambda2", 0) == {}
         assert calls == []
         shape = shm.handles(0)[0].shape
-        shm.add_derived_field(0, 0, "lambda2", np.full(shape, -3.0))
+        shm.add_derived_fields("lambda2", {(0, 0): np.full(shape, -3.0)})
         assert shm.block_ranges("lambda2", 0) == {0: (-3.0, -3.0)}
         assert calls == [(0, 0)]
 
