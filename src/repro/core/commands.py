@@ -23,6 +23,8 @@ runtime and is trivially unit-testable by driving the generator by hand.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Sequence
 
@@ -38,6 +40,10 @@ __all__ = [
     "Prefetch",
     "CommandContext",
     "Command",
+    "Deal",
+    "command_context",
+    "deal",
+    "default_batch",
     "CommandRegistry",
     "split_round_robin",
     "plan_block_assignments",
@@ -177,6 +183,28 @@ class CommandContext:
         return True
 
 
+def command_context(
+    source: Any, levels: Sequence[int], params: Mapping[str, Any], costs: CostModel
+) -> CommandContext:
+    """The context of one command on either clock: ``source`` (name,
+    ``handles(t)``, ``times``) holds the contiguous absolute time indices
+    ``levels``, of which ``params["time_range"]`` picks a slice."""
+    if not levels:
+        raise ValueError("the data holds no time levels")
+    lo, hi = levels[0], levels[-1] + 1
+    t0, t1 = params.get("time_range", (lo, hi))
+    if not lo <= t0 < t1 <= hi:
+        raise ValueError(f"invalid time_range ({t0}, {t1}); levels are {lo}..{hi - 1}")
+    return CommandContext(
+        dataset=source.name,
+        handles_by_time=[source.handles(t) for t in range(t0, t1)],
+        params=dict(params),
+        costs=costs,
+        time_offset=t0,
+        times=list(source.times[t0:t1]),
+    )
+
+
 CommandGen = Generator["Load | Compute | ComputeCached | Emit | Prefetch", Any, None]
 
 
@@ -214,7 +242,7 @@ class Command:
     def derived_field(self, ctx: CommandContext) -> str | None:
         """The derived field :meth:`run` reads (``"lambda2"``), or
         ``None``.  Executors over a shared store derive it once per
-        block before planning (and persist it beside an on-disk
+        block before running (and persist it beside an on-disk
         dataset), so :meth:`run` finds it stored and
         :meth:`threshold_scalar` can cull on it."""
         return None
@@ -292,12 +320,73 @@ def split_round_robin(items: Sequence[Any], group_size: int) -> list[list[Any]]:
 def lpt_order(weights: Sequence[float]) -> list[int]:
     """Indices sorted heaviest-first, ties broken by ascending index.
 
-    The ordering primitive of both dynamic schedulers (DES and
-    :mod:`repro.parallel`): expensive work starts first, and the
-    explicit index tie-break makes the order deterministic for
-    equal-cost items regardless of sort implementation details.
+    The claim order of a dynamic :func:`deal`: expensive work starts
+    first, and the explicit index tie-break makes the order
+    deterministic for equal-cost items regardless of sort
+    implementation details.
     """
     return sorted(range(len(weights)), key=lambda i: (-float(weights[i]), i))
+
+
+def default_batch(n_units: int, group: int) -> int:
+    """Units per ticket unless ``params["steal_batch"]`` says: few enough
+    that the run's tail still balances, enough that the shared ticket
+    sequence is touched O(slots) times, not O(units)."""
+    return max(1, n_units // (max(group, 1) * 8))
+
+
+@dataclass(frozen=True)
+class Deal:
+    """One decomposition of a command's work over ``group`` slots,
+    whatever executes them: DES workers, in-process slots or pool
+    processes."""
+
+    #: :meth:`Command.plan` shares (static) or :meth:`Command.plan_tasks`
+    #: tasks (dynamic), in canonical order: the merge order.
+    units: list[Any]
+    #: unit indices in claim order; ``None`` when slot *i* runs unit *i*.
+    order: list[int] | None
+    batch: int  #: units per ticket
+    fair_share: int  #: ``ceil(len(units) / group)``; beyond it a slot steals
+    group: int
+
+    def tickets(self) -> list[list[int]]:
+        """``order`` cut into ``batch``-unit tickets (static: ``[[i]]``)."""
+        if self.order is None:
+            return [[i] for i in range(len(self.units))]
+        step = self.batch
+        return [self.order[i:i + step] for i in range(0, len(self.order), step)]
+
+
+def deal(
+    command: Command,
+    ctx: CommandContext,
+    group: int,
+    weights: Callable[[list[Any]], Sequence[float]] | None = None,
+) -> Deal:
+    """Static deals one share per slot.  Dynamic (``params["schedule"]
+    == "dynamic"``) deals tasks heaviest-first by ``weights(units)``
+    (default :meth:`Command.task_cost`), ``params["steal_batch"]`` per
+    ticket (default :func:`default_batch`)."""
+    if group < 1:
+        raise ValueError(f"group_size must be >= 1, got {group}")
+    batch = ctx.params.get("steal_batch")
+    if batch is not None and (
+        isinstance(batch, bool) or not isinstance(batch, numbers.Integral) or batch < 1
+    ):
+        raise ValueError(f"steal_batch must be an integer >= 1, got {batch!r}")
+    if not is_dynamic(ctx.params.get("schedule")):
+        units = command.plan(ctx, group)
+        if len(units) != group:
+            raise RuntimeError(
+                f"command {command.name!r} planned {len(units)} assignments "
+                f"for group of {group}"
+            )
+        return Deal(units, None, 1, 1, group)
+    units = command.plan_tasks(ctx)
+    costs = weights(units) if weights else [command.task_cost(ctx, u) for u in units]
+    batch = int(batch or default_batch(len(units), group))
+    return Deal(units, lpt_order(costs), batch, math.ceil(len(units) / group), group)
 
 
 #: How a command's work reaches its work group, on either clock:

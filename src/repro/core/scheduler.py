@@ -17,7 +17,6 @@ dynamic one.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator
@@ -29,7 +28,7 @@ from ..dms.proxy import DataProxy, DMSConfig
 from ..dms.server import DataManagerServer
 from ..dms.source import BlockSource
 from .channels import Mailbox, SimMPIChannel, SimTCPChannel
-from .commands import Command, CommandContext, CommandRegistry, is_dynamic, lpt_order
+from .commands import Command, CommandContext, CommandRegistry, command_context, deal
 from .costs import CostModel, DEFAULT_COSTS
 from .messages import ResultPacket, WorkAssignment, WorkerDone
 from .worker import Worker, WorkerShare, WorkerUnavailable
@@ -201,22 +200,6 @@ class Scheduler:
             self._free_workers.put(wid)
 
     # ----------------------------------------------------------- helpers
-    def _context(self, params: dict[str, Any]) -> CommandContext:
-        t0, t1 = params.get("time_range", (0, self.source.n_timesteps))
-        if not 0 <= t0 < t1 <= self.source.n_timesteps:
-            raise ValueError(
-                f"invalid time_range ({t0}, {t1}) for {self.source.n_timesteps} steps"
-            )
-        handles_by_time = [self.source.handles(t) for t in range(t0, t1)]
-        return CommandContext(
-            dataset=self.source.name,
-            handles_by_time=handles_by_time,
-            params=dict(params),
-            costs=self.costs,
-            time_offset=t0,
-            times=list(self.source.times[t0:t1]),
-        )
-
     def _install_prefetchers(
         self, command: Command, ctx: CommandContext, assignments: list[Any], group: list[Worker]
     ) -> None:
@@ -333,11 +316,11 @@ class Scheduler:
     ) -> Generator[Event, None, RunRecord]:
         """The one group runner: deal, drain, gather, merge, reply.
 
-        The schedules differ only in the deal.  Static deals one
-        :meth:`Command.plan` share per worker and, the deal being known
-        before anything runs, sends every :class:`WorkAssignment` up
-        front.  Dynamic breaks the plan into fine-grained tasks
-        (:meth:`Command.plan_tasks`) ordered heaviest-first by the cost
+        The schedules differ only in the :func:`~.commands.deal`.
+        Static deals one :meth:`Command.plan` share per worker and, the
+        deal being known before anything runs, sends every
+        :class:`WorkAssignment` up front.  Dynamic deals fine-grained
+        tasks (:meth:`Command.plan_tasks`) heaviest-first by the cost
         model; workers claim them ``steal_batch`` at a time off one
         shared ticket sequence, each batch sent when claimed, so a
         worker that finishes early takes what a static split would have
@@ -348,34 +331,24 @@ class Scheduler:
         """
         group_size = len(worker_ids)
         sched_node = self.cluster.scheduler_node
-        ctx = self._context(params)
+        ctx = command_context(
+            self.source, range(self.source.n_timesteps), params, self.costs
+        )
         group = [self.workers[wid] for wid in worker_ids]
-        dynamic = is_dynamic(params.get("schedule"))
-        if dynamic:
-            units = command.plan_tasks(ctx)
-            order = lpt_order([command.task_cost(ctx, task) for task in units])
-            batch = max(
-                1, int(params.get("steal_batch", max(1, len(units) // (group_size * 4))))
-            )
-            # One ticket sequence shared by every drain; taking the next
-            # batch is atomic (no yield in between in the cooperative kernel).
-            tickets = iter([order[lo:lo + batch] for lo in range(0, len(units), batch)])
-            deals = [tickets] * group_size
-            # Sequence-based prefetchers get an empty assignment (the drain
-            # order is unknown until runtime); the Markov prefetcher still
-            # learns from the observed request stream.
-            self._install_prefetchers(command, ctx, [[] for _ in group], group)
-        else:
-            units = command.plan(ctx, group_size)
-            if len(units) != group_size:
-                raise RuntimeError(
-                    f"command {name!r} planned {len(units)} assignments "
-                    f"for group of {group_size}"
-                )
-            deals = [iter([[widx]]) for widx in range(group_size)]
-            self._install_prefetchers(command, ctx, units, group)
+        dealt = deal(command, ctx, group_size)
+        units, dynamic = dealt.units, dealt.order is not None
+        # Dynamic drains share one ticket sequence (taking the next
+        # ticket is atomic: no yield in between in the cooperative
+        # kernel); static sends worker i ticket i alone.
+        tickets = iter(dealt.tickets())
+        claims = [tickets] * group_size if dynamic else [iter([t]) for t in tickets]
+        # Under dynamic, sequence-based prefetchers get an empty
+        # assignment (the drain order is unknown until runtime); the
+        # Markov prefetcher still learns from the observed requests.
+        self._install_prefetchers(
+            command, ctx, [[] for _ in group] if dynamic else units, group
+        )
         record.planned_units = len(units)
-        fair_share = math.ceil(len(units) / group_size)
         unit_payloads: list[list[Any] | None] = [None] * len(units)
 
         def assign(widx: int, assignment: Any):
@@ -399,7 +372,7 @@ class Scheduler:
             agg = WorkerShare(worker_index=widx)
             executor = None  #: who ran this drain's last successful unit
             outcomes: list[ShareOutcome] = []
-            for claimed in deals[widx]:
+            for claimed in claims[widx]:
                 if dynamic:
                     yield from assign(widx, [units[u] for u in claimed])
                 for u in claimed:
@@ -448,7 +421,9 @@ class Scheduler:
         record.degraded = bool(record.failed_shares)
         record.retries = sum(max(o.attempts - 1, 0) for o in outcomes)
         record.reassignments = sum(o.reassignments for o in outcomes)
-        record.steals = sum(max(len(o) - fair_share, 0) for _, _, o, _ in drained)
+        record.steals = sum(
+            max(len(o) - dealt.fair_share, 0) for _, _, o, _ in drained
+        )
         record.idle_seconds = sum(t_drained - t_done for *_, t_done in drained)
         if record.degraded:
             self._fault_event(

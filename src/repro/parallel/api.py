@@ -21,15 +21,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from ..core.commands import (
     SCHEDULES,
     Command,
-    CommandContext,
     CommandRegistry,
-    is_dynamic,
-    lpt_order,
+    command_context,
+    deal,
 )
 from ..core.costs import DEFAULT_COSTS, CostModel
 from ..io.dataset_io import DatasetStore
@@ -176,27 +176,6 @@ class ParallelExtractor:
         self.cost_feedback = CostFeedback()
         self._closed = False
 
-    # ------------------------------------------------------------ context
-    def _context(self, params: dict[str, Any]) -> CommandContext:
-        """Mirror :meth:`Scheduler._context` over the shared store."""
-        loaded = self.store.time_indices
-        if not loaded:
-            raise ValueError("shared store holds no time levels")
-        t0, t1 = params.get("time_range", (loaded[0], loaded[-1] + 1))
-        if not loaded[0] <= t0 < t1 <= loaded[-1] + 1:
-            raise ValueError(
-                f"invalid time_range ({t0}, {t1}); store holds {loaded}"
-            )
-        handles_by_time = [self.store.handles(t) for t in range(t0, t1)]
-        return CommandContext(
-            dataset=self.store.name,
-            handles_by_time=handles_by_time,
-            params=dict(params),
-            costs=self.costs,
-            time_offset=t0,
-            times=list(self.store.times[t0:t1]),
-        )
-
     # ---------------------------------------------------------------- run
     def run(
         self,
@@ -206,16 +185,11 @@ class ParallelExtractor:
         schedule: str | None = None,
         **command_kwargs: Any,
     ) -> ParallelResult:
-        """Plan, execute and merge one command; see module docstring.
-
-        ``schedule`` selects how work is dealt: the default ``"static"``
-        pre-splits one share per worker exactly like the DES scheduler;
-        ``"dynamic"`` drains fine-grained :meth:`~Command.plan_tasks`
-        tasks from a shared counter in LPT order (work stealing +
-        cost-feedback placement).  Merged bytes are identical across
-        both.  ``params["schedule"]`` is accepted too, and is left
-        free-form for commands with private values (the progressive
-        command's ``"level-major"``), which run static.
+        """Deal (:func:`~repro.core.commands.deal`, as the DES does),
+        execute and merge one command; merged bytes do not depend on the
+        schedule.  ``schedule`` sets ``params["schedule"]``, which is
+        otherwise free-form for commands with private values (the
+        progressive command's ``"level-major"``), which run static.
         """
         self._check_open()
         params = dict(params or {})
@@ -225,7 +199,6 @@ class ParallelExtractor:
                     f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
                 )
             params["schedule"] = schedule
-        sched = "dynamic" if is_dynamic(params.get("schedule")) else "static"
         if isinstance(command, str):
             cmd = self.registry.create(command, **command_kwargs)
         else:
@@ -233,11 +206,18 @@ class ParallelExtractor:
                 raise TypeError("command_kwargs only apply to registry names")
             cmd = command
         group = group_size if group_size is not None else self.workers
-        ctx = self._context(params)
+        ctx = command_context(self.store, self.store.time_indices, params, self.costs)
+        # Dynamic claims start with the costliest units by this
+        # extractor's measured seconds (model estimates until measured).
+        dealt = deal(
+            cmd, ctx, group,
+            weights=lambda units: self.cost_feedback.estimates(cmd, ctx, units),
+        )
+        sched = "static" if dealt.order is None else "dynamic"
         derived = cmd.derived_field(ctx)
         if derived is not None:
-            # Derive on need: once per block, before planning, so the
-            # run (and every later one) reads it stored and culls on it.
+            # Derive on need: once per block, before the run, so it
+            # (and every later one) reads the field stored and culls on it.
             self._derive(derived, ctx.time_indices)
         scalar = cmd.threshold_scalar(ctx)
         if scalar is not None:
@@ -256,31 +236,30 @@ class ParallelExtractor:
             schedule=sched,
         )
         t0 = time.perf_counter()
-        work, order = self._deal(cmd, ctx, group, sched)
         if self.executor == "process":
-            results = self._ensure_pool().run_shares(cmd, ctx, work, order)
+            results = self._ensure_pool().run_shares(cmd, ctx, dealt)
             # Tail idle: a worker is done when its share/drain ends but
             # the run lasts until the slowest one finishes.
             t_max = max((r.t_end for r in results), default=0.0)
             for res in results:
                 res.idle_s += t_max - res.t_end
         else:
-            # In-process slots over the same units, keys and merge: the
-            # pool's byte-identical reference.  Pre-dealt units run one
-            # slot each, an ordered drain runs as a single slot.
-            # One process steals from no one: fair share is everything.
-            claims = [[i] for i in range(len(work))] if order is None else [order]
+            # In-process slots over the same deal, keys and merge: the
+            # pool's byte-identical reference.  Slot s claims every
+            # group-th ticket, the drain of equally fast slots.
+            tickets = dealt.tickets()
             results = [
                 execute_share(
-                    self._serial_runner, cmd, ctx, work, iter(claim), slot,
-                    len(work), self.profile_interval,
+                    self._serial_runner, cmd, ctx, dealt.units,
+                    chain.from_iterable(tickets[slot::dealt.group]), slot,
+                    dealt.fair_share, self.profile_interval,
                 )
-                for slot, claim in enumerate(claims)
+                for slot in range(dealt.group)
             ]
         records = [rec for res in results for rec in res.tasks]
-        if order is not None:
-            self.cost_feedback.record(cmd.name, records, len(work))
-        merged = cmd.merge(payload_lists(records, len(work)))
+        if dealt.order is not None:
+            self.cost_feedback.record(cmd.name, records, len(dealt.units))
+        merged = cmd.merge(payload_lists(records, len(dealt.units)))
         wall = time.perf_counter() - t0
         self.tracer.end(run_span, n_shares=len(results))
         self._record(cmd.name, results, wall, run_span)
@@ -293,21 +272,6 @@ class ParallelExtractor:
             wall_seconds=wall,
             schedule=sched,
         )
-
-    def _deal(
-        self, cmd: Command, ctx: CommandContext, group: int, sched: str
-    ) -> tuple[list[Any], list[int] | None]:
-        """The run's work units and the order to claim them in.
-
-        Static deals one :meth:`~Command.plan` share per slot (order
-        ``None``: slot *i* runs unit *i*); dynamic deals
-        :meth:`~Command.plan_tasks` tasks heaviest-first by the cost
-        feedback's estimates, for whichever worker claims them.
-        """
-        if is_dynamic(sched):
-            work = cmd.plan_tasks(ctx)
-            return work, lpt_order(self.cost_feedback.estimates(cmd, ctx, work))
-        return cmd.plan(ctx, group), None
 
     # --------------------------------------------------------- precompute
     def precompute(self, field_name: str = "lambda2") -> int:

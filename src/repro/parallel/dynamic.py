@@ -1,25 +1,14 @@
-"""Dynamic work-stealing scheduling for the multicore executor.
+"""Work-stealing support for the multicore executor.
 
-The static model (one pre-baked share per worker) strands cores on
-skewed workloads: whichever worker drew the dense blocks grinds while
-the rest sit idle.  The dynamic scheduler breaks a command's plan into
-fine-grained tasks (:meth:`~repro.core.commands.Command.plan_tasks`),
-orders them heaviest-first (LPT over estimated costs — the classic
-bound on residual imbalance), and lets workers *drain* them from a
-shared ticket counter in worker-local batches.  Stealing is implicit:
-a worker that finishes early simply claims the next batch.
-
-Determinism: task execution order varies with OS scheduling, but every
-task's payloads are keyed by its canonical index and reassembled in
-canonical order before merging (:func:`payload_lists`), so the merged
-output is byte-identical to a serial single-share run no matter which
-worker ran what, when.
-
-Cost feedback: per-task wall seconds measured by the workers feed a
-:class:`CostFeedback` store kept on the extractor instance (the same
-lifetime as the DirectRunner's ComputeCached memo), so repeated runs —
-interactive parameter sweeps — start their expensive blocks first from
-*measured* costs instead of model estimates.
+A dynamic :func:`~repro.core.commands.deal` hands out fine-grained
+tasks heaviest-first; workers drain them off a shared ticket counter
+in whatever order the OS runs them.  Every task's payloads are keyed by
+its canonical index and reassembled in canonical order before merging
+(:func:`payload_lists`), so the merged output is byte-identical to a
+serial single-share run no matter which worker ran what, when.
+Per-task wall seconds feed a :class:`CostFeedback` store that lives as
+long as the extractor, so repeated runs (interactive parameter sweeps)
+start their expensive blocks first from *measured* costs.
 """
 
 from __future__ import annotations
@@ -32,19 +21,8 @@ from ..core.commands import Command, CommandContext
 __all__ = [
     "TaskResult",
     "CostFeedback",
-    "default_batch",
     "payload_lists",
 ]
-
-
-def default_batch(n_tasks: int, n_workers: int) -> int:
-    """Worker-local batch size bounding ticket-counter synchronization.
-
-    Small enough that the tail of the run still load-balances (each
-    worker gets several claim opportunities), large enough that the
-    shared counter is touched O(workers) times, not O(tasks).
-    """
-    return max(1, n_tasks // (max(n_workers, 1) * 8))
 
 
 @dataclass

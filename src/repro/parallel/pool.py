@@ -24,7 +24,6 @@ command propagate unchanged.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -33,10 +32,9 @@ from itertools import islice
 from multiprocessing import shared_memory
 from typing import Any, Iterator, Mapping, Sequence
 
-from ..core.commands import Command, CommandContext
+from ..core.commands import Command, CommandContext, Deal
 from ..dms.items import ItemName
 from .arena import PackedMeshes, meshes_nbytes, pack_meshes, unpack_meshes
-from .dynamic import default_batch
 from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
@@ -144,8 +142,8 @@ def _run_slot(
     work: Sequence[Any] | Mapping[int, Any],
     order: Sequence[int],
     slot: int,
-    fair_share: int,
     batch: int,
+    fair_share: int,
     derived: list | None,
     arena_name: str | None,
 ) -> _Shipped:
@@ -185,7 +183,6 @@ class ProcessWorkerPool:
                 f"profile_interval must be > 0, got {profile_interval}"
             )
         self.store = store
-        self.n_workers = n_workers
         self.start_method = pick_start_method(start_method)
         #: seconds between worker-side stack samples; None = no profiling.
         self.profile_interval = profile_interval
@@ -209,47 +206,37 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------- shares
     def run_shares(
-        self,
-        command: Command,
-        ctx: CommandContext,
-        work: Sequence[Any],
-        order: Sequence[int] | None = None,
+        self, command: Command, ctx: CommandContext, deal: Deal
     ) -> list[ShareResult]:
-        """Execute every work unit; one result per slot, in slot order.
+        """Execute every unit of ``deal``; one result per slot, in slot order.
 
-        With ``order`` None the units are pre-dealt: slot *i* runs
-        ``work[i]`` and is sent nothing else.  Otherwise ``order`` (a
-        permutation of the unit indices, LPT over cost estimates)
-        positions tickets and every worker drains the shared counter
-        until they run out (work stealing by omission).  Either way each
-        unit's record keeps its canonical ``task_index``, so
-        :func:`~repro.parallel.dynamic.payload_lists` reassembles the
-        same payload sequence regardless of interleaving.
+        Pre-dealt (``deal.order`` None), slot *i* is sent unit *i* alone;
+        otherwise ``deal.group`` slots drain the shared counter in
+        ``deal.order``, ``deal.batch`` tickets at a time, until it runs
+        out.  Each unit's record keeps its canonical ``task_index`` for
+        :func:`~repro.parallel.dynamic.payload_lists`.
         """
         self._require_executor()
         # Workers attached at pool start; ship the current derived-field
         # manifest so they can map segments created since (sync is a
         # no-op when nothing is new).
         derived = self.store.derived_manifest() or None
+        units, order = deal.units, deal.order
         if order is None:
-            deals = [({i: unit}, [i], i, 1, 0) for i, unit in enumerate(work)]
+            slots = [({i: unit}, [i], i, 0) for i, unit in enumerate(units)]
         else:
-            if sorted(order) != list(range(len(work))):
+            if sorted(order) != list(range(len(units))):
                 raise ValueError("order must be a permutation of the work indices")
             # The pool is quiescent between runs, so the parent can reset
             # the counter without racing a drain.
             with self._ticket.get_lock():
                 self._ticket.value = 0
-            n_slots = max(1, min(self.n_workers, len(work)))
-            fair_share = math.ceil(len(work) / n_slots)
-            batch = default_batch(len(work), n_slots)
-            work, order = list(work), list(order)
-            deals = [(work, order, w, fair_share, batch) for w in range(n_slots)]
-        arenas = self._offer_arenas(len(deals))
+            slots = [(units, order, w, deal.batch) for w in range(deal.group)]
+        arenas = self._offer_arenas(len(slots))
         return self._gather(
             [
-                (_run_slot, command, ctx, *deal, derived, arena)
-                for deal, arena in zip(deals, arenas)
+                (_run_slot, command, ctx, *slot, deal.fair_share, derived, arena)
+                for slot, arena in zip(slots, arenas)
             ]
         )
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commands import default_registry
+from repro.core.commands import Deal, command_context
 from repro.parallel import ParallelExtractor
 from repro.parallel.dynamic import payload_lists
 from repro.parallel.runner import DirectRunner, ShareRun, execute_share
@@ -59,7 +60,8 @@ class FakeStealingPool:
         self.rng = random.Random(seed)
         self.claimers = [w for w in range(n_workers) if w not in starved]
 
-    def run_shares(self, command, ctx, work, order=None):
+    def run_shares(self, command, ctx, deal):
+        work = deal.units
         n_tasks = len(work)
         # Arbitrary ticket order (the cost model could impose any).
         order = list(range(n_tasks))
@@ -71,10 +73,9 @@ class FakeStealingPool:
             worker = self.rng.choice(self.claimers)
             claims[worker].extend(order[pos:pos + batch])
             pos += batch
-        fair_share = math.ceil(n_tasks / self.n_workers)
         return [
             execute_share(
-                self.runner, command, ctx, work, iter(claimed), w, fair_share
+                self.runner, command, ctx, work, iter(claimed), w, deal.fair_share
             )
             for w, claimed in enumerate(claims)
         ]
@@ -87,7 +88,12 @@ def _replay(payloads: list[list], n_workers: int, seed: int):
     """Every task's record from one seeded schedule, completions
     observed in arbitrary global order."""
     pool = FakeStealingPool(ReplayRunner(payloads), n_workers, seed)
-    shares = pool.run_shares(None, None, range(len(payloads)))
+    n_tasks = len(payloads)
+    deal = Deal(
+        list(range(n_tasks)), list(range(n_tasks)), 1,
+        math.ceil(n_tasks / n_workers), n_workers,
+    )
+    shares = pool.run_shares(None, None, deal)
     records = [rec for share in shares for rec in share.tasks]
     pool.rng.shuffle(records)
     return records
@@ -102,7 +108,7 @@ def _task_payloads(store, command_name, params):
         )
     )
     with ParallelExtractor(store, workers=1, executor="serial") as ext:
-        ctx = ext._context(dict(params))
+        ctx = command_context(ext.store, ext.store.time_indices, params, ext.costs)
         tasks = command.plan_tasks(ctx)
         payloads = [
             list(runner.run_share(command, ctx, task, 0).payloads)

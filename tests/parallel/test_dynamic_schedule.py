@@ -11,14 +11,9 @@ strictness of the canonical reassembly itself.
 
 import pytest
 
-from repro.core.commands import is_dynamic
+from repro.core.commands import command_context, default_batch, is_dynamic
 from repro.parallel import SCHEDULES, ParallelExtractor
-from repro.parallel.dynamic import (
-    CostFeedback,
-    TaskResult,
-    default_batch,
-    payload_lists,
-)
+from repro.parallel.dynamic import CostFeedback, TaskResult, payload_lists
 
 from .test_equivalence import CUTPLANE, ISO, PATHLINES, VORTEX, _mesh_bytes
 
@@ -79,7 +74,8 @@ def test_dynamic_share_accounting(engine_store):
     with ParallelExtractor(engine_store, workers=4, executor="process") as ext:
         res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
         cmd = ext.registry.create("iso-dataman")
-        n_tasks = len(cmd.plan_tasks(ext._context(ISO)))
+        ctx = command_context(ext.store, ext.store.time_indices, ISO, ext.costs)
+        n_tasks = len(cmd.plan_tasks(ctx))
     assert res.schedule == "dynamic"
     assert res.idle_seconds >= 0.0
     assert res.steals >= 0

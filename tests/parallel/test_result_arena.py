@@ -16,7 +16,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.core.commands import Command, Compute, Load, plan_block_assignments
+from repro.core.commands import (
+    Command,
+    Compute,
+    Load,
+    command_context,
+    deal,
+    plan_block_assignments,
+)
 from repro.dms.items import block_item
 from repro.parallel import ParallelExtractor, ProcessWorkerPool, WorkerPoolError
 from repro.parallel.arena import meshes_nbytes, pack_meshes, unpack_meshes
@@ -245,16 +252,16 @@ def test_sigkill_mid_share_raises_and_leaves_no_segment(engine_store):
 def test_close_is_idempotent(engine_store):
     with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
         pool = ProcessWorkerPool(ext.store, 2)
-        ctx = ext._context(dict(LARGE))
+        ctx = command_context(ext.store, ext.store.time_indices, LARGE, ext.costs)
         cmd = ext.registry.create("iso-dataman")
         for _ in range(2):
-            pool.run_shares(cmd, ctx, cmd.plan(ctx, 2))
+            pool.run_shares(cmd, ctx, deal(cmd, ctx, 2))
         assert len(pool._arenas) == 2
         pool.close()
         pool.close()
         assert pool.closed and pool._arenas == {}
         with pytest.raises(WorkerPoolError, match="closed"):
-            pool.run_shares(cmd, ctx, cmd.plan(ctx, 2))
+            pool.run_shares(cmd, ctx, deal(cmd, ctx, 2))
         assert pool._arenas == {}  # a closed pool allocates nothing
 
 
