@@ -360,7 +360,7 @@ def _extract(positional: list[str], flags: dict) -> int:
             print(f"result:      {len(merged)} payloads")
         else:
             print(f"result:      {merged!r}")
-        print(f"shared mem:  {ext.store.n_segments} segments, "
+        print(f"mapped:      {len(ext.store.mapped_files)} files, "
               f"{ext.store.nbytes} bytes")
         if flame:
             from .obs.profiling import top_functions

@@ -248,7 +248,7 @@ class _LazyFieldMap(MutableMapping):
     array that is already float64 (derived fields stored at full
     precision) is returned as-is — zero-copy, still read-only.  The
     upcast copy is read-only too: a block may outlive one command (the
-    shared-memory store keeps it for its lifetime), so a caller that
+    mapped block store keeps it for its lifetime), so a caller that
     wants to write into a field copies it first.
     """
 
@@ -359,9 +359,9 @@ class LazyStructuredBlock(StructuredBlock):
     def attach_raw_field(self, name: str, raw: np.ndarray) -> None:
         """Attach a backing array as a lazy (unmaterialized) field.
 
-        Used by the shared-memory store to graft derived fields (a
+        Used by the mapped block store to graft derived fields (a
         precomputed λ2 scalar, say) onto a block without copying: the
-        array stays a view over its segment and goes through the same
+        array stays a view over its mapped file and goes through the same
         on-access path as the on-disk fields.
         """
         raw = np.asarray(raw)

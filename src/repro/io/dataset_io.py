@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import shutil
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -31,10 +33,38 @@ from ..grids.block import BlockHandle, StructuredBlock
 from ..grids.multiblock import MultiBlockDataset, TimeSeries
 from .format import FormatError, block_from_buffer, write_block
 
-__all__ = ["DatasetStore", "write_dataset", "block_filename", "DERIVED_DIR"]
+__all__ = ["DatasetStore", "write_dataset", "block_filename", "map_file",
+           "file_stamp", "MAPS_HOLD_FDS", "DERIVED_DIR"]
 
 #: the subdirectory of a store's root that holds persisted derived fields.
 DERIVED_DIR = "derived"
+
+#: ``(st_size, st_mtime_ns, st_ino)`` of a file: what tells a rewrite.
+Stamp = tuple[int, int, int]
+
+
+def file_stamp(st: os.stat_result) -> Stamp:
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+#: whether a live map holds a file descriptor (unless told otherwise,
+#: from Python 3.13 on).
+MAPS_HOLD_FDS = not (sys.version_info >= (3, 13) and os.name == "posix")
+_UNTRACKED = {} if MAPS_HOLD_FDS else {"trackfd": False}
+
+
+def map_file(path: str | Path, copy: bool = False) -> tuple[memoryview, os.stat_result]:
+    """A read-only map of the file at ``path`` and its ``fstat`` as
+    mapped.  The page cache backs the map, so every process mapping the
+    file shares one copy; the mapping lives as long as the returned
+    memoryview (or any NumPy view into it) does.  With ``copy`` the
+    bytes are read into this process instead, holding no descriptor."""
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if copy:
+            return memoryview(fh.read()), st
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, **_UNTRACKED)
+    return memoryview(mapped), st
 
 
 def block_filename(time_index: int, block_id: int) -> str:
@@ -65,8 +95,14 @@ def write_dataset(
                 f"time level {t} has {len(level)} blocks, expected {n_blocks}"
             )
         for block in level:
-            with open(root / block_filename(t, block.block_id), "wb") as fh:
+            # A new file replaces the old one whole: a map of the old
+            # file keeps its bytes, where truncating it under the map
+            # would fault the reader.
+            path = root / block_filename(t, block.block_id)
+            tmp = path.with_name(f".{path.name}.tmp")
+            with open(tmp, "wb") as fh:
                 write_block(fh, block)
+            os.replace(tmp, path)
     first = levels[0]
     handles = first.handles(modeled_shapes=modeled_shapes)
     meta = {
@@ -132,17 +168,9 @@ class DatasetStore:
             raise IndexError(f"block id {block_id} out of range 0..{self.n_blocks - 1}")
 
     def block_buffer(self, time_index: int, block_id: int) -> memoryview:
-        """The raw serialized block as an mmap-backed memoryview.
-
-        This is the fast path that feeds shared memory and the
-        zero-copy readers: the file's pages are mapped, not copied
-        through a ``BytesIO``.  The mapping stays alive as long as the
-        returned memoryview (or any NumPy view into it) does.
-        """
-        path = self.block_path(time_index, block_id)
-        with open(path, "rb") as fh:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        return memoryview(mapped)
+        """The raw serialized block as a read-only map (:func:`map_file`):
+        the file's pages, never copied through a ``BytesIO``."""
+        return map_file(self.block_path(time_index, block_id))[0]
 
     def read_block(
         self, time_index: int, block_id: int, lazy: bool = False

@@ -189,12 +189,11 @@ def field_directory(buf) -> list[tuple[str, int]]:
 
 
 def block_from_buffer(buf, lazy: bool = False) -> StructuredBlock:
-    """Deserialize one block from any buffer (bytes, mmap, shm).
+    """Deserialize one block from any buffer (bytes, a map, a slice).
 
     With ``lazy=True`` every array is a zero-copy ``np.frombuffer``
     view into ``buf`` — read-only, ``<f4`` fields upcast on access.
-    Trailing bytes beyond the block are ignored, so page-aligned
-    buffers (shared memory rounds sizes up) parse cleanly.
+    Trailing bytes beyond the block are ignored.
     """
     total = len(buf)
     block_id, time_index, (ni, nj, nk), specs, offset = _parse_header(buf)
@@ -231,53 +230,10 @@ def block_from_buffer(buf, lazy: bool = False) -> StructuredBlock:
     )
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated block file: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def read_block(fh: BinaryIO, lazy: bool = False) -> StructuredBlock:
-    """Deserialize one block from a binary stream.
-
-    ``lazy=True`` defers the float64 upcast of each field until first
-    access (the views alias the read buffer, which is immutable bytes —
-    see :func:`block_from_buffer` for the semantics).
-    """
-    header = _read_exact(fh, _HEADER.size)
-    magic, version, block_id, time_index, ni, nj, nk, nfields = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, not a block file")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    specs: list[tuple[str, int]] = []
-    for _ in range(nfields):
-        (name_len,) = _U32.unpack(_read_exact(fh, 4))
-        name = _read_exact(fh, name_len).decode("utf-8")
-        (ncomp,) = _U32.unpack(_read_exact(fh, 4))
-        if ncomp not in (1, 3):
-            raise FormatError(f"field {name!r} has unsupported ncomp {ncomp}")
-        specs.append((name, ncomp))
-    npts = ni * nj * nk
-    coords = np.frombuffer(_read_exact(fh, npts * 3 * 8), dtype="<f8").reshape(
-        ni, nj, nk, 3
-    )
-    raw_fields: dict[str, np.ndarray] = {}
-    for name, ncomp in specs:
-        flat = np.frombuffer(_read_exact(fh, npts * ncomp * 4), dtype="<f4")
-        shape = (ni, nj, nk) if ncomp == 1 else (ni, nj, nk, 3)
-        raw_fields[name] = flat.reshape(shape)
-    if lazy:
-        return LazyStructuredBlock(
-            coords, raw_fields, block_id=block_id, time_index=time_index
-        )
-    return StructuredBlock(
-        coords.astype(np.float64),
-        {name: raw.astype(np.float64) for name, raw in raw_fields.items()},
-        block_id=block_id,
-        time_index=time_index,
-    )
+    """Deserialize one block from the rest of a binary stream (see
+    :func:`block_from_buffer`; lazy views alias the bytes read)."""
+    return block_from_buffer(fh.read(), lazy=lazy)
 
 
 def block_from_bytes(data: bytes, lazy: bool = False) -> StructuredBlock:

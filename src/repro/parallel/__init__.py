@@ -3,8 +3,9 @@
 The DES runtime (:mod:`repro.core`) *models* Viracocha's parallel work
 group under simulated time; this package *runs* it: the same command
 classes, the same planned shares, executed on real cores.  Blocks live
-once in :class:`ShmBlockStore` shared-memory segments (the ``<f4``
-on-disk layout, zero-copy lazy views in every process);
+once, in the page cache: :class:`ShmBlockStore` maps each block file
+read-only in every process (the ``<f4`` on-disk layout, zero-copy lazy
+views), and derived fields are mapped files beside them;
 :class:`ProcessWorkerPool` fans shares out to worker processes;
 :class:`ParallelExtractor` fronts it all behind an
 ``executor="serial"|"process"`` knob with results byte-identical across

@@ -5,7 +5,7 @@ simulated :class:`~repro.core.scheduler.Scheduler`: it builds the same
 :class:`~repro.core.commands.CommandContext`, asks the same command
 classes to :meth:`plan` the same shares, then executes them for real —
 either in-process (``executor="serial"``) or fanned out to worker
-processes over a shared-memory block store (``executor="process"``).
+processes that map the same block files (``executor="process"``).
 Both executors interpret identical op streams over identical bytes, so
 their merged results are byte-identical; the serial executor is the
 reference the equivalence tests pin the process pool against.
@@ -87,7 +87,7 @@ class ParallelResult:
 
 
 def _as_shm_store(data: Any, time_indices: Iterable[int] | None) -> tuple[ShmBlockStore, bool]:
-    """Coerce any supported dataset handle into a shared-memory store.
+    """Coerce any supported dataset handle into a mapped block store.
 
     Returns ``(store, owned)`` — an already-shared store is borrowed,
     everything else is loaded and owned (cleaned up on ``close``).
@@ -110,7 +110,7 @@ def _as_shm_store(data: Any, time_indices: Iterable[int] | None) -> tuple[ShmBlo
 
 
 class ParallelExtractor:
-    """Run post-processing commands on real cores over shared memory.
+    """Run post-processing commands on real cores over mapped block files.
 
     Parameters
     ----------
@@ -123,7 +123,7 @@ class ParallelExtractor:
         Work-group size (defaults to ``os.cpu_count()``).
     executor:
         ``"process"`` fans shares out to worker processes;
-        ``"serial"`` runs them in-process over the same shared store.
+        ``"serial"`` runs them in-process over the same store.
     """
 
     def __init__(
@@ -287,12 +287,12 @@ class ParallelExtractor:
 
     def _derive(self, name: str, time_indices: Iterable[int]) -> int:
         """Derive ``name`` for the blocks of these levels that lack it,
-        into one shared segment, and persist it beside the dataset the
-        store was read from (when there is one and it can be written).
+        into one file: beside the dataset the store was read from when
+        there is one and it can be written, else the store's own
+        (:meth:`~repro.parallel.shm.ShmBlockStore.add_derived_fields`).
 
         Fanned across the pool under ``executor="process"`` (workers
-        sync-attach the new segment with their next task), in-process
-        otherwise.
+        map the new file with their next task), in-process otherwise.
         """
         keys = self.store.lacking(name, time_indices)
         if not keys:
@@ -305,9 +305,8 @@ class ParallelExtractor:
                     key: derive_field(self.store.get_block(*key), name)
                     for key in keys
                 })
-            self.store.persist_derived(name)
         self.metrics.gauge(
-            "parallel_shm_bytes", help="bytes resident in the shared block store"
+            "parallel_shm_bytes", help="bytes of the files the block store maps"
         ).set(self.store.nbytes)
         return len(keys)
 
@@ -399,7 +398,7 @@ class ParallelExtractor:
             "parallel_run_seconds", labels=labels, help="whole-run wall seconds"
         ).observe(wall)
         self.metrics.gauge(
-            "parallel_shm_bytes", help="bytes resident in the shared block store"
+            "parallel_shm_bytes", help="bytes of the files the block store maps"
         ).set(self.store.nbytes)
 
     def write_flamegraph(self, path_or_file) -> int:
@@ -436,7 +435,7 @@ class ParallelExtractor:
             raise RuntimeError("ParallelExtractor is closed")
 
     def close(self) -> None:
-        """Shut the pool down and release shared memory (if owned)."""
+        """Shut the pool down and release the store (if owned)."""
         if self._closed:
             return
         self._closed = True

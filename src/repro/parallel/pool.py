@@ -1,13 +1,14 @@
-"""Process-pool execution of command shares over shared memory.
+"""Process-pool execution of command shares over mapped block files.
 
 The pool mirrors the paper's work group on real local cores: the parent
 plans shares exactly like the scheduler, each worker process attaches
-the :class:`~repro.parallel.shm.ShmBlockStore` once (pool initializer),
-interprets its share with a :class:`~repro.parallel.runner.DirectRunner`
-and ships back only the extracted payloads — meshes, pathlines — never
-block data.  Mesh payloads come back through one shared-memory result
-arena per slot (:mod:`repro.parallel.arena`) once the slot has returned
-meshes before; everything else is pickled through the result pipe.
+the :class:`~repro.parallel.shm.ShmBlockStore` once (pool initializer;
+it maps each file on first use), interprets its share with a
+:class:`~repro.parallel.runner.DirectRunner` and ships back only the
+extracted payloads — meshes, pathlines — never block data.  Mesh
+payloads come back through one shared-memory result arena per slot
+(:mod:`repro.parallel.arena`) once the slot has returned meshes
+before; everything else is pickled through the result pipe.
 Results are collected in share-index order, so the merged output is
 byte-identical to the serial path regardless of which worker finished
 first.
@@ -29,7 +30,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.commands import Command, CommandContext, Deal
@@ -46,8 +47,8 @@ class WorkerPoolError(RuntimeError):
 
 
 def pick_start_method(requested: str | None = None) -> str:
-    """``fork`` when the platform has it (workers inherit the attached
-    segments and the imported numerics for free), else ``spawn``."""
+    """``fork`` when the platform has it (workers inherit the imported
+    numerics for free), else ``spawn``."""
     if requested is not None:
         return requested
     methods = multiprocessing.get_all_start_methods()
@@ -167,7 +168,7 @@ def _derive_field_task(time_index: int, block_id: int, field_name: str) -> Any:
 
 
 class ProcessWorkerPool:
-    """A work group of OS processes attached to one shared-memory store."""
+    """A work group of OS processes attached to one block store."""
 
     def __init__(
         self,
@@ -187,6 +188,10 @@ class ProcessWorkerPool:
         #: seconds between worker-side stack samples; None = no profiling.
         self.profile_interval = profile_interval
         ctx = multiprocessing.get_context(self.start_method)
+        # Workers must share the parent's resource tracker: one forked
+        # before it runs starts its own when it first maps an arena, and
+        # that tracker unlinks the arena as leaked when the worker exits.
+        resource_tracker.ensure_running()
         #: shared ticket counter for dynamic drains; created before the
         #: executor so it is inheritable (fork) / spawn-picklable via
         #: initargs — submit() args cannot carry it.
@@ -218,7 +223,7 @@ class ProcessWorkerPool:
         """
         self._require_executor()
         # Workers attached at pool start; ship the current derived-field
-        # manifest so they can map segments created since (sync is a
+        # manifest so they can map files written since (sync is a
         # no-op when nothing is new).
         derived = self.store.derived_manifest() or None
         units, order = deal.units, deal.order
@@ -301,11 +306,11 @@ class ProcessWorkerPool:
     ) -> None:
         """Fan a per-block derived-field computation across the pool.
 
-        Each worker reads its block from shared memory, computes the
-        field at float64 and returns it; once every result is in, the
-        parent stores them in one new shared segment
+        Each worker reads its block from its map, computes the field at
+        float64 and returns it; once every result is in, the parent
+        writes them to one new file
         (:meth:`~repro.parallel.shm.ShmBlockStore.add_derived_fields`).
-        Already-running workers pick the new segment up through the
+        Already-running workers pick the new file up through the
         derived manifest shipped with each subsequent share (see
         :meth:`run_shares`), so the pool keeps running.
         """
@@ -332,6 +337,12 @@ class ProcessWorkerPool:
     @property
     def closed(self) -> bool:
         return self._executor is None
+
+    @property
+    def arena_names(self) -> list[str]:
+        """The shared-memory result arenas this pool holds now: the
+        only segments the real path creates."""
+        return sorted(arena.name for arena in self._arenas.values())
 
     def close(self) -> None:
         executor, self._executor = self._executor, None

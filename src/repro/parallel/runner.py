@@ -5,7 +5,7 @@ worker interprets them under simulated time.  :class:`DirectRunner` is
 the other interpreter: it drives the *same* generator against real data
 with no simulation at all — ``Load`` pulls the block from a provider,
 ``Compute`` runs the closure immediately, ``Emit`` collects the payload
-in order, ``Prefetch`` is a no-op (the shared-memory store is already
+in order, ``Prefetch`` is a no-op (the mapped block store is already
 resident).  Because the op stream, the numerics and the emit order are
 exactly those of the serial simulated path, results merged in share
 order are byte-identical to a serial run by construction.
@@ -137,7 +137,7 @@ class DirectRunner:
                 run.n_emits += 1
                 run.emitted_nbytes += int(op.nbytes)
             elif isinstance(op, Prefetch):
-                pass  # shared memory is already resident
+                pass  # the mapped store is already resident
             else:
                 raise TypeError(f"command yielded unknown op {op!r}")
         run.n_culled = ctx.n_culled - culled_before

@@ -1,259 +1,261 @@
-"""Shared-memory block store: one copy of the data for every core.
+"""Block store shared through the page cache: one copy of the data for
+every core.
 
 The paper's Viracocha runs its work group as MPI processes on a PC
-cluster; the framework here additionally fans extraction out to real
-local cores (:mod:`repro.parallel.pool`).  Worker processes must not
-each re-read and re-parse the dataset, so this module places every
-block's serialized payload — the exact ``<f4`` on-disk layout of
-:mod:`repro.io.format` — back to back in one
-:mod:`multiprocessing.shared_memory` segment, each block found by its
-offset.  Workers attach the segment by name and reconstruct zero-copy
-:class:`~repro.grids.block.LazyStructuredBlock` views over the shared
-pages: no pickling of arrays, no per-worker copies, fields upcast to
-float64 only when an algorithm touches them.
+cluster, and its data management system keeps data items in a
+local-disk tier that every worker reads; here extraction also fans out
+to real local cores (:mod:`repro.parallel.pool`).  So that workers do
+not each re-read and re-parse the dataset, every block lives in a file
+in the ``<f4`` layout of :mod:`repro.io.format` that every process maps
+read-only: the kernel's page cache holds one copy for all of them, and
+each process builds zero-copy
+:class:`~repro.grids.block.LazyStructuredBlock` views over its map.
 
-Derived fields (λ2 of the velocity field, say) are stored float64, one
-segment per batch of blocks (:meth:`ShmBlockStore.add_derived_fields`;
-one per field in practice), and grafted onto the reconstructed blocks,
-so a threshold sweep pays the eigenvalue pass once per block instead of
-once per sweep point.  float64 matters: results must stay
-byte-identical to a serial run that computes λ2 in place.  A store read
-from a :class:`~repro.io.DatasetStore` maps the fields persisted beside
-the dataset (:mod:`repro.io.derived`) when it is built, and
-:meth:`~ShmBlockStore.persist_derived` writes new ones there.
+A :class:`~repro.io.DatasetStore`'s own block files are mapped where
+they lie; any other source is written once into one file in a private
+temporary directory, removed at :meth:`~ShmBlockStore.cleanup`.  The
+parent stamps each file (size, ``mtime_ns``, inode) when the store is
+built; every process maps a file on its first
+:meth:`~ShmBlockStore.get_block` and raises
+:class:`~repro.io.format.FormatError` if it is no longer the file
+stamped, so a dataset rewritten under a live store reads as the old
+bytes or fails, never as a mix.
 
-Each process keeps one block object per ``(time, block)`` for as long
-as its store is open, so what is derived on a block
-(:meth:`~repro.grids.block.StructuredBlock.memo`: λ2, cell intervals,
-BSP trees, point locators) and its float64 field copies serve every
-later command in that process.  A derived segment that arrives later is
-grafted onto the block already handed out.
+Derived fields (λ2 of the velocity field, say) are float64 arrays
+(byte-identical to computing them in place) written into one file per
+batch of blocks (:meth:`ShmBlockStore.add_derived_fields`): beside the
+dataset when it can be written (:mod:`repro.io.derived`), so every
+later open maps them where they lie, else into the private directory.
 
-Ownership: the process that creates the store owns the segments and is
-the only one that unlinks them (workers attach/close only).  Under the
-default ``fork`` start method all processes share one resource-tracker,
-whose registry is a set — duplicate registrations from workers collapse
-and the parent's single :meth:`unlink` retires each name cleanly, so
-the interpreter exits without leaked ``shared_memory`` warnings.
+Each process keeps one block object per ``(time, block)`` while its
+store is open, so what is derived on a block
+(:meth:`~repro.grids.block.StructuredBlock.memo`) and its float64 field
+copies serve every later command, and a derived field that arrives
+later is grafted onto it.  A map is dropped with its last view.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 import weakref
-from multiprocessing import shared_memory
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..grids.block import BlockHandle, LazyStructuredBlock
-from ..io.dataset_io import DatasetStore
-from ..io.derived import block_stamp, load_derived, save_derived
-from ..io.format import (
-    FormatError,
-    block_from_buffer,
-    block_to_bytes,
-    field_directory,
-)
+from ..io.dataset_io import MAPS_HOLD_FDS, DatasetStore, Stamp, file_stamp, map_file
+from ..io.derived import Layout, load_derived, save_derived, write_arrays
+from ..io.format import FormatError, block_from_buffer, block_to_bytes, field_directory
 
 __all__ = ["ShmBlockStore"]
 
 
 Key = tuple[int, int]
 
-
-def _new_segment(payload_nbytes: int) -> shared_memory.SharedMemory:
-    # Auto-generated names ("psm_...") are unique per boot.
-    return shared_memory.SharedMemory(create=True, size=max(payload_nbytes, 1))
-
-
-def _aligned(nbytes: int) -> int:
-    """``nbytes`` rounded up to a cache line: where the next payload
-    starts, so each array keeps the alignment it had when every block
-    had a page-aligned segment of its own."""
-    return -(-nbytes // 64) * 64
+#: a private directory's name: this prefix, the creator's pid, a token.
+_PRIVATE_PREFIX = "repro-store-"
+#: descriptors a process keeps free of maps, for everything else it
+#: opens (pool pipes, result arenas, files being written).
+_FD_HEADROOM = 256
 
 
-def _layout(sizes: Iterable[tuple[Key, int]]) -> tuple[dict[Key, int], int]:
-    """Each key's offset when its ``nbytes`` are packed in order, and
-    the total."""
-    offsets, total = {}, 0
-    for key, nbytes in sizes:
-        offsets[key] = total
-        total += _aligned(nbytes)
-    return offsets, total
+def _remove_private(path: str, pid: int) -> None:
+    # Forked workers inherit the finalizer; only the creator removes.
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
-#: segments that could not unmap because a caller still holds NumPy
-#: views into them.  Keeping the wrapper alive parks the mapping until
-#: process exit (the OS reclaims it then) instead of letting a later GC
-#: run ``SharedMemory.__del__`` against live views, which raises an
-#: unraisable ``BufferError``.  The names are already unlinked, so this
-#: holds pages, never files.
-_PINNED_SEGMENTS: list[shared_memory.SharedMemory] = []
+def _remove_orphans() -> None:
+    """Remove this user's private directories whose creator is gone
+    without cleaning up (killed, say), as named by their pid."""
+    if os.name != "posix":
+        return
+    for path in Path(tempfile.gettempdir()).glob(f"{_PRIVATE_PREFIX}*-*"):
+        pid = path.name[len(_PRIVATE_PREFIX):].split("-", 1)[0]
+        try:
+            if not pid.isdigit() or path.stat().st_uid != os.getuid():
+                continue
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except OSError:
+            continue  # alive under another user, or already gone
+
+
+def _scalars(payload) -> frozenset[str]:
+    """The scalar fields a serialized block stores (its header only)."""
+    return frozenset(name for name, ncomp in field_directory(payload) if ncomp == 1)
+
+
+def _map_budget(wanted: int) -> float:
+    """How many files one store may keep mapped in this process.
+
+    Where each map holds a file descriptor (:data:`MAPS_HOLD_FDS`), the
+    soft open-file limit is raised toward the hard one to fit ``wanted``
+    maps beside the descriptors already open (a forked worker inherits
+    its parent's).  Files beyond the budget are read in, not mapped.
+    """
+    if not MAPS_HOLD_FDS or os.name != "posix":
+        return math.inf
+    import resource
+
+    held = len(os.listdir("/dev/fd"))  # Linux and macOS alike
+    need = held + wanted + _FD_HEADROOM
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    unlimited = resource.RLIM_INFINITY
+    if soft != unlimited and soft < need:
+        target = need if hard == unlimited else min(need, hard)
+        try:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
+            soft = target
+        except (ValueError, OSError):
+            pass
+    return math.inf if soft == unlimited else max(0, soft - held - _FD_HEADROOM)
 
 
 class ShmBlockStore:
-    """Block payloads in shared memory, viewable from any process.
+    """Block files mapped read-only, viewable from any process.
 
-    Build with :meth:`from_store` (mmap fast path) or
-    :meth:`from_source` (any :class:`~repro.dms.source.BlockSource`),
-    ship :meth:`manifest` to workers, :meth:`attach` there, and
-    :meth:`get_block` everywhere.  The creator should ``close()`` +
-    ``unlink()`` (or use the store as a context manager) when done.
+    Build with :meth:`from_store` (the dataset's own files) or
+    :meth:`from_source` (any :class:`~repro.dms.source.BlockSource`,
+    written once to a private directory), ship :meth:`manifest` to
+    workers, :meth:`attach` there, and :meth:`get_block` everywhere.
+    The creator should :meth:`cleanup` (or use the store as a context
+    manager) when done.
     """
 
     def __init__(self) -> None:
         self.name: str = ""
         self.times: list[float] = []
-        #: the one segment holding every block payload, and each
-        #: block's ``(offset, nbytes)`` in it.
-        self._payload: shared_memory.SharedMemory | None = None
-        self._spans: dict[Key, tuple[int, int]] = {}
+        #: each block's file, the stamp the parent gave it, and where in
+        #: the file the block lies: ``(path, stamp, offset, size)``.
+        self._files: dict[Key, tuple[str, Stamp, int, int]] = {}
+        #: this process's read-only maps, by path (blocks and derived).
+        self._maps: dict[str, memoryview] = {}
+        #: how many of them may be maps; the rest are read in.
+        self._budget = math.inf
         #: names of the scalar fields each block's payload stores, read
         #: once from its field directory so that :meth:`block_ranges`
         #: never views a block that lacks the scalar.
         self._scalars: dict[Key, frozenset[str]] = {}
-        #: derived-field segments in the order they were added, each
-        #: ``(field, segment, {key: (offset, shape)})``; a later batch
-        #: for a key overrides an earlier one.
-        self._derived_segments: list[
-            tuple[str, shared_memory.SharedMemory, dict[Key, tuple[int, tuple]]]
-        ] = []
-        #: per key and field: where its derived array lives.
-        self._derived: dict[
-            Key, dict[str, tuple[shared_memory.SharedMemory, int, tuple]]
-        ] = {}
+        #: per key and field: the derived array's ``(path, offset, shape)``.
+        self._derived: dict[Key, dict[str, tuple[str, int, tuple]]] = {}
         self._handles: dict[int, list[BlockHandle]] = {}
         #: span-space table, ``{scalar: {time_index: {block_id: (lo, hi)}}}``,
         #: filled one time level at a time by :meth:`block_ranges`.
         self._ranges: dict[str, dict[int, dict[int, tuple[float, float]]]] = {}
         #: the block object :meth:`get_block` hands out per key, kept
-        #: until :meth:`close` so its memo and upcasts are reused.  A
-        #: store never closed drops them at interpreter exit, before the
-        #: segments' own finalizers try to unmap under live views.
+        #: until :meth:`close` so its memo and upcasts are reused.
         self._blocks: dict[Key, LazyStructuredBlock] = {}
-        weakref.finalize(self, self._blocks.clear)
-        #: the on-disk dataset a :meth:`from_store` store was read from,
-        #: and its block files' stamps as read: where derived fields
-        #: persist.  Unset everywhere else (workers, other sources).
+        #: the on-disk dataset a :meth:`from_store` store was read from:
+        #: where derived fields persist.  Unset everywhere else.
         self._dataset: DatasetStore | None = None
-        self._stamps: dict[Key, tuple[int, int]] = {}
-        self._owner = False
-        self._closed = False
+        #: the temporary directory this store writes and removes, made
+        #: on first need, and its remover.
+        self._private: Path | None = None
+        self._remove: weakref.finalize | None = None
 
     # ------------------------------------------------------ construction
     @classmethod
     def from_store(
         cls, store: DatasetStore, time_indices: Iterable[int] | None = None
     ) -> "ShmBlockStore":
-        """Load an on-disk dataset into shared memory.
-
-        Uses the mmap-backed :meth:`~repro.io.DatasetStore.block_buffer`
-        fast path: file pages are copied straight into the segment, with
-        no ``BytesIO``, no parse and no float64 upcast in the parent.
-        Derived fields persisted beside the dataset are mapped as well,
-        for every block whose file is unchanged since they were derived.
-        """
-        self = cls()
-        self._owner = True
+        """Map an on-disk dataset's block files where they lie, and the
+        derived fields persisted beside it for every block whose file is
+        unchanged since they were derived."""
+        self = cls._for(store, time_indices)
         self._dataset = store
-        self.name = store.name
-        self.times = store.times
-        indices = list(time_indices) if time_indices is not None else list(
-            range(store.n_timesteps)
-        )
-        for t in indices:
-            self._handles[t] = store.handles(t)
+        for t in self._handles:
             for b in range(store.n_blocks):
-                # Stamp before reading: a rewrite in between then reads
-                # as stale, never as current.
-                self._stamps[(t, b)] = block_stamp(store, t, b)
-        self._pack(
-            [(key, size) for key, (size, _mtime) in self._stamps.items()],
-            lambda key: store.block_buffer(*key),
-        )
-        for name, arrays in load_derived(store, self._stamps).items():
-            self.add_derived_fields(name, arrays)
+                path = str(store.block_path(t, b))
+                buf, st = map_file(path)
+                self._files[(t, b)] = (path, file_stamp(st), 0, st.st_size)
+                self._scalars[(t, b)] = _scalars(buf)
+        self._budget = _map_budget(len(self._files))
+        for name, (path, layout) in load_derived(store, self._stamps()).items():
+            try:
+                self._map(str(path))
+            except FormatError:
+                continue  # replaced since it was listed: derived again
+            self._add_derived_file(name, str(path), layout)
         return self
 
     @classmethod
     def from_source(
         cls, source: Any, time_indices: Iterable[int] | None = None
     ) -> "ShmBlockStore":
-        """Load any :class:`~repro.dms.source.BlockSource` into shm.
-
-        Sources that expose ``get_bytes`` (the :class:`StoreSource`
-        zero-copy path) feed the segment directly from their buffers;
-        others (synthetic generators) serialize each block once through
-        :func:`~repro.io.format.block_to_bytes` — note that casts
-        in-memory float64 fields to the canonical ``<f4`` layout.
+        """Write any :class:`~repro.dms.source.BlockSource` once into one
+        file in a private directory, block after block (each on a cache
+        line), and map it like :meth:`from_store`: one file to create
+        and one map per process, however many blocks.  Each block is its
+        ``get_bytes`` buffer where the source has one (a
+        :class:`StoreSource`), else :func:`~repro.io.format.block_to_bytes`
+        of it (float64 fields cast to the canonical ``<f4`` layout).
         """
-        self = cls()
-        self._owner = True
-        self.name = source.name
-        self.times = list(source.times)
-        indices = list(time_indices) if time_indices is not None else list(
-            range(source.n_timesteps)
-        )
+        self = cls._for(source, time_indices)
         get_bytes = getattr(source, "get_bytes", None)
-        payloads: dict[Key, Any] = {}
-        for t in indices:
-            self._handles[t] = source.handles(t)
-            for item in source.item_sequence(t):
-                payloads[(t, int(item.param("block")))] = (
-                    get_bytes(item) if get_bytes is not None
-                    else block_to_bytes(source.get(item))
-                )
-        self._pack(
-            [(key, memoryview(p).nbytes) for key, p in payloads.items()],
-            lambda key: memoryview(payloads.pop(key)),
-        )
+        spans = {}
+        try:
+            path = str(self._private_dir() / "blocks.bin")
+            with open(path, "xb") as fh:
+                for t in self._handles:
+                    for item in source.item_sequence(t):
+                        key = (t, int(item.param("block")))
+                        payload = memoryview(
+                            get_bytes(item) if get_bytes is not None
+                            else block_to_bytes(source.get(item))
+                        )
+                        fh.write(bytes(-fh.tell() % 64))
+                        spans[key] = (fh.tell(), payload.nbytes)
+                        fh.write(payload)
+                        self._scalars[key] = _scalars(payload)
+                fh.flush()
+                stamp = file_stamp(os.fstat(fh.fileno()))
+        except BaseException:
+            self.cleanup()
+            raise
+        self._files = {key: (path, stamp, *span) for key, span in spans.items()}
         return self
 
-    def _pack(
-        self,
-        sizes: Sequence[tuple[Key, int]],
-        read: Callable[[Key], memoryview],
-    ) -> None:
-        """Copy every block's payload into the one payload segment, one
-        buffer at a time (``read`` is called once per key, in order)."""
-        offsets, total = _layout(sizes)
-        self._payload = shm = _new_segment(total)
-        try:
-            for key, nbytes in sizes:
-                start = offsets[key]
-                buf = read(key)
-                try:
-                    if buf.nbytes != nbytes:
-                        raise FormatError(
-                            f"block t={key[0]} b={key[1]} changed size while loading"
-                        )
-                    shm.buf[start:start + nbytes] = buf
-                finally:
-                    buf.release()
-                self._spans[key] = (start, nbytes)
-                self._scalars[key] = frozenset(
-                    name
-                    for name, ncomp in field_directory(shm.buf[start:start + nbytes])
-                    if ncomp == 1
-                )
-        except BaseException:
-            self._payload = None
-            shm.close()
-            shm.unlink()
-            raise
+    @classmethod
+    def _for(cls, data: Any, time_indices: Iterable[int] | None) -> "ShmBlockStore":
+        """An empty store named and timed like ``data``, with the handles
+        of the levels it will hold."""
+        self = cls()
+        self.name, self.times = data.name, list(data.times)
+        for t in range(data.n_timesteps) if time_indices is None else time_indices:
+            self._handles[t] = data.handles(t)
+        return self
+
+    def _private_dir(self) -> Path:
+        if self._private is None:
+            _remove_orphans()
+            self._private = Path(tempfile.mkdtemp(
+                prefix=f"{_PRIVATE_PREFIX}{os.getpid()}-"
+            ))
+            self._remove = weakref.finalize(
+                self, _remove_private, str(self._private), os.getpid()
+            )
+        return self._private
+
+    def _stamps(self) -> dict[Key, Stamp]:
+        return {key: stamp for key, (_path, stamp, *_span) in self._files.items()}
 
     @classmethod
     def attach(cls, manifest: Mapping[str, Any]) -> "ShmBlockStore":
-        """Open an existing store from its picklable :meth:`manifest`."""
+        """Open an existing store from its picklable :meth:`manifest`;
+        files are mapped on first use."""
         self = cls()
         self.name = manifest["name"]
         self.times = list(manifest["times"])
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
-        self._payload = shared_memory.SharedMemory(name=manifest["payload"])
-        self._spans = dict(manifest["spans"])
+        self._files = dict(manifest["files"])
         self._scalars = dict(manifest["scalars"])
+        self._budget = _map_budget(len({f[0] for f in self._files.values()}))
         self.sync_derived(manifest["derived"])
         return self
 
@@ -263,53 +265,88 @@ class ShmBlockStore:
             "name": self.name,
             "times": list(self.times),
             "handles": {t: list(hs) for t, hs in self._handles.items()},
-            "payload": self._payload.name,
-            "spans": dict(self._spans),
+            "files": dict(self._files),
             "scalars": dict(self._scalars),
             "derived": self.derived_manifest(),
         }
 
+    def _map(self, path: str, stamp: Stamp | None = None) -> memoryview:
+        """This process's map of ``path``, made on first use (read in
+        instead beyond the store's budget, see :func:`_map_budget`); a
+        block file must still carry the ``stamp`` the parent gave it."""
+        buf = self._maps.get(path)
+        if buf is None:
+            try:
+                buf, st = map_file(path, copy=len(self._maps) >= self._budget)
+            except (OSError, ValueError) as exc:
+                raise FormatError(f"cannot map {path}: {exc}") from exc
+            if stamp is not None and file_stamp(st) != tuple(stamp):
+                raise FormatError(f"{path} was replaced since its store was opened")
+            self._maps[path] = buf
+        return buf
+
     # ----------------------------------------------------------- derived
     def add_derived_fields(self, name: str, arrays: Mapping[Key, np.ndarray]) -> None:
         """Store derived float64 field ``name`` for many blocks at once,
-        in one new segment.
+        in one new file: beside the dataset when it can be written,
+        else in the store's private directory.
 
         float64 (not the on-disk ``<f4``) so that commands consuming the
         field produce bytes identical to computing it in place.
         """
         for t, b in arrays:
-            if (t, b) not in self._spans:
+            if (t, b) not in self._files:
                 raise KeyError(f"no block t={t} b={b} in store")
-        if not arrays:
+        if not arrays or self._persist(name, arrays):
             return
-        staged = {
-            key: np.ascontiguousarray(data, dtype=np.float64)
-            for key, data in sorted(arrays.items())
-        }
-        offsets, total = _layout((key, data.nbytes) for key, data in staged.items())
-        shm = _new_segment(total)
-        layout = {}
-        for key, data in staged.items():
-            dst = np.frombuffer(shm.buf, dtype=np.float64, count=data.size,
-                                offset=offsets[key])
-            dst.reshape(data.shape)[...] = data
-            layout[key] = (offsets[key], data.shape)
-        del dst
-        self._add_derived_segment(name, shm, layout)
+        path = self._private_dir() / f"{name}-{os.urandom(6).hex()}.f8"
+        layout = write_arrays(path, arrays)
+        self._map(str(path))
+        self._add_derived_file(name, str(path), layout)
 
-    def _add_derived_segment(
-        self,
-        name: str,
-        shm: shared_memory.SharedMemory,
-        layout: Mapping[Key, tuple[int, tuple]],
+    def persist_derived(self, name: str) -> bool:
+        """Write derived field ``name`` beside the dataset this store was
+        read from, for every block that has it; ``False`` (never raised)
+        when there is no such dataset or it cannot be written."""
+        return self._persist(name, {})
+
+    def _persist(self, name: str, arrays: Mapping[Key, np.ndarray]) -> bool:
+        if self._dataset is None:
+            return False
+        # The index names one data file, so it holds every block's array.
+        merged = {
+            key: self._derived_view(key, name)
+            for key, fields in self._derived.items() if name in fields
+        }
+        merged.update(arrays)
+        if not merged:
+            return False
+        saved = save_derived(self._dataset, name, merged, self._stamps())
+        if saved is None:
+            return False
+        path, layout = str(saved[0]), saved[1]
+        self._map(path)
+        self._add_derived_file(name, path, layout, changed=arrays)
+        return True
+
+    def _add_derived_file(
+        self, name: str, path: str, layout: Layout,
+        changed: Iterable[Key] | None = None,
     ) -> None:
-        self._derived_segments.append((name, shm, dict(layout)))
+        """Point each key of ``layout`` at its array in ``path`` (a later
+        file for a key overrides an earlier one) and drop the maps no
+        key points into any more.  Only the levels of the ``changed``
+        keys (default: all of ``layout``) have new values."""
         for key, (offset, shape) in layout.items():
-            self._derived.setdefault(key, {})[name] = (shm, offset, tuple(shape))
+            self._derived.setdefault(key, {})[name] = (path, offset, tuple(shape))
             self._graft(key, name)
-        # The levels' range tables (if built) predate this field.
-        for t in {t for t, _b in layout}:
+        # Those levels' range tables (if built) predate the new values.
+        for t in {t for t, _b in (layout if changed is None else changed)}:
             self._ranges.get(name, {}).pop(t, None)
+        live = {f[0] for f in self._files.values()}
+        live.update(a[0] for fields in self._derived.values() for a in fields.values())
+        for stale in self._maps.keys() - live:
+            del self._maps[stale]
 
     def derived_fields(self, time_index: int, block_id: int) -> list[str]:
         return sorted(self._derived.get((time_index, block_id), {}))
@@ -325,40 +362,28 @@ class ShmBlockStore:
             and name not in self._derived.get(key, {})
         ]
 
-    def persist_derived(self, name: str) -> bool:
-        """Write derived field ``name`` beside the dataset this store
-        was read from, for every block that has it.  ``False`` when
-        there is no such dataset or its directory cannot be written;
-        nothing is raised either way."""
-        if self._dataset is None:
-            return False
-        arrays = {
-            key: self._derived_view(key, name)
-            for key, fields in self._derived.items() if name in fields
-        }
-        return save_derived(self._dataset, name, arrays, self._stamps)
-
-    def derived_manifest(self) -> list[tuple[str, str, dict]]:
+    def derived_manifest(self) -> list[tuple[str, str, Layout]]:
         """The derived-field entries of :meth:`manifest`, standalone:
-        ``(field, segment name, {key: (offset, shape)})`` per segment.
+        ``(field, path, {key: (offset, shape)})`` per file, each key
+        listed under the file that holds its current array.
 
         Small and picklable — the pool ships it with every task so
-        long-lived workers can :meth:`sync_derived` segments created
+        long-lived workers can :meth:`sync_derived` files written
         *after* they attached, without rebuilding the pool.
         """
-        return [
-            (name, shm.name, dict(layout))
-            for name, shm, layout in self._derived_segments
-        ]
+        files: dict[tuple[str, str], Layout] = {}
+        for key, fields in self._derived.items():
+            for name, (path, offset, shape) in fields.items():
+                files.setdefault((name, path), {})[key] = (offset, shape)
+        return [(name, path, layout) for (name, path), layout in files.items()]
 
     def sync_derived(self, derived: Sequence[tuple[str, str, Mapping]]) -> None:
-        """Attach any derived segments this process hasn't mapped yet."""
-        mapped = {shm.name for _name, shm, _layout in self._derived_segments}
-        for name, seg_name, layout in derived:
-            if seg_name not in mapped:
-                self._add_derived_segment(
-                    name, shared_memory.SharedMemory(name=seg_name), layout
-                )
+        """Register the derived files whose keys this process does not
+        yet point at."""
+        for name, path, layout in derived:
+            held = {self._derived.get(k, {}).get(name, ("",))[0] for k in layout}
+            if held != {path}:
+                self._add_derived_file(name, path, layout)
 
     def _graft(self, key: Key, fname: str) -> None:
         """Attach derived field ``fname`` to ``key``'s block, if handed
@@ -368,35 +393,32 @@ class ShmBlockStore:
             block.attach_raw_field(fname, self._derived_view(key, fname))
 
     def _derived_view(self, key: Key, fname: str) -> np.ndarray:
-        dshm, offset, shape = self._derived[key][fname]
+        path, offset, shape = self._derived[key][fname]
         view = np.frombuffer(
-            dshm.buf.toreadonly(), dtype=np.float64, count=math.prod(shape),
-            offset=offset,
+            self._map(path), dtype="<f8", count=math.prod(shape), offset=offset
         )
         return view.reshape(shape)
 
     # ------------------------------------------------------------ access
     def get_block(self, time_index: int, block_id: int) -> LazyStructuredBlock:
-        """The zero-copy lazy block viewing the shared pages.
+        """The zero-copy lazy block viewing the mapped file.
 
         One object per key until :meth:`close`: the same block (with
         its float64 upcasts and memoised derived data) answers every
-        later call in this process.  The views are read-only
-        (``toreadonly`` on the segment buffer) and so are the upcast
-        copies: a command scribbling on a field would otherwise corrupt
-        every other worker's input, or its own next run's.
+        later call in this process.  The views are read-only (the maps
+        are) and so are the upcast copies: a command scribbling on a
+        field would otherwise corrupt its own next run's input.
         """
         key = (time_index, block_id)
         block = self._blocks.get(key)
         if block is not None:
             return block
         try:
-            start, nbytes = self._spans[key]
+            path, stamp, offset, size = self._files[key]
         except KeyError:
             raise KeyError(f"no block t={time_index} b={block_id} in store") from None
-        block = block_from_buffer(
-            self._payload.buf[start:start + nbytes].toreadonly(), lazy=True
-        )
+        buf = self._map(path, stamp)[offset:offset + size]
+        block = block_from_buffer(buf, lazy=True)
         for fname in self._derived.get(key, {}):
             block.attach_raw_field(fname, self._derived_view(key, fname))
         self._blocks[key] = block
@@ -408,7 +430,7 @@ class ShmBlockStore:
         """Exact ``(min, max)`` of a stored scalar per block of one level.
 
         Built on first request by one pass over the stored views (raw
-        ``<f4`` payloads or float64 derived segments — the upcast is
+        ``<f4`` payloads or float64 derived arrays — the upcast is
         exact, so these bound the float64 values algorithms see) and
         cached.  Blocks without the scalar, and blocks whose range is
         not finite, have no entry: nothing may be concluded about them.
@@ -417,7 +439,7 @@ class ShmBlockStore:
         spans = levels.get(time_index)
         if spans is None:
             spans = levels[time_index] = {}
-            for t, b in self._spans:
+            for t, b in self.keys():
                 if t != time_index or (
                     scalar not in self._scalars[(t, b)]
                     and scalar not in self._derived.get((t, b), {})
@@ -440,7 +462,7 @@ class ShmBlockStore:
             ) from None
 
     def keys(self) -> list[tuple[int, int]]:
-        return sorted(self._spans)
+        return sorted(self._files)
 
     @property
     def time_indices(self) -> list[int]:
@@ -457,53 +479,28 @@ class ShmBlockStore:
         return len(next(iter(self._handles.values())))
 
     @property
-    def nbytes(self) -> int:
-        """Total shared bytes (block payloads plus derived fields)."""
-        return sum(shm.size for shm in self._all_segments())
+    def mapped_files(self) -> list[str]:
+        """The block and derived files this process maps."""
+        return sorted(self._maps)
 
     @property
-    def n_segments(self) -> int:
-        """One for the payloads plus one per derived-field batch."""
-        return sum(1 for _shm in self._all_segments())
+    def nbytes(self) -> int:
+        """Bytes of the files this process maps (blocks plus derived)."""
+        return sum(buf.nbytes for buf in self._maps.values())
 
     # ----------------------------------------------------------- cleanup
-    def _all_segments(self) -> Iterable[shared_memory.SharedMemory]:
-        if self._payload is not None:
-            yield self._payload
-        for _name, shm, _layout in self._derived_segments:
-            yield shm
-
     def close(self) -> None:
-        """Unmap this process's views (safe to call repeatedly)."""
-        if self._closed:
-            return
-        # Drop the blocks (and their views) first so the segments unmap.
+        """Forget this process's blocks and maps (safe to call
+        repeatedly); each map is unmapped with its last view."""
         self._blocks.clear()
-        for shm in self._all_segments():
-            try:
-                shm.close()
-            except BufferError:
-                # A caller still holds a NumPy view into the segment.
-                # Pin the wrapper for the rest of the process so the
-                # mapping outlives the views; unlink() below retires
-                # the name regardless.
-                _PINNED_SEGMENTS.append(shm)
-        self._closed = True
-
-    def unlink(self) -> None:
-        """Retire the segment names (owner only; attached stores no-op)."""
-        if not self._owner:
-            return
-        for shm in self._all_segments():
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._owner = False
+        self._maps.clear()
 
     def cleanup(self) -> None:
+        """:meth:`close`, and remove the private directory (creator
+        only; a live view keeps its unlinked file's pages)."""
         self.close()
-        self.unlink()
+        if self._remove is not None:
+            self._remove()
 
     def __enter__(self) -> "ShmBlockStore":
         return self
@@ -513,7 +510,7 @@ class ShmBlockStore:
 
     def __repr__(self) -> str:
         return (
-            f"ShmBlockStore(name={self.name!r}, blocks={len(self._spans)}, "
+            f"ShmBlockStore(name={self.name!r}, blocks={len(self._files)}, "
             f"derived={sum(len(f) for f in self._derived.values())}, "
             f"nbytes={self.nbytes})"
         )

@@ -25,7 +25,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from .server import ServeHandle, TenantServer
+from .server import RequestState, ServeHandle, TenantServer
 from .tenancy import LANE_NAMES
 
 __all__ = ["ServeApp", "make_http_server"]
@@ -203,7 +203,7 @@ class ServeApp:
 
     @staticmethod
     def _handle_payload(handle: ServeHandle) -> dict[str, Any]:
-        return {
+        payload = {
             "request_id": handle.request_id,
             "tenant": handle.tenant,
             "command": handle.command,
@@ -214,6 +214,9 @@ class ServeApp:
             "runtime_s": handle.runtime_s,
             "degraded": handle.degraded,
         }
+        if handle.state == RequestState.FAILED:
+            payload["error"] = handle.failure
+        return payload
 
 
 class _Handler(BaseHTTPRequestHandler):

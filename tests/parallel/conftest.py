@@ -1,6 +1,7 @@
 """Fixtures for the multicore-execution tests: one on-disk engine store."""
 
 import shutil
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -30,3 +31,15 @@ def _engine_store_as_written(request):
     if "engine_store" in request.fixturenames:
         root = request.getfixturevalue("engine_store").root
         shutil.rmtree(root / DERIVED_DIR, ignore_errors=True)
+
+
+def holds_shared_memory(store) -> bool:
+    """Whether a block store, or any container it holds, keeps a
+    shared-memory segment (it must keep none: its files are mapped)."""
+    values = list(vars(store).values())
+    for value in list(values):
+        if isinstance(value, dict):
+            values += value.values()
+        elif isinstance(value, (list, tuple, set)):
+            values += value
+    return any(isinstance(v, shared_memory.SharedMemory) for v in values)

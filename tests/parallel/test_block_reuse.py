@@ -5,12 +5,13 @@
 data memoised on a block (cell intervals, λ2, the particle tracer's
 ``CellLocator``) serves every later run.  Reuse must change no byte,
 must not let one run write into the next run's input, and must not
-keep a shared-memory mapping alive past ``close()``.
+keep a file mapped past ``close()``.
 """
 
 import gc
 import os
 import shutil
+import weakref
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.grids import interpolate as interpolate_module
 from repro.grids import summary as summary_module
 from repro.io.dataset_io import DERIVED_DIR
 from repro.parallel import ParallelExtractor, ShmBlockStore
-from repro.parallel import shm as shm_module
+from tests.parallel.conftest import holds_shared_memory
 
 ISO = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 2)}
 VORTEX = {"threshold": 0.0, "time_range": (0, 2)}
@@ -42,12 +43,6 @@ def _bytes(result) -> bytes:
     if isinstance(result, list):  # pathlines
         return b"".join(p.points.tobytes() + p.times.tobytes() for p in result)
     return result.vertices.tobytes() + result.triangles.tobytes()
-
-
-def _shm_names() -> set[str]:
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    return set(os.listdir("/dev/shm"))
 
 
 # ------------------------------------------------------------- the store
@@ -178,15 +173,25 @@ def test_precompute_after_a_run_reaches_the_cached_blocks(engine_store, executor
 @pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("command", ["iso-dataman", "vortex-dataman", "pathlines-dataman"])
 def test_close_unmaps_every_segment(engine_store, command, executor):
-    gc.collect()
-    pinned = len(shm_module._PINNED_SEGMENTS)
-    names = _shm_names()
+    """Every file map dies with ``close()``; the pool's result arenas,
+    the only shared-memory segments, are unlinked."""
     ext = ParallelExtractor(engine_store, workers=2, executor=executor)
     # Results stay referenced through close(): they must hold no view.
-    results = [ext.run(command, params=COMMANDS[command]) for _ in range(3)]
+    results, arenas = [], set()
+    for _ in range(3):
+        results.append(ext.run(command, params=COMMANDS[command]))
+        if ext._pool is not None:
+            arenas.update(ext._pool.arena_names)
+    maps = [weakref.ref(buf.obj) for buf in ext.store._maps.values()]
     if executor == "serial":
-        assert ext.store._blocks  # the runs kept their blocks until close
+        # The runs kept their blocks, and so their maps, until close.
+        # (Under the pool the parent maps only what it reads itself.)
+        assert ext.store._blocks and maps
+    assert not holds_shared_memory(ext.store)
     ext.close()
-    assert len(shm_module._PINNED_SEGMENTS) == pinned
-    assert _shm_names() <= names
+    gc.collect()
+    assert ext.store._maps == {} and ext.store._blocks == {}
+    assert all(ref() is None for ref in maps)
+    assert not any(os.path.exists("/dev/shm/" + name) for name in arenas)
     assert all(r.result for r in results)
+

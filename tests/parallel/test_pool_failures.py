@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.commands import Command, Compute, Emit, Load, plan_block_assignments
 from repro.dms.items import block_item
-from repro.parallel import ParallelExtractor, ShmBlockStore, WorkerPoolError
+from repro.parallel import ParallelExtractor, WorkerPoolError
 
 
 class CrashingCommand(Command):
@@ -38,21 +38,24 @@ class RaisingCommand(Command):
             yield Emit(block, 0)
 
 
-def _shm_paths(store: ShmBlockStore) -> list[str]:
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    return ["/dev/shm/" + s.name.lstrip("/") for s in store._all_segments()]
+def _arena_paths(ext: ParallelExtractor) -> list[str]:
+    """The pool's result arenas: the only shared-memory segments."""
+    return ["/dev/shm/" + name for name in ext._pool.arena_names]
 
 
 def test_worker_crash_raises_and_shuts_down(engine_store):
     ext = ParallelExtractor(engine_store, workers=2, executor="process")
-    paths = _shm_paths(ext.store)
+    iso = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 1)}
+    for _ in range(2):
+        ext.run("iso-dataman", params=iso)
+    paths = _arena_paths(ext)
     with pytest.raises(WorkerPoolError):
         ext.run(CrashingCommand(), params={"time_range": (0, 1)})
     # The broken pool was shut down, not left wedged.
     assert ext._pool is None or ext._pool.closed
-    ext.close()
     assert not any(os.path.exists(p) for p in paths)
+    ext.close()
+    assert ext.store._maps == {}
 
 
 def test_pool_recovers_after_crash(engine_store):
@@ -85,11 +88,14 @@ def test_closed_extractor_refuses_work(engine_store):
 def test_close_releases_all_segments(engine_store):
     ext = ParallelExtractor(engine_store, workers=2, executor="process")
     ext.precompute("lambda2")
-    ext.run("vortex-dataman", params={"threshold": 0.0, "time_range": (0, 1)})
-    paths = _shm_paths(ext.store)
+    for _ in range(2):
+        ext.run("vortex-dataman", params={"threshold": 0.0, "time_range": (0, 1)})
+    paths = _arena_paths(ext)
     assert paths and all(os.path.exists(p) for p in paths)
+    assert ext.store.mapped_files
     ext.close()
     assert not any(os.path.exists(p) for p in paths)
+    assert ext.store.mapped_files == []
 
 
 def test_invalid_arguments():

@@ -1,6 +1,11 @@
-"""ShmBlockStore: shared segments, zero-copy views, manifests, cleanup."""
+"""ShmBlockStore: mapped files, zero-copy views, manifests, cleanup."""
 
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,13 +15,6 @@ from repro.dms.source import SyntheticSource
 from repro.grids.block import LazyStructuredBlock
 from repro.parallel import ShmBlockStore
 from tests.conftest import cached_engine
-
-
-def _segment_paths(store: ShmBlockStore) -> list[str]:
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    names = [shm.name for shm in store._all_segments()]
-    return ["/dev/shm/" + name.lstrip("/") for name in names]
 
 
 def test_from_store_blocks_match_disk(engine_store):
@@ -74,11 +72,14 @@ def test_manifest_attach_same_process(engine_store):
             b = owner.get_block(0, 1)
             assert a.coords.tobytes() == b.coords.tobytes()
             assert attached.handles(0)[1].block_id == 1
+            # Attaching maps lazily: only the block asked for.
+            assert attached.mapped_files == [str(engine_store.block_path(0, 1))]
         finally:
             attached.close()
-        # Attached stores never unlink someone else's segments.
-        attached.unlink()
+        # Attached stores never remove someone else's files.
+        attached.cleanup()
         assert owner.get_block(0, 1) is not None
+        assert os.path.exists(engine_store.block_path(0, 1))
 
 
 def test_derived_fields_are_float64_and_shared(engine_store):
@@ -94,19 +95,29 @@ def test_derived_fields_are_float64_and_shared(engine_store):
         # Byte-identical to in-place computation: the reuse fast path in
         # the vortex command cannot change results.
         assert enriched.fields["lambda2"].tobytes() == lam.tobytes()
-        [(name, _segment, layout)] = shm.manifest()["derived"]
+        [(name, path, layout)] = shm.manifest()["derived"]
         assert name == "lambda2" and (0, 0) in layout
+        assert path in shm.mapped_files
 
 
 def test_cleanup_retires_all_segments(engine_store):
-    shm = ShmBlockStore.from_store(engine_store, time_indices=[0])
+    """A store's private directory (blocks of a non-disk source, fields
+    that could not be persisted) goes with ``cleanup``; the dataset's
+    own files stay."""
+    eng = cached_engine(4, 2)
+    shm = ShmBlockStore.from_source(SyntheticSource(eng), time_indices=[0])
     shm.add_derived_fields("lambda2", {(0, 0): lambda2_field(shm.get_block(0, 0))})
-    paths = _segment_paths(shm)
+    paths = shm.mapped_files
     assert paths and all(os.path.exists(p) for p in paths)
+    assert len({os.path.dirname(p) for p in paths}) == 1
     shm.cleanup()
     assert not any(os.path.exists(p) for p in paths)
     # Idempotent.
     shm.cleanup()
+    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as disk:
+        disk.get_block(0, 0)
+        paths = disk.mapped_files
+    assert paths and all(os.path.exists(p) for p in paths)
 
 
 def test_unknown_block_raises(engine_store):
@@ -115,3 +126,32 @@ def test_unknown_block_raises(engine_store):
             shm.get_block(1, 0)
         with pytest.raises(KeyError):
             shm.add_derived_fields("lambda2", {(7, 0): np.zeros((2, 2, 2))})
+
+
+@pytest.mark.skipif(os.name != "posix", reason="pids are probed with kill(pid, 0)")
+def test_a_killed_creators_directory_goes_with_the_next_one():
+    """A creator killed before ``cleanup`` leaves its private directory;
+    the next private directory made removes it, and no live one."""
+    script = (
+        "import os, signal\n"
+        "from repro.parallel import ShmBlockStore\n"
+        "store = ShmBlockStore()\n"
+        "print(store._private_dir(), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), timeout=60,
+    )
+    orphan = proc.stdout.strip()
+    assert proc.returncode == -signal.SIGKILL and os.path.isdir(orphan)
+    live = tempfile.mkdtemp(prefix=f"repro-store-{os.getppid()}-")
+    try:
+        shm = ShmBlockStore.from_source(SyntheticSource(cached_engine(4, 2)),
+                                        time_indices=[0])
+        shm.cleanup()
+        assert not os.path.exists(orphan)
+        assert os.path.isdir(live)
+    finally:
+        shutil.rmtree(live, ignore_errors=True)

@@ -196,3 +196,18 @@ def test_answered_requests_release_their_geometry():
     handles = app.server.handles
     assert len(handles) == len(bodies)
     assert all(h.outcome is None for h in handles)
+
+
+def test_a_failed_request_says_why():
+    """A command that raises inside the session answers 500 with the
+    exception's text, so the client learns which parameter was wrong."""
+    from repro.serve.cli import build_serve_app
+
+    app = build_serve_app("engine", workers=2)
+    assert app.handle("POST", "/v1/tenants", {"name": "a"})[0] == 201
+    status, payload = app.handle("POST", "/v1/commands", {
+        "tenant": "a", "command": "iso-dataman", "params": {},
+    })
+    assert status == 500
+    assert payload["state"] == "failed"
+    assert "isovalue" in payload["error"]
