@@ -22,8 +22,7 @@ def main() -> None:
         engine, cluster_config=paper_cluster(4), costs=paper_costs()
     )
     iso = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
-    vortex = {"threshold": -0.5, "time_range": (0, 1), "batch_cells": 32,
-              "slab_cells": 1}
+    vortex = {"threshold": -0.5, "time_range": (0, 1)}
 
     print("submitting two 2-worker commands plus one queued 4-worker command\n")
     results = session.run_concurrent(
@@ -31,7 +30,8 @@ def main() -> None:
             {"command": "iso-viewer",
              "params": {**iso, "viewpoint": (0, 0, -5), "max_triangles": 500},
              "group_size": 2},
-            {"command": "vortex-streamed", "params": vortex, "group_size": 2},
+            {"command": "vortex-streamed",
+             "params": {**vortex, "batch_cells": 32}, "group_size": 2},
             {"command": "vortex-dataman", "params": vortex, "group_size": 4},
         ]
     )

@@ -41,7 +41,6 @@ def main() -> None:
                 "threshold": threshold,
                 "time_range": (0, 1),
                 "batch_cells": 16,
-                "slab_cells": 1,
             },
         )
         tris = result.geometry.n_triangles

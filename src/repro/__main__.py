@@ -219,10 +219,14 @@ def _ablations(positional: list[str], flags: dict) -> int:
 
 
 def _commands(positional: list[str], flags: dict) -> int:
+    """Each registered command and its declared parameters."""
     from .commands import default_registry
 
-    for name in default_registry().names():
+    registry = default_registry()
+    for name in registry.names():
         print(name)
+        for p in registry.command_class(name).declaration().values():
+            print(f"  {p.describe()}")
     return 0
 
 
@@ -314,6 +318,7 @@ def _session(flags: dict, workers: int):
 def _extract(positional: list[str], flags: dict) -> int:
     """Run one command for real on local cores (repro.parallel)."""
     command, params, n_workers = _prelude(positional, flags)
+    from .core.commands import ParamError
     from .parallel import ParallelExtractor
     from .synth import DATASETS
 
@@ -334,11 +339,10 @@ def _extract(positional: list[str], flags: dict) -> int:
         data, workers=n_workers, executor=executor,
         profile_interval=profile_interval,
     ) as ext:
-        res = ext.run(
-            command,
-            params=params,
-            schedule=schedule if schedule != "static" else None,
-        )
+        try:
+            res = ext.run(command, params=params, schedule=schedule)
+        except ParamError as exc:  # e.g. a store with too few levels
+            raise _Usage(f"{command} on {data_name}: {exc}") from None
         print(f"== {command} on {data_name} "
               f"({executor} executor, {res.group_size} workers, "
               f"{res.schedule} schedule) ==")

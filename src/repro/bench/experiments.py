@@ -49,7 +49,6 @@ PATHLINE_WORKER_COUNTS = (1, 2, 4, 8)
 #: viewpoints (near the surface region, as an exploring user would sit).
 ISO_LEVELS = {"engine": -0.3, "propfan": -2.6}
 VIEWPOINTS = {"engine": (0.0, 0.0, -5.0), "propfan": (1.5, 0.0, -1.5)}
-VIEWER_EXTRA = {"max_triangles": 2000}
 
 
 def iso_params(dataset) -> dict[str, Any]:
@@ -57,10 +56,19 @@ def iso_params(dataset) -> dict[str, Any]:
         "isovalue": ISO_LEVELS[dataset.spec.name],
         "scalar": "pressure",
         "time_range": (0, 1),
-        "viewpoint": VIEWPOINTS[dataset.spec.name],
     }
+
+
+def viewer_params(dataset) -> dict[str, Any]:
+    return {
+        **iso_params(dataset),
+        "viewpoint": VIEWPOINTS[dataset.spec.name],
+        "max_triangles": 2000,
+    }
+
+
 VORTEX_PARAMS = {"threshold": -0.5, "time_range": (0, 1)}
-STREAM_EXTRA = {"batch_cells": 16, "slab_cells": 1}
+STREAM_EXTRA = {"batch_cells": 16}
 
 
 @dataclass
@@ -151,7 +159,7 @@ def _iso_runtime(dataset, experiment_id: str, title: str,
         simple = session.run("iso-simple", params=params)
         session.warm_cache("iso-dataman", params=params)
         dataman = session.run("iso-dataman", params=params)
-        viewer = session.run("iso-viewer", params={**params, **VIEWER_EXTRA})
+        viewer = session.run("iso-viewer", params=viewer_params(dataset))
         result.rows.append(
             {
                 "workers": nw,
@@ -189,7 +197,7 @@ def fig8_iso_latency(workers: Sequence[int] = WORKER_COUNTS) -> ExperimentResult
         session = paper_session(propfan_dataset(), nw)
         session.warm_cache("iso-dataman", params=params)
         dataman = session.run("iso-dataman", params=params)
-        viewer = session.run("iso-viewer", params={**params, **VIEWER_EXTRA})
+        viewer = session.run("iso-viewer", params=viewer_params(propfan_dataset()))
         result.rows.append(
             {"workers": nw, "ViewerIso": viewer.latency, "IsoDataMan": dataman.latency}
         )

@@ -3,10 +3,6 @@
 ``CutplaneCommand`` is the batch DMS variant; ``StreamedCutplaneCommand``
 reorganizes the work block by block and streams each block's cut as soon
 as it is computed (data-reorganization streaming, §5.1).
-
-Params: ``normal`` (3-vector, required), ``offset`` (default 0.0),
-``attributes`` (scalar fields to interpolate onto the cut),
-``time_range``.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from ..core.commands import (
     Compute,
     Emit,
     Load,
+    Param,
     plan_block_assignments,
     plan_block_tasks,
     split_round_robin,
@@ -37,6 +34,14 @@ class CutplaneCommand(Command):
     name = "cutplane"
     streaming = False
     use_dms = True
+    prefetcher = "obl"
+    #: the plane ``normal · x = offset``, and the scalar fields
+    #: interpolated onto the cut.
+    parameters = (
+        Param("normal", "direction"),
+        Param("offset", "float", 0.0),
+        Param("attributes", "fields", ()),
+    )
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         return plan_block_assignments(ctx, group_size)
@@ -47,13 +52,10 @@ class CutplaneCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         normal = np.asarray(ctx.params["normal"], dtype=np.float64)
-        offset = float(ctx.params.get("offset", 0.0))
-        attributes = list(ctx.params.get("attributes", []))
+        offset = ctx.params["offset"]
+        attributes = list(ctx.params["attributes"])
         for t, bid in assignment:
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)

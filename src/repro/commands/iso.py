@@ -8,12 +8,8 @@
   blocks sorted front-to-back, per-block BSP traversal, triangle
   batches transmitted as soon as they are complete (ViewerIso).
 
-Params (``session.run(..., params={...})``):
-
-* ``isovalue`` (required), ``scalar`` (default ``"pressure"``),
-* ``time_range`` (default: all steps),
-* ``viewpoint`` (ViewerIso), ``max_triangles`` per streamed batch,
-* ``prefetch`` override ('none' disables the system prefetcher).
+Each command's ``parameters`` declare what it takes (``python -m repro
+commands`` lists them).
 """
 
 from __future__ import annotations
@@ -31,12 +27,16 @@ from ..core.commands import (
     Compute,
     Emit,
     Load,
+    Param,
     plan_block_assignments,
     plan_block_tasks,
     split_round_robin,
 )
 
 __all__ = ["SimpleIsoCommand", "IsoDataManCommand", "ViewerIsoCommand"]
+
+#: what every isosurface command takes.
+ISO_PARAMS = (Param("isovalue", "float"), Param("scalar", "field", "pressure"))
 
 
 class IsoDataManCommand(Command):
@@ -45,6 +45,8 @@ class IsoDataManCommand(Command):
     name = "iso-dataman"
     streaming = False
     use_dms = True
+    prefetcher = "obl"
+    parameters = ISO_PARAMS
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         return plan_block_assignments(ctx, group_size)
@@ -55,15 +57,12 @@ class IsoDataManCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     def threshold_scalar(self, ctx: CommandContext) -> str:
-        return ctx.params.get("scalar", "pressure")
+        return ctx.params["scalar"]
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
-        isovalue = float(ctx.params["isovalue"])
-        scalar = ctx.params.get("scalar", "pressure")
+        isovalue = ctx.params["isovalue"]
+        scalar = ctx.params["scalar"]
         for t, bid in assignment:
             if ctx.cull(t, bid, scalar, isovalue):
                 continue
@@ -86,9 +85,7 @@ class SimpleIsoCommand(IsoDataManCommand):
 
     name = "iso-simple"
     use_dms = False
-
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "none"
+    prefetcher = "none"
 
 
 class ViewerIsoCommand(Command):
@@ -97,9 +94,14 @@ class ViewerIsoCommand(Command):
     name = "iso-viewer"
     streaming = True
     use_dms = True
+    prefetcher = "obl"
+    parameters = ISO_PARAMS + (
+        Param("viewpoint", "point", (0.0, 0.0, 0.0)),
+        Param("max_triangles", "int", 2000, low=1),
+    )
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
-        viewpoint = np.asarray(ctx.params.get("viewpoint", (0.0, 0.0, 0.0)))
+        viewpoint = np.asarray(ctx.params["viewpoint"])
         work: list[tuple[int, int]] = []
         for t in ctx.time_indices:
             handles = ctx.handles_by_time[t - ctx.time_offset]
@@ -118,17 +120,14 @@ class ViewerIsoCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     def threshold_scalar(self, ctx: CommandContext) -> str:
-        return ctx.params.get("scalar", "pressure")
+        return ctx.params["scalar"]
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
-        isovalue = float(ctx.params["isovalue"])
-        scalar = ctx.params.get("scalar", "pressure")
-        viewpoint = np.asarray(ctx.params.get("viewpoint", (0.0, 0.0, 0.0)), dtype=float)
-        max_triangles = int(ctx.params.get("max_triangles", 2000))
+        isovalue = ctx.params["isovalue"]
+        scalar = ctx.params["scalar"]
+        viewpoint = np.asarray(ctx.params["viewpoint"], dtype=float)
+        max_triangles = ctx.params["max_triangles"]
         for t, bid in assignment:
             if ctx.cull(t, bid, scalar, isovalue):
                 continue

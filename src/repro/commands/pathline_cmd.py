@@ -16,13 +16,7 @@ stages advance all of the share's particles together, and every block
 the batch needs is demanded once per super-step (*coalesced* — one
 ``Load`` per (time level, block) regardless of how many particles sit
 in it), which both cuts DMS round trips and keeps the request stream
-Markov-learnable.  The batched tracer is the only one; a ``tracer``
-param (the removed one-particle-at-a-time option) is rejected.
-
-Params: ``seeds`` (list of 3-D points, each exactly three finite
-numbers; required), ``t_start`` / ``t_end`` (physical times; default
-full range), ``rtol``, ``local_cache_blocks``, ``max_steps``,
-``prefetch`` override.
+Markov-learnable.  The batched tracer is the only one.
 """
 
 from __future__ import annotations
@@ -33,9 +27,34 @@ import numpy as np
 
 from ..algorithms.pathlines import BatchPathlineTracer
 from ..dms.items import block_item
-from ..core.commands import Command, CommandContext, Compute, Emit, Load, split_round_robin
+from ..core.commands import (
+    Command,
+    CommandContext,
+    Compute,
+    Emit,
+    Load,
+    Param,
+    split_round_robin,
+)
 
 __all__ = ["SimplePathlinesCommand", "PathlinesDataManCommand"]
+
+#: what every particle tracer takes: seeds, a release time (``None``:
+#: the first time level) and the integrator's knobs, over at least the
+#: two time levels a step interpolates between.
+TRACER_PARAMS = (
+    Param("time_range", "time_range", None, low=2),
+    Param("seeds", "points"),
+    Param("t_start", "float", None),
+    Param("rtol", "float", 1e-3, low=0.0),
+    Param("max_steps", "int", 400, low=1),
+    Param("local_cache_blocks", "int", 8, low=2),
+)
+
+
+def tracer_knobs(ctx: CommandContext) -> dict[str, Any]:
+    """The integrator keywords of a tracer command's params."""
+    return {k: ctx.params[k] for k in ("rtol", "max_steps", "local_cache_blocks")}
 
 
 class PathlinesDataManCommand(Command):
@@ -44,27 +63,13 @@ class PathlinesDataManCommand(Command):
     name = "pathlines-dataman"
     streaming = False
     use_dms = True
+    prefetcher = "block-markov"
+    #: ``t_end`` (``None``: the last time level) ends every path.
+    parameters = TRACER_PARAMS + (Param("t_end", "float", None),)
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
-        if "tracer" in ctx.params:
-            raise ValueError(
-                "the 'tracer' param was removed: pathline commands always "
-                "use the batched RK45 tracer"
-            )
-        seeds = []
-        for index, seed in enumerate(ctx.params["seeds"]):
-            try:
-                point = np.asarray(seed, dtype=np.float64)
-            except (TypeError, ValueError):
-                point = np.empty(0)
-            if point.shape != (3,) or not np.isfinite(point).all():
-                raise ValueError(
-                    f"seed {index} must be three finite numbers, got {seed!r}"
-                )
-            seeds.append(point)
-        if not seeds:
-            raise ValueError("pathline commands need at least one seed")
-        return split_round_robin(seeds, group_size)
+        seeds = np.asarray(ctx.params["seeds"], dtype=np.float64)
+        return split_round_robin(list(seeds), group_size)
 
     def plan_tasks(self, ctx: CommandContext) -> list[Any]:
         # One task per seed, in seed order.  A singleton batch traces
@@ -89,9 +94,6 @@ class PathlinesDataManCommand(Command):
             )
         ]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "block-markov"
-
     def merge(self, payload_lists):
         return [p for payloads in payload_lists for p in payloads]
 
@@ -100,16 +102,11 @@ class PathlinesDataManCommand(Command):
             return
         times = list(ctx.times)
         handles = list(ctx.handles_by_time[0])
-        t_start = ctx.params.get("t_start", times[0])
-        t_end = ctx.params.get("t_end", times[-1])
-        tracer_kwargs = dict(
-            rtol=float(ctx.params.get("rtol", 1e-3)),
-            max_steps=int(ctx.params.get("max_steps", 400)),
-            local_cache_blocks=int(ctx.params.get("local_cache_blocks", 8)),
-        )
         sample_cost = ctx.costs.pathline_sample
-        tracer = BatchPathlineTracer(handles, times, **tracer_kwargs)
-        gen = tracer.trace_many(assignment, t_start, t_end)
+        tracer = BatchPathlineTracer(handles, times, **tracer_knobs(ctx))
+        gen = tracer.trace_many(
+            assignment, ctx.params["t_start"], ctx.params["t_end"]
+        )
         charged = tracer.samples
         try:
             request = next(gen)
@@ -141,6 +138,4 @@ class SimplePathlinesCommand(PathlinesDataManCommand):
 
     name = "pathlines-simple"
     use_dms = False
-
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "none"
+    prefetcher = "none"

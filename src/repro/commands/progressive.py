@@ -35,10 +35,10 @@ Each level's packet carries ``level`` / ``finest`` / ``order`` vertex
 attributes so the client can replace-refine and :meth:`merge` can
 assemble final-quality geometry from the finest level per block.
 
-Params: ``isovalue`` (required), ``scalar``, ``min_dim`` /
-``max_levels`` for the pyramid, ``time_range``, ``schedule``
-(``"level-major"`` default, ``"depth-first"`` for the legacy
-traversal), ``frame_budget``, ``control``.
+``params["traversal"]`` is ``"level-major"`` (the default) or
+``"depth-first"`` (each block's full pyramid before the next: the
+sentry's TTFA baseline); it is independent of ``schedule``, which
+picks the static or dynamic drain like every command's.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ from ..core.commands import (
     ComputeCached,
     Emit,
     Load,
+    Param,
     plan_block_assignments,
 )
+from .iso import ISO_PARAMS
 
 __all__ = ["ProgressiveIsoCommand", "RefinementControl"]
 
@@ -91,6 +93,15 @@ class ProgressiveIsoCommand(Command):
     name = "iso-progressive"
     streaming = True
     use_dms = True
+    prefetcher = "obl"
+    parameters = ISO_PARAMS + (
+        Param("traversal", "str", "level-major", choices=("level-major", "depth-first")),
+        Param("min_dim", "int", 3, low=2),
+        Param("max_levels", "int", 4, low=1),
+        #: triangles per refinement round; 0 refines without pacing.
+        Param("frame_budget", "float", 0.0, low=0.0),
+        Param("control", RefinementControl, None),
+    )
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         return plan_block_assignments(ctx, group_size)
@@ -98,26 +109,18 @@ class ProgressiveIsoCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     # ------------------------------------------------------------- run
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
-        schedule = str(ctx.params.get("schedule", "level-major"))
-        if schedule == "depth-first":
+        if ctx.params["traversal"] == "depth-first":
             yield from self._run_depth_first(ctx, assignment)
-        elif schedule == "level-major":
-            yield from self._run_level_major(ctx, assignment)
         else:
-            raise ValueError(
-                f"schedule must be 'level-major' or 'depth-first', got {schedule!r}"
-            )
+            yield from self._run_level_major(ctx, assignment)
 
     def _run_level_major(self, ctx: CommandContext, assignment: Any):
-        isovalue = float(ctx.params["isovalue"])
-        scalar = ctx.params.get("scalar", "pressure")
-        control = ctx.params.get("control")
-        frame_budget = float(ctx.params.get("frame_budget") or 0.0)
+        isovalue = ctx.params["isovalue"]
+        scalar = ctx.params["scalar"]
+        control = ctx.params["control"]
+        frame_budget = ctx.params["frame_budget"]
 
         # Coarse pass: pyramid + coarsest surface for *every* assigned
         # block before refining any of them.
@@ -173,9 +176,9 @@ class ProgressiveIsoCommand(Command):
         is out, which depth-first delays behind every earlier block's
         full refinement.
         """
-        isovalue = float(ctx.params["isovalue"])
-        scalar = ctx.params.get("scalar", "pressure")
-        control = ctx.params.get("control")
+        isovalue = ctx.params["isovalue"]
+        scalar = ctx.params["scalar"]
+        control = ctx.params["control"]
         last = len(assignment) - 1
         for order, (t, bid) in enumerate(assignment):
             handle = ctx.handle(t, bid)
@@ -200,8 +203,8 @@ class ProgressiveIsoCommand(Command):
         re-extraction (a new isovalue over resident data) never touches
         the disk tier at all, which is where the TTFA win comes from.
         """
-        min_dim = int(ctx.params.get("min_dim", 3))
-        max_levels = int(ctx.params.get("max_levels", 4))
+        min_dim = ctx.params["min_dim"]
+        max_levels = ctx.params["max_levels"]
         item = pyramid_item(ctx.dataset, t, bid, min_dim, max_levels)
         nbytes = modeled_pyramid_nbytes(
             handle.modeled_shape, min_dim=min_dim, max_levels=max_levels

@@ -6,9 +6,6 @@ dye filament observed at ``t_observe``.  Block demands run through the
 DMS with the same block-Markov prefetcher the pathline command uses —
 the access pattern is a superposition of pathline patterns, which is
 exactly what the shared Markov graph learns fastest.
-
-Params: ``seeds`` (required), ``n_particles`` per filament,
-``t_start`` / ``t_observe``, plus the pathline tracer knobs.
 """
 
 from __future__ import annotations
@@ -19,8 +16,8 @@ import numpy as np
 
 from ..algorithms.streaklines import StreaklineTracer
 from ..dms.items import block_item
-from ..core.commands import Compute, Emit, Load
-from .pathline_cmd import PathlinesDataManCommand
+from ..core.commands import Compute, Emit, Load, Param
+from .pathline_cmd import TRACER_PARAMS, PathlinesDataManCommand, tracer_knobs
 
 __all__ = ["StreaklinesCommand"]
 
@@ -31,23 +28,23 @@ class StreaklinesCommand(PathlinesDataManCommand):
     name = "streaklines"
     streaming = False
     use_dms = True
+    #: each filament is observed at ``t_observe`` (``None``: the last
+    #: time level), made of ``n_particles`` releases.
+    parameters = TRACER_PARAMS + (
+        Param("t_observe", "float", None),
+        Param("n_particles", "int", 16, low=1),
+    )
 
     def run(self, ctx, assignment: Any, worker_index: int):
         times = list(ctx.times)
         handles = list(ctx.handles_by_time[0])
-        t_start = ctx.params.get("t_start", times[0])
-        t_observe = ctx.params.get("t_observe", times[-1])
-        n_particles = int(ctx.params.get("n_particles", 16))
-        tracer = StreaklineTracer(
-            handles,
-            times,
-            rtol=float(ctx.params.get("rtol", 1e-3)),
-            max_steps=int(ctx.params.get("max_steps", 400)),
-            local_cache_blocks=int(ctx.params.get("local_cache_blocks", 8)),
-        )
+        tracer = StreaklineTracer(handles, times, **tracer_knobs(ctx))
         sample_cost = ctx.costs.pathline_sample
         for seed in assignment:
-            gen = tracer.trace(seed, t_start, t_observe, n_particles)
+            gen = tracer.trace(
+                seed, ctx.params["t_start"], ctx.params["t_observe"],
+                ctx.params["n_particles"],
+            )
             charged = tracer.tracer.samples
             try:
                 request = next(gen)

@@ -8,9 +8,8 @@
   with active-cell batches streamed as soon as a user-specified number
   accumulates.
 
-Params: ``threshold`` (λ2 iso level, default 0.0 — "in practice a value
-about zero is used"), ``velocity`` field name, ``batch_cells`` for the
-streamed variant, ``time_range``, ``prefetch`` override.
+``threshold`` is the λ2 iso level, default 0.0: "in practice a value
+about zero is used".
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from ..core.commands import (
     Compute,
     Emit,
     Load,
+    Param,
     plan_block_assignments,
     plan_block_tasks,
     split_round_robin,
@@ -38,6 +38,9 @@ from ..grids.block import StructuredBlock
 
 __all__ = ["SimpleVortexCommand", "VortexDataManCommand", "StreamedVortexCommand"]
 
+#: what every λ2 command takes.
+VORTEX_PARAMS = (Param("threshold", "float", 0.0), Param("velocity", "field", "velocity"))
+
 
 class VortexDataManCommand(Command):
     """Batch λ2 extraction through the DMS."""
@@ -45,6 +48,8 @@ class VortexDataManCommand(Command):
     name = "vortex-dataman"
     streaming = False
     use_dms = True
+    prefetcher = "obl"
+    parameters = VORTEX_PARAMS
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         return plan_block_assignments(ctx, group_size)
@@ -55,13 +60,10 @@ class VortexDataManCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     def derived_field(self, ctx: CommandContext) -> str | None:
         # A stored "lambda2" is λ2 of "velocity" (what the executors
         # derive); λ2 of any other field is computed inline.
-        if ctx.params.get("velocity", "velocity") == "velocity":
+        if ctx.params["velocity"] == "velocity":
             return "lambda2"
         return None
 
@@ -71,8 +73,8 @@ class VortexDataManCommand(Command):
         return self.derived_field(ctx)
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
-        threshold = float(ctx.params.get("threshold", 0.0))
-        velocity = ctx.params.get("velocity", "velocity")
+        threshold = ctx.params["threshold"]
+        velocity = ctx.params["velocity"]
         stored = self.derived_field(ctx) is not None
         for t, bid in assignment:
             if ctx.cull(t, bid, "lambda2", threshold):
@@ -110,9 +112,7 @@ class SimpleVortexCommand(VortexDataManCommand):
 
     name = "vortex-simple"
     use_dms = False
-
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "none"
+    prefetcher = "none"
 
 
 class StreamedVortexCommand(Command):
@@ -121,6 +121,8 @@ class StreamedVortexCommand(Command):
     name = "vortex-streamed"
     streaming = True
     use_dms = True
+    prefetcher = "obl"
+    parameters = VORTEX_PARAMS + (Param("batch_cells", "int", 256, low=1),)
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         return plan_block_assignments(ctx, group_size)
@@ -131,13 +133,10 @@ class StreamedVortexCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        return "obl"
-
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
-        threshold = float(ctx.params.get("threshold", 0.0))
-        velocity = ctx.params.get("velocity", "velocity")
-        batch_cells = int(ctx.params.get("batch_cells", 256))
+        threshold = ctx.params["threshold"]
+        velocity = ctx.params["velocity"]
+        batch_cells = ctx.params["batch_cells"]
         for t, bid in assignment:
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)

@@ -40,6 +40,9 @@ __all__ = [
     "Prefetch",
     "CommandContext",
     "Command",
+    "Param",
+    "ParamError",
+    "REQUIRED",
     "Deal",
     "command_context",
     "deal",
@@ -50,7 +53,6 @@ __all__ = [
     "plan_block_tasks",
     "lpt_order",
     "SCHEDULES",
-    "is_dynamic",
 ]
 
 
@@ -184,25 +186,190 @@ class CommandContext:
 
 
 def command_context(
-    source: Any, levels: Sequence[int], params: Mapping[str, Any], costs: CostModel
+    command: "Command | type[Command]",
+    source: Any,
+    levels: Sequence[int],
+    params: Mapping[str, Any],
+    costs: CostModel,
 ) -> CommandContext:
     """The context of one command on either clock: ``source`` (name,
     ``handles(t)``, ``times``) holds the contiguous absolute time indices
-    ``levels``, of which ``params["time_range"]`` picks a slice."""
-    if not levels:
-        raise ValueError("the data holds no time levels")
-    lo, hi = levels[0], levels[-1] + 1
-    t0, t1 = params.get("time_range", (lo, hi))
-    if not lo <= t0 < t1 <= hi:
-        raise ValueError(f"invalid time_range ({t0}, {t1}); levels are {lo}..{hi - 1}")
+    ``levels``; the context carries ``params`` (as
+    :meth:`Command.validate` returned them) resolved against
+    ``command``'s defaults (:meth:`Command.resolve`), whose
+    ``time_range`` picks the slice."""
+    params = command.resolve(params, levels)
+    t0, t1 = params["time_range"]
     return CommandContext(
         dataset=source.name,
         handles_by_time=[source.handles(t) for t in range(t0, t1)],
-        params=dict(params),
+        params=params,
         costs=costs,
         time_offset=t0,
         times=list(source.times[t0:t1]),
     )
+
+
+class ParamError(ValueError):
+    """Params that their command's declaration does not accept; the
+    message names the offending parameter."""
+
+
+#: the default of a :class:`Param` the caller must give.
+REQUIRED: Any = object()
+
+#: How a command's work reaches its work group, on either clock:
+#: ``"static"`` pre-deals one :meth:`Command.plan` share per worker,
+#: ``"dynamic"`` lets workers drain :meth:`Command.plan_tasks` tasks in
+#: LPT order (work stealing).  ``params["schedule"]`` is one of them.
+SCHEDULES = ("static", "dynamic")
+
+#: system prefetchers a ``prefetch`` param may name (§4.2).
+PREFETCHERS = ("none", "obl", "on-miss", "markov", "markov+obl", "block-markov")
+
+
+def _integer(value: Any) -> int | None:
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return int(value) if ok else None
+
+
+def _finite(value: Any) -> float | None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _vector(value: Any) -> tuple[float, ...] | None:
+    """``value`` as three finite floats, or ``None`` when it is not."""
+    try:
+        items = [] if isinstance(value, (str, bytes)) else list(value)
+    except TypeError:
+        return None
+    vec = tuple(_finite(x) for x in items)
+    return vec if len(vec) == 3 and None not in vec else None
+
+
+def _direction(vec: tuple[float, ...] | None) -> tuple[float, ...] | None:
+    """A vector a kernel can normalise: its squared length neither
+    underflows to zero nor overflows."""
+    return vec if vec and 0.0 < sum(x * x for x in vec) < math.inf else None
+
+
+def _is(kind: type) -> Callable[[Any], Any]:
+    return lambda value: value if isinstance(value, kind) else None
+
+
+#: per kind: what a value must be, and its canonical form (``None``
+#: when it is not one).
+_KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "int": ("an integer", _integer),
+    "float": ("a finite number", _finite),
+    "bool": ("true or false", _is(bool)),
+    "str": ("a string", _is(str)),
+    "field": ("a field name", _is(str)),
+    "fields": ("a list of field names", lambda v: tuple(v) if isinstance(
+        v, (list, tuple)) and all(isinstance(x, str) for x in v) else None),
+    "point": ("three finite numbers", _vector),
+    "direction": ("three finite numbers whose squared length is a positive float",
+                  lambda v: _direction(_vector(v))),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared command parameter.
+
+    ``kind`` names one of :data:`_KINDS`, or is ``"points"`` (N >= 1
+    points), ``"time_range"`` (two integers ``t0 < t1`` inside the
+    data's levels; ``None`` is every level) or a class, whose instances
+    pass through by reference.  A ``None`` default also admits ``None``.
+    """
+
+    name: str
+    kind: Any
+    default: Any = REQUIRED
+    #: the least ``int``/``float`` value, or the fewest levels a
+    #: ``time_range`` spans.
+    low: float | None = None
+    #: the legal values of a ``str``.
+    choices: tuple[str, ...] = ()
+
+    def describe(self) -> str:
+        """``name: type, default`` and the legal values where bounded:
+        how ``repro commands`` and the API docs state the parameter."""
+        kind = self.kind if isinstance(self.kind, str) else self.kind.__name__
+        text = f"{self.name}: {kind}, " + (
+            "required" if self.default is REQUIRED else f"default {self.default!r}"
+        )
+        if self.choices:
+            return f"{text}, one of {'/'.join(self.choices)}"
+        if self.low is None:
+            return text
+        return f"{text}, {'levels ' if kind == 'time_range' else ''}>= {self.low}"
+
+    def normalise(self, value: Any, levels: Sequence[int]) -> Any:
+        """``value`` in its canonical form, or :class:`ParamError`."""
+        name, kind, low = self.name, self.kind, self.low
+        if kind == "time_range":
+            return self._time_range(value, levels)
+        if value is None and self.default is None:
+            return None
+        if kind == "points":
+            return self._points(value)
+        if not isinstance(kind, str):
+            what, got = f"a {kind.__name__}", _is(kind)(value)
+        else:
+            what, got = _KINDS[kind]
+            got = got(value)
+            if low is not None:
+                what += f" >= {low}"
+                got = None if got is None or got < low else got
+            if self.choices:
+                what = f"one of {self.choices}"
+                got = got if got in self.choices else None
+        if got is None:
+            raise ParamError(f"{name} must be {what}, got {value!r}")
+        return got
+
+    def _points(self, value: Any) -> tuple[tuple[float, ...], ...]:
+        name = self.name
+        if isinstance(value, (str, bytes, Mapping)) or not hasattr(value, "__iter__"):
+            raise ParamError(f"{name} must be a list of [x, y, z] points, got {value!r}")
+        points = []
+        for index, item in enumerate(value):
+            vec = _vector(item)
+            if vec is None:
+                raise ParamError(
+                    f"{name}: seed {index} must be three finite numbers, got {item!r}"
+                )
+            points.append(vec)
+        if not points:
+            raise ParamError(f"{name} must hold at least one seed")
+        return tuple(points)
+
+    def _time_range(self, value: Any, levels: Sequence[int]) -> tuple[int, int]:
+        name = self.name
+        if not levels:
+            raise ParamError("the data holds no time levels")
+        lo, hi = levels[0], levels[-1] + 1
+        if value is None:
+            value = (lo, hi)
+        span = int(self.low or 1)
+        t0, t1 = (
+            map(_integer, value)
+            if isinstance(value, (list, tuple)) and len(value) == 2 else (None, None)
+        )
+        if t0 is not None and t1 is not None and lo <= t0 and t0 + span <= t1 <= hi:
+            return t0, t1
+        spans = f", spanning at least {span} levels" if span > 1 else ""
+        raise ParamError(
+            f"{name} must be two integers (t0, t1) with {lo} <= t0 < t1 <= {hi}"
+            f"{spans}, got {value!r}"
+        )
 
 
 CommandGen = Generator["Load | Compute | ComputeCached | Emit | Prefetch", Any, None]
@@ -218,6 +385,61 @@ class Command:
     #: whether block loads go through the DMS (§4) or hit the
     #: fileserver directly every time (the paper's "Simple*" baselines).
     use_dms: bool = True
+    #: the system prefetcher (one of ``PREFETCHERS``) installed for this
+    #: command unless ``params["prefetch"]`` names another (the
+    #: ablation figures switch prefetching off).
+    prefetcher: str = "none"
+    #: this command's own parameters; a subclass inherits its parent's
+    #: unless it declares its own.
+    parameters: tuple[Param, ...] = ()
+
+    @classmethod
+    def declaration(cls) -> dict[str, Param]:
+        """Every parameter the command takes, by name: those all
+        commands share, then :attr:`parameters` (which may restate a
+        shared one)."""
+        shared = (
+            Param("time_range", "time_range", None),
+            Param("schedule", "str", "static", choices=SCHEDULES),
+            Param("steal_batch", "int", None, low=1),
+            Param("prefetch", "str", cls.prefetcher, choices=PREFETCHERS),
+            Param("prefetch_width", "int", 1, low=1),
+            Param("retain_markov", "bool", False),
+            Param("progress", "bool", False),
+        )
+        return {p.name: p for p in shared + cls.parameters}
+
+    @classmethod
+    def validate(cls, params: Mapping[str, Any] | None, levels: Sequence[int]) -> dict[str, Any]:
+        """The caller's ``params``, each in its canonical form, over data
+        holding the time indices ``levels``; :class:`ParamError` names
+        an unknown, missing or malformed one."""
+        params = params or {}
+        declared = cls.declaration()
+        for key in params:
+            if key not in declared:
+                raise ParamError(
+                    f"unknown parameter {key!r} for {cls.name!r}; "
+                    f"it takes {sorted(declared)}"
+                )
+        for p in declared.values():
+            if p.default is REQUIRED and p.name not in params:
+                raise ParamError(f"{p.name} is required by {cls.name!r}")
+        if "time_range" not in params:  # every level: can the command take them?
+            declared["time_range"].normalise(None, levels)
+        return {key: declared[key].normalise(value, levels) for key, value in params.items()}
+
+    @classmethod
+    def resolve(cls, params: Mapping[str, Any] | None, levels: Sequence[int]) -> dict[str, Any]:
+        """What a context carries: every declared default, overridden by
+        ``params`` that :meth:`validate` returned; a ``None``
+        ``time_range`` becomes every level in ``levels``."""
+        declared = cls.declaration()
+        resolved = {p.name: p.default for p in declared.values() if p.default is not REQUIRED}
+        resolved.update(params or {})
+        if resolved["time_range"] is None:
+            resolved["time_range"] = declared["time_range"].normalise(None, levels)
+        return resolved
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         """Split the work into one assignment per worker."""
@@ -226,12 +448,6 @@ class Command:
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int) -> CommandGen:
         """The worker-side op generator for one assignment."""
         raise NotImplementedError
-
-    def prefetcher_spec(self, ctx: CommandContext) -> str:
-        """System prefetcher to install for this command ('none', 'obl',
-        'on-miss', 'markov+obl').  Commands may honor a ``prefetch``
-        param override (the ablation figures switch prefetching off)."""
-        return "none"
 
     def threshold_scalar(self, ctx: CommandContext) -> str | None:
         """The stored scalar whose per-block range decides, through
@@ -370,12 +586,7 @@ def deal(
     ticket (default :func:`default_batch`)."""
     if group < 1:
         raise ValueError(f"group_size must be >= 1, got {group}")
-    batch = ctx.params.get("steal_batch")
-    if batch is not None and (
-        isinstance(batch, bool) or not isinstance(batch, numbers.Integral) or batch < 1
-    ):
-        raise ValueError(f"steal_batch must be an integer >= 1, got {batch!r}")
-    if not is_dynamic(ctx.params.get("schedule")):
+    if ctx.params["schedule"] != "dynamic":
         units = command.plan(ctx, group)
         if len(units) != group:
             raise RuntimeError(
@@ -385,21 +596,8 @@ def deal(
         return Deal(units, None, 1, 1, group)
     units = command.plan_tasks(ctx)
     costs = weights(units) if weights else [command.task_cost(ctx, u) for u in units]
-    batch = int(batch or default_batch(len(units), group))
+    batch = ctx.params["steal_batch"] or default_batch(len(units), group)
     return Deal(units, lpt_order(costs), batch, math.ceil(len(units) / group), group)
-
-
-#: How a command's work reaches its work group, on either clock:
-#: ``"static"`` pre-deals one :meth:`Command.plan` share per worker,
-#: ``"dynamic"`` lets workers drain :meth:`Command.plan_tasks` tasks in
-#: LPT order (work stealing).  ``params["schedule"]`` may also carry a
-#: command's private value (the progressive command's "level-major");
-#: anything but ``"dynamic"`` runs static.
-SCHEDULES = ("static", "dynamic")
-
-
-def is_dynamic(schedule: Any) -> bool:
-    return str(schedule) == "dynamic"
 
 
 def plan_block_assignments(ctx: CommandContext, group_size: int) -> list[list[Any]]:
@@ -445,14 +643,16 @@ class CommandRegistry:
         self._commands[cls.name] = cls
         return cls
 
-    def create(self, name: str, **kwargs) -> Command:
+    def command_class(self, name: str) -> type[Command]:
         try:
-            cls = self._commands[name]
+            return self._commands[name]
         except KeyError:
             raise KeyError(
                 f"unknown command {name!r}; available: {sorted(self._commands)}"
             ) from None
-        return cls(**kwargs)
+
+    def create(self, name: str, **kwargs) -> Command:
+        return self.command_class(name)(**kwargs)
 
     def names(self) -> list[str]:
         return sorted(self._commands)

@@ -203,13 +203,13 @@ class Scheduler:
     def _install_prefetchers(
         self, command: Command, ctx: CommandContext, assignments: list[Any], group: list[Worker]
     ) -> None:
-        spec = ctx.params.get("prefetch", command.prefetcher_spec(ctx))
+        spec = ctx.params["prefetch"]
         # The DMS statistical unit is central (§4.2): Markov observations
         # from all proxies train one shared probability graph.  With
         # ``retain_markov`` the graph survives across commands — the
         # paper's "after a learning phase" condition, under which "a
         # maximum of 95% cache misses could be eliminated".
-        if ctx.params.get("retain_markov"):
+        if ctx.params["retain_markov"]:
             shared_markov_table = self._retained_markov
         else:
             shared_markov_table = {}
@@ -225,7 +225,7 @@ class Scheduler:
                     dataset=ctx.dataset,
                     n_timesteps=ctx.n_timesteps,
                     block_order=block_order,
-                    width=int(ctx.params.get("prefetch_width", 1)),
+                    width=ctx.params["prefetch_width"],
                     time_offset=ctx.time_offset,
                     table=shared_markov_table,
                 )
@@ -234,7 +234,7 @@ class Scheduler:
             order = SequenceOrder(sequence)
             kwargs = {}
             if spec == "markov+obl":
-                kwargs["width"] = int(ctx.params.get("prefetch_width", 1))
+                kwargs["width"] = ctx.params["prefetch_width"]
             worker.proxy.prefetcher = make_prefetcher(spec, order, **kwargs)
 
     # -------------------------------------------------------- run command
@@ -332,7 +332,7 @@ class Scheduler:
         group_size = len(worker_ids)
         sched_node = self.cluster.scheduler_node
         ctx = command_context(
-            self.source, range(self.source.n_timesteps), params, self.costs
+            command, self.source, range(self.source.n_timesteps), params, self.costs
         )
         group = [self.workers[wid] for wid in worker_ids]
         dealt = deal(command, ctx, group_size)

@@ -239,12 +239,21 @@ class ViracochaSession:
         group_size: int | None = None,
         tenant: str = "default",
     ) -> CommandRequest:
-        """A fresh request id with the session's defaults filled in."""
+        """A fresh request id with the session's defaults filled in and
+        ``params`` checked by :meth:`validate`."""
         return CommandRequest(
-            next_request_id(), command, dict(params or {}),
+            next_request_id(), command, self.validate(command, params),
             group_size=self.n_workers if group_size is None else group_size,
             tenant=tenant,
         )
+
+    def validate(self, command: str, params: dict[str, Any] | None) -> dict[str, Any]:
+        """The caller's ``params`` normalised by ``command``'s declaration
+        over this session's time levels (:meth:`~.commands.Command.validate`):
+        ``ParamError`` names a bad parameter, ``KeyError`` an unknown
+        command.  Only the caller's keys: the uplink charges per key."""
+        cls = self.scheduler.registry.command_class(command)
+        return cls.validate(params, range(self.source.n_timesteps))
 
     def submit(
         self,

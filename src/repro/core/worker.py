@@ -155,7 +155,7 @@ class Worker:
         open_leaf = None  #: child span an abort would leave dangling
         gen = command.run(ctx, assignment, worker_index)
         # Optional §9 progress feedback: one tiny packet per block load.
-        report_progress = bool(ctx.params.get("progress"))
+        report_progress = ctx.params["progress"]
         try:
             progress_total = len(assignment)
         except TypeError:

@@ -233,17 +233,18 @@ def _measure_cluster_cell(data: str, workers: int) -> dict[str, Any]:
 
 def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     """One progressive-streaming cell: time-to-first-approximation under
-    level-major vs depth-first scheduling, in simulated seconds.
+    the level-major vs the depth-first ``traversal``, in simulated
+    seconds.
 
-    Each schedule gets a fresh session and runs the command twice: a
-    cold pass (loads dominate both schedules equally) and a warm pass
+    Each traversal gets a fresh session and runs the command twice: a
+    cold pass (loads dominate both traversals equally) and a warm pass
     at a *new isovalue* — the paper's interactive re-extraction, where
-    cached pyramids make the coarse pass nearly free and scheduling is
-    the whole difference.  ``base_resolution=8`` keeps the blocks
+    cached pyramids make the coarse pass nearly free and the traversal
+    is the whole difference.  ``base_resolution=8`` keeps the blocks
     coarsenable (3+ pyramid levels); at the stock sentry resolution the
-    pyramid degenerates to a single level and the schedules coincide.
+    pyramid degenerates to a single level and the traversals coincide.
     The cell is gated directionally in :func:`compare`: the warm
-    speedup over depth-first has a floor, so a scheduler regression
+    speedup over depth-first has a floor, so a regression
     back toward depth-first behavior flips ``repro slo --check`` to
     exit 1.
     """
@@ -257,17 +258,17 @@ def _measure_ttfa_cell(data: str, workers: int) -> dict[str, Any]:
     }
     fingerprints: list[str] = []
     ttfa: dict[str, dict[str, float]] = {}
-    for schedule in ("level-major", "depth-first"):
+    for traversal in ("level-major", "depth-first"):
         session = paper_session(data, workers, resolution=8, timesteps=1)
         cold = session.run(
-            "iso-progressive", params=dict(params, schedule=schedule)
+            "iso-progressive", params=dict(params, traversal=traversal)
         )
         warm = session.run(
             "iso-progressive",
-            params=dict(params, schedule=schedule, isovalue=-0.1),
+            params=dict(params, traversal=traversal, isovalue=-0.1),
         )
         fingerprints.extend([trace_fingerprint(cold), trace_fingerprint(warm)])
-        ttfa[schedule] = {"cold": cold.ttfa_s, "warm": warm.ttfa_s}
+        ttfa[traversal] = {"cold": cold.ttfa_s, "warm": warm.ttfa_s}
     level_major = ttfa["level-major"]["warm"]
     depth_first = ttfa["depth-first"]["warm"]
     return {

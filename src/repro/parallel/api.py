@@ -186,18 +186,20 @@ class ParallelExtractor:
         **command_kwargs: Any,
     ) -> ParallelResult:
         """Deal (:func:`~repro.core.commands.deal`, as the DES does),
-        execute and merge one command; merged bytes do not depend on the
-        schedule.  ``schedule`` sets ``params["schedule"]``, which is
-        otherwise free-form for commands with private values (the
-        progressive command's ``"level-major"``), which run static.
+        execute and merge one command.  ``schedule`` sets
+        ``params["schedule"]``; the params are checked by the command's
+        declaration (:class:`~repro.core.commands.ParamError`) before
+        anything is derived or any pool starts.
+
+        Merged bytes: a dynamic run's equal a static group-1 run's at
+        any group size (tasks merge in canonical order), and a static
+        run's are equal across executors at equal group size.  Static
+        runs at different group sizes merge the same triangles in
+        different orders, so their bytes differ.
         """
         self._check_open()
         params = dict(params or {})
         if schedule is not None:
-            if schedule not in SCHEDULES:
-                raise ValueError(
-                    f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-                )
             params["schedule"] = schedule
         if isinstance(command, str):
             cmd = self.registry.create(command, **command_kwargs)
@@ -205,15 +207,18 @@ class ParallelExtractor:
             if command_kwargs:
                 raise TypeError("command_kwargs only apply to registry names")
             cmd = command
+        params = cmd.validate(params, self.store.time_indices)
         group = group_size if group_size is not None else self.workers
-        ctx = command_context(self.store, self.store.time_indices, params, self.costs)
+        ctx = command_context(
+            cmd, self.store, self.store.time_indices, params, self.costs
+        )
         # Dynamic claims start with the costliest units by this
         # extractor's measured seconds (model estimates until measured).
         dealt = deal(
             cmd, ctx, group,
             weights=lambda units: self.cost_feedback.estimates(cmd, ctx, units),
         )
-        sched = "static" if dealt.order is None else "dynamic"
+        sched = ctx.params["schedule"]
         derived = cmd.derived_field(ctx)
         if derived is not None:
             # Derive on need: once per block, before the run, so it

@@ -432,20 +432,24 @@ class ShmBlockStore:
         Built on first request by one pass over the stored views (raw
         ``<f4`` payloads or float64 derived arrays — the upcast is
         exact, so these bound the float64 values algorithms see) and
-        cached.  Blocks without the scalar, and blocks whose range is
-        not finite, have no entry: nothing may be concluded about them.
+        cached.  A derived scalar is read from its own file, so no
+        block file is mapped for it.  Blocks without the scalar, and
+        blocks whose range is not finite, have no entry: nothing may be
+        concluded about them.
         """
         levels = self._ranges.setdefault(scalar, {})
         spans = levels.get(time_index)
         if spans is None:
             spans = levels[time_index] = {}
             for t, b in self.keys():
-                if t != time_index or (
-                    scalar not in self._scalars[(t, b)]
-                    and scalar not in self._derived.get((t, b), {})
-                ):
+                if t != time_index:
                     continue
-                raw = self.get_block(t, b).fields.raw_view(scalar)
+                if scalar in self._scalars[(t, b)]:
+                    raw = self.get_block(t, b).fields.raw_view(scalar)
+                elif scalar in self._derived.get((t, b), {}):
+                    raw = self._derived_view((t, b), scalar)
+                else:
+                    continue
                 if raw is None or raw.ndim != 3 or raw.size == 0:
                     continue
                 lo, hi = float(raw.min()), float(raw.max())

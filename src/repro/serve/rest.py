@@ -13,7 +13,8 @@ Routes (JSON in/out unless noted)::
     GET  /healthz       liveness + basic counters
     GET  /v1/tenants    every tenant's config + live accounting
     POST /v1/tenants    register a tenant
-    POST /v1/commands   submit one command (429 on admission reject)
+    POST /v1/commands   submit one command (400 on params its command's
+                        declaration refuses, 429 on admission reject)
     GET  /v1/slo        per-tenant SLO rollups
     GET  /v1/metrics    Prometheus text exposition
 """
@@ -81,7 +82,9 @@ class ServeApp:
         except _ApiError as exc:
             return exc.status, {"error": exc.message}
         except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": str(exc)}
+            # A KeyError's str() is its message in quotes.
+            keyed = isinstance(exc, KeyError) and exc.args
+            return 400, {"error": str(exc.args[0] if keyed else exc)}
 
     def handle_health(self) -> tuple[int, Any]:
         with self.lock:

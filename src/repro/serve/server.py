@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Generator, Iterable
 
+from ..core.messages import CommandRequest, next_request_id
 from ..des.kernel import Environment, Event, Interrupt, Process
 from ..des.resources import Request, Resource
 from .queue import FairCommandQueue
@@ -172,6 +173,10 @@ class ModeledBackend:
     def release(self, slot: Request) -> None:
         self.resource.release(slot)
 
+    def validate(self, command: str, params: dict[str, Any] | None) -> dict[str, Any]:
+        """Any command name and params: modeled requests run no command."""
+        return dict(params or {})
+
     def execute(self, handle: ServeHandle) -> Generator[Event, None, Any]:
         profile = handle.service
         if profile is None:
@@ -216,10 +221,16 @@ class SessionBackend:
     def release(self, slot: Request) -> None:
         self.resource.release(slot)
 
+    def validate(self, command: str, params: dict[str, Any] | None) -> dict[str, Any]:
+        """The session's check (:meth:`~repro.core.session.ViracochaSession.validate`)."""
+        return self.session.validate(command, params)
+
     def execute(self, handle: ServeHandle) -> Generator[Event, None, Any]:
         session = self.session
-        request = session.new_request(
-            handle.command, handle.params, self.group_size, handle.tenant
+        # ``submit`` validated the params before the handle was made.
+        request = CommandRequest(
+            next_request_id(), handle.command, handle.params,
+            group_size=self.group_size, tenant=handle.tenant,
         )
         record = yield from session.submit(request)
         handle.t_first = session.client.first_data_time_of(request.request_id)
@@ -333,14 +344,17 @@ class TenantServer:
 
         Returns a :class:`ServeHandle` in state ``queued`` or
         ``rejected`` — rejected handles are terminal immediately and
-        hold no admission slot.
+        hold no admission slot.  Params the backend's ``validate``
+        refuses raise (``ParamError``; ``KeyError`` for an unknown
+        command) before any handle, id or slot is taken.
         """
+        params = self.backend.validate(command, params)
         state = self.tenants.get(tenant)
         handle = ServeHandle(
             request_id=self._next_id,
             tenant=tenant,
             command=command,
-            params=dict(params or {}),
+            params=params,
             lane=0,
             cost_bytes=cost_bytes,
             service=service,

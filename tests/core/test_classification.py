@@ -77,3 +77,12 @@ def test_format_taxonomy_renders_tree():
     assert "Speed-Up" in text
     assert "- Streaming" in text
     assert text.count("+-") >= 12  # 4 categories + 8 criteria
+
+
+def test_steering_parameters_are_declared():
+    """Figure 1's "steering by simple parameters" names only parameters
+    the command declares."""
+    registry = default_registry()
+    for assessment in all_assessments():
+        declared = registry.command_class(assessment.command).declaration()
+        assert set(assessment.parameters) <= set(declared), assessment.command

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.core.commands import ParamError
 from tests.conftest import paper_session
 
 
@@ -78,16 +79,16 @@ def test_unknown_command_raises(session):
 
 
 def test_missing_required_param_surfaces(session):
-    with pytest.raises(KeyError):
+    with pytest.raises(ParamError, match="isovalue is required"):
         session.run("iso-dataman", params={"time_range": (0, 1)})  # no isovalue
 
 
 def test_pathlines_require_seeds(session):
-    with pytest.raises((KeyError, ValueError)):
-        session.run("pathlines-dataman", params={"time_range": (0, 1)})
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ParamError, match="seeds is required"):
+        session.run("pathlines-dataman", params={"time_range": (0, 2)})
+    with pytest.raises(ParamError, match="at least one seed"):
         session.run(
-            "pathlines-dataman", params={"seeds": [], "time_range": (0, 1)}
+            "pathlines-dataman", params={"seeds": [], "time_range": (0, 2)}
         )
 
 
@@ -113,10 +114,11 @@ def test_malformed_seed_fails_with_its_index(session, seeds, index):
 
 def test_removed_tracer_param_fails_loudly(session):
     """``tracer`` selected the deleted one-particle tracer; REST and CLI
-    callers may still send it, and it must not be silently ignored."""
+    callers may still send it, and like any key the declaration lacks it
+    must not be silently ignored."""
     for name in ("pathlines-dataman", "pathlines-simple"):
         for value in ("scalar", "batched"):
-            with pytest.raises(ValueError, match="'tracer' param was removed"):
+            with pytest.raises(ParamError, match="unknown parameter 'tracer'"):
                 session.run(
                     name,
                     params={
@@ -129,7 +131,7 @@ def test_removed_tracer_param_fails_loudly(session):
 
 def test_session_survives_failed_run(session):
     """A failed command must not poison the session for later runs."""
-    with pytest.raises(KeyError):
+    with pytest.raises(ParamError):
         session.run("iso-dataman", params={})
     ok = session.run(
         "iso-dataman",

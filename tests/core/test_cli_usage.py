@@ -110,3 +110,16 @@ def test_usage_choices_match_the_code():
     for verb in ("trace", "stats", "profile", "critical-path", "slo", "serve"):
         assert f"[--data {names}]" in USAGE[verb], verb
     assert f"<{names}>" in USAGE["export"]
+
+
+def test_extract_reports_params_the_data_cannot_take(tmp_path, capsys):
+    """Pathlines need two time levels: on a one-level store the demo
+    params are a usage error naming the parameter, not a traceback."""
+    store = tmp_path / "one-level"
+    assert cli_main(["export", "engine", str(store), "1", "3"]) == 0
+    capsys.readouterr()
+    args = ["extract", "pathlines", "--data", str(store), "--executor", "serial"]
+    assert cli_main(args) == 2
+    lines = capsys.readouterr().out.rstrip().splitlines()
+    assert "time_range" in lines[0]
+    assert lines[-1] == f"usage: {USAGE['extract']}"

@@ -15,7 +15,8 @@ def test_concurrent_after_failed_single_run():
         costs=paper_costs(),
     )
     with pytest.raises(KeyError):
-        session.run("iso-dataman", params={})  # missing isovalue
+        # A field the data lacks: the run fails inside the simulation.
+        session.run("iso-dataman", params={"isovalue": -0.3, "scalar": "entropy"})
     results = session.run_concurrent(
         [
             {"command": "iso-dataman", "params": ISO, "group_size": 1},

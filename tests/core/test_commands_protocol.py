@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.commands import default_registry
+from repro.commands import IsoDataManCommand, default_registry
 from repro.core import (
     Command,
     CommandContext,
@@ -27,7 +27,7 @@ def ctx():
     return CommandContext(
         dataset="engine",
         handles_by_time=[source.handles(t) for t in range(3)],
-        params={"isovalue": -0.3},
+        params=IsoDataManCommand.resolve({"isovalue": -0.3}, range(3)),
         costs=DEFAULT_COSTS,
         time_offset=0,
         times=engine.spec.times,
@@ -237,11 +237,15 @@ def test_viewer_iso_plans_front_to_back():
     assert d == sorted(d)
 
 
-def test_command_prefetcher_specs(ctx):
+def test_command_prefetcher_specs():
     reg = default_registry()
-    assert reg.create("iso-simple").prefetcher_spec(ctx) == "none"
-    assert reg.create("iso-dataman").prefetcher_spec(ctx) == "obl"
-    assert reg.create("pathlines-dataman").prefetcher_spec(ctx) == "block-markov"
+    assert reg.create("iso-simple").prefetcher == "none"
+    assert reg.create("iso-dataman").prefetcher == "obl"
+    assert reg.create("pathlines-dataman").prefetcher == "block-markov"
+    # ... and each is the default of the command's ``prefetch`` param.
+    for name in reg.names():
+        cls = reg.command_class(name)
+        assert cls.declaration()["prefetch"].default == cls.prefetcher
 
 
 def test_command_flags():

@@ -79,7 +79,7 @@ def test_concurrent_streamed_packets_are_separated(session):
             {"command": "iso-viewer", "params": viewer_params, "group_size": 2},
             {
                 "command": "vortex-streamed",
-                "params": {**VORTEX, "batch_cells": 8, "slab_cells": 1},
+                "params": {**VORTEX, "batch_cells": 8},
                 "group_size": 2,
             },
         ]

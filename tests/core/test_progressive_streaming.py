@@ -5,7 +5,7 @@ where the paper measures them — at the visualization client of a
 simulated session:
 
 * TTFA (time-to-first-complete-approximation) is recorded per run and
-  per concurrent request, and a warm level-major schedule beats warm
+  per concurrent request, and a warm level-major traversal beats warm
   depth-first by a wide margin (the pyramid cache removes the
   full-resolution loads; level-major removes the refinement wait).
 * Pyramids are DMS derived items: misses on the cold run, hits on the
@@ -57,13 +57,27 @@ class TestTTFA:
         )
         assert res.ttfa_s == res.latency
 
+    def test_schedule_is_the_drain_not_the_traversal(self):
+        """``schedule`` takes the values every command takes: naming the
+        default changes no packet's geometry, and dynamic completes."""
+        plain = session8().run("iso-progressive", params=dict(PROG))
+        static = session8().run(
+            "iso-progressive", params=dict(PROG, schedule="static")
+        )
+        dynamic = session8().run(
+            "iso-progressive", params=dict(PROG, schedule="dynamic")
+        )
+        assert plain.geometry.n_triangles > 0
+        assert static.geometry.vertices.tobytes() == plain.geometry.vertices.tobytes()
+        assert dynamic.complete and dynamic.geometry.n_triangles > 0
+
     def test_warm_level_major_beats_warm_depth_first(self):
         warm = {}
-        for schedule in ("level-major", "depth-first"):
+        for traversal in ("level-major", "depth-first"):
             session = session8()
-            params = dict(PROG, schedule=schedule)
+            params = dict(PROG, traversal=traversal)
             session.run("iso-progressive", params=params)  # cold: fill cache
-            warm[schedule] = session.run(
+            warm[traversal] = session.run(
                 "iso-progressive", params=dict(params, isovalue=-0.1)
             ).ttfa_s
         assert warm["level-major"] * 2.0 < warm["depth-first"]

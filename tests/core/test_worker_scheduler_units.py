@@ -61,7 +61,7 @@ def world():
     ctx = CommandContext(
         dataset="engine",
         handles_by_time=[source.handles(0), source.handles(1)],
-        params={},
+        params=ProbeCommand.resolve({}, range(2)),
         costs=DEFAULT_COSTS,
         times=[0.0, 1.0],
     )

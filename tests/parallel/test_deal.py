@@ -9,7 +9,7 @@ import pytest
 
 from repro import ViracochaSession
 from repro.commands import DEMO_PARAMS, default_registry
-from repro.core.commands import command_context, deal, default_batch
+from repro.core.commands import ParamError, command_context, deal, default_batch
 from repro.dms.source import StoreSource
 from repro.parallel import ParallelExtractor
 
@@ -23,7 +23,10 @@ BAD_BATCHES = (0, -3, "abc", 2.5, True)
 
 def _ctx(store, params):
     with ParallelExtractor(store, workers=1, executor="serial") as ext:
-        return command_context(ext.store, ext.store.time_indices, params, ext.costs)
+        return command_context(
+            ext.registry.command_class("iso-dataman"), ext.store,
+            ext.store.time_indices, params, ext.costs,
+        )
 
 
 def test_static_deals_one_share_per_slot(engine_store):
@@ -72,10 +75,12 @@ def test_process_dynamic_drain_runs_group_size_slots(engine_store, group_size):
 @pytest.mark.parametrize("schedule", ["static", "dynamic"])
 @pytest.mark.parametrize("steal_batch", BAD_BATCHES)
 def test_deal_rejects_bad_steal_batch(engine_store, steal_batch, schedule):
-    cmd = default_registry().create("iso-dataman")
-    ctx = _ctx(engine_store, dict(ISO, schedule=schedule, steal_batch=steal_batch))
-    with pytest.raises(ValueError, match="steal_batch must be an integer >= 1"):
-        deal(cmd, ctx, 2)
+    """The declaration refuses the batch at the front door, before any
+    context is built or dealt."""
+    params = dict(ISO, schedule=schedule, steal_batch=steal_batch)
+    cls = default_registry().command_class("iso-dataman")
+    with pytest.raises(ParamError, match="steal_batch must be an integer >= 1"):
+        cls.validate(params, range(3))
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])

@@ -108,7 +108,9 @@ def _task_payloads(store, command_name, params):
         )
     )
     with ParallelExtractor(store, workers=1, executor="serial") as ext:
-        ctx = command_context(ext.store, ext.store.time_indices, params, ext.costs)
+        ctx = command_context(
+            command, ext.store, ext.store.time_indices, params, ext.costs
+        )
         tasks = command.plan_tasks(ctx)
         payloads = [
             list(runner.run_share(command, ctx, task, 0).payloads)

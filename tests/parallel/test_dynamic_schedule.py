@@ -11,7 +11,7 @@ strictness of the canonical reassembly itself.
 
 import pytest
 
-from repro.core.commands import command_context, default_batch, is_dynamic
+from repro.core.commands import ParamError, command_context, default_batch
 from repro.parallel import SCHEDULES, ParallelExtractor
 from repro.parallel.dynamic import CostFeedback, TaskResult, payload_lists
 
@@ -74,7 +74,7 @@ def test_dynamic_share_accounting(engine_store):
     with ParallelExtractor(engine_store, workers=4, executor="process") as ext:
         res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
         cmd = ext.registry.create("iso-dataman")
-        ctx = command_context(ext.store, ext.store.time_indices, ISO, ext.costs)
+        ctx = command_context(cmd, ext.store, ext.store.time_indices, ISO, ext.costs)
         n_tasks = len(cmd.plan_tasks(ctx))
     assert res.schedule == "dynamic"
     assert res.idle_seconds >= 0.0
@@ -119,16 +119,17 @@ def test_static_default_untouched(engine_store):
 
 
 def test_removed_schedule_name_fails_loudly(engine_store):
-    """The ``schedule=`` keyword takes only ``SCHEDULES``; a typo or the
-    removed third schedule must not silently run static."""
+    """``schedule`` takes only ``SCHEDULES``, as the keyword or as a
+    param; a typo, the removed third schedule or the progressive
+    command's traversal must not silently run static."""
     assert SCHEDULES == ("static", "dynamic")
     with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
         for name in ("dynamic+pipeline", "dynamic+pipelin", "level-major"):
-            with pytest.raises(ValueError, match="static.*dynamic"):
+            with pytest.raises(ParamError, match="static.*dynamic"):
                 ext.run("iso-dataman", params=ISO, schedule=name)
-        # params["schedule"] stays free-form for commands' private
-        # values; anything but "dynamic" there runs static.
-        res = ext.run("iso-dataman", params=dict(ISO, schedule="level-major"))
+            with pytest.raises(ParamError, match="static.*dynamic"):
+                ext.run("iso-dataman", params=dict(ISO, schedule=name))
+        res = ext.run("iso-dataman", params=dict(ISO, schedule="static"))
     assert res.schedule == "static"
 
 
@@ -155,11 +156,7 @@ def test_cli_rejects_removed_schedule(capsys):
     assert "one of static|dynamic," in capsys.readouterr().out
 
 
-def test_is_dynamic_and_default_batch():
-    assert is_dynamic("dynamic")
-    assert not is_dynamic("dynamic+pipeline")  # removed, not an alias
-    assert not is_dynamic("static")
-    assert not is_dynamic("level-major")  # progressive's schedule values
+def test_default_batch():
     assert default_batch(0, 4) == 1
     assert default_batch(288, 4) == 9
     assert default_batch(7, 4) == 1

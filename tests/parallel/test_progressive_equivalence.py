@@ -61,13 +61,33 @@ def test_finest_level_equals_plain_iso_process_pool(engine8_store, workers):
     _identical(iso, prog)
 
 
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_dynamic_schedule_equals_static_group_one(engine8_store, executor):
+    """``schedule`` picks the drain, ``traversal`` the refinement order:
+    a dynamic progressive run merges static group-1 bytes."""
+    with ParallelExtractor(
+        engine8_store, workers=1, executor="serial", observe=False
+    ) as ref:
+        want = ref.run("iso-progressive", params=dict(PROG)).result
+    with ParallelExtractor(
+        engine8_store, workers=2, executor=executor, observe=False
+    ) as ext:
+        for traversal in ("level-major", "depth-first"):
+            got = ext.run(
+                "iso-progressive", params=dict(PROG, traversal=traversal),
+                schedule="dynamic",
+            )
+            assert got.schedule == "dynamic"
+            _identical(want, got.result)
+
+
 def test_depth_first_schedule_same_geometry(engine8_store):
     with ParallelExtractor(
         engine8_store, workers=2, executor="serial", observe=False
     ) as ext:
         lm = ext.run("iso-progressive", params=dict(PROG)).result
         df = ext.run(
-            "iso-progressive", params=dict(PROG, schedule="depth-first")
+            "iso-progressive", params=dict(PROG, traversal="depth-first")
         ).result
     _identical(lm, df)
 

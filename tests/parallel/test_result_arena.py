@@ -38,10 +38,12 @@ PATHLINES = {
 }
 
 
-def _shm_listing() -> set[str]:
+def _live(names) -> set[str]:
+    """Which of the segments ``names`` still exist.  Only the pool's own
+    names are looked up, so another process's segments cannot matter."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm on this platform")
-    return set(os.listdir("/dev/shm"))
+    return {name for name in names if os.path.exists(os.path.join("/dev/shm", name))}
 
 
 def _same_payloads(got, want):
@@ -111,15 +113,14 @@ def test_pack_declines_what_it_cannot_hold():
 def test_first_run_allocates_nothing_then_arena_carries_the_bytes(engine_store):
     with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
         want = ref.run("iso-dataman", params=LARGE)
-    start = _shm_listing()
     with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
-        before = _shm_listing()
         first = ext.run("iso-dataman", params=LARGE)
-        assert _shm_listing() == before
+        assert ext._pool.arena_names == []
         assert ext._pool._arenas == {}
         assert [s.arena_nbytes for s in first.shares] == [0, 0]
         second = ext.run("iso-dataman", params=LARGE)
-        assert len(_shm_listing() - before) == 2
+        names = ext._pool.arena_names
+        assert len(names) == 2 and _live(names) == set(names)
         for got, share, ref_share in zip(second.shares, first.shares, want.shares):
             assert got.arena_nbytes == sum(m.nbytes for m in share.payloads) > 0
             _same_payloads(got.payloads, ref_share.payloads)
@@ -130,7 +131,7 @@ def test_first_run_allocates_nothing_then_arena_carries_the_bytes(engine_store):
         via_arena = ext.metrics.counter("parallel_return_arena_bytes_total", labels)
         assert pickled.value == via_arena.value == sum(
             s.arena_nbytes for s in second.shares)
-    assert _shm_listing() == start
+    assert _live(names) == set()
 
 
 def test_overflow_falls_back_then_the_next_run_fits(engine_store):
@@ -234,26 +235,26 @@ def test_mixed_payload_kinds(engine_store):
 
 
 def test_sigkill_mid_share_raises_and_leaves_no_segment(engine_store):
-    before = _shm_listing()
     ext = ParallelExtractor(engine_store, workers=2, executor="process")
     try:
         ext.run("iso-dataman", params=LARGE)
         ext.run("iso-dataman", params=LARGE)
-        assert ext._pool._arenas  # the crash happens with arenas live
+        names = ext._pool.arena_names
+        assert _live(names) == set(names) != set()  # the crash happens with arenas live
         pool = ext._pool
         with pytest.raises(WorkerPoolError):
             ext.run(KilledCommand(), params={"time_range": (0, 1)})
         assert pool.closed and pool._arenas == {}
     finally:
         ext.close()
-    assert _shm_listing() == before
+    assert _live(names) == set()
 
 
 def test_close_is_idempotent(engine_store):
     with ParallelExtractor(engine_store, workers=1, executor="serial") as ext:
         pool = ProcessWorkerPool(ext.store, 2)
-        ctx = command_context(ext.store, ext.store.time_indices, LARGE, ext.costs)
         cmd = ext.registry.create("iso-dataman")
+        ctx = command_context(cmd, ext.store, ext.store.time_indices, LARGE, ext.costs)
         for _ in range(2):
             pool.run_shares(cmd, ctx, deal(cmd, ctx, 2))
         assert len(pool._arenas) == 2

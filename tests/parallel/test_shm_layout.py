@@ -12,6 +12,7 @@ import gc
 import hashlib
 import mmap
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -101,6 +102,7 @@ def test_deriving_level_by_level_keeps_one_derived_map(engine10):
     """Each derive rewrites the field's one file beside the dataset; the
     map of the file it replaced is dropped, and the range table of the
     level whose values did not change is kept."""
+    shutil.rmtree(engine10 / DERIVED_DIR, ignore_errors=True)  # derive both levels
     with ParallelExtractor(DatasetStore(engine10), workers=2,
                            executor="serial") as ext:
         for level in range(2):
@@ -115,18 +117,19 @@ def test_deriving_level_by_level_keeps_one_derived_map(engine10):
 
 
 def test_a_worker_attaches_two_segments(engine10):
-    """A worker maps the parent's block and derived paths, no others."""
+    """A worker maps the store's block and derived paths, no others."""
     with ParallelExtractor(DatasetStore(engine10), workers=2,
                            executor="process") as ext:
         ext.run("vortex-dataman", params=VORTEX)
-        parent = ext.store.mapped_files
         [derived] = _derived_files(engine10)
-        assert derived in parent
-        assert [path for _f, path, _l in ext.store.manifest()["derived"]] == [derived]
-        seen = ext.run(_WorkerFiles(), params=VORTEX).result
+        assert derived in ext.store.mapped_files
+        manifest = ext.store.manifest()
+        assert [path for _f, path, _l in manifest["derived"]] == [derived]
+        stored = {path for path, *_rest in manifest["files"].values()} | {derived}
+        seen = ext.run(_WorkerFiles()).result
         assert seen
         for files in seen:
-            assert set(files) <= set(parent)
+            assert set(files) <= stored
             assert derived in files
 
 
@@ -246,7 +249,7 @@ _LIMITED = textwrap.dedent("""
         if executor == "process":
             # Each worker, holding the parent's maps since it forked,
             # now loads every block itself.
-            print(*ext.run(_LoadAll(), params=params).result)
+            print(*ext.run(_LoadAll(), params={"time_range": (0, 12)}).result)
 """)
 
 

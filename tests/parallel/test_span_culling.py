@@ -214,6 +214,8 @@ def _count_get_block(shm, monkeypatch) -> list:
 
 
 def test_derived_field_invalidates_the_level_table(engine_store, monkeypatch):
+    """A derived scalar's table is rebuilt from the derived file alone:
+    no block is viewed, so no block file is mapped for it."""
     with ShmBlockStore.from_store(engine_store, [0]) as shm:
         calls = _count_get_block(shm, monkeypatch)
         assert shm.block_ranges("lambda2", 0) == {}
@@ -221,7 +223,9 @@ def test_derived_field_invalidates_the_level_table(engine_store, monkeypatch):
         shape = shm.handles(0)[0].shape
         shm.add_derived_fields("lambda2", {(0, 0): np.full(shape, -3.0)})
         assert shm.block_ranges("lambda2", 0) == {0: (-3.0, -3.0)}
-        assert calls == [(0, 0)]
+        assert calls == []
+        derived = {path for _field, path, _layout in shm.manifest()["derived"]}
+        assert set(shm.mapped_files) <= derived
 
 
 def test_an_absent_scalar_views_no_block(engine_store, monkeypatch):

@@ -200,14 +200,17 @@ def test_answered_requests_release_their_geometry():
 
 def test_a_failed_request_says_why():
     """A command that raises inside the session answers 500 with the
-    exception's text, so the client learns which parameter was wrong."""
+    exception's text, so the client learns what was wrong: here a field
+    the data lacks, which its declaration cannot know (params the
+    declaration refuses answer 400 before the session sees them)."""
     from repro.serve.cli import build_serve_app
 
     app = build_serve_app("engine", workers=2)
     assert app.handle("POST", "/v1/tenants", {"name": "a"})[0] == 201
     status, payload = app.handle("POST", "/v1/commands", {
-        "tenant": "a", "command": "iso-dataman", "params": {},
+        "tenant": "a", "command": "iso-dataman",
+        "params": {"isovalue": 0.0, "scalar": "entropy"},
     })
     assert status == 500
     assert payload["state"] == "failed"
-    assert "isovalue" in payload["error"]
+    assert "entropy" in payload["error"]

@@ -157,3 +157,35 @@ def test_every_quoted_command_line_parses():
         except _Usage as exc:
             bad.append((doc, f"repro {verb} {rest}", str(exc)))
     assert not bad, f"docs quote command lines their verb rejects: {bad}"
+
+
+def _params_table() -> str:
+    """docs/API.md's params table as the declarations state it: the
+    parameters every command shares, then per command those it adds or
+    declares differently."""
+    from repro.commands import default_registry
+    from repro.core.commands import Command
+
+    shared = [p.describe() for p in Command.declaration().values()]
+    rows = [
+        "| command | parameters |",
+        "|---|---|",
+        f"| every command | {'; '.join(shared)} |",
+    ]
+    registry = default_registry()
+    for name in registry.names():
+        own = [
+            text
+            for p in registry.command_class(name).declaration().values()
+            if (text := p.describe()) not in shared
+        ]
+        rows.append(f"| `{name}` | {'; '.join(own)} |")
+    return "\n".join(rows)
+
+
+def test_api_params_table_states_the_declarations():
+    table = _params_table()
+    assert table in (ROOT / "docs" / "API.md").read_text(), (
+        "docs/API.md's params table differs from the commands' "
+        f"declarations; it should read:\n{table}"
+    )
