@@ -308,11 +308,11 @@ def _prelude(positional: list[str], flags: dict) -> tuple[str, dict, int]:
 
 
 def _session(flags: dict, workers: int):
-    """The traced simulated session the trace/stats/profile/critical-path
-    verbs run on."""
+    """The simulated session the trace/stats/profile/critical-path verbs
+    run on."""
     from .bench.calibration import paper_session
 
-    return paper_session(flags.get("data", "engine"), workers, trace=True)
+    return paper_session(flags.get("data", "engine"), workers)
 
 
 def _extract(positional: list[str], flags: dict) -> int:
@@ -356,14 +356,7 @@ def _extract(positional: list[str], flags: dict) -> int:
         if res.schedule != "static":
             print(f"stealing:    {res.steals} steals, "
                   f"{res.idle_seconds * 1e3:.1f} ms worker idle")
-        merged = res.result
-        if hasattr(merged, "n_triangles"):
-            print(f"result:      mesh with {merged.n_triangles} triangles, "
-                  f"{merged.n_vertices} vertices")
-        elif isinstance(merged, list):
-            print(f"result:      {len(merged)} payloads")
-        else:
-            print(f"result:      {merged!r}")
+        print(f"result:      {_describe_result(res.result)}")
         print(f"mapped:      {len(ext.store.mapped_files)} files, "
               f"{ext.store.nbytes} bytes")
         if flame:
@@ -378,6 +371,29 @@ def _extract(positional: list[str], flags: dict) -> int:
     return 0
 
 
+def _describe_result(merged) -> str:
+    """Counts and a sha256 prefix of the merged geometry's bytes, so two
+    runs' ``result:`` lines are equal only where their bytes are."""
+    import hashlib
+
+    from .algorithms.pathlines import Pathline
+    from .io import geometry_to_bytes
+    from .viz import PolylineSet, TriangleMesh
+
+    if isinstance(merged, list) and all(isinstance(p, Pathline) for p in merged):
+        merged = PolylineSet.from_pathlines(merged)
+    if isinstance(merged, TriangleMesh):
+        counts = f"mesh with {merged.n_triangles} triangles"
+    elif isinstance(merged, PolylineSet):
+        counts = f"{merged.n_lines} polylines"
+    elif isinstance(merged, list):
+        return f"{len(merged)} payloads"
+    else:
+        return repr(merged)
+    digest = hashlib.sha256(geometry_to_bytes(merged)).hexdigest()[:8]
+    return f"{counts}, {merged.n_vertices} vertices, sha256 {digest}"
+
+
 def _trace(positional: list[str], flags: dict) -> int:
     command, params, n_workers = _prelude(positional, flags)
     session = _session(flags, n_workers)
@@ -386,7 +402,7 @@ def _trace(positional: list[str], flags: dict) -> int:
     from .viz.ascii import render_timeline
 
     out = flags.get("out", "run.json")
-    doc = write_chrome_trace(out, session.tracer, session.trace)
+    doc = write_chrome_trace(out, session.tracer)
     kinds = sorted({s.kind for s in result.spans})
     print(
         f"{command}: {len(result.spans)} spans ({', '.join(kinds)}) "

@@ -45,7 +45,7 @@ __all__ = ["SimplePathlinesCommand", "PathlinesDataManCommand"]
 TRACER_PARAMS = (
     Param("time_range", "time_range", None, low=2),
     Param("seeds", "points"),
-    Param("t_start", "float", None),
+    Param("t_start", "time", None),
     Param("rtol", "float", 1e-3, low=0.0),
     Param("max_steps", "int", 400, low=1),
     Param("local_cache_blocks", "int", 8, low=2),
@@ -65,7 +65,7 @@ class PathlinesDataManCommand(Command):
     use_dms = True
     prefetcher = "block-markov"
     #: ``t_end`` (``None``: the last time level) ends every path.
-    parameters = TRACER_PARAMS + (Param("t_end", "float", None),)
+    parameters = TRACER_PARAMS + (Param("t_end", "time", None),)
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         seeds = np.asarray(ctx.params["seeds"], dtype=np.float64)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Sequence
+from typing import Any, Callable, Collection, Generator, Mapping, Sequence
 
 from ..dms.items import ItemName
 from ..grids.block import BlockHandle
@@ -268,6 +268,7 @@ def _is(kind: type) -> Callable[[Any], Any]:
 _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "int": ("an integer", _integer),
     "float": ("a finite number", _finite),
+    "time": ("a finite physical time", _finite),
     "bool": ("true or false", _is(bool)),
     "str": ("a string", _is(str)),
     "field": ("a field name", _is(str)),
@@ -287,6 +288,9 @@ class Param:
     points), ``"time_range"`` (two integers ``t0 < t1`` inside the
     data's levels; ``None`` is every level) or a class, whose instances
     pass through by reference.  A ``None`` default also admits ``None``.
+    Where the data is known, a ``field``/``fields`` value must name
+    fields it holds and a ``time`` must lie within the physical times of
+    the levels ``time_range`` picks (:meth:`Command.validate`).
     """
 
     name: str
@@ -410,10 +414,21 @@ class Command:
         return {p.name: p for p in shared + cls.parameters}
 
     @classmethod
-    def validate(cls, params: Mapping[str, Any] | None, levels: Sequence[int]) -> dict[str, Any]:
+    def validate(
+        cls,
+        params: Mapping[str, Any] | None,
+        levels: Sequence[int],
+        fields: Collection[str] | None = None,
+        times: Sequence[float] | None = None,
+    ) -> dict[str, Any]:
         """The caller's ``params``, each in its canonical form, over data
         holding the time indices ``levels``; :class:`ParamError` names
-        an unknown, missing or malformed one."""
+        an unknown, missing or malformed one.
+
+        Given the data's ``fields`` (its field names) and ``times`` (the
+        physical time of each level index), a field parameter naming a
+        field the data lacks, or a physical time outside the levels the
+        params pick, is refused too."""
         params = params or {}
         declared = cls.declaration()
         for key in params:
@@ -425,9 +440,25 @@ class Command:
         for p in declared.values():
             if p.default is REQUIRED and p.name not in params:
                 raise ParamError(f"{p.name} is required by {cls.name!r}")
-        if "time_range" not in params:  # every level: can the command take them?
-            declared["time_range"].normalise(None, levels)
-        return {key: declared[key].normalise(value, levels) for key, value in params.items()}
+        valid = {key: declared[key].normalise(value, levels) for key, value in params.items()}
+        t0, t1 = valid.get("time_range") or declared["time_range"].normalise(None, levels)
+        for p in declared.values():
+            value = valid.get(p.name, p.default)
+            if fields is not None and p.kind in ("field", "fields") and value is not None:
+                for name in (value,) if p.kind == "field" else value:
+                    if name not in fields:
+                        raise ParamError(
+                            f"{p.name}: the data has no field {name!r}; "
+                            f"it holds {sorted(fields)}"
+                        )
+            if times is not None and p.kind == "time" and value is not None:
+                lo, hi = times[t0], times[t1 - 1]
+                if not lo <= value <= hi:
+                    raise ParamError(
+                        f"{p.name} must lie within the data's times "
+                        f"[{lo}, {hi}], got {value!r}"
+                    )
+        return valid
 
     @classmethod
     def resolve(cls, params: Mapping[str, Any] | None, levels: Sequence[int]) -> dict[str, Any]:

@@ -27,6 +27,7 @@ from ..dms.prefetch import BlockMarkovPrefetcher, SequenceOrder, make_prefetcher
 from ..dms.proxy import DataProxy, DMSConfig
 from ..dms.server import DataManagerServer
 from ..dms.source import BlockSource
+from ..obs.spans import NULL_TRACER, SpanTracer
 from .channels import Mailbox, SimMPIChannel, SimTCPChannel
 from .commands import Command, CommandContext, CommandRegistry, command_context, deal
 from .costs import CostModel, DEFAULT_COSTS
@@ -132,8 +133,7 @@ class Scheduler:
         costs: CostModel = DEFAULT_COSTS,
         dms_config: DMSConfig | None = None,
         server: DataManagerServer | None = None,
-        trace=None,
-        tracer=None,
+        tracer: SpanTracer = NULL_TRACER,
         recovery: RecoveryPolicy | None = None,
     ):
         self.env = env
@@ -143,8 +143,7 @@ class Scheduler:
         self.costs = costs
         self.dms_config = dms_config or DMSConfig()
         self.server = server or DataManagerServer()
-        self.trace = trace
-        self.tracer = tracer  #: optional repro.obs.SpanTracer
+        self.tracer = tracer
         #: None = fault-free fast path; a policy turns on supervision.
         self.recovery = recovery
         #: session-lifetime recovery counters (published as metrics).
@@ -160,11 +159,10 @@ class Scheduler:
         for wid, node in enumerate(cluster.worker_nodes):
             proxy = DataProxy(
                 env, cluster, node, self.server, source,
-                config=self.dms_config, trace=trace, tracer=tracer,
+                config=self.dms_config, tracer=tracer,
             )
             self.workers.append(
-                Worker(env, cluster, node, proxy, source, wid,
-                       trace=trace, tracer=tracer)
+                Worker(env, cluster, node, proxy, source, wid, tracer=tracer)
             )
         #: the last :data:`HISTORY_LEN` completed runs, oldest first.
         self.history: deque[RunRecord] = deque(maxlen=HISTORY_LEN)
@@ -273,31 +271,23 @@ class Scheduler:
         # the DMS uses it to label cluster-dedup flights per tenant.
         for wid in worker_ids:
             self.workers[wid].proxy.current_tenant = tenant
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, 0, "command-start",
-                request=request_id, command=name, workers=list(worker_ids),
-            )
-        cspan = None
-        if self.tracer is not None:
-            # The tenant attribute is added only for non-default tenants
-            # so single-client traces (and their pinned fingerprints)
-            # are byte-identical to the pre-serving-layer ones.
-            extra = {"tenant": tenant} if tenant != "default" else {}
-            cspan = self.tracer.begin(
-                "command", name=name, node=sched_node.node_id,
-                parent=parent_span, request=request_id,
-                workers=list(worker_ids), group_size=group_size,
-                **extra,
-            )
+        # The tenant attribute is added only for non-default tenants so
+        # single-client traces (and their pinned fingerprints) are
+        # byte-identical to the pre-serving-layer ones.
+        extra = {"tenant": tenant} if tenant != "default" else {}
+        cspan = self.tracer.begin(
+            "command", name=name, node=sched_node.node_id,
+            parent=parent_span, request=request_id,
+            workers=list(worker_ids), group_size=group_size,
+            **extra,
+        )
         try:
             record = yield from self._run_on_group(
                 command, name, params, worker_ids, client_mailbox,
                 request_id, record, command_span=cspan,
             )
         finally:
-            if cspan is not None:
-                self.tracer.end(cspan)
+            self.tracer.end(cspan)
             for wid in worker_ids:
                 self.workers[wid].proxy.current_tenant = "default"
             self.release_group(worker_ids)
@@ -426,7 +416,7 @@ class Scheduler:
         )
         record.idle_seconds = sum(t_drained - t_done for *_, t_done in drained)
         if record.degraded:
-            self._fault_event(
+            self.fault_event(
                 "fault-degraded", sched_node.node_id,
                 parent=command_span, request=request_id,
                 failed_shares=list(record.failed_shares),
@@ -454,17 +444,14 @@ class Scheduler:
                 message = yield master_mailbox.get()
                 assert isinstance(message, WorkerDone)
             total_nbytes = sum(s.nbytes for s in shares)
-            mspan = None
-            if self.tracer is not None:
-                mspan = self.tracer.begin(
-                    "merge", name=name, node=master.node.node_id,
-                    parent=command_span, nbytes=total_nbytes,
-                    n_shares=len(shares),
-                )
+            mspan = self.tracer.begin(
+                "merge", name=name, node=master.node.node_id,
+                parent=command_span, nbytes=total_nbytes,
+                n_shares=len(shares),
+            )
             yield from master.node.compute(self.costs.merge_per_byte * total_nbytes)
             record.merged = command.merge([p for p in unit_payloads if p is not None])
-            if mspan is not None:
-                self.tracer.end(mspan)
+            self.tracer.end(mspan)
             final = ResultPacket(
                 request_id=request_id,
                 worker_index=0,
@@ -473,33 +460,22 @@ class Scheduler:
                 nbytes=total_nbytes,
                 final=True,
             )
-        fspan = None
-        if self.tracer is not None:
-            fspan = self.tracer.begin(
-                "stream-packet", name="final", node=master.node.node_id,
-                parent=command_span, nbytes=final.nbytes, final=True,
-            )
+        fspan = self.tracer.begin(
+            "stream-packet", name="final", node=master.node.node_id,
+            parent=command_span, nbytes=final.nbytes, final=True,
+        )
         yield from self.tcp.send(master.node, final, client_mailbox)
-        if fspan is not None:
-            self.tracer.end(fspan)
+        self.tracer.end(fspan)
 
         record.t_end = self.env.now
         self.history.append(record)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, 0, "command-end",
-                request=request_id, command=name,
-            )
         return record
 
     # ---------------------------------------------------------- recovery
-    def _fault_event(self, kind: str, node: int, parent=None, **detail: Any) -> None:
-        """Emit one instantaneous fault-* record to trace and tracer."""
-        if self.trace is not None:
-            self.trace.record(self.env.now, node, kind, **detail)
-        if self.tracer is not None:
-            span = self.tracer.begin(kind, name=kind, node=node, parent=parent, **detail)
-            self.tracer.end(span)
+    def fault_event(self, kind: str, node: int, parent=None, **detail: Any) -> None:
+        """Emit one instantaneous (zero-duration) fault-* span."""
+        span = self.tracer.begin(kind, name=kind, node=node, parent=parent, **detail)
+        self.tracer.end(span)
 
     def _pick_survivor(self, group: list[Worker]) -> Worker | None:
         """Deterministic reassignment target: lowest-id live group member."""
@@ -543,7 +519,7 @@ class Scheduler:
                 yield AnyOf(self.env, [proc, deadline])
                 if not proc.triggered:
                     self.recovery_stats["timeouts"] += 1
-                    self._fault_event(
+                    self.fault_event(
                         "fault-timeout", worker.node.node_id,
                         parent=command_span, request=request_id, share=unit,
                         timeout=policy.assignment_timeout,
@@ -604,7 +580,7 @@ class Scheduler:
         for attempt in range(total_tries):
             if attempt:
                 self.recovery_stats["retries"] += 1
-                self._fault_event(
+                self.fault_event(
                     "fault-retry", primary.node.node_id,
                     parent=command_span, request=request_id, share=unit,
                     attempt=attempt + 1, reason=reason,
@@ -621,7 +597,7 @@ class Scheduler:
             if worker is not primary:
                 reassignments += 1
                 self.recovery_stats["reassignments"] += 1
-                self._fault_event(
+                self.fault_event(
                     "fault-reassign", worker.node.node_id,
                     parent=command_span, request=request_id, share=unit,
                     from_worker=primary.worker_id, to_worker=worker.worker_id,
@@ -636,7 +612,7 @@ class Scheduler:
                     attempts=attempt + 1, reassignments=reassignments,
                 )
         self.recovery_stats["lost_shares"] += 1
-        self._fault_event(
+        self.fault_event(
             "fault-giveup", primary.node.node_id,
             parent=command_span, request=request_id, share=unit,
             attempts=total_tries, reason=reason,

@@ -138,7 +138,6 @@ class ViracochaSession:
         costs: CostModel = DEFAULT_COSTS,
         registry: CommandRegistry | None = None,
         adaptive_loading: bool = True,
-        trace: bool = False,
         observe: bool = True,
         recovery: RecoveryPolicy | None = None,
         max_spans: int | None = None,
@@ -158,14 +157,11 @@ class ViracochaSession:
 
             registry = default_registry()
         server = DataManagerServer(AdaptiveSelector(adaptive=adaptive_loading))
-        from ..des.trace import TraceRecorder
         from ..obs import MetricsRegistry, SpanTracer
 
-        self.trace = TraceRecorder(enabled=True) if trace else None
-        #: hierarchical span tracer (repro.obs); on by default, layered
-        #: over the flat recorder when ``trace=True``.
+        #: hierarchical span tracer (repro.obs), the session's one event
+        #: log; on by default, a no-op with ``observe=False``.
         self.tracer = SpanTracer(
-            recorder=self.trace,
             clock=lambda: self.env.now,
             enabled=observe,
             max_spans=max_spans,
@@ -180,7 +176,6 @@ class ViracochaSession:
             costs=costs,
             dms_config=dms_config,
             server=server,
-            trace=self.trace,
             tracer=self.tracer,
             recovery=recovery,
         )
@@ -249,11 +244,15 @@ class ViracochaSession:
 
     def validate(self, command: str, params: dict[str, Any] | None) -> dict[str, Any]:
         """The caller's ``params`` normalised by ``command``'s declaration
-        over this session's time levels (:meth:`~.commands.Command.validate`):
-        ``ParamError`` names a bad parameter, ``KeyError`` an unknown
-        command.  Only the caller's keys: the uplink charges per key."""
+        over this session's time levels, fields and times
+        (:meth:`~.commands.Command.validate`): ``ParamError`` names a bad
+        parameter, ``KeyError`` an unknown command.  Only the caller's
+        keys: the uplink charges per key."""
+        source = self.source
         cls = self.scheduler.registry.command_class(command)
-        return cls.validate(params, range(self.source.n_timesteps))
+        return cls.validate(
+            params, range(source.n_timesteps), source.field_names, source.times,
+        )
 
     def submit(
         self,

@@ -18,6 +18,7 @@ from ..des.cluster import SimCluster, SimNode
 from ..des.kernel import Environment, Event
 from ..dms.proxy import DataProxy
 from ..dms.source import BlockSource
+from ..obs.spans import NULL_TRACER, SpanTracer
 from .channels import Mailbox, SimMPIChannel, SimTCPChannel
 from .commands import (
     Command,
@@ -63,8 +64,7 @@ class Worker:
         proxy: DataProxy,
         source: BlockSource,
         worker_id: int,
-        trace=None,
-        tracer=None,
+        tracer: SpanTracer = NULL_TRACER,
     ):
         self.env = env
         self.cluster = cluster
@@ -72,8 +72,7 @@ class Worker:
         self.proxy = proxy
         self.source = source
         self.worker_id = worker_id
-        self.trace = trace
-        self.tracer = tracer  #: optional repro.obs.SpanTracer
+        self.tracer = tracer
         self.mailbox = Mailbox(env, name=f"worker{worker_id}")
         self.tcp = SimTCPChannel(cluster)
         self.mpi = SimMPIChannel(cluster)
@@ -145,13 +144,11 @@ class Worker:
             raise WorkerUnavailable(f"worker {self.worker_id} is down")
         share = WorkerShare(worker_index=worker_index)
         tracer = self.tracer
-        wspan = None
-        if tracer is not None:
-            wspan = tracer.begin(
-                "worker", name=f"{command.name}[{worker_index}]",
-                node=self.node.node_id, parent=parent_span,
-                request=request_id, worker=worker_index,
-            )
+        wspan = tracer.begin(
+            "worker", name=f"{command.name}[{worker_index}]",
+            node=self.node.node_id, parent=parent_span,
+            request=request_id, worker=worker_index,
+        )
         open_leaf = None  #: child span an abort would leave dangling
         gen = command.run(ctx, assignment, worker_index)
         # Optional §9 progress feedback: one tiny packet per block load.
@@ -170,12 +167,10 @@ class Worker:
                     break
                 op_result = None
                 if isinstance(op, Load):
-                    lspan = None
-                    if tracer is not None:
-                        lspan = open_leaf = tracer.begin(
-                            "load", name=str(op.item), node=self.node.node_id,
-                            parent=wspan, dms=command.use_dms,
-                        )
+                    lspan = open_leaf = tracer.begin(
+                        "load", name=str(op.item), node=self.node.node_id,
+                        parent=wspan, dms=command.use_dms,
+                    )
                     t_op = self.env.now
                     if command.use_dms:
                         op_result = yield from self.proxy.request(
@@ -184,9 +179,8 @@ class Worker:
                     else:
                         op_result = yield from self._load_direct(op.item)
                     share.load_seconds += self.env.now - t_op
-                    if tracer is not None:
-                        tracer.end(lspan)
-                        open_leaf = None
+                    tracer.end(lspan)
+                    open_leaf = None
                     if report_progress and progress_total:
                         progress_done = min(progress_done + 1, progress_total)
                         update = ProgressUpdate(
@@ -197,26 +191,21 @@ class Worker:
                         )
                         yield from self.tcp.send(self.node, update, client_mailbox)
                 elif isinstance(op, Compute):
-                    cspan = None
-                    if tracer is not None:
-                        cspan = open_leaf = tracer.begin(
-                            "compute", name=command.name, node=self.node.node_id,
-                            parent=wspan, cost=op.cost,
-                        )
+                    cspan = open_leaf = tracer.begin(
+                        "compute", name=command.name, node=self.node.node_id,
+                        parent=wspan, cost=op.cost,
+                    )
                     t_op = self.env.now
                     op_result = op.fn() if op.fn is not None else None
                     yield from self.node.compute(op.cost)
                     share.compute_seconds += self.env.now - t_op
-                    if tracer is not None:
-                        tracer.end(cspan)
-                        open_leaf = None
+                    tracer.end(cspan)
+                    open_leaf = None
                 elif isinstance(op, ComputeCached):
-                    cspan = None
-                    if tracer is not None:
-                        cspan = open_leaf = tracer.begin(
-                            "compute", name=command.name, node=self.node.node_id,
-                            parent=wspan, cost=op.cost, item=str(op.item),
-                        )
+                    cspan = open_leaf = tracer.begin(
+                        "compute", name=command.name, node=self.node.node_id,
+                        parent=wspan, cost=op.cost, item=str(op.item),
+                    )
                     t_op = self.env.now
                     payload, where = (None, None)
                     if command.use_dms:
@@ -239,18 +228,15 @@ class Worker:
                     # else: a probe (fn=None) missed — the command will
                     # derive the item itself; nothing charged here.
                     share.compute_seconds += self.env.now - t_op
-                    if tracer is not None:
-                        tracer.end(cspan, cached=payload is not None)
-                        open_leaf = None
+                    tracer.end(cspan, cached=payload is not None)
+                    open_leaf = None
                 elif isinstance(op, Emit):
                     if command.streaming:
-                        sspan = None
-                        if tracer is not None:
-                            sspan = open_leaf = tracer.begin(
-                                "stream-packet", name=f"packet{share.packets_streamed}",
-                                node=self.node.node_id, parent=wspan,
-                                nbytes=op.nbytes, sequence=share.packets_streamed,
-                            )
+                        sspan = open_leaf = tracer.begin(
+                            "stream-packet", name=f"packet{share.packets_streamed}",
+                            node=self.node.node_id, parent=wspan,
+                            nbytes=op.nbytes, sequence=share.packets_streamed,
+                        )
                         t_op = self.env.now
                         if ctx.costs.stream_packet_overhead:
                             yield from self.node.compute(ctx.costs.stream_packet_overhead)
@@ -266,17 +252,8 @@ class Worker:
                         share.packets_streamed += 1
                         yield from self.tcp.send(self.node, packet, client_mailbox)
                         share.stream_seconds += self.env.now - t_op
-                        if tracer is not None:
-                            tracer.end(sspan)
-                            open_leaf = None
-                        if self.trace is not None:
-                            self.trace.record(
-                                self.env.now,
-                                self.node.node_id,
-                                "stream",
-                                request=request_id,
-                                nbytes=op.nbytes,
-                            )
+                        tracer.end(sspan)
+                        open_leaf = None
                     else:
                         share.payloads.append(op.payload)
                         share.nbytes += op.nbytes
@@ -288,14 +265,12 @@ class Worker:
                         f"command {command.name!r} yielded unknown op {op!r}"
                     )
         finally:
-            if tracer is not None:
-                if open_leaf is not None and open_leaf.t_end is None:
-                    tracer.end(open_leaf, aborted=True)
-                if wspan is not None and wspan.t_end is None:
-                    tracer.end(
-                        wspan, nbytes=share.nbytes,
-                        packets_streamed=share.packets_streamed,
-                    )
+            if open_leaf is not None:
+                tracer.end(open_leaf, aborted=True)
+            tracer.end(
+                wspan, nbytes=share.nbytes,
+                packets_streamed=share.packets_streamed,
+            )
         return share
 
     def send_share_to_master(
@@ -309,13 +284,10 @@ class Worker:
             partial_nbytes=share.nbytes,
             payload=share.payloads,
         )
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "stream-packet", name=f"share[{share.worker_index}]",
-                node=self.node.node_id, parent=parent_span,
-                nbytes=share.nbytes, request=request_id, share=True,
-            )
+        span = self.tracer.begin(
+            "stream-packet", name=f"share[{share.worker_index}]",
+            node=self.node.node_id, parent=parent_span,
+            nbytes=share.nbytes, request=request_id, share=True,
+        )
         yield from self.mpi.send(self.node, message, master_mailbox)
-        if span is not None:
-            self.tracer.end(span)
+        self.tracer.end(span)

@@ -18,7 +18,6 @@ from .kernel import (
 from .resources import PriorityStore, Request, Resource, Store
 from .network import Link, LinkStats
 from .cluster import ClusterConfig, NodeBreakdown, SimCluster, SimNode
-from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "AllOf",
@@ -39,6 +38,4 @@ __all__ = [
     "NodeBreakdown",
     "SimCluster",
     "SimNode",
-    "TraceEvent",
-    "TraceRecorder",
 ]

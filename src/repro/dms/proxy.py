@@ -25,6 +25,7 @@ from ..des.cluster import SimCluster, SimNode
 from ..des.kernel import Environment, Event
 from ..des.network import TransferToken
 from ..grids.block import StructuredBlock
+from ..obs.spans import NULL_TRACER, SpanTracer
 from .cache import CacheTier, TwoTierCache
 from .compression import CompressionModel
 from .items import ItemName, NameResolver
@@ -87,8 +88,7 @@ class DataProxy:
         source: BlockSource,
         config: DMSConfig | None = None,
         prefetcher: Prefetcher | None = None,
-        trace=None,
-        tracer=None,
+        tracer: SpanTracer = NULL_TRACER,
     ):
         self.env = env
         self.cluster = cluster
@@ -106,8 +106,7 @@ class DataProxy:
         self.resolver = NameResolver(server.names)
         self.prefetcher = prefetcher if prefetcher is not None else NoPrefetcher()
         self.stats = DMSStatistics()
-        self.trace = trace
-        self.tracer = tracer  #: optional repro.obs.SpanTracer
+        self.tracer = tracer
         self._inflight: dict[int, Event] = {}
         self._inflight_tokens: dict[int, "TransferToken"] = {}
         self._inflight_prefetches = 0
@@ -208,16 +207,13 @@ class DataProxy:
                 decompress_s = nbytes / codec.decompress_rate
                 wire_bytes = max(1, int(nbytes * codec.ratio))
                 rate = self.node.config.cpu_rate
-                cspan = None
-                if self.tracer is not None:
-                    cspan = self.tracer.begin(
-                        "decompress", name=f"{codec.name}-compress",
-                        node=self.node.node_id, parent=parent_span,
-                        nbytes=nbytes, link=link_name,
-                    )
+                cspan = self.tracer.begin(
+                    "decompress", name=f"{codec.name}-compress",
+                    node=self.node.node_id, parent=parent_span,
+                    nbytes=nbytes, link=link_name,
+                )
                 yield from self.node.compute(compress_s * rate)
-                if cspan is not None:
-                    self.tracer.end(cspan)
+                self.tracer.end(cspan)
                 if link_name == "fileserver":
                     yield from self.cluster.read_fileserver(
                         self.node, wire_bytes, priority=priority, token=token
@@ -226,16 +222,13 @@ class DataProxy:
                     yield from self.cluster.fabric_transfer(
                         self.node, wire_bytes, account="read"
                     )
-                dspan = None
-                if self.tracer is not None:
-                    dspan = self.tracer.begin(
-                        "decompress", name=f"{codec.name}-decompress",
-                        node=self.node.node_id, parent=parent_span,
-                        nbytes=nbytes, link=link_name,
-                    )
+                dspan = self.tracer.begin(
+                    "decompress", name=f"{codec.name}-decompress",
+                    node=self.node.node_id, parent=parent_span,
+                    nbytes=nbytes, link=link_name,
+                )
                 yield from self.node.compute(decompress_s * rate)
-                if dspan is not None:
-                    self.tracer.end(dspan)
+                self.tracer.end(dspan)
                 self.stats.record_compression(
                     "compress", nbytes, wire_bytes, compress_s + decompress_s
                 )
@@ -262,15 +255,13 @@ class DataProxy:
     ) -> Generator[Event, None, StructuredBlock]:
         """Process body: run one forced load, charging simulated time."""
         self.server.note_request_start(ident)
-        span = None
         strategy_name: str | None = None
         span_attrs: dict = {}
         flight = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "dms-strategy-load", name=str(item), node=self.node.node_id,
-                parent=parent_span, demand=demand, nbytes=nbytes,
-            )
+        span = self.tracer.begin(
+            "dms-strategy-load", name=str(item), node=self.node.node_id,
+            parent=parent_span, demand=demand, nbytes=nbytes,
+        )
         try:
             t_load = self.env.now
             # A stalled server (fault injection) answers nothing until
@@ -318,12 +309,6 @@ class DataProxy:
                         self.stats.record_load(
                             strategy_name, nbytes, self.env.now - t_load
                         )
-                        if self.trace is not None:
-                            self.trace.record(
-                                self.env.now, self.node.node_id, "load",
-                                item=str(item), strategy=strategy_name,
-                                nbytes=nbytes, demand=demand,
-                            )
                         payload = self.source.get(item)
                         spilled = self._admit(ident, payload, nbytes)
                         if self.cache.l2 is not None:
@@ -359,16 +344,6 @@ class DataProxy:
                     parent_span=span,
                 )
             self.stats.record_load(strategy.name, nbytes, self.env.now - t_load)
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now,
-                    self.node.node_id,
-                    "load",
-                    item=str(item),
-                    strategy=strategy.name,
-                    nbytes=nbytes,
-                    demand=demand,
-                )
             payload = self.source.get(item)
             spilled = self._admit(ident, payload, nbytes)
             # Spills to the disk tier cost a local write.
@@ -381,10 +356,9 @@ class DataProxy:
                 self.server.flight_end(flight)
                 if flight.followers:
                     span_attrs["dedup_followers"] = flight.followers
-            if span is not None:
-                if strategy_name:
-                    span_attrs["strategy"] = strategy_name
-                self.tracer.end(span, **span_attrs)
+            if strategy_name:
+                span_attrs["strategy"] = strategy_name
+            self.tracer.end(span, **span_attrs)
             self.server.note_request_end(ident)
 
     # ---------------------------------------------------------- request
@@ -393,12 +367,10 @@ class DataProxy:
     ) -> Generator[Event, None, StructuredBlock]:
         """Process body: return the block for ``item`` (demand access)."""
         ident = self.resolver.resolve(item)
-        lookup = None
-        if self.tracer is not None:
-            lookup = self.tracer.begin(
-                "dms-lookup", name=str(item), node=self.node.node_id,
-                parent=parent_span,
-            )
+        lookup = self.tracer.begin(
+            "dms-lookup", name=str(item), node=self.node.node_id,
+            parent=parent_span,
+        )
         payload, where = self.cache.get(ident)
         self.stats.record_request(ident, where)
         try:
@@ -406,8 +378,7 @@ class DataProxy:
                 # Promotion from the disk tier costs a local read.
                 yield from self.node.read_local(self.source.modeled_bytes(item))
         finally:
-            if lookup is not None and lookup.t_end is None:
-                self.tracer.end(lookup, where=where)
+            self.tracer.end(lookup, where=where)
         if payload is None:
             pending = self._inflight.get(ident)
             if pending is not None:
@@ -511,12 +482,10 @@ class DataProxy:
         self._inflight_prefetches += 1
 
         def runner():
-            pspan = None
-            if self.tracer is not None:
-                pspan = self.tracer.begin(
-                    "dms-prefetch", name=str(item), node=self.node.node_id,
-                    parent=parent_span,
-                )
+            pspan = self.tracer.begin(
+                "dms-prefetch", name=str(item), node=self.node.node_id,
+                parent=parent_span,
+            )
             try:
                 yield from self._forced_load(
                     item,
@@ -527,8 +496,7 @@ class DataProxy:
                     parent_span=pspan,
                 )
             finally:
-                if pspan is not None:
-                    self.tracer.end(pspan)
+                self.tracer.end(pspan)
                 del self._inflight[ident]
                 del self._inflight_tokens[ident]
                 self._inflight_prefetches -= 1

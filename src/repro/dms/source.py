@@ -42,6 +42,9 @@ class BlockSource(Protocol):
     @property
     def times(self) -> list[float]: ...
 
+    @property
+    def field_names(self) -> list[str]: ...
+
 
 def _indices(item: ItemName) -> tuple[int, int]:
     time_index = item.param("time")
@@ -86,6 +89,10 @@ class SyntheticSource:
     @property
     def times(self) -> list[float]:
         return self.dataset.spec.times
+
+    @property
+    def field_names(self) -> list[str]:
+        return list(self.dataset.field_names)
 
 
 class StoreSource:
@@ -140,3 +147,7 @@ class StoreSource:
     @property
     def times(self) -> list[float]:
         return self.store.times
+
+    @property
+    def field_names(self) -> list[str]:
+        return self.store.field_names

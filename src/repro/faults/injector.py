@@ -6,7 +6,7 @@ from wall-clock timers.  Firing an episode
 
 * flips the targeted component's fault state (``Worker.crash``,
   ``Link.degrade``, per-message loss hooks, ``DataManagerServer.stall``),
-* mirrors a zero-duration ``fault-*`` span / trace record, and
+* emits a zero-duration ``fault-*`` span through the scheduler, and
 * bumps ``viracocha_faults_injected_total{kind=...}``,
 
 so chaos runs are fully observable through the same repro.obs surface
@@ -44,8 +44,6 @@ class FaultInjector:
         self.cluster = session.cluster
         self.scheduler = session.scheduler
         self.server = session.scheduler.server
-        self.tracer = getattr(session, "tracer", None)
-        self.trace = getattr(session, "trace", None)
         self.metrics = getattr(session, "metrics", None)
         #: episodes fired so far, by kind (recoveries count separately).
         self.injected: dict[str, int] = {}
@@ -121,16 +119,9 @@ class FaultInjector:
                 help="fault episodes fired by the injector",
             ).inc()
 
-    def _emit(self, span_kind: str, node: int, **detail: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(self.env.now, node, span_kind, **detail)
-        if self.tracer is not None:
-            span = self.tracer.begin(span_kind, name=span_kind, node=node, **detail)
-            self.tracer.end(span)
-
     def _fire_crash(self, worker: Any, event: FaultEvent) -> None:
         self._count("worker-crash")
-        self._emit(
+        self.scheduler.fault_event(
             "fault-crash", worker.node.node_id,
             worker=worker.worker_id, downtime=event.duration,
         )
@@ -138,14 +129,16 @@ class FaultInjector:
 
     def _fire_recover(self, worker: Any, event: FaultEvent) -> None:
         self._count("worker-recover")
-        self._emit("fault-recover", worker.node.node_id, worker=worker.worker_id)
+        self.scheduler.fault_event(
+            "fault-recover", worker.node.node_id, worker=worker.worker_id,
+        )
         worker.recover()
 
     def _fire_degrade(self, link: Any, event: FaultEvent) -> None:
         # Overlapping degrade episodes on one link do not compose: the
         # latest factor wins and the earliest restore clears it.
         self._count("link-degrade")
-        self._emit(
+        self.scheduler.fault_event(
             "fault-link", self.cluster.scheduler_node.node_id,
             link=link.name, factor=event.magnitude, until=event.end,
         )
@@ -153,7 +146,7 @@ class FaultInjector:
 
     def _fire_restore(self, link: Any, event: FaultEvent) -> None:
         self._count("link-restore")
-        self._emit(
+        self.scheduler.fault_event(
             "fault-link-restore", self.cluster.scheduler_node.node_id,
             link=link.name,
         )
@@ -162,14 +155,14 @@ class FaultInjector:
     def _mark(self, span_kind: str, link: Any, **detail: Any) -> None:
         kind = "link-loss" if span_kind == "fault-link" else "link-loss-end"
         self._count(kind)
-        self._emit(
+        self.scheduler.fault_event(
             span_kind, self.cluster.scheduler_node.node_id,
             link=link.name, **detail,
         )
 
     def _fire_stall(self, event: FaultEvent) -> None:
         self._count("server-stall")
-        self._emit(
+        self.scheduler.fault_event(
             "fault-stall", self.cluster.scheduler_node.node_id,
             duration=event.duration,
         )

@@ -155,6 +155,10 @@ class DatasetStore:
     def times(self) -> list[float]:
         return list(self.meta["times"])
 
+    @property
+    def field_names(self) -> list[str]:
+        return list(self.meta["fields"])
+
     def block_path(self, time_index: int, block_id: int) -> Path:
         self._check_indices(time_index, block_id)
         return self.root / block_filename(time_index, block_id)

@@ -34,7 +34,7 @@ from .metrics import (
     MetricsRegistry,
     render_prometheus,
 )
-from .spans import NULL_SPAN, Span, SpanTracer
+from .spans import NULL_SPAN, NULL_TRACER, Span, SpanTracer
 from .export import (
     flow_events,
     to_chrome_trace,
@@ -69,6 +69,7 @@ __all__ = [
     "Span",
     "SpanTracer",
     "NULL_SPAN",
+    "NULL_TRACER",
     "Counter",
     "Gauge",
     "Histogram",

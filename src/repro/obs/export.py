@@ -4,7 +4,10 @@ The Chrome format loads directly in ``about:tracing`` / Perfetto: one
 "process" per simulated node (the scheduler node and each worker node),
 demand work on thread 0 and background prefetch I/O on thread 1, so a
 run renders as the per-worker Gantt the paper's evaluation reasons
-about.  All timestamps are simulated seconds converted to microseconds.
+about.  Every event is derived from finished spans: complete (``X``)
+events for the spans themselves (fault markers are zero-duration ones),
+flow (``s``/``f``) arrows for causality, and per-node metadata (``M``).
+All timestamps are simulated seconds converted to microseconds.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, TextIO
 
-from ..des.trace import TraceRecorder
 from .spans import Span, SpanTracer
 
 __all__ = [
@@ -120,14 +122,12 @@ def flow_events(spans: Iterable[Span]) -> list[dict[str, Any]]:
 
 def to_chrome_trace(
     tracer: SpanTracer,
-    recorder: TraceRecorder | None = None,
     node_names: dict[int, str] | None = None,
 ) -> dict[str, Any]:
     """Build a Chrome ``trace_event`` document from recorded spans.
 
     Unfinished spans are skipped (a trace export mid-run is valid but
-    partial).  Flat :class:`TraceRecorder` events other than the span
-    mirror records are included as instant events.
+    partial).
     """
     events: list[dict[str, Any]] = []
     nodes = set()
@@ -151,23 +151,6 @@ def to_chrome_trace(
                 "args": args,
             }
         )
-    if recorder is not None:
-        for event in recorder:
-            if event.kind in ("span-begin", "span-end"):
-                continue  # already represented as complete events
-            nodes.add(event.node)
-            events.append(
-                {
-                    "name": event.kind,
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "t",  # thread-scoped instant
-                    "ts": round(event.time * _SECONDS_TO_US, 3),
-                    "pid": event.node,
-                    "tid": 0,
-                    "args": dict(event.detail),
-                }
-            )
     metadata: list[dict[str, Any]] = []
     for node in sorted(nodes):
         if node_names and node in node_names:
@@ -210,21 +193,17 @@ def to_chrome_trace(
 def write_chrome_trace(
     path: str,
     tracer: SpanTracer,
-    recorder: TraceRecorder | None = None,
     node_names: dict[int, str] | None = None,
 ) -> dict[str, Any]:
-    doc = to_chrome_trace(tracer, recorder, node_names)
+    doc = to_chrome_trace(tracer, node_names)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
     return doc
 
 
 # ------------------------------------------------------------------ JSONL
-def to_jsonl_records(
-    tracer: SpanTracer,
-    recorder: TraceRecorder | None = None,
-) -> Iterable[dict[str, Any]]:
-    """One structured record per finished span and per flat event."""
+def to_jsonl_records(tracer: SpanTracer) -> Iterable[dict[str, Any]]:
+    """One structured record per finished span."""
     for span in tracer.finished():
         yield {
             "record": "span",
@@ -237,26 +216,11 @@ def to_jsonl_records(
             "t_end": span.t_end,
             "attrs": span.attrs,
         }
-    if recorder is not None:
-        for event in recorder:
-            if event.kind in ("span-begin", "span-end"):
-                continue
-            yield {
-                "record": "event",
-                "kind": event.kind,
-                "node": event.node,
-                "time": event.time,
-                "detail": dict(event.detail),
-            }
 
 
-def write_jsonl(
-    path_or_file: "str | TextIO",
-    tracer: SpanTracer,
-    recorder: TraceRecorder | None = None,
-) -> int:
+def write_jsonl(path_or_file: "str | TextIO", tracer: SpanTracer) -> int:
     """Write the JSONL log; returns the number of records written."""
-    records = to_jsonl_records(tracer, recorder)
+    records = to_jsonl_records(tracer)
     if isinstance(path_or_file, str):
         with open(path_or_file, "w") as fh:
             return _dump_lines(records, fh)

@@ -1,8 +1,8 @@
 """Hierarchical spans: timestamped intervals with parent/child links.
 
-The flat :class:`~repro.des.trace.TraceRecorder` answers "what happened
-when"; spans answer "what was *inside* what".  A :class:`SpanTracer`
-records intervals following the taxonomy
+Spans are the one event log on the simulated clock: each answers both
+"what happened when" and "what was *inside* what".  A
+:class:`SpanTracer` records intervals following the taxonomy
 
     session -> command -> worker -> {load, compute, merge, stream-packet}
     load    -> {dms-lookup, dms-strategy-load}
@@ -10,11 +10,11 @@ records intervals following the taxonomy
 
 so exported timelines (Chrome ``trace_event`` JSON, ASCII Gantt) show
 per-node lanes and the per-component breakdown the paper's evaluation
-is built on (Figs. 6-15).
+is built on (Figs. 6-15).  Point events (fault injection, recovery
+actions) are zero-duration spans of a ``fault-*`` kind.
 
-The tracer is *layered on* the existing recorder: every begin/end is
-mirrored as a ``span-begin`` / ``span-end`` :class:`TraceEvent` when a
-recorder is attached, so code that greps the flat log keeps working.
+Every layer of the simulated stack always holds a tracer; a disabled
+one (``enabled=False``) is the no-op, returning :data:`NULL_SPAN`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from contextlib import contextmanager
 from itertools import islice
 from typing import Any, Callable, Iterator
 
-from ..des.trace import TraceRecorder
-
-__all__ = ["Span", "SpanTracer", "NULL_SPAN"]
+__all__ = ["Span", "SpanTracer", "NULL_SPAN", "NULL_TRACER"]
 
 #: spans emitted by the instrumented Viracocha stack (for docs/tests).
 SPAN_KINDS = (
@@ -124,7 +122,7 @@ NULL_SPAN = Span(span_id=-1, kind="null", name="", node=-1, t_start=0.0, t_end=0
 
 
 class SpanTracer:
-    """Collects :class:`Span` records; optionally mirrors to a recorder.
+    """Collects :class:`Span` records.
 
     ``clock`` supplies default timestamps (usually ``lambda: env.now``);
     explicit ``t=`` arguments override it.  When ``enabled`` is False
@@ -138,14 +136,12 @@ class SpanTracer:
 
     def __init__(
         self,
-        recorder: TraceRecorder | None = None,
         clock: Callable[[], float] | None = None,
         enabled: bool = True,
         max_spans: int | None = None,
     ):
         if max_spans is not None and max_spans < 1:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.recorder = recorder
         self.clock = clock
         self.enabled = enabled
         self.max_spans = max_spans
@@ -202,12 +198,6 @@ class SpanTracer:
         if len(spans) > self.high_water:
             self.high_water = len(spans)
         self._by_id[span_id] = span
-        if self.recorder is not None:
-            self.recorder.record(
-                t, node, "span-begin",
-                span=span_id, span_kind=kind, name=span.name,
-                parent=span.parent_id,
-            )
         return span
 
     def end(self, span: Span, t: float | None = None, **attrs: Any) -> Span:
@@ -229,11 +219,6 @@ class SpanTracer:
                 span._attrs = attrs  # fresh kwargs dict — owned, no copy
             else:
                 existing.update(attrs)
-        if self.recorder is not None:
-            self.recorder.record(
-                t, span.node, "span-end",
-                span=span.span_id, span_kind=span.kind,
-            )
         return span
 
     @contextmanager
@@ -316,3 +301,8 @@ class SpanTracer:
     def clear(self) -> None:
         self.spans.clear()
         self._by_id.clear()
+
+
+#: shared disabled tracer, the default of every simulated layer built
+#: without one; it never records, so it holds no state to share.
+NULL_TRACER = SpanTracer(enabled=False)

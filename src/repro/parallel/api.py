@@ -207,7 +207,10 @@ class ParallelExtractor:
             if command_kwargs:
                 raise TypeError("command_kwargs only apply to registry names")
             cmd = command
-        params = cmd.validate(params, self.store.time_indices)
+        store = self.store
+        params = cmd.validate(
+            params, store.time_indices, store.field_names, store.times,
+        )
         group = group_size if group_size is not None else self.workers
         ctx = command_context(
             cmd, self.store, self.store.time_indices, params, self.costs

@@ -131,6 +131,8 @@ class ShmBlockStore:
     def __init__(self) -> None:
         self.name: str = ""
         self.times: list[float] = []
+        #: the fields the data's blocks store (derived ones aside).
+        self._fields: list[str] = []
         #: each block's file, the stamp the parent gave it, and where in
         #: the file the block lies: ``(path, stamp, offset, size)``.
         self._files: dict[Key, tuple[str, Stamp, int, int]] = {}
@@ -227,6 +229,7 @@ class ShmBlockStore:
         of the levels it will hold."""
         self = cls()
         self.name, self.times = data.name, list(data.times)
+        self._fields = list(data.field_names)
         for t in range(data.n_timesteps) if time_indices is None else time_indices:
             self._handles[t] = data.handles(t)
         return self
@@ -252,6 +255,7 @@ class ShmBlockStore:
         self = cls()
         self.name = manifest["name"]
         self.times = list(manifest["times"])
+        self._fields = list(manifest["fields"])
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
         self._files = dict(manifest["files"])
         self._scalars = dict(manifest["scalars"])
@@ -264,6 +268,7 @@ class ShmBlockStore:
         return {
             "name": self.name,
             "times": list(self.times),
+            "fields": list(self._fields),
             "handles": {t: list(hs) for t, hs in self._handles.items()},
             "files": dict(self._files),
             "scalars": dict(self._scalars),
@@ -347,6 +352,11 @@ class ShmBlockStore:
         live.update(a[0] for fields in self._derived.values() for a in fields.values())
         for stale in self._maps.keys() - live:
             del self._maps[stale]
+
+    @property
+    def field_names(self) -> list[str]:
+        """The fields the data stores and those derived beside it."""
+        return sorted(set(self._fields).union(*self._derived.values()))
 
     def derived_fields(self, time_index: int, block_id: int) -> list[str]:
         return sorted(self._derived.get((time_index, block_id), {}))

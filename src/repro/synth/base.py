@@ -160,6 +160,9 @@ class SyntheticDataset:
         self.flow = flow
         self._handles_cache: list[BlockHandle] | None = None
 
+    #: the fields :meth:`build_block` evaluates.
+    field_names = ("velocity", "pressure")
+
     # ---------------------------------------------------------- building
     def build_block(self, time_index: int, block_id: int) -> StructuredBlock:
         if not 0 <= time_index < self.spec.n_timesteps:

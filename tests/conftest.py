@@ -17,8 +17,23 @@ import pytest
 
 from repro import ViracochaSession, build_engine
 from repro.bench import paper_cluster, paper_costs
+from repro.core.commands import Command
 
 _ENGINE_CACHE: dict = {}
+
+
+class FailingCommand(Command):
+    """Valid params, then a failure inside the run: what a command that
+    raises on a worker looks like to the session and the served path."""
+
+    name = "fail-in-run"
+
+    def plan(self, ctx, group_size):
+        return [[] for _ in range(group_size)]
+
+    def run(self, ctx, assignment, worker_index):
+        raise RuntimeError("fail-in-run raised inside its run")
+        yield  # a generator: the worker's first step raises
 
 
 def cached_engine(base_resolution: int = 4, n_timesteps: int = 2):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ViracochaSession, build_engine
 from repro.bench import paper_cluster, paper_costs
+from tests.conftest import FailingCommand
 
 ISO = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
 
@@ -14,9 +15,10 @@ def test_concurrent_after_failed_single_run():
         cluster_config=paper_cluster(2),
         costs=paper_costs(),
     )
-    with pytest.raises(KeyError):
-        # A field the data lacks: the run fails inside the simulation.
-        session.run("iso-dataman", params={"isovalue": -0.3, "scalar": "entropy"})
+    session.scheduler.registry.register(FailingCommand)
+    with pytest.raises(RuntimeError, match="raised inside its run"):
+        # Valid params: the run fails inside the simulation.
+        session.run(FailingCommand.name)
     results = session.run_concurrent(
         [
             {"command": "iso-dataman", "params": ISO, "group_size": 1},

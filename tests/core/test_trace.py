@@ -1,4 +1,4 @@
-"""Tests for event tracing through the full stack."""
+"""Tests for the span event log through the full stack."""
 
 import pytest
 
@@ -14,41 +14,53 @@ def traced_session():
         build_engine(base_resolution=4, n_timesteps=2),
         cluster_config=paper_cluster(2),
         costs=paper_costs(),
-        trace=True,
     )
 
 
-def test_trace_disabled_by_default():
+def _command(tracer):
+    (command,) = tracer.of_kind("command")
+    return command
+
+
+def test_observe_false_gives_no_spans():
     session = ViracochaSession(
         build_engine(base_resolution=4, n_timesteps=1),
         cluster_config=paper_cluster(1),
         costs=paper_costs(),
+        observe=False,
     )
-    assert session.trace is None
+    # Every layer holds the session's tracer, disabled, never None.
+    scheduler = session.scheduler
+    layers = [scheduler, *scheduler.workers, *(w.proxy for w in scheduler.workers)]
+    assert all(layer.tracer is session.tracer for layer in layers)
+    assert not session.tracer.enabled
+    result = session.run("iso-dataman", params=ISO)
+    assert len(session.tracer) == 0
+    assert result.spans == []
+    assert result.geometry.n_triangles > 0
 
 
 def test_trace_records_command_lifecycle(traced_session):
     traced_session.run("iso-dataman", params=ISO)
-    trace = traced_session.trace
-    start = trace.first("command-start")
-    end = trace.last("command-end")
-    assert start is not None and end is not None
-    assert start.time <= end.time
-    assert start.detail["command"] == "iso-dataman"
-    assert start.detail["workers"] == [0, 1]
+    command = _command(traced_session.tracer)
+    assert command.finished
+    assert command.t_start <= command.t_end
+    assert command.name == "iso-dataman"
+    assert command.node == 0
+    assert command.attrs["workers"] == [0, 1]
 
 
 def test_trace_records_loads_with_strategy(traced_session):
     traced_session.run("iso-dataman", params=ISO)
-    loads = traced_session.trace.of_kind("load")
+    tracer = traced_session.tracer
+    loads = tracer.of_kind("dms-strategy-load")
     assert len(loads) == 23  # one cold load per Engine block
-    assert all(e.detail["strategy"] in {"fileserver", "node-transfer", "collective"}
-               for e in loads)
-    assert all(e.detail["nbytes"] > 0 for e in loads)
+    assert all(s.attrs["strategy"] in {"fileserver", "node-transfer", "collective"}
+               for s in loads)
+    assert all(s.attrs["nbytes"] > 0 for s in loads)
     # Loads happen inside the command window.
-    start = traced_session.trace.first("command-start")
-    end = traced_session.trace.last("command-end")
-    assert all(start.time <= e.time <= end.time for e in loads)
+    command = _command(tracer)
+    assert all(command.t_start <= s.t_end <= command.t_end for s in loads)
 
 
 def test_trace_records_streamed_packets(traced_session):
@@ -56,29 +68,31 @@ def test_trace_records_streamed_packets(traced_session):
         "iso-viewer",
         params={**ISO, "viewpoint": (0, 0, -5), "max_triangles": 200},
     )
-    streams = traced_session.trace.of_kind("stream")
+    tracer = traced_session.tracer
+    streams = [s for s in tracer.of_kind("stream-packet") if "sequence" in s.attrs]
     assert streams
-    # Streamed packets start before the command ends (that is the point).
-    end = traced_session.trace.last("command-end")
-    assert streams[0].time < end.time
+    # Streamed packets arrive before the command ends (that is the point).
+    assert streams[0].t_end < _command(tracer).t_end
 
 
 def test_trace_demand_vs_prefetch_loads(traced_session):
     traced_session.run("iso-dataman", params=ISO)
-    loads = traced_session.trace.of_kind("load")
-    demand = [e for e in loads if e.detail["demand"]]
-    prefetched = [e for e in loads if not e.detail["demand"]]
+    loads = traced_session.tracer.of_kind("dms-strategy-load")
+    demand = [s for s in loads if s.attrs["demand"]]
+    prefetched = [s for s in loads if not s.attrs["demand"]]
     assert demand
     assert prefetched  # OBL prefetching ran during the cold pass
 
 
 def test_trace_accumulates_across_runs(traced_session):
+    tracer = traced_session.tracer
     traced_session.run("iso-dataman", params=ISO)
-    n1 = len(traced_session.trace)
+    mark = tracer.mark()
+    n1 = len(tracer)
     traced_session.run("iso-dataman", params=ISO)  # warm: no new loads
-    n2 = len(traced_session.trace)
-    assert n2 > n1
-    loads = traced_session.trace.of_kind("load")
-    assert len(loads) == 23  # still only the cold pass's loads
-    traced_session.trace.clear()
-    assert len(traced_session.trace) == 0
+    warm = tracer.since(mark)
+    assert len(tracer) == n1 + len(warm) > n1
+    assert not [s for s in warm if s.kind == "dms-strategy-load"]
+    assert len(tracer.of_kind("dms-strategy-load")) == 23  # the cold pass's
+    tracer.clear()
+    assert len(tracer) == 0

@@ -17,7 +17,7 @@ from repro.dms import (
     SyntheticSource,
     block_item,
 )
-from repro.obs import SpanTracer
+from repro.obs import NULL_TRACER, SpanTracer
 from repro.obs.critical_path import phase_of_segment
 from repro.synth import build_engine
 
@@ -30,7 +30,7 @@ def source():
 
 
 def make_world(source, n_workers=2, dms_config=None, cluster_config=None,
-               tracer=None):
+               tracer=NULL_TRACER):
     env = Environment()
     cluster = SimCluster(
         env,

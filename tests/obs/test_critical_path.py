@@ -164,7 +164,6 @@ def four_command_results():
         cached_engine(4, 2),
         cluster_config=paper_cluster(2),
         costs=paper_costs(),
-        trace=True,
     )
     specs = [
         ("iso-dataman", ISO),

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.des.trace import TraceRecorder
 from repro.obs import (
     SpanTracer,
     to_chrome_trace,
@@ -15,8 +14,7 @@ from repro.obs import (
 
 
 def _tiny_tracer():
-    recorder = TraceRecorder()
-    tracer = SpanTracer(recorder=recorder)
+    tracer = SpanTracer()
     cmd = tracer.begin("command", "iso", node=0, t=0.0)
     w = tracer.begin("worker", "iso[0]", node=1, parent=cmd, t=0.1)
     load = tracer.begin("load", "block-0", node=1, parent=w, t=0.1)
@@ -25,24 +23,25 @@ def _tiny_tracer():
     tracer.end(pf, t=0.9)
     tracer.end(w, t=0.6)
     tracer.end(cmd, t=0.7)
-    recorder.record(0.65, 0, "command-end", command="iso")
+    crash = tracer.begin("fault-crash", node=1, t=0.65, worker=0)
+    tracer.end(crash, t=0.65)
     unfinished = tracer.begin("load", "never-ends", node=2, t=0.7)
     assert not unfinished.finished
-    return tracer, recorder
+    return tracer
 
 
 def test_chrome_trace_structure():
-    tracer, recorder = _tiny_tracer()
-    doc = to_chrome_trace(tracer, recorder)
+    doc = to_chrome_trace(_tiny_tracer())
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]
     complete = [e for e in events if e["ph"] == "X"]
-    instants = [e for e in events if e["ph"] == "i"]
     meta = [e for e in events if e["ph"] == "M"]
-    # Four finished spans; the unfinished one is skipped.
-    assert len(complete) == 4
+    # Spans are the only events: complete, flow and metadata.
+    assert {e["ph"] for e in events} == {"X", "s", "f", "M"}
+    # Five finished spans; the unfinished one is skipped.
+    assert len(complete) == 5
     assert {e["cat"] for e in complete} == {
-        "command", "worker", "load", "dms-prefetch"
+        "command", "worker", "load", "dms-prefetch", "fault-crash"
     }
     cmd = next(e for e in complete if e["cat"] == "command")
     assert cmd["ts"] == 0.0 and cmd["dur"] == 700000.0  # 0.7 s in us
@@ -53,8 +52,10 @@ def test_chrome_trace_structure():
     # Parent links survive in args.
     w = next(e for e in complete if e["cat"] == "worker")
     assert w["args"]["parent_id"] == cmd["args"]["span_id"]
-    # Flat recorder events come through as instants, span mirrors don't.
-    assert [e["name"] for e in instants] == ["command-end"]
+    # A fault marker is a zero-duration complete event with its attrs.
+    crash = next(e for e in complete if e["cat"] == "fault-crash")
+    assert crash["ts"] == 650000.0 and crash["dur"] == 0.0
+    assert crash["pid"] == 1 and crash["args"]["worker"] == 0
     # Metadata names both nodes and both thread lanes.
     names = {(e["name"], e["pid"], e["tid"]): e["args"]["name"] for e in meta}
     assert names[("process_name", 0, 0)] == "node 0 (scheduler)"
@@ -63,16 +64,14 @@ def test_chrome_trace_structure():
 
 
 def test_chrome_trace_node_name_override():
-    tracer, _ = _tiny_tracer()
-    doc = to_chrome_trace(tracer, node_names={0: "master"})
+    doc = to_chrome_trace(_tiny_tracer(), node_names={0: "master"})
     meta = [e for e in doc["traceEvents"] if e["name"] == "process_name"]
     assert {e["args"]["name"] for e in meta if e["pid"] == 0} == {"master"}
 
 
 def test_write_chrome_trace_roundtrip(tmp_path):
-    tracer, recorder = _tiny_tracer()
     path = tmp_path / "run.json"
-    doc = write_chrome_trace(str(path), tracer, recorder)
+    doc = write_chrome_trace(str(path), _tiny_tracer())
     loaded = json.loads(path.read_text())
     assert loaded == doc
 
@@ -151,8 +150,7 @@ def test_flow_events_skip_unfinished_spans():
 
 
 def test_chrome_trace_includes_flow_events():
-    tracer, recorder = _tiny_tracer()
-    doc = to_chrome_trace(tracer, recorder)
+    doc = to_chrome_trace(_tiny_tracer())
     flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
     # command@node0 -> worker@node1 is the one cross-node edge.
     assert {e["ph"] for e in flows} == {"s", "f"}
@@ -160,15 +158,14 @@ def test_chrome_trace_includes_flow_events():
 
 
 def test_jsonl_records(tmp_path):
-    tracer, recorder = _tiny_tracer()
-    records = list(to_jsonl_records(tracer, recorder))
-    spans = [r for r in records if r["record"] == "span"]
-    events = [r for r in records if r["record"] == "event"]
-    assert len(spans) == 4
-    assert len(events) == 1
-    assert events[0]["kind"] == "command-end"
+    tracer = _tiny_tracer()
+    records = list(to_jsonl_records(tracer))
+    assert {r["record"] for r in records} == {"span"}
+    assert len(records) == 5
+    crash = next(r for r in records if r["kind"] == "fault-crash")
+    assert crash["t_start"] == crash["t_end"] == 0.65
     path = tmp_path / "run.jsonl"
-    n = write_jsonl(str(path), tracer, recorder)
+    n = write_jsonl(str(path), tracer)
     lines = path.read_text().splitlines()
     assert n == len(lines) == 5
     assert all(json.loads(line) for line in lines)

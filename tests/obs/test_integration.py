@@ -11,13 +11,9 @@ from tests.conftest import paper_session
 ISO = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
 
 
-def _session(**kwargs):
-    return paper_session(trace=True, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def iso_result():
-    session = _session()
+    session = paper_session()
     result = session.run("iso-dataman", params=ISO)
     return session, result
 
@@ -91,7 +87,7 @@ def test_metrics_snapshot_has_dms_view(iso_result):
 
 
 def test_observe_false_disables_spans():
-    session = _session(observe=False)
+    session = paper_session(observe=False)
     result = session.run("iso-dataman", params=ISO)
     assert result.spans == []
     assert result.tracer is None
@@ -99,7 +95,7 @@ def test_observe_false_disables_spans():
 
 
 def test_streamed_run_has_packet_spans():
-    session = _session()
+    session = paper_session()
     result = session.run(
         "iso-viewer",
         params={**ISO, "viewpoint": (0, 0, -5), "max_triangles": 200},
@@ -113,10 +109,10 @@ def test_chrome_trace_golden_determinism(tmp_path):
     """Identical tiny isosurface runs export byte-identical traces."""
     paths = []
     for i in range(2):
-        session = _session()
+        session = paper_session()
         session.run("iso-dataman", params=ISO)
         path = tmp_path / f"run{i}.json"
-        write_chrome_trace(str(path), session.tracer, session.trace)
+        write_chrome_trace(str(path), session.tracer)
         paths.append(path)
     # Request IDs come from a process-global counter; normalize them.
     normalize = lambda text: re.sub(r'"request": \d+', '"request": N', text)
@@ -135,15 +131,15 @@ def test_chrome_trace_golden_determinism(tmp_path):
 def test_trace_export_without_recorder(iso_result):
     session, _ = iso_result
     doc = to_chrome_trace(session.tracer)
-    # Complete spans, process metadata, and causal flow arrows only
-    # (instant events require the flat recorder).
+    # Complete spans, process metadata, and causal flow arrows only:
+    # spans are the one event log, so no instant events.
     assert all(e["ph"] in {"X", "M", "s", "f"} for e in doc["traceEvents"])
     flows = [e for e in doc["traceEvents"] if e["ph"] in {"s", "f"}]
     assert flows, "expected dispatch/dms/collect flow events"
 
 
 def test_run_concurrent_shares_batch_observability():
-    session = _session()
+    session = paper_session()
     results = session.run_concurrent(
         [
             {"command": "iso-dataman", "params": ISO},

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.des.trace import TraceRecorder
 from repro.obs import NULL_SPAN, SpanTracer
 
 
 def test_begin_end_records_interval():
     tracer = SpanTracer()
-    s = tracer.begin("command", "iso", node=0, t=1.0, request=7)
+    s = tracer.begin("command", "iso", node=2, t=1.0, request=7)
     assert not s.finished
     tracer.end(s, t=3.5, nbytes=100)
     assert s.finished
+    assert (s.kind, s.name, s.node) == ("command", "iso", 2)
+    assert (s.t_start, s.t_end) == (1.0, 3.5)
     assert s.duration == pytest.approx(2.5)
     assert s.attrs == {"request": 7, "nbytes": 100}
     assert tracer.get(s.span_id) is s
@@ -102,19 +103,6 @@ def test_context_manager():
     with tracer.span("compute", "tri") as s:
         assert not s.finished
     assert s.finished
-
-
-def test_mirrors_into_recorder():
-    recorder = TraceRecorder()
-    tracer = SpanTracer(recorder=recorder)
-    s = tracer.begin("load", "block-3", node=2, t=1.0)
-    tracer.end(s, t=2.0)
-    begin = recorder.first("span-begin")
-    end = recorder.first("span-end")
-    assert begin.node == 2 and begin.time == 1.0
-    assert begin.detail["span_kind"] == "load"
-    assert begin.detail["span"] == s.span_id
-    assert end.time == 2.0
 
 
 def test_mark_and_since_slice_runs():

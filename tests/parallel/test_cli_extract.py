@@ -2,7 +2,9 @@
 
 Each run must exit 0 and print the triangle count a direct
 :class:`~repro.parallel.ParallelExtractor` run gives on the same data,
-on a synthetic dataset and on a store written by ``repro export``.
+on a synthetic dataset and on a store written by ``repro export``.  The
+``result:`` line ends in a sha256 prefix of the merged bytes, so two
+lines are equal only where the bytes are.
 """
 
 import os
@@ -83,3 +85,32 @@ def test_extract_flame_writes_a_profile(tmp_path, capsys):
     assert f"-> {flame} (collapsed-stack" in out
     assert flame.exists()
     assert _printed_triangles(out) == _direct_triangles("iso-dataman", "engine")
+
+
+def _printed_result(args: list[str], capsys) -> str:
+    assert cli_main(["extract", *args, "--executor", "serial"]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("result:")]
+    return line
+
+
+def test_result_line_tells_merged_bytes_apart(capsys):
+    """Static shares at group 2 merge the group-1 triangles in another
+    order (same counts, other bytes); a dynamic drain merges in
+    canonical order, the group-1 bytes."""
+    one = _printed_result(["iso-progressive", "--workers", "1"], capsys)
+    static = _printed_result(["iso-progressive", "--workers", "2"], capsys)
+    dynamic = _printed_result(
+        ["iso-progressive", "--workers", "2", "--schedule", "dynamic"], capsys
+    )
+    assert re.search(r"sha256 [0-9a-f]{8}$", one)
+    assert static.split(", sha256")[0] == one.split(", sha256")[0]
+    assert static != one
+    assert dynamic == one
+
+
+def test_result_line_digests_polylines(capsys):
+    line = _printed_result(["pathlines", "--workers", "2"], capsys)
+    assert re.fullmatch(
+        r"result: +3 polylines, \d+ vertices, sha256 [0-9a-f]{8}", line
+    )

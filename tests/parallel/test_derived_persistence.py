@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import lambda2 as lambda2_module
+from repro.core.commands import ParamError
 from repro.dms.source import StoreSource
 from repro.io import DatasetStore, write_dataset
 from repro.io.dataset_io import DERIVED_DIR
@@ -103,6 +104,19 @@ def test_a_persisted_field_skips_the_eigenvalue_pass(root, monkeypatch):
     )
     _extract(root)
     assert calls == []
+
+
+def test_a_persisted_field_is_data_params_may_name(root):
+    """Params are checked against the fields the data holds: λ2 counts
+    once it has been derived beside the blocks, and not before."""
+    iso = {"isovalue": -1.0, "scalar": "lambda2", "time_range": (0, 2)}
+    with ParallelExtractor(DatasetStore(root), workers=1, executor="serial") as ext:
+        with pytest.raises(ParamError, match="no field 'lambda2'"):
+            ext.run("iso-dataman", params=iso)
+    _extract(root)  # derives and persists λ2 of "velocity"
+    with ParallelExtractor(DatasetStore(root), workers=1, executor="serial") as ext:
+        assert "lambda2" in ext.store.field_names
+        assert ext.run("iso-dataman", params=iso).result.n_triangles > 0
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])

@@ -11,11 +11,11 @@ type, NaN, a wrong shape, an out-of-range ``time_range`` or
 integer, a missing required key): the answer is 200 or 400 as the
 declaration says, never a 5xx.
 
-Field names are drawn from the fields the served data holds, and the
-physical times ``t_start``/``t_end``/``t_observe`` keep their default:
-the declaration cannot know the data's fields or times, so a name or
-time the data lacks fails inside the run, as a 500 that says why
-(``test_rest.py::test_a_failed_request_says_why``).
+The declaration is checked against the served data too: a field name
+the data lacks, or a physical time (``t_start``/``t_end``/``t_observe``)
+outside the times of the levels the request picks, is a 400.  Valid
+draws keep those times at their default, since their order relative
+to each other is the command's own check.
 """
 
 import math
@@ -107,6 +107,12 @@ def _invalid(param, n_levels: int):
         bad.append(st.sampled_from([True, 2.5]))
     if kind in ("str", "field", "bool"):
         bad.append(st.just(7))
+    if kind == "field":
+        bad.append(st.just("entropy"))
+    if kind == "fields":
+        bad.append(st.just(["pressure", "entropy"]))
+    if kind == "time":
+        bad.append(st.sampled_from([-1.0, 99.0]))
     if param.choices:
         bad.append(st.just("no-such-choice"))
     if kind in ("point", "direction"):
@@ -170,8 +176,9 @@ def test_every_request_answers_as_its_declaration_says(app, data):
         assert bad in payload["error"]
 
 
-#: the requests that answered a mute 500 (or a 200) before params were
-#: checked at the door, each with the name its 400 must carry.
+#: the requests that answered a 500 (or a 200) before params were
+#: checked at the door against the declaration and the served data,
+#: each with the name its 400 must carry.
 MALFORMED = [
     ("iso-dataman", {}, "isovalue"),
     ("warp-core", {"isovalue": 0.0}, "warp-core"),
@@ -181,6 +188,8 @@ MALFORMED = [
     ("iso-progressive", {"isovalue": -0.3, "schedule": "level-major"}, "schedule"),
     ("iso-dataman", {"isovalu": -0.3}, "isovalu"),
     ("iso-dataman", {"isovalue": math.nan}, "isovalue"),
+    ("iso-dataman", {"isovalue": 0.0, "scalar": "entropy"}, "entropy"),
+    ("pathlines-dataman", {"seeds": [[0.1, 0.2, 0.6]], "t_start": 99.0}, "t_start"),
 ]
 
 

@@ -200,17 +200,18 @@ def test_answered_requests_release_their_geometry():
 
 def test_a_failed_request_says_why():
     """A command that raises inside the session answers 500 with the
-    exception's text, so the client learns what was wrong: here a field
-    the data lacks, which its declaration cannot know (params the
-    declaration refuses answer 400 before the session sees them)."""
+    exception's text, so the client learns what was wrong (params the
+    declaration or the data refuse answer 400 before the session sees
+    them)."""
     from repro.serve.cli import build_serve_app
+    from tests.conftest import FailingCommand
 
     app = build_serve_app("engine", workers=2)
+    app.server.backend.session.scheduler.registry.register(FailingCommand)
     assert app.handle("POST", "/v1/tenants", {"name": "a"})[0] == 201
     status, payload = app.handle("POST", "/v1/commands", {
-        "tenant": "a", "command": "iso-dataman",
-        "params": {"isovalue": 0.0, "scalar": "entropy"},
+        "tenant": "a", "command": FailingCommand.name, "params": {},
     })
     assert status == 500
     assert payload["state"] == "failed"
-    assert "entropy" in payload["error"]
+    assert "raised inside its run" in payload["error"]
