@@ -101,9 +101,15 @@ def extract_block_isosurface(
     t = np.clip(t, 0.0, 1.0)
     points = block.coords.reshape(-1, 3)
     pa = points.take(lo, axis=0)
-    verts = pa + t[..., None] * (points.take(hi, axis=0) - pa)  # (m, 3, 3)
+    # pa + t * (pb - pa), bit for bit, in the one (m, 3, 3) buffer.
+    verts = points.take(hi, axis=0)
+    verts -= pa
+    verts *= t[..., None]
+    verts += pa
 
     keep = nondegenerate(verts)
+    if keep.all():
+        keep = slice(None)  # index by a view, not a copy
     out_attrs = {}
     for name in attributes or []:
         field = block.field(name).reshape(-1)

@@ -40,7 +40,7 @@ class CutplaneCommand(Command):
     parameters = (
         Param("normal", "direction"),
         Param("offset", "float", 0.0),
-        Param("attributes", "fields", ()),
+        Param("attributes", "fields", (), components=1),
     )
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:

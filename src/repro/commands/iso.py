@@ -36,7 +36,10 @@ from ..core.commands import (
 __all__ = ["SimpleIsoCommand", "IsoDataManCommand", "ViewerIsoCommand"]
 
 #: what every isosurface command takes.
-ISO_PARAMS = (Param("isovalue", "float"), Param("scalar", "field", "pressure"))
+ISO_PARAMS = (
+    Param("isovalue", "float"),
+    Param("scalar", "field", "pressure", components=1),
+)
 
 
 class IsoDataManCommand(Command):

@@ -65,7 +65,9 @@ class PathlinesDataManCommand(Command):
     use_dms = True
     prefetcher = "block-markov"
     #: ``t_end`` (``None``: the last time level) ends every path.
-    parameters = TRACER_PARAMS + (Param("t_end", "time", None),)
+    parameters = TRACER_PARAMS + (
+        Param("t_end", "time", None, after="t_start"),
+    )
 
     def plan(self, ctx: CommandContext, group_size: int) -> list[Any]:
         seeds = np.asarray(ctx.params["seeds"], dtype=np.float64)

@@ -31,7 +31,7 @@ class StreaklinesCommand(PathlinesDataManCommand):
     #: each filament is observed at ``t_observe`` (``None``: the last
     #: time level), made of ``n_particles`` releases.
     parameters = TRACER_PARAMS + (
-        Param("t_observe", "time", None),
+        Param("t_observe", "time", None, after="t_start"),
         Param("n_particles", "int", 16, low=1),
     )
 

@@ -39,7 +39,10 @@ from ..grids.block import StructuredBlock
 __all__ = ["SimpleVortexCommand", "VortexDataManCommand", "StreamedVortexCommand"]
 
 #: what every λ2 command takes.
-VORTEX_PARAMS = (Param("threshold", "float", 0.0), Param("velocity", "field", "velocity"))
+VORTEX_PARAMS = (
+    Param("threshold", "float", 0.0),
+    Param("velocity", "field", "velocity", components=3),
+)
 
 
 class VortexDataManCommand(Command):

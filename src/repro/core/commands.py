@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Generator, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 from ..dms.items import ItemName
 from ..grids.block import BlockHandle
@@ -289,8 +289,10 @@ class Param:
     data's levels; ``None`` is every level) or a class, whose instances
     pass through by reference.  A ``None`` default also admits ``None``.
     Where the data is known, a ``field``/``fields`` value must name
-    fields it holds and a ``time`` must lie within the physical times of
-    the levels ``time_range`` picks (:meth:`Command.validate`).
+    fields it holds, with ``components`` components where that is set,
+    and a ``time`` must lie within the physical times of the levels
+    ``time_range`` picks, after the ``time`` named by ``after`` where
+    that is set (:meth:`Command.validate`).
     """
 
     name: str
@@ -301,14 +303,29 @@ class Param:
     low: float | None = None
     #: the legal values of a ``str``.
     choices: tuple[str, ...] = ()
+    #: the component count a ``field``/``fields`` value must have (1: a
+    #: scalar); ``None`` takes any.
+    components: int | None = None
+    #: the ``time`` this one must exceed.  A ``None`` value of this one
+    #: is the last level's time, of that one the first level's.
+    after: str | None = None
+
+    @property
+    def shape(self) -> str:
+        """What ``components`` asks of a field: ``"scalar"``, ``"3-component"``."""
+        return "scalar" if self.components == 1 else f"{self.components}-component"
 
     def describe(self) -> str:
         """``name: type, default`` and the legal values where bounded:
         how ``repro commands`` and the API docs state the parameter."""
         kind = self.kind if isinstance(self.kind, str) else self.kind.__name__
+        if self.components is not None:
+            kind = f"{self.shape} {kind}"
         text = f"{self.name}: {kind}, " + (
             "required" if self.default is REQUIRED else f"default {self.default!r}"
         )
+        if self.after is not None:
+            text += f", after {self.after}"
         if self.choices:
             return f"{text}, one of {'/'.join(self.choices)}"
         if self.low is None:
@@ -418,17 +435,19 @@ class Command:
         cls,
         params: Mapping[str, Any] | None,
         levels: Sequence[int],
-        fields: Collection[str] | None = None,
+        fields: Mapping[str, int] | None = None,
         times: Sequence[float] | None = None,
     ) -> dict[str, Any]:
         """The caller's ``params``, each in its canonical form, over data
         holding the time indices ``levels``; :class:`ParamError` names
         an unknown, missing or malformed one.
 
-        Given the data's ``fields`` (its field names) and ``times`` (the
-        physical time of each level index), a field parameter naming a
-        field the data lacks, or a physical time outside the levels the
-        params pick, is refused too."""
+        Given the data's ``fields`` (each field's component count, by
+        name) and ``times`` (the physical time of each level index), a
+        field parameter naming a field the data lacks or one of the
+        wrong component count, a physical time outside the levels the
+        params pick, or one not after the time it must follow, is
+        refused too."""
         params = params or {}
         declared = cls.declaration()
         for key in params:
@@ -451,13 +470,27 @@ class Command:
                             f"{p.name}: the data has no field {name!r}; "
                             f"it holds {sorted(fields)}"
                         )
-            if times is not None and p.kind == "time" and value is not None:
+                    if p.components not in (None, fields[name]):
+                        raise ParamError(
+                            f"{p.name} must name a {p.shape} field; "
+                            f"{name!r} has {fields[name]} component(s)"
+                        )
+            if times is not None and p.kind == "time":
                 lo, hi = times[t0], times[t1 - 1]
-                if not lo <= value <= hi:
+                if value is not None and not lo <= value <= hi:
                     raise ParamError(
                         f"{p.name} must lie within the data's times "
                         f"[{lo}, {hi}], got {value!r}"
                     )
+                if p.after is not None:
+                    end = hi if value is None else value
+                    start = valid.get(p.after)
+                    start = lo if start is None else start
+                    if start >= end:
+                        raise ParamError(
+                            f"{p.after} must come before {p.name} ({end}), "
+                            f"got {start}"
+                        )
         return valid
 
     @classmethod

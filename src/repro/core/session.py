@@ -251,7 +251,7 @@ class ViracochaSession:
         source = self.source
         cls = self.scheduler.registry.command_class(command)
         return cls.validate(
-            params, range(source.n_timesteps), source.field_names, source.times,
+            params, range(source.n_timesteps), source.field_components, source.times,
         )
 
     def submit(

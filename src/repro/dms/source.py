@@ -43,7 +43,9 @@ class BlockSource(Protocol):
     def times(self) -> list[float]: ...
 
     @property
-    def field_names(self) -> list[str]: ...
+    def field_components(self) -> dict[str, int]:
+        """Each stored field's component count (1: a scalar), by name."""
+        ...
 
 
 def _indices(item: ItemName) -> tuple[int, int]:
@@ -91,8 +93,8 @@ class SyntheticSource:
         return self.dataset.spec.times
 
     @property
-    def field_names(self) -> list[str]:
-        return list(self.dataset.field_names)
+    def field_components(self) -> dict[str, int]:
+        return dict(self.dataset.field_components)
 
 
 class StoreSource:
@@ -149,5 +151,5 @@ class StoreSource:
         return self.store.times
 
     @property
-    def field_names(self) -> list[str]:
-        return self.store.field_names
+    def field_components(self) -> dict[str, int]:
+        return self.store.field_components

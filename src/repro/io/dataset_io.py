@@ -19,6 +19,7 @@ or stale at any time, and :func:`write_dataset` removes it.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..grids.block import BlockHandle, StructuredBlock
 from ..grids.multiblock import MultiBlockDataset, TimeSeries
-from .format import FormatError, block_from_buffer, write_block
+from .format import FormatError, block_from_buffer, field_directory, write_block
 
 __all__ = ["DatasetStore", "write_dataset", "block_filename", "map_file",
            "file_stamp", "MAPS_HOLD_FDS", "DERIVED_DIR"]
@@ -155,9 +156,15 @@ class DatasetStore:
     def times(self) -> list[float]:
         return list(self.meta["times"])
 
-    @property
-    def field_names(self) -> list[str]:
-        return list(self.meta["fields"])
+    @functools.cached_property
+    def field_components(self) -> dict[str, int]:
+        """Each stored field's component count (1: a scalar), by name,
+        read once from the first block's field directory."""
+        names = set(self.meta["fields"])
+        return {
+            name: ncomp for name, ncomp in field_directory(self.block_buffer(0, 0))
+            if name in names
+        }
 
     def block_path(self, time_index: int, block_id: int) -> Path:
         self._check_indices(time_index, block_id)

@@ -64,16 +64,13 @@ def write_geometry(fh: BinaryIO, geometry: TriangleMesh | PolylineSet) -> int:
         raw = name.encode("utf-8")
         written += fh.write(struct.pack("<I", len(raw)))
         written += fh.write(raw)
-    written += fh.write(
-        np.ascontiguousarray(geometry.vertices, dtype="<f4").tobytes()
-    )
+    # Arrays go out as buffers: no bytes copy of each cast array.
+    written += fh.write(np.ascontiguousarray(geometry.vertices, dtype="<f4"))
     if kind == _KIND_POLYLINES:
-        written += fh.write(
-            np.ascontiguousarray(geometry.offsets, dtype="<u8").tobytes()
-        )
+        written += fh.write(np.ascontiguousarray(geometry.offsets, dtype="<u8"))
     for name in names:
         written += fh.write(
-            np.ascontiguousarray(geometry.attributes[name], dtype="<f4").tobytes()
+            np.ascontiguousarray(geometry.attributes[name], dtype="<f4")
         )
     return written
 

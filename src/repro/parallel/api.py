@@ -209,7 +209,7 @@ class ParallelExtractor:
             cmd = command
         store = self.store
         params = cmd.validate(
-            params, store.time_indices, store.field_names, store.times,
+            params, store.time_indices, store.field_components, store.times,
         )
         group = group_size if group_size is not None else self.workers
         ctx = command_context(

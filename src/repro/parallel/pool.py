@@ -5,7 +5,16 @@ plans shares exactly like the scheduler, each worker process attaches
 the :class:`~repro.parallel.shm.ShmBlockStore` once (pool initializer;
 it maps each file on first use), interprets its share with a
 :class:`~repro.parallel.runner.DirectRunner` and ships back only the
-extracted payloads — meshes, pathlines — never block data.  Mesh
+extracted payloads — meshes, pathlines — never block data.
+
+What crosses the pipe to a slot per run is what changes between runs:
+the command, its context *without* block handles (each worker takes
+them from the store it attached; the block catalogue crossed once, in
+the pool manifest), the context's level range, the slot's work units
+and claim order, the derived-field manifest and the slot's arena name.
+The context keeps its params, times and cost model, and a thresholding
+command's span-space table (``block_ranges``, one range per block: the
+only part that grows with the store's block count).  Mesh
 payloads come back through one shared-memory result arena per slot
 (:mod:`repro.parallel.arena`) once the slot has returned meshes
 before; everything else is pickled through the result pipe.
@@ -25,6 +34,7 @@ command propagate unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -140,6 +150,7 @@ def _tickets(order: Sequence[int], batch: int, waits: list[float]) -> Iterator[i
 def _run_slot(
     command: Command,
     ctx: CommandContext,
+    levels: tuple[int, int],
     work: Sequence[Any] | Mapping[int, Any],
     order: Sequence[int],
     slot: int,
@@ -150,9 +161,13 @@ def _run_slot(
 ) -> _Shipped:
     """One slot's call.  With ``batch`` 0 the slot was pre-dealt
     ``order``; otherwise ``order`` is the whole run's and the slot
-    claims its part off the ticket counter, ``batch`` at a time."""
+    claims its part off the ticket counter, ``batch`` at a time.
+    ``ctx`` came without block handles; they are the attached store's
+    for the absolute levels ``range(*levels)``."""
+    store = _worker_store()
+    ctx.handles_by_time = [store.handles(t) for t in range(*levels)]
     if derived:
-        _worker_store().sync_derived(derived)
+        store.sync_derived(derived)
     waits: list[float] = []
     claims = _tickets(order, batch, waits) if batch else iter(order)
     result = execute_share(
@@ -237,10 +252,15 @@ class ProcessWorkerPool:
             with self._ticket.get_lock():
                 self._ticket.value = 0
             slots = [(units, order, w, deal.batch) for w in range(deal.group)]
+        # Each worker holds the store's block handles from the manifest
+        # it attached; the context crosses the pipe without them.
+        bare = dataclasses.replace(ctx, handles_by_time=())
+        levels = (ctx.time_offset, ctx.time_offset + ctx.n_timesteps)
         arenas = self._offer_arenas(len(slots))
         return self._gather(
             [
-                (_run_slot, command, ctx, *slot, deal.fair_share, derived, arena)
+                (_run_slot, command, bare, levels, *slot, deal.fair_share,
+                 derived, arena)
                 for slot, arena in zip(slots, arenas)
             ]
         )

@@ -131,8 +131,9 @@ class ShmBlockStore:
     def __init__(self) -> None:
         self.name: str = ""
         self.times: list[float] = []
-        #: the fields the data's blocks store (derived ones aside).
-        self._fields: list[str] = []
+        #: the fields the data's blocks store (derived ones aside), with
+        #: their component counts.
+        self._fields: dict[str, int] = {}
         #: each block's file, the stamp the parent gave it, and where in
         #: the file the block lies: ``(path, stamp, offset, size)``.
         self._files: dict[Key, tuple[str, Stamp, int, int]] = {}
@@ -229,7 +230,7 @@ class ShmBlockStore:
         of the levels it will hold."""
         self = cls()
         self.name, self.times = data.name, list(data.times)
-        self._fields = list(data.field_names)
+        self._fields = dict(data.field_components)
         for t in range(data.n_timesteps) if time_indices is None else time_indices:
             self._handles[t] = data.handles(t)
         return self
@@ -255,7 +256,7 @@ class ShmBlockStore:
         self = cls()
         self.name = manifest["name"]
         self.times = list(manifest["times"])
-        self._fields = list(manifest["fields"])
+        self._fields = dict(manifest["fields"])
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
         self._files = dict(manifest["files"])
         self._scalars = dict(manifest["scalars"])
@@ -268,7 +269,7 @@ class ShmBlockStore:
         return {
             "name": self.name,
             "times": list(self.times),
-            "fields": list(self._fields),
+            "fields": dict(self._fields),
             "handles": {t: list(hs) for t, hs in self._handles.items()},
             "files": dict(self._files),
             "scalars": dict(self._scalars),
@@ -354,9 +355,14 @@ class ShmBlockStore:
             del self._maps[stale]
 
     @property
-    def field_names(self) -> list[str]:
-        """The fields the data stores and those derived beside it."""
-        return sorted(set(self._fields).union(*self._derived.values()))
+    def field_components(self) -> dict[str, int]:
+        """Each field the data stores or has derived beside it, with its
+        component count (1: a scalar)."""
+        components = dict(self._fields)
+        for fields in self._derived.values():
+            for name, (_path, _offset, shape) in fields.items():
+                components[name] = shape[3] if len(shape) == 4 else 1
+        return components
 
     def derived_fields(self, time_index: int, block_id: int) -> list[str]:
         return sorted(self._derived.get((time_index, block_id), {}))

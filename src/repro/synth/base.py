@@ -160,8 +160,8 @@ class SyntheticDataset:
         self.flow = flow
         self._handles_cache: list[BlockHandle] | None = None
 
-    #: the fields :meth:`build_block` evaluates.
-    field_names = ("velocity", "pressure")
+    #: the fields :meth:`build_block` evaluates, with their component counts.
+    field_components = {"velocity": 3, "pressure": 1}
 
     # ---------------------------------------------------------- building
     def build_block(self, time_index: int, block_id: int) -> StructuredBlock:

@@ -115,7 +115,7 @@ def test_a_persisted_field_is_data_params_may_name(root):
             ext.run("iso-dataman", params=iso)
     _extract(root)  # derives and persists λ2 of "velocity"
     with ParallelExtractor(DatasetStore(root), workers=1, executor="serial") as ext:
-        assert "lambda2" in ext.store.field_names
+        assert ext.store.field_components["lambda2"] == 1
         assert ext.run("iso-dataman", params=iso).result.n_triangles > 0
 
 

@@ -12,10 +12,12 @@ integer, a missing required key): the answer is 200 or 400 as the
 declaration says, never a 5xx.
 
 The declaration is checked against the served data too: a field name
-the data lacks, or a physical time (``t_start``/``t_end``/``t_observe``)
-outside the times of the levels the request picks, is a 400.  Valid
-draws keep those times at their default, since their order relative
-to each other is the command's own check.
+the data lacks or with another component count than the parameter
+declares, a physical time (``t_start``/``t_end``/``t_observe``) outside
+the times of the levels the request picks, or a ``t_start`` at or after
+the end time it must precede, is a 400.  Valid draws keep those times
+at their default, since which of them are valid depends on each other
+and on the drawn ``time_range``.
 """
 
 import math
@@ -190,6 +192,12 @@ MALFORMED = [
     ("iso-dataman", {"isovalue": math.nan}, "isovalue"),
     ("iso-dataman", {"isovalue": 0.0, "scalar": "entropy"}, "entropy"),
     ("pathlines-dataman", {"seeds": [[0.1, 0.2, 0.6]], "t_start": 99.0}, "t_start"),
+    ("iso-dataman", {"isovalue": 0.0, "scalar": "velocity"}, "scalar"),
+    ("vortex-dataman", {"velocity": "pressure"}, "velocity"),
+    ("pathlines-dataman", {"seeds": [[0.1, 0.2, 0.6]], "t_start": 1.5, "t_end": 1.0},
+     "t_start"),
+    ("pathlines-dataman", {"seeds": [[0.1, 0.2, 0.6]], "t_start": 2.0}, "t_start"),
+    ("streaklines", {"seeds": [[0.1, 0.2, 0.6]], "t_observe": 0.0}, "t_observe"),
 ]
 
 
