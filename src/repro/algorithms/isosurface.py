@@ -8,10 +8,15 @@ intersection points with the iso-value.
 Triangulation decomposes each hexahedral cell into six tetrahedra
 (:mod:`.tet_tables`), which is deterministic, ambiguity-free and
 crack-free across cells.  The tets are never built: the 8-bit code of
-which corners lie below the iso-value indexes a 256-case table derived
-from the tet tables, which lists every triangle the six tets emit as
-three (corner, corner) cut edges.  The kernel gathers only the two
-endpoints of each cut edge, straight from the block's arrays.
+which corners lie below the iso-value indexes 256-case tables derived
+from the tet tables: the code's distinct (corner, corner) cut edges,
+and each emitted triangle's three corners as indices into them.  The
+kernel gathers only the two endpoints of each cut edge, straight from
+the block's arrays, interpolates each cut edge of a cell once, and
+builds the triangle soup with one ``take`` of those points (attributes
+likewise).  A point shared by several of a cell's triangles costs one
+interpolation, and the soup is bit-identical to interpolating every
+triangle corner on its own: no code cuts an edge from both ends.
 Everything is vectorized over cells: the per-cell Python loop the
 paper's C++ could afford would dominate runtime here.
 """
@@ -26,7 +31,7 @@ from ..grids.block import StructuredBlock
 from ..grids.multiblock import MultiBlockDataset
 from ..grids.summary import cell_field_minmax
 from ..viz.mesh import TriangleMesh, nondegenerate
-from .tet_tables import HEX_TRI_COUNT, HEX_TRI_TABLE
+from .tet_tables import HEX_CUT_EDGES, HEX_EDGE_COUNT, HEX_TRI_CORNERS, HEX_TRI_COUNT
 
 __all__ = [
     "active_cell_indices",
@@ -87,13 +92,16 @@ def extract_block_isosurface(
     counts = HEX_TRI_COUNT[codes]
     if not counts.any():
         return TriangleMesh()
-    # One row per emitted triangle, in (cell, tet, triangle) order; its
-    # table row is 12 * code + its slot within the cell.
-    rows = np.repeat(np.arange(len(cells)), counts)
-    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pairs = HEX_TRI_TABLE.reshape(-1, 6).take(12 * codes[rows] + slots, axis=0)
-    ends = base[rows, None] + steps.take(pairs)
-    lo, hi = ends[:, 0::2], ends[:, 1::2]  # (m, 3) cut-edge endpoints
+    # One row per distinct cut edge, in (cell, edge) order: each cut
+    # point is interpolated once, however many triangles share it.  Its
+    # edge-table row is its code's first row plus its rank in the cell.
+    n_edges = HEX_EDGE_COUNT[codes]
+    first = np.cumsum(n_edges) - n_edges  # each cell's first edge row
+    width = HEX_CUT_EDGES.shape[1]
+    table = np.repeat(width * codes - first, n_edges) + np.arange(first[-1] + n_edges[-1])
+    pairs = HEX_CUT_EDGES.reshape(-1, 2).take(table, axis=0)
+    ends = np.repeat(base, n_edges)[:, None] + steps.take(pairs)
+    lo, hi = ends[:, 0], ends[:, 1]  # cut-edge endpoints
 
     a = values.take(lo)
     denom = values.take(hi) - a
@@ -101,11 +109,21 @@ def extract_block_isosurface(
     t = np.clip(t, 0.0, 1.0)
     points = block.coords.reshape(-1, 3)
     pa = points.take(lo, axis=0)
-    # pa + t * (pb - pa), bit for bit, in the one (m, 3, 3) buffer.
-    verts = points.take(hi, axis=0)
-    verts -= pa
-    verts *= t[..., None]
-    verts += pa
+    # pa + t * (pb - pa), bit for bit, in the one (n_edges, 3) buffer.
+    cut = points.take(hi, axis=0)
+    cut -= pa
+    cut *= t[:, None]
+    cut += pa
+
+    # One row per emitted triangle, in (cell, tet, triangle) order; its
+    # table row is 12 * code + its slot within the cell, and its corners
+    # index the cell's edge rows.
+    start = np.cumsum(counts) - counts
+    table = np.repeat(12 * codes - start, counts) + np.arange(start[-1] + counts[-1])
+    corners = np.repeat(first, counts)[:, None] + HEX_TRI_CORNERS.reshape(-1, 3).take(
+        table, axis=0
+    )
+    verts = cut.take(corners, axis=0)  # (m, 3, 3) soup
 
     keep = nondegenerate(verts)
     if keep.all():
@@ -113,8 +131,8 @@ def extract_block_isosurface(
     out_attrs = {}
     for name in attributes or []:
         field = block.field(name).reshape(-1)
-        fa = field.take(lo[keep])
-        out_attrs[name] = (fa + t[keep] * (field.take(hi[keep]) - fa)).reshape(-1)
+        fa = field.take(lo)
+        out_attrs[name] = (fa + t * (field.take(hi) - fa)).take(corners[keep]).reshape(-1)
     return TriangleMesh(verts[keep].reshape(-1, 3), out_attrs)
 
 

@@ -7,9 +7,12 @@ cell chooses on its shared face, so the extracted surface is crack-free
 across cell boundaries without any table disambiguation (the classic
 marching-cubes ambiguous cases cannot occur with tetrahedra).
 
-The extraction kernel reads the 256-case hexahedron table
-(:data:`HEX_TRI_TABLE`) derived from these tet tables at import time:
-one lookup per cell gives every triangle its six tets emit.
+The extraction kernel reads the 256-case hexahedron tables derived
+from these tet tables at import time: one lookup per cell gives every
+triangle its six tets emit (:data:`HEX_TRI_TABLE`), and
+:data:`HEX_CUT_EDGES` / :data:`HEX_TRI_CORNERS` name each distinct cut
+edge of a code once, so a cut point shared by several triangles of a
+cell is interpolated once.
 
 Corner numbering matches
 :meth:`repro.grids.block.StructuredBlock.cell_corner_points` (VTK
@@ -27,7 +30,11 @@ __all__ = [
     "TET_TRI_COUNT",
     "HEX_TRI_TABLE",
     "HEX_TRI_COUNT",
+    "HEX_CUT_EDGES",
+    "HEX_EDGE_COUNT",
+    "HEX_TRI_CORNERS",
     "build_hex_tri_table",
+    "build_hex_edge_tables",
 ]
 
 #: Six tetrahedra around the 0-6 diagonal of the hexahedron.
@@ -112,3 +119,38 @@ def build_hex_tri_table() -> tuple[np.ndarray, np.ndarray]:
 #: ``(256, 12, 3, 2)`` cut-edge corner pairs and ``(256,)`` triangle
 #: counts per hexahedron code (see :func:`build_hex_tri_table`).
 HEX_TRI_TABLE, HEX_TRI_COUNT = build_hex_tri_table()
+
+
+def build_hex_edge_tables(
+    tri_table: np.ndarray = HEX_TRI_TABLE, tri_count: np.ndarray = HEX_TRI_COUNT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index every code's triangles through its distinct cut edges.
+
+    Returns the ``(256, E, 2)`` cut edges of each code as (corner,
+    corner) pairs in ascending ``8 * first + second`` order, their
+    ``(256,)`` counts, and the ``(256, 12, 3)`` index of each triangle
+    corner into its code's edge list, so that
+    ``edges[h][corners[h, :count]]`` is ``tri_table[h, :count]``.
+    An edge is keyed by its ordered pair; no code lists one unordered
+    edge in both orientations (tets sharing an edge share it as
+    ``(0, x)`` or ``(x, 6)``), so one point per key is exact.  Rows
+    past a count are padding (index 0).
+    """
+    ids = 8 * tri_table[..., 0] + tri_table[..., 1]  # (256, 12, 3) in 0..63
+    used = np.arange(12) < tri_count[:, None]
+    present = np.zeros((256, 64), dtype=bool)
+    codes = np.broadcast_to(np.arange(256)[:, None, None], ids.shape)
+    present[codes[used], ids[used]] = True
+    counts = present.sum(axis=1)
+    edge_ids = np.argsort(~present, axis=1, kind="stable")[:, : counts.max()]
+    edges = np.stack([edge_ids // 8, edge_ids % 8], axis=-1)
+    rank = np.cumsum(present, axis=1) - 1
+    corners = np.take_along_axis(rank, ids.reshape(256, -1), axis=1).reshape(ids.shape)
+    corners[~used] = 0
+    return edges.astype(np.intp), counts.astype(np.intp), corners.astype(np.intp)
+
+
+#: ``(256, E, 2)`` distinct cut edges, ``(256,)`` their counts and
+#: ``(256, 12, 3)`` triangle-corner indices into them per hexahedron
+#: code (see :func:`build_hex_edge_tables`).
+HEX_CUT_EDGES, HEX_EDGE_COUNT, HEX_TRI_CORNERS = build_hex_edge_tables()

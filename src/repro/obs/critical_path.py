@@ -74,6 +74,7 @@ _SELF_PHASE = {
     "parallel-share": "compute",
     "parallel-precompute": "compute",
     "parallel-idle": "queue",       # worker claim waits + run-tail idle
+    "parallel-gather": "merge",     # last share's end -> merged result
 }
 
 #: span kinds excluded from the critical-path chain competition.  Idle

@@ -12,8 +12,10 @@ reference the equivalence tests pin the process pool against.
 
 Observability lands in :mod:`repro.obs`: every run opens a wall-clock
 span, each share's worker-measured interval is imported as a child span
-(``parallel-share``), and counters/histograms for shares, block loads
-and share seconds accumulate in a :class:`~repro.obs.MetricsRegistry`.
+(``parallel-share``), the parent's stretch from the last share's end
+to the merged result is a ``parallel-gather`` child, and
+counters/histograms for shares, block loads, share and gather seconds
+accumulate in a :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -268,9 +270,10 @@ class ParallelExtractor:
         if dealt.order is not None:
             self.cost_feedback.record(cmd.name, records, len(dealt.units))
         merged = cmd.merge(payload_lists(records, len(dealt.units)))
-        wall = time.perf_counter() - t0
+        t_merged = time.perf_counter()
+        wall = t_merged - t0
         self.tracer.end(run_span, n_shares=len(results))
-        self._record(cmd.name, results, wall, run_span)
+        self._record(cmd.name, results, wall, run_span, t_merged)
         return ParallelResult(
             command=cmd.name,
             executor=self.executor,
@@ -320,7 +323,12 @@ class ParallelExtractor:
 
     # -------------------------------------------------------------- obs
     def _record(
-        self, command: str, results: Sequence[ShareResult], wall: float, run_span
+        self,
+        command: str,
+        results: Sequence[ShareResult],
+        wall: float,
+        run_span,
+        t_merged: float,
     ) -> None:
         labels = {"command": command, "executor": self.executor}
         self.metrics.counter(
@@ -402,6 +410,21 @@ class ParallelExtractor:
                     idle_s=res.idle_s,
                     steals=res.steals,
                 )
+        # The parent's own stretch: from the last share's end to the
+        # merged result (result pipe, arena gather, merge).
+        t_last = min(t_max, t_merged) if results else t_merged - wall
+        self.tracer.record_interval(
+            "parallel-gather",
+            f"{command}/gather",
+            t_start=t_last,
+            t_end=t_merged,
+            parent=run_span,
+        )
+        self.metrics.histogram(
+            "parallel_gather_seconds",
+            labels=labels,
+            help="parent seconds from the last share's end to the merged result",
+        ).observe(t_merged - t_last)
         self.metrics.histogram(
             "parallel_run_seconds", labels=labels, help="whole-run wall seconds"
         ).observe(wall)

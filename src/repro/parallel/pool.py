@@ -8,19 +8,24 @@ it maps each file on first use), interprets its share with a
 extracted payloads — meshes, pathlines — never block data.
 
 What crosses the pipe to a slot per run is what changes between runs:
-the command, its context *without* block handles (each worker takes
-them from the store it attached; the block catalogue crossed once, in
-the pool manifest), the context's level range, the slot's work units
-and claim order, the derived-field manifest and the slot's arena name.
-The context keeps its params, times and cost model, and a thresholding
-command's span-space table (``block_ranges``, one range per block: the
-only part that grows with the store's block count).  Mesh
-payloads come back through one shared-memory result arena per slot
-(:mod:`repro.parallel.arena`) once the slot has returned meshes
-before; everything else is pickled through the result pipe.
-Results are collected in share-index order, so the merged output is
-byte-identical to the serial path regardless of which worker finished
-first.
+the command, its context *without* block handles or span-space tables
+(each worker takes both from the store it attached: the block
+catalogue crossed once, in the pool manifest), the context's level
+range, the names of the scalars the command culls on, the slot's work
+units and claim order, and the slot's arena name.  The store's
+:meth:`~repro.parallel.shm.ShmBlockStore.worker_state` — its
+derived-field manifest and range tables, which grow with the block
+count — rides along only while some worker process has not yet
+reported the store's current :attr:`~repro.parallel.shm.ShmBlockStore.generation`
+back in a result, so a worker that missed the run carrying it still
+syncs.  Mesh payloads come back through one shared-memory result arena
+per slot (:mod:`repro.parallel.arena`) once the slot has returned
+meshes before; everything else is pickled through the result pipe.
+Once every slot has returned, the parent gathers each work unit's
+meshes in canonical task order (slot order for pre-dealt shares, task
+order for a drain) straight into one merged mesh, so the merge that
+follows copies nothing and the output is byte-identical to the serial
+path regardless of which worker finished first.
 
 Worker wall times are measured with ``time.perf_counter``
 (CLOCK_MONOTONIC on Linux, comparable across processes on one host) and
@@ -39,13 +44,12 @@ import multiprocessing
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from itertools import islice
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.commands import Command, CommandContext, Deal
 from ..dms.items import ItemName
-from .arena import PackedMeshes, meshes_nbytes, pack_meshes, unpack_meshes
+from .arena import PackedMeshes, gather_meshes, meshes_nbytes, pack_meshes
 from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
@@ -104,15 +108,16 @@ def _provide(item: ItemName) -> Any:
 
 #: what a worker sends back: the share record, and — when its mesh
 #: payloads were left in the slot's arena instead — their layout plus
-#: the payload count of each of its work units.
-_Shipped = tuple[ShareResult, PackedMeshes | None, list[int]]
+#: the payload count of each of its work units; last, the store
+#: generation the worker has synced.
+_Shipped = tuple[ShareResult, PackedMeshes | None, list[int], int]
 
 
-def _ship(result: ShareResult, arena_name: str | None) -> _Shipped:
+def _ship(result: ShareResult, arena_name: str | None, synced: int) -> _Shipped:
     """Leave ``result``'s mesh payloads in its slot's arena when one is
     offered and they fit; otherwise they travel pickled as before."""
     if arena_name is None:
-        return result, None, []
+        return result, None, [], synced
     slot = result.share_index
     arena = _ARENAS.get(slot)
     if arena is None or arena.name != arena_name:
@@ -121,12 +126,12 @@ def _ship(result: ShareResult, arena_name: str | None) -> _Shipped:
         arena = _ARENAS[slot] = shared_memory.SharedMemory(name=arena_name)
     packed = pack_meshes(result.payloads, arena.buf)
     if packed is None:
-        return result, None, []
+        return result, None, [], synced
     counts = [len(rec.payloads) for rec in result.tasks]
     for rec in result.tasks:
         rec.payloads = []
     result.payloads = []
-    return result, packed, counts
+    return result, packed, counts, synced
 
 
 def _tickets(order: Sequence[int], batch: int, waits: list[float]) -> Iterator[int]:
@@ -151,23 +156,32 @@ def _run_slot(
     command: Command,
     ctx: CommandContext,
     levels: tuple[int, int],
+    culls: tuple[str, ...],
     work: Sequence[Any] | Mapping[int, Any],
     order: Sequence[int],
     slot: int,
     batch: int,
     fair_share: int,
-    derived: list | None,
+    state: dict | None,
     arena_name: str | None,
 ) -> _Shipped:
     """One slot's call.  With ``batch`` 0 the slot was pre-dealt
     ``order``; otherwise ``order`` is the whole run's and the slot
     claims its part off the ticket counter, ``batch`` at a time.
-    ``ctx`` came without block handles; they are the attached store's
-    for the absolute levels ``range(*levels)``."""
+    ``ctx`` came without block handles or range tables; they are the
+    attached store's, for the absolute levels ``range(*levels)`` and
+    the scalars ``culls``, once it has synced ``state`` (``None``: no
+    change since this process last reported)."""
     store = _worker_store()
+    if state is not None:
+        store.sync(state)
+    synced = store.generation
     ctx.handles_by_time = [store.handles(t) for t in range(*levels)]
-    if derived:
-        store.sync_derived(derived)
+    if culls:
+        ctx.block_ranges = {
+            scalar: {t: store.block_ranges(scalar, t) for t in ctx.time_indices}
+            for scalar in culls
+        }
     waits: list[float] = []
     claims = _tickets(order, batch, waits) if batch else iter(order)
     result = execute_share(
@@ -175,7 +189,7 @@ def _run_slot(
         _PROFILE_INTERVAL,
     )
     result.idle_s = sum(waits)
-    return _ship(result, arena_name)
+    return _ship(result, arena_name, synced)
 
 
 def _derive_field_task(time_index: int, block_id: int, field_name: str) -> Any:
@@ -199,6 +213,7 @@ class ProcessWorkerPool:
                 f"profile_interval must be > 0, got {profile_interval}"
             )
         self.store = store
+        self.n_workers = n_workers
         self.start_method = pick_start_method(start_method)
         #: seconds between worker-side stack samples; None = no profiling.
         self.profile_interval = profile_interval
@@ -217,6 +232,9 @@ class ProcessWorkerPool:
         #: allocates nothing and an arena is never larger than one result.
         self._arenas: dict[int, shared_memory.SharedMemory] = {}
         self._arena_wanted: dict[int, int] = {}
+        #: the store generation each worker process (by pid) reported
+        #: having synced in its last result.
+        self._synced: dict[int, int] = {}
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=ctx,
@@ -237,10 +255,9 @@ class ProcessWorkerPool:
         :func:`~repro.parallel.dynamic.payload_lists`.
         """
         self._require_executor()
-        # Workers attached at pool start; ship the current derived-field
-        # manifest so they can map files written since (sync is a
-        # no-op when nothing is new).
-        derived = self.store.derived_manifest() or None
+        # Workers attached at pool start; ship what the store learnt
+        # since (derived files, range tables) until each has synced it.
+        state = None if self._all_synced() else self.store.worker_state()
         units, order = deal.units, deal.order
         if order is None:
             slots = [({i: unit}, [i], i, 0) for i, unit in enumerate(units)]
@@ -253,17 +270,25 @@ class ProcessWorkerPool:
                 self._ticket.value = 0
             slots = [(units, order, w, deal.batch) for w in range(deal.group)]
         # Each worker holds the store's block handles from the manifest
-        # it attached; the context crosses the pipe without them.
-        bare = dataclasses.replace(ctx, handles_by_time=())
+        # it attached, and its range tables from the state it synced;
+        # the context crosses the pipe without them.
+        bare = dataclasses.replace(ctx, handles_by_time=(), block_ranges=None)
         levels = (ctx.time_offset, ctx.time_offset + ctx.n_timesteps)
+        culls = tuple(ctx.block_ranges or ())
         arenas = self._offer_arenas(len(slots))
         return self._gather(
             [
-                (_run_slot, command, bare, levels, *slot, deal.fair_share,
-                 derived, arena)
+                (_run_slot, command, bare, levels, culls, *slot, deal.fair_share,
+                 state, arena)
                 for slot, arena in zip(slots, arenas)
             ]
         )
+
+    def _all_synced(self) -> bool:
+        """Whether every worker process has reported the store's
+        current generation."""
+        current = [g for g in self._synced.values() if g == self.store.generation]
+        return len(current) >= self.n_workers
 
     # ------------------------------------------------------------- arenas
     def _offer_arenas(self, n_slots: int) -> list[str | None]:
@@ -285,28 +310,16 @@ class ProcessWorkerPool:
 
     def _gather(self, calls: Sequence[tuple]) -> list[ShareResult]:
         """Submit one ``(fn, *args)`` call per slot; results in slot
-        order with arena payloads rebuilt.  A worker that dies while the
-        calls are still being submitted breaks the pool just the same."""
+        order, every work unit's meshes gathered into one merged mesh
+        (:func:`~repro.parallel.arena.gather_meshes`) in canonical task
+        order.  A worker that dies while the calls are still being
+        submitted breaks the pool just the same."""
         executor = self._require_executor()
         futures: list[Future] = []
-        results: list[ShareResult] = []
         try:
             for call in calls:
                 futures.append(executor.submit(*call))
-            for slot, future in enumerate(futures):
-                result, packed, counts = future.result()
-                if packed is not None:
-                    result.payloads = unpack_meshes(packed, self._arenas[slot].buf)
-                    result.arena_nbytes = packed.nbytes
-                    flat = iter(result.payloads)
-                    for rec, n in zip(result.tasks, counts):
-                        rec.payloads = list(islice(flat, n))
-                needed = packed.nbytes if packed else meshes_nbytes(result.payloads)
-                if needed:
-                    self._arena_wanted[slot] = max(
-                        self._arena_wanted.get(slot, 0), needed
-                    )
-                results.append(result)
+            shipped = [future.result() for future in futures]
         except BrokenProcessPool as exc:
             self.close()
             raise WorkerPoolError(
@@ -317,6 +330,26 @@ class ProcessWorkerPool:
             for future in futures:
                 future.cancel()
             raise
+        results: list[ShareResult] = []
+        units = []  # (record, its payloads or its arena run)
+        for slot, (result, packed, counts, synced) in enumerate(shipped):
+            self._synced[result.pid] = synced
+            if packed is None:
+                needed = meshes_nbytes(result.payloads)
+                units += [(rec, rec.payloads) for rec in result.tasks]
+            else:
+                needed = result.arena_nbytes = packed.nbytes
+                runs = packed.runs(self._arenas[slot].buf, counts)
+                units += [(rec, [run]) for rec, run in zip(result.tasks, runs)]
+            if needed:
+                self._arena_wanted[slot] = max(self._arena_wanted.get(slot, 0), needed)
+            results.append(result)
+        units.sort(key=lambda unit: unit[0].task_index)
+        gathered = gather_meshes([payloads for _rec, payloads in units])
+        for (rec, _payloads), payloads in zip(units, gathered):
+            rec.payloads = payloads
+        for result in results:
+            result.payloads = [p for rec in result.tasks for p in rec.payloads]
         return results
 
     def derive_field(
@@ -330,9 +363,9 @@ class ProcessWorkerPool:
         float64 and returns it; once every result is in, the parent
         writes them to one new file
         (:meth:`~repro.parallel.shm.ShmBlockStore.add_derived_fields`).
-        Already-running workers pick the new file up through the
-        derived manifest shipped with each subsequent share (see
-        :meth:`run_shares`), so the pool keeps running.
+        That moves the store's generation, so already-running workers
+        pick the new file up from the state shipped with the next
+        shares (see :meth:`run_shares`), and the pool keeps running.
         """
         executor = self._require_executor()
         futures = [

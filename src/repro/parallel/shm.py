@@ -161,6 +161,9 @@ class ShmBlockStore:
         #: on first need, and its remover.
         self._private: Path | None = None
         self._remove: weakref.finalize | None = None
+        #: bumped whenever :meth:`worker_state` changes: a derived file
+        #: registered, a range table built.
+        self.generation = 0
 
     # ------------------------------------------------------ construction
     @classmethod
@@ -261,7 +264,7 @@ class ShmBlockStore:
         self._files = dict(manifest["files"])
         self._scalars = dict(manifest["scalars"])
         self._budget = _map_budget(len({f[0] for f in self._files.values()}))
-        self.sync_derived(manifest["derived"])
+        self.sync(manifest)
         return self
 
     def manifest(self) -> dict[str, Any]:
@@ -273,8 +276,30 @@ class ShmBlockStore:
             "handles": {t: list(hs) for t, hs in self._handles.items()},
             "files": dict(self._files),
             "scalars": dict(self._scalars),
-            "derived": self.derived_manifest(),
+            **self.worker_state(),
         }
+
+    def worker_state(self) -> dict[str, Any]:
+        """What a long-lived worker's copy of this store must learn when
+        :attr:`generation` moves: the :meth:`derived_manifest` (files
+        written after it attached) and the range tables built so far
+        (so it never rebuilds one).  Plain data, for :meth:`sync`."""
+        return {
+            "generation": self.generation,
+            "derived": self.derived_manifest(),
+            "ranges": {
+                scalar: dict(levels) for scalar, levels in self._ranges.items()
+            },
+        }
+
+    def sync(self, state: Mapping[str, Any]) -> None:
+        """Catch up with another process's :meth:`worker_state`; the
+        ranges land after the derived files, whose registration drops
+        the tables they make stale."""
+        self.sync_derived(state["derived"])
+        for scalar, levels in state["ranges"].items():
+            self._ranges.setdefault(scalar, {}).update(levels)
+        self.generation = state["generation"]
 
     def _map(self, path: str, stamp: Stamp | None = None) -> memoryview:
         """This process's map of ``path``, made on first use (read in
@@ -343,6 +368,7 @@ class ShmBlockStore:
         file for a key overrides an earlier one) and drop the maps no
         key points into any more.  Only the levels of the ``changed``
         keys (default: all of ``layout``) have new values."""
+        self.generation += 1
         for key, (offset, shape) in layout.items():
             self._derived.setdefault(key, {})[name] = (path, offset, tuple(shape))
             self._graft(key, name)
@@ -383,9 +409,9 @@ class ShmBlockStore:
         ``(field, path, {key: (offset, shape)})`` per file, each key
         listed under the file that holds its current array.
 
-        Small and picklable — the pool ships it with every task so
-        long-lived workers can :meth:`sync_derived` files written
-        *after* they attached, without rebuilding the pool.
+        Picklable — the pool ships it (in :meth:`worker_state`) until
+        every worker has synced it, so long-lived workers map files
+        written *after* they attached, without rebuilding the pool.
         """
         files: dict[tuple[str, str], Layout] = {}
         for key, fields in self._derived.items():
@@ -456,6 +482,7 @@ class ShmBlockStore:
         levels = self._ranges.setdefault(scalar, {})
         spans = levels.get(time_index)
         if spans is None:
+            self.generation += 1
             spans = levels[time_index] = {}
             for t, b in self.keys():
                 if t != time_index:

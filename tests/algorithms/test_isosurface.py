@@ -12,12 +12,16 @@ from repro.algorithms import (
     iter_isosurface_batches,
 )
 from repro.algorithms.tet_tables import (
+    HEX_CUT_EDGES,
+    HEX_EDGE_COUNT,
     HEX_TO_TETS,
+    HEX_TRI_CORNERS,
     HEX_TRI_COUNT,
     HEX_TRI_TABLE,
     TET_EDGES,
     TET_TRI_COUNT,
     TET_TRI_TABLE,
+    build_hex_edge_tables,
     build_hex_tri_table,
 )
 from repro.grids import MultiBlockDataset, StructuredBlock
@@ -86,6 +90,36 @@ def test_hex_table_lists_tet_triangles_in_order():
 def test_hex_table_build_is_cheap():
     """Built at import time, so every ``import repro.algorithms`` pays it."""
     best = min(timeit.repeat(build_hex_tri_table, number=1, repeat=20))
+    assert best < 2e-3
+
+
+def test_edge_tables_expand_to_the_triangle_table():
+    """Each triangle corner's index through its code's cut-edge list
+    gives back the (corner, corner) pair the triangle table lists."""
+    for code in range(256):
+        n = HEX_TRI_COUNT[code]
+        edges = HEX_CUT_EDGES[code, : HEX_EDGE_COUNT[code]]
+        corners = HEX_TRI_CORNERS[code, :n]
+        assert corners.min(initial=0) >= 0
+        assert corners.max(initial=-1) < len(edges)
+        assert edges[corners].tolist() == HEX_TRI_TABLE[code, :n].tolist()
+        # Every listed edge is used, and listed once.
+        assert sorted(set(corners.reshape(-1).tolist())) == list(range(len(edges)))
+        assert len({tuple(e) for e in edges.tolist()}) == len(edges)
+
+
+def test_no_code_cuts_one_edge_in_both_orientations():
+    """One point per (corner, corner) key is exact only if no code
+    interpolates an edge from both of its ends."""
+    for code in range(256):
+        pairs = {tuple(p) for p in HEX_TRI_TABLE[code, : HEX_TRI_COUNT[code]]
+                 .reshape(-1, 2).tolist()}
+        assert not {(b, a) for a, b in pairs} & pairs, code
+
+
+def test_edge_table_build_is_cheap():
+    """Built at import time too."""
+    best = min(timeit.repeat(build_hex_edge_tables, number=1, repeat=20))
     assert best < 2e-3
 
 

@@ -1,19 +1,23 @@
 """What a pool run sends each worker.
 
-A slot's call carries the command, its context without block handles,
-the level range, the slot's work and the run's knobs; each worker takes
-the handles from the store it attached at pool start.  So the bytes
-pickled per slot do not grow with the store's block count, and a
-command in a worker sees the same handles the parent planned with.
+A slot's call carries the command, its context without block handles
+or range tables, the level range, the slot's work and the run's knobs;
+each worker takes the handles from the store it attached at pool start,
+and the derived-field manifest and range tables from the store state
+shipped only until every worker has synced it.  So the bytes pickled
+per slot, its work units aside, do not grow with the store's block
+count, and a command in a worker sees the same handles the parent
+planned with.
 """
 
+import inspect
 import pickle
 
 import pytest
 
 from repro.core.commands import Command, Emit
 from repro.parallel import ParallelExtractor
-from repro.parallel.pool import ProcessWorkerPool
+from repro.parallel.pool import ProcessWorkerPool, _run_slot
 from repro.synth import build_propfan
 from tests.conftest import cached_engine
 
@@ -68,3 +72,43 @@ def test_a_worker_sees_the_parents_handles(schedule):
         res = ext.run(RecordHandles(), params={"time_range": (1, 3)}, schedule=schedule)
         want = (1, [ext.store.handles(t) for t in (1, 2)])
     assert res.result and all(seen == want for seen in res.result)
+
+
+def _synced_call_bytes(data, monkeypatch) -> list[int]:
+    """Pickled bytes of each slot's ``_run_slot`` arguments but its work
+    units and claim order (which list its blocks), in a ``vortex-dataman``
+    run once lambda2 is derived and every worker has synced the store."""
+    calls: list[dict] = []
+    gather = ProcessWorkerPool._gather
+
+    def spy(pool, run_calls):
+        signature = inspect.signature(_run_slot)
+        calls[:] = [signature.bind(*call[1:]).arguments for call in run_calls]
+        return gather(pool, run_calls)
+
+    monkeypatch.setattr(ProcessWorkerPool, "_gather", spy)
+    with ParallelExtractor(data, workers=2, executor="process") as ext:
+        ext.run("vortex-dataman")  # derives lambda2, then culls on it
+        assert calls and all(args["state"]["derived"] for args in calls)
+        for _ in range(10):
+            if ext._pool._all_synced():
+                break
+            ext.run("vortex-dataman")
+        else:
+            pytest.fail("a worker process never reported the store state")
+        ext.run("vortex-dataman")
+    assert all(args["state"] is None and args["culls"] == ("lambda2",) for args in calls)
+    return [
+        len(pickle.dumps({k: v for k, v in args.items() if k not in ("work", "order")}))
+        for args in calls
+    ]
+
+
+def test_derived_state_ships_only_until_every_worker_synced(monkeypatch):
+    few = _synced_call_bytes(cached_engine(4, 2), monkeypatch)  # 46 blocks
+    monkeypatch.undo()
+    many = _synced_call_bytes(build_propfan(base_resolution=3, n_timesteps=2), monkeypatch)
+    assert len(few) == len(many) == 2
+    # The derived manifest (~22 B per block) and the lambda2 range table
+    # of 288 blocks stay home once the workers hold them.
+    assert max(abs(a - b) for a, b in zip(few, many)) < 64

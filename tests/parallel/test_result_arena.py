@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -232,6 +233,83 @@ def test_mixed_payload_kinds(engine_store):
         for got, ref_share in zip(res.shares, want_prog.shares):
             _same_payloads(got.payloads, ref_share.payloads)
             assert "finest" in got.payloads[0].attributes
+
+
+# ----------------------------------------------------------- the gather
+CUT = {"normal": (0.0, 0.0, 1.0), "offset": 0.8, "time_range": (0, 2),
+       "attributes": ["pressure"]}
+
+
+def _merged_bytes(mesh) -> bytes:
+    return mesh.vertices.tobytes() + b"".join(
+        mesh.attributes[name].tobytes() for name in sorted(mesh.attributes)
+    )
+
+
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+@pytest.mark.parametrize("command,params", [("iso-dataman", LARGE), ("cutplane", CUT)])
+def test_payloads_are_slices_of_the_merged_mesh(engine_store, command, params, schedule):
+    """Every unit's meshes land once, in canonical task order, in one
+    buffer: each payload is a view of the merged result, which is the
+    serial executor's bytes (a drain's equal static group 1's)."""
+    group = 2 if schedule == "static" else 1
+    with ParallelExtractor(engine_store, workers=group, executor="serial") as ref:
+        want = _merged_bytes(ref.run(command, params=params).result)
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        # Pickled first, then through the arenas: run until some share
+        # came back through one (who drains what varies run to run).
+        for _ in range(8):
+            res = ext.run(command, params=params, schedule=schedule)
+            assert res.result.n_triangles > 0
+            assert _merged_bytes(res.result) == want
+            for share in res.shares:
+                for mesh in share.payloads:
+                    if mesh.n_vertices:
+                        assert np.shares_memory(mesh.vertices, res.result.vertices)
+                        for name, values in res.result.attributes.items():
+                            assert np.shares_memory(mesh.attributes[name], values)
+            if any(s.arena_nbytes > 0 for s in res.shares):
+                break
+        else:
+            pytest.fail("no run returned through an arena")
+
+
+def test_a_result_outlives_the_arenas_next_run(engine_store):
+    """The merged mesh is the run's own buffer, not an arena: the next
+    runs, which rewrite the arenas, leave its bytes alone."""
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        ext.run("iso-dataman", params=LARGE)
+        first = ext.run("iso-dataman", params=LARGE)
+        assert all(s.arena_nbytes > 0 for s in first.shares)
+        kept = _merged_bytes(first.result)
+        for params in (SMALL, LARGE):
+            again = ext.run("iso-dataman", params=params)
+            assert all(s.arena_nbytes > 0 for s in again.shares)
+        assert _merged_bytes(first.result) == kept
+        assert _merged_bytes(again.result) == kept
+
+
+def test_one_slot_pickled_one_through_its_arena(engine_store):
+    """A slot whose result outgrew its arena comes back pickled and
+    lands in the same merged buffer as its neighbour's arena run."""
+    with ParallelExtractor(engine_store, workers=2, executor="serial") as ref:
+        want = _merged_bytes(ref.run("iso-dataman", params=LARGE).result)
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        for _ in range(2):
+            ext.run("iso-dataman", params=LARGE)
+        pool = ext._pool
+        # Shrink slot 1's arena below its result (and its record of it).
+        old = pool._arenas.pop(1)
+        old.close()
+        old.unlink()
+        pool._arenas[1] = shared_memory.SharedMemory(create=True, size=4096)
+        pool._arena_wanted[1] = 4096
+        res = ext.run("iso-dataman", params=LARGE)
+        assert res.shares[0].arena_nbytes > 0 and res.shares[1].arena_nbytes == 0
+        assert _merged_bytes(res.result) == want
+        for share in res.shares:
+            assert all(np.shares_memory(m.vertices, res.result.vertices)
+                       for m in share.payloads if m.n_vertices)
 
 
 def test_sigkill_mid_share_raises_and_leaves_no_segment(engine_store):
