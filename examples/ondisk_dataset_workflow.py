@@ -4,8 +4,9 @@
 Shows the library's I/O substrate end to end: a synthetic solution is
 exported to the binary multi-block store (one ``.blk`` file per block
 per time level, like a solver would leave behind), reopened through
-:class:`~repro.io.DatasetStore`, and post-processed through the same
-Viracocha session API — plus a direct (framework-free) use of the
+:class:`~repro.io.DatasetStore`, mapped read-only by
+:class:`~repro.parallel.ShmBlockStore` and post-processed through the
+same Viracocha session API — plus a direct (framework-free) use of the
 algorithm layer on the loaded blocks.
 
 Run:  python examples/ondisk_dataset_workflow.py
@@ -19,8 +20,8 @@ import numpy as np
 from repro import ViracochaSession, build_engine
 from repro.algorithms import extract_cutplane, extract_isosurface
 from repro.bench import paper_cluster, paper_costs
-from repro.dms import StoreSource
 from repro.io import DatasetStore, write_dataset
+from repro.parallel import ShmBlockStore
 
 
 def main() -> None:
@@ -43,15 +44,16 @@ def main() -> None:
 
         # --- reopen and post-process through the framework ------------
         reopened = DatasetStore(root)
-        session = ViracochaSession(
-            StoreSource(reopened),
-            cluster_config=paper_cluster(2),
-            costs=paper_costs(),
-        )
-        result = session.run(
-            "iso-dataman",
-            params={"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)},
-        )
+        with ShmBlockStore.from_store(reopened) as mapped:
+            session = ViracochaSession(
+                mapped,
+                cluster_config=paper_cluster(2),
+                costs=paper_costs(),
+            )
+            result = session.run(
+                "iso-dataman",
+                params={"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)},
+            )
         print(f"framework isosurface: {result.geometry.n_triangles} triangles "
               f"in {result.total_runtime:.1f} simulated s")
 

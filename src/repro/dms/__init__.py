@@ -26,7 +26,7 @@ from .loading import (
 )
 from .stats import DMSStatistics
 from .server import DataManagerServer, InflightLoad
-from .source import BlockSource, StoreSource, SyntheticSource
+from .source import BlockSource, SyntheticSource
 from .proxy import DataProxy, DMSConfig
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "DataManagerServer",
     "InflightLoad",
     "BlockSource",
-    "StoreSource",
     "SyntheticSource",
     "DataProxy",
     "DMSConfig",

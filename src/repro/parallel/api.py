@@ -37,6 +37,7 @@ from ..core.costs import DEFAULT_COSTS, CostModel
 from ..io.dataset_io import DatasetStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanTracer
+from ..synth.base import SyntheticDataset
 from .arena import payload_nbytes
 from .dynamic import CostFeedback, payload_lists
 from .pool import ProcessWorkerPool, pick_start_method
@@ -89,25 +90,20 @@ class ParallelResult:
 
 
 def _as_shm_store(data: Any, time_indices: Iterable[int] | None) -> tuple[ShmBlockStore, bool]:
-    """Coerce any supported dataset handle into a mapped block store.
-
-    Returns ``(store, owned)`` — an already-shared store is borrowed,
-    everything else is loaded and owned (cleaned up on ``close``).
-    """
+    """The mapped block store over ``data``, and whether it is owned
+    (cleaned up on ``close``): a :class:`ShmBlockStore` is borrowed; a
+    :class:`~repro.io.DatasetStore` is mapped where it lies and a
+    :class:`~repro.synth.base.SyntheticDataset` is written once to a
+    private directory and mapped there."""
     if isinstance(data, ShmBlockStore):
         return data, False
     if isinstance(data, DatasetStore):
         return ShmBlockStore.from_store(data, time_indices), True
-    if hasattr(data, "item_sequence") and hasattr(data, "handles"):
-        return ShmBlockStore.from_source(data, time_indices), True
-    if hasattr(data, "build_block") and hasattr(data, "spec"):
-        from ..dms.source import SyntheticSource
-
-        return ShmBlockStore.from_source(SyntheticSource(data), time_indices), True
+    if isinstance(data, SyntheticDataset):
+        return ShmBlockStore.from_synthetic(data, time_indices), True
     raise TypeError(
         f"cannot build a ShmBlockStore from {type(data).__name__}; "
-        "pass a DatasetStore, a BlockSource, a SyntheticDataset or a "
-        "ShmBlockStore"
+        "pass a DatasetStore, a SyntheticDataset or a ShmBlockStore"
     )
 
 
@@ -117,10 +113,9 @@ class ParallelExtractor:
     Parameters
     ----------
     data:
-        A :class:`~repro.io.DatasetStore`, any
-        :class:`~repro.dms.source.BlockSource`, a
-        :class:`~repro.synth.base.SyntheticDataset` or a prebuilt
-        :class:`ShmBlockStore`.
+        A :class:`~repro.io.DatasetStore`, a
+        :class:`~repro.synth.base.SyntheticDataset` (written once to a
+        private directory) or a prebuilt :class:`ShmBlockStore`.
     workers:
         Work-group size (defaults to ``os.cpu_count()``).
     executor:
@@ -167,11 +162,7 @@ class ParallelExtractor:
         #: serial-executor runner, kept across run() calls so its
         #: ComputeCached memo (e.g. progressive pyramids) survives
         #: interactive re-extraction with new parameters.
-        self._serial_runner = DirectRunner(
-            lambda item: self.store.get_block(
-                int(item.param("time")), int(item.param("block"))
-            )
-        )
+        self._serial_runner = DirectRunner(self.store.get)
         #: measured per-task costs from prior dynamic runs; like the
         #: serial runner's memo it lives as long as the extractor, so a
         #: parameter sweep's second run places work from real timings.

@@ -48,7 +48,6 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.commands import Command, CommandContext, Deal
-from ..dms.items import ItemName
 from .arena import PackedMeshes, gather_meshes, meshes_nbytes, pack_meshes
 from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
@@ -96,14 +95,6 @@ def _worker_store() -> ShmBlockStore:
     if _WORKER_STORE is None:
         raise RuntimeError("worker has no attached ShmBlockStore")
     return _WORKER_STORE
-
-
-def _provide(item: ItemName) -> Any:
-    t = item.param("time")
-    b = item.param("block")
-    if t is None or b is None:
-        raise KeyError(f"item {item} does not name a block")
-    return _worker_store().get_block(int(t), int(b))
 
 
 #: what a worker sends back: the share record, and — when its mesh
@@ -185,7 +176,7 @@ def _run_slot(
     waits: list[float] = []
     claims = _tickets(order, batch, waits) if batch else iter(order)
     result = execute_share(
-        DirectRunner(_provide), command, ctx, work, claims, slot, fair_share,
+        DirectRunner(_worker_store().get), command, ctx, work, claims, slot, fair_share,
         _PROFILE_INTERVAL,
     )
     result.idle_s = sum(waits)

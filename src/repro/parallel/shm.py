@@ -11,21 +11,27 @@ read-only: the kernel's page cache holds one copy for all of them, and
 each process builds zero-copy
 :class:`~repro.grids.block.LazyStructuredBlock` views over its map.
 
-A :class:`~repro.io.DatasetStore`'s own block files are mapped where
-they lie; any other source is written once into one file in a private
-temporary directory, removed at :meth:`~ShmBlockStore.cleanup`.  The
-parent stamps each file (size, ``mtime_ns``, inode) when the store is
-built; every process maps a file on its first
+Every store maps a dataset directory, one file per block: a
+:class:`~repro.io.DatasetStore`'s own block files where they lie, or a
+synthetic dataset written once (:func:`~repro.io.write_dataset`) into a
+private temporary directory, removed at :meth:`~ShmBlockStore.cleanup`.
+The parent stamps each file (size, ``mtime_ns``, inode) when the store
+is built; every process maps a file on its first
 :meth:`~ShmBlockStore.get_block` and raises
 :class:`~repro.io.format.FormatError` if it is no longer the file
 stamped, so a dataset rewritten under a live store reads as the old
 bytes or fails, never as a mix.
 
+The store is also a :class:`~repro.dms.source.BlockSource`, so the
+simulated cluster (:class:`~repro.core.session.ViracochaSession`) reads
+the same maps, block objects and derived fields as the real path.
+
 Derived fields (λ2 of the velocity field, say) are float64 arrays
 (byte-identical to computing them in place) written into one file per
 batch of blocks (:meth:`ShmBlockStore.add_derived_fields`): beside the
-dataset when it can be written (:mod:`repro.io.derived`), so every
-later open maps them where they lie, else into the private directory.
+dataset when it can be written (:mod:`repro.io.derived`; a synthetic
+dataset's lie under its private directory), so every later open maps
+them where they lie, else into the private directory.
 
 Each process keeps one block object per ``(time, block)`` while its
 store is open, so what is derived on a block
@@ -47,9 +53,14 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..grids.block import BlockHandle, LazyStructuredBlock
-from ..io.dataset_io import MAPS_HOLD_FDS, DatasetStore, Stamp, file_stamp, map_file
+from ..dms.items import ItemName, block_item
+from ..dms.source import _indices
+from ..io.dataset_io import (
+    MAPS_HOLD_FDS, DatasetStore, Stamp, file_stamp, map_file, write_dataset,
+)
 from ..io.derived import Layout, load_derived, save_derived, write_arrays
-from ..io.format import FormatError, block_from_buffer, block_to_bytes, field_directory
+from ..io.format import FormatError, block_from_buffer, field_directory
+from ..synth.base import BYTES_PER_POINT, SyntheticDataset
 
 __all__ = ["ShmBlockStore"]
 
@@ -63,15 +74,36 @@ _PRIVATE_PREFIX = "repro-store-"
 _FD_HEADROOM = 256
 
 
-def _remove_private(path: str, pid: int) -> None:
+def _lock(path: Path) -> int | None:
+    """A descriptor of directory ``path`` holding an exclusive
+    ``flock`` on it, or ``None`` when another descriptor holds one."""
+    if os.name != "posix":
+        return None
+    import fcntl
+
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
+def _remove_private(path: str, pid: int, lock: int | None) -> None:
     # Forked workers inherit the finalizer; only the creator removes.
     if os.getpid() == pid:
         shutil.rmtree(path, ignore_errors=True)
+        if lock is not None:
+            os.close(lock)
 
 
 def _remove_orphans() -> None:
     """Remove this user's private directories whose creator is gone
-    without cleaning up (killed, say), as named by their pid."""
+    without cleaning up (killed, say): the pid in the name is not a
+    live process here, and no process holds the directory's lock (the
+    pid may be a live one's in another pid namespace sharing this
+    temporary directory)."""
     if os.name != "posix":
         return
     for path in Path(tempfile.gettempdir()).glob(f"{_PRIVATE_PREFIX}*-*"):
@@ -81,7 +113,13 @@ def _remove_orphans() -> None:
                 continue
             os.kill(int(pid), 0)
         except ProcessLookupError:
-            shutil.rmtree(path, ignore_errors=True)
+            try:
+                lock = _lock(path)
+            except OSError:
+                continue  # already gone
+            if lock is not None:
+                shutil.rmtree(path, ignore_errors=True)
+                os.close(lock)
         except OSError:
             continue  # alive under another user, or already gone
 
@@ -120,12 +158,14 @@ def _map_budget(wanted: int) -> float:
 class ShmBlockStore:
     """Block files mapped read-only, viewable from any process.
 
-    Build with :meth:`from_store` (the dataset's own files) or
-    :meth:`from_source` (any :class:`~repro.dms.source.BlockSource`,
-    written once to a private directory), ship :meth:`manifest` to
-    workers, :meth:`attach` there, and :meth:`get_block` everywhere.
-    The creator should :meth:`cleanup` (or use the store as a context
-    manager) when done.
+    Build with :meth:`from_store` (a dataset's own files) or
+    :meth:`from_synthetic` (a synthetic dataset, written once to a
+    private directory), ship :meth:`manifest` to workers, :meth:`attach`
+    there, and :meth:`get_block` everywhere.  As a
+    :class:`~repro.dms.source.BlockSource` (:meth:`get`,
+    :meth:`modeled_bytes`, :meth:`item_sequence`) it feeds a simulated
+    session the same blocks.  The creator should :meth:`cleanup` (or use
+    the store as a context manager) when done.
     """
 
     def __init__(self) -> None:
@@ -134,9 +174,8 @@ class ShmBlockStore:
         #: the fields the data's blocks store (derived ones aside), with
         #: their component counts.
         self._fields: dict[str, int] = {}
-        #: each block's file, the stamp the parent gave it, and where in
-        #: the file the block lies: ``(path, stamp, offset, size)``.
-        self._files: dict[Key, tuple[str, Stamp, int, int]] = {}
+        #: each block's file and the stamp the parent gave it.
+        self._files: dict[Key, tuple[str, Stamp]] = {}
         #: this process's read-only maps, by path (blocks and derived).
         self._maps: dict[str, memoryview] = {}
         #: how many of them may be maps; the rest are read in.
@@ -154,8 +193,8 @@ class ShmBlockStore:
         #: the block object :meth:`get_block` hands out per key, kept
         #: until :meth:`close` so its memo and upcasts are reused.
         self._blocks: dict[Key, LazyStructuredBlock] = {}
-        #: the on-disk dataset a :meth:`from_store` store was read from:
-        #: where derived fields persist.  Unset everywhere else.
+        #: the dataset the creator's store maps: where derived fields
+        #: persist.  An attached store derives nothing, and has none.
         self._dataset: DatasetStore | None = None
         #: the temporary directory this store writes and removes, made
         #: on first need, and its remover.
@@ -173,13 +212,43 @@ class ShmBlockStore:
         """Map an on-disk dataset's block files where they lie, and the
         derived fields persisted beside it for every block whose file is
         unchanged since they were derived."""
-        self = cls._for(store, time_indices)
+        return cls()._open(store, time_indices)
+
+    @classmethod
+    def from_synthetic(
+        cls, dataset: SyntheticDataset, time_indices: Iterable[int] | None = None
+    ) -> "ShmBlockStore":
+        """Write a synthetic dataset once, every level, into a private
+        directory (:func:`~repro.io.write_dataset`: float64 fields cast
+        to the canonical ``<f4`` layout) and map it there like
+        :meth:`from_store`; its derived fields persist under that
+        directory, and all of it goes with :meth:`cleanup`."""
+        self = cls()
+        try:
+            spec = dataset.spec
+            written = write_dataset(
+                self._private_dir(),
+                [dataset.level(t) for t in range(spec.n_timesteps)],
+                modeled_shapes=list(spec.modeled_shapes),
+                times=spec.times,
+            )
+            return self._open(written, time_indices)
+        except BaseException:
+            self.cleanup()
+            raise
+
+    def _open(
+        self, store: DatasetStore, time_indices: Iterable[int] | None
+    ) -> "ShmBlockStore":
+        self.name, self.times = store.name, list(store.times)
+        self._fields = dict(store.field_components)
         self._dataset = store
-        for t in self._handles:
+        for t in range(store.n_timesteps) if time_indices is None else time_indices:
+            self._handles[t] = store.handles(t)
             for b in range(store.n_blocks):
                 path = str(store.block_path(t, b))
                 buf, st = map_file(path)
-                self._files[(t, b)] = (path, file_stamp(st), 0, st.st_size)
+                self._files[(t, b)] = (path, file_stamp(st))
                 self._scalars[(t, b)] = _scalars(buf)
         self._budget = _map_budget(len(self._files))
         for name, (path, layout) in load_derived(store, self._stamps()).items():
@@ -190,67 +259,22 @@ class ShmBlockStore:
             self._add_derived_file(name, str(path), layout)
         return self
 
-    @classmethod
-    def from_source(
-        cls, source: Any, time_indices: Iterable[int] | None = None
-    ) -> "ShmBlockStore":
-        """Write any :class:`~repro.dms.source.BlockSource` once into one
-        file in a private directory, block after block (each on a cache
-        line), and map it like :meth:`from_store`: one file to create
-        and one map per process, however many blocks.  Each block is its
-        ``get_bytes`` buffer where the source has one (a
-        :class:`StoreSource`), else :func:`~repro.io.format.block_to_bytes`
-        of it (float64 fields cast to the canonical ``<f4`` layout).
-        """
-        self = cls._for(source, time_indices)
-        get_bytes = getattr(source, "get_bytes", None)
-        spans = {}
-        try:
-            path = str(self._private_dir() / "blocks.bin")
-            with open(path, "xb") as fh:
-                for t in self._handles:
-                    for item in source.item_sequence(t):
-                        key = (t, int(item.param("block")))
-                        payload = memoryview(
-                            get_bytes(item) if get_bytes is not None
-                            else block_to_bytes(source.get(item))
-                        )
-                        fh.write(bytes(-fh.tell() % 64))
-                        spans[key] = (fh.tell(), payload.nbytes)
-                        fh.write(payload)
-                        self._scalars[key] = _scalars(payload)
-                fh.flush()
-                stamp = file_stamp(os.fstat(fh.fileno()))
-        except BaseException:
-            self.cleanup()
-            raise
-        self._files = {key: (path, stamp, *span) for key, span in spans.items()}
-        return self
-
-    @classmethod
-    def _for(cls, data: Any, time_indices: Iterable[int] | None) -> "ShmBlockStore":
-        """An empty store named and timed like ``data``, with the handles
-        of the levels it will hold."""
-        self = cls()
-        self.name, self.times = data.name, list(data.times)
-        self._fields = dict(data.field_components)
-        for t in range(data.n_timesteps) if time_indices is None else time_indices:
-            self._handles[t] = data.handles(t)
-        return self
-
     def _private_dir(self) -> Path:
+        """The store's temporary directory, made on first need and
+        locked (:func:`_lock`) until it is removed."""
         if self._private is None:
             _remove_orphans()
             self._private = Path(tempfile.mkdtemp(
                 prefix=f"{_PRIVATE_PREFIX}{os.getpid()}-"
             ))
             self._remove = weakref.finalize(
-                self, _remove_private, str(self._private), os.getpid()
+                self, _remove_private, str(self._private), os.getpid(),
+                _lock(self._private),
             )
         return self._private
 
     def _stamps(self) -> dict[Key, Stamp]:
-        return {key: stamp for key, (_path, stamp, *_span) in self._files.items()}
+        return {key: stamp for key, (_path, stamp) in self._files.items()}
 
     @classmethod
     def attach(cls, manifest: Mapping[str, Any]) -> "ShmBlockStore":
@@ -263,7 +287,7 @@ class ShmBlockStore:
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
         self._files = dict(manifest["files"])
         self._scalars = dict(manifest["scalars"])
-        self._budget = _map_budget(len({f[0] for f in self._files.values()}))
+        self._budget = _map_budget(len(self._files))
         self.sync(manifest)
         return self
 
@@ -336,14 +360,12 @@ class ShmBlockStore:
         self._add_derived_file(name, str(path), layout)
 
     def persist_derived(self, name: str) -> bool:
-        """Write derived field ``name`` beside the dataset this store was
-        read from, for every block that has it; ``False`` (never raised)
-        when there is no such dataset or it cannot be written."""
+        """Write derived field ``name`` beside the dataset this store
+        maps, for every block that has it; ``False`` (never raised) when
+        the dataset's directory cannot be written."""
         return self._persist(name, {})
 
     def _persist(self, name: str, arrays: Mapping[Key, np.ndarray]) -> bool:
-        if self._dataset is None:
-            return False
         # The index names one data file, so it holds every block's array.
         merged = {
             key: self._derived_view(key, name)
@@ -375,7 +397,7 @@ class ShmBlockStore:
         # Those levels' range tables (if built) predate the new values.
         for t in {t for t, _b in (layout if changed is None else changed)}:
             self._ranges.get(name, {}).pop(t, None)
-        live = {f[0] for f in self._files.values()}
+        live = {path for path, _stamp in self._files.values()}
         live.update(a[0] for fields in self._derived.values() for a in fields.values())
         for stale in self._maps.keys() - live:
             del self._maps[stale]
@@ -456,15 +478,28 @@ class ShmBlockStore:
         if block is not None:
             return block
         try:
-            path, stamp, offset, size = self._files[key]
+            path, stamp = self._files[key]
         except KeyError:
             raise KeyError(f"no block t={time_index} b={block_id} in store") from None
-        buf = self._map(path, stamp)[offset:offset + size]
-        block = block_from_buffer(buf, lazy=True)
+        block = block_from_buffer(self._map(path, stamp), lazy=True)
         for fname in self._derived.get(key, {}):
             block.attach_raw_field(fname, self._derived_view(key, fname))
         self._blocks[key] = block
         return block
+
+    # ------------------------------------------------- as a BlockSource
+    def get(self, item: ItemName) -> LazyStructuredBlock:
+        """The block ``item`` names (:meth:`get_block`)."""
+        return self.get_block(*_indices(item))
+
+    def modeled_bytes(self, item: ItemName) -> int:
+        """The item's paper-scale size, from its handle's modeled shape."""
+        t, b = _indices(item)
+        return self._handles[t][b].modeled_points * BYTES_PER_POINT
+
+    def item_sequence(self, time_index: int) -> list[ItemName]:
+        return [block_item(self.name, time_index, h.block_id)
+                for h in self.handles(time_index)]
 
     def block_ranges(
         self, scalar: str, time_index: int

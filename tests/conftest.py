@@ -11,15 +11,60 @@ through.
 
 Both helpers are importable (``from tests.conftest import ...``) for
 module-level use and wrapped as fixtures for injection.
+
+The run owns what it makes: once every test is done, no result arena a
+worker pool created and no private store directory
+(``repro-store-<pid>-*``) of this process or a subprocess it started
+may still exist (:func:`_the_run_leaves_nothing_behind`).
 """
+
+import gc
+import os
+import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro import ViracochaSession, build_engine
 from repro.bench import paper_cluster, paper_costs
 from repro.core.commands import Command
+from repro.parallel import ProcessWorkerPool
 
 _ENGINE_CACHE: dict = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _the_run_leaves_nothing_behind():
+    """Fail the run if a result arena some :class:`ProcessWorkerPool`
+    created, or a private store directory named with the pid of this
+    process or of a subprocess it started, outlives the tests.  Only
+    what this run made is looked at, never the machine-wide listing."""
+    arenas: set[str] = set()
+    pids = {os.getpid()}
+    offer, popen = ProcessWorkerPool._offer_arenas, subprocess.Popen.__init__
+
+    def offer_arenas(self, n_slots):
+        names = offer(self, n_slots)
+        arenas.update(name for name in names if name)
+        return names
+
+    def popen_init(self, *args, **kwargs):
+        popen(self, *args, **kwargs)
+        pids.add(self.pid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProcessWorkerPool, "_offer_arenas", offer_arenas)
+        patch.setattr(subprocess.Popen, "__init__", popen_init)
+        yield
+    gc.collect()  # stores only garbage now remove their directories
+    left = sorted(
+        f"/dev/shm/{name}" for name in arenas if os.path.exists(f"/dev/shm/{name}")
+    ) + sorted(
+        str(path) for pid in pids
+        for path in Path(tempfile.gettempdir()).glob(f"repro-store-{pid}-*")
+    )
+    assert not left, f"the test run left behind: {left}"
 
 
 class FailingCommand(Command):

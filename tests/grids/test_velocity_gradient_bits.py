@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.lambda2 import lambda2_field, lambda2_points
-from repro.dms.source import SyntheticSource
 from repro.grids import StructuredBlock, velocity_gradient_tensor
 from repro.parallel import ShmBlockStore
 from repro.synth import build_engine, build_propfan, cartesian_lattice, warp_lattice
@@ -173,7 +172,7 @@ def test_slab_views():
 def test_float32_blocks_from_shared_memory():
     """Lazy blocks whose ``<f4`` velocity is upcast on access."""
     engine = build_engine(base_resolution=10, n_timesteps=1)
-    with ShmBlockStore.from_source(SyntheticSource(engine), time_indices=[0]) as shm:
+    with ShmBlockStore.from_synthetic(engine, time_indices=[0]) as shm:
         for b in range(shm.n_blocks):
             block = shm.get_block(0, b)
             assert block.fields.raw_view("velocity").dtype == np.dtype("<f4")

@@ -21,7 +21,6 @@ from repro.io import (
     read_block,
     write_block,
 )
-from repro.dms.source import StoreSource
 
 
 def _block():
@@ -168,9 +167,10 @@ def test_stream_reader_lazy_mode_matches_buffer_path():
         )
 
 
-def test_store_source_get_bytes_is_parseable(tmp_path):
+def test_store_block_buffer_is_parseable(tmp_path):
     from repro.dms.items import block_item
     from repro.io import write_dataset
+    from repro.parallel import ShmBlockStore
     from tests.conftest import cached_engine
 
     eng = cached_engine(4, 2)
@@ -180,12 +180,11 @@ def test_store_source_get_bytes_is_parseable(tmp_path):
         modeled_shapes=list(eng.spec.modeled_shapes),
         times=eng.spec.times[:1],
     )
-    source = StoreSource(store)
-    item = block_item(store.name, 0, 0)
-    buf = source.get_bytes(item)
+    buf = store.block_buffer(0, 0)
     via_bytes = block_from_buffer(buf, lazy=True)
-    via_get = source.get(item)
-    assert isinstance(via_get, LazyStructuredBlock)
-    assert via_bytes.coords.tobytes() == via_get.coords.tobytes()
-    for name in via_get.fields:
-        assert via_bytes.fields[name].tobytes() == via_get.fields[name].tobytes()
+    with ShmBlockStore.from_store(store) as mapped:
+        via_get = mapped.get(block_item(store.name, 0, 0))
+        assert isinstance(via_get, LazyStructuredBlock)
+        assert via_bytes.coords.tobytes() == via_get.coords.tobytes()
+        for name in via_get.fields:
+            assert via_bytes.fields[name].tobytes() == via_get.fields[name].tobytes()

@@ -10,8 +10,7 @@ import pytest
 from repro import ViracochaSession
 from repro.commands import DEMO_PARAMS, default_registry
 from repro.core.commands import ParamError, command_context, deal, default_batch
-from repro.dms.source import StoreSource
-from repro.parallel import ParallelExtractor
+from repro.parallel import ParallelExtractor, ShmBlockStore
 
 from .test_equivalence import _mesh_bytes
 
@@ -100,7 +99,8 @@ def test_real_path_rejects_bad_steal_batch_before_the_pool(
 
 @pytest.mark.parametrize("steal_batch", BAD_BATCHES)
 def test_des_rejects_bad_steal_batch(engine_store, steal_batch):
-    session = ViracochaSession(StoreSource(engine_store), n_workers=2)
     params = dict(ISO, schedule="dynamic", steal_batch=steal_batch)
-    with pytest.raises(ValueError, match="steal_batch must be an integer >= 1"):
-        session.run("iso-dataman", params=params, group_size=2)
+    with ShmBlockStore.from_store(engine_store) as store:
+        session = ViracochaSession(store, n_workers=2)
+        with pytest.raises(ValueError, match="steal_batch must be an integer >= 1"):
+            session.run("iso-dataman", params=params, group_size=2)

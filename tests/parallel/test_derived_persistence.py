@@ -11,13 +11,13 @@ copy of λ2.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.algorithms import lambda2 as lambda2_module
 from repro.core.commands import ParamError
-from repro.dms.source import StoreSource
 from repro.io import DatasetStore, write_dataset
 from repro.io.dataset_io import DERIVED_DIR
 from repro.io.format import write_block
@@ -47,11 +47,19 @@ def _mesh_bytes(mesh) -> bytes:
 
 
 def _fresh(root, params=VORTEX) -> bytes:
-    """Serial, from the block files alone: the store is built from a
-    BlockSource, so it neither reads nor writes ``derived/``."""
-    with ParallelExtractor(StoreSource(DatasetStore(root)), workers=2,
-                           executor="serial") as ext:
-        mesh = ext.run("vortex-dataman", params=params).result
+    """Serial, from the block files alone: the dataset's blocks and
+    ``meta.json`` are copied to a directory of their own, so the run
+    neither reads nor writes ``root/derived/``."""
+    copy = root.parent / f"{root.name}-fresh"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns(DERIVED_DIR))
+    try:
+        with ParallelExtractor(DatasetStore(copy), workers=2,
+                               executor="serial") as ext:
+            assert ext.store.lacking("lambda2", [0, 1])  # nothing derived yet
+            mesh = ext.run("vortex-dataman", params=params).result
+    finally:
+        shutil.rmtree(copy)
     assert mesh.n_triangles > 0
     return _mesh_bytes(mesh)
 
@@ -129,11 +137,19 @@ def test_lambda2_of_another_field_never_reads_the_stored_one(root, executor):
 
 
 def test_stores_not_read_from_disk_persist_nothing(tmp_path):
+    """A synthetic dataset's store persists λ2 under its own private
+    directory, which goes with the store: nothing outlives it."""
     with ParallelExtractor(cached_engine(4, 2), workers=2,
                            executor="serial") as ext:
         ext.run("vortex-dataman", params=VORTEX)
         assert ext.store.lacking("lambda2", [0, 1]) == []
-        assert not ext.store.persist_derived("lambda2")
+        private = ext.store._private
+        derived = [p for p in ext.store.mapped_files if p.endswith(".f8")]
+        assert derived and all(
+            os.path.dirname(p) == str(private / DERIVED_DIR) for p in derived
+        )
+        assert ext.store.persist_derived("lambda2")
+    assert not private.exists()
 
 
 # -------------------------------------------------------------- never stale

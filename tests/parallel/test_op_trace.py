@@ -33,8 +33,7 @@ from repro.core.commands import (
     Load,
 )
 from repro.dms.items import block_item
-from repro.dms.source import StoreSource
-from repro.parallel import ParallelExtractor
+from repro.parallel import ParallelExtractor, ShmBlockStore
 
 GROUPS = (1, 2)
 #: every command at group 1 and 2 under both schedules, except that
@@ -131,10 +130,11 @@ def _params(command: str, schedule: str) -> dict:
 
 def _des_trace(store, command, group, schedule) -> dict:
     traces: dict = {}
-    session = ViracochaSession(
-        StoreSource(store), n_workers=2, registry=_registry(traces, cull=False)
-    )
-    session.run(command, params=_params(command, schedule), group_size=group)
+    with ShmBlockStore.from_store(store) as shm:
+        session = ViracochaSession(
+            shm, n_workers=2, registry=_registry(traces, cull=False)
+        )
+        session.run(command, params=_params(command, schedule), group_size=group)
     return traces
 
 

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.commands import Command, Emit, Load, plan_block_assignments
 from repro.dms.items import block_item
-from repro.dms.source import StoreSource
 from repro.io import DatasetStore, write_dataset
 from repro.io.dataset_io import DERIVED_DIR, MAPS_HOLD_FDS
 from repro.parallel import ParallelExtractor, ShmBlockStore
@@ -152,7 +151,7 @@ def test_close_leaves_dev_shm_as_it_was(engine10, executor):
         assert not any(os.path.exists("/dev/shm/" + name) for name in arenas)
 
 
-@pytest.mark.parametrize("kind", ["store", "source", "synthetic"])
+@pytest.mark.parametrize("kind", ["store", "synthetic"])
 def test_only_result_arenas_are_shared_memory(engine10, kind, monkeypatch):
     """Whatever the data, the one segment the real path creates is a
     result arena."""
@@ -167,7 +166,6 @@ def test_only_result_arenas_are_shared_memory(engine10, kind, monkeypatch):
     monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
     data = {
         "store": DatasetStore(engine10),
-        "source": StoreSource(DatasetStore(engine10)),
         "synthetic": cached_engine(4, 2),
     }[kind]
     arenas = set()

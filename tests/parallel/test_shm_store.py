@@ -6,14 +6,15 @@ import signal
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.algorithms.lambda2 import lambda2_field
-from repro.dms.source import SyntheticSource
 from repro.grids.block import LazyStructuredBlock
 from repro.parallel import ShmBlockStore
+from repro.parallel import shm as shm_module
 from tests.conftest import cached_engine
 
 
@@ -49,9 +50,9 @@ def test_views_are_read_only_and_zero_copy(engine_store):
         ) or raw.tobytes() == again.fields.raw_view("pressure").tobytes()
 
 
-def test_from_source_synthetic_round_trips():
+def test_a_synthetic_dataset_round_trips():
     eng = cached_engine(4, 2)
-    with ShmBlockStore.from_source(SyntheticSource(eng), time_indices=[0]) as shm:
+    with ShmBlockStore.from_synthetic(eng, time_indices=[0]) as shm:
         block = shm.get_block(0, 0)
         ref = eng.build_block(0, 0)
         # Serialization canonicalizes fields to <f4 — compare at f4.
@@ -101,15 +102,15 @@ def test_derived_fields_are_float64_and_shared(engine_store):
 
 
 def test_cleanup_retires_all_segments(engine_store):
-    """A store's private directory (blocks of a non-disk source, fields
-    that could not be persisted) goes with ``cleanup``; the dataset's
+    """A store's private directory (a synthetic dataset's blocks and the
+    fields derived beside them) goes with ``cleanup``; the dataset's
     own files stay."""
     eng = cached_engine(4, 2)
-    shm = ShmBlockStore.from_source(SyntheticSource(eng), time_indices=[0])
+    shm = ShmBlockStore.from_synthetic(eng, time_indices=[0])
     shm.add_derived_fields("lambda2", {(0, 0): lambda2_field(shm.get_block(0, 0))})
     paths = shm.mapped_files
     assert paths and all(os.path.exists(p) for p in paths)
-    assert len({os.path.dirname(p) for p in paths}) == 1
+    assert all(Path(p).is_relative_to(shm._private) for p in paths)
     shm.cleanup()
     assert not any(os.path.exists(p) for p in paths)
     # Idempotent.
@@ -148,10 +149,28 @@ def test_a_killed_creators_directory_goes_with_the_next_one():
     assert proc.returncode == -signal.SIGKILL and os.path.isdir(orphan)
     live = tempfile.mkdtemp(prefix=f"repro-store-{os.getppid()}-")
     try:
-        shm = ShmBlockStore.from_source(SyntheticSource(cached_engine(4, 2)),
-                                        time_indices=[0])
+        shm = ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0])
         shm.cleanup()
         assert not os.path.exists(orphan)
         assert os.path.isdir(live)
     finally:
         shutil.rmtree(live, ignore_errors=True)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="pids are probed with kill(pid, 0)")
+def test_a_locked_directory_of_a_dead_pid_survives():
+    """A pid that is not alive here may be a live creator's in another
+    pid namespace sharing the temporary directory: while its lock is
+    held, its directory stays; once released, it is an orphan."""
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert gone.wait(timeout=60) == 0  # reaped: its pid names no process
+    other = Path(tempfile.mkdtemp(prefix=f"repro-store-{gone.pid}-"))
+    holder = shm_module._lock(other)
+    try:
+        assert holder is not None
+        ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0]).cleanup()
+        assert other.is_dir()
+    finally:
+        os.close(holder)
+    ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0]).cleanup()
+    assert not other.exists()

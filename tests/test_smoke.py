@@ -16,8 +16,8 @@ def test_store_source_session_end_to_end(tmp_path):
     """Framework over an on-disk store: the full I/O path in one test."""
     from repro import ViracochaSession, build_engine
     from repro.bench import paper_cluster, paper_costs
-    from repro.dms import StoreSource
     from repro.io import DatasetStore, write_dataset
+    from repro.parallel import ShmBlockStore
 
     engine = build_engine(base_resolution=4, n_timesteps=2)
     write_dataset(
@@ -26,15 +26,14 @@ def test_store_source_session_end_to_end(tmp_path):
         modeled_shapes=list(engine.spec.modeled_shapes),
         times=engine.spec.times[:2],
     )
-    session = ViracochaSession(
-        StoreSource(DatasetStore(tmp_path / "store")),
-        cluster_config=paper_cluster(2),
-        costs=paper_costs(),
-    )
-    result = session.run(
-        "iso-dataman",
-        params={"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)},
-    )
+    with ShmBlockStore.from_store(DatasetStore(tmp_path / "store")) as store:
+        session = ViracochaSession(
+            store, cluster_config=paper_cluster(2), costs=paper_costs(),
+        )
+        result = session.run(
+            "iso-dataman",
+            params={"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)},
+        )
     from repro.algorithms import extract_isosurface
 
     direct = extract_isosurface(engine.level(0), "pressure", -0.3)
