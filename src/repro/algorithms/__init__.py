@@ -4,9 +4,8 @@ from .isosurface import (
     active_cell_indices,
     extract_block_isosurface,
     extract_isosurface,
-    iter_isosurface_batches,
 )
-from .view_dep_iso import iter_view_dependent_batches, sort_blocks_front_to_back
+from .view_dep_iso import iter_view_dependent_batches
 from .lambda2 import (
     extract_block_vortices,
     extract_vortices,
@@ -24,7 +23,6 @@ from .streaklines import Streakline, StreaklineTracer, trace_streakline
 from .cutplane import (
     extract_block_cutplane,
     extract_cutplane,
-    iter_cutplane_batches,
     plane_distance_field,
 )
 
@@ -32,9 +30,7 @@ __all__ = [
     "active_cell_indices",
     "extract_block_isosurface",
     "extract_isosurface",
-    "iter_isosurface_batches",
     "iter_view_dependent_batches",
-    "sort_blocks_front_to_back",
     "extract_block_vortices",
     "extract_vortices",
     "iter_vortex_batches",
@@ -49,6 +45,5 @@ __all__ = [
     "trace_streakline",
     "extract_block_cutplane",
     "extract_cutplane",
-    "iter_cutplane_batches",
     "plane_distance_field",
 ]

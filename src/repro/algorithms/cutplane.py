@@ -9,16 +9,14 @@ isosurface machinery is reused wholesale — including streaming.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..grids.block import StructuredBlock
 from ..grids.multiblock import MultiBlockDataset
 from ..viz.mesh import TriangleMesh
-from .isosurface import extract_block_isosurface, iter_isosurface_batches
+from .isosurface import extract_block_isosurface
 
-__all__ = ["plane_distance_field", "extract_block_cutplane", "extract_cutplane", "iter_cutplane_batches"]
+__all__ = ["plane_distance_field", "extract_block_cutplane", "extract_cutplane"]
 
 _FIELD = "_plane_distance"
 
@@ -71,14 +69,3 @@ def extract_cutplane(
     return TriangleMesh.merge(
         extract_block_cutplane(b, normal, offset, attributes) for b in dataset
     )
-
-
-def iter_cutplane_batches(
-    block: StructuredBlock,
-    normal: np.ndarray,
-    offset: float = 0.0,
-    batch_cells: int = 512,
-) -> Iterator[TriangleMesh]:
-    """Streamed cut-plane fragments of one block."""
-    work = _prepared(block, normal, offset)
-    yield from iter_isosurface_batches(work, _FIELD, 0.0, batch_cells=batch_cells)

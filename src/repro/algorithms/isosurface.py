@@ -23,8 +23,6 @@ paper's C++ could afford would dominate runtime here.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..grids.block import StructuredBlock
@@ -37,7 +35,6 @@ __all__ = [
     "active_cell_indices",
     "extract_block_isosurface",
     "extract_isosurface",
-    "iter_isosurface_batches",
 ]
 
 _CORNER_OFFSETS = np.array(
@@ -147,40 +144,3 @@ def extract_isosurface(
         extract_block_isosurface(b, scalar, isovalue, attributes=attributes)
         for b in dataset
     )
-
-
-def iter_isosurface_batches(
-    block: StructuredBlock,
-    scalar: str,
-    isovalue: float,
-    batch_cells: int = 512,
-    cell_order: np.ndarray | None = None,
-) -> Iterator[TriangleMesh]:
-    """Yield isosurface fragments in batches of active cells.
-
-    This is the unit of streaming: "Whenever a user-specified number of
-    triangles is computed, these fragments of the final isosurface are
-    directly streamed to the visualization client" (§6.3).  ``cell_order``
-    can impose a view-dependent traversal (see
-    :mod:`repro.algorithms.view_dep_iso`).
-    """
-    if batch_cells < 1:
-        raise ValueError(f"batch_cells must be >= 1, got {batch_cells}")
-    active = active_cell_indices(block, scalar, isovalue)
-    if cell_order is not None and len(active) and len(np.ravel(cell_order)):
-        # Stable reorder of the active cells by their rank in
-        # ``cell_order`` (cells not listed go last, keeping their
-        # relative order; a duplicated cell takes its last listed rank).
-        order = np.asarray(cell_order, dtype=np.int64).ravel()
-        sorter = np.argsort(order, kind="stable")
-        ordered = order[sorter]
-        right = np.searchsorted(ordered, active, side="right")
-        rank = np.full(len(active), len(order), dtype=np.int64)
-        hit = (right > 0) & (ordered[np.maximum(right - 1, 0)] == active)
-        rank[hit] = sorter[right[hit] - 1]
-        active = active[np.argsort(rank, kind="stable")]
-    for start in range(0, len(active), batch_cells):
-        chunk = active[start : start + batch_cells]
-        mesh = extract_block_isosurface(block, scalar, isovalue, cell_indices=chunk)
-        if not mesh.is_empty():
-            yield mesh

@@ -19,26 +19,16 @@ environment the user will examine the surface from other viewpoints.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from ..grids.block import BlockHandle, StructuredBlock
+from ..grids.block import StructuredBlock
 from ..grids.bsp import BSPTree
 from ..viz.mesh import TriangleMesh
 from .isosurface import extract_block_isosurface
 
-__all__ = ["sort_blocks_front_to_back", "iter_view_dependent_batches"]
-
-
-def sort_blocks_front_to_back(
-    handles: Sequence[BlockHandle], viewpoint: np.ndarray
-) -> list[BlockHandle]:
-    """Step 1: order whole blocks by bbox-center distance to the viewer."""
-    vp = np.asarray(viewpoint, dtype=np.float64)
-    return sorted(
-        handles, key=lambda h: float(np.sum((h.center() - vp) ** 2))
-    )
+__all__ = ["iter_view_dependent_batches"]
 
 
 def iter_view_dependent_batches(

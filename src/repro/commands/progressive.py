@@ -24,12 +24,12 @@ Three more optimizations ride on the schedule:
   coarse ancestor box straddles the isovalue
   (:meth:`MultiResPyramid.active_cells`); the exact 8-corner filter on
   the survivors keeps the finest level byte-identical to plain ``iso``.
-* **Frame-budget refinement** — with ``params["frame_budget"]`` (a
-  triangle count from :meth:`~..viz.client.FrameRateModel.triangle_budget`)
-  refinement is reordered by visible benefit per triangle and paced in
-  budget-sized rounds; a :class:`RefinementControl` token in
-  ``params["control"]`` cancels in-flight refinement cooperatively
-  (the coarse pass always completes).
+* **Frame-budget refinement** — with ``params["frame_budget"]`` (the
+  triangles one frame may add) refinement is reordered by visible
+  benefit per triangle and paced in budget-sized rounds; a
+  :class:`RefinementControl` token in ``params["control"]`` cancels
+  in-flight refinement cooperatively (the coarse pass always
+  completes).
 
 Each level's packet carries ``level`` / ``finest`` / ``order`` vertex
 attributes so the client can replace-refine and :meth:`merge` can

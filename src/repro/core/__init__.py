@@ -9,7 +9,7 @@ from .messages import (
     WorkAssignment,
     WorkerDone,
 )
-from .channels import InstantChannel, Mailbox, SimMPIChannel, SimTCPChannel
+from .channels import Mailbox, SimMPIChannel, SimTCPChannel
 from .commands import (
     Command,
     CommandContext,
@@ -36,7 +36,6 @@ __all__ = [
     "ResultPacket",
     "WorkAssignment",
     "WorkerDone",
-    "InstantChannel",
     "Mailbox",
     "SimMPIChannel",
     "SimTCPChannel",

@@ -6,16 +6,14 @@ communication interface without knowing whether the data will be
 transferred using TCP/IP or MPI calls.  This facilitates an easy
 adoption of new transport protocols." (§3)
 
-A :class:`Channel` delivers messages into a destination
-:class:`Mailbox`, charging the appropriate simulated link:
+A channel's ``send(sender, message, dest)`` delivers a message into a
+destination :class:`Mailbox`, charging the appropriate simulated link:
 :class:`SimMPIChannel` rides the cluster fabric (worker ↔ scheduler),
 :class:`SimTCPChannel` rides the serialized client link (cluster ↔
-visualization host).  Layers 2 and 3 hold ``Channel`` references only.
+visualization host).  Layers 2 and 3 call only ``send``.
 """
 
 from __future__ import annotations
-
-from typing import Generator, Protocol
 
 from ..des.cluster import SimCluster, SimNode
 from ..des.kernel import Environment, Event
@@ -23,11 +21,9 @@ from ..des.resources import Store
 
 __all__ = [
     "Mailbox",
-    "Channel",
     "ClientUplink",
     "SimMPIChannel",
     "SimTCPChannel",
-    "InstantChannel",
 ]
 
 
@@ -49,14 +45,6 @@ class Mailbox:
 
     def __len__(self) -> int:
         return len(self._store)
-
-
-class Channel(Protocol):
-    """What layers 2/3 see: send a message from a node to a mailbox."""
-
-    def send(
-        self, sender: SimNode, message, dest: Mailbox
-    ) -> Generator[Event, None, None]: ...
 
 
 class SimMPIChannel:
@@ -98,15 +86,6 @@ class ClientUplink:
 
     def send(self, message):
         yield from self.cluster.client_link.transfer(_wire_bytes(message))
-
-
-class InstantChannel:
-    """Zero-cost delivery — unit-test doubles and client-side loopback."""
-
-    def send(self, sender: SimNode, message, dest: Mailbox):
-        dest.put(message)
-        return
-        yield  # pragma: no cover - makes this a generator function
 
 
 def _wire_bytes(message) -> int:

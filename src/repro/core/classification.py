@@ -17,7 +17,6 @@ __all__ = [
     "Category",
     "TAXONOMY",
     "CommandAssessment",
-    "assess_command",
     "format_taxonomy",
 ]
 
@@ -185,16 +184,6 @@ _register(CommandAssessment(
     ("normal", "offset"),
     "block-by-block data-reorganization streaming (§5.1)",
 ))
-
-
-def assess_command(name: str) -> CommandAssessment:
-    """The Figure 1 assessment of a built-in command."""
-    try:
-        return _ASSESSMENTS[name]
-    except KeyError:
-        raise KeyError(
-            f"no assessment for command {name!r}; known: {sorted(_ASSESSMENTS)}"
-        ) from None
 
 
 def all_assessments() -> list[CommandAssessment]:

@@ -59,11 +59,6 @@ class CostModel:
             cells * active_fraction * self.iso_triangulate_per_cell
         )
 
-    def viewer_iso_block_cost(self, handle: BlockHandle, active_fraction: float) -> float:
-        return handle.modeled_cells * self.bsp_per_cell + self.iso_block_cost(
-            handle, active_fraction
-        )
-
     def lambda2_block_cost(self, handle: BlockHandle, active_fraction: float) -> float:
         cells = handle.modeled_cells
         return cells * self.lambda2_per_cell + (

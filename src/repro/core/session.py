@@ -326,7 +326,6 @@ class ViracochaSession:
         for (request, _), record in zip(batch, records):
             request_id = request.request_id
             packets = self.client.packets_by_request[request_id]
-            payloads = self.client.payloads_by_request[request_id]
             final = next(p.time for p in packets if p.final)
             first = self.client.first_data_time_of(request_id)
             approx = self.client.first_approximation_time(
@@ -341,6 +340,12 @@ class ViracochaSession:
             if stamp_ttfa and approx is not None:
                 end_attrs = {"ttfa_s": ttfa_s}
             packet_times = [p.time - t_submit for p in packets]
+            # Merged by canonical unit, as the real path merges; the
+            # payloads and packet times keep arrival order.
+            meshes = sorted(
+                (p for p in packets if isinstance(p.payload, TriangleMesh)),
+                key=lambda p: (p.unit, p.sequence),
+            )
             self._record_run_metrics(
                 request.command, total_runtime, latency, packet_times,
                 degraded=record.degraded, ttfa=ttfa_s,
@@ -353,10 +358,8 @@ class ViracochaSession:
                 latency=latency,
                 n_packets=len(packets),
                 packet_times=packet_times,
-                geometry=TriangleMesh.merge(
-                    [p for p in payloads if isinstance(p, TriangleMesh)]
-                ),
-                payloads=list(payloads),
+                geometry=TriangleMesh.merge([p.payload for p in meshes]),
+                payloads=[p.payload for p in packets if p.payload is not None],
                 breakdown=dict(breakdown),
                 dms=dict(dms),
                 strategy_decisions=dict(self.scheduler.server.selector.decisions),

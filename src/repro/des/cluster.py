@@ -80,17 +80,6 @@ class NodeBreakdown:
     def total(self) -> float:
         return self.compute + self.read + self.send + self.other
 
-    def fractions(self) -> dict[str, float]:
-        t = self.total
-        if t == 0:
-            return {"compute": 0.0, "read": 0.0, "send": 0.0, "other": 0.0}
-        return {
-            "compute": self.compute / t,
-            "read": self.read / t,
-            "send": self.send / t,
-            "other": self.other / t,
-        }
-
     def add(self, other: "NodeBreakdown") -> None:
         self.compute += other.compute
         self.read += other.read
@@ -231,11 +220,3 @@ class SimCluster:
         t0 = self.env.now
         yield from self.client_link.transfer(nbytes)
         node.breakdown.send += self.env.now - t0
-
-    def total_breakdown(self, workers_only: bool = True) -> NodeBreakdown:
-        """Summed compute/read/send across nodes (Fig. 15 input)."""
-        agg = NodeBreakdown()
-        nodes = self.worker_nodes if workers_only else self.nodes
-        for node in nodes:
-            agg.add(node.breakdown)
-        return agg

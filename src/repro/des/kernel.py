@@ -318,23 +318,17 @@ class Process(Event):
             self._step(event._value)
 
     def _step_send(self, value: Any) -> None:
-        env = self.env
-        env._active = self
         try:
             target = self._send(value)
         except StopIteration as stop:
-            env._active = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active = None
             self.fail(exc)
             return
-        env._active = None
         self._wait(target)
 
     def _step(self, exc: BaseException) -> None:
-        self.env._active = self
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:
@@ -349,8 +343,6 @@ class Process(Event):
             else:
                 self.fail(err)
             return
-        finally:
-            self.env._active = None
         self._wait(target)
 
     def _wait(self, target: Any) -> None:
@@ -429,7 +421,6 @@ class Environment:
         # single-queue (time, seq) total order exactly.
         self._imm: deque[Event] = deque()
         self._seq = 0
-        self._active: Process | None = None
         # Free list of processed Timeout shells for :meth:`timeout` to
         # recycle.  The run loop returns a just-dispatched Timeout here
         # only when ``getrefcount`` proves nothing else references it,
@@ -439,10 +430,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active
 
     # -- factories ----------------------------------------------------
     def event(self) -> Event:
@@ -484,12 +471,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- external hooks ------------------------------------------------
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn()`` at absolute simulated time ``time``.
@@ -520,12 +501,6 @@ class Environment:
         self._seq += 1
         return evt
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn()`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn)
-
     # -- scheduling ----------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay == 0.0:
@@ -537,14 +512,6 @@ class Environment:
             else:  # delay rounded away; see Environment.timeout
                 self._imm.append(event)
         self._seq += 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._imm:
-            return self._now  # immediate events fire at the current time
-        if self._queue:
-            return -self._queue[-1][0]
-        return float("inf")
 
     def _pop_next(self) -> tuple[float, Event]:
         """Remove and return the globally next ``(time, event)`` pair."""
@@ -622,7 +589,6 @@ class Environment:
                     neg_now = neg_when
                     tie = bool(queue) and queue[-1][0] == neg_now
                 else:
-                    self._active = None
                     raise SimulationError(
                         "simulation ran out of events before target event fired"
                     )
@@ -633,18 +599,11 @@ class Environment:
                     if proc is not None:
                         event._proc = None
                         proc._target = None
-                        # ``_active`` is reset lazily: the next store
-                        # (here, a callback site, or a loop exit)
-                        # overwrites it before any non-process code
-                        # can observe the value.
-                        self._active = proc
                         try:
                             target = proc._send(event._value)
                         except StopIteration as result:
-                            self._active = None
                             proc.succeed(result.value)
                         except BaseException as exc:
-                            self._active = None
                             proc.fail(exc)
                         else:
                             if (type(target) is timeout_cls
@@ -654,23 +613,19 @@ class Environment:
                                 target._proc = proc
                                 proc._target = target
                             else:
-                                self._active = None
                                 proc._wait(target)
                     if callbacks:
-                        self._active = None
                         for cb in callbacks:
                             cb(event)
                     elif len(free) < 256 and refcount(event) == 2:
                         # Only this frame references the shell: recycle.
                         free.append(event)
                     continue
-                self._active = None
                 if callbacks:
                     for cb in callbacks:
                         cb(event)
                 if not event._ok and not event._defused:
                     raise event._value
-            self._active = None
             if stop._ok:
                 return stop._value
             stop.defuse()
@@ -685,8 +640,8 @@ class Environment:
         # time-advancing far pops need a deadline test.
         neg_deadline = -deadline
         neg_now = -self._now
-        # See the until-Event loop for the tie-flag and lazy ``_active``
-        # reset rationale; the two loops differ only in the stop test.
+        # See the until-Event loop for the tie-flag rationale; the two
+        # loops differ only in the stop test.
         tie = bool(queue) and queue[-1][0] == neg_now
         while True:
             if imm:
@@ -714,14 +669,11 @@ class Environment:
                 if proc is not None:
                     event._proc = None
                     proc._target = None
-                    self._active = proc
                     try:
                         target = proc._send(event._value)
                     except StopIteration as result:
-                        self._active = None
                         proc.succeed(result.value)
                     except BaseException as exc:
-                        self._active = None
                         proc.fail(exc)
                     else:
                         if (type(target) is timeout_cls
@@ -731,23 +683,19 @@ class Environment:
                             target._proc = proc
                             proc._target = target
                         else:
-                            self._active = None
                             proc._wait(target)
                 if callbacks:
-                    self._active = None
                     for cb in callbacks:
                         cb(event)
                 elif len(free) < 256 and refcount(event) == 2:
                     # Only this frame references the shell: recycle.
                     free.append(event)
                 continue
-            self._active = None
             if callbacks:
                 for cb in callbacks:
                     cb(event)
             if not event._ok and not event._defused:
                 raise event._value
-        self._active = None
         if deadline != float("inf"):
             self._now = deadline
         return None

@@ -34,10 +34,6 @@ class TransferToken:
         self.env = env
         self._event = env.event()
 
-    @property
-    def boosted(self) -> bool:
-        return self._event.triggered
-
     def boost(self) -> None:
         if not self._event.triggered:
             self._event.succeed()
@@ -104,10 +100,6 @@ class Link:
     def effective_bandwidth(self) -> float:
         """Current throughput after any injected degradation."""
         return self.bandwidth * self._degradation
-
-    @property
-    def degradation(self) -> float:
-        return self._degradation
 
     def degrade(self, factor: float) -> None:
         """Throttle the link to ``factor`` of nominal bandwidth.

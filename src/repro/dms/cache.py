@@ -65,10 +65,6 @@ class CacheTier:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
-
     def keys(self) -> list[Hashable]:
         return list(self._entries)
 
@@ -85,11 +81,6 @@ class CacheTier:
         self.stats.hits += 1
         self.policy.on_access(key)
         return entry[0]
-
-    def peek(self, key: Hashable) -> Any | None:
-        """Payload without touching stats or recency (for inspection)."""
-        entry = self._entries.get(key)
-        return entry[0] if entry else None
 
     def put(self, key: Hashable, payload: Any, nbytes: int) -> list[tuple[Hashable, Any, int]]:
         """Insert ``key``; returns the ``(key, payload, nbytes)`` evicted.

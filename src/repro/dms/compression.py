@@ -75,39 +75,6 @@ class CompressionModel:
             nbytes, bandwidth, latency
         )
 
-    def breakeven_bandwidth(self) -> float:
-        """Link bandwidth below which compression starts to pay off.
-
-        Solves plain == compressed for the bandwidth in the
-        **latency-free regime**: the extra framing round a compressed
-        transfer pays (see :meth:`compressed_time`) is dropped, which
-        makes the break-even independent of the transfer size.  This is
-        the large-transfer asymptote of
-        :meth:`breakeven_bandwidth_at` — good to ~1% once the wire time
-        dwarfs the link latency, increasingly optimistic about
-        compression for small messages on high-latency links.  Use
-        :meth:`breakeven_bandwidth_at` when latency matters.
-        """
-        codec = 1.0 / self.compress_rate + 1.0 / self.decompress_rate
-        return (1.0 - self.ratio) / codec
-
-    def breakeven_bandwidth_at(self, nbytes: int, latency: float = 0.0) -> float:
-        """Exact break-even bandwidth for one transfer size and latency.
-
-        Solves ``plain_time == compressed_time`` for the bandwidth with
-        the framing round included: compression pays off on links slower
-        than the returned value.  Converges to
-        :meth:`breakeven_bandwidth` as ``nbytes / latency`` grows; for
-        small transfers on chatty links the extra round trip eats the
-        byte savings and the break-even drops toward zero (compression
-        never worthwhile).
-        """
-        if nbytes <= 0:
-            return 0.0
-        codec = nbytes / self.compress_rate + nbytes / self.decompress_rate
-        denominator = codec + latency
-        return (1.0 - self.ratio) * nbytes / denominator
-
 
 #: gzip-class codec on float CFD blocks, 2004-era CPU.
 GZIP_2004 = CompressionModel(

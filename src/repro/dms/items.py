@@ -38,12 +38,6 @@ class ItemName:
                 return v
         return default
 
-    def with_params(self, **extra: object) -> "ItemName":
-        merged = dict(self.params)
-        merged.update(extra)
-        return ItemName(self.source, self.kind, tuple(sorted(merged.items())))
-
-
 def block_item(dataset: str, time_index: int, block_id: int, kind: str = "block") -> ItemName:
     """The standard item name for one block of one time level."""
     return ItemName(
@@ -104,10 +98,6 @@ class NameService:
             return self._by_id[ident]
         except KeyError:
             raise KeyError(f"unknown item identifier {ident}") from None
-
-    def known(self, name: ItemName) -> bool:
-        return name in self._by_name
-
 
 class NameResolver:
     """Proxy-side cache of name ↔ identifier translations."""

@@ -130,10 +130,6 @@ class NodeTransferLoad(LoadingStrategy):
         t = ctx.fabric_latency + ctx.nbytes / max(eff, 1e-9)
         return ctx.nbytes / max(t, 1e-12)
 
-    def pick_holder(self, ctx: LoadContext) -> int:
-        """Deterministic donor choice: the lowest-numbered other holder."""
-        return min(ctx.holders - {ctx.requester})
-
 
 class CollectiveLoad(LoadingStrategy):
     """Coordinated read when several nodes want the same item at once.

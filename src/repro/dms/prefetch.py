@@ -17,7 +17,7 @@ in 3-dimensional CFD data sets are not obvious at all times".
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 __all__ = [
     "Prefetcher",
@@ -217,15 +217,6 @@ class MarkovPrefetcher(Prefetcher):
     def describe(self) -> dict[str, object]:
         return {"name": self.name, "order": self.order, "width": self.width,
                 "n_contexts": self.n_contexts}
-
-    def _peek(self, key: Hashable) -> list[Hashable]:
-        """Current prediction after ``key`` without recording a transition."""
-        if self.order != 1:
-            return []
-        transitions = self._table.get((key,))
-        if not transitions:
-            return []
-        return transitions.top(self.width)
 
     @property
     def n_contexts(self) -> int:

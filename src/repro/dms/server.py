@@ -79,15 +79,6 @@ class DataManagerServer:
         #: cross-tenant sharing ledger for the serving layer.
         self.dedup_followers_by_tenant: Counter = Counter()
 
-    # ---------------------------------------------------- health signals
-    def report_fileserver_failure(self) -> None:
-        self.fileserver_reliability = max(0.05, 0.5 * self.fileserver_reliability)
-
-    def report_fileserver_success(self) -> None:
-        self.fileserver_reliability = min(
-            1.0, self.fileserver_reliability + 0.1 * (1.0 - self.fileserver_reliability)
-        )
-
     # ----------------------------------------------------------- stalls
     def stall(self, now: float, duration: float) -> None:
         """Wedge the server until ``now + duration`` (fault injection)."""

@@ -18,7 +18,7 @@ from typing import Protocol
 
 from ..grids.block import StructuredBlock
 from ..synth.base import SyntheticDataset
-from .items import ItemName, block_item
+from .items import ItemName
 
 __all__ = ["BlockSource", "SyntheticSource"]
 
@@ -31,8 +31,6 @@ class BlockSource(Protocol):
     def get(self, item: ItemName) -> StructuredBlock: ...
 
     def modeled_bytes(self, item: ItemName) -> int: ...
-
-    def item_sequence(self, time_index: int) -> list[ItemName]: ...
 
     def handles(self, time_index: int = 0) -> list: ...
 
@@ -73,12 +71,6 @@ class SyntheticSource:
     def modeled_bytes(self, item: ItemName) -> int:
         _, b = _indices(item)
         return self.dataset.spec.block_bytes(b)
-
-    def item_sequence(self, time_index: int) -> list[ItemName]:
-        return [
-            block_item(self.name, time_index, b)
-            for b in range(self.dataset.spec.n_blocks)
-        ]
 
     def handles(self, time_index: int = 0) -> list:
         return self.dataset.handles(time_index)

@@ -183,12 +183,6 @@ class DMSStatistics:
             else 0.0
         )
 
-    def misses_eliminated_fraction(self, baseline_misses: int) -> float:
-        """Fraction of a no-prefetch baseline's misses this run avoided."""
-        if baseline_misses <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.misses / baseline_misses)
-
     def merge(self, other: "DMSStatistics") -> None:
         self.requests += other.requests
         self.hits_l1 += other.hits_l1

@@ -14,7 +14,7 @@ The plan itself knows nothing about a live cluster; the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["FaultEvent", "FaultPlan"]
 
@@ -96,12 +96,6 @@ class FaultPlan:
                        duration=duration, magnitude=factor)
         )
 
-    def slow_disk(
-        self, time: float, node: int, factor: float, duration: float
-    ) -> "FaultPlan":
-        """Slow-disk episode: degrade node ``node``'s scratch disk."""
-        return self.degrade_link(time, f"disk{node}", factor, duration)
-
     def lossy_link(
         self, time: float, link: str, loss_prob: float, duration: float
     ) -> "FaultPlan":
@@ -181,16 +175,6 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.events)
-
-    def of_kind(self, kind: str) -> list[FaultEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def shifted(self, dt: float) -> "FaultPlan":
-        """A copy with every episode moved ``dt`` later (same seed)."""
-        return FaultPlan(
-            seed=self.seed,
-            events=[replace(e, time=e.time + dt) for e in self.events],
-        )
 
     def describe(self) -> str:
         """One line per episode — paste-ready for a bug report."""

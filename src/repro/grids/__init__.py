@@ -4,7 +4,7 @@ from .block import BlockHandle, StructuredBlock
 from .geometry import cell_centers, cell_volumes, velocity_gradient_tensor
 from .interpolate import CellLocator
 from .multiblock import MultiBlockDataset, TimeSeries
-from .topology import BlockTopology, FaceMatch, file_order, find_matched_faces
+from .topology import BlockTopology, FaceMatch, find_matched_faces
 from .bsp import BSPNode, BSPTree
 from .multires import MultiResPyramid, coarsen_block
 from .summary import BlockSummary, DatasetSummary, summarize_block, summarize_dataset
@@ -20,7 +20,6 @@ __all__ = [
     "TimeSeries",
     "BlockTopology",
     "FaceMatch",
-    "file_order",
     "find_matched_faces",
     "BSPNode",
     "BSPTree",

@@ -373,10 +373,6 @@ class LazyStructuredBlock(StructuredBlock):
         self.fields._raw[name] = raw
         self.fields._materialized.pop(name, None)
 
-    def materialized_fields(self) -> list[str]:
-        """Names of fields that have been upcast to float64 so far."""
-        return sorted(self.fields._materialized)
-
 
 @dataclass(frozen=True)
 class BlockHandle:

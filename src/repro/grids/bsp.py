@@ -139,11 +139,3 @@ class BSPTree:
         """All flat cell indices whose interval encloses ``isovalue``."""
         mask = (self._cell_min <= isovalue) & (self._cell_max >= isovalue)
         return np.nonzero(mask)[0]
-
-    def flat_to_ijk(self, flat: np.ndarray) -> np.ndarray:
-        """Convert flat cell indices to ``(i, j, k)`` triples, shape (n, 3)."""
-        ci, cj, ck = self.cell_shape
-        flat = np.asarray(flat)
-        i, rem = np.divmod(flat, cj * ck)
-        j, k = np.divmod(rem, ck)
-        return np.stack([i, j, k], axis=-1)

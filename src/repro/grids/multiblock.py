@@ -133,49 +133,3 @@ class TimeSeries:
         if index not in self._cache:
             self._cache[index] = self._getter(index)
         return self._cache[index]
-
-    def bracket(self, t: float) -> tuple[int, int, float]:
-        """Indices ``(lo, hi)`` with ``times[lo] <= t <= times[hi]`` and
-        the interpolation weight of ``hi``.  Clamps outside the range."""
-        times = self.times
-        if t <= times[0]:
-            return 0, 0, 0.0
-        if t >= times[-1]:
-            n = len(times) - 1
-            return n, n, 0.0
-        hi = int(np.searchsorted(times, t, side="right"))
-        lo = hi - 1
-        w = (t - times[lo]) / (times[hi] - times[lo])
-        return lo, hi, float(w)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def interpolate_level(self, t: float) -> MultiBlockDataset:
-        """Linearly blend the two bracketing levels at physical time ``t``.
-
-        The standard smooth-animation primitive: coordinates come from
-        the lower level (static grids), fields are interpolated per
-        point.  Clamps outside the series' time range.
-        """
-        lo, hi, w = self.bracket(t)
-        level_lo = self.level(lo)
-        if hi == lo or w == 0.0:
-            return level_lo
-        level_hi = self.level(hi)
-        from .block import StructuredBlock
-
-        blocks = []
-        for a in level_lo:
-            b = level_hi[a.block_id]
-            fields = {
-                name: (1.0 - w) * data + w * b.field(name)
-                for name, data in a.fields.items()
-                if b.has_field(name)
-            }
-            blocks.append(
-                StructuredBlock(
-                    a.coords, fields, block_id=a.block_id, time_index=lo
-                )
-            )
-        return MultiBlockDataset(blocks, name=self.name, time=float(t))

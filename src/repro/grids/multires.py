@@ -119,10 +119,6 @@ class MultiResPyramid:
         return len(self.levels)
 
     @property
-    def coarsest(self) -> StructuredBlock:
-        return self.levels[0]
-
-    @property
     def finest(self) -> StructuredBlock:
         return self.levels[-1]
 

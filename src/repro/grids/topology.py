@@ -1,15 +1,9 @@
 """Block-level topology of a multi-block dataset.
 
 Pathlines cross block boundaries; the tracer must know which blocks can
-contain a point that left its current block, and prefetchers want a
-notion of "neighboring block".  Both are derived here from (slightly
-padded) bounding boxes of the block handles — no payload data needed.
-
-The paper notes that sequential ("next block") orderings are not obvious
-in 3-D multi-block data; :func:`file_order` is the simple file-storage
-order the paper's OBL prefetcher uses, while :class:`BlockTopology`
-provides the geometric adjacency a "more sophisticated approach" would
-exploit.
+contain a point that left its current block.  :class:`BlockTopology`
+derives that from (slightly padded) bounding boxes of the block
+handles — no payload data needed.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ import numpy as np
 
 from .block import BlockHandle, StructuredBlock
 
-__all__ = ["BlockTopology", "file_order", "FaceMatch", "find_matched_faces"]
+__all__ = ["BlockTopology", "FaceMatch", "find_matched_faces"]
 
 #: the six logical boundary faces of a structured block.
 FACES = ("i-", "i+", "j-", "j+", "k-", "k+")
@@ -86,11 +80,6 @@ def find_matched_faces(
     return matches
 
 
-def file_order(handles: Sequence[BlockHandle]) -> list[int]:
-    """Block ids in on-disk storage order (ascending id)."""
-    return [h.block_id for h in sorted(handles, key=lambda h: h.block_id)]
-
-
 class BlockTopology:
     """Bounding-box adjacency between blocks of one time level."""
 
@@ -105,11 +94,6 @@ class BlockTopology:
         pad = pad_fraction * max(extent, 1.0)
         self._lows = lows - pad
         self._highs = highs + pad
-        self._neighbors: dict[int, list[int]] | None = None
-
-    @property
-    def block_ids(self) -> list[int]:
-        return list(self._ids)
 
     def candidates_many(self, points: np.ndarray) -> list[list[int]]:
         """Blocks whose (padded) bbox contains each point: one vectorized
@@ -131,35 +115,3 @@ class BlockTopology:
                 hits = hits[np.argsort(d2[row, hits], kind="stable")]
             out.append([self._ids[h] for h in hits])
         return out
-
-    def neighbors(self, block_id: int) -> list[int]:
-        """Blocks whose padded bboxes overlap ``block_id``'s."""
-        if self._neighbors is None:
-            self._neighbors = self._build_neighbors()
-        try:
-            return self._neighbors[block_id]
-        except KeyError:
-            raise KeyError(f"unknown block id {block_id}") from None
-
-    def _build_neighbors(self) -> dict[int, list[int]]:
-        n = len(self._ids)
-        out: dict[int, list[int]] = {bid: [] for bid in self._ids}
-        for a in range(n):
-            for b in range(a + 1, n):
-                overlap = np.all(
-                    (self._lows[a] <= self._highs[b]) & (self._lows[b] <= self._highs[a])
-                )
-                if overlap:
-                    out[self._ids[a]].append(self._ids[b])
-                    out[self._ids[b]].append(self._ids[a])
-        return out
-
-    def front_to_back(self, viewpoint: np.ndarray) -> list[int]:
-        """Block ids sorted by distance of their bbox center to ``viewpoint``.
-
-        This is the ViewerIso block ordering (paper §6.3 step 1).
-        """
-        vp = np.asarray(viewpoint, dtype=np.float64)
-        centers = 0.5 * (self._lows + self._highs)
-        d2 = np.sum((centers - vp) ** 2, axis=1)
-        return [self._ids[i] for i in np.argsort(d2, kind="stable")]

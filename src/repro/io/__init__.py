@@ -4,8 +4,6 @@ from .format import (
     FormatError,
     block_from_buffer,
     block_from_bytes,
-    block_nbytes,
-    block_to_bytes,
     read_block,
     write_block,
 )
@@ -13,9 +11,7 @@ from .dataset_io import DatasetStore, block_filename, write_dataset
 from .geometry_io import (
     geometry_from_bytes,
     geometry_to_bytes,
-    load_geometry,
     read_geometry,
-    save_geometry,
     write_geometry,
 )
 
@@ -23,8 +19,6 @@ __all__ = [
     "FormatError",
     "block_from_buffer",
     "block_from_bytes",
-    "block_nbytes",
-    "block_to_bytes",
     "read_block",
     "write_block",
     "DatasetStore",
@@ -32,8 +26,6 @@ __all__ = [
     "write_dataset",
     "geometry_from_bytes",
     "geometry_to_bytes",
-    "load_geometry",
     "read_geometry",
-    "save_geometry",
     "write_geometry",
 ]

@@ -28,10 +28,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..grids.block import BlockHandle, StructuredBlock
-from ..grids.multiblock import MultiBlockDataset, TimeSeries
+from ..grids.multiblock import MultiBlockDataset
 from .format import FormatError, block_from_buffer, field_directory, write_block
 
 __all__ = ["DatasetStore", "write_dataset", "block_filename", "map_file",
@@ -204,9 +202,6 @@ class DatasetStore:
         time = self.times[time_index] if self.times else float(time_index)
         return MultiBlockDataset(blocks, name=self.name, time=time)
 
-    def timeseries(self) -> TimeSeries:
-        return TimeSeries(self.times, self.read_level, name=self.name)
-
     def handles(self, time_index: int = 0) -> list[BlockHandle]:
         self._check_indices(time_index, 0)
         return [
@@ -221,7 +216,3 @@ class DatasetStore:
             )
             for rec in self.meta["blocks"]
         ]
-
-    def file_bytes(self, time_index: int, block_id: int) -> int:
-        """Actual on-disk size of one block file."""
-        return self.block_path(time_index, block_id).stat().st_size

@@ -46,10 +46,8 @@ __all__ = [
     "FormatError",
     "write_block",
     "read_block",
-    "block_to_bytes",
     "block_from_bytes",
     "block_from_buffer",
-    "block_nbytes",
     "field_directory",
 ]
 
@@ -72,18 +70,6 @@ class FormatError(ValueError):
     """Raised for malformed or truncated block files."""
 
 
-def block_nbytes(block: StructuredBlock) -> int:
-    """Exact serialized size of ``block`` without serializing it."""
-    total = _HEADER.size
-    npts = block.n_points
-    for _name, raw, ncomp in _field_specs(block):
-        total += 8 + len(raw)  # name_len + name + ncomp
-    total += npts * 3 * 8
-    for _name, _raw, ncomp in _field_specs(block):
-        total += npts * ncomp * 4
-    return total
-
-
 def write_block(fh: BinaryIO, block: StructuredBlock) -> int:
     """Serialize ``block``; returns the number of bytes written."""
     ni, nj, nk = block.shape
@@ -104,43 +90,6 @@ def write_block(fh: BinaryIO, block: StructuredBlock) -> int:
             np.ascontiguousarray(block.fields[name], dtype="<f4").tobytes()
         )
     return written
-
-
-def block_to_bytes(block: StructuredBlock) -> bytes:
-    """Serialize into one flat buffer (no ``BytesIO`` round trip).
-
-    The buffer is assembled once at its exact final size and the array
-    payloads are written in place through a memoryview — contiguous
-    float64 coordinates and float32 fields are copied exactly once.
-    """
-    ni, nj, nk = block.shape
-    specs = _field_specs(block)
-    out = bytearray(block_nbytes(block))
-    view = memoryview(out)
-    _HEADER.pack_into(
-        out, 0, MAGIC, VERSION, block.block_id, block.time_index, ni, nj, nk, len(specs)
-    )
-    offset = _HEADER.size
-    for name, raw, ncomp in specs:
-        _U32.pack_into(out, offset, len(raw))
-        offset += 4
-        out[offset : offset + len(raw)] = raw
-        offset += len(raw)
-        _U32.pack_into(out, offset, ncomp)
-        offset += 4
-    npts = ni * nj * nk
-    coords_bytes = npts * 3 * 8
-    target = np.frombuffer(view[offset : offset + coords_bytes], dtype="<f8")
-    np.copyto(target.reshape(ni, nj, nk, 3), block.coords, casting="same_kind")
-    offset += coords_bytes
-    for name, _raw, ncomp in specs:
-        data = block.fields[name]
-        nbytes = npts * ncomp * 4
-        target = np.frombuffer(view[offset : offset + nbytes], dtype="<f4")
-        np.copyto(target.reshape(data.shape), data, casting="same_kind")
-        offset += nbytes
-    view.release()
-    return bytes(out)
 
 
 def _parse_directory(buf, offset: int, nfields: int, total: int):

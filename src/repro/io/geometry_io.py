@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import struct
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "read_geometry",
     "geometry_to_bytes",
     "geometry_from_bytes",
-    "save_geometry",
-    "load_geometry",
 ]
 
 _MAGIC = b"VIRG"
@@ -125,13 +122,3 @@ def geometry_to_bytes(geometry) -> bytes:
 
 def geometry_from_bytes(data: bytes):
     return read_geometry(io.BytesIO(data))
-
-
-def save_geometry(path: str | Path, geometry) -> int:
-    with open(path, "wb") as fh:
-        return write_geometry(fh, geometry)
-
-
-def load_geometry(path: str | Path):
-    with open(path, "rb") as fh:
-        return read_geometry(fh)

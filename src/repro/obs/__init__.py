@@ -8,8 +8,8 @@ The measurement substrate for every performance claim in this repo:
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   fixed-bucket histograms into which the DMS statistics publish;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (open in
-  Perfetto / ``about:tracing``) with causal flow arrows, JSONL event
-  logs, and a Prometheus-style text exposition;
+  Perfetto / ``about:tracing``) with causal flow arrows, and a
+  Prometheus-style text exposition;
 * :mod:`repro.obs.critical_path` — span-DAG critical-path extraction
   and per-phase wall-time attribution (where did the seconds go?);
 * :mod:`repro.obs.slo` — declarative SLOs against the paper's 100 ms
@@ -38,9 +38,7 @@ from .spans import NULL_SPAN, NULL_TRACER, Span, SpanTracer
 from .export import (
     flow_events,
     to_chrome_trace,
-    to_jsonl_records,
     write_chrome_trace,
-    write_jsonl,
 )
 from .critical_path import (
     PHASES,
@@ -79,8 +77,6 @@ __all__ = [
     "flow_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl_records",
-    "write_jsonl",
     "PHASES",
     "CriticalPathReport",
     "PhaseSegment",

@@ -146,12 +146,6 @@ class CriticalPathReport:
             return "queue"
         return max(self.phase_seconds.items(), key=lambda kv: kv[1])[0]
 
-    def fractions(self) -> dict[str, float]:
-        total = sum(self.phase_seconds.values())
-        if total <= 0:
-            return {p: 0.0 for p in PHASES}
-        return {p: self.phase_seconds.get(p, 0.0) / total for p in PHASES}
-
     # ------------------------------------------------------- rendering
     def format(self, width: int = 36) -> str:
         """ASCII/markdown table: one row per phase, bar-scaled."""

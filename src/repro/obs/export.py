@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and JSONL event logs.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format loads directly in ``about:tracing`` / Perfetto: one
 "process" per simulated node (the scheduler node and each worker node),
@@ -13,7 +13,7 @@ All timestamps are simulated seconds converted to microseconds.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable
 
 from .spans import Span, SpanTracer
 
@@ -21,8 +21,6 @@ __all__ = [
     "flow_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl_records",
-    "write_jsonl",
 ]
 
 #: span kinds that run as background I/O, rendered on their own thread
@@ -199,37 +197,3 @@ def write_chrome_trace(
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
     return doc
-
-
-# ------------------------------------------------------------------ JSONL
-def to_jsonl_records(tracer: SpanTracer) -> Iterable[dict[str, Any]]:
-    """One structured record per finished span."""
-    for span in tracer.finished():
-        yield {
-            "record": "span",
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "kind": span.kind,
-            "name": span.name,
-            "node": span.node,
-            "t_start": span.t_start,
-            "t_end": span.t_end,
-            "attrs": span.attrs,
-        }
-
-
-def write_jsonl(path_or_file: "str | TextIO", tracer: SpanTracer) -> int:
-    """Write the JSONL log; returns the number of records written."""
-    records = to_jsonl_records(tracer)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            return _dump_lines(records, fh)
-    return _dump_lines(records, path_or_file)
-
-
-def _dump_lines(records: Iterable[dict[str, Any]], fh: TextIO) -> int:
-    n = 0
-    for record in records:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-        n += 1
-    return n

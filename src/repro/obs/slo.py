@@ -174,20 +174,6 @@ class SLOStatus:
             return 0.0
         return (self.bad / self.total) / allowed
 
-    def time_to_exhaustion(self) -> float:
-        """Simulated seconds until the budget is gone at this burn rate.
-
-        ``inf`` when burning under rate 1.0 (the budget outlives the
-        window); 0 when already exhausted.
-        """
-        if self.budget_remaining <= 0:
-            return 0.0
-        if self.burn_rate <= 1.0 or self.window_s <= 0:
-            return float("inf")
-        bad_per_s = self.bad / self.window_s
-        remaining = self.error_budget - self.bad
-        return max(remaining, 0.0) / bad_per_s
-
 
 class SLOTracker:
     """Streaming SLO accounting with per-command / per-tenant rollups."""

@@ -17,8 +17,8 @@ executors by construction.
 
 from .api import EXECUTORS, SCHEDULES, ParallelExtractor, ParallelResult
 from .dynamic import CostFeedback, TaskResult
-from .pool import ProcessWorkerPool, WorkerPoolError, pick_start_method
-from .runner import DirectRunner, ShareResult, ShareRun
+from .pool import ProcessWorkerPool, WorkerPoolError
+from .runner import DirectRunner, ShareResult
 from .shm import ShmBlockStore
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "ProcessWorkerPool",
     "ShareResult",
     "WorkerPoolError",
-    "pick_start_method",
     "DirectRunner",
-    "ShareRun",
     "ShmBlockStore",
 ]

@@ -40,7 +40,7 @@ from ..obs.spans import SpanTracer
 from ..synth.base import SyntheticDataset
 from .arena import payload_nbytes
 from .dynamic import CostFeedback, payload_lists
-from .pool import ProcessWorkerPool, pick_start_method
+from .pool import ProcessWorkerPool
 from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
@@ -89,7 +89,7 @@ class ParallelResult:
         return sum(s.steals for s in self.shares)
 
 
-def _as_shm_store(data: Any, time_indices: Iterable[int] | None) -> tuple[ShmBlockStore, bool]:
+def _as_shm_store(data: Any) -> tuple[ShmBlockStore, bool]:
     """The mapped block store over ``data``, and whether it is owned
     (cleaned up on ``close``): a :class:`ShmBlockStore` is borrowed; a
     :class:`~repro.io.DatasetStore` is mapped where it lies and a
@@ -98,9 +98,9 @@ def _as_shm_store(data: Any, time_indices: Iterable[int] | None) -> tuple[ShmBlo
     if isinstance(data, ShmBlockStore):
         return data, False
     if isinstance(data, DatasetStore):
-        return ShmBlockStore.from_store(data, time_indices), True
+        return ShmBlockStore.from_store(data), True
     if isinstance(data, SyntheticDataset):
-        return ShmBlockStore.from_synthetic(data, time_indices), True
+        return ShmBlockStore.from_synthetic(data), True
     raise TypeError(
         f"cannot build a ShmBlockStore from {type(data).__name__}; "
         "pass a DatasetStore, a SyntheticDataset or a ShmBlockStore"
@@ -130,9 +130,7 @@ class ParallelExtractor:
         executor: str = "process",
         registry: CommandRegistry | None = None,
         costs: CostModel = DEFAULT_COSTS,
-        time_indices: Iterable[int] | None = None,
         observe: bool = True,
-        start_method: str | None = None,
         profile_interval: float | None = None,
     ):
         if executor not in EXECUTORS:
@@ -141,7 +139,7 @@ class ParallelExtractor:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.store, self._owns_store = _as_shm_store(data, time_indices)
+        self.store, self._owns_store = _as_shm_store(data)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.executor = executor
         if registry is None:
@@ -150,7 +148,6 @@ class ParallelExtractor:
             registry = default_registry()
         self.registry = registry
         self.costs = costs
-        self.start_method = pick_start_method(start_method)
         self.tracer = SpanTracer(clock=time.perf_counter, enabled=observe)
         self.metrics = MetricsRegistry()
         #: seconds between stack samples in every executor (worker
@@ -442,8 +439,7 @@ class ParallelExtractor:
     def _ensure_pool(self) -> ProcessWorkerPool:
         if self._pool is None or self._pool.closed:
             self._pool = ProcessWorkerPool(
-                self.store, self.workers, start_method=self.start_method,
-                profile_interval=self.profile_interval,
+                self.store, self.workers, profile_interval=self.profile_interval,
             )
         return self._pool
 

@@ -43,7 +43,6 @@ __all__ = [
     "meshes_nbytes",
     "pack_meshes",
     "payload_nbytes",
-    "unpack_meshes",
 ]
 
 _F8 = np.dtype(np.float64)
@@ -165,13 +164,6 @@ def pack_meshes(payloads: Sequence[Any], buf: memoryview) -> PackedMeshes | None
                 out[pos : pos + arr.size] = arr.reshape(-1)
                 pos += arr.size
     return PackedMeshes(layout, nbytes)
-
-
-def unpack_meshes(packed: PackedMeshes, buf: memoryview) -> list[TriangleMesh]:
-    """The packed payload list, gathered out of the arena into one new
-    mesh (the arena itself is reused by the next run)."""
-    [run] = packed.runs(buf, [len(packed.layout)])
-    return gather_meshes([[run]])[0]
 
 
 def gather_meshes(tasks: Sequence[Sequence[Any]]) -> list[list[Any]]:

@@ -52,20 +52,11 @@ from .arena import PackedMeshes, gather_meshes, meshes_nbytes, pack_meshes
 from .runner import DirectRunner, ShareResult, derive_field, execute_share
 from .shm import ShmBlockStore
 
-__all__ = ["ProcessWorkerPool", "ShareResult", "WorkerPoolError", "pick_start_method"]
+__all__ = ["ProcessWorkerPool", "ShareResult", "WorkerPoolError"]
 
 
 class WorkerPoolError(RuntimeError):
     """A worker process died before finishing its share."""
-
-
-def pick_start_method(requested: str | None = None) -> str:
-    """``fork`` when the platform has it (workers inherit the imported
-    numerics for free), else ``spawn``."""
-    if requested is not None:
-        return requested
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 # Per-worker-process state, set once by the pool initializer.  A module
@@ -121,7 +112,6 @@ def _ship(result: ShareResult, arena_name: str | None, synced: int) -> _Shipped:
     counts = [len(rec.payloads) for rec in result.tasks]
     for rec in result.tasks:
         rec.payloads = []
-    result.payloads = []
     return result, packed, counts, synced
 
 
@@ -194,7 +184,6 @@ class ProcessWorkerPool:
         self,
         store: ShmBlockStore,
         n_workers: int,
-        start_method: str | None = None,
         profile_interval: float | None = None,
     ):
         if n_workers < 1:
@@ -205,10 +194,12 @@ class ProcessWorkerPool:
             )
         self.store = store
         self.n_workers = n_workers
-        self.start_method = pick_start_method(start_method)
         #: seconds between worker-side stack samples; None = no profiling.
         self.profile_interval = profile_interval
-        ctx = multiprocessing.get_context(self.start_method)
+        # ``fork`` where the platform has it: workers inherit the
+        # imported numerics for free.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         # Workers must share the parent's resource tracker: one forked
         # before it runs starts its own when it first maps an arena, and
         # that tracker unlinks the arena as leaked when the worker exits.
@@ -339,8 +330,6 @@ class ProcessWorkerPool:
         gathered = gather_meshes([payloads for _rec, payloads in units])
         for (rec, _payloads), payloads in zip(units, gathered):
             rec.payloads = payloads
-        for result in results:
-            result.payloads = [p for rec in result.tasks for p in rec.payloads]
         return results
 
     def derive_field(

@@ -34,22 +34,7 @@ from ..core.commands import (
 from ..dms.items import ItemName
 from .dynamic import TaskResult
 
-__all__ = ["DirectRunner", "ShareResult", "ShareRun", "derive_field", "execute_share"]
-
-
-@dataclass
-class ShareRun:
-    """What one share produced, plus its data-movement counters."""
-
-    worker_index: int
-    payloads: list[Any] = field(default_factory=list)
-    n_loads: int = 0
-    #: blocks the command skipped on their stored scalar range.
-    n_culled: int = 0
-    n_computes: int = 0
-    n_emits: int = 0
-    #: modeled result bytes as charged by the command's Emit ops.
-    emitted_nbytes: int = 0
+__all__ = ["DirectRunner", "ShareResult", "derive_field", "execute_share"]
 
 
 @dataclass
@@ -57,17 +42,10 @@ class ShareResult:
     """One slot's payloads plus the worker-side execution record."""
 
     share_index: int
-    payloads: list[Any]
-    n_loads: int
-    n_computes: int
-    n_emits: int
-    emitted_nbytes: int
     #: worker-process wall-clock interval (perf_counter seconds).
     t_start: float
     t_end: float
     pid: int
-    #: blocks skipped on their stored scalar range (never loaded).
-    n_culled: int = 0
     #: payload bytes that came back through the slot's result arena;
     #: 0 when the payloads were pickled through the result pipe.
     arena_nbytes: int = 0
@@ -89,6 +67,33 @@ class ShareResult:
     def seconds(self) -> float:
         return self.t_end - self.t_start
 
+    @property
+    def payloads(self) -> list[Any]:
+        """Every unit's payloads, in execution order."""
+        return [p for rec in self.tasks for p in rec.payloads]
+
+    @property
+    def n_loads(self) -> int:
+        return sum(rec.n_loads for rec in self.tasks)
+
+    @property
+    def n_culled(self) -> int:
+        """Blocks skipped on their stored scalar range (never loaded)."""
+        return sum(rec.n_culled for rec in self.tasks)
+
+    @property
+    def n_computes(self) -> int:
+        return sum(rec.n_computes for rec in self.tasks)
+
+    @property
+    def n_emits(self) -> int:
+        return sum(rec.n_emits for rec in self.tasks)
+
+    @property
+    def emitted_nbytes(self) -> int:
+        """Modeled result bytes as charged by the command's Emit ops."""
+        return sum(rec.emitted_nbytes for rec in self.tasks)
+
 
 class DirectRunner:
     """Interpret command op streams against a real block provider."""
@@ -105,9 +110,10 @@ class DirectRunner:
         ctx: CommandContext,
         assignment: Any,
         worker_index: int,
-    ) -> ShareRun:
-        """Drive one share's generator to exhaustion; payloads in order."""
-        run = ShareRun(worker_index=worker_index)
+    ) -> TaskResult:
+        """Drive one share's generator to exhaustion; payloads in order.
+        The caller numbers the record and times it."""
+        run = TaskResult(task_index=-1, payloads=[])
         culled_before = ctx.n_culled
         gen = command.run(ctx, assignment, worker_index)
         result: Any = None
@@ -187,31 +193,15 @@ def execute_share(
     t_start = time.perf_counter()
     for index in claims:
         t0 = time.perf_counter()
-        run = runner.run_share(command, ctx, work[index], slot)
-        records.append(
-            TaskResult(
-                task_index=index,
-                payloads=run.payloads,
-                n_loads=run.n_loads,
-                n_culled=run.n_culled,
-                n_computes=run.n_computes,
-                n_emits=run.n_emits,
-                emitted_nbytes=run.emitted_nbytes,
-                seconds=time.perf_counter() - t0,
-            )
-        )
+        record = runner.run_share(command, ctx, work[index], slot)
+        record.task_index, record.seconds = index, time.perf_counter() - t0
+        records.append(record)
     t_end = time.perf_counter()
     return ShareResult(
         share_index=slot,
-        payloads=[p for rec in records for p in rec.payloads],
-        n_loads=sum(rec.n_loads for rec in records),
-        n_computes=sum(rec.n_computes for rec in records),
-        n_emits=sum(rec.n_emits for rec in records),
-        emitted_nbytes=sum(rec.emitted_nbytes for rec in records),
         t_start=t_start,
         t_end=t_end,
         pid=os.getpid(),
-        n_culled=sum(rec.n_culled for rec in records),
         folded=sampler.stop() if sampler is not None else None,
         steals=max(0, len(records) - fair_share),
         tasks=records,

@@ -53,7 +53,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..grids.block import BlockHandle, LazyStructuredBlock
-from ..dms.items import ItemName, block_item
+from ..dms.items import ItemName
 from ..dms.source import _indices
 from ..io.dataset_io import (
     MAPS_HOLD_FDS, DatasetStore, Stamp, file_stamp, map_file, write_dataset,
@@ -163,8 +163,7 @@ class ShmBlockStore:
     private directory), ship :meth:`manifest` to workers, :meth:`attach`
     there, and :meth:`get_block` everywhere.  As a
     :class:`~repro.dms.source.BlockSource` (:meth:`get`,
-    :meth:`modeled_bytes`, :meth:`item_sequence`) it feeds a simulated
-    session the same blocks.  The creator should :meth:`cleanup` (or use
+    :meth:`modeled_bytes`) it feeds a simulated session the same blocks.  The creator should :meth:`cleanup` (or use
     the store as a context manager) when done.
     """
 
@@ -206,18 +205,14 @@ class ShmBlockStore:
 
     # ------------------------------------------------------ construction
     @classmethod
-    def from_store(
-        cls, store: DatasetStore, time_indices: Iterable[int] | None = None
-    ) -> "ShmBlockStore":
+    def from_store(cls, store: DatasetStore) -> "ShmBlockStore":
         """Map an on-disk dataset's block files where they lie, and the
         derived fields persisted beside it for every block whose file is
         unchanged since they were derived."""
-        return cls()._open(store, time_indices)
+        return cls()._open(store)
 
     @classmethod
-    def from_synthetic(
-        cls, dataset: SyntheticDataset, time_indices: Iterable[int] | None = None
-    ) -> "ShmBlockStore":
+    def from_synthetic(cls, dataset: SyntheticDataset) -> "ShmBlockStore":
         """Write a synthetic dataset once, every level, into a private
         directory (:func:`~repro.io.write_dataset`: float64 fields cast
         to the canonical ``<f4`` layout) and map it there like
@@ -232,18 +227,16 @@ class ShmBlockStore:
                 modeled_shapes=list(spec.modeled_shapes),
                 times=spec.times,
             )
-            return self._open(written, time_indices)
+            return self._open(written)
         except BaseException:
             self.cleanup()
             raise
 
-    def _open(
-        self, store: DatasetStore, time_indices: Iterable[int] | None
-    ) -> "ShmBlockStore":
+    def _open(self, store: DatasetStore) -> "ShmBlockStore":
         self.name, self.times = store.name, list(store.times)
         self._fields = dict(store.field_components)
         self._dataset = store
-        for t in range(store.n_timesteps) if time_indices is None else time_indices:
+        for t in range(store.n_timesteps):
             self._handles[t] = store.handles(t)
             for b in range(store.n_blocks):
                 path = str(store.block_path(t, b))
@@ -359,12 +352,6 @@ class ShmBlockStore:
         self._map(str(path))
         self._add_derived_file(name, str(path), layout)
 
-    def persist_derived(self, name: str) -> bool:
-        """Write derived field ``name`` beside the dataset this store
-        maps, for every block that has it; ``False`` (never raised) when
-        the dataset's directory cannot be written."""
-        return self._persist(name, {})
-
     def _persist(self, name: str, arrays: Mapping[Key, np.ndarray]) -> bool:
         # The index names one data file, so it holds every block's array.
         merged = {
@@ -372,8 +359,6 @@ class ShmBlockStore:
             for key, fields in self._derived.items() if name in fields
         }
         merged.update(arrays)
-        if not merged:
-            return False
         saved = save_derived(self._dataset, name, merged, self._stamps())
         if saved is None:
             return False
@@ -411,9 +396,6 @@ class ShmBlockStore:
             for name, (_path, _offset, shape) in fields.items():
                 components[name] = shape[3] if len(shape) == 4 else 1
         return components
-
-    def derived_fields(self, time_index: int, block_id: int) -> list[str]:
-        return sorted(self._derived.get((time_index, block_id), {}))
 
     def lacking(self, name: str, time_indices: Iterable[int]) -> list[Key]:
         """The keys of these levels whose block neither stores nor has
@@ -496,10 +478,6 @@ class ShmBlockStore:
         """The item's paper-scale size, from its handle's modeled shape."""
         t, b = _indices(item)
         return self._handles[t][b].modeled_points * BYTES_PER_POINT
-
-    def item_sequence(self, time_index: int) -> list[ItemName]:
-        return [block_item(self.name, time_index, h.block_id)
-                for h in self.handles(time_index)]
 
     def block_ranges(
         self, scalar: str, time_index: int

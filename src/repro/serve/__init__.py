@@ -3,7 +3,7 @@
 The paper assumes a single ViSTA client driving one scheduler; this
 package is the production answer to *thousands* of concurrent sessions
 contending for the same cluster.  It layers, over the existing
-``Channel``/``Scheduler``/``Session`` stack:
+channel/``Scheduler``/``Session`` stack:
 
 * :mod:`repro.serve.tenancy` — tenant registry: weights, priority
   lanes, admission quotas (max in-flight commands, block-bytes

@@ -26,7 +26,7 @@ Execution is pluggable through a small backend protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Generator, Iterable
 
@@ -545,9 +545,6 @@ class TenantServer:
                 f"{hd.t_done!r}|{hd.degraded}\n".encode()
             )
         return h.hexdigest()
-
-    def slo_report(self, dim: str = "tenant") -> str:
-        return self.tracker.format_report(dim)
 
     def publish_metrics(self, registry: Any) -> None:
         """Per-tenant serving counters plus the SLO engine's gauges."""

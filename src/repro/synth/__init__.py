@@ -7,7 +7,6 @@ from .fields import (
     AnalyticField,
     CounterRotatingFanField,
     SwirlTumbleField,
-    TaylorGreenField,
     annular_lattice,
     cartesian_lattice,
     warp_lattice,
@@ -31,7 +30,6 @@ __all__ = [
     "AnalyticField",
     "CounterRotatingFanField",
     "SwirlTumbleField",
-    "TaylorGreenField",
     "annular_lattice",
     "cartesian_lattice",
     "warp_lattice",

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..grids.block import BlockHandle, StructuredBlock
-from ..grids.multiblock import MultiBlockDataset, TimeSeries
+from ..grids.multiblock import MultiBlockDataset
 from .fields import AnalyticField
 
 __all__ = [
@@ -188,9 +188,6 @@ class SyntheticDataset:
         return MultiBlockDataset(
             blocks, name=self.spec.name, time=time_index * self.spec.dt
         )
-
-    def timeseries(self) -> TimeSeries:
-        return TimeSeries(self.spec.times, self.level, name=self.spec.name)
 
     # ----------------------------------------------------------- handles
     def handles(self, time_index: int = 0) -> list[BlockHandle]:

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "AnalyticField",
-    "TaylorGreenField",
     "ABCFlowField",
     "SwirlTumbleField",
     "CounterRotatingFanField",
@@ -38,37 +37,6 @@ class AnalyticField:
 
     def pressure(self, points: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class TaylorGreenField(AnalyticField):
-    """Decaying Taylor-Green vortex lattice — a classic λ2 test case."""
-
-    amplitude: float = 1.0
-    wavenumber: float = np.pi
-    decay: float = 0.05
-
-    def velocity(self, points: np.ndarray, t: float) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        k = self.wavenumber
-        a = self.amplitude * np.exp(-self.decay * t)
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        u = a * np.cos(k * x) * np.sin(k * y) * np.sin(k * z)
-        v = -0.5 * a * np.sin(k * x) * np.cos(k * y) * np.sin(k * z)
-        w = -0.5 * a * np.sin(k * x) * np.sin(k * y) * np.cos(k * z)
-        return np.stack([u, v, w], axis=-1)
-
-    def pressure(self, points: np.ndarray, t: float) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        k = self.wavenumber
-        a = self.amplitude * np.exp(-self.decay * t)
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return (
-            -0.0625
-            * a**2
-            * (np.cos(2 * k * x) + np.cos(2 * k * y))
-            * (np.cos(2 * k * z) + 2.0)
-        )
 
 
 @dataclass(frozen=True)

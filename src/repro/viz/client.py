@@ -72,18 +72,6 @@ class FrameRateModel:
         frame_time = self.fixed_frame_cost_s + n_triangles / self.triangles_per_second
         return 1.0 / frame_time
 
-    def triangle_budget(self, target_hz: float) -> int:
-        """Triangles renderable per frame while holding ``target_hz``.
-
-        This is the frame budget a client publishes to the progressive
-        command (``params["frame_budget"]``): refinement packets are
-        paced so one frame's worth of new triangles never exceeds it.
-        """
-        if target_hz <= 0:
-            raise ValueError(f"target_hz must be > 0, got {target_hz}")
-        spare = 1.0 / target_hz - self.fixed_frame_cost_s
-        return max(0, int(spare * self.triangles_per_second))
-
 
 @dataclass
 class PacketRecord:
@@ -94,6 +82,9 @@ class PacketRecord:
     final: bool
     n_triangles: int = 0
     kind: str = "geometry"
+    #: the canonical work unit the packet belongs to.
+    unit: int = 0
+    payload: Any = None
 
 
 class VisualizationClient:
@@ -109,7 +100,6 @@ class VisualizationClient:
         self.env = env
         self.mailbox = Mailbox(env, name="viz-client")
         self.packets_by_request: dict[int, list[PacketRecord]] = {}
-        self.payloads_by_request: dict[int, list[Any]] = {}
         #: latest progress fraction per (request_id, worker_index) and
         #: the times updates arrived — feeds the §9 "progress bar".
         self.progress: dict[int, dict[int, float]] = {}
@@ -129,7 +119,6 @@ class VisualizationClient:
         done = self.env.event()
         self._request_done[request_id] = done
         self.packets_by_request.setdefault(request_id, [])
-        self.payloads_by_request.setdefault(request_id, [])
         return done
 
     def _consume(self):
@@ -162,12 +151,10 @@ class VisualizationClient:
                 final=message.final,
                 n_triangles=n_tri,
                 kind=getattr(message, "kind", "geometry"),
+                unit=message.unit,
+                payload=message.payload,
             )
             self.packets_by_request.setdefault(message.request_id, []).append(record)
-            if message.payload is not None:
-                self.payloads_by_request.setdefault(message.request_id, []).append(
-                    message.payload
-                )
             if message.final:
                 done = self._request_done.pop(message.request_id, None)
                 if done is not None and not done.triggered:
@@ -178,7 +165,6 @@ class VisualizationClient:
         """Forget every request's records (pending :meth:`expect` events
         stay armed)."""
         self.packets_by_request.clear()
-        self.payloads_by_request.clear()
         self.progress.clear()
         self.progress_times.clear()
         self._seen.clear()
@@ -189,7 +175,6 @@ class VisualizationClient:
         keys.  A long-lived caller (the serving layer) calls this once
         it has read what it needs, so answered geometry is released."""
         self.packets_by_request.pop(request_id, None)
-        self.payloads_by_request.pop(request_id, None)
         self.progress.pop(request_id, None)
         self.progress_times.pop(request_id, None)
         self._seen.pop(request_id, None)
@@ -222,10 +207,3 @@ class VisualizationClient:
             if len(seen) >= n_workers:
                 return p.time
         return None
-
-    def progress_of(self, request_id: int) -> float:
-        """Mean completion fraction across the command's workers."""
-        per_worker = self.progress.get(request_id)
-        if not per_worker:
-            return 0.0
-        return float(sum(per_worker.values()) / len(per_worker))

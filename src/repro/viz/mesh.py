@@ -167,11 +167,6 @@ class TriangleMesh:
             "nonmanifold": int(np.sum(counts > 2)),
         }
 
-    def is_closed(self, decimals: int = 9) -> bool:
-        """True when every edge is shared by exactly two triangles."""
-        stats = self.edge_statistics(decimals)
-        return stats["edges"] > 0 and stats["boundary"] == 0 and stats["nonmanifold"] == 0
-
     # ------------------------------------------------------------ merge
     def slice(self, start: int, stop: int) -> "TriangleMesh":
         """Vertices ``start:stop`` (whole triangles) and their attribute

@@ -69,22 +69,10 @@ class PolylineSet:
             raise IndexError(f"line {index} out of range 0..{self.n_lines - 1}")
         return self.vertices[self.offsets[index] : self.offsets[index + 1]]
 
-    def line_attribute(self, name: str, index: int) -> np.ndarray:
-        return self.attributes[name][self.offsets[index] : self.offsets[index + 1]]
-
     def is_empty(self) -> bool:
         return self.n_vertices == 0
 
     # --------------------------------------------------------- geometry
-    def lengths(self) -> np.ndarray:
-        """Arc length per polyline."""
-        out = np.zeros(self.n_lines)
-        for i in range(self.n_lines):
-            pts = self.line(i)
-            if len(pts) >= 2:
-                out[i] = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
-        return out
-
     def bounds(self) -> np.ndarray | None:
         if self.is_empty():
             return None

@@ -36,7 +36,7 @@ def topology_candidates(topology: BlockTopology, point: np.ndarray) -> list[int]
     """Blocks whose (padded) bbox contains ``point``, nearest-center first:
     the one-point oracle for :meth:`BlockTopology.candidates_many`."""
     p = np.asarray(point, dtype=np.float64)
-    ids = topology.block_ids
+    ids = sorted(topology.handles)
     mask = np.all((p >= topology._lows) & (p <= topology._highs), axis=1)
     hits = [ids[i] for i in np.nonzero(mask)[0]]
     if len(hits) > 1:

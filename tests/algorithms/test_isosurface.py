@@ -9,7 +9,7 @@ from repro.algorithms import (
     active_cell_indices,
     extract_block_isosurface,
     extract_isosurface,
-    iter_isosurface_batches,
+    iter_view_dependent_batches,
 )
 from repro.algorithms.tet_tables import (
     HEX_CUT_EDGES,
@@ -195,71 +195,19 @@ def test_streamed_batches_union_equals_batch_result():
     """Fig 4's qualitative claim: fragments accumulate to the final surface."""
     b = sphere_block((15, 15, 15), warped=True)
     batch = extract_block_isosurface(b, "r", 0.55)
-    fragments = list(iter_isosurface_batches(b, "r", 0.55, batch_cells=40))
+    fragments = list(
+        iter_view_dependent_batches(b, "r", 0.55, np.zeros(3), max_triangles=40)
+    )
     assert len(fragments) > 1
     merged_area = sum(f.area() for f in fragments)
     assert merged_area == pytest.approx(batch.area(), rel=1e-9)
     assert sum(f.n_triangles for f in fragments) == batch.n_triangles
 
 
-def test_streamed_respects_cell_order():
-    b = sphere_block((9, 9, 9))
-    active = active_cell_indices(b, "r", 0.6)
-    order = active[::-1]
-    frags = list(
-        iter_isosurface_batches(b, "r", 0.6, batch_cells=10, cell_order=order)
-    )
-    assert sum(f.n_triangles for f in frags) > 0
-
-
-def _reference_reorder(active, cell_order):
-    """Dict/sorted reorder oracle: rank by (last) listed position,
-    unlisted cells after every listed one, ties in original order."""
-    order = np.asarray(cell_order).tolist()
-    order_pos = {c: p for p, c in enumerate(order)}
-    return np.array(
-        sorted(active.tolist(), key=lambda c: order_pos.get(c, len(order))),
-        dtype=np.int64,
-    )
-
-
-def test_streamed_cell_order_matches_reference_reorder():
-    """Full, partial, duplicated and disjoint orders all reorder the
-    streamed fragments exactly like the scalar dict/sorted reference."""
-    b = sphere_block((9, 9, 9))
-    isovalue = 0.6
-    active = active_cell_indices(b, "r", isovalue)
-    rng = np.random.default_rng(12)
-    orders = [
-        active[::-1],  # full reversal
-        rng.permutation(active),  # full shuffle
-        active[:: 2][::-1],  # partial: every other cell
-        np.concatenate([active[:5], active[:5]]),  # duplicates
-        active + 10_000,  # disjoint: nothing listed
-        np.array([], dtype=np.int64),  # empty order
-    ]
-    for order in orders:
-        expected = _reference_reorder(active, order)
-        got_frags = list(
-            iter_isosurface_batches(
-                b, "r", isovalue, batch_cells=7, cell_order=order
-            )
-        )
-        ref_frags = []
-        for start in range(0, len(expected), 7):
-            chunk = expected[start : start + 7]
-            mesh = extract_block_isosurface(b, "r", isovalue, cell_indices=chunk)
-            if not mesh.is_empty():
-                ref_frags.append(mesh)
-        assert len(got_frags) == len(ref_frags)
-        for got, ref in zip(got_frags, ref_frags):
-            np.testing.assert_allclose(got.triangles, ref.triangles)
-
-
 def test_batch_cells_validation():
     b = sphere_block((5, 5, 5))
     with pytest.raises(ValueError):
-        list(iter_isosurface_batches(b, "r", 0.5, batch_cells=0))
+        list(iter_view_dependent_batches(b, "r", 0.5, np.zeros(3), max_triangles=0))
 
 
 def test_multiblock_isosurface_is_crack_free_in_area():

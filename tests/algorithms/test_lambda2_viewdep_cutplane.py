@@ -9,13 +9,11 @@ from repro.algorithms import (
     extract_block_vortices,
     extract_cutplane,
     extract_vortices,
-    iter_cutplane_batches,
     iter_view_dependent_batches,
     iter_vortex_batches,
     lambda2_field,
     lambda2_points,
     plane_distance_field,
-    sort_blocks_front_to_back,
 )
 from repro.grids import StructuredBlock, velocity_gradient_tensor
 from repro.synth import ABCFlowField, cartesian_lattice, build_engine
@@ -170,15 +168,6 @@ def sphere_block(shape=(13, 13, 13)):
     return b
 
 
-def test_sort_blocks_front_to_back():
-    engine = build_engine(base_resolution=4, n_timesteps=1)
-    handles = engine.handles()
-    vp = np.array([0.0, 0.0, -10.0])
-    ordered = sort_blocks_front_to_back(handles, vp)
-    d = [np.sum((h.center() - vp) ** 2) for h in ordered]
-    assert d == sorted(d)
-
-
 def test_view_dependent_batches_cover_full_surface():
     b = sphere_block((17, 17, 17))
     reference = extract_block_isosurface(b, "r", 0.6)
@@ -246,10 +235,9 @@ def test_cutplane_multiblock_and_streamed():
     level = engine.level(0)
     mesh = extract_cutplane(level, np.array([0, 0, 1.0]), 1.0)
     assert mesh.n_triangles > 0
-    block = level.blocks[0]
-    frags = list(iter_cutplane_batches(block, np.array([0, 0, 1.0]), 0.4, batch_cells=8))
-    direct = extract_block_cutplane(block, np.array([0, 0, 1.0]), 0.4)
-    assert sum(f.n_triangles for f in frags) == direct.n_triangles
+    # The streamed command sends one cut per block; together they are the cut.
+    per_block = [extract_block_cutplane(b, np.array([0, 0, 1.0]), 1.0) for b in level]
+    assert sum(m.n_triangles for m in per_block) == mesh.n_triangles
 
 
 def test_cutplane_does_not_mutate_input():

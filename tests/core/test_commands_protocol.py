@@ -278,7 +278,6 @@ def test_cost_model_block_costs_scale_with_modeled_cells():
     costs = CostModel()
     assert costs.iso_block_cost(big, 0.1) > costs.iso_block_cost(small, 0.1)
     assert costs.lambda2_block_cost(big, 0.1) > costs.iso_block_cost(big, 0.1)
-    assert costs.viewer_iso_block_cost(big, 0.1) > costs.iso_block_cost(big, 0.1)
 
 
 def test_result_bytes_uses_area_scaling():

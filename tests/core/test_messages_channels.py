@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     CommandRequest,
     HEADER_BYTES,
-    InstantChannel,
     Mailbox,
     ResultPacket,
     SimMPIChannel,
@@ -85,20 +84,6 @@ def test_mpi_channel_charges_fabric():
     env.run()
     assert len(box) == 1
     assert cluster.fabric.stats.transfers == 1
-
-
-def test_instant_channel_costs_nothing():
-    env, cluster = make_cluster()
-    box = Mailbox(env)
-    chan = InstantChannel()
-
-    def send():
-        yield from chan.send(cluster.worker_nodes[0], "msg", box)
-
-    env.process(send())
-    env.run()
-    assert env.now == 0.0
-    assert len(box) == 1
 
 
 def test_channel_uses_wire_bytes_over_nbytes():

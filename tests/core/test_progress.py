@@ -41,14 +41,14 @@ def test_progress_packets_arrive_during_command(session):
 def test_progress_reaches_one(session):
     session.run("iso-dataman", params={**ISO, "progress": True})
     (request_id,) = session.client.progress.keys()
-    assert session.client.progress_of(request_id) == pytest.approx(1.0)
     per_worker = session.client.progress[request_id]
     assert set(per_worker) == {0, 1}
     assert all(v == pytest.approx(1.0) for v in per_worker.values())
 
 
 def test_progress_of_unknown_request_is_zero(session):
-    assert session.client.progress_of(424242) == 0.0
+    session.run("iso-dataman", params={**ISO, "progress": True})
+    assert 424242 not in session.client.progress
 
 
 def test_progress_monotone_midway(session):
@@ -70,11 +70,12 @@ def test_progress_monotone_midway(session):
     # Advance until at least one update arrived, then inspect.
     while not session.client.progress.get(request_id):
         session.env.step()
-    midway = session.client.progress_of(request_id)
-    assert 0.0 < midway <= 1.0
+    midway = dict(session.client.progress[request_id])
+    assert all(0.0 < v <= 1.0 for v in midway.values())
     session.env.run(until=done)
-    assert session.client.progress_of(request_id) == pytest.approx(1.0)
-    assert session.client.progress_of(request_id) >= midway
+    final = session.client.progress[request_id]
+    assert all(v == pytest.approx(1.0) for v in final.values())
+    assert all(final[w] >= v for w, v in midway.items())
 
 
 def test_progress_adds_only_small_overhead(session):

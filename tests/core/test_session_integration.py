@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithms import extract_isosurface, extract_vortices, trace_pathlines
 from repro.dms import DMSConfig
+from repro.grids import TimeSeries
 from tests.conftest import cached_engine, paper_session
 
 
@@ -142,13 +143,14 @@ def test_pathlines_match_serial_tracer(engine):
         "pathlines-dataman",
         params={"seeds": seeds, "time_range": (0, 4), **kwargs},
     )
-    serial_batched = trace_pathlines(engine.timeseries(), np.array(seeds), **kwargs)[0]
+    series = TimeSeries(engine.spec.times, engine.level)
+    serial_batched = trace_pathlines(series, np.array(seeds), **kwargs)[0]
     framework_path = result.payloads[0][0]
     assert framework_path.termination == serial_batched.termination
     np.testing.assert_allclose(framework_path.points, serial_batched.points, atol=1e-9)
     # The scalar RK4 oracle, driven directly on the same series, follows
     # the same trajectory to within the schemes' rtol-scaled drift.
-    serial = trace_pathline(engine.timeseries(), np.array(seeds[0]), **kwargs)
+    serial = trace_pathline(series, np.array(seeds[0]), **kwargs)
     assert framework_path.termination == serial.termination
     tol = kwargs["rtol"] * max(len(serial.points), len(framework_path.points))
     np.testing.assert_allclose(framework_path.points[-1], serial.points[-1], atol=tol)
@@ -244,7 +246,7 @@ def test_framework_geometry_matches_library(engine):
 
 def test_framework_pathlines_match_library_bytes(engine):
     """The command traces with the library's tracer: same bytes."""
-    series = engine.timeseries()
+    series = TimeSeries(engine.spec.times, engine.level)
     seeds = [[0.2, 0.1, 0.8], [-0.3, 0.2, 1.0], [0.1, -0.2, 0.6]]
     tracer_kwargs = dict(rtol=1e-3, max_steps=400, local_cache_blocks=8)
     direct = trace_pathlines(series, np.asarray(seeds), **tracer_kwargs)

@@ -376,32 +376,10 @@ def test_interrupt_after_completion_is_noop():
     p.interrupt()  # must not raise
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-    env.run()
-    assert env.peek() == float("inf")
-
-
 def test_step_with_empty_queue_raises():
     env = Environment()
     with pytest.raises(SimulationError):
         env.step()
-
-
-def test_active_process_visible_during_execution():
-    env = Environment()
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_nested_process_chain():

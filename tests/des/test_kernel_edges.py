@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import AnyOf, Environment, Interrupt, SimulationError
+from repro.des import AnyOf, Environment, Interrupt
 
 
 def test_fail_requires_exception():
@@ -112,11 +112,9 @@ def test_call_at_validation_and_ordering():
     env = Environment()
     with pytest.raises(ValueError, match="past"):
         env.call_at(-1.0, lambda: None)
-    with pytest.raises(ValueError, match="negative"):
-        env.call_in(-0.5, lambda: None)
     fired = []
     env.call_at(2.0, lambda: fired.append("at"))
-    env.call_in(1.0, lambda: fired.append("in"))
+    env.call_at(1.0, lambda: fired.append("in"))
     env.run()
     assert fired == ["in", "at"]
     assert env.now == 2.0
@@ -135,7 +133,7 @@ def test_property_equal_time_callbacks_fire_in_fifo_order(delays):
     env = Environment()
     fired = []
     for i, delay in enumerate(delays):
-        env.call_in(delay, lambda i=i: fired.append((env.now, i)))
+        env.call_at(delay, lambda i=i: fired.append((env.now, i)))
     env.run()
     expected = sorted(range(len(delays)), key=lambda i: (delays[i], i))
     assert [i for (_t, i) in fired] == expected

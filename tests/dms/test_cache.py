@@ -25,7 +25,6 @@ def test_put_get_hit_miss_accounting():
     assert c.stats.misses == 1
     assert c.stats.hit_rate == 0.5
     assert c.used_bytes == 10
-    assert c.free_bytes == 90
 
 
 def test_eviction_when_full():
@@ -66,17 +65,8 @@ def test_reinsert_updates_size():
     c.put("a", "A1", 30)
     c.put("a", "A2", 50)
     assert c.used_bytes == 50
-    assert c.peek("a") == "A2"
+    assert c.get("a") == "A2"
     assert len(c) == 1
-
-
-def test_peek_does_not_touch_stats():
-    c = tier()
-    c.put("a", "A", 10)
-    before = (c.stats.hits, c.stats.misses)
-    assert c.peek("a") == "A"
-    assert c.peek("zzz") is None
-    assert (c.stats.hits, c.stats.misses) == before
 
 
 def test_negative_size_rejected():

@@ -51,10 +51,10 @@ def test_compression_wins_on_slow_links():
 
 
 def test_breakeven_bandwidth_is_consistent():
+    # GZIP_2004 breaks even near 3 MB/s, whatever the transfer size.
     codec = GZIP_2004
-    be = codec.breakeven_bandwidth()
-    assert codec.worthwhile(10 * MB, be * 0.5)
-    assert not codec.worthwhile(10 * MB, be * 2.0)
+    assert codec.worthwhile(10 * MB, 1.5 * MB)
+    assert not codec.worthwhile(10 * MB, 6.0 * MB)
 
 
 def test_latency_can_veto_compression():
@@ -89,44 +89,13 @@ def test_latency_veto_fades_for_large_transfers():
 )
 @settings(max_examples=200, deadline=None)
 def test_worthwhile_matches_breakeven_when_latency_free(nbytes, bw_scale, codec):
-    """In the latency-free regime ``worthwhile(nbytes, bw)`` is exactly
-    ``bw < breakeven_bandwidth()`` for every transfer size (both sides
-    of the comparison scale linearly in ``nbytes``, so size cancels)."""
-    be = codec.breakeven_bandwidth()
-    bw = be * bw_scale
-    # Skip a vanishing band around the boundary where the float
-    # rounding of be * scale could legitimately land on either side.
-    if abs(bw - be) / be < 1e-9:
-        return
-    assert codec.worthwhile(nbytes, bw, latency=0.0) == (bw < be)
-
-
-def test_breakeven_bandwidth_at_converges_to_asymptote():
-    """The latency-aware break-even rises to the latency-free one as
-    the transfer grows (the framing round amortizes away)."""
-    codec = GZIP_2004
-    be = codec.breakeven_bandwidth()
-    latency = 5e-3
-    prev = 0.0
-    for nbytes in (1024, MB, 1024 * MB):
-        be_at = codec.breakeven_bandwidth_at(nbytes, latency)
-        assert prev < be_at < be
-        prev = be_at
-    assert codec.breakeven_bandwidth_at(1024**4, latency) == pytest.approx(
-        be, rel=1e-3
+    """In the latency-free regime ``worthwhile(nbytes, bw)`` has one
+    break-even bandwidth for every transfer size (both sides of the
+    comparison scale linearly in ``nbytes``, so size cancels)."""
+    bw = bw_scale * MB
+    assert codec.worthwhile(nbytes, bw, latency=0.0) == codec.worthwhile(
+        MB, bw, latency=0.0
     )
-    # With no latency the exact form equals the asymptote at any size.
-    assert codec.breakeven_bandwidth_at(MB, 0.0) == pytest.approx(be)
-    assert codec.breakeven_bandwidth_at(0, latency) == 0.0
-
-
-def test_breakeven_bandwidth_at_is_the_decision_boundary():
-    """``worthwhile`` flips exactly at the latency-aware break-even."""
-    codec = GZIP_2004
-    nbytes, latency = 4 * MB, 2e-2
-    be_at = codec.breakeven_bandwidth_at(nbytes, latency)
-    assert codec.worthwhile(nbytes, be_at * 0.99, latency=latency)
-    assert not codec.worthwhile(nbytes, be_at * 1.01, latency=latency)
 
 
 def test_modern_codec_flips_the_2004_conclusion():
@@ -134,8 +103,6 @@ def test_modern_codec_flips_the_2004_conclusion():
     60 MB/s fileserver but below the 800 MB/s fabric: compression wins
     on the fileserver link and still loses on the fabric — the modern
     flip of the paper's 2004 rejection on unchanged link speeds."""
-    be = ZSTD_2020.breakeven_bandwidth()
-    assert 60e6 < be < 800e6
     assert ZSTD_2020.worthwhile(4 * MB, 60e6)
     assert not ZSTD_2020.worthwhile(4 * MB, 800e6)
     # The 2004 codecs reject compression on both links, as the paper did.
@@ -145,25 +112,6 @@ def test_modern_codec_flips_the_2004_conclusion():
 
 
 # ----------------------------------------------------------- reliability
-
-
-def test_server_reliability_decay_and_recovery():
-    server = DataManagerServer()
-    assert server.fileserver_reliability == 1.0
-    server.report_fileserver_failure()
-    assert server.fileserver_reliability == pytest.approx(0.5)
-    server.report_fileserver_failure()
-    assert server.fileserver_reliability == pytest.approx(0.25)
-    for _ in range(100):
-        server.report_fileserver_success()
-    assert server.fileserver_reliability > 0.99
-
-
-def test_reliability_floor():
-    server = DataManagerServer()
-    for _ in range(50):
-        server.report_fileserver_failure()
-    assert server.fileserver_reliability >= 0.05
 
 
 def test_degraded_fileserver_shifts_strategy_choice():
@@ -183,10 +131,8 @@ def test_degraded_fileserver_shifts_strategy_choice():
     healthy = server.choose_strategy(
         LoadContext(**ctx_kwargs, fileserver_reliability=1.0)
     )
-    for _ in range(3):
-        server.report_fileserver_failure()
     degraded = server.choose_strategy(
-        LoadContext(**ctx_kwargs, fileserver_reliability=server.fileserver_reliability)
+        LoadContext(**ctx_kwargs, fileserver_reliability=0.125)
     )
     assert degraded.name == "node-transfer"
     # (healthy choice may be either with equal links; the degraded one
@@ -202,6 +148,6 @@ def test_proxy_context_carries_server_reliability():
     server = DataManagerServer()
     source = SyntheticSource(build_engine(base_resolution=4, n_timesteps=1))
     proxy = DataProxy(env, cluster, cluster.worker_nodes[0], server, source)
-    server.report_fileserver_failure()
+    server.fileserver_reliability = 0.5
     ctx = proxy._build_context(ident=0, nbytes=100)
     assert ctx.fileserver_reliability == pytest.approx(0.5)

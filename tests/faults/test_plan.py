@@ -10,7 +10,7 @@ def test_builders_chain_and_record_kinds():
         FaultPlan(seed=5)
         .crash_worker(1.0, worker=2, downtime=0.5)
         .degrade_link(2.0, "fileserver", factor=0.25, duration=1.0)
-        .slow_disk(2.5, node=1, factor=0.1, duration=0.3)
+        .degrade_link(2.5, "disk1", factor=0.1, duration=0.3)
         .lossy_link(3.0, "fabric", loss_prob=0.2, duration=0.5)
         .stall_server(4.0, duration=0.1)
     )
@@ -51,7 +51,7 @@ def test_random_plans_are_seed_deterministic():
 def test_random_plan_respects_horizon_and_survivors():
     for seed in range(30):
         plan = FaultPlan.random(seed=seed, horizon=5.0, n_workers=3, n_events=6)
-        crashes = plan.of_kind("worker-crash")
+        crashes = [e for e in plan if e.kind == "worker-crash"]
         # Never crash every worker: at least one survivor for reassignment.
         assert len({e.target for e in crashes}) <= 2
         for event in plan:
@@ -61,14 +61,6 @@ def test_random_plan_respects_horizon_and_survivors():
 def test_random_plan_requires_positive_horizon():
     with pytest.raises(ValueError, match="horizon"):
         FaultPlan.random(seed=0, horizon=0.0, n_workers=2)
-
-
-def test_shifted_moves_every_episode():
-    plan = FaultPlan(seed=1).stall_server(1.0, duration=0.5)
-    moved = plan.shifted(2.0)
-    assert moved.events[0].time == pytest.approx(3.0)
-    assert moved.seed == plan.seed
-    assert plan.events[0].time == pytest.approx(1.0)  # original untouched
 
 
 def test_describe_is_reproduction_ready():

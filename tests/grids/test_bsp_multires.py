@@ -95,16 +95,6 @@ def test_bsp_front_to_back_is_view_dependent():
     assert corr > 0.5
 
 
-def test_bsp_flat_to_ijk_roundtrip():
-    b = scalar_block((4, 5, 6))
-    tree = BSPTree(b, "s")
-    ci, cj, ck = b.cell_shape
-    flats = np.arange(b.n_cells)
-    ijk = tree.flat_to_ijk(flats)
-    recon = ijk[:, 0] * cj * ck + ijk[:, 1] * ck + ijk[:, 2]
-    np.testing.assert_array_equal(recon, flats)
-
-
 def test_bsp_active_cells_match_bruteforce():
     b = scalar_block()
     tree = BSPTree(b, "s")
@@ -153,8 +143,8 @@ def test_pyramid_orders_coarsest_first():
     cells = pyr.cells_per_level()
     assert cells == sorted(cells)
     assert pyr.finest is b
-    assert pyr.coarsest.n_cells < b.n_cells
-    np.testing.assert_allclose(pyr.coarsest.bounds(), b.bounds())
+    assert pyr.levels[0].n_cells < b.n_cells
+    np.testing.assert_allclose(pyr.levels[0].bounds(), b.bounds())
 
 
 def test_pyramid_on_tiny_block_is_single_level():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.grids import BlockTopology, MultiBlockDataset, StructuredBlock, TimeSeries, file_order
+from repro.grids import BlockTopology, MultiBlockDataset, StructuredBlock, TimeSeries
 from repro.synth import cartesian_lattice
 
 
@@ -84,9 +84,6 @@ def test_timeseries_lazy_getter_and_cache():
     ts.level(1)
     ts.level(1)
     assert calls == [1]
-    ts.clear_cache()
-    ts.level(1)
-    assert calls == [1, 1]
 
 
 def test_timeseries_level_out_of_range():
@@ -95,18 +92,6 @@ def test_timeseries_level_out_of_range():
         ts.level(2)
     with pytest.raises(IndexError):
         ts.level(-1)
-
-
-def test_timeseries_bracket():
-    ts = TimeSeries([0.0, 1.0, 3.0], lambda i: None)
-    assert ts.bracket(-1.0) == (0, 0, 0.0)
-    assert ts.bracket(5.0) == (2, 2, 0.0)
-    lo, hi, w = ts.bracket(2.0)
-    assert (lo, hi) == (1, 2)
-    assert w == pytest.approx(0.5)
-    lo, hi, w = ts.bracket(0.25)
-    assert (lo, hi) == (0, 1)
-    assert w == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------- topology
@@ -118,12 +103,6 @@ def grid_of_handles(n=3):
         block_at((i, 0, 0), (i + 1, 1, 1), i) for i in range(n)
     ]
     return MultiBlockDataset(blocks).handles()
-
-
-def test_file_order_is_sorted_ids():
-    handles = grid_of_handles(4)
-    shuffled = [handles[2], handles[0], handles[3], handles[1]]
-    assert file_order(shuffled) == [0, 1, 2, 3]
 
 
 def test_topology_candidates_contain_point():
@@ -140,22 +119,6 @@ def test_topology_candidates_on_shared_face_sorted_by_center():
     assert hits == [0, 1]
     (hits,) = topo.candidates_many(np.array([[1.0000001, 0.5, 0.5]]))
     assert hits == [1, 0]
-
-
-def test_topology_neighbors():
-    topo = BlockTopology(grid_of_handles(3))
-    assert topo.neighbors(0) == [1]
-    assert sorted(topo.neighbors(1)) == [0, 2]
-    with pytest.raises(KeyError):
-        topo.neighbors(42)
-
-
-def test_topology_front_to_back_ordering():
-    topo = BlockTopology(grid_of_handles(4))
-    order = topo.front_to_back(np.array([-10.0, 0.5, 0.5]))
-    assert order == [0, 1, 2, 3]
-    order = topo.front_to_back(np.array([10.0, 0.5, 0.5]))
-    assert order == [3, 2, 1, 0]
 
 
 def test_topology_requires_handles():

@@ -172,7 +172,7 @@ def test_slab_views():
 def test_float32_blocks_from_shared_memory():
     """Lazy blocks whose ``<f4`` velocity is upcast on access."""
     engine = build_engine(base_resolution=10, n_timesteps=1)
-    with ShmBlockStore.from_synthetic(engine, time_indices=[0]) as shm:
+    with ShmBlockStore.from_synthetic(engine) as shm:
         for b in range(shm.n_blocks):
             block = shm.get_block(0, b)
             assert block.fields.raw_view("velocity").dtype == np.dtype("<f4")

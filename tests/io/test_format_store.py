@@ -5,13 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.grids import MultiBlockDataset, StructuredBlock
+from repro.grids import MultiBlockDataset, StructuredBlock, TimeSeries
 from repro.io import (
     DatasetStore,
     FormatError,
     block_from_bytes,
-    block_to_bytes,
     read_block,
+    write_block,
     write_dataset,
 )
 from repro.synth import cartesian_lattice, warp_lattice
@@ -33,7 +33,9 @@ def sample_block(block_id=3, time_index=7, shape=(4, 5, 6)):
 
 def test_roundtrip_preserves_metadata_and_shapes():
     b = sample_block()
-    out = block_from_bytes(block_to_bytes(b))
+    fh = io.BytesIO()
+    write_block(fh, b)
+    out = block_from_bytes(fh.getvalue())
     assert out.block_id == 3
     assert out.time_index == 7
     assert out.shape == b.shape
@@ -42,27 +44,35 @@ def test_roundtrip_preserves_metadata_and_shapes():
 
 def test_roundtrip_coords_exact_fields_float32():
     b = sample_block()
-    out = block_from_bytes(block_to_bytes(b))
+    fh = io.BytesIO()
+    write_block(fh, b)
+    out = block_from_bytes(fh.getvalue())
     np.testing.assert_array_equal(out.coords, b.coords)  # float64 exact
     np.testing.assert_allclose(out.field("pressure"), b.field("pressure"), atol=1e-6)
     np.testing.assert_allclose(out.field("velocity"), b.field("velocity"), atol=1e-6)
 
 
 def test_bad_magic_rejected():
-    data = bytearray(block_to_bytes(sample_block()))
+    fh = io.BytesIO()
+    write_block(fh, sample_block())
+    data = bytearray(fh.getvalue())
     data[:4] = b"XXXX"
     with pytest.raises(FormatError, match="magic"):
         block_from_bytes(bytes(data))
 
 
 def test_truncated_file_rejected():
-    data = block_to_bytes(sample_block())
+    fh = io.BytesIO()
+    write_block(fh, sample_block())
+    data = fh.getvalue()
     with pytest.raises(FormatError, match="truncated"):
         block_from_bytes(data[: len(data) // 2])
 
 
 def test_bad_version_rejected():
-    data = bytearray(block_to_bytes(sample_block()))
+    fh = io.BytesIO()
+    write_block(fh, sample_block())
+    data = bytearray(fh.getvalue())
     data[4:8] = (99).to_bytes(4, "little")
     with pytest.raises(FormatError, match="version"):
         block_from_bytes(bytes(data))
@@ -75,7 +85,9 @@ def test_empty_stream_rejected():
 
 def test_block_without_fields_roundtrips():
     b = StructuredBlock(cartesian_lattice((0, 0, 0), (1, 1, 1), (3, 3, 3)))
-    out = block_from_bytes(block_to_bytes(b))
+    fh = io.BytesIO()
+    write_block(fh, b)
+    out = block_from_bytes(fh.getvalue())
     assert out.fields == {}
 
 
@@ -144,14 +156,14 @@ def test_store_handles_carry_modeled_shapes(store):
 
 
 def test_store_timeseries(store):
-    ts = store.timeseries()
+    ts = TimeSeries(store.times, store.read_level)
     assert len(ts) == 3
     level = ts.level(0)
     assert level.name == "mini"
 
 
 def test_store_file_bytes_positive(store):
-    n = store.file_bytes(0, 0)
+    n = store.block_path(0, 0).stat().st_size
     assert n > 3 * 4 * 5 * 3 * 8  # at least the coords payload
 
 

@@ -7,8 +7,8 @@ from repro.io import FormatError
 from repro.io.geometry_io import (
     geometry_from_bytes,
     geometry_to_bytes,
-    load_geometry,
-    save_geometry,
+    read_geometry,
+    write_geometry,
 )
 from repro.viz import PolylineSet, TriangleMesh
 
@@ -54,9 +54,11 @@ def test_empty_mesh_roundtrip():
 def test_file_roundtrip(tmp_path):
     mesh = sample_mesh()
     path = tmp_path / "result.virg"
-    nbytes = save_geometry(path, mesh)
+    with open(path, "wb") as fh:
+        nbytes = write_geometry(fh, mesh)
     assert path.stat().st_size == nbytes
-    out = load_geometry(path)
+    with open(path, "rb") as fh:
+        out = read_geometry(fh)
     assert out.n_triangles == mesh.n_triangles
 
 

@@ -1,4 +1,4 @@
-"""Exporter tests: Chrome trace_event JSON and JSONL records."""
+"""Exporter tests: Chrome trace_event JSON."""
 
 import json
 
@@ -7,9 +7,7 @@ import pytest
 from repro.obs import (
     SpanTracer,
     to_chrome_trace,
-    to_jsonl_records,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -155,17 +153,3 @@ def test_chrome_trace_includes_flow_events():
     # command@node0 -> worker@node1 is the one cross-node edge.
     assert {e["ph"] for e in flows} == {"s", "f"}
     assert {e["name"] for e in flows} == {"dispatch"}
-
-
-def test_jsonl_records(tmp_path):
-    tracer = _tiny_tracer()
-    records = list(to_jsonl_records(tracer))
-    assert {r["record"] for r in records} == {"span"}
-    assert len(records) == 5
-    crash = next(r for r in records if r["kind"] == "fault-crash")
-    assert crash["t_start"] == crash["t_end"] == 0.65
-    path = tmp_path / "run.jsonl"
-    n = write_jsonl(str(path), tracer)
-    lines = path.read_text().splitlines()
-    assert n == len(lines) == 5
-    assert all(json.loads(line) for line in lines)

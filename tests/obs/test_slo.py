@@ -1,7 +1,5 @@
 """SLO definitions, streaming tracker, error budgets and burn rates."""
 
-import math
-
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -59,16 +57,6 @@ def test_burn_rate_over_budget():
     assert not st.met
     assert st.burn_rate == pytest.approx(10.0)
     assert st.budget_remaining < 0
-    assert st.time_to_exhaustion() == 0.0
-
-
-def test_time_to_exhaustion_under_rate_one():
-    tracker = SLOTracker([_latency_slo(threshold=0.1, target=0.5)])
-    tracker.observe("iso", latency=0.01, runtime=1.0, t=0.0)
-    tracker.observe("iso", latency=0.01, runtime=1.0, t=10.0)
-    (st,) = tracker.status("command")
-    assert st.burn_rate == 0.0
-    assert st.time_to_exhaustion() == math.inf
 
 
 def test_per_tenant_and_overall_rollups():

@@ -47,7 +47,7 @@ def _bytes(result) -> bytes:
 
 # ------------------------------------------------------------- the store
 def test_get_block_returns_one_object_per_key_until_close(engine_store):
-    store = ShmBlockStore.from_store(engine_store, time_indices=[0])
+    store = ShmBlockStore.from_store(engine_store)
     try:
         block = store.get_block(0, 1)
         assert store.get_block(0, 1) is block
@@ -61,7 +61,7 @@ def test_get_block_returns_one_object_per_key_until_close(engine_store):
 
 
 def test_block_fields_are_read_only(engine_store):
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as store:
+    with ShmBlockStore.from_store(engine_store) as store:
         with pytest.raises(ValueError, match="read-only"):
             store.get_block(0, 0).field("pressure")[0, 0, 0] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -71,7 +71,7 @@ def test_block_fields_are_read_only(engine_store):
 def test_late_derived_field_grafts_onto_the_handed_out_block(engine_store):
     from repro.algorithms.lambda2 import lambda2_field
 
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as store:
+    with ShmBlockStore.from_store(engine_store) as store:
         block = store.get_block(0, 2)
         lam = lambda2_field(block, "velocity")
         minmax = summary_module.cell_field_minmax(block, "pressure")

@@ -3,8 +3,9 @@
 The simulated session reads the mapped block store as its
 :class:`~repro.dms.source.BlockSource`; the serial extractor runs the
 same command on real cores over the same store instance.  For the
-batch commands, at group 1 and 2 and under both schedules, the DES
-result's geometry bytes equal the extractor's merged bytes.
+batch commands and the streamed ones that merge by canonical unit, at
+group 1 and 2 and under both schedules, the DES result's geometry bytes
+equal the extractor's merged bytes.
 """
 
 import pytest
@@ -15,7 +16,10 @@ from repro.io import geometry_to_bytes
 from repro.parallel import ParallelExtractor, ShmBlockStore
 from tests.conftest import cached_engine
 
-COMMANDS = ("iso-dataman", "iso-simple", "vortex-dataman", "vortex-simple", "cutplane")
+COMMANDS = (
+    "iso-dataman", "iso-simple", "vortex-dataman", "vortex-simple", "cutplane",
+    "cutplane-streamed", "vortex-streamed", "iso-viewer",
+)
 
 
 @pytest.fixture(scope="module")

@@ -148,7 +148,6 @@ def test_stores_not_read_from_disk_persist_nothing(tmp_path):
         assert derived and all(
             os.path.dirname(p) == str(private / DERIVED_DIR) for p in derived
         )
-        assert ext.store.persist_derived("lambda2")
     assert not private.exists()
 
 

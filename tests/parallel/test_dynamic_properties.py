@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.commands import default_registry
 from repro.core.commands import Deal, command_context
 from repro.parallel import ParallelExtractor
-from repro.parallel.dynamic import payload_lists
-from repro.parallel.runner import DirectRunner, ShareRun, execute_share
+from repro.parallel.dynamic import TaskResult, payload_lists
+from repro.parallel.runner import DirectRunner, execute_share
 
 from .test_equivalence import ISO, PATHLINES, _mesh_bytes
 
@@ -37,8 +37,8 @@ class ReplayRunner:
     def __init__(self, task_payloads: list[list]):
         self.task_payloads = task_payloads
 
-    def run_share(self, command, ctx, unit, worker_index) -> ShareRun:
-        return ShareRun(worker_index, payloads=list(self.task_payloads[unit]))
+    def run_share(self, command, ctx, unit, worker_index) -> TaskResult:
+        return TaskResult(task_index=-1, payloads=list(self.task_payloads[unit]))
 
 
 class FakeStealingPool:

@@ -27,7 +27,7 @@ from repro.core.commands import (
 )
 from repro.dms.items import block_item
 from repro.parallel import ParallelExtractor, ProcessWorkerPool, WorkerPoolError
-from repro.parallel.arena import meshes_nbytes, pack_meshes, unpack_meshes
+from repro.parallel.arena import gather_meshes, meshes_nbytes, pack_meshes
 from repro.viz.mesh import TriangleMesh
 
 SMALL = {"isovalue": 0.0, "scalar": "pressure", "time_range": (0, 2)}
@@ -90,7 +90,8 @@ def test_pack_unpack_roundtrip_with_attributes():
     buf = memoryview(bytearray(meshes_nbytes(meshes) + 64))
     packed = pack_meshes(meshes, buf)
     assert packed.nbytes == meshes_nbytes(meshes) == sum(m.nbytes for m in meshes)
-    rebuilt = unpack_meshes(packed, buf)
+    [run] = packed.runs(buf, [len(packed.layout)])
+    rebuilt = gather_meshes([[run]])[0]
     _same_payloads(rebuilt, meshes)
     assert rebuilt[3].attributes["normal"].shape == (6, 3)
     # The rebuilt meshes live in a private copy, not in the arena.

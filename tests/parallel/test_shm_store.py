@@ -35,7 +35,7 @@ def test_from_store_blocks_match_disk(engine_store):
 
 
 def test_views_are_read_only_and_zero_copy(engine_store):
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as shm:
+    with ShmBlockStore.from_store(engine_store) as shm:
         block = shm.get_block(0, 0)
         assert not block.coords.flags.writeable
         raw = block.fields.raw_view("pressure")
@@ -52,7 +52,7 @@ def test_views_are_read_only_and_zero_copy(engine_store):
 
 def test_a_synthetic_dataset_round_trips():
     eng = cached_engine(4, 2)
-    with ShmBlockStore.from_synthetic(eng, time_indices=[0]) as shm:
+    with ShmBlockStore.from_synthetic(eng) as shm:
         block = shm.get_block(0, 0)
         ref = eng.build_block(0, 0)
         # Serialization canonicalizes fields to <f4 — compare at f4.
@@ -65,7 +65,7 @@ def test_a_synthetic_dataset_round_trips():
 
 
 def test_manifest_attach_same_process(engine_store):
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as owner:
+    with ShmBlockStore.from_store(engine_store) as owner:
         manifest = owner.manifest()
         attached = ShmBlockStore.attach(manifest)
         try:
@@ -84,11 +84,10 @@ def test_manifest_attach_same_process(engine_store):
 
 
 def test_derived_fields_are_float64_and_shared(engine_store):
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as shm:
+    with ShmBlockStore.from_store(engine_store) as shm:
         block = shm.get_block(0, 0)
         lam = lambda2_field(block, "velocity")
         shm.add_derived_fields("lambda2", {(0, 0): lam})
-        assert shm.derived_fields(0, 0) == ["lambda2"]
         enriched = shm.get_block(0, 0)
         raw = enriched.fields.raw_view("lambda2")
         assert raw.dtype == np.float64
@@ -106,7 +105,7 @@ def test_cleanup_retires_all_segments(engine_store):
     fields derived beside them) goes with ``cleanup``; the dataset's
     own files stay."""
     eng = cached_engine(4, 2)
-    shm = ShmBlockStore.from_synthetic(eng, time_indices=[0])
+    shm = ShmBlockStore.from_synthetic(eng)
     shm.add_derived_fields("lambda2", {(0, 0): lambda2_field(shm.get_block(0, 0))})
     paths = shm.mapped_files
     assert paths and all(os.path.exists(p) for p in paths)
@@ -115,16 +114,16 @@ def test_cleanup_retires_all_segments(engine_store):
     assert not any(os.path.exists(p) for p in paths)
     # Idempotent.
     shm.cleanup()
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as disk:
+    with ShmBlockStore.from_store(engine_store) as disk:
         disk.get_block(0, 0)
         paths = disk.mapped_files
     assert paths and all(os.path.exists(p) for p in paths)
 
 
 def test_unknown_block_raises(engine_store):
-    with ShmBlockStore.from_store(engine_store, time_indices=[0]) as shm:
+    with ShmBlockStore.from_store(engine_store) as shm:
         with pytest.raises(KeyError):
-            shm.get_block(1, 0)
+            shm.get_block(2, 0)
         with pytest.raises(KeyError):
             shm.add_derived_fields("lambda2", {(7, 0): np.zeros((2, 2, 2))})
 
@@ -149,7 +148,7 @@ def test_a_killed_creators_directory_goes_with_the_next_one():
     assert proc.returncode == -signal.SIGKILL and os.path.isdir(orphan)
     live = tempfile.mkdtemp(prefix=f"repro-store-{os.getppid()}-")
     try:
-        shm = ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0])
+        shm = ShmBlockStore.from_synthetic(cached_engine(4, 2))
         shm.cleanup()
         assert not os.path.exists(orphan)
         assert os.path.isdir(live)
@@ -168,9 +167,9 @@ def test_a_locked_directory_of_a_dead_pid_survives():
     holder = shm_module._lock(other)
     try:
         assert holder is not None
-        ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0]).cleanup()
+        ShmBlockStore.from_synthetic(cached_engine(4, 2)).cleanup()
         assert other.is_dir()
     finally:
         os.close(holder)
-    ShmBlockStore.from_synthetic(cached_engine(4, 2), time_indices=[0]).cleanup()
+    ShmBlockStore.from_synthetic(cached_engine(4, 2)).cleanup()
     assert not other.exists()

@@ -216,7 +216,7 @@ def _count_get_block(shm, monkeypatch) -> list:
 def test_derived_field_invalidates_the_level_table(engine_store, monkeypatch):
     """A derived scalar's table is rebuilt from the derived file alone:
     no block is viewed, so no block file is mapped for it."""
-    with ShmBlockStore.from_store(engine_store, [0]) as shm:
+    with ShmBlockStore.from_store(engine_store) as shm:
         calls = _count_get_block(shm, monkeypatch)
         assert shm.block_ranges("lambda2", 0) == {}
         assert calls == []

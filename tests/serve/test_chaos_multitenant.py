@@ -31,7 +31,7 @@ def chaos_plan() -> FaultPlan:
     return (
         FaultPlan(seed=7)
         .crash_worker(2.0, worker=1, downtime=1.0)
-        .slow_disk(20.0, node=1, factor=0.25, duration=10.0)
+        .degrade_link(20.0, "disk1", factor=0.25, duration=10.0)
     )
 
 

@@ -190,7 +190,6 @@ def test_answered_requests_release_their_geometry():
         assert payload["state"] == "done"
     client = app.server.backend.session.client
     assert not client.packets_by_request
-    assert not client.payloads_by_request
     assert not client.progress and not client.progress_times
     assert not client._seen
     handles = app.server.handles

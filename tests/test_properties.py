@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.algorithms import (
     active_cell_indices,
     extract_block_isosurface,
-    iter_isosurface_batches,
+    iter_view_dependent_batches,
     trace_pathlines,
 )
 from repro.des import Environment
@@ -71,7 +71,9 @@ def test_streamed_equals_batch_for_any_batch_size(seed, level, batch):
     lo, hi = b.scalar_range("s")
     isovalue = lo + level * (hi - lo)
     reference = extract_block_isosurface(b, "s", isovalue)
-    fragments = list(iter_isosurface_batches(b, "s", isovalue, batch_cells=batch))
+    fragments = list(
+        iter_view_dependent_batches(b, "s", isovalue, np.zeros(3), max_triangles=batch)
+    )
     assert sum(f.n_triangles for f in fragments) == reference.n_triangles
     total_area = sum(f.area() for f in fragments)
     assert total_area == pytest.approx(reference.area(), rel=1e-9)

@@ -1,4 +1,5 @@
-"""Every ``src`` module is reached from what ships.
+"""Every ``src`` module is reached from what ships, and every name in it
+is read there.
 
 What ships is declared once, in :data:`ROOTS`: the CLI, the command
 registry, and every ``repro`` module a benchmark imports.  From there
@@ -14,6 +15,8 @@ the names its own code reads.  Nothing here imports ``repro``.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
@@ -130,3 +133,142 @@ def test_every_src_module_is_reached_from_what_ships():
         f"src modules nothing in {ROOTS} reaches (tests and examples do not "
         f"count): {unreached}"
     )
+
+
+# --- names -----------------------------------------------------------------
+
+#: Units no shipped code reads that stay, each with the reason it stays.
+KEPT = {
+    # Library surface: the one-call form of the four command families,
+    # and what the examples print.
+    "extract_isosurface": "one-call isosurface over a level (README, examples/)",
+    "extract_vortices": "one-call λ2 vortex extraction over a level (README)",
+    "extract_cutplane": "one-call cut plane over a level (examples/pressure_slices.py)",
+    "trace_streakline": "one-call streakline over a time series (library surface)",
+    "render_ascii": "examples/ print their geometry with it",
+    "CommandResult.interaction_report": "examples/ print the paper's interaction criteria with it",
+    "MultiBlockDataset.scalar_range": "examples/pressure_slices.py picks its slice values with it",
+    # References that tests compare against.
+    "StructuredBlock.cell_corner_points": "test_interpolate.py checks trilinear weights against it",
+    "StructuredBlock.cell_corner_values": "tests/grids/scalar_locator.py and the cell-by-cell "
+    "active-cell checks read corner values with it",
+    "StructuredBlock.iter_cells": "the cell-by-cell active-cell checks walk cells with it",
+    "TriangleMesh.drop_degenerate": "tests/algorithms/iso_reference.py drops zero-area "
+    "triangles with it",
+    "TriangleMesh.edge_statistics": "the iso kernel's watertightness tests count edges with it",
+    "TriangleMesh.normals": "test_isosurface.py checks the sphere's orientation with it",
+    "BatchPathlineTracer.reset_cache": "the pathline tests empty one tracer between runs with it",
+    "geometry_from_bytes": "test_geometry_io.py reads the shipped wire format back with it",
+    "block_from_bytes": "the format tests decode written blocks with it",
+    "ABCFlowField": "the λ2 tests need a fully 3-D vortical analytic flow",
+    # Observation points: what tests read a run's private state through.
+    "CommandResult.span_kinds": "fault and span tests read a run's span kinds with it",
+    "CommandResult.spans_of_kind": "fault and span tests select a run's spans with it",
+    "SpanTracer.of_kind": "trace and equivalence tests select spans with it",
+    "Span.contains": "the span-nesting tests check containment with it",
+    "CacheTier.used_bytes": "the cache tests check byte accounting with it",
+    "LazyStructuredBlock.resident_nbytes": "the lazy-block tests measure an upcast with it",
+    "ProcessWorkerPool.arena_names": "the leak tests list the pool's shared-memory arenas with it",
+    "FairCommandQueue.backlog": "the queue and fairness tests read per-tenant backlog with it",
+    "ParallelExtractor.precompute": "the persistence tests count derived blocks with it "
+    "(0 once persisted)",
+    # The chaos harness that tests/faults/test_golden_pins.py and the
+    # chaos suite run; moving it into tests/ would not remove it.
+    "run_chaos": "the chaos harness (golden pins, chaos suite)",
+    "open_spans": "the chaos harness (golden pins, chaos suite)",
+    "track_slos": "the chaos harness (golden pins, chaos suite)",
+    "degraded_share_rate": "the chaos harness (golden pins, chaos suite)",
+    "fault_free_runtime": "the chaos harness (golden pins, chaos suite)",
+}
+
+#: External base classes that call methods by a name they build at run
+#: time (``do_GET`` from the request line), by the prefix they use.
+CALLBACK_PREFIXES = {"http.server.BaseHTTPRequestHandler": "do_"}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read in ``node``: ``Name`` ids and
+    ``Attribute`` attrs."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    return found
+
+
+def _external_bases(cls: ast.ClassDef, bound: dict) -> list[type]:
+    """The classes from outside ``repro`` that ``cls`` names as bases."""
+    found = []
+    for base in cls.bases:
+        module, name = bound.get(getattr(base, "id", None), ("repro", None))
+        if name is not None and module.partition(".")[0] != "repro":
+            found.append(getattr(importlib.import_module(module), name))
+    return found
+
+
+def _is_callback(name: str, bases: list[type]) -> bool:
+    """An external base calls ``name``: it defines it, or dispatches to it."""
+    for base in bases:
+        prefix = CALLBACK_PREFIXES.get(f"{base.__module__}.{base.__qualname__}")
+        if hasattr(base, name) or (prefix and name.startswith(prefix)):
+            return True
+    return False
+
+
+def _units(graph: _Graph, module: str) -> Iterator[tuple[str, ast.AST]]:
+    """``(qualified name, node)`` of each module-level function and class
+    of ``module``, and each non-dunder method no external base calls."""
+    tree = graph.trees[module]
+    package = module if module in graph.packages else module.rpartition(".")[0]
+    bound = {b: (m, n) for b, m, n in _imports(tree, package, True)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            bases = _external_bases(node, bound)
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and not _is_callback(item.name, bases)
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _shipped_readers() -> dict[str, bool]:
+    """``{qualified name: whether shipped code reads it}`` per unit.
+
+    A unit is read when its name is read anywhere in the reached
+    modules or the benchmark scripts more often than inside the unit's
+    own body.  Names match by spelling, so one read serves every unit
+    so named.
+    """
+    graph = _Graph()
+    reached = sorted(graph.reached())
+    scripts = [p for root in ROOTS if root.endswith(".py") for p in ROOT.glob(root)]
+    reads = Counter()
+    for tree in [graph.trees[m] for m in reached]:
+        reads += _reads(tree)
+    for path in scripts:
+        reads += _reads(ast.parse(path.read_text(), str(path)))
+    used: dict[str, bool] = {}
+    for module in reached:
+        for qualname, node in _units(graph, module):
+            read = reads[node.name] > _reads(node)[node.name]
+            used[qualname] = used.get(qualname, False) or read
+    return used
+
+
+def test_every_src_name_has_a_shipped_reader():
+    used = _shipped_readers()
+    assert len(used) > 500
+    unread = sorted(name for name, read in used.items() if not read and name not in KEPT)
+    assert not unread, (
+        f"src functions, classes and methods nothing in {ROOTS} reads (tests "
+        f"and examples do not count): {unread}; delete them, or keep one in "
+        f"KEPT with the reason it stays"
+    )
+    stale = sorted(name for name in KEPT if used.get(name, True))
+    assert not stale, f"KEPT names that are gone from src or now have a shipped reader: {stale}"

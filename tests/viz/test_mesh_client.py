@@ -142,7 +142,8 @@ def test_client_records_packets_until_final():
     assert len(packets) == 2
     assert client.first_data_time_of(1) == pytest.approx(1.0)
     assert [p.time for p in packets if p.final] == [pytest.approx(2.0)]
-    assert TriangleMesh.merge(client.payloads_by_request[1]).n_triangles == 1
+    meshes = [p.payload for p in packets if p.payload is not None]
+    assert TriangleMesh.merge(meshes).n_triangles == 1
 
 
 def test_client_keeps_consuming_after_a_final_packet():
@@ -188,7 +189,7 @@ def test_client_reset():
     env.run(until=done)
     assert client.packets_by_request[1]
     client.reset()
-    assert not client.packets_by_request and not client.payloads_by_request
+    assert not client.packets_by_request
     assert client.first_data_time_of(1) is None
 
 
@@ -205,7 +206,6 @@ def test_client_forget_drops_one_request():
         env.run(until=done)
     client.forget(1)
     assert list(client.packets_by_request) == [2]
-    assert list(client.payloads_by_request) == [2]
     assert list(client._seen) == [2]
     assert client.first_data_time_of(1) is None
     assert client.first_data_time_of(2) is not None
@@ -219,4 +219,5 @@ def test_client_other_payloads():
     client.mailbox.put(packet(0, payload="not-a-mesh"))
     client.mailbox.put(packet(1, final=True))
     env.run(until=done)
-    assert client.payloads_by_request[1] == ["not-a-mesh"]
+    payloads = [p.payload for p in client.packets_by_request[1] if p.payload is not None]
+    assert payloads == ["not-a-mesh"]

@@ -40,14 +40,12 @@ def test_empty_mesh_topology():
     points, faces = m.indexed()
     assert len(points) == 0 and len(faces) == 0
     assert m.edge_statistics()["edges"] == 0
-    assert not m.is_closed()
 
 
 def test_single_triangle_is_all_boundary():
     m = TriangleMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float))
     stats = m.edge_statistics()
     assert stats == {"edges": 3, "interior": 0, "boundary": 3, "nonmanifold": 0}
-    assert not m.is_closed()
 
 
 def test_sphere_isosurface_is_watertight():
@@ -56,12 +54,13 @@ def test_sphere_isosurface_is_watertight():
     stats = mesh.edge_statistics()
     assert stats["nonmanifold"] == 0
     assert stats["boundary"] == 0
-    assert mesh.is_closed()
+    assert stats["edges"] > 0
 
 
 def test_sphere_isosurface_watertight_on_warped_grid():
     mesh = extract_block_isosurface(sphere_block(warped=True), "r", 0.6)
-    assert mesh.is_closed()
+    stats = mesh.edge_statistics()
+    assert stats["edges"] > 0 and stats["boundary"] == stats["nonmanifold"] == 0
 
 
 def test_multiblock_sphere_is_watertight_after_merge():
@@ -73,7 +72,8 @@ def test_multiblock_sphere_is_watertight_after_merge():
     right = StructuredBlock(whole.coords[7:], block_id=1)
     right.set_field("r", whole.field("r")[7:])
     merged = extract_isosurface(MultiBlockDataset([left, right]), "r", 0.6)
-    assert merged.is_closed()
+    stats = merged.edge_statistics()
+    assert stats["edges"] > 0 and stats["boundary"] == stats["nonmanifold"] == 0
     # Each half alone has a boundary (the cut circle at the interface).
     half = extract_block_isosurface(left, "r", 0.6)
     assert half.edge_statistics()["boundary"] > 0

@@ -50,12 +50,7 @@ def test_from_pathlines_structure():
     assert set(ps.attributes) == {"time", "speed"}
     # Unit spacing at unit time steps -> speed 1 everywhere.
     np.testing.assert_allclose(ps.attributes["speed"], 1.0)
-    np.testing.assert_allclose(ps.line_attribute("time", 0), [0, 1, 2, 3])
-
-
-def test_lengths():
-    ps = PolylineSet.from_pathlines([simple_path(4), simple_path(2)])
-    np.testing.assert_allclose(ps.lengths(), [3.0, 1.0])
+    np.testing.assert_allclose(ps.attributes["time"][:4], [0, 1, 2, 3])
 
 
 def test_line_index_errors():
