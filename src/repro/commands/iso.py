@@ -60,15 +60,13 @@ class IsoDataManCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def threshold_scalar(self, ctx: CommandContext) -> str:
-        return ctx.params["scalar"]
+    def cull_on(self, ctx: CommandContext) -> tuple[str, float]:
+        return ctx.params["scalar"], ctx.params["isovalue"]
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         isovalue = ctx.params["isovalue"]
         scalar = ctx.params["scalar"]
         for t, bid in assignment:
-            if ctx.cull(t, bid, scalar, isovalue):
-                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
             active = active_cell_indices(block, scalar, isovalue)
@@ -123,8 +121,8 @@ class ViewerIsoCommand(Command):
     def item_sequence_for(self, ctx: CommandContext, assignment: Any):
         return [block_item(ctx.dataset, t, bid) for t, bid in assignment]
 
-    def threshold_scalar(self, ctx: CommandContext) -> str:
-        return ctx.params["scalar"]
+    def cull_on(self, ctx: CommandContext) -> tuple[str, float]:
+        return ctx.params["scalar"], ctx.params["isovalue"]
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         isovalue = ctx.params["isovalue"]
@@ -132,8 +130,6 @@ class ViewerIsoCommand(Command):
         viewpoint = np.asarray(ctx.params["viewpoint"], dtype=float)
         max_triangles = ctx.params["max_triangles"]
         for t, bid in assignment:
-            if ctx.cull(t, bid, scalar, isovalue):
-                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
             active = active_cell_indices(block, scalar, isovalue)

@@ -70,18 +70,17 @@ class VortexDataManCommand(Command):
             return "lambda2"
         return None
 
-    def threshold_scalar(self, ctx: CommandContext) -> str | None:
+    def cull_on(self, ctx: CommandContext) -> tuple[str, float] | None:
         # Executors over a shared store derive the field before
-        # planning, so its range table is there to cull by.
-        return self.derived_field(ctx)
+        # dealing, so its range table is there to cull by.
+        name = self.derived_field(ctx)
+        return None if name is None else (name, ctx.params["threshold"])
 
     def run(self, ctx: CommandContext, assignment: Any, worker_index: int):
         threshold = ctx.params["threshold"]
         velocity = ctx.params["velocity"]
         stored = self.derived_field(ctx) is not None
         for t, bid in assignment:
-            if ctx.cull(t, bid, "lambda2", threshold):
-                continue
             block = yield Load(block_item(ctx.dataset, t, bid))
             handle = ctx.handle(t, bid)
 

@@ -52,6 +52,7 @@ __all__ = [
     "plan_block_assignments",
     "plan_block_tasks",
     "lpt_order",
+    "may_contain",
     "SCHEDULES",
 ]
 
@@ -118,14 +119,6 @@ class CommandContext:
     costs: CostModel
     time_offset: int = 0
     times: Sequence[float] = ()
-    #: exact finite ``(min, max)`` of stored scalars per block,
-    #: ``{scalar: {time_index: {block_id: (lo, hi)}}}``.  Only the real
-    #: path (:mod:`repro.parallel`) fills it; scheduler-built contexts
-    #: leave it ``None``, so simulated op streams never cull.
-    block_ranges: Mapping[str, Mapping[int, Mapping[int, tuple[float, float]]]] | None = None
-    #: blocks :meth:`cull` skipped so far in this process; interpreters
-    #: read the delta over a share.
-    n_culled: int = 0
     _handle_index: dict[tuple[int, int], BlockHandle] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -160,29 +153,6 @@ class CommandContext:
             raise KeyError(
                 f"no handle for block {block_id} at t={time_index}"
             ) from None
-
-    def may_contain(
-        self, time_index: int, block_id: int, scalar: str, value: float
-    ) -> bool:
-        """Whether the block's stored ``scalar`` range can reach ``value``.
-
-        ``True`` whenever nothing is known (no table, unknown block, a
-        range that was not finite); a ``False`` is exact — no cell of
-        the block has a corner interval enclosing ``value`` — so a
-        threshold command may skip the block without changing a byte.
-        """
-        if self.block_ranges is None:
-            return True
-        span = self.block_ranges.get(scalar, {}).get(time_index, {}).get(block_id)
-        return span is None or span[0] <= value <= span[1]
-
-    def cull(self, time_index: int, block_id: int, scalar: str, value: float) -> bool:
-        """Whether to skip the block (``not may_contain``), counting the
-        skip: what a command's ``run`` asks before ``yield Load``."""
-        if self.may_contain(time_index, block_id, scalar, value):
-            return False
-        self.n_culled += 1
-        return True
 
 
 def command_context(
@@ -513,18 +483,20 @@ class Command:
         """The worker-side op generator for one assignment."""
         raise NotImplementedError
 
-    def threshold_scalar(self, ctx: CommandContext) -> str | None:
-        """The stored scalar whose per-block range decides, through
-        :meth:`CommandContext.may_contain`, whether a block can
-        contribute; ``None`` for commands that never skip blocks."""
+    def cull_on(self, ctx: CommandContext) -> tuple[str, float] | None:
+        """``(scalar, value)`` when a block contributes only if its
+        stored ``scalar`` range reaches ``value``: the real path then
+        deals no ``(level, block)`` pair whose range excludes it
+        (:func:`may_contain`).  ``None`` for commands that never skip a
+        block; one that names a pair plans units of such pairs."""
         return None
 
     def derived_field(self, ctx: CommandContext) -> str | None:
         """The derived field :meth:`run` reads (``"lambda2"``), or
         ``None``.  Executors over a shared store derive it once per
         block before running (and persist it beside an on-disk
-        dataset), so :meth:`run` finds it stored and
-        :meth:`threshold_scalar` can cull on it."""
+        dataset), so :meth:`run` finds it stored and :meth:`cull_on`
+        can name it."""
         return None
 
     def item_sequence_for(self, ctx: CommandContext, assignment: Any) -> list[ItemName] | None:
@@ -624,11 +596,21 @@ class Deal:
     #: :meth:`Command.plan` shares (static) or :meth:`Command.plan_tasks`
     #: tasks (dynamic), in canonical order: the merge order.
     units: list[Any]
-    #: unit indices in claim order; ``None`` when slot *i* runs unit *i*.
+    #: live unit indices in claim order; ``None`` when slot *i* runs unit *i*.
     order: list[int] | None
     batch: int  #: units per ticket
-    fair_share: int  #: ``ceil(len(units) / group)``; beyond it a slot steals
+    fair_share: int  #: ``ceil(live units / group)``; beyond it a slot steals
     group: int
+    #: units no slot runs (they merge as empty payload lists): tasks the
+    #: prune emptied, or every share when it left no pair to deal.
+    dead: frozenset[int] = frozenset()
+    #: the ``(level, block)`` pairs the prune dropped.
+    culled: tuple[tuple[int, int], ...] = ()
+
+    def slots(self) -> list[int]:
+        """The slots that run: all ``group``, none when the prune left
+        nothing to deal."""
+        return [] if self.dead and not self.order else list(range(self.group))
 
     def tickets(self) -> list[list[int]]:
         """``order`` cut into ``batch``-unit tickets (static: ``[[i]]``)."""
@@ -643,25 +625,63 @@ def deal(
     ctx: CommandContext,
     group: int,
     weights: Callable[[list[Any]], Sequence[float]] | None = None,
+    live: Callable[[int, int], bool] | None = None,
 ) -> Deal:
     """Static deals one share per slot.  Dynamic (``params["schedule"]
     == "dynamic"``) deals tasks heaviest-first by ``weights(units)``
     (default :meth:`Command.task_cost`), ``params["steal_batch"]`` per
-    ticket (default :func:`default_batch`)."""
+    ticket (default :func:`default_batch`).
+
+    ``live(t, b)`` (the real path's prune, :func:`may_contain`; the DES
+    passes none) drops every ``(level, block)`` pair it refuses from
+    the units first, in order; the claim order, batch and fair share
+    then count live units only."""
     if group < 1:
         raise ValueError(f"group_size must be >= 1, got {group}")
-    if ctx.params["schedule"] != "dynamic":
-        units = command.plan(ctx, group)
-        if len(units) != group:
-            raise RuntimeError(
-                f"command {command.name!r} planned {len(units)} assignments "
-                f"for group of {group}"
-            )
-        return Deal(units, None, 1, 1, group)
-    units = command.plan_tasks(ctx)
+    dynamic = ctx.params["schedule"] == "dynamic"
+    units = command.plan_tasks(ctx) if dynamic else command.plan(ctx, group)
+    if not dynamic and len(units) != group:
+        raise RuntimeError(
+            f"command {command.name!r} planned {len(units)} assignments "
+            f"for group of {group}"
+        )
+    dead, culled = set(), []
+    if live is not None:
+        pruned = []
+        for index, unit in enumerate(units):
+            kept = []
+            for pair in unit:
+                (kept if live(*pair) else culled).append(pair)
+            if unit and not kept:
+                dead.add(index)
+            pruned.append(kept)
+        units = pruned
+    if not dynamic:
+        # Every slot runs its share, emptied or not, unless none is left.
+        dead = set(range(group)) if culled and not any(units) else set()
+        return Deal(units, None, 1, 1, group, frozenset(dead), tuple(culled))
     costs = weights(units) if weights else [command.task_cost(ctx, u) for u in units]
-    batch = ctx.params["steal_batch"] or default_batch(len(units), group)
-    return Deal(units, lpt_order(costs), batch, math.ceil(len(units) / group), group)
+    order = [i for i in lpt_order(costs) if i not in dead]
+    batch = ctx.params["steal_batch"] or default_batch(len(order), group)
+    return Deal(
+        units, order, batch, math.ceil(len(order) / group), group,
+        frozenset(dead), tuple(culled),
+    )
+
+
+def may_contain(
+    ranges: Mapping[int, Mapping[int, tuple[float, float]]], value: float
+) -> Callable[[int, int], bool]:
+    """The prune's test: whether block ``(t, b)``, by one scalar's stored
+    ``{t: {b: (lo, hi)}}``, can reach ``value``.  ``True`` where nothing
+    is known (no entry: unknown, or not finite); a ``False`` is exact —
+    no cell can hold ``value`` — so undealt, the block changes no byte."""
+
+    def live(time_index: int, block_id: int) -> bool:
+        span = ranges.get(time_index, {}).get(block_id)
+        return span is None or span[0] <= value <= span[1]
+
+    return live
 
 
 def plan_block_assignments(ctx: CommandContext, group_size: int) -> list[list[Any]]:

@@ -32,6 +32,7 @@ from ..core.commands import (
     CommandRegistry,
     command_context,
     deal,
+    may_contain,
 )
 from ..core.costs import DEFAULT_COSTS, CostModel
 from ..io.dataset_io import DatasetStore
@@ -60,6 +61,7 @@ class ParallelResult:
     shares: list[ShareResult] = field(default_factory=list)
     wall_seconds: float = 0.0
     schedule: str = "static"
+    n_culled: int = 0  #: blocks dealt to no one: their stored range excluded the value
 
     @property
     def n_payloads(self) -> int:
@@ -68,11 +70,6 @@ class ParallelResult:
     @property
     def n_loads(self) -> int:
         return sum(s.n_loads for s in self.shares)
-
-    @property
-    def n_culled(self) -> int:
-        """Blocks skipped unloaded: their stored range excluded the value."""
-        return sum(s.n_culled for s in self.shares)
 
     @property
     def share_seconds(self) -> list[float]:
@@ -181,6 +178,12 @@ class ParallelExtractor:
         declaration (:class:`~repro.core.commands.ParamError`) before
         anything is derived or any pool starts.
 
+        Unlike the DES, the deal is pruned: where the command names what
+        it culls on (:meth:`~repro.core.commands.Command.cull_on`), a
+        block whose stored range (:meth:`ShmBlockStore.block_ranges`)
+        excludes the value is dealt to no slot and merges as nothing,
+        and a run the prune empties starts no pool.
+
         Merged bytes: a dynamic run's equal a static group-1 run's at
         any group size (tasks merge in canonical order), and a static
         run's are equal across executors at equal group size.  Static
@@ -205,36 +208,36 @@ class ParallelExtractor:
         ctx = command_context(
             cmd, self.store, self.store.time_indices, params, self.costs
         )
+        derived = cmd.derived_field(ctx)
+        if derived is not None:
+            # Derive on need: once per block, before the deal, so it
+            # (and every later one) reads the field stored and culls on it.
+            self._derive(derived, ctx.time_indices)
+        cull = cmd.cull_on(ctx)
+        live = None if cull is None else may_contain(
+            {t: store.block_ranges(cull[0], t) for t in ctx.time_indices}, cull[1]
+        )
         # Dynamic claims start with the costliest units by this
         # extractor's measured seconds (model estimates until measured).
         dealt = deal(
             cmd, ctx, group,
             weights=lambda units: self.cost_feedback.estimates(cmd, ctx, units),
+            live=live,
         )
         sched = ctx.params["schedule"]
-        derived = cmd.derived_field(ctx)
-        if derived is not None:
-            # Derive on need: once per block, before the run, so it
-            # (and every later one) reads the field stored and culls on it.
-            self._derive(derived, ctx.time_indices)
-        scalar = cmd.threshold_scalar(ctx)
-        if scalar is not None:
-            # Span-space culling: the command skips blocks whose stored
-            # range excludes its threshold (CommandContext.may_contain).
-            ctx.block_ranges = {
-                scalar: {
-                    t: self.store.block_ranges(scalar, t) for t in ctx.time_indices
-                }
-            }
         run_span = self.tracer.begin(
             "parallel-run",
             cmd.name,
             executor=self.executor,
             group_size=group,
             schedule=sched,
+            n_units=len(dealt.units),
+            n_live=len(dealt.units) - len(dealt.dead),
+            n_culled=len(dealt.culled),
         )
         t0 = time.perf_counter()
-        if self.executor == "process":
+        slots = dealt.slots()
+        if self.executor == "process" and slots:
             results = self._ensure_pool().run_shares(cmd, ctx, dealt)
             # Tail idle: a worker is done when its share/drain ends but
             # the run lasts until the slowest one finishes.
@@ -243,8 +246,8 @@ class ParallelExtractor:
                 res.idle_s += t_max - res.t_end
         else:
             # In-process slots over the same deal, keys and merge: the
-            # pool's byte-identical reference.  Slot s claims every
-            # group-th ticket, the drain of equally fast slots.
+            # pool's byte-identical reference (and a run with no slot).
+            # Slot s claims every group-th ticket, the drain of equally fast slots.
             tickets = dealt.tickets()
             results = [
                 execute_share(
@@ -252,16 +255,16 @@ class ParallelExtractor:
                     chain.from_iterable(tickets[slot::dealt.group]), slot,
                     dealt.fair_share, self.profile_interval,
                 )
-                for slot in range(dealt.group)
+                for slot in slots
             ]
         records = [rec for res in results for rec in res.tasks]
         if dealt.order is not None:
             self.cost_feedback.record(cmd.name, records, len(dealt.units))
-        merged = cmd.merge(payload_lists(records, len(dealt.units)))
+        merged = cmd.merge(payload_lists(records, len(dealt.units), dealt.dead))
         t_merged = time.perf_counter()
         wall = t_merged - t0
         self.tracer.end(run_span, n_shares=len(results))
-        self._record(cmd.name, results, wall, run_span, t_merged)
+        self._record(cmd.name, results, wall, run_span, t_merged, len(dealt.culled))
         return ParallelResult(
             command=cmd.name,
             executor=self.executor,
@@ -270,6 +273,7 @@ class ParallelExtractor:
             shares=results,
             wall_seconds=wall,
             schedule=sched,
+            n_culled=len(dealt.culled),
         )
 
     # --------------------------------------------------------- precompute
@@ -317,6 +321,7 @@ class ParallelExtractor:
         wall: float,
         run_span,
         t_merged: float,
+        n_culled: int,
     ) -> None:
         labels = {"command": command, "executor": self.executor}
         self.metrics.counter(
@@ -328,11 +333,11 @@ class ParallelExtractor:
         loads = self.metrics.counter(
             "parallel_blocks_loaded_total", labels, help="block loads by workers"
         )
-        culled = self.metrics.counter(
+        self.metrics.counter(
             "parallel_blocks_culled_total",
             labels,
-            help="blocks skipped unloaded: stored range excluded the value",
-        )
+            help="blocks dealt to no one: stored range excluded the value",
+        ).inc(n_culled)
         via_arena = self.metrics.counter(
             "parallel_return_arena_bytes_total",
             labels,
@@ -361,7 +366,6 @@ class ParallelExtractor:
         for res in results:
             shares.inc()
             loads.inc(res.n_loads)
-            culled.inc(res.n_culled)
             if self.executor == "process":
                 via_arena.inc(res.arena_nbytes)
                 if not res.arena_nbytes:
@@ -382,7 +386,6 @@ class ParallelExtractor:
                 parent=run_span,
                 pid=res.pid,
                 n_loads=res.n_loads,
-                n_culled=res.n_culled,
                 n_emits=res.n_emits,
             )
             if res.idle_s > 0.0:

@@ -14,7 +14,7 @@ start their expensive blocks first from *measured* costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..core.commands import Command, CommandContext
 
@@ -32,15 +32,17 @@ class TaskResult:
     task_index: int  #: canonical index into ``plan_tasks`` order
     payloads: list[Any]
     n_loads: int = 0
-    n_culled: int = 0
     n_computes: int = 0
     n_emits: int = 0
     emitted_nbytes: int = 0
     seconds: float = 0.0  #: measured wall seconds (feeds CostFeedback)
 
 
-def payload_lists(results: Sequence[TaskResult], n_tasks: int) -> list[list[Any]]:
-    """Per-task payloads reassembled in canonical task order.
+def payload_lists(
+    results: Sequence[TaskResult], n_tasks: int, dead: Iterable[int] = ()
+) -> list[list[Any]]:
+    """Per-task payloads reassembled in canonical task order, the
+    ``dead`` tasks (those the prune emptied, never run) empty.
 
     Feeding this to :meth:`Command.merge` yields the same flat payload
     sequence a serial single-share run produces, hence byte-identical
@@ -48,6 +50,8 @@ def payload_lists(results: Sequence[TaskResult], n_tasks: int) -> list[list[Any]
     dynamic run must account for every ticket exactly once.
     """
     ordered: list[list[Any] | None] = [None] * n_tasks
+    for index in dead:
+        ordered[index] = []
     for res in results:
         if not 0 <= res.task_index < n_tasks:
             raise ValueError(f"task index {res.task_index} out of range {n_tasks}")

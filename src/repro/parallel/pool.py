@@ -8,16 +8,19 @@ it maps each file on first use), interprets its share with a
 extracted payloads — meshes, pathlines — never block data.
 
 What crosses the pipe to a slot per run is what changes between runs:
-the command, its context *without* block handles or span-space tables
-(each worker takes both from the store it attached: the block
-catalogue crossed once, in the pool manifest), the context's level
-range, the names of the scalars the command culls on, the slot's work
-units and claim order, and the slot's arena name.  The store's
+the command, its context *without* block handles (each worker takes
+them from the store it attached: the block catalogue crossed once, in
+the pool manifest), the context's level range, the slot's work — its
+pruned share, or a drain's live tasks by canonical index: the parent's
+prune (:func:`~repro.core.commands.deal`) has already dropped every
+block whose stored range excludes the command's value, so no range
+table and no cull scalar travels — the claim order, and the slot's
+arena name.  The store's
 :meth:`~repro.parallel.shm.ShmBlockStore.worker_state` — its
-derived-field manifest and range tables, which grow with the block
-count — rides along only while some worker process has not yet
-reported the store's current :attr:`~repro.parallel.shm.ShmBlockStore.generation`
-back in a result, so a worker that missed the run carrying it still
+derived-field manifest, which grows with the block count — rides along
+only while some worker process has not yet reported the store's
+current :attr:`~repro.parallel.shm.ShmBlockStore.generation` back in a
+result, so a worker that missed the run carrying it still
 syncs.  Mesh payloads come back through one shared-memory result arena
 per slot (:mod:`repro.parallel.arena`) once the slot has returned
 meshes before; everything else is pickled through the result pipe.
@@ -137,8 +140,7 @@ def _run_slot(
     command: Command,
     ctx: CommandContext,
     levels: tuple[int, int],
-    culls: tuple[str, ...],
-    work: Sequence[Any] | Mapping[int, Any],
+    work: Mapping[int, Any],
     order: Sequence[int],
     slot: int,
     batch: int,
@@ -146,23 +148,18 @@ def _run_slot(
     state: dict | None,
     arena_name: str | None,
 ) -> _Shipped:
-    """One slot's call.  With ``batch`` 0 the slot was pre-dealt
-    ``order``; otherwise ``order`` is the whole run's and the slot
-    claims its part off the ticket counter, ``batch`` at a time.
-    ``ctx`` came without block handles or range tables; they are the
-    attached store's, for the absolute levels ``range(*levels)`` and
-    the scalars ``culls``, once it has synced ``state`` (``None``: no
-    change since this process last reported)."""
+    """One slot's call over ``work``, the units it may run by
+    canonical index.  With ``batch`` 0 the slot was pre-dealt ``order``;
+    otherwise ``order`` is the whole run's and the slot claims its part
+    off the ticket counter, ``batch`` at a time.  ``ctx`` came without
+    block handles; they are the attached store's, for the absolute
+    levels ``range(*levels)``, once it has synced ``state`` (``None``:
+    no change since this process last reported)."""
     store = _worker_store()
     if state is not None:
         store.sync(state)
     synced = store.generation
     ctx.handles_by_time = [store.handles(t) for t in range(*levels)]
-    if culls:
-        ctx.block_ranges = {
-            scalar: {t: store.block_ranges(scalar, t) for t in ctx.time_indices}
-            for scalar in culls
-        }
     waits: list[float] = []
     claims = _tickets(order, batch, waits) if batch else iter(order)
     result = execute_share(
@@ -228,39 +225,37 @@ class ProcessWorkerPool:
     def run_shares(
         self, command: Command, ctx: CommandContext, deal: Deal
     ) -> list[ShareResult]:
-        """Execute every unit of ``deal``; one result per slot, in slot order.
+        """Execute every live unit of ``deal``; one result per slot that
+        runs (:meth:`~repro.core.commands.Deal.slots`), in slot order.
 
         Pre-dealt (``deal.order`` None), slot *i* is sent unit *i* alone;
-        otherwise ``deal.group`` slots drain the shared counter in
-        ``deal.order``, ``deal.batch`` tickets at a time, until it runs
-        out.  Each unit's record keeps its canonical ``task_index`` for
-        :func:`~repro.parallel.dynamic.payload_lists`.
+        otherwise each slot is sent the live units and drains the shared
+        counter in ``deal.order``, ``deal.batch`` tickets at a time,
+        until it runs out.  Each unit's record keeps its canonical
+        ``task_index`` for :func:`~repro.parallel.dynamic.payload_lists`.
         """
         self._require_executor()
-        # Workers attached at pool start; ship what the store learnt
-        # since (derived files, range tables) until each has synced it.
+        # Workers attached at pool start; ship the derived files the
+        # store registered since until each has synced them.
         state = None if self._all_synced() else self.store.worker_state()
-        units, order = deal.units, deal.order
+        units, order, run = deal.units, deal.order, deal.slots()
         if order is None:
-            slots = [({i: unit}, [i], i, 0) for i, unit in enumerate(units)]
+            slots = [({i: units[i]}, [i], i, 0) for i in run]
         else:
-            if sorted(order) != list(range(len(units))):
-                raise ValueError("order must be a permutation of the work indices")
             # The pool is quiescent between runs, so the parent can reset
             # the counter without racing a drain.
             with self._ticket.get_lock():
                 self._ticket.value = 0
-            slots = [(units, order, w, deal.batch) for w in range(deal.group)]
+            live = {i: units[i] for i in order}
+            slots = [(live, order, w, deal.batch) for w in run]
         # Each worker holds the store's block handles from the manifest
-        # it attached, and its range tables from the state it synced;
-        # the context crosses the pipe without them.
-        bare = dataclasses.replace(ctx, handles_by_time=(), block_ranges=None)
+        # it attached; the context crosses the pipe without them.
+        bare = dataclasses.replace(ctx, handles_by_time=())
         levels = (ctx.time_offset, ctx.time_offset + ctx.n_timesteps)
-        culls = tuple(ctx.block_ranges or ())
         arenas = self._offer_arenas(len(slots))
         return self._gather(
             [
-                (_run_slot, command, bare, levels, culls, *slot, deal.fair_share,
+                (_run_slot, command, bare, levels, *slot, deal.fair_share,
                  state, arena)
                 for slot, arena in zip(slots, arenas)
             ]

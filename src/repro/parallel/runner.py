@@ -77,11 +77,6 @@ class ShareResult:
         return sum(rec.n_loads for rec in self.tasks)
 
     @property
-    def n_culled(self) -> int:
-        """Blocks skipped on their stored scalar range (never loaded)."""
-        return sum(rec.n_culled for rec in self.tasks)
-
-    @property
     def n_computes(self) -> int:
         return sum(rec.n_computes for rec in self.tasks)
 
@@ -114,7 +109,6 @@ class DirectRunner:
         """Drive one share's generator to exhaustion; payloads in order.
         The caller numbers the record and times it."""
         run = TaskResult(task_index=-1, payloads=[])
-        culled_before = ctx.n_culled
         gen = command.run(ctx, assignment, worker_index)
         result: Any = None
         while True:
@@ -146,7 +140,6 @@ class DirectRunner:
                 pass  # the mapped store is already resident
             else:
                 raise TypeError(f"command yielded unknown op {op!r}")
-        run.n_culled = ctx.n_culled - culled_before
         return run
 
 

@@ -200,7 +200,7 @@ class ShmBlockStore:
         self._private: Path | None = None
         self._remove: weakref.finalize | None = None
         #: bumped whenever :meth:`worker_state` changes: a derived file
-        #: registered, a range table built.
+        #: registered.
         self.generation = 0
 
     # ------------------------------------------------------ construction
@@ -299,23 +299,12 @@ class ShmBlockStore:
     def worker_state(self) -> dict[str, Any]:
         """What a long-lived worker's copy of this store must learn when
         :attr:`generation` moves: the :meth:`derived_manifest` (files
-        written after it attached) and the range tables built so far
-        (so it never rebuilds one).  Plain data, for :meth:`sync`."""
-        return {
-            "generation": self.generation,
-            "derived": self.derived_manifest(),
-            "ranges": {
-                scalar: dict(levels) for scalar, levels in self._ranges.items()
-            },
-        }
+        written after it attached).  Plain data, for :meth:`sync`."""
+        return {"generation": self.generation, "derived": self.derived_manifest()}
 
     def sync(self, state: Mapping[str, Any]) -> None:
-        """Catch up with another process's :meth:`worker_state`; the
-        ranges land after the derived files, whose registration drops
-        the tables they make stale."""
+        """Catch up with another process's :meth:`worker_state`."""
         self.sync_derived(state["derived"])
-        for scalar, levels in state["ranges"].items():
-            self._ranges.setdefault(scalar, {}).update(levels)
         self.generation = state["generation"]
 
     def _map(self, path: str, stamp: Stamp | None = None) -> memoryview:
@@ -490,12 +479,12 @@ class ShmBlockStore:
         cached.  A derived scalar is read from its own file, so no
         block file is mapped for it.  Blocks without the scalar, and
         blocks whose range is not finite, have no entry: nothing may be
-        concluded about them.
+        concluded about them.  Only the parent reads it, to prune what
+        it deals (:func:`~repro.core.commands.may_contain`).
         """
         levels = self._ranges.setdefault(scalar, {})
         spans = levels.get(time_index)
         if spans is None:
-            self.generation += 1
             spans = levels[time_index] = {}
             for t, b in self.keys():
                 if t != time_index:

@@ -15,6 +15,7 @@ from repro.core import (
     Prefetch,
     split_round_robin,
 )
+from repro.core.commands import deal, may_contain
 from repro.core.costs import CostModel
 from repro.dms import SyntheticSource, block_item
 from repro.synth import build_engine
@@ -88,24 +89,31 @@ def test_context_handle_index_keeps_scan_semantics(ctx):
 
 
 def test_context_without_a_range_table_never_culls(ctx):
-    assert ctx.block_ranges is None
-    assert ctx.may_contain(0, 0, "pressure", 1e30)
-    assert ctx.n_culled == 0
-    import dataclasses
+    """A context carries no range table, and a deal without a liveness
+    test (the DES's) prunes nothing; the parent's test refuses exactly
+    what a stored range excludes."""
+    cmd = IsoDataManCommand()
+    assert not hasattr(ctx, "block_ranges")
+    plain = deal(cmd, ctx, 2)
+    assert plain.culled == () and not plain.dead
+    assert plain.units == cmd.plan(ctx, 2)
 
-    tabled = dataclasses.replace(
-        ctx, block_ranges={"pressure": {0: {0: (-1.0, 1.0)}}}
-    )
-    assert tabled.may_contain(0, 0, "pressure", 1.0)       # closed interval
-    assert tabled.may_contain(0, 1, "pressure", 5.0)       # unknown block
-    assert tabled.may_contain(1, 0, "pressure", 5.0)       # unknown level
-    assert tabled.may_contain(0, 0, "temperature", 5.0)    # unknown scalar
-    assert not tabled.may_contain(0, 0, "pressure", 1.0000001)
-    assert not tabled.cull(0, 0, "pressure", 1.0)
-    assert tabled.n_culled == 0                             # only cull() counts
-    assert tabled.cull(0, 0, "pressure", 1.0000001)
-    assert tabled.cull(0, 0, "pressure", -2.0)
-    assert tabled.n_culled == 2
+    live = may_contain({0: {0: (-1.0, 1.0)}}, 1.0)
+    assert live(0, 0)                                   # closed interval
+    assert live(0, 1)                                   # unknown block
+    assert live(1, 0)                                   # unknown level
+    assert may_contain({}, 5.0)(0, 0)                   # unknown scalar: no table
+    assert not may_contain({0: {0: (-1.0, 1.0)}}, 1.0000001)(0, 0)
+    assert deal(cmd, ctx, 2, live=live).culled == ()    # only a refusal culls
+    tabled = {0: {0: (-1.0, 1.0)}, 1: {0: (-1.0, 1.0)}}
+    for value in (1.0000001, -2.0):
+        pruned = deal(cmd, ctx, 2, live=may_contain(tabled, value))
+        assert pruned.culled == ((0, 0), (1, 0))
+        # Each share keeps its other pairs, in order.
+        assert pruned.units == [
+            [pair for pair in share if pair not in pruned.culled]
+            for share in plain.units
+        ]
 
 
 def test_context_time_indices(ctx):

@@ -62,9 +62,10 @@ class FakeStealingPool:
 
     def run_shares(self, command, ctx, deal):
         work = deal.units
-        n_tasks = len(work)
-        # Arbitrary ticket order (the cost model could impose any).
-        order = list(range(n_tasks))
+        # Arbitrary ticket order over the live canonical indices (the
+        # cost model could impose any; the prune may have dropped some).
+        order = list(deal.order)
+        n_tasks = len(order)
         self.rng.shuffle(order)
         pos = 0
         claims: list[list[int]] = [[] for _ in range(self.n_workers)]
@@ -183,7 +184,8 @@ def test_starved_worker_is_legal_end_to_end(engine_store):
     assert starved.steals == 0 and starved.n_loads == 0
     assert starved.idle_s > 0.0  # tail idle: slot 2 was still running
     assert _mesh_bytes(res.result) == _mesh_bytes(reference.result)
-    n_tasks = sum(len(share.tasks) for share in res.shares)
+    # The profile covers every canonical task: those run and those culled.
+    n_tasks = sum(len(share.tasks) for share in res.shares) + res.n_culled
     profile = ext.cost_feedback.recorded("iso-dataman", n_tasks)
     assert profile is not None and len(profile) == n_tasks
     labels = {"command": "iso-dataman", "executor": "process"}

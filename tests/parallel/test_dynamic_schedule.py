@@ -11,7 +11,9 @@ strictness of the canonical reassembly itself.
 
 import pytest
 
-from repro.core.commands import ParamError, command_context, default_batch
+from repro.core.commands import (
+    ParamError, command_context, default_batch, may_contain,
+)
 from repro.parallel import SCHEDULES, ParallelExtractor
 from repro.parallel.dynamic import CostFeedback, TaskResult, payload_lists
 
@@ -75,7 +77,12 @@ def test_dynamic_share_accounting(engine_store):
         res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
         cmd = ext.registry.create("iso-dataman")
         ctx = command_context(cmd, ext.store, ext.store.time_indices, ISO, ext.costs)
-        n_tasks = len(cmd.plan_tasks(ctx))
+        tasks = cmd.plan_tasks(ctx)
+        live = may_contain(
+            {t: ext.store.block_ranges(ISO["scalar"], t) for t in ctx.time_indices},
+            ISO["isovalue"],
+        )
+        n_live = sum(1 for [(t, b)] in tasks if live(t, b))
     assert res.schedule == "dynamic"
     assert res.idle_seconds >= 0.0
     assert res.steals >= 0
@@ -87,9 +94,11 @@ def test_dynamic_share_accounting(engine_store):
         for task in share.tasks:
             assert isinstance(task, TaskResult)
             assert task.seconds >= 0.0
-    # Every canonical task index executed exactly once.
+    # Every live canonical task index executed exactly once; the parent
+    # dealt the culled ones to no one.
     indices = sorted(t.task_index for s in res.shares for t in s.tasks)
-    assert indices == list(range(n_tasks))
+    assert indices == [i for i, [(t, b)] in enumerate(tasks) if live(t, b)]
+    assert res.n_culled == len(tasks) - n_live
 
 
 def test_dynamic_metrics_exported(engine_store):
@@ -103,7 +112,8 @@ def test_dynamic_metrics_exported(engine_store):
 def test_cost_feedback_reorders_second_run(engine_store):
     with ParallelExtractor(engine_store, workers=2, executor="serial") as ext:
         first = ext.run("iso-dataman", params=ISO, schedule="dynamic")
-        n_tasks = sum(len(s.tasks) for s in first.shares)
+        # Keyed by every canonical task: those run and those culled.
+        n_tasks = sum(len(s.tasks) for s in first.shares) + first.n_culled
         assert ext.cost_feedback.recorded("iso-dataman", n_tasks)
         second = ext.run("iso-dataman", params=ISO, schedule="dynamic")
     # Feedback changes placement, never bytes.

@@ -9,14 +9,16 @@ nbytes, sha256 of the emitted geometry)``, keyed by the work unit's
 assignment, and both clocks run every ``DEMO_PARAMS`` command over one
 on-disk Engine store at group 1 and 2, static and dynamic.
 
-* With culling off (the wrapper names no threshold scalar and no
+* With culling off (the wrapper names nothing to cull on and no
   derived field) the two traces are equal unit for unit.
-* With culling on, the real path skips the blocks whose stored range
-  excludes the command's value; its trace is the DES trace minus the
-  ops of exactly those blocks (a block's ops run from its ``Load`` to
-  the next one).  The DES never culls.
+* With culling on, the real path's parent deals no block whose stored
+  range excludes the command's value; its trace is the DES trace minus
+  the ops of exactly the pairs the parent culled (a block's ops run
+  from its ``Load`` to the next one): each unit keeps its live pairs,
+  and a unit the prune emptied does not run.  The DES never culls.
 """
 
+import ast
 import hashlib
 
 import numpy as np
@@ -25,7 +27,6 @@ import pytest
 from repro import ViracochaSession
 from repro.commands import ALL_COMMANDS, DEMO_PARAMS
 from repro.core.commands import (
-    CommandContext,
     CommandRegistry,
     Compute,
     ComputeCached,
@@ -33,7 +34,7 @@ from repro.core.commands import (
     Load,
 )
 from repro.dms.items import block_item
-from repro.parallel import ParallelExtractor, ShmBlockStore
+from repro.parallel import ParallelExtractor, ShmBlockStore, api
 
 GROUPS = (1, 2)
 #: every command at group 1 and 2 under both schedules, except that
@@ -105,7 +106,7 @@ def _recording(cls, traces: dict, cull: bool):
                 result = yield op
 
         if not cull:
-            def threshold_scalar(self, ctx):
+            def cull_on(self, ctx):
                 return None
 
             def derived_field(self, ctx):
@@ -181,22 +182,31 @@ def test_culling_off_traces_are_equal(
 def test_culling_on_drops_only_culled_blocks(
     engine_store, des_traces, monkeypatch, command, group, schedule
 ):
-    culled: set = set()
-    cull = CommandContext.cull
+    pairs: set = set()  # the (level, block) pairs the parent culled
+    deal = api.deal
 
-    def recording_cull(ctx, time_index, block_id, scalar, value):
-        skipped = cull(ctx, time_index, block_id, scalar, value)
-        if skipped:
-            culled.add(str(block_item(ctx.dataset, time_index, block_id)))
-        return skipped
+    def recording_deal(*args, **kwargs):
+        dealt = deal(*args, **kwargs)
+        pairs.update(dealt.culled)
+        return dealt
 
-    monkeypatch.setattr(CommandContext, "cull", recording_cull)
+    monkeypatch.setattr(api, "deal", recording_deal)
     des = des_traces[command, group, schedule]
     real = _real_trace(engine_store, command, group, schedule, cull=True)
-    assert bool(culled) == (command in CULLING)
-    assert sorted(real) == sorted(des)
+    assert bool(pairs) == (command in CULLING)
+    culled = {str(block_item(engine_store.name, t, b)) for t, b in pairs}
+    expected = {}
     for unit, ops in des.items():
         kept, dropped = _split(ops, culled)
-        assert real[unit] == kept, unit
         # Only a block that emits nothing on the DES may be culled.
         assert "Emit" not in [op[0] for op in dropped], unit
+        if pairs:
+            live = [pair for pair in ast.literal_eval(unit) if pair not in pairs]
+            if not live:
+                assert not kept, unit  # emptied: dealt to no slot
+                continue
+            unit = repr(live)
+        expected[unit] = kept
+    assert sorted(real) == sorted(expected)
+    for unit, ops in expected.items():
+        assert real[unit] == ops, unit

@@ -1,10 +1,11 @@
 """What a pool run sends each worker.
 
-A slot's call carries the command, its context without block handles
-or range tables, the level range, the slot's work and the run's knobs;
-each worker takes the handles from the store it attached at pool start,
-and the derived-field manifest and range tables from the store state
-shipped only until every worker has synced it.  So the bytes pickled
+A slot's call carries the command, its context without block handles,
+the level range, the slot's live work and the run's knobs; each worker
+takes the handles from the store it attached at pool start, and the
+derived-field manifest from the store state shipped only until every
+worker has synced it.  No range table crosses: the parent pruned the
+deal.  So the bytes pickled
 per slot, its work units aside, do not grow with the store's block
 count, and a command in a worker sees the same handles the parent
 planned with.
@@ -89,7 +90,11 @@ def _synced_call_bytes(data, monkeypatch) -> list[int]:
     monkeypatch.setattr(ProcessWorkerPool, "_gather", spy)
     with ParallelExtractor(data, workers=2, executor="process") as ext:
         ext.run("vortex-dataman")  # derives lambda2, then culls on it
-        assert calls and all(args["state"]["derived"] for args in calls)
+        # The state holds the derived manifest alone: no range table.
+        assert calls and all(
+            set(args["state"]) == {"generation", "derived"} and args["state"]["derived"]
+            for args in calls
+        )
         for _ in range(10):
             if ext._pool._all_synced():
                 break
@@ -97,7 +102,7 @@ def _synced_call_bytes(data, monkeypatch) -> list[int]:
         else:
             pytest.fail("a worker process never reported the store state")
         ext.run("vortex-dataman")
-    assert all(args["state"] is None and args["culls"] == ("lambda2",) for args in calls)
+    assert all(args["state"] is None for args in calls)
     return [
         len(pickle.dumps({k: v for k, v in args.items() if k not in ("work", "order")}))
         for args in calls
@@ -109,6 +114,6 @@ def test_derived_state_ships_only_until_every_worker_synced(monkeypatch):
     monkeypatch.undo()
     many = _synced_call_bytes(build_propfan(base_resolution=3, n_timesteps=2), monkeypatch)
     assert len(few) == len(many) == 2
-    # The derived manifest (~22 B per block) and the lambda2 range table
-    # of 288 blocks stay home once the workers hold them.
+    # The derived manifest (~22 B per block) stays home once the
+    # workers hold it.
     assert max(abs(a - b) for a, b in zip(few, many)) < 64

@@ -1,9 +1,10 @@
 """Span-space block culling changes which blocks load, never a byte.
 
-A threshold command on the real path asks ``ctx.may_contain`` before
-``yield Load`` and skips blocks whose stored ``[min, max]`` excludes the
-value.  The reference here is the same command with culling switched
-off (``threshold_scalar`` -> ``None``): every executor, schedule and
+On the real path the parent prunes the deal: a threshold command names
+what it culls on (``cull_on``), and no slot is dealt a block whose
+stored ``[min, max]`` excludes the value.  The reference here is the
+same command with culling switched off (``cull_on`` -> ``None``):
+every executor, schedule and
 group size must merge the same geometry bytes either way, on fields
 built to sit on the edges of the test — isovalue exactly at a block's
 min or max, at an ``<f4`` rounding boundary, constant fields, NaN/inf.
@@ -32,14 +33,14 @@ SHAPE = (4, 3, 3)
 class UnculledIso(IsoDataManCommand):
     name = "iso-unculled"
 
-    def threshold_scalar(self, ctx):
+    def cull_on(self, ctx):
         return None
 
 
 class UnculledViewerIso(ViewerIsoCommand):
     name = "iso-viewer-unculled"
 
-    def threshold_scalar(self, ctx):
+    def cull_on(self, ctx):
         return None
 
 
@@ -165,7 +166,8 @@ def test_engine_iso_culls_and_keeps_accounting(engine_store):
             {"command": "iso-dataman", "executor": "process"},
         )
         assert culled.value == len(schedules) * res.n_culled
-        spans = [s for s in ext.tracer.spans if s.kind == "parallel-share"]
+        # The parent counts what it culled, once per run.
+        spans = [s for s in ext.tracer.spans if s.kind == "parallel-run"]
         assert sum(s.attrs["n_culled"] for s in spans) == culled.value
 
 
@@ -178,7 +180,7 @@ class _InlineVortex(VortexDataManCommand):
     def derived_field(self, ctx):
         return None
 
-    def threshold_scalar(self, ctx):
+    def cull_on(self, ctx):
         return None
 
 
@@ -258,14 +260,15 @@ def test_a_present_scalar_table_is_unchanged(engine_store, monkeypatch):
 
 
 def test_des_contexts_carry_no_table_and_load_every_block(monkeypatch):
-    """The simulated path never culls: an isovalue outside every block's
-    range still issues one DMS request per block, as before."""
+    """The simulated path never culls: no range table arrives in a
+    worker's context, and an isovalue outside every block's range still
+    issues one DMS request per block, as before."""
     session = paper_session(n_workers=2)
     seen = []
     original = IsoDataManCommand.run
 
     def spy(self, ctx, assignment, worker_index):
-        seen.append(ctx.block_ranges)
+        seen.append(getattr(ctx, "block_ranges", None))
         return original(self, ctx, assignment, worker_index)
 
     monkeypatch.setattr(IsoDataManCommand, "run", spy)
