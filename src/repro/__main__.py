@@ -592,8 +592,7 @@ def _slo(positional: list[str], flags: dict) -> int:
         return 0
     if not flags.get("check"):
         return 0
-    report = sentry.SentryReport(current=sentry.strip_runtime(current))
-    report.regressions.extend(sentry.compare(baseline, current))
+    report = sentry.SentryReport(sentry.compare(baseline, current))
     print()
     print(report.format())
     return 0 if report.ok else 1

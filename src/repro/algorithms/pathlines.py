@@ -118,10 +118,7 @@ class BatchPathlineTracer:
     Block demands are *coalesced*: within a super-step each missing
     ``(time level, block)`` pair is requested exactly once no matter how
     many particles need it, which cuts DMS round trips and keeps the
-    request stream compact and Markov-learnable.  ``request_triggers``
-    records which particle first demanded each emitted request and
-    ``demand_log`` the per-particle block-entry streams, so tests can
-    assert that coalescing preserves every particle's request order.
+    request stream compact and Markov-learnable.
 
     The test suite pins trajectories (within tolerance) and termination
     labels against an independent scalar RK4 step-doubling tracer.
@@ -160,14 +157,7 @@ class BatchPathlineTracer:
         self._blocks: OrderedDict[
             tuple[int, int], tuple[StructuredBlock, CellLocator]
         ] = OrderedDict()
-        self.request_log: list[BlockRequest] = []
         self.samples = 0  #: velocity samples taken (drives cost charging)
-        #: particle index that first demanded each emitted request
-        #: (parallel to ``request_log``).
-        self.request_triggers: list[int] = []
-        #: per-particle block-entry stream, consecutive-deduplicated:
-        #: ``demand_log[pid]`` lists ``(time_index, block_id)`` pairs.
-        self.demand_log: dict[int, list[tuple[int, int]]] = {}
         #: per-particle walk hints: pid -> (block_id, cell).
         self._hints: dict[int, tuple[int, tuple[int, int, int]]] = {}
         #: effective LRU capacity; grown by :meth:`trace_many` so the
@@ -177,24 +167,20 @@ class BatchPathlineTracer:
 
     # ------------------------------------------------------ block access
     def _get_block_batch(
-        self, time_index: int, block_id: int, trigger: int
+        self, time_index: int, block_id: int
     ) -> Generator[
         BlockRequest, StructuredBlock, tuple[StructuredBlock, CellLocator] | None
     ]:
         """Coalescing-aware block access, answering ``(block, locator)``:
-        a miss emits one request (tagged with the triggering particle); a
-        ``None`` answer means the block holds no data and is reported to
-        the caller instead of aborting the whole batch."""
+        a miss emits one request; a ``None`` answer means the block
+        holds no data and is reported to the caller instead of aborting
+        the whole batch."""
         key = (time_index, block_id)
         entry = self._blocks.get(key)
         if entry is not None:
             self._blocks.move_to_end(key)
             return entry
-        request = BlockRequest(time_index, block_id)
-        self.request_log.append(request)
-        self.request_triggers.append(int(trigger))
-        self._demand(trigger, time_index, block_id)
-        block = yield request
+        block = yield BlockRequest(time_index, block_id)
         if block is None:
             return None
         locator = block.memo(("locator",), (), lambda: CellLocator(block))
@@ -202,12 +188,6 @@ class BatchPathlineTracer:
         while len(self._blocks) > self._cache_cap:
             self._blocks.popitem(last=False)
         return entry
-
-    def _demand(self, pid: int, time_index: int, block_id: int) -> None:
-        log = self.demand_log.setdefault(int(pid), [])
-        entry = (int(time_index), int(block_id))
-        if not log or log[-1] != entry:
-            log.append(entry)
 
     # ---------------------------------------------------------- sampling
     def _sample_many(
@@ -261,7 +241,7 @@ class BatchPathlineTracer:
             retry: list[int] = []
             expand: list[int] = []
             for (ti, bid), rows in groups.items():
-                entry = yield from self._get_block_batch(ti, bid, pid_of[rows[0]])
+                entry = yield from self._get_block_batch(ti, bid)
                 if entry is None:
                     failed = rows
                 else:
@@ -274,9 +254,7 @@ class BatchPathlineTracer:
                         cell, v = hit
                         found_rows.append(r)
                         found_vel.append(v)
-                        pid = pid_of[r]
-                        self._hints[pid] = (bid, cell)
-                        self._demand(pid, ti, bid)
+                        self._hints[pid_of[r]] = (bid, cell)
                 for r in failed:
                     rank[r] += 1
                     if rank[r] < len(cand[r]):
@@ -499,10 +477,7 @@ class BatchPathlineTracer:
     # -------------------------------------------------------- convenience
     def reset_cache(self) -> None:
         self._blocks.clear()
-        self.request_log.clear()
         self.samples = 0
-        self.request_triggers.clear()
-        self.demand_log.clear()
         self._hints.clear()
 
 

@@ -34,10 +34,8 @@ class Mailbox:
         self.env = env
         self.name = name
         self._store = Store(env)
-        self.received = 0
 
     def put(self, message) -> None:
-        self.received += 1
         self._store.put(message)
 
     def get(self) -> Event:

@@ -88,8 +88,6 @@ class RunRecord:
     group_size: int
     t_start: float
     t_end: float = 0.0
-    #: one aggregate per worker drain with at least one successful unit.
-    shares: list[WorkerShare] = field(default_factory=list)
     merged: Any = None
     #: True when the merged result misses at least one unit (partial
     #: results served after unrecoverable worker failures).
@@ -385,9 +383,6 @@ class Scheduler:
                     agg.payloads.extend(share.payloads)
                     agg.nbytes += share.nbytes
                     agg.packets_streamed += share.packets_streamed
-                    agg.load_seconds += share.load_seconds
-                    agg.compute_seconds += share.compute_seconds
-                    agg.stream_seconds += share.stream_seconds
                     executor = outcome.executor
             return agg, executor, outcomes, self.env.now
 
@@ -406,7 +401,6 @@ class Scheduler:
         parts = [(executor, agg) for agg, executor, _, _ in drained
                  if executor is not None]
         shares = [agg for _, agg in parts]
-        record.shares = shares
         record.failed_shares = [o.index for o in outcomes if o.share is None]
         record.degraded = bool(record.failed_shares)
         record.retries = sum(max(o.attempts - 1, 0) for o in outcomes)

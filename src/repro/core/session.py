@@ -54,7 +54,6 @@ class CommandResult:
     #: over the submitting batch (one request for :meth:`ViracochaSession.run`).
     breakdown: dict[str, float]
     dms: dict[str, Any]
-    strategy_decisions: dict[str, int]
     #: spans recorded during this run (repro.obs.Span), in begin order.
     spans: list[Any] = field(default_factory=list)
     #: session metrics snapshot taken right after this run.
@@ -86,12 +85,6 @@ class CommandResult:
     def complete(self) -> bool:
         """Every planned share made it into the merged result."""
         return not self.degraded
-
-    def span_kinds(self) -> set:
-        return {s.kind for s in self.spans}
-
-    def spans_of_kind(self, kind: str) -> list:
-        return [s for s in self.spans if s.kind == kind]
 
     @property
     def breakdown_fractions(self) -> dict[str, float]:
@@ -362,7 +355,6 @@ class ViracochaSession:
                 payloads=[p.payload for p in packets if p.payload is not None],
                 breakdown=dict(breakdown),
                 dms=dict(dms),
-                strategy_decisions=dict(self.scheduler.server.selector.decisions),
                 tracer=self.tracer if self.tracer.enabled else None,
                 degraded=record.degraded,
                 failed_shares=list(record.failed_shares),

@@ -46,11 +46,6 @@ class WorkerShare:
     payloads: list[Any] = field(default_factory=list)
     nbytes: int = 0
     packets_streamed: int = 0
-    #: simulated seconds this share spent per op kind — a span-free
-    #: phase breakdown that stays available when tracing is disabled.
-    load_seconds: float = 0.0
-    compute_seconds: float = 0.0
-    stream_seconds: float = 0.0
 
 
 class Worker:
@@ -79,7 +74,6 @@ class Worker:
         #: fault state: a crashed worker aborts its running assignment
         #: and refuses new ones until :meth:`recover` is called.
         self.crashed = False
-        self.crash_count = 0
         #: the Process currently executing this worker's assignment
         #: (set by the scheduler's supervisor; interrupt target).
         self._active_proc = None
@@ -95,7 +89,6 @@ class Worker:
         simulated state, not a real process image).
         """
         self.crashed = True
-        self.crash_count += 1
         proc = self._active_proc
         if proc is not None and proc.is_alive:
             proc.interrupt(cause=("worker-crash", self.worker_id, reason))
@@ -171,14 +164,12 @@ class Worker:
                         "load", name=str(op.item), node=self.node.node_id,
                         parent=wspan, dms=command.use_dms,
                     )
-                    t_op = self.env.now
                     if command.use_dms:
                         op_result = yield from self.proxy.request(
                             op.item, parent_span=lspan
                         )
                     else:
                         op_result = yield from self._load_direct(op.item)
-                    share.load_seconds += self.env.now - t_op
                     tracer.end(lspan)
                     open_leaf = None
                     if report_progress and progress_total:
@@ -195,10 +186,8 @@ class Worker:
                         "compute", name=command.name, node=self.node.node_id,
                         parent=wspan, cost=op.cost,
                     )
-                    t_op = self.env.now
                     op_result = op.fn() if op.fn is not None else None
                     yield from self.node.compute(op.cost)
-                    share.compute_seconds += self.env.now - t_op
                     tracer.end(cspan)
                     open_leaf = None
                 elif isinstance(op, ComputeCached):
@@ -206,7 +195,6 @@ class Worker:
                         "compute", name=command.name, node=self.node.node_id,
                         parent=wspan, cost=op.cost, item=str(op.item),
                     )
-                    t_op = self.env.now
                     payload, where = (None, None)
                     if command.use_dms:
                         payload, where = self.proxy.lookup_derived(
@@ -227,7 +215,6 @@ class Worker:
                             )
                     # else: a probe (fn=None) missed — the command will
                     # derive the item itself; nothing charged here.
-                    share.compute_seconds += self.env.now - t_op
                     tracer.end(cspan, cached=payload is not None)
                     open_leaf = None
                 elif isinstance(op, Emit):
@@ -237,7 +224,6 @@ class Worker:
                             node=self.node.node_id, parent=wspan,
                             nbytes=op.nbytes, sequence=share.packets_streamed,
                         )
-                        t_op = self.env.now
                         if ctx.costs.stream_packet_overhead:
                             yield from self.node.compute(ctx.costs.stream_packet_overhead)
                         packet = ResultPacket(
@@ -251,7 +237,6 @@ class Worker:
                         )
                         share.packets_streamed += 1
                         yield from self.tcp.send(self.node, packet, client_mailbox)
-                        share.stream_seconds += self.env.now - t_op
                         tracer.end(sspan)
                         open_leaf = None
                     else:

@@ -16,7 +16,7 @@ from .kernel import (
     Timeout,
 )
 from .resources import PriorityStore, Request, Resource, Store
-from .network import Link, LinkStats
+from .network import Link
 from .cluster import ClusterConfig, NodeBreakdown, SimCluster, SimNode
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Resource",
     "Store",
     "Link",
-    "LinkStats",
     "ClusterConfig",
     "NodeBreakdown",
     "SimCluster",

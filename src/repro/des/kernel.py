@@ -139,7 +139,7 @@ class Timeout(Event):
     three per-instance stores on the hottest allocation in the engine.
     """
 
-    __slots__ = ("delay", "_proc")
+    __slots__ = ("_proc",)
 
     _triggered = True
     _ok = True
@@ -151,7 +151,6 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._value = value
-        self.delay = delay
         self._proc = None
         env._schedule(self, delay=delay)
 
@@ -448,7 +447,6 @@ class Environment:
             t.env = self
         t.callbacks = _NO_CALLBACKS
         t._value = value
-        t.delay = delay
         t._proc = None
         seq = self._seq
         if delay == 0.0:

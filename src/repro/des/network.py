@@ -11,13 +11,12 @@ parallelization profit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator
 
 from .kernel import AnyOf, Environment, Event
 from .resources import Resource
 
-__all__ = ["Link", "LinkStats", "TransferToken"]
+__all__ = ["Link", "TransferToken"]
 
 
 class TransferToken:
@@ -37,20 +36,6 @@ class TransferToken:
     def boost(self) -> None:
         if not self._event.triggered:
             self._event.succeed()
-
-
-@dataclass
-class LinkStats:
-    """Aggregate accounting for one link."""
-
-    transfers: int = 0
-    bytes_sent: int = 0
-    busy_time: float = 0.0
-    wait_time: float = 0.0
-    #: transfers that hit an injected fault (drop/delay episode).
-    faulted: int = 0
-    #: extra seconds charged by injected faults (retransmits, jitter).
-    fault_delay: float = 0.0
 
 
 class Link:
@@ -88,7 +73,6 @@ class Link:
         self.latency = float(latency)
         self.name = name
         self._wire = Resource(env, capacity=streams)
-        self.stats = LinkStats()
         #: bandwidth multiplier in (0, 1]; fault episodes lower it.
         self._degradation = 1.0
         #: optional fault hook ``fn(nbytes) -> extra_delay_seconds``;
@@ -139,24 +123,18 @@ class Link:
             # Claim the slot synchronously and charge the one timeout
             # that models the occupancy — the request/grant event pair
             # per packet is coalesced away while the packet's arrival
-            # timestamp (now + duration) and all stats stay identical.
+            # timestamp (now + duration) stays identical.
             req = wire.grab()
             try:
                 duration = self.transfer_time(nbytes)
                 if self.fault_hook is not None:
                     extra = float(self.fault_hook(nbytes))
                     if extra > 0.0:
-                        self.stats.faulted += 1
-                        self.stats.fault_delay += extra
                         duration += extra
                 yield self.env.timeout(duration)
-                self.stats.transfers += 1
-                self.stats.bytes_sent += nbytes
-                self.stats.busy_time += duration
             finally:
                 wire.release(req)
             return
-        t_req = self.env.now
         req = self._wire.request(priority=priority)
         # The wire slot is released on every exit path, including an
         # Interrupt thrown while queued (worker crash / assignment
@@ -171,17 +149,11 @@ class Link:
                     req = self._wire.request(priority=0)
             if not req.processed:
                 yield req
-            self.stats.wait_time += self.env.now - t_req
             duration = self.transfer_time(nbytes)
             if self.fault_hook is not None:
                 extra = float(self.fault_hook(nbytes))
                 if extra > 0.0:
-                    self.stats.faulted += 1
-                    self.stats.fault_delay += extra
                     duration += extra
             yield self.env.timeout(duration)
-            self.stats.transfers += 1
-            self.stats.bytes_sent += nbytes
-            self.stats.busy_time += duration
         finally:
             self._wire.release(req)

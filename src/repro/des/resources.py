@@ -27,12 +27,11 @@ class Request(Event):
             ...  # holding the slot
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
     def __enter__(self) -> "Request":
         return self
@@ -69,7 +68,7 @@ class Resource:
         return sum(1 for (_p, _s, r) in self._waiting if not r.triggered)
 
     def request(self, priority: int = 0) -> Request:
-        req = Request(self, priority=priority)
+        req = Request(self)
         if len(self._users) < self.capacity and not self._waiting:
             self._users.add(req)
             req.succeed()
@@ -89,7 +88,7 @@ class Resource:
         :class:`~repro.des.network.Link` uses this to coalesce the
         per-packet request/grant event pair on an idle wire.
         """
-        req = Request(self, priority=0)
+        req = Request(self)
         req._triggered = True
         req._ok = True
         req.callbacks = None

@@ -25,8 +25,6 @@ __all__ = ["CacheStats", "CacheTier", "TwoTierCache"]
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
 
     @property
     def accesses(self) -> int:
@@ -51,7 +49,7 @@ class CacheTier:
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.name = name
         self._entries: dict[Hashable, tuple[Any, int]] = {}
-        self._used = 0
+        self.used_bytes = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------ state
@@ -60,10 +58,6 @@ class CacheTier:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
 
     def keys(self) -> list[Hashable]:
         return list(self._entries)
@@ -95,20 +89,19 @@ class CacheTier:
             # Refresh payload in place (same identity, maybe new size).
             _, old = self._entries[key]
             self._entries[key] = (payload, nbytes)
-            self._used += nbytes - old
+            self.used_bytes += nbytes - old
             self.policy.on_access(key)
             return self._evict_down()
         if nbytes > self.capacity_bytes:
             return []
         self._entries[key] = (payload, nbytes)
-        self._used += nbytes
+        self.used_bytes += nbytes
         self.policy.on_insert(key)
-        self.stats.insertions += 1
         return self._evict_down(exclude=key)
 
     def _evict_down(self, exclude: Hashable | None = None) -> list[tuple[Hashable, Any, int]]:
         evicted = []
-        while self._used > self.capacity_bytes and len(self._entries) > 1:
+        while self.used_bytes > self.capacity_bytes and len(self._entries) > 1:
             victim = self.policy.victim()
             if victim == exclude:
                 # Never evict the entry just inserted unless it is alone.
@@ -124,12 +117,11 @@ class CacheTier:
             payload, nbytes = self._entries[victim]
             evicted.append((victim, payload, nbytes))
             self.remove(victim)
-            self.stats.evictions += 1
         return evicted
 
     def remove(self, key: Hashable) -> None:
         payload, nbytes = self._entries.pop(key)
-        self._used -= nbytes
+        self.used_bytes -= nbytes
         self.policy.remove(key)
 
     def clear(self) -> None:

@@ -105,14 +105,12 @@ class NameResolver:
     def __init__(self, service: NameService):
         self._service = service
         self._local: dict[ItemName, int] = {}
-        self.remote_lookups = 0  #: how often the central service was consulted
 
     def resolve(self, name: ItemName) -> int:
         ident = self._local.get(name)
         if ident is None:
             ident = self._service.register(name)
             self._local[name] = ident
-            self.remote_lookups += 1
         return ident
 
     def reverse(self, ident: int) -> ItemName:

@@ -52,7 +52,6 @@ class LoadContext:
     fileserver_latency: float = 0.0
     fabric_bandwidth: float = 1.0  #: effective (degraded) bytes/s
     fabric_latency: float = 0.0
-    fileserver_reliability: float = 1.0  #: 0..1; degraded on observed failures
     # Live utilization (contention-aware fitness).  ``*_busy`` counts
     # transfers currently *holding* a stream, ``*_streams`` is the
     # link's parallel-stream capacity.  The defaults (0 busy across 1
@@ -109,7 +108,7 @@ class FileServerLoad(LoadingStrategy):
         # pressure term is exactly the queue depth.
         eff = ctx.fileserver_bandwidth / (1.0 + ctx.fileserver_pressure)
         t = ctx.fileserver_latency + ctx.nbytes / max(eff, 1e-9)
-        return ctx.fileserver_reliability * ctx.nbytes / max(t, 1e-12)
+        return ctx.nbytes / max(t, 1e-12)
 
 
 class NodeTransferLoad(LoadingStrategy):
@@ -161,7 +160,7 @@ class CollectiveLoad(LoadingStrategy):
         # Per-requester effective time: one shared read, one broadcast,
         # plus coordination, versus k independent reads without it.
         t = (read / k) + bcast + self.coordination_overhead
-        return ctx.fileserver_reliability * ctx.nbytes / max(t, 1e-12)
+        return ctx.nbytes / max(t, 1e-12)
 
 
 class LocalDiskLoad(LoadingStrategy):

@@ -162,7 +162,6 @@ class DataProxy:
             fileserver_latency=cfg.fileserver_latency,
             fabric_bandwidth=self.cluster.fabric.effective_bandwidth,
             fabric_latency=cfg.fabric_latency,
-            fileserver_reliability=self.server.fileserver_reliability,
             local_replica=self.config.local_replica,
             local_disk_bandwidth=self.node.local_disk.effective_bandwidth,
             local_disk_latency=cfg.local_disk_latency,

@@ -14,12 +14,11 @@ greedy cooperative cache) possible.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from .items import ItemName, NameService
 from .loading import AdaptiveSelector, LoadContext
-from .stats import DMSStatistics
 
 __all__ = ["DataManagerServer", "InflightLoad"]
 
@@ -41,8 +40,6 @@ class InflightLoad:
     tenant: str = "default"
     nbytes: int = 0
     followers: int = 0
-    #: tenants that attached as followers (cross-tenant sharing proof).
-    follower_tenants: Counter = field(default_factory=Counter)
 
 
 class DataManagerServer:
@@ -53,13 +50,7 @@ class DataManagerServer:
         self.selector = selector if selector is not None else AdaptiveSelector()
         self._holders: dict[int, set[int]] = defaultdict(set)  # ident -> node ids
         self._inflight_counts: dict[int, int] = defaultdict(int)
-        self.global_stats = DMSStatistics()
         self.strategy_queries = 0
-        #: observed fileserver health in [0, 1]; failures decay it, and
-        #: the fitness functions then steer loads toward other sources
-        #: ("react on environment changes like ... file server
-        #: failures", §4.3).
-        self.fileserver_reliability = 1.0
         #: simulated time until which the server is stalled (fault
         #: injection): proxies wait out the stall before each strategy
         #: query, so a wedged central component shows up as load latency
@@ -130,7 +121,6 @@ class DataManagerServer:
     def flight_attach(self, flight: InflightLoad, tenant: str = "default") -> None:
         """Count one follower on an open flight."""
         flight.followers += 1
-        flight.follower_tenants[tenant] += 1
         self.dedup_followers += 1
         self.dedup_bytes_saved += flight.nbytes
         self.dedup_followers_by_tenant[(flight.tenant, tenant)] += 1
@@ -179,10 +169,6 @@ class DataManagerServer:
             "viracocha_dms_strategy_queries_total",
             help="strategy round-trips answered by the data manager server",
         ).set(self.strategy_queries)
-        registry.gauge(
-            "viracocha_fileserver_reliability",
-            help="observed fileserver health in [0, 1]",
-        ).set(self.fileserver_reliability)
         registry.counter(
             "viracocha_dms_server_stall_waits_total",
             help="proxy requests that had to wait out a server stall",

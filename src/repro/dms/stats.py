@@ -13,7 +13,7 @@ global views unify under one metric namespace (``viracocha_dms_*``).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -24,10 +24,6 @@ __all__ = ["DMSStatistics"]
 #: inflate prefetch usefulness).
 _HIT_TIERS = frozenset({"l1", "l2"})
 _KNOWN_WHERE = frozenset({"l1", "l2", "miss"})
-
-#: default cap on the rolling request log (ring buffer) so long
-#: pathline runs don't grow memory linearly with every block request.
-DEFAULT_REQUEST_LOG_CAP = 10_000
 
 
 @dataclass
@@ -65,25 +61,10 @@ class DMSStatistics:
     derived_hits_l1: int = 0
     derived_hits_l2: int = 0
     derived_misses: int = 0
-    #: most recent request keys, capped at ``max_request_log`` entries.
-    request_log: deque = None  # type: ignore[assignment]
     _pending_prefetched: set = field(default_factory=set)
-    max_request_log: int = DEFAULT_REQUEST_LOG_CAP
     #: pre-bound metric handles, keyed by (registry id, node label) so
     #: repeated :meth:`publish` calls skip the (name, label-key) lookup.
     _handles: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.max_request_log < 1:
-            raise ValueError(
-                f"max_request_log must be >= 1, got {self.max_request_log}"
-            )
-        if self.request_log is None:
-            self.request_log = deque(maxlen=self.max_request_log)
-        elif not isinstance(self.request_log, deque) or (
-            self.request_log.maxlen != self.max_request_log
-        ):
-            self.request_log = deque(self.request_log, maxlen=self.max_request_log)
 
     # --------------------------------------------------------- recording
     @staticmethod
@@ -94,7 +75,6 @@ class DMSStatistics:
     def record_request(self, key: Hashable, where: str) -> None:
         where = self.normalize_where(where)
         self.requests += 1
-        self.request_log.append(key)
         if where == "l1":
             self.hits_l1 += 1
         elif where == "l2":
@@ -203,7 +183,6 @@ class DMSStatistics:
         self.derived_hits_l1 += other.derived_hits_l1
         self.derived_hits_l2 += other.derived_hits_l2
         self.derived_misses += other.derived_misses
-        self.request_log.extend(other.request_log)
 
     # ---------------------------------------------------------- metrics
     def publish(self, registry, node: str = "all") -> None:

@@ -55,7 +55,6 @@ class BSPTree:
     def __init__(self, block: StructuredBlock, scalar: str, leaf_size: int = 64):
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        self.scalar = scalar
         self.leaf_size = leaf_size
         # The shape, not the block: a tree memoised on its block must
         # not hold the block back.
@@ -64,7 +63,6 @@ class BSPTree:
         self._centers = cell_centers(block).reshape(-1, 3)
         self._order = np.arange(block.n_cells)
         self.root = self._build(0, block.n_cells)
-        self.n_nodes = self._count(self.root)
         self._centers.flags.writeable = False
         self._order.flags.writeable = False
 
@@ -96,11 +94,6 @@ class BSPTree:
         node.near = self._build(lo, lo + mid)
         node.far = self._build(lo + mid, hi)
         return node
-
-    def _count(self, node: BSPNode) -> int:
-        if node.is_leaf:
-            return 1
-        return 1 + self._count(node.near) + self._count(node.far)
 
     # ---------------------------------------------------------- traversal
     def cell_indices(self, node: BSPNode) -> np.ndarray:

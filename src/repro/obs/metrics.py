@@ -91,7 +91,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (hit rate, reliability, ...)."""
+    """A value that can go up and down (hit rate, accuracy, ...)."""
 
     type_name = "gauge"
 

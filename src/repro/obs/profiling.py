@@ -78,7 +78,6 @@ class StackSampler:
             else threading.get_ident()
         )
         self.folded: dict[str, int] = {}
-        self.n_samples = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -113,7 +112,6 @@ class StackSampler:
             return
         stack = fold_stack(frame)
         self.folded[stack] = self.folded.get(stack, 0) + 1
-        self.n_samples += 1
 
     def _run(self) -> None:
         wait = self._stop.wait

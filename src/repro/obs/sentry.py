@@ -73,9 +73,8 @@ class Tolerance:
 
 @dataclass
 class SentryReport:
-    """Everything one sentry pass produced."""
+    """The regressions one sentry pass found."""
 
-    current: dict[str, Any]
     regressions: list[str] = field(default_factory=list)
 
     @property

@@ -14,7 +14,7 @@ multi-tenant serving layer plugs into:
   :meth:`~repro.obs.metrics.Histogram.quantile`, good/bad counts,
   degraded-share accounting from :mod:`repro.faults` outcomes) with
   per-command *and* per-tenant rollups;
-* error-budget / burn-rate arithmetic over a simulated-time window —
+* error-budget / burn-rate arithmetic over the observed requests —
   "at this failure rate, when is the budget gone?".
 
 Everything is keyed on simulated seconds, so two runs of the same
@@ -63,7 +63,6 @@ class SLODefinition:
     threshold: float  #: seconds; ignored for "degraded"
     target: float = 0.95  #: required good fraction (0..1]
     command_class: str = "*"
-    description: str = ""
 
     def __post_init__(self):
         if self.metric not in (
@@ -90,7 +89,6 @@ class Observation:
     command: str
     latency: float  #: submit → first data at the client [sim s]
     runtime: float  #: submit → final package [sim s]
-    t: float  #: simulated completion time
     degraded: bool = False
     tenant: str = "default"
     queue_wait: float = 0.0  #: submit → dispatch in a serving queue [sim s]
@@ -105,21 +103,17 @@ class _Window:
 
     good: int = 0
     bad: int = 0
-    t_first: float = float("inf")
-    t_last: float = float("-inf")
     values: Histogram | None = None
 
     @property
     def total(self) -> int:
         return self.good + self.bad
 
-    def observe(self, good: bool, value: float | None, t: float) -> None:
+    def observe(self, good: bool, value: float | None) -> None:
         if good:
             self.good += 1
         else:
             self.bad += 1
-        self.t_first = min(self.t_first, t)
-        self.t_last = max(self.t_last, t)
         if value is not None:
             if self.values is None:
                 self.values = Histogram("slo_values", SLO_LATENCY_BUCKETS)
@@ -137,7 +131,6 @@ class SLOStatus:
     p50: float
     p95: float
     p99: float
-    window_s: float  #: simulated-time span of the observations
 
     @property
     def bad(self) -> int:
@@ -196,14 +189,13 @@ class SLOTracker:
         command: str,
         latency: float,
         runtime: float,
-        t: float,
         degraded: bool = False,
         tenant: str = "default",
         queue_wait: float = 0.0,
         ttfa: float | None = None,
     ) -> None:
         obs = Observation(
-            command, latency, runtime, t, degraded, tenant, queue_wait,
+            command, latency, runtime, degraded, tenant, queue_wait,
             ttfa=latency if ttfa is None else ttfa,
         )
         self.observations += 1
@@ -220,20 +212,16 @@ class SLOTracker:
                 cell = self._windows.get((slo.name, dim, key))
                 if cell is None:
                     cell = self._windows[(slo.name, dim, key)] = _Window()
-                cell.observe(good, value, t)
+                cell.observe(good, value)
 
     def observe_result(self, result: Any, tenant: str | None = None) -> None:
         """Ingest one :class:`~repro.core.session.CommandResult`."""
-        # Completion timestamp: the final packet's simulated arrival if
-        # available, else the runtime itself (t=0 submit).
-        t = result.packet_times[-1] if result.packet_times else result.total_runtime
         if tenant is None:
             tenant = getattr(result, "tenant", "default")
         self.observe(
             result.command,
             latency=result.latency,
             runtime=result.total_runtime,
-            t=t,
             degraded=result.degraded,
             tenant=tenant,
             queue_wait=getattr(result, "queue_wait_s", 0.0),
@@ -247,10 +235,9 @@ class SLOTracker:
             return None
         h = cell.values
         q = (lambda p: h.quantile(p)) if h is not None else (lambda p: 0.0)
-        window = max(cell.t_last - cell.t_first, 0.0)
         return SLOStatus(
             slo=slo, key=key, total=cell.total, good=cell.good,
-            p50=q(0.50), p95=q(0.95), p99=q(0.99), window_s=window,
+            p50=q(0.50), p95=q(0.95), p99=q(0.99),
         )
 
     def keys(self, dim: str = "command") -> list[str]:
@@ -346,7 +333,6 @@ def default_slos(criteria=None) -> list[SLODefinition]:
             threshold=criteria.max_response_time_s,
             target=0.95,
             command_class="*",
-            description="submit → first data within the VR response budget",
         ),
         SLODefinition(
             name="interactive-first-frame",
@@ -354,8 +340,6 @@ def default_slos(criteria=None) -> list[SLODefinition]:
             threshold=criteria.max_response_time_s,
             target=0.95,
             command_class="*",
-            description="submit → first complete approximation (TTFA) "
-                        "within the VR response budget",
         ),
         SLODefinition(
             name="complete-results",
@@ -363,6 +347,5 @@ def default_slos(criteria=None) -> list[SLODefinition]:
             threshold=0.0,
             target=0.99,
             command_class="*",
-            description="merged results include every planned share",
         ),
     ]

@@ -103,12 +103,6 @@ class Span:
             raise ValueError(f"span {self.span_id} ({self.kind}) not finished")
         return self.t_end - self.t_start
 
-    def contains(self, other: "Span") -> bool:
-        """Temporal containment (closed interval; zero-duration allowed)."""
-        if self.t_end is None or other.t_end is None:
-            return False
-        return self.t_start <= other.t_start and other.t_end <= self.t_end
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = f"{self.t_end:.4f}" if self.t_end is not None else "…"
         return (
@@ -128,10 +122,10 @@ class SpanTracer:
     explicit ``t=`` arguments override it.  When ``enabled`` is False
     every call is a cheap no-op returning :data:`NULL_SPAN`.
 
-    ``max_spans`` caps memory like PR 1's ``request_log`` ring: when
-    set, only the most recent ``max_spans`` spans are retained (oldest
-    evicted first) and :attr:`dropped` counts the evictions, which the
-    session surfaces as ``viracocha_spans_dropped_total``.
+    ``max_spans`` caps memory as a ring: when set, only the most recent
+    ``max_spans`` spans are retained (oldest evicted first) and
+    :attr:`dropped` counts the evictions, which the session surfaces as
+    ``viracocha_spans_dropped_total``.
     """
 
     def __init__(
@@ -263,9 +257,6 @@ class SpanTracer:
 
     def get(self, span_id: int) -> Span | None:
         return self._by_id.get(span_id)
-
-    def of_kind(self, kind: str) -> list[Span]:
-        return [s for s in self.spans if s.kind == kind]
 
     def kinds(self) -> set[str]:
         return {s.kind for s in self.spans}

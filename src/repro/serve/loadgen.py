@@ -312,7 +312,6 @@ def _canceller(env: Environment, server: TenantServer, handle, delay: float):
 def run_loadtest(
     spec: LoadSpec,
     slos: list | None = None,
-    record_pops: bool = False,
 ) -> LoadReport:
     """Drive the whole fleet in simulated time; always terminates."""
     workloads = build_workloads(spec)
@@ -321,7 +320,6 @@ def run_loadtest(
     server = TenantServer(
         backend,
         slos=slos if slos is not None else serve_slos(),
-        record_pops=record_pops,
     )
     for workload in workloads:
         server.register(workload.config)

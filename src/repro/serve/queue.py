@@ -75,9 +75,6 @@ class _Lane:
         self.live_by[name] -= 1
         self.live -= 1
 
-    def backlogged(self) -> list[str]:
-        return [t for t in self.order if self.live_by[t]]
-
     def pop(self) -> Any:
         """The WRR-next live item; ``None`` when the lane is empty."""
         if self.live == 0:
@@ -121,15 +118,10 @@ class FairCommandQueue:
     queued command at the moment capacity frees up.
     """
 
-    def __init__(self, env: Environment, n_lanes: int = N_LANES,
-                 record_pops: bool = False):
+    def __init__(self, env: Environment, n_lanes: int = N_LANES):
         self.env = env
         self._lanes = [_Lane() for _ in range(n_lanes)]
         self._getters: deque[Event] = deque()
-        #: optional dispatch audit log for the fairness property suite:
-        #: (lane, tenant, tuple-of-backlogged-tenants-before-this-pop).
-        self.record_pops = record_pops
-        self.pop_log: list[tuple[int, str, tuple[str, ...]]] = []
 
     def __len__(self) -> int:
         return sum(lane.live for lane in self._lanes)
@@ -138,16 +130,6 @@ class FairCommandQueue:
         """Register ``name`` in every lane's rotation (idempotent)."""
         for lane in self._lanes:
             lane.add_tenant(name, weight)
-
-    def backlog(self, lane: int | None = None) -> dict[str, int]:
-        """Live queued items per tenant (one lane or all lanes summed)."""
-        lanes = self._lanes if lane is None else [self._lanes[lane]]
-        out: dict[str, int] = {}
-        for ln in lanes:
-            for t, n in ln.live_by.items():
-                if n:
-                    out[t] = out.get(t, 0) + n
-        return out
 
     # ------------------------------------------------------------ put/get
     def put(self, tenant: str, lane: int, item: Any) -> None:
@@ -188,16 +170,9 @@ class FairCommandQueue:
         return getattr(item, _POPPED, False)
 
     def _pop(self) -> Any:
-        for idx, lane in enumerate(self._lanes):
+        for lane in self._lanes:
             if lane.live:
-                if self.record_pops:
-                    before = tuple(lane.backlogged())
-                    item = lane.pop()
-                    self.pop_log.append(
-                        (idx, getattr(item, "tenant", "?"), before)
-                    )
-                else:
-                    item = lane.pop()
+                item = lane.pop()
                 setattr(item, _POPPED, True)
                 return item
         return None

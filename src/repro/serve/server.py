@@ -165,7 +165,6 @@ class ModeledBackend:
         self.env = env
         self.resource = Resource(env, capacity=slots)
         self.slots = slots
-        self.executed = 0
 
     def acquire(self) -> Request:
         return self.resource.request()
@@ -188,7 +187,6 @@ class ModeledBackend:
         yield self.env.timeout(first)
         handle.t_first = self.env.now
         yield self.env.timeout(max(profile.total_s - first, 0.0))
-        self.executed += 1
         return _ModeledOutcome(profile.degraded)
 
 
@@ -213,7 +211,6 @@ class SessionBackend:
         self.group_size = group_size or session.n_workers
         self.resource = Resource(self.env, capacity=slots)
         self.slots = slots
-        self.executed = 0
 
     def acquire(self) -> Request:
         return self.resource.request()
@@ -236,7 +233,6 @@ class SessionBackend:
         handle.t_first = session.client.first_data_time_of(request.request_id)
         # The served client keeps no geometry once it is answered.
         session.client.forget(request.request_id)
-        self.executed += 1
         return record
 
     def request_cancel(self, handle: ServeHandle) -> bool:
@@ -281,7 +277,6 @@ def serve_slos(
             threshold=queue_wait_threshold,
             target=queue_wait_target,
             command_class="*",
-            description="admitted commands start within the queue-wait budget",
         )
     )
     return slos
@@ -295,11 +290,10 @@ class TenantServer:
         backend: Any,
         slos: Iterable | None = None,
         tracker: Any = None,
-        record_pops: bool = False,
     ):
         self.backend = backend
         self.env: Environment = backend.env
-        self.queue = FairCommandQueue(self.env, record_pops=record_pops)
+        self.queue = FairCommandQueue(self.env)
         self.tenants: dict[str, TenantState] = {}
         if tracker is None:
             from ..obs.slo import SLOTracker
@@ -466,7 +460,6 @@ class TenantServer:
             state.queued -= 1
             state.running += 1
             wait = handle.queue_wait_s
-            state.total_queue_wait_s += wait
             state.max_queue_wait_s = max(state.max_queue_wait_s, wait)
             handle.proc = self.env.process(
                 self._run_one(handle, slot),
@@ -506,7 +499,6 @@ class TenantServer:
                 handle.command,
                 latency=handle.latency_s,
                 runtime=handle.runtime_s,
-                t=self.env.now,
                 degraded=degraded,
                 tenant=handle.tenant,
                 queue_wait=handle.queue_wait_s,

@@ -104,7 +104,6 @@ class TenantState:
     degraded: int = 0
     failed: int = 0
     cancelled: int = 0
-    total_queue_wait_s: float = 0.0
     max_queue_wait_s: float = 0.0
     reject_reasons: dict[str, int] = field(default_factory=dict)
 

@@ -109,7 +109,6 @@ class VisualizationClient:
         #: — a retried streaming unit re-sends packets its first attempt
         #: already delivered; duplicates must not double the geometry.
         self._seen: dict[int, set[tuple[int, int]]] = {}
-        self.duplicates = 0
         env.process(self._consume(), name="viz-client")
 
     # ----------------------------------------------------------- running
@@ -137,7 +136,6 @@ class VisualizationClient:
                 seen = self._seen.setdefault(message.request_id, set())
                 key = (message.unit, message.sequence)
                 if key in seen:
-                    self.duplicates += 1
                     continue
                 seen.add(key)
             n_tri = 0
@@ -168,7 +166,6 @@ class VisualizationClient:
         self.progress.clear()
         self.progress_times.clear()
         self._seen.clear()
-        self.duplicates = 0
 
     def forget(self, request_id: int) -> None:
         """Drop one request's packets, payloads, progress and duplicate

@@ -191,6 +191,40 @@ def test_streakline_releases_trace_bit_identical_to_lone_seeds(group_sizes):
 # ------------------------------------------------- request coalescing
 
 
+def record_demands(tracer):
+    """Spy on ``tracer``'s block access.  Returns ``(requests, triggers,
+    demands)``: each emitted ``(time_index, block_id)`` request, the
+    particle whose group emitted it, and each particle's block-entry
+    stream (consecutive entries deduplicated)."""
+    requests, triggers, demands, access = [], [], {}, {}
+    get_block, locate_group = tracer._get_block_batch, tracer._locate_group
+
+    def enter(pid, key):
+        stream = demands.setdefault(pid, [])
+        if not stream or stream[-1] != key:
+            stream.append(key)
+
+    def spy_get(time_index, block_id):
+        key = (time_index, block_id)
+        access.update(key=key, missed=key not in tracer._blocks)
+        return (yield from get_block(time_index, block_id))
+
+    def spy_locate(entry, bid, rows, pts, pid_of):
+        key = access["key"]
+        if access.pop("missed"):
+            requests.append(key)
+            triggers.append(pid_of[rows[0]])
+            enter(pid_of[rows[0]], key)
+        hits = locate_group(entry, bid, rows, pts, pid_of)
+        for row, hit in zip(rows, hits):
+            if hit is not None:
+                enter(pid_of[row], key)
+        return hits
+
+    tracer._get_block_batch, tracer._locate_group = spy_get, spy_locate
+    return requests, triggers, demands
+
+
 def test_coalescing_preserves_per_particle_order():
     """Each particle's demand stream is a subsequence of the coalesced
     request log (so the Markov prefetcher still sees a causal stream)."""
@@ -198,30 +232,30 @@ def test_coalescing_preserves_per_particle_order():
     series = series_for(shear, [0.0, 6.0], nblocks=4)
     handles = series.level(0).handles()
     tracer = BatchPathlineTracer(handles, series.times, rtol=1e-4)
+    log, triggers, demands = record_demands(tracer)
     gen = tracer.trace_many(seeds, 0.0, 5.0)
+    served = []
     try:
         request = next(gen)
         while True:
+            served.append((request.time_index, request.block_id))
             request = gen.send(series.level(request.time_index)[request.block_id])
     except StopIteration:
         pass
-    log = [(r.time_index, r.block_id) for r in tracer.request_log]
-    assert len(log) == len(tracer.request_triggers)
-    assert tracer.demand_log  # at least one particle demanded blocks
-    pids = set(tracer.request_triggers)
+    assert log == served
+    assert demands  # at least one particle demanded blocks
+    pids = set(triggers)
     assert pids  # coalesced requests still carry their trigger
     for pid in pids:
         # The requests a particle triggered must appear in the order it
         # demanded blocks — coalescing drops duplicate loads (cache
         # hits emit no request) but never reorders one particle's
         # block-entry stream.
-        triggered = [
-            log[i] for i, t in enumerate(tracer.request_triggers) if t == pid
-        ]
-        stream = iter(tracer.demand_log[pid])
+        triggered = [log[i] for i, t in enumerate(triggers) if t == pid]
+        stream = iter(demands[pid])
         assert all(entry in stream for entry in triggered), (
             f"particle {pid} requests {triggered} out of order vs "
-            f"demands {tracer.demand_log[pid]}"
+            f"demands {demands[pid]}"
         )
 
 
@@ -234,13 +268,14 @@ def test_coalescing_emits_each_block_once_per_superstep():
     handles = series.level(0).handles()
     batch = BatchPathlineTracer(handles, series.times, rtol=1e-4)
     gen = batch.trace_many(seeds, 0.0, 2.0)
+    n_batch = 0
     try:
         request = next(gen)
         while True:
+            n_batch += 1
             request = gen.send(series.level(request.time_index)[request.block_id])
     except StopIteration:
         pass
-    n_batch = len(batch.request_log)
 
     scalar = PathlineTracer(handles, series.times, rtol=1e-4)
     n_scalar = 0
@@ -325,15 +360,22 @@ def test_batch_reset_cache_clears_coalescing_state():
     seeds = seeds_grid(3)
     series = series_for(uniform, [0.0, 2.0])
     tracer = BatchPathlineTracer(series.level(0).handles(), series.times)
-    gen = tracer.trace_many(seeds, 0.0, 1.0)
-    try:
-        request = next(gen)
-        while True:
-            request = gen.send(series.level(request.time_index)[request.block_id])
-    except StopIteration:
-        pass
-    assert tracer.request_log and tracer.demand_log
+
+    def run():
+        gen = tracer.trace_many(seeds, 0.0, 1.0)
+        requests = []
+        try:
+            request = next(gen)
+            while True:
+                requests.append((request.time_index, request.block_id))
+                request = gen.send(series.level(request.time_index)[request.block_id])
+        except StopIteration:
+            return requests, tracer.samples
+
+    first = run()
+    assert first[0]
     tracer.reset_cache()
-    assert not tracer.request_log
-    assert not tracer.request_triggers
-    assert not tracer.demand_log
+    assert not tracer.samples
+    # Nothing coalesced before the reset survives it: the same batch
+    # requests the same blocks and takes the same samples again.
+    assert run() == first

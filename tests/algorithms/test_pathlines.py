@@ -37,14 +37,17 @@ def trace_one(series, seed, t_start=None, t_end=None, **kwargs):
 
 
 def drive(tracer, level, seed, t_start, t_end):
-    """Run ``tracer`` on one seed, serving every request from ``level``."""
+    """Run ``tracer`` on one seed, serving every request from ``level``;
+    returns the pathline and the ``(time_index, block_id)`` requested."""
     gen = tracer.trace_many(np.asarray(seed)[None], t_start, t_end)
+    requests = []
     try:
         req = next(gen)
         while True:
+            requests.append((req.time_index, req.block_id))
             req = gen.send(level[req.block_id])
     except StopIteration as stop:
-        return stop.value[0]
+        return stop.value[0], requests
 
 
 def uniform(coords, t):
@@ -117,9 +120,9 @@ def test_crossing_block_boundaries():
 def test_request_log_records_block_stream():
     level = velocity_dataset(uniform, 0.0, nblocks=4)
     tracer = BatchPathlineTracer(level.handles(), [0.0, 4.0], local_cache_blocks=2)
-    path = drive(tracer, level, [-1.9, 0.0, 0.0], 0.0, 3.5)
+    path, requests = drive(tracer, level, [-1.9, 0.0, 0.0], 0.0, 3.5)
     assert path.termination == "end_time"
-    bids = [r.block_id for r in tracer.request_log]
+    bids = [block_id for _, block_id in requests]
     # Particle moves left to right: block ids appear in increasing order.
     first_seen = {b: bids.index(b) for b in set(bids)}
     order = sorted(first_seen, key=first_seen.get)
@@ -135,8 +138,7 @@ def test_local_cache_eviction_causes_rerequests():
     two levels: eight (level, block) pairs."""
     level = velocity_dataset(rotation, 0.0, nblocks=4)
     tracer = BatchPathlineTracer(level.handles(), [0.0, 100.0], local_cache_blocks=2)
-    drive(tracer, level, [1.5, 0.0, 0.0], 0.0, 4 * np.pi)
-    pairs = [(r.time_index, r.block_id) for r in tracer.request_log]
+    _, pairs = drive(tracer, level, [1.5, 0.0, 0.0], 0.0, 4 * np.pi)
     assert {b for _, b in pairs} == {0, 1, 2, 3}
     # Two revolutions: every (level, block) pair is requested again on
     # re-entry (an unbounded cache requests each pair exactly once).
@@ -173,11 +175,12 @@ def test_seed_outside_domain_terminates_immediately():
 def test_pathline_reset_cache():
     level = velocity_dataset(uniform, 0.0)
     tracer = BatchPathlineTracer(level.handles(), [0.0, 1.0])
-    drive(tracer, level, [0.0, 0.0, 0.0], 0.0, 0.5)
-    assert tracer.request_log
+    _, first = drive(tracer, level, [0.0, 0.0, 0.0], 0.0, 0.5)
+    assert first
     tracer.reset_cache()
-    assert not tracer.request_log
     assert not tracer._blocks
+    # An emptied cache requests every block again.
+    assert drive(tracer, level, [0.0, 0.0, 0.0], 0.0, 0.5)[1] == first
 
 
 def test_pathline_dataclass_helpers():

@@ -112,11 +112,18 @@ def test_multi_timestep_command_covers_levels(engine):
 def test_time_range_offset_slice(engine):
     """A command over (1, 2) touches only level-1 items."""
     session = make_session(engine)
+    # Spy on every proxy's request accounting: the ids requested.
+    log = []
+    for worker in session.scheduler.workers:
+        record = worker.proxy.stats.record_request
+        worker.proxy.stats.record_request = (
+            lambda key, where, record=record: log.append(key) or record(key, where)
+        )
     result = session.run(
         "iso-dataman", params={"isovalue": -0.3, "time_range": (1, 2)}
     )
     assert result.geometry.n_triangles > 0
-    log = session.scheduler.aggregate_dms_stats().request_log
+    assert log
     names = [session.scheduler.workers[0].proxy.resolver.reverse(i) for i in log]
     assert all(n.param("time") == 1 for n in names)
 

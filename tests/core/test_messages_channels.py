@@ -51,7 +51,7 @@ def test_mailbox_fifo():
     env.process(consumer())
     env.run()
     assert got == ["a", "b"]
-    assert box.received == 2
+    assert len(box) == 0
 
 
 def test_tcp_channel_charges_client_link():
@@ -76,14 +76,17 @@ def test_mpi_channel_charges_fabric():
     box = Mailbox(env)
     chan = SimMPIChannel(cluster)
     node = cluster.worker_nodes[1]
+    message = WorkerDone(1, 1, partial_nbytes=1024)
 
     def send():
-        yield from chan.send(node, WorkerDone(1, 1, partial_nbytes=1024), box)
+        yield from chan.send(node, message, box)
 
     env.process(send())
     env.run()
     assert len(box) == 1
-    assert cluster.fabric.stats.transfers == 1
+    # One fabric transfer, charged to the sender's send time.
+    assert env.now == cluster.fabric.transfer_time(message.nbytes)
+    assert node.breakdown.send == env.now
 
 
 def test_channel_uses_wire_bytes_over_nbytes():

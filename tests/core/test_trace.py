@@ -18,7 +18,7 @@ def traced_session():
 
 
 def _command(tracer):
-    (command,) = tracer.of_kind("command")
+    (command,) = [s for s in tracer.spans if s.kind == "command"]
     return command
 
 
@@ -53,7 +53,7 @@ def test_trace_records_command_lifecycle(traced_session):
 def test_trace_records_loads_with_strategy(traced_session):
     traced_session.run("iso-dataman", params=ISO)
     tracer = traced_session.tracer
-    loads = tracer.of_kind("dms-strategy-load")
+    loads = [s for s in tracer.spans if s.kind == "dms-strategy-load"]
     assert len(loads) == 23  # one cold load per Engine block
     assert all(s.attrs["strategy"] in {"fileserver", "node-transfer", "collective"}
                for s in loads)
@@ -69,7 +69,9 @@ def test_trace_records_streamed_packets(traced_session):
         params={**ISO, "viewpoint": (0, 0, -5), "max_triangles": 200},
     )
     tracer = traced_session.tracer
-    streams = [s for s in tracer.of_kind("stream-packet") if "sequence" in s.attrs]
+    streams = [
+        s for s in tracer.spans if s.kind == "stream-packet" and "sequence" in s.attrs
+    ]
     assert streams
     # Streamed packets arrive before the command ends (that is the point).
     assert streams[0].t_end < _command(tracer).t_end
@@ -77,7 +79,7 @@ def test_trace_records_streamed_packets(traced_session):
 
 def test_trace_demand_vs_prefetch_loads(traced_session):
     traced_session.run("iso-dataman", params=ISO)
-    loads = traced_session.tracer.of_kind("dms-strategy-load")
+    loads = [s for s in traced_session.tracer.spans if s.kind == "dms-strategy-load"]
     demand = [s for s in loads if s.attrs["demand"]]
     prefetched = [s for s in loads if not s.attrs["demand"]]
     assert demand
@@ -93,6 +95,7 @@ def test_trace_accumulates_across_runs(traced_session):
     warm = tracer.since(mark)
     assert len(tracer) == n1 + len(warm) > n1
     assert not [s for s in warm if s.kind == "dms-strategy-load"]
-    assert len(tracer.of_kind("dms-strategy-load")) == 23  # the cold pass's
+    loads = [s for s in tracer.spans if s.kind == "dms-strategy-load"]
+    assert len(loads) == 23  # the cold pass's
     tracer.clear()
     assert len(tracer) == 0

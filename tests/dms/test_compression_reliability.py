@@ -4,17 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import ClusterConfig, Environment, SimCluster
-from repro.dms import (
-    DataManagerServer,
-    DataProxy,
-    FileServerLoad,
-    LoadContext,
-    SyntheticSource,
-    block_item,
-)
+from repro.dms import DataManagerServer, FileServerLoad, LoadContext
 from repro.dms.compression import GZIP_2004, LZO_2004, ZSTD_2020, CompressionModel
-from repro.synth import build_engine
 
 MB = 1024 * 1024
 
@@ -111,43 +102,26 @@ def test_modern_codec_flips_the_2004_conclusion():
         assert not codec.worthwhile(4 * MB, 800e6)
 
 
-# ----------------------------------------------------------- reliability
+# ------------------------------------------------------ fileserver health
 
 
 def test_degraded_fileserver_shifts_strategy_choice():
-    """With a flaky fileserver the selector prefers a peer transfer even
-    in regimes where the fileserver would otherwise compete."""
+    """With a degraded fileserver (the fault injector lowers its
+    effective bandwidth) the selector prefers a peer transfer even in
+    regimes where the fileserver would otherwise compete."""
     server = DataManagerServer()
     ctx_kwargs = dict(
         key=1,
         nbytes=1024,
         requester=1,
         holders=frozenset({2}),
-        fileserver_bandwidth=800.0 * MB,  # same speed as the fabric
         fileserver_latency=30e-6,
         fabric_bandwidth=800.0 * MB,
         fabric_latency=30e-6,
     )
-    healthy = server.choose_strategy(
-        LoadContext(**ctx_kwargs, fileserver_reliability=1.0)
-    )
-    degraded = server.choose_strategy(
-        LoadContext(**ctx_kwargs, fileserver_reliability=0.125)
-    )
-    assert degraded.name == "node-transfer"
+    healthy = LoadContext(**ctx_kwargs, fileserver_bandwidth=800.0 * MB)
+    degraded = LoadContext(**ctx_kwargs, fileserver_bandwidth=100.0 * MB)
+    assert server.choose_strategy(degraded).name == "node-transfer"
     # (healthy choice may be either with equal links; the degraded one
-    # must avoid the flaky server.)
-    assert FileServerLoad().fitness(
-        LoadContext(**ctx_kwargs, fileserver_reliability=0.125)
-    ) < FileServerLoad().fitness(LoadContext(**ctx_kwargs, fileserver_reliability=1.0))
-
-
-def test_proxy_context_carries_server_reliability():
-    env = Environment()
-    cluster = SimCluster(env, ClusterConfig(n_workers=1))
-    server = DataManagerServer()
-    source = SyntheticSource(build_engine(base_resolution=4, n_timesteps=1))
-    proxy = DataProxy(env, cluster, cluster.worker_nodes[0], server, source)
-    server.fileserver_reliability = 0.5
-    ctx = proxy._build_context(ident=0, nbytes=100)
-    assert ctx.fileserver_reliability == pytest.approx(0.5)
+    # must avoid the slow server.)
+    assert FileServerLoad().fitness(degraded) < FileServerLoad().fitness(healthy)

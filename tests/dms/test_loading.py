@@ -60,12 +60,6 @@ def test_fileserver_fitness_degrades_with_queue():
     assert slow < fast
 
 
-def test_fileserver_fitness_degrades_with_reliability():
-    good = FileServerLoad().fitness(ctx(fileserver_reliability=1.0))
-    bad = FileServerLoad().fitness(ctx(fileserver_reliability=0.25))
-    assert bad == pytest.approx(good * 0.25)
-
-
 def test_collective_beats_direct_at_stampede():
     """Many simultaneous requesters of one item make collective I/O win."""
     stampede = ctx(concurrent_requesters=12, fileserver_queue=12)
@@ -89,9 +83,7 @@ def test_default_context_pressure_is_exactly_the_queue_depth():
     # The original formulae, term for term.
     eff = c.fileserver_bandwidth / (1.0 + c.fileserver_queue)
     t = c.fileserver_latency + c.nbytes / max(eff, 1e-9)
-    assert FileServerLoad().fitness(c) == (
-        c.fileserver_reliability * c.nbytes / max(t, 1e-12)
-    )
+    assert FileServerLoad().fitness(c) == c.nbytes / max(t, 1e-12)
     eff = c.fabric_bandwidth / (1.0 + c.fabric_queue)
     t = c.fabric_latency + c.nbytes / max(eff, 1e-9)
     assert NodeTransferLoad().fitness(c) == c.nbytes / max(t, 1e-12)

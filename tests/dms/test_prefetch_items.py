@@ -63,12 +63,15 @@ def test_name_service_unknown_id():
 
 def test_name_resolver_caches_locally():
     svc = NameService()
+    # Spy on the central service: the resolver consults it once per name.
+    register, asked = svc.register, []
+    svc.register = lambda name: asked.append(name) or register(name)
     res = NameResolver(svc)
     item = block_item("d", 0, 0)
     i1 = res.resolve(item)
     i2 = res.resolve(item)
     assert i1 == i2
-    assert res.remote_lookups == 1
+    assert asked == [item]
     assert res.reverse(i1) == item
 
 

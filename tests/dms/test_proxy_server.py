@@ -238,4 +238,6 @@ def test_fileserver_contention_across_proxies(source):
     # fileserver_streams defaults to 2, so they go in parallel; with a
     # stream cap of 1 they would serialize. Just assert both loaded.
     assert p1.stats.misses == 1 and p2.stats.misses == 1
-    assert cluster.fileserver.stats.transfers == 2
+    for proxy, bid in ((p1, 6), (p2, 7)):
+        assert proxy.stats.loads_by_strategy == {"fileserver": 1}
+        assert proxy.stats.bytes_loaded == source.modeled_bytes(block_item("engine", 0, bid))

@@ -24,7 +24,6 @@ def test_request_accounting():
     assert s.misses == 1
     assert s.hit_rate == pytest.approx(2 / 3)
     assert s.miss_rate == pytest.approx(1 / 3)
-    assert list(s.request_log) == ["a", "b", "c"]
 
 
 def test_prefetch_usefulness():
@@ -87,34 +86,6 @@ def test_merge_combines_everything():
     assert a.misses == 1
     assert a.loads_by_strategy["fileserver"] == 2
     assert a.bytes_loaded == 30
-    assert list(a.request_log) == ["x", "y"]
-
-
-def test_request_log_is_ring_buffer():
-    s = DMSStatistics(max_request_log=3)
-    for key in "abcde":
-        s.record_request(key, "miss")
-    assert s.requests == 5  # counters unaffected by the cap
-    assert list(s.request_log) == ["c", "d", "e"]
-
-
-def test_request_log_default_cap():
-    from repro.dms.stats import DEFAULT_REQUEST_LOG_CAP
-
-    s = DMSStatistics()
-    assert s.request_log.maxlen == DEFAULT_REQUEST_LOG_CAP
-    with pytest.raises(ValueError):
-        DMSStatistics(max_request_log=0)
-
-
-def test_merge_respects_ring_cap():
-    a = DMSStatistics(max_request_log=2)
-    b = DMSStatistics()
-    for key in "xyz":
-        b.record_request(key, "l1")
-    a.merge(b)
-    assert list(a.request_log) == ["y", "z"]
-    assert a.requests == 3
 
 
 def test_unknown_where_counts_as_miss():

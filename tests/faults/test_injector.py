@@ -70,11 +70,14 @@ def test_lossy_link_charges_retransmits_deterministically():
             FaultPlan(seed=11).lossy_link(0.0, "fileserver", 0.5, duration=1e9),
             session,
         ).install()
+        # Spy on the installed loss hook: the delay it charges per transfer.
+        link = session.cluster.link("fileserver")
+        hook, extras = link.fault_hook, []
+        link.fault_hook = lambda nbytes: extras.append(hook(nbytes)) or extras[-1]
         result = session.run("iso-dataman", params=ISO)
-        stats = session.cluster.link("fileserver").stats
-        assert stats.faulted > 0
-        assert stats.fault_delay > 0.0
-        runs.append((result.total_runtime, stats.faulted, stats.fault_delay))
+        faulted = [extra for extra in extras if extra > 0.0]
+        assert faulted
+        runs.append((result.total_runtime, len(faulted), sum(faulted)))
     assert runs[0] == runs[1]
 
 
@@ -94,15 +97,16 @@ def test_crash_emits_spans_and_counters():
     plan = FaultPlan(seed=0).crash_worker(horizon, worker=1, downtime=50.0)
     FaultInjector(plan, session).install()
     result = session.run("iso-dataman", params=ISO)
-    kinds = result.span_kinds()
+    kinds = {s.kind for s in result.spans}
     assert "fault-crash" in kinds
     assert "fault-recover" in kinds
-    crash = result.spans_of_kind("fault-crash")[0]
+    crash = next(s for s in result.spans if s.kind == "fault-crash")
     assert crash.attrs["worker"] == 1
     assert crash.t_start == pytest.approx(horizon)
     assert crash.finished
     assert _metric(result, "viracocha_faults_injected_total", kind="worker-crash") == 1
-    assert session.scheduler.workers[1].crash_count == 1
+    assert sum(s.kind == "fault-crash" for s in result.spans) == 1
+    assert not session.scheduler.workers[1].crashed
 
 
 def test_unknown_link_target_raises_at_install():

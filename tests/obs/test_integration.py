@@ -29,7 +29,7 @@ def test_result_carries_spans_metrics_tracer(iso_result):
 
 def test_span_taxonomy_covers_paper_components(iso_result):
     _, result = iso_result
-    kinds = result.span_kinds()
+    kinds = {s.kind for s in result.spans}
     # The acceptance bar: load/compute/merge/stream plus the envelopes.
     for kind in (
         "session", "command", "worker",
@@ -38,7 +38,7 @@ def test_span_taxonomy_covers_paper_components(iso_result):
     ):
         assert kind in kinds, f"missing span kind {kind}"
     # Work happened on at least two worker lanes.
-    worker_nodes = {s.node for s in result.spans_of_kind("worker")}
+    worker_nodes = {s.node for s in result.spans if s.kind == "worker"}
     assert len(worker_nodes) >= 2
 
 
@@ -58,12 +58,14 @@ def test_span_nesting_containment(iso_result):
             # demand span that triggered it.
             assert parent.t_start <= span.t_start
         else:
-            assert parent.contains(span), f"{parent} !contains {span}"
+            assert parent.t_start <= span.t_start and span.t_end <= parent.t_end, (
+                f"{parent} does not contain {span}"
+            )
     # Worker spans hang off the command span, loads off workers.
-    (command,) = result.spans_of_kind("command")
-    for w in result.spans_of_kind("worker"):
+    (command,) = [s for s in result.spans if s.kind == "command"]
+    for w in [s for s in result.spans if s.kind == "worker"]:
         assert w.parent_id == command.span_id
-    for load in result.spans_of_kind("load"):
+    for load in [s for s in result.spans if s.kind == "load"]:
         assert by_id[load.parent_id].kind == "worker"
     assert tracer.children(command)
 
@@ -100,7 +102,7 @@ def test_streamed_run_has_packet_spans():
         "iso-viewer",
         params={**ISO, "viewpoint": (0, 0, -5), "max_triangles": 200},
     )
-    packets = result.spans_of_kind("stream-packet")
+    packets = [s for s in result.spans if s.kind == "stream-packet"]
     assert packets
     assert any(s.attrs.get("nbytes") for s in packets)
 
@@ -148,8 +150,8 @@ def test_run_concurrent_shares_batch_observability():
     )
     assert len(results) == 2
     for result in results:
-        assert "session" in result.span_kinds()
+        assert "session" in {s.kind for s in result.spans}
         assert result.metrics
     # Both commands appear under the shared batch slice.
-    commands = results[0].spans_of_kind("command")
+    commands = [s for s in results[0].spans if s.kind == "command"]
     assert len(commands) == 2

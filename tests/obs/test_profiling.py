@@ -35,7 +35,6 @@ def test_sample_once_is_deterministic():
     sampler = StackSampler()
     sampler.sample_once()
     sampler.sample_once()
-    assert sampler.n_samples == 2
     assert sum(sampler.folded.values()) == 2
     (stack,) = {s.rsplit(";", 1)[-1] for s in sampler.folded} or {""}
     assert stack.endswith(".sample_once")
@@ -44,18 +43,16 @@ def test_sample_once_is_deterministic():
 def test_sample_once_ignores_dead_thread():
     sampler = StackSampler(target_thread_id=-1)
     sampler.sample_once()
-    assert sampler.n_samples == 0 and sampler.folded == {}
+    assert sampler.folded == {}
 
 
 def test_sampler_thread_captures_busy_loop():
     with StackSampler(interval=0.001) as sampler:
         deadline = time.monotonic() + 5.0
         acc = 0
-        while sampler.n_samples < 3 and time.monotonic() < deadline:
+        while sum(sampler.folded.values()) < 3 and time.monotonic() < deadline:
             acc += sum(range(500))
-    assert sampler.n_samples >= 3
-    assert sampler.folded
-    assert sum(sampler.folded.values()) == sampler.n_samples
+    assert sum(sampler.folded.values()) >= 3
 
 
 def test_sampler_validation_and_double_start():

@@ -38,8 +38,8 @@ def test_attainment_and_budget_arithmetic():
     tracker = SLOTracker([_latency_slo(threshold=0.1, target=0.9)])
     # 10 observations, exactly one bad: right on target.
     for i in range(9):
-        tracker.observe("iso", latency=0.05, runtime=1.0, t=float(i))
-    tracker.observe("iso", latency=0.5, runtime=1.0, t=9.0)
+        tracker.observe("iso", latency=0.05, runtime=1.0)
+    tracker.observe("iso", latency=0.5, runtime=1.0)
     (st,) = tracker.status("command")
     assert st.total == 10 and st.good == 9
     assert st.attainment == pytest.approx(0.9)
@@ -52,7 +52,7 @@ def test_attainment_and_budget_arithmetic():
 def test_burn_rate_over_budget():
     tracker = SLOTracker([_latency_slo(threshold=0.1, target=0.9)])
     for i in range(4):
-        tracker.observe("iso", latency=1.0, runtime=1.0, t=float(i))
+        tracker.observe("iso", latency=1.0, runtime=1.0)
     (st,) = tracker.status("command")
     assert not st.met
     assert st.burn_rate == pytest.approx(10.0)
@@ -61,8 +61,8 @@ def test_burn_rate_over_budget():
 
 def test_per_tenant_and_overall_rollups():
     tracker = SLOTracker([_latency_slo()])
-    tracker.observe("iso", latency=0.01, runtime=1.0, t=0.0, tenant="alice")
-    tracker.observe("iso", latency=0.9, runtime=1.0, t=1.0, tenant="bob")
+    tracker.observe("iso", latency=0.01, runtime=1.0, tenant="alice")
+    tracker.observe("iso", latency=0.9, runtime=1.0, tenant="bob")
     by_tenant = {st.key: st for st in tracker.status("tenant")}
     assert by_tenant["alice"].attainment == 1.0
     assert by_tenant["bob"].attainment == 0.0
@@ -76,8 +76,8 @@ def test_degraded_metric_ignores_latency():
     slo = SLODefinition(name="complete", metric="degraded", threshold=0.0,
                         target=0.5)
     tracker = SLOTracker([slo])
-    tracker.observe("iso", latency=99.0, runtime=99.0, t=0.0, degraded=False)
-    tracker.observe("iso", latency=0.0, runtime=0.0, t=1.0, degraded=True)
+    tracker.observe("iso", latency=99.0, runtime=99.0, degraded=False)
+    tracker.observe("iso", latency=0.0, runtime=0.0, degraded=True)
     (st,) = tracker.status("command")
     assert st.good == 1 and st.bad == 1
     # Degraded SLOs carry no value histogram: quantiles read 0.
@@ -87,8 +87,7 @@ def test_degraded_metric_ignores_latency():
 def test_quantiles_from_observations():
     tracker = SLOTracker([_latency_slo(threshold=10.0)])
     for i in range(100):
-        tracker.observe("iso", latency=0.001 + i * 0.0001, runtime=1.0,
-                        t=float(i))
+        tracker.observe("iso", latency=0.001 + i * 0.0001, runtime=1.0)
     (st,) = tracker.status("command")
     assert 0.001 <= st.p50 <= st.p95 <= st.p99 <= 0.05
 
@@ -126,8 +125,8 @@ def test_default_slos_track_interaction_criteria():
 
 def test_format_report_and_publish_metrics():
     tracker = SLOTracker([_latency_slo()])
-    tracker.observe("iso", latency=0.01, runtime=1.0, t=0.0)
-    tracker.observe("iso", latency=0.9, runtime=1.0, t=1.0)
+    tracker.observe("iso", latency=0.01, runtime=1.0)
+    tracker.observe("iso", latency=0.9, runtime=1.0)
     text = tracker.format_report("command")
     assert "SLO report" in text and "| lat" in text
     registry = MetricsRegistry()

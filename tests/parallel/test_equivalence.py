@@ -111,7 +111,7 @@ def test_observability_lands_in_obs(engine_store):
         res = ext.run("iso-dataman", params=ISO)
         kinds = ext.tracer.kinds()
         assert "parallel-run" in kinds and "parallel-share" in kinds
-        shares = ext.tracer.of_kind("parallel-share")
+        shares = [s for s in ext.tracer.spans if s.kind == "parallel-share"]
         assert len(shares) == len(res.shares)
         for span in shares:
             assert span.t_end is not None and span.t_end >= span.t_start

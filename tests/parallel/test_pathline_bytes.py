@@ -84,13 +84,15 @@ def test_batch_trace_pins_geometry_requests_and_samples(store):
         local_cache_blocks=8,
     )
     gen = tracer.trace_many(SEEDS)
+    requests = []
     try:
         request = next(gen)
         while True:
+            requests.append((request.time_index, request.block_id))
             request = gen.send(store.read_block(request.time_index, request.block_id))
     except StopIteration as stop:
         paths = stop.value
-    log = repr([(r.time_index, r.block_id) for r in tracer.request_log])
+    log = repr(requests)
     assert _sha(geometry_to_bytes(PolylineSet.from_pathlines(paths))) == GEOMETRY_SHA256
     assert _sha(log.encode()) == REQUEST_LOG_SHA256
     assert tracer.samples == SAMPLES
@@ -119,14 +121,16 @@ def test_clustered_batch_pins_large_block_groups(store, monkeypatch):
         local_cache_blocks=8,
     )
     gen = tracer.trace_many(CLUSTER_SEEDS)
+    requests = []
     try:
         request = next(gen)
         while True:
+            requests.append((request.time_index, request.block_id))
             request = gen.send(store.read_block(request.time_index, request.block_id))
     except StopIteration as stop:
         paths = stop.value
     assert max(group_sizes) > 16
-    log = repr([(r.time_index, r.block_id) for r in tracer.request_log])
+    log = repr(requests)
     assert _sha(geometry_to_bytes(PolylineSet.from_pathlines(paths))) == CLUSTER_GEOMETRY_SHA256
     assert _sha(log.encode()) == CLUSTER_REQUEST_LOG_SHA256
     assert tracer.samples == CLUSTER_SAMPLES

@@ -17,6 +17,7 @@ at several fixed seeds (the CI gate ISSUE 7 asks for).
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +38,34 @@ class Item:
         self.tenant = tenant
 
 
+def record_pops(queue):
+    """Spy on one lane's dispatch: wraps ``queue``'s put and pop and
+    returns the log they fill, ``(tenant served, tenants backlogged just
+    before)`` per pop."""
+    log, live = [], Counter()
+    put, pop = queue.put, queue._pop
+
+    def spy_put(tenant, lane, item):
+        live[tenant] += 1
+        put(tenant, lane, item)
+
+    def spy_pop():
+        backlogged = {t for t, n in live.items() if n}
+        item = pop()
+        if item is not None:
+            live[item.tenant] -= 1
+            log.append((item.tenant, backlogged))
+        return item
+
+    queue.put, queue._pop = spy_put, spy_pop
+    return log
+
+
 def assert_wrr_bound(pop_log, weights):
-    """The starvation bound over a queue's dispatch audit log."""
+    """The starvation bound over a queue's dispatch log."""
     bound = sum(weights.values())
     waiting = {t: 0 for t in weights}
-    for _lane, served, backlogged in pop_log:
+    for served, backlogged in pop_log:
         for t in weights:
             if t == served:
                 waiting[t] = 0
@@ -63,7 +87,8 @@ def assert_wrr_bound(pop_log, weights):
 @settings(max_examples=80, deadline=None)
 def test_no_tenant_starves_under_any_arrival_order(weights, puts):
     env = Environment()
-    queue = FairCommandQueue(env, record_pops=True)
+    queue = FairCommandQueue(env)
+    pops = record_pops(queue)
     names = {i: f"t{i}" for i in range(len(weights))}
     weight_by_name = {}
     for i, w in enumerate(weights):
@@ -75,7 +100,8 @@ def test_no_tenant_starves_under_any_arrival_order(weights, puts):
     while len(queue):
         evt = queue.get()
         assert evt.triggered
-    assert_wrr_bound(queue.pop_log, weight_by_name)
+    assert len(pops) == len(puts)
+    assert_wrr_bound(pops, weight_by_name)
 
 
 # --------------------------------------------------------------- property 2
@@ -180,7 +206,8 @@ def test_wrr_bound_holds_at_fixed_seeds(seed):
     """The CI fairness gate: random workloads at pinned seeds."""
     rng = random.Random(seed)
     env = Environment()
-    queue = FairCommandQueue(env, record_pops=True)
+    queue = FairCommandQueue(env)
+    pops = record_pops(queue)
     weights = {f"t{i}": rng.randint(1, 4) for i in range(4)}
     for name, weight in weights.items():
         queue.add_tenant(name, weight)
@@ -197,7 +224,8 @@ def test_wrr_bound_holds_at_fixed_seeds(seed):
             pending -= 1
     while len(queue):
         queue.get()
-    assert_wrr_bound(queue.pop_log, weights)
+    assert pops
+    assert_wrr_bound(pops, weights)
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
@@ -214,12 +242,11 @@ def test_weighted_share_converges_under_saturation(seed):
     rng.shuffle(order)
     for tenant in order:
         queue.put(tenant, LANE_NORMAL, Item(tenant))
-    served = []
+    counts = Counter()
     # Drain only while every tenant still has backlog, so observed
     # shares are the saturated steady state.
-    while len(queue.backlog(LANE_NORMAL)) == len(weights):
-        served.append(queue.get().value.tenant)
-    counts = {name: served.count(name) for name in weights}
+    while all(counts[name] < n_each for name in weights):
+        counts[queue.get().value.tenant] += 1
     total = sum(counts.values())
     for name, weight in weights.items():
         expected = weight / sum(weights.values())

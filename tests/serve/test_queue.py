@@ -26,9 +26,9 @@ def drain(queue, n):
     return out
 
 
-def make_queue(tenants, record_pops=False):
+def make_queue(tenants):
     env = Environment()
-    q = FairCommandQueue(env, record_pops=record_pops)
+    q = FairCommandQueue(env)
     for name, weight in tenants:
         q.add_tenant(name, weight)
     return env, q
@@ -127,18 +127,11 @@ def test_backlog_accounting_per_lane():
     q.put("a", LANE_NORMAL, Item("a", 0))
     q.put("a", LANE_BACKGROUND, Item("a", 1))
     q.put("b", LANE_NORMAL, Item("b", 0))
-    assert q.backlog() == {"a": 2, "b": 1}
-    assert q.backlog(LANE_NORMAL) == {"a": 1, "b": 1}
-    assert q.backlog(LANE_INTERACTIVE) == {}
-
-
-def test_pop_log_records_lane_tenant_and_backlog():
-    _, q = make_queue([("a", 1), ("b", 1)], record_pops=True)
-    q.put("a", LANE_NORMAL, Item("a", 0))
-    q.put("b", LANE_NORMAL, Item("b", 0))
-    drain(q, 2)
-    assert q.pop_log[0] == (LANE_NORMAL, "a", ("a", "b"))
-    assert q.pop_log[1] == (LANE_NORMAL, "b", ("b",))
+    assert len(q) == 3
+    # Each lane drains its own backlog, the normal lane first.
+    drained = [(item.tenant, item.tag) for item in drain(q, 3)]
+    assert drained == [("a", 0), ("b", 0), ("a", 1)]
+    assert len(q) == 0
 
 
 def test_idle_tenant_keeps_no_stale_credit_advantage():

@@ -189,3 +189,39 @@ def test_api_params_table_states_the_declarations():
         "docs/API.md's params table differs from the commands' "
         f"declarations; it should read:\n{table}"
     )
+
+
+def _expand(name: str) -> list[str]:
+    """``a_{b,c}_d`` → ``[a_b_d, a_c_d]``, every brace group in turn."""
+    match = re.search(r"\{([^{}]*)\}", name)
+    if match is None:
+        return [name]
+    head, tail = name[: match.start()], name[match.end() :]
+    return [x for alt in match.group(1).split(",") for x in _expand(head + alt + tail)]
+
+
+def test_api_names_the_published_series():
+    from repro.commands import DEMO_PARAMS
+
+    from tests.conftest import paper_session
+
+    text = (ROOT / "docs" / "API.md").read_text()
+    listed = text.split("Series published by the stack:", 1)[1].split("\n\n", 1)[0]
+    names = {
+        name
+        for code in re.findall(r"`([^`]+)`", listed.replace("\n", ""))
+        if code.startswith("viracocha_")
+        for name in _expand(code)
+    }
+    assert len(names) > 20
+    session = paper_session(n_workers=2)
+    published = set()
+    for command in ("iso-dataman", "iso-progressive"):
+        published |= set(session.run(command, params=dict(DEMO_PARAMS[command])).metrics)
+    assert not names - published, (
+        f"docs/API.md lists series the stack does not publish: {sorted(names - published)}"
+    )
+    # The span ring's two series are listed with the exporters.
+    ring = {"viracocha_spans_dropped_total", "viracocha_span_ring_high_water"}
+    unlisted = published - names - ring
+    assert not unlisted, f"docs/API.md omits series the stack publishes: {sorted(unlisted)}"

@@ -1,5 +1,5 @@
-"""Every ``src`` module is reached from what ships, and every name in it
-is read there.
+"""Every ``src`` module is reached from what ships, and every name and
+every field in it is read there.
 
 What ships is declared once, in :data:`ROOTS`: the CLI, the command
 registry, and every ``repro`` module a benchmark imports.  From there
@@ -161,17 +161,15 @@ KEPT = {
     "geometry_from_bytes": "test_geometry_io.py reads the shipped wire format back with it",
     "block_from_bytes": "the format tests decode written blocks with it",
     "ABCFlowField": "the λ2 tests need a fully 3-D vortical analytic flow",
-    # Observation points: what tests read a run's private state through.
-    "CommandResult.span_kinds": "fault and span tests read a run's span kinds with it",
-    "CommandResult.spans_of_kind": "fault and span tests select a run's spans with it",
-    "SpanTracer.of_kind": "trace and equivalence tests select spans with it",
-    "Span.contains": "the span-nesting tests check containment with it",
-    "CacheTier.used_bytes": "the cache tests check byte accounting with it",
-    "LazyStructuredBlock.resident_nbytes": "the lazy-block tests measure an upcast with it",
-    "ProcessWorkerPool.arena_names": "the leak tests list the pool's shared-memory arenas with it",
-    "FairCommandQueue.backlog": "the queue and fairness tests read per-tenant backlog with it",
-    "ParallelExtractor.precompute": "the persistence tests count derived blocks with it "
-    "(0 once persisted)",
+    # Observation points: private state no public call shows, which
+    # tests read through these.
+    "LazyStructuredBlock.resident_nbytes": "the lazy-block tests measure an upcast with "
+    "it: which fields a block has materialised as float64 is private",
+    "ProcessWorkerPool.arena_names": "the leak tests list the pool's shared-memory "
+    "arenas with it: the segment names live only in the pool",
+    "ParallelExtractor.precompute": "the persistence tests count derived blocks with "
+    "it (0 once persisted): run() derives only what its time range needs and "
+    "reports no count",
     # The chaos harness that tests/faults/test_golden_pins.py and the
     # chaos suite run; moving it into tests/ would not remove it.
     "run_chaos": "the chaos harness (golden pins, chaos suite)",
@@ -237,6 +235,14 @@ def _units(graph: _Graph, module: str) -> Iterator[tuple[str, ast.AST]]:
                     yield f"{node.name}.{item.name}", item
 
 
+def _shipped_trees(graph: _Graph) -> list[ast.AST]:
+    """The parsed reached modules and benchmark scripts: what ships."""
+    scripts = [p for root in ROOTS if root.endswith(".py") for p in ROOT.glob(root)]
+    return [graph.trees[m] for m in sorted(graph.reached())] + [
+        ast.parse(path.read_text(), str(path)) for path in scripts
+    ]
+
+
 def _shipped_readers() -> dict[str, bool]:
     """``{qualified name: whether shipped code reads it}`` per unit.
 
@@ -247,12 +253,7 @@ def _shipped_readers() -> dict[str, bool]:
     """
     graph = _Graph()
     reached = sorted(graph.reached())
-    scripts = [p for root in ROOTS if root.endswith(".py") for p in ROOT.glob(root)]
-    reads = Counter()
-    for tree in [graph.trees[m] for m in reached]:
-        reads += _reads(tree)
-    for path in scripts:
-        reads += _reads(ast.parse(path.read_text(), str(path)))
+    reads = sum(map(_reads, _shipped_trees(graph)), Counter())
     used: dict[str, bool] = {}
     for module in reached:
         for qualname, node in _units(graph, module):
@@ -272,3 +273,128 @@ def test_every_src_name_has_a_shipped_reader():
     )
     stale = sorted(name for name in KEPT if used.get(name, True))
     assert not stale, f"KEPT names that are gone from src or now have a shipped reader: {stale}"
+
+
+# --- state -----------------------------------------------------------------
+
+#: State no shipped code reads that stays, each with the reason it stays.
+_RETURNED = "a field of the record a public call returns"
+KEPT_STATE = {
+    "Streakline.n_released": f"{_RETURNED} (trace_streakline; the streakline tests)",
+    "Streakline.observation_time": f"{_RETURNED} (trace_streakline)",
+    "Streakline.release_times": f"{_RETURNED} (trace_streakline; the streakline tests)",
+    "FaceMatch.block_a": f"{_RETURNED} (find_matched_faces; test_matched_faces.py)",
+    "FaceMatch.face_a": f"{_RETURNED} (find_matched_faces; test_matched_faces.py)",
+    "FaceMatch.block_b": f"{_RETURNED} (find_matched_faces; test_matched_faces.py)",
+    "FaceMatch.face_b": f"{_RETURNED} (find_matched_faces; test_matched_faces.py)",
+    "ChaosRun.injector": f"{_RETURNED} (run_chaos); the chaos suite reads the "
+    "kinds that fired through it",
+    "FaultInjector.injected": "the kinds that fired, for the chaos suite; a session "
+    "without a metrics registry has no other record of them",
+    "Observation.queue_wait": "SLODefinition.is_good reads it as "
+    "getattr(observation, metric)",
+    "Observation.ttfa": "SLODefinition.is_good reads it as getattr(observation, metric)",
+    "SimMPIChannel.account": "passed on as account= to SimCluster.fabric_transfer, "
+    "which charges the send to that Fig. 15 time bucket",
+}
+
+#: Calls that change the object they are called on.
+MUTATORS = frozenset({"append", "extend", "add", "update", "setdefault", "discard", "clear"})
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        deco = deco.func if isinstance(deco, ast.Call) else deco
+        if "dataclass" in (getattr(deco, "id", None), getattr(deco, "attr", None)):
+            return True
+    return False
+
+
+def _state(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """``(Class.attr, attr)`` per dataclass field (``ClassVar`` aside) and
+    per ``self.<attr>`` a method of the class assigns."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        if _is_dataclass(cls):
+            names |= {
+                item.target.id
+                for item in cls.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+            }
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names |= {
+                    n.attr
+                    for n in ast.walk(item)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and getattr(n.value, "id", None) == "self"
+                }
+        for name in sorted(names):
+            yield f"{cls.name}.{name}", name
+
+
+def _copies(node: ast.AST, attr: str) -> Iterator[ast.Attribute]:
+    """The loads of ``.attr`` inside ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr == attr:
+            yield n
+
+
+def _writes(tree: ast.AST) -> set[int]:
+    """``id``s of the attribute loads in ``tree`` that only write state:
+    the receiver of a subscript store or a mutating call, and a load of
+    ``.x`` copied into a same-named target (``a.x += b.x``,
+    ``f(x=b.x)``, ``a.x.extend(b.x)``)."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            for target in n.targets if isinstance(n, (ast.Assign, ast.Delete)) else [n.target]:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                    found.add(id(target))
+                if isinstance(target, ast.Attribute) and getattr(n, "value", None):
+                    found |= {id(c) for c in _copies(n.value, target.attr)}
+        elif isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Attribute) and f.attr in MUTATORS:
+                if isinstance(f.value, ast.Attribute):
+                    found.add(id(f.value))
+                    for arg in [*n.args, *(k.value for k in n.keywords)]:
+                        found |= {id(c) for c in _copies(arg, f.value.attr)}
+            for k in n.keywords:
+                if k.arg:
+                    found |= {id(c) for c in _copies(k.value, k.arg)}
+    return found
+
+
+def _state_reads(tree: ast.AST) -> Counter:
+    """How often each attribute name is loaded in ``tree`` other than
+    to write state (:func:`_writes`)."""
+    writes = _writes(tree)
+    return Counter(
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and id(n) not in writes
+    )
+
+
+def test_every_src_field_is_read_by_what_ships():
+    graph = _Graph()
+    reads = sum(map(_state_reads, _shipped_trees(graph)), Counter())
+    state = {q: name for m in graph.reached() for q, name in _state(graph.trees[m])}
+    assert len(state) > 500
+    unread = sorted(q for q, name in state.items() if not reads[name] and q not in KEPT_STATE)
+    assert not unread, (
+        f"src fields and self attributes that only shipped code writes (tests "
+        f"and examples do not count): {unread}; delete them with what fills "
+        f"them, or keep one in KEPT_STATE with the reason it stays"
+    )
+    stale = sorted(q for q in KEPT_STATE if q not in state or reads[state[q]])
+    assert not stale, f"KEPT_STATE entries gone from src or now read: {stale}"

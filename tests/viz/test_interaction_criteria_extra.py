@@ -50,7 +50,6 @@ def test_report_on_non_mesh_geometry():
         payloads=[],
         breakdown={},
         dms={},
-        strategy_decisions={},
     )
     report = result.interaction_report()
     assert report["frame_rate_ok"] is True  # empty scene renders fast
