@@ -5,9 +5,12 @@ Chrome ``trace_event`` JSON (open in Perfetto / about:tracing) plus an
 ASCII timeline; ``stats`` prints the unified metrics table (cache hit
 rate, prefetch accuracy, latency histograms); ``profile`` replays a
 command under ``cProfile`` and prints the top hotspots so perf work
-starts from evidence.  ``critical-path`` attributes one command's wall
-clock to phases (queue/load/compute/merge/stream/recovery) along the
-span DAG's critical path; ``slo`` evaluates the paper's 100 ms
+starts from evidence: on the simulated session, or with ``--executor``
+on the real path ``extract`` runs, where every pool worker profiles its
+own shares and the parent merges their stats into its own.
+``critical-path`` attributes one command's wall clock to phases
+(queue/load/compute/merge/stream/recovery) along the span DAG's
+critical path; ``slo`` evaluates the paper's 100 ms
 interaction criterion as declarative SLOs over the sentry workload and,
 with ``--check``, gates against the committed baseline
 (``sentry_baseline.json``) — the CI regression sentry.  ``loadtest``
@@ -42,12 +45,13 @@ USAGE = {
     ),
     "profile": (
         "python -m repro profile <cmd> [--top N] [--sort cumulative|tottime] "
-        "[--workers N] [--data engine|propfan] [--cold]"
+        "[--workers N] [--data engine|propfan] [--executor serial|process] "
+        "[--cold]"
     ),
     "extract": (
         "python -m repro extract <cmd> [--data engine|propfan|path-to-store] "
         "[--workers N] [--executor serial|process] "
-        "[--schedule static|dynamic] [--flame FILE]"
+        "[--schedule static|dynamic]"
     ),
     "critical-path": (
         "python -m repro critical-path <cmd> [--data engine|propfan] "
@@ -315,29 +319,44 @@ def _session(flags: dict, workers: int):
     return paper_session(flags.get("data", "engine"), workers)
 
 
+def _open_data(flags: dict):
+    """The data ``extract`` and ``profile --executor`` run on:
+    ``--data``'s synthetic dataset (Engine by default; 4 resolutions,
+    2 levels) or a store on disk."""
+    from .synth import DATASETS
+
+    name = flags.get("data", "engine")
+    if name in DATASETS:
+        return DATASETS[name](base_resolution=4, n_timesteps=2)
+    return _store(name)
+
+
+def _run_lines(res) -> list[str]:
+    """Where a real run's wall time went, and how many blocks it loaded
+    (the rest were culled: their stored range excludes the value)."""
+    if res.shares:
+        went = "shares: " + ", ".join(f"{s * 1e3:.1f}" for s in res.share_seconds)
+        went += " ms"
+    else:
+        went = "no share ran: every block was culled"
+    return [
+        f"wall time:   {res.wall_seconds * 1e3:.1f} ms ({went})",
+        f"shares:      {len(res.shares)}  payloads: {res.n_payloads}  "
+        f"loaded {res.n_loads} of {res.n_loads + res.n_culled} blocks",
+    ]
+
+
 def _extract(positional: list[str], flags: dict) -> int:
     """Run one command for real on local cores (repro.parallel)."""
     command, params, n_workers = _prelude(positional, flags)
     from .core.commands import ParamError
     from .parallel import ParallelExtractor
-    from .synth import DATASETS
 
     executor = flags.get("executor", "process")
     schedule = flags.get("schedule", "static")
     data_name = flags.get("data", "engine")
-    if data_name in DATASETS:
-        data = DATASETS[data_name](base_resolution=4, n_timesteps=2)
-    else:
-        data = _store(data_name)
-    flame = flags.get("flame")
-    profile_interval = None
-    if flame:
-        from .obs.profiling import DEFAULT_INTERVAL
-
-        profile_interval = DEFAULT_INTERVAL
     with ParallelExtractor(
-        data, workers=n_workers, executor=executor,
-        profile_interval=profile_interval,
+        _open_data(flags), workers=n_workers, executor=executor,
     ) as ext:
         try:
             res = ext.run(command, params=params, schedule=schedule)
@@ -346,28 +365,14 @@ def _extract(positional: list[str], flags: dict) -> int:
         print(f"== {command} on {data_name} "
               f"({executor} executor, {res.group_size} workers, "
               f"{res.schedule} schedule) ==")
-        print(f"wall time:   {res.wall_seconds * 1e3:.1f} ms "
-              f"(shares: "
-              + ", ".join(f"{s * 1e3:.1f}" for s in res.share_seconds)
-              + " ms)")
-        # The rest were culled: their stored range excludes the threshold.
-        print(f"shares:      {len(res.shares)}  payloads: {res.n_payloads}  "
-              f"loaded {res.n_loads} of {res.n_loads + res.n_culled} blocks")
+        for line in _run_lines(res):
+            print(line)
         if res.schedule != "static":
             print(f"stealing:    {res.steals} steals, "
                   f"{res.idle_seconds * 1e3:.1f} ms worker idle")
         print(f"result:      {_describe_result(res.result)}")
         print(f"mapped:      {len(ext.store.mapped_files)} files, "
               f"{ext.store.nbytes} bytes")
-        if flame:
-            from .obs.profiling import top_functions
-
-            n_stacks = ext.write_flamegraph(flame)
-            samples = sum(ext.folded.values())
-            print(f"profile:     {samples} samples, {n_stacks} unique stacks "
-                  f"-> {flame} (collapsed-stack / flamegraph.pl format)")
-            for func, count in top_functions(ext.folded, limit=5):
-                print(f"  {count:6d}  {func}")
     return 0
 
 
@@ -477,27 +482,59 @@ def _profile(positional: list[str], flags: dict) -> int:
     top = flags.get("top", 20)
     if top < 1:
         raise _Usage(f"--top must be a positive integer, got {top}")
-    session = _session(flags, n_workers)
     import cProfile
-    import pstats
 
-    if not flags.get("cold"):
-        # Warm pass first: session construction, first-touch numpy and
-        # cold caches otherwise swamp the steady-state costs perf PRs
-        # actually target (the interactive replay loop).
-        session.run(command, params=dict(params))
+    executor = flags.get("executor")
+    cold = flags.get("cold")
     profiler = cProfile.Profile()
-    profiler.enable()
-    session.run(command, params=dict(params))
-    profiler.disable()
-    pass_kind = "cold" if flags.get("cold") else "warm"
+    shares, lines, where = [], [], f"{n_workers} workers"
+    if executor is None:
+        session = _session(flags, n_workers)
+        if not cold:
+            # Warm pass first: session construction, first-touch numpy and
+            # cold caches otherwise swamp the steady-state costs perf PRs
+            # actually target (the interactive replay loop).
+            session.run(command, params=dict(params))
+        profiler.runcall(session.run, command, params=dict(params))
+    else:
+        from .parallel import ParallelExtractor
+
+        with ParallelExtractor(
+            _open_data(flags), workers=n_workers, executor=executor, profile=True,
+        ) as ext:
+            if not cold:
+                # Warm run first: pool spawn and the first run's pickled
+                # gather stay out of the profile.
+                ext.run(command, params=dict(params))
+            res = profiler.runcall(ext.run, command, params=dict(params))
+        shares, lines = res.shares, _run_lines(res)
+        where = f"{executor} executor, {where}"
     print(
         f"== {command} on {flags.get('data', 'engine')} "
-        f"({n_workers} workers, {pass_kind} pass, top {top} by {sort}) =="
+        f"({where}, {'cold' if cold else 'warm'} pass, top {top} by {sort}) =="
     )
-    stats = pstats.Stats(profiler, stream=sys.stdout)
+    for line in lines:
+        print(line)
+    stats = _merged_stats(profiler, shares)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     return 0
+
+
+def _merged_stats(profiler, shares):
+    """``profiler``'s stats with every share's worker-side ``cProfile``
+    stats added (:attr:`~repro.parallel.ShareResult.profile_stats`)."""
+    import pstats
+    from types import SimpleNamespace
+
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    for share in shares:
+        if share.profile_stats is not None:
+            # pstats reads a profile as anything with ``stats`` and
+            # ``create_stats()``.
+            stats.add(SimpleNamespace(
+                stats=share.profile_stats, create_stats=lambda: None,
+            ))
+    return stats
 
 
 def _critical_path(positional: list[str], flags: dict) -> int:

@@ -601,15 +601,17 @@ class Deal:
     batch: int  #: units per ticket
     fair_share: int  #: ``ceil(live units / group)``; beyond it a slot steals
     group: int
-    #: units no slot runs (they merge as empty payload lists): tasks the
+    #: units no slot runs (they merge as empty payload lists): those the
     #: prune emptied, or every share when it left no pair to deal.
     dead: frozenset[int] = frozenset()
     #: the ``(level, block)`` pairs the prune dropped.
     culled: tuple[tuple[int, int], ...] = ()
 
     def slots(self) -> list[int]:
-        """The slots that run: all ``group``, none when the prune left
-        nothing to deal."""
+        """The slots that run: pre-dealt, each whose share is not dead;
+        a drain, all ``group`` unless the prune left nothing to deal."""
+        if self.order is None:
+            return [i for i in range(self.group) if i not in self.dead]
         return [] if self.dead and not self.order else list(range(self.group))
 
     def tickets(self) -> list[list[int]]:
@@ -657,8 +659,10 @@ def deal(
             pruned.append(kept)
         units = pruned
     if not dynamic:
-        # Every slot runs its share, emptied or not, unless none is left.
-        dead = set(range(group)) if culled and not any(units) else set()
+        # A share the prune emptied runs nowhere; none runs when no pair
+        # is left, not even a command's own empty share.
+        if culled and not any(units):
+            dead = set(range(group))
         return Deal(units, None, 1, 1, group, frozenset(dead), tuple(culled))
     costs = weights(units) if weights else [command.task_cost(ctx, u) for u in units]
     order = [i for i in lpt_order(costs) if i not in dead]

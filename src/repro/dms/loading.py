@@ -154,7 +154,7 @@ class CollectiveLoad(LoadingStrategy):
             ctx.fileserver_bandwidth / (1.0 + ctx.fileserver_pressure), 1e-9
         )
         # The broadcast is a one-shot push on the fabric; queue depth is
-        # deliberately *not* folded in here (a broadcast rides the next
+        # deliberately *not* added here (a broadcast rides the next
         # free stream), keeping the term identical to the original model.
         bcast = ctx.fabric_latency + ctx.nbytes / max(ctx.fabric_bandwidth, 1e-9)
         # Per-requester effective time: one shared read, one broadcast,

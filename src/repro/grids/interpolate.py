@@ -64,7 +64,7 @@ def _invert_one(cell, px, py, pz, tol2, max_iter):
         if fx * fx + fy * fy + fz * fz < tol2:
             return r, s, t, True
         # Jacobian entries: the shape-function derivatives dN/dr,
-        # dN/ds, dN/dt folded in sign-by-sign.
+        # dN/ds, dN/dt applied sign-by-sign.
         j00 = ((-(smtm * x0) + smtm * x1) + (stm * x2 - stm * x3)) \
             + ((-(smt * x4) + smt * x5) + (st * x6 - st * x7))
         j10 = ((-(smtm * y0) + smtm * y1) + (stm * y2 - stm * y3)) \

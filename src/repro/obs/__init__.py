@@ -17,9 +17,11 @@ The measurement substrate for every performance claim in this repo:
   burn rates over simulated time;
 * :mod:`repro.obs.sentry` — the perf regression sentry comparing a
   fresh measurement against a committed baseline (``repro slo
-  --check`` in CI);
-* :mod:`repro.obs.profiling` — cross-process sampling profiler
-  producing one flamegraph-ready collapsed-stack file per run.
+  --check`` in CI).
+
+Profiling is ``cProfile`` on both clocks (``repro profile``, with
+``--executor`` for the real path, where every pool worker profiles its
+own shares and the parent merges their stats); it has no module here.
 
 ``ViracochaSession`` wires spans and metrics up by default and attaches
 the populated tracer and a metrics snapshot to every ``CommandResult``;
@@ -55,13 +57,6 @@ from .slo import (
     SLOTracker,
     default_slos,
 )
-from .profiling import (
-    StackSampler,
-    merge_folded,
-    render_folded,
-    top_functions,
-    write_folded,
-)
 
 __all__ = [
     "Span",
@@ -88,9 +83,4 @@ __all__ = [
     "SLOStatus",
     "SLOTracker",
     "default_slos",
-    "StackSampler",
-    "merge_folded",
-    "render_folded",
-    "top_functions",
-    "write_folded",
 ]

@@ -80,7 +80,7 @@ _SELF_PHASE = {
 #: span kinds excluded from the critical-path chain competition.  Idle
 #: intervals end exactly at the run tail, so letting them compete would
 #: displace the straggler's real compute from the path; their seconds
-#: are instead folded into the ``queue`` phase additively (see
+#: are instead added to the ``queue`` phase (see
 #: :func:`analyze_spans`), which can push coverage above 1.0 on runs
 #: with substantial worker idling — deliberately: imbalance *is* extra
 #: latency an operator should see.
@@ -126,7 +126,7 @@ class CriticalPathReport:
     def covered(self) -> float:
         """On-path seconds: the chain of segments the finish waited on.
 
-        Off-path worker idle is folded into ``phase_seconds["queue"]``
+        Off-path worker idle is added to ``phase_seconds["queue"]``
         additively but is *not* path coverage — the finish never waited
         on an idle worker — so it is excluded here to keep
         ``coverage == 1.0`` by construction for bracketed runs.

@@ -118,6 +118,11 @@ class ParallelExtractor:
     executor:
         ``"process"`` fans shares out to worker processes;
         ``"serial"`` runs them in-process over the same store.
+    profile:
+        Run every pool worker's shares under ``cProfile`` and return
+        its stats with each share (:attr:`ShareResult.profile_stats`).
+        The serial executor runs in the caller's process, so the
+        caller's own profiler already sees its shares.
     """
 
     def __init__(
@@ -128,7 +133,7 @@ class ParallelExtractor:
         registry: CommandRegistry | None = None,
         costs: CostModel = DEFAULT_COSTS,
         observe: bool = True,
-        profile_interval: float | None = None,
+        profile: bool = False,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -147,11 +152,7 @@ class ParallelExtractor:
         self.costs = costs
         self.tracer = SpanTracer(clock=time.perf_counter, enabled=observe)
         self.metrics = MetricsRegistry()
-        #: seconds between stack samples in every executor (worker
-        #: processes *and* the serial path); None disables profiling.
-        self.profile_interval = profile_interval
-        #: collapsed stacks aggregated across all shares of all runs.
-        self.folded: dict[str, int] = {}
+        self.profile = profile
         self._pool: ProcessWorkerPool | None = None
         #: serial-executor runner, kept across run() calls so its
         #: ComputeCached memo (e.g. progressive pyramids) survives
@@ -181,8 +182,9 @@ class ParallelExtractor:
         Unlike the DES, the deal is pruned: where the command names what
         it culls on (:meth:`~repro.core.commands.Command.cull_on`), a
         block whose stored range (:meth:`ShmBlockStore.block_ranges`)
-        excludes the value is dealt to no slot and merges as nothing,
-        and a run the prune empties starts no pool.
+        excludes the value is dealt to no slot and merges as nothing, a
+        pre-dealt share the prune empties is sent to no worker, and a
+        run the prune empties starts no pool.
 
         Merged bytes: a dynamic run's equal a static group-1 run's at
         any group size (tasks merge in canonical order), and a static
@@ -253,7 +255,7 @@ class ParallelExtractor:
                 execute_share(
                     self._serial_runner, cmd, ctx, dealt.units,
                     chain.from_iterable(tickets[slot::dealt.group]), slot,
-                    dealt.fair_share, self.profile_interval,
+                    dealt.fair_share,
                 )
                 for slot in slots
             ]
@@ -276,19 +278,8 @@ class ParallelExtractor:
             n_culled=len(dealt.culled),
         )
 
-    # --------------------------------------------------------- precompute
-    def precompute(self, field_name: str = "lambda2") -> int:
-        """Derive ``field_name`` once per block of the store;
-        :meth:`run` does this itself for the field a command declares
-        (:meth:`~repro.core.commands.Command.derived_field`).
-
-        Returns the number of blocks derived (0 when every block has the
-        field already, e.g. persisted beside an on-disk dataset).
-        """
-        self._check_open()
-        return self._derive(field_name, self.store.time_indices)
-
-    def _derive(self, name: str, time_indices: Iterable[int]) -> int:
+    # ------------------------------------------------------------ derive
+    def _derive(self, name: str, time_indices: Iterable[int]) -> None:
         """Derive ``name`` for the blocks of these levels that lack it,
         into one file: beside the dataset the store was read from when
         there is one and it can be written, else the store's own
@@ -299,7 +290,7 @@ class ParallelExtractor:
         """
         keys = self.store.lacking(name, time_indices)
         if not keys:
-            return 0
+            return
         with self.tracer.span("parallel-precompute", name, n_blocks=len(keys)):
             if self.executor == "process":
                 self._ensure_pool().derive_field(keys, name)
@@ -311,7 +302,6 @@ class ParallelExtractor:
         self.metrics.gauge(
             "parallel_shm_bytes", help="bytes of the files the block store maps"
         ).set(self.store.nbytes)
-        return len(keys)
 
     # -------------------------------------------------------------- obs
     def _record(
@@ -373,10 +363,6 @@ class ParallelExtractor:
             seconds.observe(res.seconds)
             idle.inc(res.idle_s)
             steals.inc(res.steals)
-            if res.folded:
-                from ..obs.profiling import merge_folded
-
-                self.folded = merge_folded([self.folded, res.folded])
             self.tracer.record_interval(
                 "parallel-share",
                 f"{command}/share{res.share_index}",
@@ -423,27 +409,10 @@ class ParallelExtractor:
             "parallel_shm_bytes", help="bytes of the files the block store maps"
         ).set(self.store.nbytes)
 
-    def write_flamegraph(self, path_or_file) -> int:
-        """Write the aggregated collapsed-stack profile (all workers).
-
-        Output is ``flamegraph.pl`` / speedscope input; returns the
-        number of distinct stacks written.  Requires the extractor to
-        have been built with ``profile_interval`` set.
-        """
-        from ..obs.profiling import write_folded
-
-        if self.profile_interval is None:
-            raise RuntimeError(
-                "profiling disabled; pass profile_interval to ParallelExtractor"
-            )
-        return write_folded(path_or_file, self.folded)
-
     # ---------------------------------------------------------- plumbing
     def _ensure_pool(self) -> ProcessWorkerPool:
         if self._pool is None or self._pool.closed:
-            self._pool = ProcessWorkerPool(
-                self.store, self.workers, profile_interval=self.profile_interval,
-            )
+            self._pool = ProcessWorkerPool(self.store, self.workers, self.profile)
         return self._pool
 
     def _close_pool(self) -> None:

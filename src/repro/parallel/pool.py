@@ -32,7 +32,10 @@ path regardless of which worker finished first.
 
 Worker wall times are measured with ``time.perf_counter``
 (CLOCK_MONOTONIC on Linux, comparable across processes on one host) and
-returned with each share so the parent can import them as spans.
+returned with each share so the parent can import them as spans.  A pool
+built with ``profile=True`` runs each share under ``cProfile`` in its
+worker and returns the stats dict with it (``repro profile --executor
+process`` merges them into the parent's profile).
 
 A worker process dying mid-share (crash, ``os._exit``, OOM-kill)
 surfaces as :class:`WorkerPoolError`; the pool shuts down its remaining
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -68,21 +72,22 @@ class WorkerPoolError(RuntimeError):
 # only pickles while a process is being spawned, never through
 # ``executor.submit`` arguments.
 _WORKER_STORE: ShmBlockStore | None = None
-_PROFILE_INTERVAL: float | None = None
 _TICKET: Any = None
 #: this process's mappings of the pool's result arenas, by slot.
 _ARENAS: dict[int, shared_memory.SharedMemory] = {}
 
 
-def _pool_init(
-    manifest: dict,
-    profile_interval: float | None = None,
-    ticket: Any = None,
-) -> None:
-    global _WORKER_STORE, _PROFILE_INTERVAL, _TICKET
+def _pool_init(manifest: dict, ticket: Any = None) -> None:
+    global _WORKER_STORE, _TICKET
     _WORKER_STORE = ShmBlockStore.attach(manifest)
-    _PROFILE_INTERVAL = profile_interval
     _TICKET = ticket
+    # A worker forked while the parent profiles (``repro profile
+    # --cold``) starts inside the parent's profiler; Python 3.12+ would
+    # refuse this process a profiler of its own until that one stops.
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID):
+        monitoring.set_events(monitoring.PROFILER_ID, 0)
+        monitoring.free_tool_id(monitoring.PROFILER_ID)
 
 
 def _worker_store() -> ShmBlockStore:
@@ -147,6 +152,7 @@ def _run_slot(
     fair_share: int,
     state: dict | None,
     arena_name: str | None,
+    profile: bool,
 ) -> _Shipped:
     """One slot's call over ``work``, the units it may run by
     canonical index.  With ``batch`` 0 the slot was pre-dealt ``order``;
@@ -154,7 +160,8 @@ def _run_slot(
     off the ticket counter, ``batch`` at a time.  ``ctx`` came without
     block handles; they are the attached store's, for the absolute
     levels ``range(*levels)``, once it has synced ``state`` (``None``:
-    no change since this process last reported)."""
+    no change since this process last reported).  With ``profile`` the
+    share runs under ``cProfile`` and its stats ride back in the result."""
     store = _worker_store()
     if state is not None:
         store.sync(state)
@@ -162,10 +169,16 @@ def _run_slot(
     ctx.handles_by_time = [store.handles(t) for t in range(*levels)]
     waits: list[float] = []
     claims = _tickets(order, batch, waits) if batch else iter(order)
-    result = execute_share(
-        DirectRunner(_worker_store().get), command, ctx, work, claims, slot, fair_share,
-        _PROFILE_INTERVAL,
-    )
+    args = (DirectRunner(store.get), command, ctx, work, claims, slot, fair_share)
+    if profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        result = profiler.runcall(execute_share, *args)
+        profiler.create_stats()
+        result.profile_stats = profiler.stats
+    else:
+        result = execute_share(*args)
     result.idle_s = sum(waits)
     return _ship(result, arena_name, synced)
 
@@ -181,18 +194,14 @@ class ProcessWorkerPool:
         self,
         store: ShmBlockStore,
         n_workers: int,
-        profile_interval: float | None = None,
+        profile: bool = False,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if profile_interval is not None and profile_interval <= 0:
-            raise ValueError(
-                f"profile_interval must be > 0, got {profile_interval}"
-            )
         self.store = store
         self.n_workers = n_workers
-        #: seconds between worker-side stack samples; None = no profiling.
-        self.profile_interval = profile_interval
+        #: whether each share runs under ``cProfile`` in its worker.
+        self.profile = profile
         # ``fork`` where the platform has it: workers inherit the
         # imported numerics for free.
         methods = multiprocessing.get_all_start_methods()
@@ -218,7 +227,7 @@ class ProcessWorkerPool:
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_pool_init,
-            initargs=(store.manifest(), profile_interval, self._ticket),
+            initargs=(store.manifest(), self._ticket),
         )
 
     # ------------------------------------------------------------- shares
@@ -252,11 +261,11 @@ class ProcessWorkerPool:
         # it attached; the context crosses the pipe without them.
         bare = dataclasses.replace(ctx, handles_by_time=())
         levels = (ctx.time_offset, ctx.time_offset + ctx.n_timesteps)
-        arenas = self._offer_arenas(len(slots))
+        arenas = self._offer_arenas(run)
         return self._gather(
             [
                 (_run_slot, command, bare, levels, *slot, deal.fair_share,
-                 state, arena)
+                 state, arena, self.profile)
                 for slot, arena in zip(slots, arenas)
             ]
         )
@@ -268,12 +277,13 @@ class ProcessWorkerPool:
         return len(current) >= self.n_workers
 
     # ------------------------------------------------------------- arenas
-    def _offer_arenas(self, n_slots: int) -> list[str | None]:
-        """Each slot's arena name for the coming run (``None`` until the
-        slot has returned meshes), regrown first where the last result
-        overflowed.  The pool is quiescent here, so no worker is writing."""
+    def _offer_arenas(self, slots: Sequence[int]) -> list[str | None]:
+        """Each running slot's arena name for the coming run (``None``
+        until the slot has returned meshes), regrown first where the last
+        result overflowed.  The pool is quiescent here, so no worker is
+        writing."""
         names: list[str | None] = []
-        for slot in range(n_slots):
+        for slot in slots:
             arena = self._arenas.get(slot)
             if self._arena_wanted.get(slot, 0) > (arena.size if arena else 0):
                 if arena is not None:
@@ -286,8 +296,8 @@ class ProcessWorkerPool:
         return names
 
     def _gather(self, calls: Sequence[tuple]) -> list[ShareResult]:
-        """Submit one ``(fn, *args)`` call per slot; results in slot
-        order, every work unit's meshes gathered into one merged mesh
+        """Submit one ``(fn, *args)`` call per running slot; results in
+        slot order, every work unit's meshes gathered into one merged mesh
         (:func:`~repro.parallel.arena.gather_meshes`) in canonical task
         order.  A worker that dies while the calls are still being
         submitted breaks the pool just the same."""
@@ -309,7 +319,8 @@ class ProcessWorkerPool:
             raise
         results: list[ShareResult] = []
         units = []  # (record, its payloads or its arena run)
-        for slot, (result, packed, counts, synced) in enumerate(shipped):
+        for result, packed, counts, synced in shipped:
+            slot = result.share_index
             self._synced[result.pid] = synced
             if packed is None:
                 needed = meshes_nbytes(result.payloads)

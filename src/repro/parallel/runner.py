@@ -49,9 +49,10 @@ class ShareResult:
     #: payload bytes that came back through the slot's result arena;
     #: 0 when the payloads were pickled through the result pipe.
     arena_nbytes: int = 0
-    #: collapsed-stack sample counts from the sampling profiler (None
-    #: unless the extractor was built with profiling on).
-    folded: dict | None = None
+    #: the worker's ``cProfile`` stats over this share (``Profile.stats``
+    #: after ``create_stats()``: a plain dict, merged by the parent with
+    #: ``pstats.Stats.add``); None unless the pool profiles.
+    profile_stats: dict | None = None
     #: seconds spent waiting — claim-lock contention inside the worker
     #: plus the parent-added tail idle after the worker's last unit.
     idle_s: float = 0.0
@@ -163,7 +164,6 @@ def execute_share(
     claims: Iterator[int],
     slot: int,
     fair_share: int,
-    profile_interval: float | None = None,
 ) -> ShareResult:
     """Run the work units ``claims`` deals to one slot.
 
@@ -177,11 +177,6 @@ def execute_share(
     (:func:`~repro.parallel.dynamic.payload_lists`), so the merged
     bytes do not depend on which slot claimed what.
     """
-    sampler = None
-    if profile_interval is not None:
-        from ..obs.profiling import StackSampler
-
-        sampler = StackSampler(interval=profile_interval).start()
     records: list[TaskResult] = []
     t_start = time.perf_counter()
     for index in claims:
@@ -195,7 +190,6 @@ def execute_share(
         t_start=t_start,
         t_end=t_end,
         pid=os.getpid(),
-        folded=sampler.stop() if sampler is not None else None,
         steals=max(0, len(records) - fair_share),
         tasks=records,
     )

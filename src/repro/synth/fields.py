@@ -170,7 +170,7 @@ def warp_lattice(
 
     The warp is a bounded sinusoidal displacement; with
     ``amplitude * frequency`` small relative to the cell size the
-    mapping stays bijective (no folded cells).
+    mapping stays bijective (no inverted cells).
     """
     c = np.asarray(coords, dtype=np.float64)
     x, y, z = c[..., 0], c[..., 1], c[..., 2]

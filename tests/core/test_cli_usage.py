@@ -40,6 +40,7 @@ CASES = {
         ["iso", "--bogus"], ["iso", "--top"], [], ["iso", "x"],
         ["iso", "--top", "abc"], ["iso", "--top", "0"],
         ["iso", "--sort", "calls"], ["iso", "--data", "mars"], ["nope"],
+        ["iso", "--executor", "threads"],
     ],
     "extract": [
         ["iso", "--bogus"], ["iso", "--flame"], [], ["iso", "x"],

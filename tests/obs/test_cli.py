@@ -1,6 +1,7 @@
 """CLI tests for the trace/stats verbs and per-verb usage lines."""
 
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,23 @@ def test_profile_cold_and_tottime_flags(capsys):
     out = capsys.readouterr().out
     assert "cold pass" in out
     assert "internal time" in out
+
+
+@pytest.mark.parametrize("passes", ["warm", "cold"])
+def test_profile_executor_merges_every_workers_profile(capsys, passes):
+    """The real path: the workers' stats merged into the parent's count
+    one isosurface kernel call per loaded block.  Cold, the pool forks
+    while the parent profiles, and each worker still profiles itself."""
+    args = ["profile", "iso", "--executor", "process", "--workers", "2",
+            "--sort", "tottime", "--top", "500"]
+    assert cli_main(args + (["--cold"] if passes == "cold" else [])) == 0
+    out = capsys.readouterr().out
+    assert f"(process executor, 2 workers, {passes} pass, top 500 by tottime)" in out
+    assert "internal time" in out
+    assert "wall time:" in out
+    loaded = int(re.search(r"loaded (\d+) of \d+ blocks", out).group(1))
+    calls = re.search(r"^\s*(\d+) .*\(extract_block_isosurface\)$", out, re.M)
+    assert loaded > 0 and int(calls.group(1)) == loaded
 
 
 def test_profile_rejects_bad_arguments(capsys):

@@ -149,6 +149,10 @@ class _Probe(Command):
         return [p for payloads in payload_lists for p in payloads]
 
 
+def _derive_spans(ext):
+    return [s for s in ext.tracer.finished() if s.kind == "parallel-precompute"]
+
+
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_precompute_after_a_run_reaches_the_cached_blocks(engine_store, executor):
     # One worker, so every key lives in the one process that probes it.
@@ -160,14 +164,19 @@ def test_precompute_after_a_run_reaches_the_cached_blocks(engine_store, executor
         # A run that reads no derived field hands every block out first.
         assert not any(has for has, _kept in ext.run(_Probe(), params={"time_range": VORTEX["time_range"]}).result)
         parent = ext.store.get_block(0, 0)
-        assert ext.precompute("lambda2") == 2 * engine_store.n_blocks
+        # A vortex run over both levels derives lambda2 for every block.
+        derived = ext.run("vortex-dataman", params=VORTEX).result
+        [derive] = _derive_spans(ext)
+        assert derive.attrs["n_blocks"] == 2 * engine_store.n_blocks
         assert parent.has_field("lambda2") and ext.store.get_block(0, 0) is parent
         del parent
         probed = ext.run(_Probe(), params={"time_range": VORTEX["time_range"]}).result
         assert len(probed) == 2 * engine_store.n_blocks
         assert all(has and kept for has, kept in probed)
+        assert _bytes(derived) == expected
         assert _bytes(ext.run("vortex-dataman", params=VORTEX).result) == expected
-        assert ext.precompute("lambda2") == 0
+        # The second run finds every block derived and records no derive.
+        assert len(_derive_spans(ext)) == 1
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])

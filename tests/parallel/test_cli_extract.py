@@ -77,14 +77,15 @@ def test_extract_precompute_on_a_store(store_dir, capsys):
     assert first == _direct_triangles("vortex-dataman", store_dir)
 
 
-def test_extract_flame_writes_a_profile(tmp_path, capsys):
-    flame = tmp_path / "iso.folded"
-    assert cli_main(["extract", "iso", "--workers", "2",
-                     "--flame", str(flame)]) == 0
+def test_a_fully_culled_run_says_no_share_ran(capsys):
+    """On Propfan the demo isovalue lies outside every block's stored
+    pressure range: the parent culls all of them, and the wall line says
+    so instead of listing no share times."""
+    assert cli_main(["extract", "iso", "--data", "propfan", "--workers", "2"]) == 0
     out = capsys.readouterr().out
-    assert f"-> {flame} (collapsed-stack" in out
-    assert flame.exists()
-    assert _printed_triangles(out) == _direct_triangles("iso-dataman", "engine")
+    assert "(no share ran: every block was culled)" in out
+    assert "loaded 0 of 144 blocks" in out
+    assert _printed_triangles(out) == 0
 
 
 def _printed_result(args: list[str], capsys) -> str:

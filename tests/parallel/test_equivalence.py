@@ -6,10 +6,13 @@ result must be byte-identical across executors and worker counts — the
 acceptance bar of the multicore subsystem.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.algorithms import extract_isosurface
+from repro.io.dataset_io import DERIVED_DIR
 from repro.parallel import ParallelExtractor
 from tests.conftest import cached_engine
 
@@ -27,10 +30,8 @@ def _mesh_bytes(mesh) -> bytes:
     return mesh.vertices.tobytes() + mesh.triangles.tobytes()
 
 
-def _run(store, executor, workers, command, params, precompute=None):
+def _run(store, executor, workers, command, params):
     with ParallelExtractor(store, workers=workers, executor=executor) as ext:
-        if precompute:
-            ext.precompute(precompute)
         return ext.run(command, params=params)
 
 
@@ -62,11 +63,18 @@ def test_pathlines_byte_identical(engine_store, workers):
 
 
 def test_precomputed_lambda2_preserves_bytes(engine_store):
+    """λ2 derived in-process and λ2 the pool derived for every block of
+    both levels, then read back by a second run, give the same bytes."""
     plain = _run(engine_store, "serial", 2, "vortex-dataman", VORTEX)
-    derived = _run(
-        engine_store, "process", 2, "vortex-dataman", VORTEX, precompute="lambda2"
-    )
-    assert _mesh_bytes(plain.result) == _mesh_bytes(derived.result)
+    shutil.rmtree(engine_store.root / DERIVED_DIR)  # the pool derives anew
+    with ParallelExtractor(engine_store, workers=2, executor="process") as ext:
+        first = ext.run("vortex-dataman", params=VORTEX)
+        second = ext.run("vortex-dataman", params=VORTEX)
+        derives = [s for s in ext.tracer.finished() if s.kind == "parallel-precompute"]
+    [derive] = derives  # the second run derived nothing
+    assert derive.attrs["n_blocks"] == 2 * engine_store.n_blocks
+    assert _mesh_bytes(plain.result) == _mesh_bytes(first.result)
+    assert _mesh_bytes(plain.result) == _mesh_bytes(second.result)
 
 
 def test_matches_library_reference(engine_store):

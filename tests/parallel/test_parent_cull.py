@@ -3,10 +3,11 @@ a worker.
 
 ``ParallelExtractor.run`` deals with a liveness test built from the
 store's range tables (:func:`repro.core.commands.may_contain`), so a
-slot is sent only live units, a drain's batch and claim order count
-live tasks only, culled canonical indices merge as nothing, and a run
-the prune empties starts no pool.  The bytes stay the serial
-extractor's, pruned or not.
+slot is sent only live units, a pre-dealt share the prune empties is
+sent to no worker, a drain's batch and claim order count live tasks
+only, culled canonical indices merge as nothing, and a run the prune
+empties starts no pool.  The bytes stay the serial extractor's, pruned
+or not.
 """
 
 import inspect
@@ -96,15 +97,7 @@ def _live_tasks(ext, params) -> tuple[list, set]:
 
 
 def test_a_drain_sends_only_live_tasks(engine_store, monkeypatch):
-    calls: list[dict] = []
-    gather = ProcessWorkerPool._gather
-
-    def spy(pool, run_calls):
-        signature = inspect.signature(_run_slot)
-        calls.extend(signature.bind(*call[1:]).arguments for call in run_calls)
-        return gather(pool, run_calls)
-
-    monkeypatch.setattr(ProcessWorkerPool, "_gather", spy)
+    calls = _spy_on_slots(monkeypatch)
     group = 2
     with ParallelExtractor(engine_store, workers=group, executor="process") as ext:
         tasks, live = _live_tasks(ext, ISO)
@@ -122,6 +115,38 @@ def test_a_drain_sends_only_live_tasks(engine_store, monkeypatch):
     assert (run.attrs["n_units"], run.attrs["n_live"], run.attrs["n_culled"]) == (
         len(tasks), len(live), res.n_culled,
     )
+
+
+def _spy_on_slots(monkeypatch) -> list[dict]:
+    """Every ``_run_slot`` call the pool makes, its arguments by name."""
+    calls: list[dict] = []
+    gather = ProcessWorkerPool._gather
+    signature = inspect.signature(_run_slot)
+
+    def spy(pool, run_calls):
+        calls.extend(signature.bind(*call[1:]).arguments for call in run_calls)
+        return gather(pool, run_calls)
+
+    monkeypatch.setattr(ProcessWorkerPool, "_gather", spy)
+    return calls
+
+
+def test_a_share_the_prune_empties_is_sent_to_no_worker(engine_store, monkeypatch):
+    """On Engine-4's level 0 at group 4 the prune empties one of the
+    four pre-dealt shares: three slots run, and the bytes stay the
+    serial extractor's."""
+    calls = _spy_on_slots(monkeypatch)
+    group, params = 4, dict(ISO, time_range=(0, 1))
+    with ParallelExtractor(engine_store, workers=group, executor="serial") as ref:
+        want = ref.run("iso-dataman", params=params)
+    with ParallelExtractor(engine_store, workers=group, executor="process") as ext:
+        got = ext.run("iso-dataman", params=params)
+    ran = [res.share_index for res in got.shares]
+    assert len(calls) == len(ran) == group - 1
+    assert [args["slot"] for args in calls] == ran
+    assert [res.share_index for res in want.shares] == ran
+    assert got.n_loads == want.n_loads and got.n_culled == want.n_culled > 0
+    assert _mesh_bytes(got.result) == _mesh_bytes(want.result)
 
 
 @pytest.mark.parametrize("schedule", ["static", "dynamic"])

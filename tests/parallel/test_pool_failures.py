@@ -87,9 +87,11 @@ def test_closed_extractor_refuses_work(engine_store):
 
 def test_close_releases_all_segments(engine_store):
     ext = ParallelExtractor(engine_store, workers=2, executor="process")
-    ext.precompute("lambda2")
     for _ in range(2):
         ext.run("vortex-dataman", params={"threshold": 0.0, "time_range": (0, 1)})
+    # The first run derived lambda2 on the pool: its file is mapped too.
+    [derive] = [s for s in ext.tracer.finished() if s.kind == "parallel-precompute"]
+    assert derive.attrs["n_blocks"] == engine_store.n_blocks
     paths = _arena_paths(ext)
     assert paths and all(os.path.exists(p) for p in paths)
     assert ext.store.mapped_files

@@ -94,7 +94,8 @@ def test_engine10_maps_one_segment_then_two(engine10):
                            executor="serial") as ext:
         assert ext.store.mapped_files == [derived]
         assert ext.store.lacking("lambda2", [0, 1]) == []
-        assert ext.precompute("lambda2") == 0
+        ext.run("vortex-dataman", params=dict(VORTEX, time_range=(0, 2)))
+        assert "parallel-precompute" not in {s.kind for s in ext.tracer.finished()}
 
 
 def test_deriving_level_by_level_keeps_one_derived_map(engine10):

@@ -7,10 +7,18 @@ and the extractor imports it via
 the invariants the critical-path analyzer relies on: every share span
 is monotonic, parented under the ``parallel-run`` root, and shares
 executed by the same worker process never overlap.
+
+The same results carry each worker's ``cProfile`` stats when the
+extractor profiles, and the profile the ``repro profile`` verb merges
+from them counts every kernel call exactly, on either executor.
 """
+
+import cProfile
+import os
 
 import pytest
 
+from repro.__main__ import _merged_stats
 from repro.obs.critical_path import analyze_spans
 from repro.parallel import ParallelExtractor
 
@@ -32,10 +40,14 @@ def _split(spans):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_share_spans_imported_per_worker_count(engine_store, workers):
+    """One span per slot that ran: a share the parent's prune emptied
+    (one of four on this level) is sent to no worker and has none."""
     run, spans = _traced_run(engine_store, workers)
     roots, shares = _split(spans)
     assert len(roots) == 1
-    assert len(shares) == run.group_size
+    ran = sorted(res.share_index for res in run.shares)
+    assert sorted(s.node for s in shares) == ran
+    assert len(ran) == (run.group_size - 1 if workers == 4 else run.group_size)
     root = roots[0]
 
     for share in shares:
@@ -77,26 +89,35 @@ def test_imported_spans_feed_critical_path(engine_store):
     assert report.phase_seconds.get("compute", 0.0) > 0.0
 
 
-def test_flamegraph_requires_profiling_enabled(engine_store):
-    with ParallelExtractor(engine_store, workers=1) as ext:
-        ext.run("iso-dataman", params=ISO)
-        with pytest.raises(RuntimeError, match="profiling disabled"):
-            ext.write_flamegraph("/dev/null")
+def _kernel_calls(stats: dict) -> int:
+    """Calls of the isosurface kernel in a ``cProfile`` stats dict."""
+    kernel = os.path.join("algorithms", "isosurface.py")
+    return sum(
+        ncalls
+        for (path, _line, name), (_cc, ncalls, *_rest) in stats.items()
+        if name == "extract_block_isosurface" and path.endswith(kernel)
+    )
 
 
 @pytest.mark.parametrize("schedule", ["static", "dynamic"])
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_profiled_run_writes_folded_output(engine_store, tmp_path, executor, schedule):
+def test_profiled_run_counts_every_kernel_call(engine_store, executor, schedule):
+    """iso-dataman calls the kernel once per block it loads, so the
+    merged profile must count exactly ``n_loads`` calls: the parent's
+    own under the serial executor, the workers' under the pool."""
     with ParallelExtractor(
-        engine_store, workers=2, executor=executor, profile_interval=0.001
+        engine_store, workers=2, executor=executor, profile=True
     ) as ext:
-        res = ext.run("iso-dataman", params=ISO, schedule=schedule)
-        out = tmp_path / "profile.folded"
-        n = ext.write_flamegraph(str(out))
-    # Sampling is statistical: short shares may yield zero samples, but
-    # every share must have run under a sampler, and the write path and
-    # the stack-count contract must hold regardless.
-    assert all(share.folded is not None for share in res.shares)
-    assert n == len(ext.folded)
-    text = out.read_text()
-    assert len(text.splitlines()) == n
+        ext.run("iso-dataman", params=ISO, schedule=schedule)  # pool up
+        profiler = cProfile.Profile()
+        res = profiler.runcall(ext.run, "iso-dataman", params=ISO, schedule=schedule)
+    assert res.n_loads > 0
+    if executor == "process":
+        for share in res.shares:
+            assert _kernel_calls(share.profile_stats) == share.n_loads
+    else:
+        assert all(share.profile_stats is None for share in res.shares)
+    profiler.create_stats()
+    parent = _kernel_calls(profiler.stats)
+    assert parent == (res.n_loads if executor == "serial" else 0)
+    assert _kernel_calls(_merged_stats(profiler, res.shares).stats) == res.n_loads

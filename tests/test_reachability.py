@@ -167,9 +167,6 @@ KEPT = {
     "it: which fields a block has materialised as float64 is private",
     "ProcessWorkerPool.arena_names": "the leak tests list the pool's shared-memory "
     "arenas with it: the segment names live only in the pool",
-    "ParallelExtractor.precompute": "the persistence tests count derived blocks with "
-    "it (0 once persisted): run() derives only what its time range needs and "
-    "reports no count",
     # The chaos harness that tests/faults/test_golden_pins.py and the
     # chaos suite run; moving it into tests/ would not remove it.
     "run_chaos": "the chaos harness (golden pins, chaos suite)",
